@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-json bench-gate cover fuzz clean soak soak-smoke soak-overload soak-growth
+.PHONY: check build vet test race bench bench-smoke bench-json bench-gate bench-e2e-test bench-e2e cover fuzz clean soak soak-smoke soak-overload soak-growth
 
 # Tier-1 gate: everything must build, vet clean, pass under the race
-# detector (the chaos suites are required to be race-clean), and every
-# benchmark must still execute (one iteration each).
-check: build vet race bench-smoke
+# detector (the chaos suites are required to be race-clean), every
+# benchmark must still execute (one iteration each), and the end-to-end
+# benchmark module must vet and pass its own tests.
+check: build vet race bench-smoke bench-e2e-test
 
 build:
 	$(GO) build ./...
@@ -31,8 +32,8 @@ bench-smoke:
 # overwritten) into the committed BENCH_search.json so a partial bench
 # run refreshes its own series without dropping everyone else's history.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkNodeSearch|BenchmarkIndexPut|BenchmarkInsertIndexed|BenchmarkPlacementNodes|BenchmarkTransport' \
-		-benchmem ./internal/sdds ./internal/transport | $(GO) run ./cmd/benchjson -merge -out BENCH_search.json
+	$(GO) test -run '^$$' -bench 'BenchmarkNodeSearch|BenchmarkIndexPut|BenchmarkInsertIndexed|BenchmarkPlacementNodes|BenchmarkTransport|BenchmarkWALAppend' \
+		-benchmem ./internal/sdds ./internal/transport ./internal/wal | $(GO) run ./cmd/benchjson -merge -out BENCH_search.json
 	@cat BENCH_search.json
 
 # Benchmark regression gate: re-measure the search + index-maintenance
@@ -44,6 +45,19 @@ bench-json:
 bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkNodeSearch|BenchmarkIndexPut' \
 		-benchtime=0.3s ./internal/sdds | $(GO) run ./cmd/benchjson -gate BENCH_search.json
+
+# The end-to-end benchmark (BENCHMARK.json) is a Go module of its own
+# under benchmark/, so `go build/test ./...` at the root never reaches
+# it and an internal interface change (sdds.Store, wal.FS) could break
+# it unnoticed. bench-e2e-test, part of `check`, vets and tests it from
+# its own directory (every workload end to end at 1/100 size, about
+# 5 s); bench-e2e is the manual A/A run: every workload twice at full
+# size, compared against the declared bounds (minutes).
+bench-e2e-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+bench-e2e:
+	bash benchmark/run.sh -aa
 
 # Cluster-level soak: open-loop load generator driving a REAL
 # multi-process TCP cluster (spawned esdds-node daemons) through LH*

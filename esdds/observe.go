@@ -7,7 +7,8 @@ import (
 // WithObservability instruments every layer of the cluster into one
 // metrics registry: transport sends, retries, breaker activity and
 // injected faults; per-node opcode latencies and search-path counters;
-// WAL append/fsync/checkpoint timings (with WithDataDir); and the
+// WAL group sizes and sync-wait/fsync/checkpoint timings (with
+// WithDataDir); and the
 // self-healing loop's detector transitions, repair phases, and
 // guardian sync/recover durations (with WithSelfHealing). Instrumented
 // searches also record per-op traces (stage timings and IAM hop

@@ -19,15 +19,24 @@ import (
 // Store is the durable backing a node journals into — the narrow
 // surface of *wal.Store the node needs. A storeless node is ephemeral:
 // every restart is a total state loss that only LH*RS parity can repair.
-// With a store attached, every mutating handler journals before
-// applying, so a restarted node replays checkpoint+journal back to its
-// last acknowledged state and rejoins without touching the parity
-// budget.
+// With a store attached, every mutating handler journals what it
+// applies and acknowledges only once the journal frame is flushed, so a
+// restarted node replays checkpoint+journal back to its last
+// acknowledged state and rejoins without touching the parity budget.
 type Store interface {
 	// Recover replays durable state: restore with the checkpoint image,
 	// then apply per journal entry. See wal.Store.Recover.
 	Recover(restore func(image []byte) error, apply func(op uint8, payload []byte) error) (wal.Outcome, error)
-	// Journal durably appends one operation before it is applied.
+	// Append queues one operation for the journal (no I/O) and returns
+	// its sequence number; the put_batch and delete handlers call it
+	// under the node lock and Sync after releasing it.
+	Append(op uint8, payload []byte) (seq uint64, err error)
+	// Sync blocks until seq is durable, sharing one flush among every
+	// concurrent caller. Nothing is acknowledged before it returns nil.
+	Sync(seq uint64) error
+	// Journal is Append followed by Sync, for the callers that keep the
+	// node lock across their flush: the rare structural ops (bucket
+	// create, split, merge, migration phases) and the single put.
 	Journal(op uint8, payload []byte) error
 	// CheckpointDue reports that the journal has outgrown the cadence.
 	CheckpointDue() bool
@@ -270,17 +279,50 @@ func (n *Node) CloseStore() error {
 }
 
 // journalLocked durably appends one mutation to the store (free on
-// ephemeral nodes). Handlers call it under the write lock BEFORE
-// applying, so the journal order is the apply order and a crash between
-// the two replays the op the client never saw acknowledged — the
-// at-least-once side of redo logging, safe because every journaled op
-// is deterministic. Callers must hold the node lock.
+// ephemeral nodes), flush included. The structural handlers and the
+// single put call it under the write lock BEFORE applying, so the
+// journal order is the apply order and a crash between the two replays
+// the op the client never saw acknowledged — the at-least-once side of
+// redo logging, safe because every journaled op is deterministic.
+// Callers must hold the node lock.
 func (n *Node) journalLocked(op uint8, payload []byte) error {
 	if n.store == nil {
 		return nil
 	}
 	if err := n.store.Journal(op, payload); err != nil {
 		return fmt.Errorf("sdds: node %d: journaling op %d: %w", n.id, op, err)
+	}
+	return nil
+}
+
+// appendLocked queues one mutation for the journal without flushing it
+// — the first half of the put_batch/delete discipline: lock →
+// resolve → append → apply → unlock → syncJournal → reply. Appending
+// under the node lock keeps journal order equal to apply order; flushing
+// after the lock is released keeps a disk flush from stalling every
+// other request to the node, and lets concurrent requests (and all the
+// entries of one batch) share a flush. Callers must hold the node lock
+// and have checked n.store != nil.
+func (n *Node) appendLocked(op uint8, payload []byte) (uint64, error) {
+	seq, err := n.store.Append(op, payload)
+	if err != nil {
+		return 0, fmt.Errorf("sdds: node %d: journaling op %d: %w", n.id, op, err)
+	}
+	return seq, nil
+}
+
+// syncJournal blocks until the journal is durable up to seq — the gate
+// between applying a mutation and acknowledging it. seq 0 means nothing
+// was appended (an ephemeral node, or a request that applied nothing
+// locally). store is the one appendLocked used, captured under the node
+// lock: CloseStore may have detached it since. Callers must NOT hold the
+// node lock.
+func (n *Node) syncJournal(store Store, seq uint64) error {
+	if seq == 0 {
+		return nil
+	}
+	if err := store.Sync(seq); err != nil {
+		return fmt.Errorf("sdds: node %d: flushing journal to seq %d: %w", n.id, seq, err)
 	}
 	return nil
 }
@@ -298,9 +340,9 @@ func (n *Node) maybeCheckpointLocked() error {
 }
 
 // applyLoggedLocked re-applies one journaled mutation during replay. It
-// mirrors exactly what each handler does after its journalLocked call —
-// minus forwarding, IAM responses and re-journaling. Callers must hold
-// the write lock.
+// mirrors exactly what each handler does once it has journaled (queued
+// or flushed) its op — minus forwarding, IAM responses and
+// re-journaling. Callers must hold the write lock.
 func (n *Node) applyLoggedLocked(op uint8, payload []byte) error {
 	replayBucket := func(file FileID, addr uint64) (*nodeFile, *lhstar.Bucket, error) {
 		f := n.fileLocked(file)
@@ -569,10 +611,12 @@ const forwardDeadline = 10 * time.Second
 // withOwnedBucket runs the LH* server-side address computation and, if
 // the key belongs to the addressed local bucket, executes fn on it while
 // still holding the node lock — so the ownership check and the operation
-// are atomic with respect to concurrent splits. If the key belongs
-// elsewhere, the (re-encoded) request is forwarded to the owning peer
-// and its response relayed.
-func (n *Node) withOwnedBucket(ctx context.Context, file FileID, addr uint64, hops uint8, key uint64, op uint8, reencode func(nextAddr uint64) []byte, fn func(f *nodeFile, b *lhstar.Bucket) ([]byte, error)) ([]byte, error) {
+// are atomic with respect to concurrent splits. fn reports the journal
+// sequence number it appended (0 for none); the response is released
+// only once the journal is flushed that far, AFTER the node lock is
+// dropped. If the key belongs elsewhere, the (re-encoded) request is
+// forwarded to the owning peer and its response relayed.
+func (n *Node) withOwnedBucket(ctx context.Context, file FileID, addr uint64, hops uint8, key uint64, op uint8, reencode func(nextAddr uint64) []byte, fn func(f *nodeFile, b *lhstar.Bucket) (resp []byte, seq uint64, err error)) ([]byte, error) {
 	f := n.getFile(file)
 	n.mu.Lock()
 	b, ok := f.buckets[addr]
@@ -582,9 +626,16 @@ func (n *Node) withOwnedBucket(ctx context.Context, file FileID, addr uint64, ho
 	}
 	next, fwd := lhstar.ServerAddress(b.Addr(), b.Level(), key)
 	if !fwd {
-		resp, err := fn(f, b)
+		resp, seq, err := fn(f, b)
+		store := n.store
 		n.mu.Unlock()
-		return resp, err
+		if err != nil {
+			return nil, err
+		}
+		if err := n.syncJournal(store, seq); err != nil {
+			return nil, err
+		}
+		return resp, nil
 	}
 	n.mu.Unlock()
 	if hops+1 >= maxHops {
@@ -612,20 +663,27 @@ func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
 		fwd.addr = next
 		fwd.hops++
 		return fwd.encode()
-	}, func(f *nodeFile, b *lhstar.Bucket) ([]byte, error) {
+	}, func(f *nodeFile, b *lhstar.Bucket) ([]byte, uint64, error) {
 		if err := f.migBlocked(m.file, b.Addr()); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		// Journal with the resolved local address so replay applies
 		// directly, without re-running the forwarding computation. The
 		// store-nil check lives out here so ephemeral nodes skip the
 		// journal encode entirely, not just the append.
+		//
+		// A single put still flushes under the node lock (Journal, not
+		// Append + Sync after the unlock like put_batch and delete): the
+		// end-to-end benchmark's trace attributes WAL time through
+		// Store.Journal and its self-test needs one on every durable
+		// insert. With one frame per request there is no flush to save
+		// here, only the lock hold; see DESIGN.md §10.
 		if n.store != nil {
 			logged := m
 			logged.addr = b.Addr()
 			logged.hops = 0
 			if err := n.journalLocked(opPut, logged.encode()); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		isNew := b.Put(m.key, m.value)
@@ -636,7 +694,7 @@ func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
 			iamLevel:  uint8(b.Level()),
 			bucketLen: uint32(b.Len()),
 		}.encode()
-		return resp, n.maybeCheckpointLocked()
+		return resp, 0, n.maybeCheckpointLocked()
 	})
 }
 
@@ -672,36 +730,40 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 	// batch: the indexer sorts and appends per piece once for the whole
 	// message instead of paying per-entry posting maintenance.
 	var applied []kv
+	// seq is the journal position of the last entry appended; the whole
+	// batch shares the one flush that follows the unlock.
+	var seq uint64
 	n.mu.Lock()
+	// The walk stops at the first entry it cannot apply (err set). The
+	// entries before it stay applied and journaled, so `applied` is
+	// indexed on every path: an early return must not leave bucket
+	// contents the posting index has never seen.
 	for i := 0; i < it.n; i++ {
-		e, perr := it.next()
-		if perr != nil {
-			n.mu.Unlock()
-			return nil, perr
+		var e batchEntry
+		if e, err = it.next(); err != nil {
+			break
 		}
 		b, ok := f.buckets[e.addr]
 		if !ok {
-			n.mu.Unlock()
-			return nil, fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, e.addr, it.file)
+			err = fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, e.addr, it.file)
+			break
 		}
 		next, needFwd := lhstar.ServerAddress(b.Addr(), b.Level(), e.key)
 		if needFwd {
 			fwds = append(fwds, fwd{i: i, addr: next, e: e})
 			continue
 		}
-		if err := f.migBlocked(it.file, b.Addr()); err != nil {
-			n.mu.Unlock()
-			return nil, err
+		if err = f.migBlocked(it.file, b.Addr()); err != nil {
+			break
 		}
 		// Each locally applied entry journals as an individual put at
 		// its resolved address; forwarded entries are journaled by the
-		// node that ends up applying them. Ephemeral nodes skip the
-		// journal encode entirely.
+		// node that ends up applying them. The frames only queue here.
+		// Ephemeral nodes skip the journal encode entirely.
 		if n.store != nil {
 			logged := putReq{file: it.file, addr: b.Addr(), key: e.key, value: e.value}
-			if err := n.journalLocked(opPut, logged.encode()); err != nil {
-				n.mu.Unlock()
-				return nil, err
+			if seq, err = n.appendLocked(opPut, logged.encode()); err != nil {
+				break
 			}
 		}
 		if vals == nil {
@@ -721,12 +783,18 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 		}
 	}
 	f.indexPutBatch(applied)
-	if err := n.maybeCheckpointLocked(); err != nil {
-		n.mu.Unlock()
+	if err == nil {
+		err = n.maybeCheckpointLocked()
+	}
+	store := n.store
+	n.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	n.mu.Unlock()
 	if err := it.r.done(); err != nil {
+		return nil, err
+	}
+	if err := n.syncJournal(store, seq); err != nil {
 		return nil, err
 	}
 	if len(fwds) > 0 && n.peers == nil {
@@ -766,14 +834,14 @@ func (n *Node) handleGet(ctx context.Context, payload []byte) ([]byte, error) {
 		fwd.addr = next
 		fwd.hops++
 		return fwd.encode()
-	}, func(_ *nodeFile, b *lhstar.Bucket) ([]byte, error) {
+	}, func(_ *nodeFile, b *lhstar.Bucket) ([]byte, uint64, error) {
 		v, ok := b.Get(m.key)
 		return valueResp{
 			found:    ok,
 			iamAddr:  b.Addr(),
 			iamLevel: uint8(b.Level()),
 			value:    v,
-		}.encode(), nil
+		}.encode(), 0, nil
 	})
 }
 
@@ -787,16 +855,16 @@ func (n *Node) handleDelete(ctx context.Context, payload []byte) ([]byte, error)
 		fwd.addr = next
 		fwd.hops++
 		return fwd.encode()
-	}, func(f *nodeFile, b *lhstar.Bucket) ([]byte, error) {
+	}, func(f *nodeFile, b *lhstar.Bucket) (_ []byte, seq uint64, err error) {
 		if err := f.migBlocked(m.file, b.Addr()); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if n.store != nil {
 			logged := m
 			logged.addr = b.Addr()
 			logged.hops = 0
-			if err := n.journalLocked(opDelete, logged.encode()); err != nil {
-				return nil, err
+			if seq, err = n.appendLocked(opDelete, logged.encode()); err != nil {
+				return nil, 0, err
 			}
 		}
 		ok := b.Delete(m.key)
@@ -808,7 +876,7 @@ func (n *Node) handleDelete(ctx context.Context, payload []byte) ([]byte, error)
 			iamAddr:  b.Addr(),
 			iamLevel: uint8(b.Level()),
 		}.encode()
-		return resp, n.maybeCheckpointLocked()
+		return resp, seq, n.maybeCheckpointLocked()
 	})
 }
 

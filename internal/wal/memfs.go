@@ -67,7 +67,10 @@ func (f *memFile) view() []byte {
 // Simplifications, chosen to match how the store writes: renames and
 // truncates are durable immediately (the store orders them after
 // syncs), and unsynced data is a single contiguous tail per file (the
-// store syncs every frame before acknowledging it).
+// store hands a whole group of frames to one Write and syncs it before
+// acknowledging any of them, so CrashTorn tears a group anywhere — mid-
+// frame or between frames — and replay keeps the complete frames before
+// the tear).
 type MemFS struct {
 	mu      sync.Mutex
 	files   map[string]*memFile

@@ -2,13 +2,13 @@
 // checksummed, length-prefixed write-ahead log of mutating operations
 // plus periodic whole-state checkpoints written with the write-temp →
 // fsync → atomic-rename discipline. A node that journals every mutation
-// before applying it can be restarted after any crash and replay
-// checkpoint+journal back to a state equivalent to what it had
-// acknowledged — torn journal tails (the un-acknowledged write in
-// flight at the crash) are detected by CRC framing and truncated, while
-// checksum failures anywhere else are surfaced as ErrCorrupt so the
-// caller can fall back to remote parity repair instead of trusting a
-// damaged replay. Nothing is ever silently dropped: every recovery
+// and acknowledges it only once its frame is flushed can be restarted
+// after any crash and replay checkpoint+journal back to a state
+// equivalent to what it had acknowledged — torn journal tails (the
+// un-acknowledged group flush in flight at the crash) are detected by
+// CRC framing and truncated, while checksum failures anywhere else are
+// surfaced as ErrCorrupt so the caller can fall back to remote parity
+// repair instead of trusting a damaged replay. Nothing is ever silently dropped: every recovery
 // reports exactly one of fresh, recovered, or corrupt.
 package wal
 
@@ -66,9 +66,9 @@ func (o Outcome) String() string {
 
 // Options tunes a store.
 type Options struct {
-	// NoSync skips the per-append fsync. Appends are then only as
-	// durable as the OS page cache — a crash may lose a clean suffix of
-	// acknowledged entries (never a middle, never corruption). Off by
+	// NoSync skips the fsync of each group flush. Appends are then only
+	// as durable as the OS page cache — a crash may lose a clean suffix
+	// of acknowledged entries (never a middle, never corruption). Off by
 	// default: durability first.
 	NoSync bool
 	// CheckpointBytes is the journal growth after which CheckpointDue
@@ -102,15 +102,18 @@ var (
 // its own identity as well as its bytes.
 const frameOverhead = 4 + 4 + 8 + 1
 
-// appendFrame appends one encoded journal frame to dst.
+// appendFrame appends one encoded journal frame to dst. The body is
+// encoded straight into dst and checksummed in place; the CRC slot is
+// patched afterwards.
 func appendFrame(dst []byte, seq uint64, op uint8, payload []byte) []byte {
+	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	body := make([]byte, 0, 9+len(payload))
-	body = binary.BigEndian.AppendUint64(body, seq)
-	body = append(body, op)
-	body = append(body, payload...)
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(body, crcTable))
-	return append(dst, body...)
+	dst = append(dst, 0, 0, 0, 0) // CRC, patched below
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst = append(dst, op)
+	dst = append(dst, payload...)
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Update(0, crcTable, dst[start+8:]))
+	return dst
 }
 
 // errTorn reports an incomplete trailing frame — the write that was in
@@ -234,20 +237,48 @@ func decodeCheckpoint(data []byte) (seq uint64, image []byte, err error) {
 
 // Store is one node's durable backing: a journal of operations plus the
 // latest checkpoint. All methods are safe for concurrent use; journal
-// order is the lock-acquisition order, so callers serializing appends
+// order is the order of Append calls, so callers serializing appends
 // with their state mutations (e.g. under the node lock) get a journal
 // that replays to the same state.
+//
+// Journaling is split in two so that no caller lock need be held across
+// a disk flush. Append encodes a frame into an in-memory pending buffer
+// and hands back its sequence number; Sync(seq) blocks until that frame
+// is durable. Concurrent Sync callers group-commit: the first one
+// becomes the leader, swaps the pending buffer out and issues ONE Write
+// and ONE fsync for everything appended so far, outside the store
+// mutex, then wakes every waiter the flush covered. Frames appended
+// meanwhile form the next group. There is no timer and no batch knob —
+// a group is whatever accumulated while the previous flush was on disk.
+//
+// A failed flush leaves the journal's tail unknown, so it latches the
+// store into a failed state: every later Append, Sync, Journal,
+// Checkpoint and Reset returns the first error, wrapped, and the store
+// must be closed and reopened (which re-verifies what reached disk).
 type Store struct {
 	fsys FS
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	log      File
-	seq      uint64 // last journaled sequence number
-	ckptSeq  uint64 // sequence covered by the on-disk checkpoint
-	logBytes int64
-	closed   bool
+	mu   sync.Mutex
+	cond *sync.Cond // signalled when a flush, checkpoint, close or abort ends
+	log  File
+
+	seq       uint64 // last appended sequence number
+	syncedSeq uint64 // every seq <= syncedSeq is durable (flushed or checkpointed)
+	ckptSeq   uint64 // sequence covered by the on-disk checkpoint
+	logBytes  int64  // journal length including pending frames
+
+	// pending holds the encoded frames (syncedSeq, seq] — or, while a
+	// flush is on disk, those appended after the leader swapped the
+	// buffer out. spare is the buffer the previous flush used, recycled
+	// so steady-state appends do not allocate.
+	pending       []byte
+	pendingFrames int
+	spare         []byte
+	flushing      bool  // a leader is writing outside mu
+	failed        error // first flush error; sticky
+	closed        bool
 
 	// Recovery material captured at Open, consumed by Recover.
 	corrupt   string // why verification failed ("" = clean)
@@ -271,6 +302,7 @@ func Open(fsys FS, dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("wal: creating %s: %w", dir, err)
 	}
 	s := &Store{fsys: fsys, dir: dir, opts: opts}
+	s.cond = sync.NewCond(&s.mu)
 	// A leftover temp file is a checkpoint whose rename never happened;
 	// it holds nothing the journal cannot replay.
 	if err := s.fsys.Remove(s.path(tmpName)); err != nil && !os.IsNotExist(err) {
@@ -310,6 +342,7 @@ func (s *Store) load() error {
 		s.image = append([]byte(nil), image...)
 		s.ckptSeq = seq
 		s.seq = seq
+		s.syncedSeq = seq
 		s.recovered = true
 	case os.IsNotExist(err):
 	default:
@@ -328,7 +361,18 @@ func (s *Store) load() error {
 		s.corrupt = corruptDetail(serr)
 		return nil
 	}
-	if goodLen < len(data) {
+	switch {
+	case len(entries) == 0 && goodLen > len(logMagic):
+		// Every frame is at or below the checkpoint: a crash between a
+		// checkpoint's rename and its journal prune. The stale frames may
+		// stop short of ckptSeq (the checkpoint covered frames that were
+		// still pending, never written), so appending ckptSeq+1 behind
+		// them would leave a gap. Finish the prune instead.
+		goodLen = len(logMagic)
+		if err := s.fsys.Truncate(s.path(logName), int64(goodLen)); err != nil {
+			return fmt.Errorf("wal: finishing interrupted journal prune: %w", err)
+		}
+	case goodLen < len(data):
 		// Torn tail: the write in flight at the crash. It was never
 		// acknowledged, so cutting it is recovery, not loss.
 		if err := s.fsys.Truncate(s.path(logName), int64(goodLen)); err != nil {
@@ -338,6 +382,7 @@ func (s *Store) load() error {
 	s.entries = entries
 	s.logBytes = int64(goodLen)
 	s.seq = lastSeq
+	s.syncedSeq = lastSeq
 	if lastSeq > 0 || len(entries) > 0 {
 		s.recovered = true
 	}
@@ -398,46 +443,153 @@ func (s *Store) Recover(restore func(image []byte) error, apply func(op uint8, p
 	return OutcomeRecovered, nil
 }
 
-// Journal durably appends one operation. On return (without error) the
-// entry has been written — and, unless NoSync is set, fsynced — so the
-// caller may apply and acknowledge the mutation.
-func (s *Store) Journal(op uint8, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+// usableLocked reports a store that is gone for good: closed, or
+// latched by a failed flush. Callers hold s.mu.
+func (s *Store) usableLocked() error {
+	switch {
+	case s.closed:
 		return ErrClosed
+	case s.failed != nil:
+		return fmt.Errorf("wal: store failed, reopen required: %w", s.failed)
+	}
+	return nil
+}
+
+// writableLocked additionally refuses a corrupt store, which only Reset
+// may touch. Callers hold s.mu.
+func (s *Store) writableLocked() error {
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if s.corrupt != "" {
 		return fmt.Errorf("%w: %s (Reset required)", ErrCorrupt, s.corrupt)
+	}
+	return nil
+}
+
+// waitFlushLocked blocks until no group flush is on disk — the fence
+// Checkpoint, Reset, Close and Abort take before touching the journal
+// file. Callers hold s.mu (released while waiting).
+func (s *Store) waitFlushLocked() {
+	for s.flushing {
+		s.cond.Wait()
+	}
+}
+
+// Append encodes one operation into the pending buffer and returns its
+// sequence number. No syscall is made: the entry is NOT durable, and
+// must not be acknowledged, until Sync(seq) returns nil. Append order is
+// journal order.
+func (s *Store) Append(op uint8, payload []byte) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writableLocked(); err != nil {
+		return 0, err
+	}
+	s.seq++
+	before := len(s.pending)
+	s.pending = appendFrame(s.pending, s.seq, op, payload)
+	s.pendingFrames++
+	s.logBytes += int64(len(s.pending) - before)
+	s.met.appends.Inc()
+	return s.seq, nil
+}
+
+// Sync blocks until every entry up to seq is durable (written, and
+// unless NoSync is set fsynced), or reports why it never will be.
+// Callers that find a flush already on disk wait for it; the first one
+// that does not becomes the leader for everything appended so far, so N
+// concurrent callers share far fewer than N flushes. An entry a
+// checkpoint has covered is durable without a flush.
+func (s *Store) Sync(seq uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.met.on {
+		return s.syncLocked(seq)
+	}
+	start := time.Now()
+	err := s.syncLocked(seq)
+	s.met.syncWaitNS.Observe(time.Since(start).Nanoseconds())
+	return err
+}
+
+func (s *Store) syncLocked(seq uint64) error {
+	for seq > s.syncedSeq {
+		if seq > s.seq { // never appended, or wiped by a Reset meanwhile
+			return fmt.Errorf("wal: Sync(%d) past the last appended seq %d", seq, s.seq)
+		}
+		if err := s.writableLocked(); err != nil {
+			return err
+		}
+		if s.flushing {
+			s.cond.Wait()
+			continue
+		}
+		s.flushLocked()
+	}
+	return nil
+}
+
+// flushLocked makes the caller the group's leader: it takes the pending
+// buffer, releases s.mu for the Write and the fsync, and on return
+// (s.mu held again) has either advanced syncedSeq past every frame it
+// took or latched the store failed. Callers hold s.mu, have checked
+// writableLocked and that no flush is on disk; pending is then non-empty
+// (it holds exactly the frames past syncedSeq).
+func (s *Store) flushLocked() {
+	buf, frames, upTo := s.pending, s.pendingFrames, s.seq
+	s.pending, s.pendingFrames = s.spare[:0], 0
+	s.flushing = true
+	s.mu.Unlock()
+	err := s.writeGroup(buf)
+	s.mu.Lock()
+	s.flushing = false
+	s.spare = buf[:0]
+	if err != nil {
+		s.failed = err
+	} else {
+		s.syncedSeq = upTo
+		s.met.groupSize.Observe(int64(frames))
+	}
+	s.cond.Broadcast()
+}
+
+// writeGroup appends one group of frames to the journal file and makes
+// it durable. Only the flush leader calls it, and everything that swaps
+// or closes s.log fences on the flush first, so s.log is stable here
+// without s.mu.
+func (s *Store) writeGroup(buf []byte) error {
+	if _, err := s.log.Write(buf); err != nil {
+		return fmt.Errorf("wal: journal append: %w", err)
+	}
+	if s.opts.NoSync {
+		return nil
 	}
 	var start time.Time
 	if s.met.on {
 		start = time.Now()
 	}
-	frame := appendFrame(nil, s.seq+1, op, payload)
-	if _, err := s.log.Write(frame); err != nil {
-		return fmt.Errorf("wal: journal append: %w", err)
+	if err := s.log.Sync(); err != nil {
+		return fmt.Errorf("wal: journal sync: %w", err)
 	}
-	if !s.opts.NoSync {
-		var syncStart time.Time
-		if s.met.on {
-			syncStart = time.Now()
-		}
-		if err := s.log.Sync(); err != nil {
-			return fmt.Errorf("wal: journal sync: %w", err)
-		}
-		if s.met.on {
-			s.met.fsyncs.Inc()
-			s.met.fsyncNS.Observe(time.Since(syncStart).Nanoseconds())
-		}
-	}
-	s.seq++
-	s.logBytes += int64(len(frame))
 	if s.met.on {
-		s.met.appends.Inc()
-		s.met.appendNS.Observe(time.Since(start).Nanoseconds())
+		s.met.fsyncs.Inc()
+		s.met.fsyncNS.Observe(time.Since(start).Nanoseconds())
 	}
 	return nil
+}
+
+// Journal durably appends one operation: Append followed by Sync. On
+// return (without error) the entry has been written — and, unless NoSync
+// is set, fsynced — so the caller may acknowledge the mutation. Callers
+// that hold a lock they would rather not keep across a disk flush use
+// the two halves apart.
+func (s *Store) Journal(op uint8, payload []byte) error {
+	seq, err := s.Append(op, payload)
+	if err != nil {
+		return err
+	}
+	return s.Sync(seq)
 }
 
 // CheckpointDue reports whether the journal has grown past the
@@ -449,18 +601,20 @@ func (s *Store) CheckpointDue() bool {
 }
 
 // Checkpoint atomically persists a full state image covering everything
-// journaled so far and prunes the journal. The sequence is write temp →
+// appended so far and prunes the journal. The sequence is write temp →
 // fsync → rename → sync dir → truncate journal; a crash at any point
-// leaves either the old checkpoint plus the full journal or the new
-// checkpoint plus a journal whose stale prefix replay skips.
+// leaves either the old checkpoint plus the flushed journal or the new
+// checkpoint plus a journal of stale frames only, which the next Open
+// prunes. The image must reflect every appended entry (callers
+// serialize Append with their state and snapshot under the same lock),
+// so on success every appended seq is durable: frames still pending are
+// dropped unwritten and their Sync waiters return at once.
 func (s *Store) Checkpoint(image []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.corrupt != "" {
-		return fmt.Errorf("%w: %s (Reset required)", ErrCorrupt, s.corrupt)
+	s.waitFlushLocked()
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	var ckptStart time.Time
 	if s.met.on {
@@ -492,6 +646,7 @@ func (s *Store) Checkpoint(image []byte) error {
 	}
 	s.ckptSeq = s.seq
 	s.logBytes = int64(len(logMagic))
+	s.coverPendingLocked()
 	if s.met.on {
 		s.met.checkpoints.Inc()
 		s.met.fsyncs.Add(2) // checkpoint file sync + dir sync
@@ -500,14 +655,28 @@ func (s *Store) Checkpoint(image []byte) error {
 	return nil
 }
 
+// coverPendingLocked records that everything appended is durable by
+// other means than a group flush (a checkpoint image, or Close's final
+// flush): the pending frames are retired as one group and their Sync
+// waiters released. Callers hold s.mu with no flush on disk.
+func (s *Store) coverPendingLocked() {
+	s.syncedSeq = s.seq
+	if s.pendingFrames > 0 {
+		s.met.groupSize.Observe(int64(s.pendingFrames))
+	}
+	s.pending, s.pendingFrames = s.pending[:0], 0
+	s.cond.Broadcast()
+}
+
 // Reset wipes the store back to empty — the only way out of the corrupt
 // state, taken after deciding the local replay cannot be trusted and a
 // remote restore will follow.
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	s.waitFlushLocked()
+	if err := s.usableLocked(); err != nil {
+		return err
 	}
 	if s.log != nil {
 		s.log.Close()
@@ -518,31 +687,47 @@ func (s *Store) Reset() error {
 			return fmt.Errorf("wal: reset: removing %s: %w", name, err)
 		}
 	}
-	s.seq, s.ckptSeq, s.logBytes = 0, 0, 0
+	s.seq, s.syncedSeq, s.ckptSeq, s.logBytes = 0, 0, 0, 0
+	s.pending, s.pendingFrames = s.pending[:0], 0
 	s.corrupt, s.image, s.entries, s.recovered = "", nil, nil, false
 	s.met.resets.Inc()
+	s.cond.Broadcast()
 	return s.openLog()
 }
 
-// Seq returns the last journaled sequence number.
+// Seq returns the last appended sequence number.
 func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
 }
 
-// Close flushes and closes the store.
+// Close flushes whatever is still pending and closes the store. A store
+// latched by a failed flush closes its file and reports that failure:
+// its tail was never made durable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitFlushLocked()
 	if s.closed {
 		return nil
 	}
 	s.closed = true
+	defer s.cond.Broadcast()
 	if s.log == nil {
 		return nil
 	}
-	err := s.log.Sync()
+	err := s.failed
+	if err == nil && len(s.pending) > 0 {
+		_, err = s.log.Write(s.pending)
+	}
+	if err == nil {
+		// Close always syncs, NoSync or not: a graceful shutdown leaves
+		// nothing in the page cache.
+		if err = s.log.Sync(); err == nil {
+			s.coverPendingLocked()
+		}
+	}
 	if cerr := s.log.Close(); err == nil {
 		err = cerr
 	}
@@ -552,16 +737,21 @@ func (s *Store) Close() error {
 
 // Abort closes the store without flushing — the in-process equivalent
 // of a crash, used when a node is killed rather than shut down. Durable
-// state is whatever the journal discipline already made durable.
+// state is whatever group flushes already made durable; a flush on disk
+// is allowed to finish (the file must not be closed under it), pending
+// frames are dropped and their Sync waiters get ErrClosed.
 func (s *Store) Abort() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitFlushLocked()
 	if s.closed {
 		return
 	}
 	s.closed = true
+	s.pending, s.pendingFrames = nil, 0
 	if s.log != nil {
 		s.log.Close()
 		s.log = nil
 	}
+	s.cond.Broadcast()
 }
