@@ -11,8 +11,10 @@ check: build vet race bench-smoke bench-e2e-test
 build:
 	$(GO) build ./...
 
+# gofmt -l prints the files it would change; any output fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -112,8 +114,6 @@ cover:
 
 # Short fuzz pass over every fuzz target (30s each).
 fuzz:
-	$(GO) test -fuzz='^FuzzReadFrame$$' -fuzztime=30s ./internal/transport
-	$(GO) test -fuzz='^FuzzFrameRoundTrip$$' -fuzztime=30s ./internal/transport
 	$(GO) test -fuzz='^FuzzReadFrameV2$$' -fuzztime=30s ./internal/transport
 	$(GO) test -fuzz='^FuzzFrameV2RoundTrip$$' -fuzztime=30s ./internal/transport
 	$(GO) test -fuzz=FuzzDecodePutReq -fuzztime=30s ./internal/sdds

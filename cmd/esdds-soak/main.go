@@ -94,7 +94,7 @@ type profile struct {
 var profiles = map[string]profile{
 	"smoke": {
 		nodes: 3, ops: 120000, rate: 4000,
-		mix:       loadgen.Mix{InsertPct: 80, SearchPct: 15, DeletePct: 5},
+		mix: loadgen.Mix{InsertPct: 80, SearchPct: 15, DeletePct: 5},
 		// 256 in-flight ops keep the multiplexed connections' pipelines
 		// full; the old request-per-turn wire saturated long before this.
 		bucketCap: 512, maxInFlight: 256, searchMode: "fast",
@@ -626,6 +626,7 @@ func startChaos(ctx context.Context, cluster *esdds.Cluster, every time.Duration
 				return
 			case <-tick.C:
 			}
+			repaired := heal.Repairs()
 			if err := cluster.KillNode(victim); err != nil {
 				fmt.Fprintf(stdout, "chaos: killing node %d: %v\n", victim, err)
 				continue
@@ -633,12 +634,35 @@ func startChaos(ctx context.Context, cluster *esdds.Cluster, every time.Duration
 			k.kills++
 			fmt.Fprintf(stdout, "chaos: killed node %d (kill #%d)\n", victim, k.kills)
 			victim = (victim + 1) % n
+			// AwaitHealthy alone truthfully reports healthy in the instant
+			// before the detector has seen the kill, so first wait for the
+			// repair count to move: this kill's repair, not a stale verdict.
 			hctx, cancel := context.WithTimeout(ctx, time.Minute)
-			err := heal.AwaitHealthy(hctx)
+			var err error
+			for err == nil && heal.Repairs() == repaired {
+				select {
+				case <-hctx.Done():
+					err = hctx.Err()
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			if err == nil {
+				err = heal.AwaitHealthy(hctx)
+			}
 			cancel()
 			if err != nil {
 				fmt.Fprintf(stdout, "chaos: repair wait failed, standing down: %v\n", err)
 				return
+			}
+			// The ticker kept running during the repair and buffered a
+			// tick; without this the next kill would land the instant a
+			// slow repair returns instead of one interval later. (Reset
+			// alone leaves the buffered tick in place under go 1.22
+			// timer semantics, hence the drain.)
+			tick.Reset(every)
+			select {
+			case <-tick.C:
+			default:
 			}
 		}
 	}()

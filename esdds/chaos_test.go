@@ -27,7 +27,7 @@ func chaosRetryPolicy() transport.RetryPolicy {
 //
 //  1. a seeded workload runs against a lossy network with zero
 //     client-visible errors (retries mask the injected drops),
-//  2. f <= k nodes are killed mid-operation; SearchBestEffort degrades
+//  2. f <= k nodes are killed mid-operation; SearchDetailed degrades
 //     gracefully and names exactly the dead nodes,
 //  3. the LH*RS guardian recovers the dead nodes from parity, after
 //     which a full Search returns the pre-failure result set.
@@ -124,10 +124,11 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 	}
 	cluster.Faults().Blackout(transport.NodeID(4))
 
-	rids, failed, err := store.SearchBestEffort(ctx, []byte("BEACON PAYLOAD"), SearchVerified)
+	out, err := store.SearchDetailed(ctx, []byte("BEACON PAYLOAD"), SearchVerified)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rids, failed := out.RIDs, out.FailedNodes
 	sort.Ints(failed)
 	if len(failed) != len(dead) || failed[0] != dead[0] || failed[1] != dead[1] {
 		t.Fatalf("failed nodes = %v, want exactly %v", failed, dead)
@@ -175,9 +176,9 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 			t.Fatalf("Get(%d) = %q, want %q", rid, got, want)
 		}
 	}
-	_, failed, err = store.SearchBestEffort(ctx, []byte("BEACON PAYLOAD"), SearchVerified)
-	if err != nil || len(failed) != 0 {
-		t.Fatalf("failures reported after recovery: %v %v", failed, err)
+	out, err = store.SearchDetailed(ctx, []byte("BEACON PAYLOAD"), SearchVerified)
+	if err != nil || len(out.FailedNodes) != 0 {
+		t.Fatalf("failures reported after recovery: %v %v", out.FailedNodes, err)
 	}
 }
 

@@ -196,15 +196,7 @@ func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.
 		tr = c.hedge
 	}
 	if cfg.retry != nil {
-		rp := *cfg.retry
-		if rp.NoRetryOps == nil {
-			// The legacy one-shot migration ops move records destructively
-			// with the only copy in the response; a retry after a lost
-			// response re-extracts an already-emptied range. Never resend
-			// them unless the caller explicitly opts in.
-			rp.NoRetryOps = sdds.NonRetryableOps()
-		}
-		c.retry = transport.NewRetry(tr, rp, cfg.retrySeed)
+		c.retry = transport.NewRetry(tr, *cfg.retry, cfg.retrySeed)
 		c.retry.Instrument(c.met)
 		tr = c.retry
 	}

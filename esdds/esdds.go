@@ -407,23 +407,6 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// SearchBestEffort is Search with node-failure tolerance: unreachable
-// nodes are skipped and reported in failedNodes instead of failing the
-// whole search. Results are an under-approximation — hits whose index
-// pieces lived on failed nodes are lost, but nothing spurious is ever
-// added (K-site agreement still applies). On a self-healing cluster a
-// down node within the parity budget is served from its last-synced
-// image instead of being reported failed; see SearchDetailed. Recover
-// the failed sites (see the LH*RS machinery demonstrated in
-// examples/availability) to restore exactness.
-func (s *Store) SearchBestEffort(ctx context.Context, substring []byte, mode SearchMode) (rids []uint64, failedNodes []int, err error) {
-	out, err := s.SearchDetailed(ctx, substring, mode)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.RIDs, out.FailedNodes, nil
-}
-
 // SearchOutcome carries a search's results plus its availability
 // metadata: whether the answer is complete, which nodes (if any) were
 // served degraded from last-synced parity images, and how stale those

@@ -394,20 +394,20 @@ func TestWordSearchDisabled(t *testing.T) {
 	}
 }
 
-func TestSearchBestEffortHealthy(t *testing.T) {
+func TestSearchDetailedHealthy(t *testing.T) {
 	store := openMem(t, Config{ChunkSize: 4, Chunkings: 2}, nil)
 	ctx := context.Background()
 	if err := store.Insert(ctx, 9, []byte("MARTINEZ MARIA")); err != nil {
 		t.Fatal(err)
 	}
-	rids, failed, err := store.SearchBestEffort(ctx, []byte("MARTINEZ"), SearchFast)
+	out, err := store.SearchDetailed(ctx, []byte("MARTINEZ"), SearchFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) != 0 {
-		t.Errorf("failed nodes on healthy cluster: %v", failed)
+	if !out.Complete || len(out.FailedNodes) != 0 {
+		t.Errorf("healthy cluster: complete=%v failed nodes %v", out.Complete, out.FailedNodes)
 	}
-	if len(rids) != 1 || rids[0] != 9 {
-		t.Errorf("rids = %v", rids)
+	if len(out.RIDs) != 1 || out.RIDs[0] != 9 {
+		t.Errorf("rids = %v", out.RIDs)
 	}
 }

@@ -103,10 +103,11 @@ func main() {
 	}
 	cluster.Faults().Blackout(4)
 
-	hits, failed, err := store.SearchBestEffort(ctx, query, esdds.SearchVerified)
+	out, err := store.SearchDetailed(ctx, query, esdds.SearchVerified)
 	if err != nil {
 		log.Fatal(err)
 	}
+	hits, failed := out.RIDs, out.FailedNodes
 	fmt.Printf("best-effort search: %d/%d hits, failed nodes reported: %v\n", len(hits), len(baseline), failed)
 
 	// Phase 4 — recovery: spare nodes take over the dead IDs, the

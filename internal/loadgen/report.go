@@ -67,9 +67,9 @@ type Second struct {
 	// counts ops refused by server-side admission control.
 	Shed     uint64 `json:"shed,omitempty"`
 	Rejected uint64 `json:"rejected,omitempty"`
-	P50Ns  int64  `json:"p50_ns,omitempty"`
-	P99Ns  int64  `json:"p99_ns,omitempty"`
-	MaxNs  int64  `json:"max_ns,omitempty"`
+	P50Ns    int64  `json:"p50_ns,omitempty"`
+	P99Ns    int64  `json:"p99_ns,omitempty"`
+	MaxNs    int64  `json:"max_ns,omitempty"`
 }
 
 // GrowthSample is a per-second snapshot of the cluster's LH* state,

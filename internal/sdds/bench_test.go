@@ -205,7 +205,7 @@ func benchmarkInsertIndexed(b *testing.B, batched bool) {
 			if batched {
 				err = c.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits)
 			} else {
-				err = c.InsertIndexedSequential(ctx, FileIndex, recs, pl.K(), slotBits)
+				err = insertIndexedSequential(ctx, c, FileIndex, recs, pl.K(), slotBits)
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -154,14 +154,16 @@ func TestSearchPartialNamesExactlyTheDeadNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Healthy cluster: no failures reported.
-	_, failed, err := c.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny)
+	_, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
+	failed := info.Failed
 	if err != nil || len(failed) != 0 {
-		t.Fatalf("healthy SearchPartial: failed=%v err=%v", failed, err)
+		t.Fatalf("healthy SearchPartialInfo: failed=%v err=%v", failed, err)
 	}
 
 	dead := []transport.NodeID{1, 3}
 	faulty.Blackout(dead...)
-	_, failed, err = c.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny)
+	_, info, err = c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
+	failed = info.Failed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +177,10 @@ func TestSearchPartialNamesExactlyTheDeadNodes(t *testing.T) {
 	}
 
 	faulty.Restore(dead...)
-	_, failed, err = c.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny)
+	_, info, err = c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
+	failed = info.Failed
 	if err != nil || len(failed) != 0 {
-		t.Fatalf("restored SearchPartial: failed=%v err=%v", failed, err)
+		t.Fatalf("restored SearchPartialInfo: failed=%v err=%v", failed, err)
 	}
 }
 
@@ -240,9 +243,10 @@ func TestSearchPartialUnderDupAndDelayFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, failed, err := c.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny)
+	baseline, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
+	failed := info.Failed
 	if err != nil || len(failed) != 0 {
-		t.Fatalf("clean SearchPartial: failed=%v err=%v", failed, err)
+		t.Fatalf("clean SearchPartialInfo: failed=%v err=%v", failed, err)
 	}
 	if len(baseline) == 0 {
 		t.Fatal("baseline found no hits")
@@ -259,7 +263,8 @@ func TestSearchPartialUnderDupAndDelayFaults(t *testing.T) {
 		Delay:     200 * time.Microsecond,
 	})
 	for run := 0; run < 5; run++ {
-		rids, failed, err := c.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny)
+		rids, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
+		failed := info.Failed
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}

@@ -799,22 +799,6 @@ func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.Inde
 	return nil
 }
 
-// InsertIndexedSequential is the pre-batching insert path: one Put RPC
-// per (chunking, site) piece. Kept as the reference implementation the
-// batched path is benchmarked and tested against.
-func (c *Cluster) InsertIndexedSequential(ctx context.Context, id FileID, recs []core.IndexRecord, kSites int, slotBits uint) error {
-	for _, rec := range recs {
-		for k, stream := range rec.Streams {
-			key := ComposeIndexKey(rec.RID, rec.J, k, kSites, slotBits)
-			val := indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream}.encode()
-			if err := c.Put(ctx, id, key, val); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // DeleteIndexed removes all index pieces of a record.
 func (c *Cluster) DeleteIndexed(ctx context.Context, id FileID, rid uint64, m, kSites int, slotBits uint) error {
 	for j := 0; j < m; j++ {
@@ -854,7 +838,7 @@ func (i SearchInfo) Complete() bool { return len(i.Failed) == 0 }
 // matching RIDs. Unreachable nodes are transparently served from the
 // degraded provider's last-synced images when one is installed; Search
 // fails only when some node is neither reachable nor degraded-servable
-// (use SearchPartial for best-effort results in that case).
+// (use SearchPartialInfo for best-effort results in that case).
 func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, query *core.Query, mode core.VerifyMode) ([]uint64, error) {
 	rids, info, err := c.SearchPartialInfo(ctx, id, pl, query, mode)
 	if err != nil {
@@ -866,22 +850,13 @@ func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, quer
 	return rids, nil
 }
 
-// SearchPartial is Search with per-node failure tolerance: nodes that
-// can be neither reached nor degraded-served are skipped and reported
-// in failed. The result is then a best-effort under-approximation —
-// index pieces on failed nodes cannot contribute, so matches whose
-// K-site agreement involved a failed node are lost (never spuriously
-// added: agreement still requires all K sites). Callers needing the
-// degraded/staleness detail should use SearchPartialInfo.
-func (c *Cluster) SearchPartial(ctx context.Context, id FileID, pl *core.Pipeline, query *core.Query, mode core.VerifyMode) (rids []uint64, failed []transport.NodeID, err error) {
-	rids, info, err := c.SearchPartialInfo(ctx, id, pl, query, mode)
-	return rids, info.Failed, err
-}
-
 // SearchPartialInfo is the full-fidelity search: it tolerates per-node
 // failures, serves confirmed-down nodes from the degraded provider's
 // last-synced images, and reports exactly which nodes failed, which
-// were served degraded, and how stale the degraded buckets are.
+// were served degraded, and how stale the degraded buckets are. With
+// info.Failed non-empty the result is a best-effort
+// under-approximation: matches whose K-site agreement involved a failed
+// node are lost, never spuriously added.
 func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pipeline, query *core.Query, mode core.VerifyMode) (rids []uint64, info SearchInfo, err error) {
 	c.met.searches.Inc()
 	start := time.Now()

@@ -44,11 +44,11 @@ const (
 	opDelete
 	opSearch
 	opBucketCreate
-	opSplitExtract
-	opSplitAbsorb
+	_ // 6: retired one-shot split extract
+	_ // 7: retired one-shot split absorb
 	opStats
-	opMergeClose
-	opMergeAbsorb
+	_ // 9: retired one-shot merge close
+	_ // 10: retired one-shot merge absorb
 	opWordSearch
 	opNodeSnapshot
 	opNodeRestore
@@ -56,7 +56,8 @@ const (
 	opPing
 	opRecoveryState
 	// The two-phase migration protocol (DESIGN.md §14). Op codes are
-	// persisted in node journals, so new codes append — never renumber.
+	// persisted in node journals, so new codes append and retired ones
+	// stay reserved — never renumber.
 	opMigratePrepare
 	opMigrateAbsorb
 	opMigrateCommit
@@ -802,27 +803,7 @@ func decodeBucketCreateReq(b []byte) (bucketCreateReq, error) {
 	return m, r.done()
 }
 
-// splitExtractReq asks the node owning a bucket to raise its level and
-// hand over the records that no longer belong.
-type splitExtractReq struct {
-	file FileID
-	addr uint64
-}
-
-func (m splitExtractReq) encode() []byte {
-	w := &writer{}
-	w.u8(uint8(m.file))
-	w.u64(m.addr)
-	return w.b
-}
-
-func decodeSplitExtractReq(b []byte) (splitExtractReq, error) {
-	r := &reader{b: b}
-	m := splitExtractReq{file: FileID(r.u8()), addr: r.u64()}
-	return m, r.done()
-}
-
-// recordBatch carries moved records during a split.
+// recordBatch carries the records a migration moves between buckets.
 type recordBatch struct {
 	records []kv
 }
@@ -840,93 +821,6 @@ func (m recordBatch) encode() []byte {
 		w.bytes(r.value)
 	}
 	return w.b
-}
-
-func decodeRecordBatch(b []byte) (recordBatch, error) {
-	r := &reader{b: b}
-	n := int(r.u32())
-	m := recordBatch{}
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.u64()
-		val := append([]byte(nil), r.bytes()...)
-		m.records = append(m.records, kv{key: key, value: val})
-	}
-	return m, r.done()
-}
-
-// splitAbsorbReq delivers moved records to the new bucket.
-type splitAbsorbReq struct {
-	file  FileID
-	addr  uint64
-	batch recordBatch
-}
-
-func (m splitAbsorbReq) encode() []byte {
-	w := &writer{}
-	w.u8(uint8(m.file))
-	w.u64(m.addr)
-	w.b = append(w.b, m.batch.encode()...)
-	return w.b
-}
-
-func decodeSplitAbsorbReq(b []byte) (splitAbsorbReq, error) {
-	r := &reader{b: b}
-	m := splitAbsorbReq{file: FileID(r.u8()), addr: r.u64()}
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.u64()
-		val := append([]byte(nil), r.bytes()...)
-		m.batch.records = append(m.batch.records, kv{key: key, value: val})
-	}
-	return m, r.done()
-}
-
-// mergeCloseReq asks a node to remove a bucket and hand over all its
-// records (the first half of a file shrink).
-type mergeCloseReq struct {
-	file FileID
-	addr uint64
-}
-
-func (m mergeCloseReq) encode() []byte {
-	w := &writer{}
-	w.u8(uint8(m.file))
-	w.u64(m.addr)
-	return w.b
-}
-
-func decodeMergeCloseReq(b []byte) (mergeCloseReq, error) {
-	r := &reader{b: b}
-	m := mergeCloseReq{file: FileID(r.u8()), addr: r.u64()}
-	return m, r.done()
-}
-
-// mergeAbsorbReq delivers the closed bucket's records to its merge
-// partner and lowers the partner's level.
-type mergeAbsorbReq struct {
-	file  FileID
-	addr  uint64
-	batch recordBatch
-}
-
-func (m mergeAbsorbReq) encode() []byte {
-	w := &writer{}
-	w.u8(uint8(m.file))
-	w.u64(m.addr)
-	w.b = append(w.b, m.batch.encode()...)
-	return w.b
-}
-
-func decodeMergeAbsorbReq(b []byte) (mergeAbsorbReq, error) {
-	r := &reader{b: b}
-	m := mergeAbsorbReq{file: FileID(r.u8()), addr: r.u64()}
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.u64()
-		val := append([]byte(nil), r.bytes()...)
-		m.batch.records = append(m.batch.records, kv{key: key, value: val})
-	}
-	return m, r.done()
 }
 
 // migrateHeader is the addressing block shared by every migration op:

@@ -91,11 +91,11 @@ func FuzzDecodeSearchResp(f *testing.F) {
 	})
 }
 
-func FuzzDecodeRecordBatch(f *testing.F) {
+func FuzzDecodeMigratePrepareResp(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}.encode())
+	f.Add(migratePrepareResp{status: migrateStatusOK, batch: recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}}.encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeRecordBatch(b)
+		m, err := decodeMigratePrepareResp(b)
 		if err != nil {
 			return
 		}
@@ -161,10 +161,11 @@ func TestCodecRoundTripProperties(t *testing.T) {
 		for j := rng.Intn(8); j > 0; j-- {
 			batch.records = append(batch.records, kv{key: rng.Uint64(), value: randBytes(rng, 32)})
 		}
-		gb, err := decodeRecordBatch(batch.encode())
+		absorb, err := decodeMigrateAbsorbReq(migrateAbsorbReq{batch: batch}.encode())
 		if err != nil {
 			t.Fatalf("recordBatch: %v", err)
 		}
+		gb := absorb.batch
 		if len(gb.records) != len(batch.records) {
 			t.Fatalf("recordBatch count: %d -> %d", len(batch.records), len(gb.records))
 		}

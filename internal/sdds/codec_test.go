@@ -3,6 +3,7 @@ package sdds
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -141,10 +142,12 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 			rng.Read(v)
 			m.records = append(m.records, kv{key: rng.Uint64(), value: v})
 		}
-		got, err := decodeRecordBatch(m.encode())
+		// A batch only travels inside a migration message.
+		resp, err := decodeMigratePrepareResp(migratePrepareResp{status: migrateStatusOK, batch: m}.encode())
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := resp.batch
 		if len(got.records) != len(m.records) {
 			t.Fatal("count mismatch")
 		}
@@ -162,23 +165,22 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	if got, err := decodeBucketCreateReq(bc.encode()); err != nil || got != bc {
 		t.Errorf("bucketCreate: %v %v", got, err)
 	}
-	se := splitExtractReq{file: 1, addr: 12}
-	if got, err := decodeSplitExtractReq(se.encode()); err != nil || got != se {
-		t.Errorf("splitExtract: %v %v", got, err)
+	hdr := migrateHeader{mid: 7, kind: migrateMerge, file: 1, from: 9, to: 1, level: 3}
+	batch := recordBatch{records: []kv{{key: 5, value: []byte("x")}}}
+	if got, err := decodeMigratePrepareReq(migratePrepareReq{hdr}.encode()); err != nil || got.migrateHeader != hdr {
+		t.Errorf("migratePrepare: %+v %v", got, err)
 	}
-	mc := mergeCloseReq{file: 1, addr: 9}
-	if got, err := decodeMergeCloseReq(mc.encode()); err != nil || got != mc {
-		t.Errorf("mergeClose: %v %v", got, err)
+	pr := migratePrepareResp{status: migrateStatusOK, batch: batch}
+	if got, err := decodeMigratePrepareResp(pr.encode()); err != nil || !reflect.DeepEqual(got, pr) {
+		t.Errorf("migratePrepareResp: %+v %v", got, err)
 	}
-	sa := splitAbsorbReq{file: 1, addr: 3, batch: recordBatch{records: []kv{{key: 5, value: []byte("x")}}}}
-	got, err := decodeSplitAbsorbReq(sa.encode())
-	if err != nil || got.file != sa.file || got.addr != sa.addr || len(got.batch.records) != 1 {
-		t.Errorf("splitAbsorb: %+v %v", got, err)
+	ab := migrateAbsorbReq{migrateHeader: hdr, batch: batch}
+	if got, err := decodeMigrateAbsorbReq(ab.encode()); err != nil || !reflect.DeepEqual(got, ab) {
+		t.Errorf("migrateAbsorb: %+v %v", got, err)
 	}
-	ma := mergeAbsorbReq{file: 1, addr: 3, batch: recordBatch{records: []kv{{key: 5, value: []byte("x")}}}}
-	gotMA, err := decodeMergeAbsorbReq(ma.encode())
-	if err != nil || gotMA.addr != ma.addr || len(gotMA.batch.records) != 1 {
-		t.Errorf("mergeAbsorb: %+v %v", gotMA, err)
+	fin := migrateFinishReq{mid: 7}
+	if got, err := decodeMigrateFinishReq(fin.encode()); err != nil || got != fin {
+		t.Errorf("migrateFinish: %+v %v", got, err)
 	}
 	ws := wordSearchReq{file: FileWords, token: bytes.Repeat([]byte{7}, 16)}
 	gotWS, err := decodeWordSearchReq(ws.encode())
@@ -202,7 +204,8 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		keyReq{file: 1, addr: 2, key: 3}.encode(),
 		valueResp{found: true, value: []byte("xyz")}.encode(),
 		indexValue{firstIndex: 1, pieces: []disperse.Piece{1, 2, 3}}.encode(),
-		recordBatch{records: []kv{{key: 1, value: []byte("v")}}}.encode(),
+		migratePrepareResp{status: migrateStatusOK, batch: recordBatch{records: []kv{{key: 1, value: []byte("v")}}}}.encode(),
+		migrateAbsorbReq{migrateHeader: migrateHeader{mid: 1, kind: migrateSplit}, batch: recordBatch{records: []kv{{key: 1, value: []byte("v")}}}}.encode(),
 		wordSearchReq{file: 2, token: bytes.Repeat([]byte{1}, 16)}.encode(),
 	}
 	decoders := []func([]byte) error{
@@ -211,7 +214,8 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		func(b []byte) error { _, err := decodeKeyReq(b); return err },
 		func(b []byte) error { _, err := decodeValueResp(b); return err },
 		func(b []byte) error { _, err := decodeIndexValue(b); return err },
-		func(b []byte) error { _, err := decodeRecordBatch(b); return err },
+		func(b []byte) error { _, err := decodeMigratePrepareResp(b); return err },
+		func(b []byte) error { _, err := decodeMigrateAbsorbReq(b); return err },
 		func(b []byte) error { _, err := decodeWordSearchReq(b); return err },
 	}
 	for i, msg := range valid {
@@ -222,6 +226,32 @@ func TestDecodersRejectTruncation(t *testing.T) {
 			if err := decoders[i](msg[:cut]); err == nil {
 				t.Errorf("decoder %d accepted truncation at %d/%d", i, cut, len(msg))
 			}
+		}
+	}
+}
+
+// TestOpCodesPinned: op codes are persisted in node journals, so every
+// code in use keeps its number forever, and the retired destructive
+// split/merge numbers stay unnamed — nodeMetrics registers no latency
+// histogram for an op whose OpName is empty.
+func TestOpCodesPinned(t *testing.T) {
+	want := map[uint8]uint8{
+		opPut: 1, opGet: 2, opDelete: 3, opSearch: 4, opBucketCreate: 5,
+		opStats: 8, opWordSearch: 11, opNodeSnapshot: 12, opNodeRestore: 13,
+		opPutBatch: 14, opPing: 15, opRecoveryState: 16,
+		opMigratePrepare: 17, opMigrateAbsorb: 18, opMigrateCommit: 19, opMigrateAbort: 20,
+	}
+	for op, num := range want {
+		if op != num {
+			t.Errorf("op %q has code %d, journals hold %d", OpName(op), op, num)
+		}
+		if OpName(op) == "" {
+			t.Errorf("op %d has no name", op)
+		}
+	}
+	for _, op := range []uint8{0, 6, 7, 9, 10, 21} {
+		if name := OpName(op); name != "" {
+			t.Errorf("OpName(%d) = %q, want \"\" (retired or never assigned)", op, name)
 		}
 	}
 }

@@ -28,6 +28,10 @@ type durableHarness struct {
 		op      uint8
 		payload []byte
 	}
+	// mig is the migration the workload is in the middle of (nil between
+	// migrations): what a coordinator's journal would tell it to re-drive
+	// after a crash.
+	mig *migrateHeader
 }
 
 func newDurableHarness(t *testing.T, fs *wal.MemFS) *durableHarness {
@@ -81,9 +85,53 @@ func recVal(i int) []byte {
 	return []byte(fmt.Sprintf("record-%04d body padding to exercise checkpoints", i))
 }
 
+// sendTo is do without the mirroring or the crash: a plain send to one
+// node that must succeed.
+func (h *durableHarness) sendTo(n *Node) func(op uint8, payload []byte) ([]byte, bool) {
+	return func(op uint8, payload []byte) ([]byte, bool) {
+		h.t.Helper()
+		resp, err := n.Handler()(context.Background(), op, payload)
+		if err != nil {
+			h.t.Fatalf("op %d on node: %v", op, err)
+		}
+		return resp, true
+	}
+}
+
+// drive runs one two-phase migration through send — prepare, absorb,
+// commit, the sequence Cluster.driveMigrationLocked sends. Both buckets
+// live on the harness's single node, so one commit settles both roles.
+// Every step is idempotent on the migration ID: driving an ID again
+// after a crash rolls the interrupted handoff forward. It reports false
+// when send did.
+func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []byte) ([]byte, bool)) bool {
+	h.t.Helper()
+	raw, ok := send(opMigratePrepare, migratePrepareReq{hdr}.encode())
+	if !ok {
+		return false
+	}
+	resp, err := decodeMigratePrepareResp(raw)
+	if err != nil {
+		h.t.Fatalf("migration %d: prepare response: %v", hdr.mid, err)
+	}
+	switch resp.status {
+	case migrateStatusCommitted:
+		return true
+	case migrateStatusOK:
+	default:
+		h.t.Fatalf("migration %d: prepare status %d", hdr.mid, resp.status)
+	}
+	if _, ok := send(opMigrateAbsorb, migrateAbsorbReq{migrateHeader: hdr, batch: resp.batch}.encode()); !ok {
+		return false
+	}
+	_, ok = send(opMigrateCommit, migrateFinishReq{mid: hdr.mid}.encode())
+	return ok
+}
+
 // workload drives a fixed mutation script — puts, deletes, two splits,
-// one merge — through every journaled handler. It reports false when
-// the injected crash cut it short.
+// one merge, one bare bucket create — through every journaled handler.
+// It reports false when the injected crash cut it short, leaving h.mig
+// set if that happened inside a migration.
 func (h *durableHarness) workload() bool {
 	put := func(key uint64, i int) bool {
 		req := putReq{file: FileRecords, addr: 0, key: key, value: recVal(i)}
@@ -95,31 +143,14 @@ func (h *durableHarness) workload() bool {
 		_, ok := h.do(opDelete, req.encode())
 		return ok
 	}
-	split := func(newAddr uint64, newLevel uint8) bool {
-		if _, ok := h.do(opBucketCreate, bucketCreateReq{file: FileRecords, addr: newAddr, level: newLevel}.encode()); !ok {
+	migrate := func(hdr migrateHeader) bool {
+		hdr.file = FileRecords
+		h.mig = &hdr
+		if !h.drive(hdr, h.do) {
 			return false
 		}
-		batch, ok := h.do(opSplitExtract, splitExtractReq{file: FileRecords, addr: 0}.encode())
-		if !ok {
-			return false
-		}
-		// Reuse the live node's extracted batch for BOTH absorbs: batch
-		// byte order follows map iteration, but the record set — and so
-		// the resulting state — is deterministic.
-		absorb := append([]byte{uint8(FileRecords)}, encodeU64(newAddr)...)
-		absorb = append(absorb, batch...)
-		_, ok = h.do(opSplitAbsorb, absorb)
-		return ok
-	}
-	merge := func(fromAddr uint64) bool {
-		batch, ok := h.do(opMergeClose, mergeCloseReq{file: FileRecords, addr: fromAddr}.encode())
-		if !ok {
-			return false
-		}
-		absorb := append([]byte{uint8(FileRecords)}, encodeU64(0)...)
-		absorb = append(absorb, batch...)
-		_, ok = h.do(opMergeAbsorb, absorb)
-		return ok
+		h.mig = nil
+		return true
 	}
 
 	for i := 1; i <= 10; i++ {
@@ -127,7 +158,14 @@ func (h *durableHarness) workload() bool {
 			return false
 		}
 	}
-	if !split(1, 1) { // bucket 0 (level 0→1) spills into bucket 1
+	// opBucketCreate is journaled like the rest, but no migration sends
+	// it (a split's absorb creates its own target), so it gets a file
+	// the migrations below leave alone.
+	if _, ok := h.do(opBucketCreate, bucketCreateReq{file: FileWords, addr: 1, level: 1}.encode()); !ok {
+		return false
+	}
+	// bucket 0 (level 0→1) spills into bucket 1
+	if !migrate(migrateHeader{mid: 1, kind: migrateSplit, from: 0, to: 1, level: 0}) {
 		return false
 	}
 	for i := 11; i <= 16; i++ {
@@ -140,7 +178,8 @@ func (h *durableHarness) workload() bool {
 			return false
 		}
 	}
-	if !split(2, 2) { // bucket 0 (level 1→2) spills into bucket 2
+	// bucket 0 (level 1→2) spills into bucket 2
+	if !migrate(migrateHeader{mid: 2, kind: migrateSplit, from: 0, to: 2, level: 1}) {
 		return false
 	}
 	for i := 17; i <= 20; i++ {
@@ -148,7 +187,8 @@ func (h *durableHarness) workload() bool {
 			return false
 		}
 	}
-	if !merge(2) { // undo the second split
+	// undo the second split: bucket 2 closes into bucket 0
+	if !migrate(migrateHeader{mid: 3, kind: migrateMerge, from: 2, to: 0, level: 2}) {
 		return false
 	}
 	for i := 21; i <= 23; i++ {
@@ -157,12 +197,6 @@ func (h *durableHarness) workload() bool {
 		}
 	}
 	return true
-}
-
-func encodeU64(v uint64) []byte {
-	w := &writer{}
-	w.u64(v)
-	return w.b
 }
 
 func (h *durableHarness) snapshot(n *Node) []byte {
@@ -221,13 +255,15 @@ func putAndRecoverAgain(t *testing.T, fs *wal.MemFS, node *Node) {
 }
 
 // TestNodeCrashMatrix is the node-level half of the fault matrix: the
-// full mutation workload (puts, deletes, splits, merges, checkpoint
-// churn) is killed at every filesystem operation in every tear mode,
-// and the restarted node's replayed state must be byte-equivalent to
-// the in-memory reference — allowing only for the single in-flight
-// operation whose acknowledgment the crash swallowed. A corrupt verdict
-// for a pure crash, a lost acknowledged mutation, or an invented one
-// all fail: zero silent data loss.
+// full mutation workload (puts, deletes, two-phase splits and merges,
+// checkpoint churn) is killed at every filesystem operation in every
+// tear mode, and the restarted node's replayed state must be
+// byte-equivalent to the in-memory reference — allowing only for the
+// single in-flight operation whose acknowledgment the crash swallowed.
+// A migration the crash interrupted is then re-driven to commit on both
+// and compared again. A corrupt verdict for a pure crash, a lost
+// acknowledged mutation, or an invented one all fail: zero silent data
+// loss.
 func TestNodeCrashMatrix(t *testing.T) {
 	// Dry run: count the workload's crash points.
 	probe := wal.NewMemFS()
@@ -277,6 +313,17 @@ func TestNodeCrashMatrix(t *testing.T) {
 					if want = h.snapshot(h.ref); !bytes.Equal(got, want) {
 						t.Fatalf("replayed state matches neither acked nor acked+inflight (op %d at fs op %d)",
 							h.inflight.op, at)
+					}
+				}
+				// A crash inside a split or merge leaves its buckets frozen
+				// until the coordinator re-drives the migration ID. Do that
+				// on both nodes: the handoff must complete from whatever
+				// prefix of it survived, with every record accounted for.
+				if h.mig != nil {
+					h.drive(*h.mig, h.sendTo(node))
+					h.drive(*h.mig, h.sendTo(h.ref))
+					if !bytes.Equal(h.snapshot(node), h.snapshot(h.ref)) {
+						t.Fatalf("migration %d rolled forward after the crash at fs op %d diverges from reference", h.mig.mid, at)
 					}
 				}
 				putAndRecoverAgain(t, fs, node)

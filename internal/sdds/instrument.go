@@ -16,19 +16,15 @@ import (
 
 // opNames labels the per-opcode latency histograms.
 var opNames = [...]string{
-	opPut:           "put",
-	opGet:           "get",
-	opDelete:        "delete",
-	opSearch:        "search",
-	opBucketCreate:  "bucket_create",
-	opSplitExtract:  "split_extract",
-	opSplitAbsorb:   "split_absorb",
-	opStats:         "stats",
-	opMergeClose:    "merge_close",
-	opMergeAbsorb:   "merge_absorb",
-	opWordSearch:    "word_search",
-	opNodeSnapshot:  "node_snapshot",
-	opNodeRestore:   "node_restore",
+	opPut:            "put",
+	opGet:            "get",
+	opDelete:         "delete",
+	opSearch:         "search",
+	opBucketCreate:   "bucket_create",
+	opStats:          "stats",
+	opWordSearch:     "word_search",
+	opNodeSnapshot:   "node_snapshot",
+	opNodeRestore:    "node_restore",
 	opPutBatch:       "put_batch",
 	opPing:           "ping",
 	opRecoveryState:  "recovery_state",

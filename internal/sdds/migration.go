@@ -1,12 +1,11 @@
 // Two-phase bucket migration: the node-side protocol that makes LH*
 // file growth and shrink crash-safe (DESIGN.md §14).
 //
-// The legacy split/merge ops moved records destructively in a single
-// round trip: the source deleted its half and handed the records back
-// only in the RPC response, so a lost response, a coordinator crash
-// between steps, or a middleware re-send silently lost acknowledged
-// records. The migration protocol replaces that with a migration-ID-
-// keyed handoff:
+// Moving records destructively in a single round trip — the source
+// deletes its half and hands the records back only in the RPC response
+// — silently loses acknowledged records on a lost response, a
+// coordinator crash between steps, or a middleware re-send. The
+// migration protocol is a migration-ID-keyed handoff instead:
 //
 //	prepare (source)  journal the moved set as *outgoing*, keep every
 //	                  record and keep serving reads, return a copy.
@@ -69,16 +68,6 @@ type migRecord struct {
 type migDone struct {
 	mid     uint64
 	outcome uint8
-}
-
-// NonRetryableOps lists the op codes a transport.Retry middleware must
-// never re-send: the legacy one-shot split/merge extraction ops are
-// destructive reads whose response is the only copy of the moved
-// records, so a re-send after a lost response returns an empty batch
-// while the first batch is gone. The two-phase migration ops are
-// migration-ID-keyed and idempotent, so they are absent here.
-func NonRetryableOps() []uint8 {
-	return []uint8{opSplitExtract, opMergeClose}
 }
 
 // migLock marks a bucket as party to an in-flight migration; writes to

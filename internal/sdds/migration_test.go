@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cipherx"
 	"repro/internal/transport"
@@ -624,91 +623,6 @@ func TestWordSearchDuringInterruptedSplit(t *testing.T) {
 	check("after resumed migration")
 }
 
-// nodeKeySet snapshots the keys a node currently stores for a file.
-func nodeKeySet(n *Node, id FileID) map[uint64]bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make(map[uint64]bool)
-	if f, ok := n.files[id]; ok {
-		for _, b := range f.buckets {
-			b.Scan(func(key uint64, _ []byte) bool {
-				out[key] = true
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// TestLegacySplitExtractNotRetrySafe is the regression behind
-// NonRetryableOps: re-sending the legacy one-shot extract after a lost
-// response silently destroys records, because the first response was
-// the only copy of the moved half and the second extract cuts again
-// from what remains. The Retry guard must turn that into a loud
-// failure instead.
-func TestLegacySplitExtractNotRetrySafe(t *testing.T) {
-	ctx := context.Background()
-	build := func() (*hookTr, *Node) {
-		t.Helper()
-		mem := transport.NewMemory()
-		place, err := NewPlacement([]transport.NodeID{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewNode(0, mem, place)
-		mem.Register(0, node.Handler())
-		for k := uint64(0); k < 8; k++ {
-			req := putReq{file: FileRecords, addr: 0, key: k, value: []byte{byte(k)}}
-			if _, err := node.Handler()(ctx, opPut, req.encode()); err != nil {
-				t.Fatalf("put %d: %v", k, err)
-			}
-		}
-		return &hookTr{inner: mem}, node
-	}
-	pol := transport.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-	extract := splitExtractReq{file: FileRecords, addr: 0}.encode()
-
-	// Unguarded: the retry "succeeds" — and keys 1,3,5,7, acknowledged
-	// into the first (lost) response, exist nowhere anymore.
-	lossy, node := build()
-	lossy.setAfter(dropOnce(0, opSplitExtract))
-	rt := transport.NewRetry(lossy, pol, 1)
-	raw, err := rt.Send(ctx, 0, opSplitExtract, extract)
-	if err != nil {
-		t.Fatalf("unguarded retried extract: %v", err)
-	}
-	batch, err := decodeRecordBatch(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	returned := make(map[uint64]bool)
-	for _, r := range batch.records {
-		returned[r.key] = true
-	}
-	kept := nodeKeySet(node, FileRecords)
-	for _, k := range []uint64{1, 3, 5, 7} {
-		if returned[k] || kept[k] {
-			t.Fatalf("key %d survived the double extract — hazard did not reproduce (returned %v, kept %v)", k, returned, kept)
-		}
-	}
-
-	// Guarded: the same lost response surfaces as an error, and only the
-	// first extraction ever ran.
-	lossy2, node2 := build()
-	lossy2.setAfter(dropOnce(0, opSplitExtract))
-	pol.NoRetryOps = NonRetryableOps()
-	rt2 := transport.NewRetry(lossy2, pol, 1)
-	if _, err := rt2.Send(ctx, 0, opSplitExtract, extract); err == nil || !strings.Contains(err.Error(), "not retry-safe") {
-		t.Fatalf("guarded retried extract = %v, want retry-safety refusal", err)
-	}
-	kept2 := nodeKeySet(node2, FileRecords)
-	for _, k := range []uint64{0, 2, 4, 6} {
-		if !kept2[k] {
-			t.Fatalf("guarded path lost key %d from the node (kept %v)", k, kept2)
-		}
-	}
-}
-
 // TestMigrateHeaderMismatchRejected: nodes validate the coordinator's
 // (from, to, level) expectation against local reality and refuse loudly
 // on mismatch instead of splitting the wrong bucket.
@@ -717,10 +631,10 @@ func TestMigrateHeaderMismatchRejected(t *testing.T) {
 	h := newMigHarness(t, 2)
 	h.load(FileRecords, 8)
 	bad := []migrateHeader{
-		{mid: 99, kind: migrateSplit, file: FileRecords, from: 0, to: 3, level: 0},  // wrong target
-		{mid: 99, kind: migrateSplit, file: FileRecords, from: 0, to: 1, level: 4},  // wrong level
+		{mid: 99, kind: migrateSplit, file: FileRecords, from: 0, to: 3, level: 0},   // wrong target
+		{mid: 99, kind: migrateSplit, file: FileRecords, from: 0, to: 1, level: 4},   // wrong level
 		{mid: 99, kind: migrateSplit, file: FileRecords, from: 7, to: 135, level: 7}, // no such bucket
-		{mid: 99, kind: migrateMerge, file: FileRecords, from: 0, to: 1, level: 0},  // level-0 merge
+		{mid: 99, kind: migrateMerge, file: FileRecords, from: 0, to: 1, level: 0},   // level-0 merge
 	}
 	for i, hdr := range bad {
 		if _, err := h.hook.Send(ctx, 0, opMigratePrepare, migratePrepareReq{hdr}.encode()); err == nil {

@@ -389,76 +389,6 @@ func (n *Node) applyLoggedLocked(op uint8, payload []byte) error {
 		}
 		f.buckets[m.addr] = lhstar.NewBucket(m.addr, uint(m.level))
 		return nil
-	case opSplitExtract:
-		m, err := decodeSplitExtractReq(payload)
-		if err != nil {
-			return err
-		}
-		f, b, err := replayBucket(m.file, m.addr)
-		if err != nil {
-			return err
-		}
-		dst := lhstar.NewBucket(b.Addr()+1<<b.Level(), b.Level()+1)
-		if _, err := b.SplitInto(dst); err != nil {
-			return err
-		}
-		// The extracted records left for the absorbing node (which
-		// journaled its own splitAbsorb); here they only leave the index.
-		dst.Scan(func(key uint64, _ []byte) bool {
-			f.indexDelete(key)
-			return true
-		})
-		return nil
-	case opSplitAbsorb:
-		m, err := decodeSplitAbsorbReq(payload)
-		if err != nil {
-			return err
-		}
-		f, b, err := replayBucket(m.file, m.addr)
-		if err != nil {
-			return err
-		}
-		for _, r := range m.batch.records {
-			b.Put(r.key, r.value)
-		}
-		f.indexPutBatch(m.batch.records)
-		return nil
-	case opMergeClose:
-		m, err := decodeMergeCloseReq(payload)
-		if err != nil {
-			return err
-		}
-		f, b, err := replayBucket(m.file, m.addr)
-		if err != nil {
-			return err
-		}
-		b.Scan(func(key uint64, _ []byte) bool {
-			f.indexDelete(key)
-			return true
-		})
-		delete(f.buckets, m.addr)
-		return nil
-	case opMergeAbsorb:
-		m, err := decodeMergeAbsorbReq(payload)
-		if err != nil {
-			return err
-		}
-		f, b, err := replayBucket(m.file, m.addr)
-		if err != nil {
-			return err
-		}
-		if b.Level() == 0 {
-			return fmt.Errorf("sdds: replay: cannot lower level of bucket %d below 0", m.addr)
-		}
-		src := lhstar.NewBucket(b.Addr()+1<<(b.Level()-1), b.Level())
-		for _, r := range m.batch.records {
-			src.Put(r.key, r.value)
-		}
-		if err := b.MergeFrom(src); err != nil {
-			return err
-		}
-		f.indexPutBatch(m.batch.records)
-		return nil
 	case opMigratePrepare:
 		m, err := decodeMigratePrepareReq(payload)
 		if err != nil {
@@ -519,16 +449,8 @@ func (n *Node) dispatch(ctx context.Context, op uint8, payload []byte) ([]byte, 
 		return n.handleSearch(payload)
 	case opBucketCreate:
 		return n.handleBucketCreate(payload)
-	case opSplitExtract:
-		return n.handleSplitExtract(payload)
-	case opSplitAbsorb:
-		return n.handleSplitAbsorb(payload)
 	case opStats:
 		return n.handleStats(payload)
-	case opMergeClose:
-		return n.handleMergeClose(payload)
-	case opMergeAbsorb:
-		return n.handleMergeAbsorb(payload)
 	case opWordSearch:
 		return n.handleWordSearch(payload)
 	case opNodeSnapshot:
@@ -1051,65 +973,6 @@ func (n *Node) handleBucketCreate(payload []byte) ([]byte, error) {
 	return nil, n.maybeCheckpointLocked()
 }
 
-func (n *Node) handleSplitExtract(payload []byte) ([]byte, error) {
-	m, err := decodeSplitExtractReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	f := n.getFile(m.file)
-	b, err := n.bucket(m.file, m.addr)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := f.migBlocked(m.file, m.addr); err != nil {
-		return nil, err
-	}
-	// Journaled before the split: SplitInto is deterministic in the
-	// bucket's state, so replay extracts (and drops) the same records
-	// the live run handed to the absorbing node.
-	if err := n.journalLocked(opSplitExtract, payload); err != nil {
-		return nil, err
-	}
-	dst := lhstar.NewBucket(b.Addr()+1<<b.Level(), b.Level()+1)
-	if _, err := b.SplitInto(dst); err != nil {
-		return nil, err
-	}
-	var batch recordBatch
-	dst.Scan(func(key uint64, value []byte) bool {
-		batch.records = append(batch.records, kv{key: key, value: value})
-		f.indexDelete(key) // record leaves this node's buckets
-		return true
-	})
-	return batch.encode(), n.maybeCheckpointLocked()
-}
-
-func (n *Node) handleSplitAbsorb(payload []byte) ([]byte, error) {
-	m, err := decodeSplitAbsorbReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	f := n.getFile(m.file)
-	b, err := n.bucket(m.file, m.addr)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := f.migBlocked(m.file, m.addr); err != nil {
-		return nil, err
-	}
-	if err := n.journalLocked(opSplitAbsorb, payload); err != nil {
-		return nil, err
-	}
-	for _, r := range m.batch.records {
-		b.Put(r.key, r.value)
-	}
-	f.indexPutBatch(m.batch.records)
-	return nil, n.maybeCheckpointLocked()
-}
-
 // handleWordSearch scans every local bucket of the word file: each
 // entry is (rid → sorted token blob); the node reports the RIDs whose
 // blob contains the query token. Pure equality on opaque tokens — no
@@ -1138,70 +1001,6 @@ func (n *Node) handleWordSearch(payload []byte) ([]byte, error) {
 		})
 	}
 	return resp.encode(), nil
-}
-
-// handleMergeClose removes a bucket and returns all of its records for
-// absorption by its merge partner.
-func (n *Node) handleMergeClose(payload []byte) ([]byte, error) {
-	m, err := decodeMergeCloseReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	f := n.getFile(m.file)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	b, ok := f.buckets[m.addr]
-	if !ok {
-		return nil, fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, m.addr, m.file)
-	}
-	if err := f.migBlocked(m.file, m.addr); err != nil {
-		return nil, err
-	}
-	if err := n.journalLocked(opMergeClose, payload); err != nil {
-		return nil, err
-	}
-	var batch recordBatch
-	b.Scan(func(key uint64, value []byte) bool {
-		batch.records = append(batch.records, kv{key: key, value: value})
-		f.indexDelete(key) // bucket is being closed
-		return true
-	})
-	delete(f.buckets, m.addr)
-	return batch.encode(), n.maybeCheckpointLocked()
-}
-
-// handleMergeAbsorb adds the closed bucket's records to the partner and
-// lowers the partner's level by one (undoing the split).
-func (n *Node) handleMergeAbsorb(payload []byte) ([]byte, error) {
-	m, err := decodeMergeAbsorbReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	f := n.getFile(m.file)
-	b, err := n.bucket(m.file, m.addr)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if b.Level() == 0 {
-		return nil, fmt.Errorf("sdds: cannot lower level of bucket %d below 0", m.addr)
-	}
-	if err := f.migBlocked(m.file, m.addr); err != nil {
-		return nil, err
-	}
-	if err := n.journalLocked(opMergeAbsorb, payload); err != nil {
-		return nil, err
-	}
-	src := lhstar.NewBucket(b.Addr()+1<<(b.Level()-1), b.Level())
-	for _, r := range m.batch.records {
-		src.Put(r.key, r.value)
-	}
-	if err := b.MergeFrom(src); err != nil {
-		return nil, err
-	}
-	f.indexPutBatch(m.batch.records)
-	return nil, n.maybeCheckpointLocked()
 }
 
 // handleNodeSnapshot serializes this node's entire bucket inventory

@@ -14,6 +14,22 @@ import (
 	"repro/internal/transport"
 )
 
+// insertIndexedSequential is the pre-batching insert path: one Put RPC
+// per (chunking, site) piece. The reference implementation the batched
+// InsertIndexed is tested and benchmarked against.
+func insertIndexedSequential(ctx context.Context, c *Cluster, id FileID, recs []core.IndexRecord, kSites int, slotBits uint) error {
+	for _, rec := range recs {
+		for k, stream := range rec.Streams {
+			key := ComposeIndexKey(rec.RID, rec.J, k, kSites, slotBits)
+			val := indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream}.encode()
+			if err := c.Put(ctx, id, key, val); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // memClusterNodes is memCluster, also returning the node handles (for
 // white-box posting-index inspection) with optional linear-scan mode.
 func memClusterNodes(t *testing.T, n int, linear bool) (*Cluster, []*Node) {
@@ -210,7 +226,7 @@ func TestPostingSearchMatchesLinearScan(t *testing.T) {
 		if err := post.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits); err != nil {
 			t.Fatal(err)
 		}
-		if err := lin.InsertIndexedSequential(ctx, FileIndex, recs, pl.K(), slotBits); err != nil {
+		if err := insertIndexedSequential(ctx, lin, FileIndex, recs, pl.K(), slotBits); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -339,7 +355,7 @@ func TestInsertIndexedBatchedMatchesSequential(t *testing.T) {
 		if err := batched.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits); err != nil {
 			t.Fatal(err)
 		}
-		if err := seq.InsertIndexedSequential(ctx, FileIndex, recs, pl.K(), slotBits); err != nil {
+		if err := insertIndexedSequential(ctx, seq, FileIndex, recs, pl.K(), slotBits); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -444,7 +460,7 @@ func TestInsertIndexedPartialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := healthy.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
+	if _, _, err := healthy.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -108,7 +108,7 @@ func TestBatchedInsertWallClockRegression(t *testing.T) {
 					if batched {
 						err = c.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits)
 					} else {
-						err = c.InsertIndexedSequential(ctx, FileIndex, recs, pl.K(), slotBits)
+						err = insertIndexedSequential(ctx, c, FileIndex, recs, pl.K(), slotBits)
 					}
 					if err != nil {
 						t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -453,13 +454,16 @@ func TestClusterOverTCP(t *testing.T) {
 func TestNodeRejectsMalformedPayloads(t *testing.T) {
 	c := memCluster(t, 1)
 	ctx := context.Background()
-	for _, op := range []uint8{opPut, opGet, opDelete, opSearch, opBucketCreate, opSplitExtract, opSplitAbsorb} {
+	for _, op := range []uint8{opPut, opGet, opDelete, opSearch, opBucketCreate, opMigratePrepare, opMigrateAbsorb} {
 		if _, err := c.tr.Send(ctx, 0, op, []byte{0xFF}); err == nil {
 			t.Errorf("op %d accepted garbage", op)
 		}
 	}
-	if _, err := c.tr.Send(ctx, 0, 200, nil); err == nil {
-		t.Error("unknown op accepted")
+	// 6, 7, 9, 10 are the retired destructive split/merge codes.
+	for _, op := range []uint8{6, 7, 9, 10, 200} {
+		if _, err := c.tr.Send(ctx, 0, op, nil); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("op %d: err = %v, want unknown op", op, err)
+		}
 	}
 }
 
@@ -613,7 +617,8 @@ func TestSearchPartialUnderNodeFailure(t *testing.T) {
 	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err == nil {
 		t.Error("strict search succeeded despite dead node")
 	}
-	rids, failed, err := c.SearchPartial(ctx, FileIndex, pl, query, core.VerifyAny)
+	rids, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
+	failed := info.Failed
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"net"
@@ -25,10 +24,8 @@ func benchServer(b *testing.B) string {
 }
 
 // BenchmarkTransport measures one round trip of a 256-byte request
-// through three client strategies against the same server:
+// through two client strategies against the same server:
 //
-//	turn      — the pre-v2 wire discipline: one v1 frame per connection
-//	            turn on a single connection (write, flush, read, repeat)
 //	pooled    — the multiplexed v2 client, one caller (requests still
 //	            serialize, but through the pool's write/demux loops)
 //	pipelined — the multiplexed v2 client with many concurrent callers
@@ -38,27 +35,6 @@ func BenchmarkTransport(b *testing.B) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-
-	b.Run("turn", func(b *testing.B) {
-		addr := benchServer(b)
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer nc.Close()
-		r := bufio.NewReader(nc)
-		w := bufio.NewWriter(nc)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := writeFrame(w, 1, payload); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := readFrame(r); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	b.Run("pooled", func(b *testing.B) {
 		addr := benchServer(b)

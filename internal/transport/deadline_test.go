@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -234,59 +236,50 @@ func TestServerKillsConnOnTruncatedDeadline(t *testing.T) {
 	}
 }
 
-// TestServerV1FramesStillServed: the legacy 5-byte-header protocol has
-// no deadline field and no admission control; a v2-capable server must
-// keep serving it verbatim — including op bytes that collide with the
-// v2 deadline flag — and count every frame as admitted so the
-// admission invariant spans both protocols.
-func TestServerV1FramesStillServed(t *testing.T) {
-	reg := obs.NewRegistry()
-	gotOp := make(chan uint8, 1)
-	srv := NewServer(func(_ context.Context, op uint8, p []byte) ([]byte, error) {
-		gotOp <- op
-		return p, nil
-	})
-	srv.Instrument(reg)
-	// A v1 server may still be fronted by a shedder-armed Server value;
-	// the v1 path must ignore it rather than shed ops it cannot signal
-	// overload for (v1 has no status vocabulary beyond ok/err).
-	srv.SetShedder(NewShedder(ShedPolicy{MinLimit: 1, MaxLimit: 1}))
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis) //nolint:errcheck // exits on Close
-	defer srv.Close()
+// TestServerClosesNonV2Preamble: the 4-byte preamble is input from
+// outside the program. A connection that opens with anything but the v2
+// magic — a retired v1 frame, or arbitrary bytes — is closed without a
+// byte of it reaching the handler or counting as a frame.
+func TestServerClosesNonV2Preamble(t *testing.T) {
+	for name, opening := range map[string][]byte{
+		// v1 framing: uint32 length, op byte, payload.
+		"v1 frame":  append([]byte{0, 0, 0, 8, 5}, "v1 body"...),
+		"arbitrary": {0xDE, 0xAD, 0xBE, 0xEF},
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			var handled atomic.Int32
+			srv := NewServer(func(_ context.Context, _ uint8, p []byte) ([]byte, error) {
+				handled.Add(1)
+				return p, nil
+			})
+			srv.Instrument(reg)
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(lis) //nolint:errcheck // exits on Close
+			defer srv.Close()
 
-	conn, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-	// 0x80|5 would be a deadline-flagged op in v2; in v1 it is just an
-	// op byte and must reach the handler unmodified.
-	if err := writeFrame(w, tagDeadline|5, []byte("v1 body")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	status, payload, err := readFrame(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != statusOK || string(payload) != "v1 body" {
-		t.Fatalf("v1 response: status=%d payload=%q", status, payload)
-	}
-	if op := <-gotOp; op != tagDeadline|5 {
-		t.Errorf("handler saw op %#x, want %#x unmodified", op, tagDeadline|5)
-	}
-	if admits := reg.CounterValue("transport_srv_admits_total"); admits != 1 {
-		t.Errorf("v1 frame not counted as admitted: admits = %d", admits)
-	}
-	if sheds := reg.CounterValue("transport_srv_shed_total"); sheds != 0 {
-		t.Errorf("v1 path shed %d frames", sheds)
+			conn, err := net.Dial("tcp", lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			if n, err := conn.Read(make([]byte, 16)); err != io.EOF {
+				t.Fatalf("server answered %d bytes (err %v), want the connection closed", n, err)
+			}
+			if n := handled.Load(); n != 0 {
+				t.Errorf("handler ran %d times on a non-v2 connection", n)
+			}
+			if frames := reg.CounterValue("transport_srv_frames_total"); frames != 0 {
+				t.Errorf("transport_srv_frames_total = %d, want 0", frames)
+			}
+		})
 	}
 }
 

@@ -12,103 +12,15 @@ import (
 	"time"
 )
 
-func FuzzReadFrame(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})                   // length 0 — below minimum
-	f.Add([]byte{0, 0, 0, 1, 7})                // minimal valid frame
-	f.Add([]byte{0, 0, 0, 5, 1, 'a', 'b', 'c'}) // truncated payload
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})    // oversized length
-	big := make([]byte, 4)
-	binary.BigEndian.PutUint32(big, maxFrame+1)
-	f.Add(append(big, 1))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Must never panic; may only error or return a frame consistent
-		// with the input.
-		tag, payload, err := readFrame(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
-		}
-		if len(data) < 5 {
-			t.Fatalf("frame decoded from %d bytes", len(data))
-		}
-		n := binary.BigEndian.Uint32(data)
-		if n < 1 || n > maxFrame {
-			t.Fatalf("out-of-range length %d accepted", n)
-		}
-		if tag != data[4] {
-			t.Fatalf("tag = %d, want %d", tag, data[4])
-		}
-		if len(payload) != int(n)-1 {
-			t.Fatalf("payload length %d, want %d", len(payload), n-1)
-		}
-	})
-}
-
-func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(7), []byte("payload"))
-	f.Add(uint8(255), make([]byte, 1024))
-	f.Fuzz(func(t *testing.T, tag uint8, payload []byte) {
-		var buf bytes.Buffer
-		if err := writeFrame(bufio.NewWriter(&buf), tag, payload); err != nil {
-			t.Fatal(err)
-		}
-		gotTag, gotPayload, err := readFrame(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if gotTag != tag || !bytes.Equal(gotPayload, payload) {
-			t.Fatalf("round trip: (%d, %q) -> (%d, %q)", tag, payload, gotTag, gotPayload)
-		}
-	})
-}
-
-func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(bufio.NewWriter(&buf), 7, []byte("hello world")); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Every strict prefix must fail with an error, never hang or panic.
-	for n := 0; n < len(full); n++ {
-		_, _, err := readFrame(bufio.NewReader(bytes.NewReader(full[:n])))
-		if err == nil {
-			t.Fatalf("truncated frame of %d/%d bytes accepted", n, len(full))
-		}
-		if n > 4 {
-			// Header and part of the body arrived; the loss is mid-frame.
-			if err != io.ErrUnexpectedEOF {
-				t.Fatalf("prefix %d: err = %v, want unexpected EOF", n, err)
-			}
-		}
-	}
-}
-
-func TestReadFrameOversized(t *testing.T) {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
-	hdr[4] = 1
-	_, _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])))
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("oversized frame: err = %v", err)
-	}
-	// Zero-length frame (no tag byte) is equally invalid.
-	var zero [4]byte
-	_, _, err = readFrame(bufio.NewReader(bytes.NewReader(zero[:])))
-	if err == nil {
-		t.Fatal("zero-length frame accepted")
-	}
-}
-
 // --- wire protocol v2 (multiplexed tagged frames) ---
 
 func FuzzReadFrameV2(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1})                 // length 4 — below v2 minimum of 5
-	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 1, 7})              // minimal valid frame
-	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 2, 1, 'a'})         // truncated payload
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 1})  // oversized length
-	f.Add([]byte{0xE5, 0xDD, 0x55, 0x02, 0, 0, 0, 1, 1})  // magic where a length belongs
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1})                         // length 4 — below v2 minimum of 5
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 1, 7})                      // minimal valid frame
+	f.Add([]byte{0, 0, 0, 9, 0, 0, 0, 2, 1, 'a'})                 // truncated payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 1, 1})          // oversized length
+	f.Add([]byte{0xE5, 0xDD, 0x55, 0x02, 0, 0, 0, 1, 1})          // magic where a length belongs
 	f.Add([]byte{0, 0, 0, 6, 0xff, 0xff, 0xff, 0xff, 0xee, 0x00}) // corrupt id+tag bytes still decode
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic; may only error or return a frame consistent
@@ -298,27 +210,6 @@ func FuzzDeadlineFrameRoundTrip(f *testing.F) {
 			t.Fatalf("body = %q, want %q", rest, body)
 		}
 	})
-}
-
-// TestV2FrameAgainstV1StyleRead: the v2 magic preamble must be
-// unparseable as a v1 frame — that is the whole downgrade story: a v1
-// reader confronted with a v2 client rejects the stream at the first
-// read instead of misinterpreting frame boundaries.
-func TestV2FrameAgainstV1StyleRead(t *testing.T) {
-	var stream bytes.Buffer
-	var magic [4]byte
-	binary.BigEndian.PutUint32(magic[:], magicV2)
-	stream.Write(magic[:])
-	w := bufio.NewWriter(&stream)
-	if err := writeFrameV2(w, 1, 3|tagDeadline, append(make([]byte, deadlineBytes), 'x')); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(stream.Bytes()))); err == nil {
-		t.Fatal("v1 reader accepted a v2 stream — magic did not poison the length field")
-	}
 }
 
 // TestServerRejectsCorruptV2Stream interleaves a valid request with

@@ -200,7 +200,3 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		expired:       reg.Counter("transport_srv_expired_total"),
 	}
 }
-
-// frameWireBytes is the on-wire size of a frame carrying payload:
-// 4-byte length, 1-byte tag, payload.
-func frameWireBytes(payload []byte) uint64 { return uint64(5 + len(payload)) }

@@ -49,12 +49,6 @@ type RetryPolicy struct {
 	// client retry before its first success (default 20 when RetryBudget
 	// is set).
 	BudgetBurst int
-	// NoRetryOps lists op codes that must never be re-sent even on a
-	// transport failure: ops whose first delivery may have applied a
-	// destructive, non-idempotent effect whose result existed only in the
-	// (lost) response. Re-sending such an op can silently destroy data —
-	// the failure must surface to the caller instead.
-	NoRetryOps []uint8
 }
 
 // DefaultRetryPolicy returns the stock policy: 4 attempts, 10ms–1s
@@ -152,8 +146,6 @@ type Retry struct {
 	inner  Transport
 	policy RetryPolicy
 
-	noRetry [256]bool // ops from policy.NoRetryOps, indexed for the hot path
-
 	mu       sync.Mutex
 	rng      *rand.Rand
 	nodes    map[NodeID]*nodeHealth
@@ -168,7 +160,7 @@ type Retry struct {
 // seed drives jitter only; it never changes which attempts happen.
 func NewRetry(inner Transport, policy RetryPolicy, seed int64) *Retry {
 	policy.fillDefaults()
-	r := &Retry{
+	return &Retry{
 		inner:  inner,
 		policy: policy,
 		rng:    rand.New(rand.NewSource(seed)),
@@ -176,10 +168,6 @@ func NewRetry(inner Transport, policy RetryPolicy, seed int64) *Retry {
 		now:    time.Now,
 		budget: float64(policy.BudgetBurst),
 	}
-	for _, op := range policy.NoRetryOps {
-		r.noRetry[op] = true
-	}
-	return r
 }
 
 // Policy returns the effective policy (defaults filled).
@@ -338,12 +326,6 @@ func (r *Retry) Send(ctx context.Context, node NodeID, op uint8, payload []byte)
 		r.recordFailure(h, !overloadAlive(err))
 		if !Retryable(err) {
 			return nil, err
-		}
-		if r.noRetry[op] {
-			// The op may have applied destructively on the node with its
-			// result lost in transit; a re-send would find (and destroy)
-			// a different state. Surface the failure instead.
-			return nil, fmt.Errorf("transport: op %d is not retry-safe, giving up on node %d: %w", op, node, err)
 		}
 	}
 	r.met.exhausted.Inc()

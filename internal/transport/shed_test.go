@@ -14,9 +14,9 @@ import (
 // tests: windows rotate exactly when the test advances time.
 type shedClock struct{ t time.Time }
 
-func (c *shedClock) now() time.Time              { return c.t }
-func (c *shedClock) advance(d time.Duration)     { c.t = c.t.Add(d) }
-func newShedClock() *shedClock                   { return &shedClock{t: time.Unix(1_000_000, 0)} }
+func (c *shedClock) now() time.Time          { return c.t }
+func (c *shedClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newShedClock() *shedClock               { return &shedClock{t: time.Unix(1_000_000, 0)} }
 func clockedShedder(p ShedPolicy) (*Shedder, *shedClock) {
 	s := NewShedder(p)
 	clk := newShedClock()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -14,16 +13,7 @@ import (
 	"time"
 )
 
-// Frame format v1, both directions:
-//
-//	uint32 length (of everything after this field, big-endian)
-//	uint8  op     (request) / status (response: 0 ok, 1 error)
-//	bytes  payload
-//
-// v1 is strictly request-per-connection-turn; the multiplexed v2 format
-// lives in wire.go and the pooled client in pool.go. The server speaks
-// both: a v2 client announces itself with a magic preamble the server
-// peeks before choosing a loop.
+// The frame format lives in wire.go and the pooled client in pool.go.
 //
 // maxFrame bounds a frame to keep a malformed peer from exhausting
 // memory.
@@ -42,43 +32,6 @@ const (
 	srvReadBuf  = 64 << 10
 	srvWriteBuf = 64 << 10
 )
-
-// writeFrameUnflushed appends one v1 frame to w without flushing, so
-// consecutive frames coalesce into one syscall; the caller flushes when
-// its queue drains.
-func writeFrameUnflushed(w *bufio.Writer, tag uint8, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = tag
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func writeFrame(w *bufio.Writer, tag uint8, payload []byte) error {
-	if err := writeFrameUnflushed(w, tag, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func readFrame(r *bufio.Reader) (tag uint8, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("transport: frame length %d out of range", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	return buf[0], buf[1:], nil
-}
 
 // Server serves the SDDS protocol for one node over TCP.
 type Server struct {
@@ -100,18 +53,15 @@ func NewServer(h Handler) *Server {
 	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
 }
 
-// SetShedder arms adaptive admission control on the v2 loop: requests
-// past the shedder's limit are answered with statusOverloaded (and a
-// retry-after hint) instead of being queued, and requests whose
-// propagated deadline already passed are dropped with statusExpired.
-// Call before Serve. The v1 loop is unaffected — it is strictly one
-// request per turn, so a v1 connection cannot pile up work.
+// SetShedder arms adaptive admission control: requests past the
+// shedder's limit are answered with statusOverloaded (and a retry-after
+// hint) instead of being queued, and requests whose propagated deadline
+// already passed are dropped with statusExpired. Call before Serve.
 func (s *Server) SetShedder(sh *Shedder) { s.shed = sh }
 
 // Serve accepts connections until the listener is closed. Each
-// connection speaks v1 (sequential request/response turns) or v2
-// (multiplexed tagged frames), chosen by peeking for the v2 magic
-// preamble.
+// connection must open with the v2 magic preamble and then carries
+// multiplexed tagged frames.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -156,44 +106,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	s.met.conns.Inc()
 	r := bufio.NewReaderSize(conn, srvReadBuf)
-	peek, err := r.Peek(4)
-	if err != nil {
+	// The preamble is input from outside the program: anything but the
+	// v2 magic is not a peer of ours, and the connection is dropped
+	// before a single byte of it reaches the handler.
+	var preamble [4]byte
+	if _, err := io.ReadFull(r, preamble[:]); err != nil {
 		return
 	}
-	if binary.BigEndian.Uint32(peek) == magicV2 {
-		r.Discard(4) //nolint:errcheck // peeked bytes cannot fail to discard
-		s.serveConnV2(conn, r)
+	if binary.BigEndian.Uint32(preamble[:]) != magicV2 {
 		return
 	}
-	s.serveConnV1(conn, r)
-}
-
-// serveConnV1 is the legacy loop: one request, one response, in order.
-func (s *Server) serveConnV1(conn net.Conn, r *bufio.Reader) {
-	w := bufio.NewWriterSize(conn, srvWriteBuf)
-	for {
-		op, payload, err := readFrame(r)
-		if err != nil {
-			return // connection closed or corrupt; drop it
-		}
-		s.met.frames.Inc()
-		s.met.bytesIn.Add(frameWireBytes(payload))
-		s.met.admits.Inc() // v1 has no admission control: every frame dispatches
-		resp, herr := s.handler(context.Background(), op, payload)
-		if herr != nil {
-			s.met.handlerErrors.Inc()
-			msg := []byte(herr.Error())
-			if err := writeFrame(w, statusErr, msg); err != nil {
-				return
-			}
-			s.met.bytesOut.Add(frameWireBytes(msg))
-			continue
-		}
-		if err := writeFrame(w, statusOK, resp); err != nil {
-			return
-		}
-		s.met.bytesOut.Add(frameWireBytes(resp))
-	}
+	s.serveConnV2(conn, r)
 }
 
 // srvResp is one finished request on its way to the writer goroutine.

@@ -11,12 +11,9 @@ import (
 
 // Wire protocol v2 — the multiplexed frame format (see DESIGN.md §12).
 //
-// A v2 client announces itself by sending a 4-byte magic preamble
-// immediately after dialing. The value is deliberately invalid as a v1
-// frame length (it exceeds maxFrame), so a v1 server that reads it as a
-// length rejects the connection instead of misparsing, and a v2 server
-// can Peek these 4 bytes to pick the right loop — the backward-compat
-// story is simply "upgrade servers first".
+// A client announces itself by sending a 4-byte magic preamble
+// immediately after dialing; the server closes any connection that
+// opens with anything else.
 //
 // Every v2 frame, both directions:
 //
@@ -28,7 +25,7 @@ import (
 // The id lets many requests share one connection with out-of-order
 // completion: the client registers a waiter per id and a demux
 // goroutine routes each response frame to its waiter.
-const magicV2 = 0xE5DD5502 // > maxFrame, so never a valid v1 length
+const magicV2 = 0xE5DD5502
 
 // frameHdrV2 is the fixed part of a v2 frame: length + id + tag.
 const frameHdrV2 = 9
@@ -38,14 +35,14 @@ const frameHdrV2 = 9
 // big-endian remaining budget in nanoseconds (relative, so no clock
 // sync between peers is assumed), followed by the op payload proper.
 // Op codes therefore live in the low 7 bits — the sdds protocol uses
-// ops < 32, and TCP.Send rejects ops that collide with the flag. v1
-// frames never carry deadlines; response tags (statuses) never set it.
+// ops < 32, and TCP.Send rejects ops that collide with the flag.
+// Response tags (statuses) never set it.
 const tagDeadline = 0x80
 
 // deadlineBytes is the wire size of the optional deadline field.
 const deadlineBytes = 8
 
-// statusOverloaded / statusExpired extend the v1/v2 response statuses
+// statusOverloaded / statusExpired extend the response statuses
 // (0 ok, 1 handler error). Overloaded: the server's admission
 // controller shed the request before the handler ran; the payload
 // carries a big-endian uint64 retry-after hint in nanoseconds.
