@@ -136,35 +136,6 @@ func BenchmarkRandomnessBattery(b *testing.B) {
 
 // --- Ablation benchmarks (design choices in DESIGN.md §5) ---
 
-// BenchmarkCipherAblation compares the small-domain Feistel PRP widths
-// against native AES-ECB on a 16-byte chunk — the cost of supporting
-// sub-block chunk sizes.
-func BenchmarkCipherAblation(b *testing.B) {
-	for _, w := range []uint{8, 16, 32, 64} {
-		prp, err := cipherx.NewBitPRP(benchKey, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("feistel-%dbit", w), func(b *testing.B) {
-			var acc uint64
-			for i := 0; i < b.N; i++ {
-				acc = prp.EncryptBits(acc & (1<<w - 1))
-			}
-			sinkU64 = acc
-		})
-	}
-	ecb, err := cipherx.NewByteCipher(benchKey, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("aes-ecb-128bit", func(b *testing.B) {
-		buf := make([]byte, 16)
-		for i := 0; i < b.N; i++ {
-			ecb.Encrypt(buf, buf)
-		}
-	})
-}
-
 var sinkU64 uint64
 
 // BenchmarkDispersionMatrix compares dispersal matrix families at the
@@ -372,40 +343,6 @@ func BenchmarkLHStarLookup(b *testing.B) {
 	}
 }
 
-func BenchmarkRecordSeal(b *testing.B) {
-	rc := cipherx.NewRecordCipher(benchKey)
-	content := []byte("SCHWARZ THOMAS%%%%%%%%%%%%%%%%415-409-0007$$")
-	ad := []byte("rid-007")
-	b.SetBytes(int64(len(content)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sealed := rc.Seal(ad, content)
-		if len(sealed) == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkIndexBuild(b *testing.B) {
-	pl, err := core.NewPipeline(core.Params{
-		Chunk:      chunk.Params{S: 4, M: 2},
-		DisperseK:  4,
-		MatrixKind: disperse.MatrixRandom,
-		Key:        benchKey,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	content := []byte("SCHWARZ THOMAS AND COMPANY INCORPORATED")
-	b.SetBytes(int64(len(content)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.BuildIndex(uint64(i), content); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCodebookTrain(b *testing.B) {
 	c, _ := corpora()
 	names := c.Names[:5000]
@@ -417,26 +354,6 @@ func BenchmarkCodebookTrain(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkEndToEndInsert(b *testing.B) {
-	cluster := esdds.NewMemoryCluster(4)
-	defer cluster.Close()
-	store, err := esdds.Open(cluster, esdds.KeyFromPassphrase("bench"), esdds.Config{
-		ChunkSize: 4,
-		Chunkings: 2,
-	}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	content := []byte("SCHWARZ THOMAS J AND FAMILY")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Insert(ctx, uint64(i), content); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -203,17 +203,13 @@ func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.
 	return tr
 }
 
-// NewMemoryCluster simulates a multicomputer of n storage nodes inside
-// the current process. Every distributed code path (addressing,
-// forwarding, splits, scatter-gather search) runs exactly as it would
-// over a network. Options layer retry middleware and fault injection
-// over both client operations and server-to-server forwarding.
-func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
+// newCluster builds what every constructor starts from: the dense node
+// IDs 0..n-1 (at least one), their placement, and the metrics registry
+// when WithObservability asked for one.
+func newCluster(n int, cfg *clusterConfig) (*Cluster, []transport.NodeID) {
 	if n < 1 {
 		n = 1
 	}
-	cfg := applyOptions(opts)
-	mem := transport.NewMemory()
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
 		ids[i] = transport.NodeID(i)
@@ -222,27 +218,51 @@ func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
 	if err != nil {
 		panic("esdds: " + err.Error()) // n >= 1 makes this impossible
 	}
-	c := &Cluster{mem: mem, place: place, linearScan: cfg.linearScan}
+	c := &Cluster{place: place, linearScan: cfg.linearScan}
 	if cfg.observe {
 		c.met = obs.NewRegistry()
 	}
+	return c, ids
+}
+
+// newNode builds a hosted node the one way every hosted node is built —
+// forwarding over c.peers, posting index per WithLinearScan,
+// instrumented, durable store (WithDataDir) attached and replayed — and
+// returns it ready to serve.
+func (c *Cluster) newNode(id transport.NodeID) (*sdds.Node, error) {
+	node := sdds.NewNode(id, c.peers, c.place)
+	if c.linearScan {
+		node.DisablePostingIndex()
+	}
+	node.Instrument(c.met)
+	if err := c.attachNodeStore(int(id), node); err != nil {
+		return nil, err
+	}
+	return node, nil
+}
+
+// NewMemoryCluster simulates a multicomputer of n storage nodes inside
+// the current process. Every distributed code path (addressing,
+// forwarding, splits, scatter-gather search) runs exactly as it would
+// over a network. Options layer retry middleware and fault injection
+// over both client operations and server-to-server forwarding.
+func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
+	cfg := applyOptions(opts)
+	c, ids := newCluster(n, &cfg)
+	c.mem = transport.NewMemory()
 	c.initStores(cfg.dataDir)
-	tr := cfg.stack(mem, c)
+	c.close = append(c.close, c.mem.Close)
+	tr := cfg.stack(c.mem, c)
 	c.peers = tr
 	for _, id := range ids {
-		node := sdds.NewNode(id, tr, place)
-		if cfg.linearScan {
-			node.DisablePostingIndex()
-		}
-		node.Instrument(c.met)
-		if err := c.attachNodeStore(int(id), node); err != nil {
+		node, err := c.newNode(id)
+		if err != nil {
 			panic("esdds: " + err.Error()) // unusable data dir
 		}
-		mem.Register(id, node.Handler())
+		c.mem.Register(id, node.Handler())
 	}
-	c.inner = sdds.NewCluster(tr, place)
+	c.inner = sdds.NewCluster(tr, c.place)
 	c.inner.Instrument(c.met)
-	c.close = []func() error{c.closeStores, mem.Close}
 	if err := c.attachMigrationLog(); err != nil {
 		panic("esdds: " + err.Error()) // unusable data dir
 	}
@@ -266,30 +286,20 @@ func DialCluster(addrs map[int]string, opts ...ClusterOption) (*Cluster, error) 
 	if cfg.dataDir != "" {
 		return nil, fmt.Errorf("esdds: WithDataDir requires a cluster that hosts its own nodes; daemons own their data dirs (esdds-node -data-dir)")
 	}
-	ids := make([]transport.NodeID, 0, len(addrs))
+	c, ids := newCluster(len(addrs), &cfg)
 	dir := make(map[transport.NodeID]string, len(addrs))
-	for i := 0; i < len(addrs); i++ {
-		addr, ok := addrs[i]
+	for _, id := range ids {
+		addr, ok := addrs[int(id)]
 		if !ok {
-			return nil, fmt.Errorf("esdds: node IDs must be dense 0..n-1; missing %d", i)
+			return nil, fmt.Errorf("esdds: node IDs must be dense 0..n-1; missing %d", id)
 		}
-		ids = append(ids, transport.NodeID(i))
-		dir[transport.NodeID(i)] = addr
+		dir[id] = addr
 	}
-	place, err := sdds.NewPlacement(ids)
-	if err != nil {
-		return nil, err
-	}
-	tcp := transport.NewTCP(dir)
-	c := &Cluster{place: place, tcp: tcp}
-	if cfg.observe {
-		c.met = obs.NewRegistry()
-	}
-	tcp.Instrument(c.met)
-	tr := cfg.stack(tcp, c)
-	c.inner = sdds.NewCluster(tr, place)
+	c.tcp = transport.NewTCP(dir)
+	c.tcp.Instrument(c.met)
+	c.close = append(c.close, c.tcp.Close)
+	c.inner = sdds.NewCluster(cfg.stack(c.tcp, c), c.place)
 	c.inner.Instrument(c.met)
-	c.close = []func() error{tcp.Close}
 	if cfg.selfHeal != nil {
 		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
 			c.Close()
@@ -302,53 +312,41 @@ func DialCluster(addrs map[int]string, opts ...ClusterOption) (*Cluster, error) 
 // StartLocalTCPCluster spins up n real TCP node daemons on loopback in
 // this process and returns a cluster dialed to them — the quickest way
 // to exercise the full network stack. Close shuts the daemons down.
-func StartLocalTCPCluster(n int, opts ...ClusterOption) (*Cluster, error) {
-	if n < 1 {
-		n = 1
-	}
+func StartLocalTCPCluster(n int, opts ...ClusterOption) (_ *Cluster, err error) {
 	cfg := applyOptions(opts)
-	ids := make([]transport.NodeID, n)
-	for i := range ids {
-		ids[i] = transport.NodeID(i)
-	}
-	place, err := sdds.NewPlacement(ids)
-	if err != nil {
-		return nil, err
-	}
-	addrs := make(map[transport.NodeID]string, n)
-	listeners := make([]net.Listener, n)
-	for i := range ids {
+	c, ids := newCluster(n, &cfg)
+	// Everything acquired below joins c.close as it is acquired, so one
+	// c.Close unwinds a bring-up that fails part-way.
+	defer func() {
+		if err != nil {
+			c.Close() //nolint:errcheck // best-effort unwind; err is the one to report
+		}
+	}()
+	// A bound listener is closed by this entry until a server takes it.
+	var unserved []net.Listener
+	c.close = append(c.close, func() error {
+		for _, lis := range unserved {
+			lis.Close() //nolint:errcheck // never served a connection
+		}
+		return nil
+	})
+	addrs := make(map[transport.NodeID]string, len(ids))
+	for _, id := range ids {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
 			return nil, err
 		}
-		listeners[i] = lis
-		addrs[ids[i]] = lis.Addr().String()
+		unserved = append(unserved, lis)
+		addrs[id] = lis.Addr().String()
 	}
-	peers := transport.NewTCP(addrs)
-	c := &Cluster{place: place, linearScan: cfg.linearScan}
-	if cfg.observe {
-		c.met = obs.NewRegistry()
-	}
-	peers.Instrument(c.met)
 	c.initStores(cfg.dataDir)
-	for i, id := range ids {
-		node := sdds.NewNode(id, peers, place)
-		if cfg.linearScan {
-			node.DisablePostingIndex()
-		}
-		node.Instrument(c.met)
-		if err := c.attachNodeStore(int(id), node); err != nil {
-			for _, srv := range c.servers {
-				srv.Close() //nolint:errcheck // best-effort unwind
-			}
-			for _, l := range listeners {
-				l.Close()
-			}
-			c.closeStores() //nolint:errcheck // best-effort unwind
+	peers := transport.NewTCP(addrs)
+	peers.Instrument(c.met)
+	c.peers = peers
+	c.close = append(c.close, peers.Close)
+	for _, id := range ids {
+		node, err := c.newNode(id)
+		if err != nil {
 			return nil, err
 		}
 		srv := transport.NewServer(node.Handler())
@@ -364,26 +362,20 @@ func StartLocalTCPCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 		}
 		srv.Instrument(c.met)
 		c.servers = append(c.servers, srv)
-		go srv.Serve(listeners[i])
-	}
-	client := transport.NewTCP(addrs)
-	client.Instrument(c.met)
-	tr := cfg.stack(client, c)
-	c.tcp = client
-	c.peers = peers
-	c.inner = sdds.NewCluster(tr, place)
-	c.inner.Instrument(c.met)
-	c.close = append(c.close, c.closeStores, client.Close, peers.Close)
-	for _, srv := range c.servers {
 		c.close = append(c.close, srv.Close)
+		go srv.Serve(unserved[0])
+		unserved = unserved[1:]
 	}
+	c.tcp = transport.NewTCP(addrs)
+	c.tcp.Instrument(c.met)
+	c.close = append(c.close, c.tcp.Close)
+	c.inner = sdds.NewCluster(cfg.stack(c.tcp, c), c.place)
+	c.inner.Instrument(c.met)
 	if err := c.attachMigrationLog(); err != nil {
-		c.Close()
 		return nil, err
 	}
 	if cfg.selfHeal != nil {
 		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
-			c.Close()
 			return nil, err
 		}
 	}
@@ -391,13 +383,15 @@ func StartLocalTCPCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 }
 
 // initStores prepares the durable-store bookkeeping for clusters that
-// host their own nodes. The node map is kept even without a data dir so
-// revive and shutdown paths stay uniform.
+// host their own nodes, and schedules the stores' graceful close. The
+// node map is kept even without a data dir so revive and shutdown paths
+// stay uniform.
 func (c *Cluster) initStores(dataDir string) {
 	c.dataDir = dataDir
 	c.nodes = make(map[int]*sdds.Node)
 	c.stores = make(map[int]*wal.Store)
 	c.recovery = make(map[int]NodeRecovery)
+	c.close = append(c.close, c.closeStores)
 }
 
 // attachNodeStore opens (or reopens) a node's durable store under the
@@ -568,12 +562,8 @@ func (c *Cluster) ReviveNode(id int) error {
 	if c.mem == nil {
 		return fmt.Errorf("esdds: ReviveNode requires a memory cluster")
 	}
-	node := sdds.NewNode(transport.NodeID(id), c.peers, c.place)
-	if c.linearScan {
-		node.DisablePostingIndex()
-	}
-	node.Instrument(c.met)
-	if err := c.attachNodeStore(id, node); err != nil {
+	node, err := c.newNode(transport.NodeID(id))
+	if err != nil {
 		return err
 	}
 	c.mem.Register(transport.NodeID(id), node.Handler())

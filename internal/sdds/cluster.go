@@ -347,43 +347,16 @@ func (c *Cluster) merge(ctx context.Context, id FileID) error {
 // by the surviving partner, then committed (DESIGN.md §14); done
 // reports that no (further) shrink is needed.
 func (c *Cluster) mergeOne(ctx context.Context, id FileID) (done bool, err error) {
-	c.opsMu.Lock()
-	defer c.opsMu.Unlock()
-	if err := c.resumeFileLocked(ctx, id); err != nil {
-		return false, err
-	}
-	c.mu.Lock()
-	f := c.file(id)
-	if f.state.Buckets() <= 1 || f.size >= int(f.state.Buckets()-1)*f.minLoad {
-		c.mu.Unlock()
-		return true, nil
-	}
-	st := f.state
-	if !st.RetreatSplit() {
-		c.mu.Unlock()
-		return true, nil
-	}
-	// The closing bucket (records leave) and the surviving partner they
-	// return to; both sit at level st.I+1, the level the split that
-	// created the image bucket raised them to.
-	intent := MigrationIntent{
-		Kind:      MigrateMerge,
-		File:      id,
-		From:      st.N + 1<<st.I,
-		To:        st.N,
-		Level:     uint8(st.I + 1),
-		PrevState: f.state,
-	}
-	c.mu.Unlock()
-
-	mid, err := c.miglog.Begin(intent)
-	if err != nil {
-		return false, fmt.Errorf("sdds: journaling merge intent: %w", err)
-	}
-	intent.MID = mid
-	c.met.migStarted.Inc()
-	c.syncMigGauge()
-	return false, c.driveMigrationLocked(ctx, intent)
+	return c.migrate(ctx, id, func(f *fileState) (MigrationIntent, bool) {
+		st := f.state
+		if st.Buckets() <= 1 || f.size >= int(st.Buckets()-1)*f.minLoad || !st.RetreatSplit() {
+			return MigrationIntent{}, false
+		}
+		// The closing bucket (records leave) and the surviving partner they
+		// return to; both sit at level st.I+1, the level the split that
+		// created the image bucket raised them to.
+		return MigrationIntent{Kind: MigrateMerge, From: st.N + 1<<st.I, To: st.N, Level: uint8(st.I + 1)}, true
+	})
 }
 
 // split performs one coordinator-driven LH* split of the file as a
@@ -391,37 +364,42 @@ func (c *Cluster) mergeOne(ctx context.Context, id FileID) (done bool, err error
 // the source (which keeps serving it), durably absorb it at the target,
 // then commit both sides (DESIGN.md §14). Serialized per cluster.
 func (c *Cluster) split(ctx context.Context, id FileID) error {
+	_, err := c.migrate(ctx, id, func(f *fileState) (MigrationIntent, bool) {
+		if f.size <= int(f.state.Buckets())*f.maxLoad {
+			return MigrationIntent{}, false // lost the race; someone else split already
+		}
+		from, to := f.state.NextSplit()
+		return MigrationIntent{Kind: MigrateSplit, From: from, To: to, Level: uint8(f.state.BucketLevel(from))}, true
+	})
+	return err
+}
+
+// migrate runs one structural change of a file, the same way for growth
+// and shrink: settle whatever migration of the file is still in flight,
+// let plan decide (under c.mu, from the file's current state) which
+// buckets move — or that nothing needs to, reported as done — then
+// journal the intent BEFORE the first RPC, so a restarted coordinator
+// knows the move may be half-done on the nodes, and drive it.
+func (c *Cluster) migrate(ctx context.Context, id FileID, plan func(f *fileState) (MigrationIntent, bool)) (done bool, err error) {
 	c.opsMu.Lock()
 	defer c.opsMu.Unlock()
 	if err := c.resumeFileLocked(ctx, id); err != nil {
-		return err
+		return false, err
 	}
 	c.mu.Lock()
 	f := c.file(id)
-	if f.size <= int(f.state.Buckets())*f.maxLoad {
-		c.mu.Unlock()
-		return nil // lost the race; someone else split already
-	}
-	from, to := f.state.NextSplit()
-	level := f.state.BucketLevel(from)
-	intent := MigrationIntent{
-		Kind:      MigrateSplit,
-		File:      id,
-		From:      from,
-		To:        to,
-		Level:     uint8(level),
-		PrevState: f.state,
-	}
+	intent, wanted := plan(f)
+	intent.File, intent.PrevState = id, f.state
 	c.mu.Unlock()
-
-	mid, err := c.miglog.Begin(intent)
-	if err != nil {
-		return fmt.Errorf("sdds: journaling split intent: %w", err)
+	if !wanted {
+		return true, nil
 	}
-	intent.MID = mid
+	if intent.MID, err = c.miglog.Begin(intent); err != nil {
+		return false, fmt.Errorf("sdds: journaling the intent to move bucket %d of file %d to %d: %w", intent.From, id, intent.To, err)
+	}
 	c.met.migStarted.Inc()
 	c.syncMigGauge()
-	return c.driveMigrationLocked(ctx, intent)
+	return false, c.driveMigrationLocked(ctx, intent)
 }
 
 // isDefinitive reports whether a Send error is a definitive rejection
@@ -440,14 +418,7 @@ func isDefinitive(err error) bool {
 // file, or ResumeMigrations, re-drives it. Callers must hold opsMu
 // exclusively.
 func (c *Cluster) driveMigrationLocked(ctx context.Context, intent MigrationIntent) error {
-	hdr := migrateHeader{
-		mid:   intent.MID,
-		kind:  intent.Kind,
-		file:  intent.File,
-		from:  intent.From,
-		to:    intent.To,
-		level: intent.Level,
-	}
+	hdr := intent.header()
 	srcNode := c.place.NodeOf(intent.From)
 	dstNode := c.place.NodeOf(intent.To)
 
@@ -461,11 +432,14 @@ func (c *Cluster) driveMigrationLocked(ctx context.Context, intent MigrationInte
 		return c.abortMigrationLocked(ctx, intent,
 			fmt.Errorf("sdds: migration %d: source node %d rejected prepare: %w", intent.MID, srcNode, err))
 	}
-	resp, err := decodeMigratePrepareResp(raw)
-	if err != nil {
-		return err
+	// The response is a status byte followed by the moved records,
+	// encoded exactly as the absorb request carries them behind its
+	// header: the batch is relayed as received, and the target's absorb
+	// decoder is what validates it.
+	if len(raw) == 0 {
+		return fmt.Errorf("sdds: migration %d: empty prepare response from node %d", intent.MID, srcNode)
 	}
-	switch resp.status {
+	switch raw[0] {
 	case migrateStatusCommitted:
 		// The source already committed durably (a prior drive got at
 		// least that far); roll the rest forward.
@@ -477,8 +451,10 @@ func (c *Cluster) driveMigrationLocked(ctx context.Context, intent MigrationInte
 
 	// Phase 2: the target durably lands the records under the migration
 	// ID. Idempotent: a retried absorb acks without re-applying.
-	absorb := migrateAbsorbReq{migrateHeader: hdr, batch: resp.batch}
-	if _, err := c.tr.Send(ctx, dstNode, opMigrateAbsorb, absorb.encode()); err != nil {
+	absorb := &writer{}
+	hdr.encodeTo(absorb)
+	absorb.b = append(absorb.b, raw[1:]...)
+	if _, err := c.tr.Send(ctx, dstNode, opMigrateAbsorb, absorb.b); err != nil {
 		if !isDefinitive(err) {
 			return fmt.Errorf("sdds: migration %d: absorbing into bucket %d on node %d: %w", intent.MID, intent.To, dstNode, err)
 		}
@@ -497,21 +473,8 @@ func (c *Cluster) driveMigrationLocked(ctx context.Context, intent MigrationInte
 // migration in-flight for a later re-drive rather than aborting.
 // Callers must hold opsMu exclusively.
 func (c *Cluster) finishCommitLocked(ctx context.Context, intent MigrationIntent, sourceDone bool) error {
-	fin := migrateFinishReq{mid: intent.MID}.encode()
-	srcNode := c.place.NodeOf(intent.From)
-	dstNode := c.place.NodeOf(intent.To)
-	if !sourceDone {
-		if _, err := c.tr.Send(ctx, srcNode, opMigrateCommit, fin); err != nil {
-			return fmt.Errorf("sdds: migration %d: committing source bucket %d on node %d: %w", intent.MID, intent.From, srcNode, err)
-		}
-	}
-	// When placement puts both buckets on one node, the source commit
-	// settled the target role too (the node applies every role it holds
-	// for the ID in one commit).
-	if dstNode != srcNode {
-		if _, err := c.tr.Send(ctx, dstNode, opMigrateCommit, fin); err != nil {
-			return fmt.Errorf("sdds: migration %d: committing target bucket %d on node %d: %w", intent.MID, intent.To, dstNode, err)
-		}
+	if err := c.sendFinishLocked(ctx, intent, opMigrateCommit, sourceDone); err != nil {
+		return err
 	}
 	if err := c.miglog.Finish(intent.MID, MigrationCommitted); err != nil {
 		return err
@@ -540,6 +503,28 @@ func (c *Cluster) finishCommitLocked(ctx context.Context, intent MigrationIntent
 	return nil
 }
 
+// sendFinishLocked sends a migration's commit or abort to the source
+// node (skipped when the source is known to have applied it already),
+// then to the target — unless one node holds both buckets: a node
+// settles every role it plays for the ID in one message. Callers must
+// hold opsMu exclusively.
+func (c *Cluster) sendFinishLocked(ctx context.Context, intent MigrationIntent, op uint8, sourceDone bool) error {
+	fin := migrateFinishReq{mid: intent.MID}.encode()
+	srcNode := c.place.NodeOf(intent.From)
+	dstNode := c.place.NodeOf(intent.To)
+	if !sourceDone {
+		if _, err := c.tr.Send(ctx, srcNode, op, fin); err != nil {
+			return fmt.Errorf("sdds: migration %d: %s for source bucket %d on node %d: %w", intent.MID, OpName(op), intent.From, srcNode, err)
+		}
+	}
+	if dstNode != srcNode {
+		if _, err := c.tr.Send(ctx, dstNode, op, fin); err != nil {
+			return fmt.Errorf("sdds: migration %d: %s for target bucket %d on node %d: %w", intent.MID, OpName(op), intent.To, dstNode, err)
+		}
+	}
+	return nil
+}
+
 // abortMigrationLocked resolves a migration to the aborted outcome on
 // both participants (the source forgets the intent — nothing ever left
 // its bucket; the target surgically discards what it absorbed; a node
@@ -547,16 +532,8 @@ func (c *Cluster) finishCommitLocked(ctx context.Context, intent MigrationIntent
 // log, then returns cause. If an abort send fails the migration stays
 // in-flight for a later re-drive. Callers must hold opsMu exclusively.
 func (c *Cluster) abortMigrationLocked(ctx context.Context, intent MigrationIntent, cause error) error {
-	fin := migrateFinishReq{mid: intent.MID}.encode()
-	srcNode := c.place.NodeOf(intent.From)
-	dstNode := c.place.NodeOf(intent.To)
-	if _, err := c.tr.Send(ctx, srcNode, opMigrateAbort, fin); err != nil {
-		return errors.Join(cause, fmt.Errorf("sdds: migration %d: aborting on source node %d: %w", intent.MID, srcNode, err))
-	}
-	if dstNode != srcNode {
-		if _, err := c.tr.Send(ctx, dstNode, opMigrateAbort, fin); err != nil {
-			return errors.Join(cause, fmt.Errorf("sdds: migration %d: aborting on target node %d: %w", intent.MID, dstNode, err))
-		}
+	if err := c.sendFinishLocked(ctx, intent, opMigrateAbort, false); err != nil {
+		return errors.Join(cause, err)
 	}
 	if err := c.miglog.Finish(intent.MID, MigrationAborted); err != nil {
 		return errors.Join(cause, err)

@@ -43,7 +43,7 @@ const (
 	opGet
 	opDelete
 	opSearch
-	opBucketCreate
+	_ // 5: retired bucket create (a split's absorb creates its own target)
 	_ // 6: retired one-shot split extract
 	_ // 7: retired one-shot split absorb
 	opStats
@@ -457,32 +457,6 @@ func (it *batchReqIter) next() (batchEntry, error) {
 	return e, it.r.err
 }
 
-// decodePutBatchReq materializes a whole batch with values copied into
-// one packed backing — the non-streaming counterpart of batchReqIter,
-// kept for round-trip testing of the batch encoding.
-func decodePutBatchReq(b []byte) (putBatchReq, error) {
-	it, err := newBatchReqIter(b)
-	if err != nil {
-		return putBatchReq{}, err
-	}
-	m := putBatchReq{file: it.file}
-	if it.n > 0 {
-		m.entries = make([]batchEntry, 0, it.n)
-		vals := make([]byte, 0, it.valsCap())
-		for i := 0; i < it.n; i++ {
-			e, perr := it.next()
-			if perr != nil {
-				return m, perr
-			}
-			start := len(vals)
-			vals = append(vals, e.value...)
-			e.value = vals[start:len(vals):len(vals)]
-			m.entries = append(m.entries, e)
-		}
-	}
-	return m, it.r.done()
-}
-
 // batchPutResp is one entry of a putBatchResp. moved reports that the
 // entry's owning bucket differed from the address the client sent —
 // the server sees both, so the client learns "apply this IAM" without
@@ -544,25 +518,6 @@ func (it *batchRespIter) next() (batchPutResp, error) {
 		bucketLen: it.r.u32(),
 	}
 	return p, it.r.err
-}
-
-func decodePutBatchResp(b []byte) (putBatchResp, error) {
-	it, err := newBatchRespIter(b)
-	if err != nil {
-		return putBatchResp{}, err
-	}
-	m := putBatchResp{}
-	if it.n > 0 {
-		m.resps = make([]batchPutResp, 0, it.n)
-	}
-	for i := 0; i < it.n; i++ {
-		p, perr := it.next()
-		if perr != nil {
-			return m, perr
-		}
-		m.resps = append(m.resps, p)
-	}
-	return m, it.r.done()
 }
 
 // keyReq serves Get and Delete.
@@ -782,27 +737,6 @@ func decodeSearchResp(b []byte) (searchResp, error) {
 	return m, r.done()
 }
 
-// bucketCreateReq tells a node to create an empty bucket.
-type bucketCreateReq struct {
-	file  FileID
-	addr  uint64
-	level uint8
-}
-
-func (m bucketCreateReq) encode() []byte {
-	w := &writer{}
-	w.u8(uint8(m.file))
-	w.u64(m.addr)
-	w.u8(m.level)
-	return w.b
-}
-
-func decodeBucketCreateReq(b []byte) (bucketCreateReq, error) {
-	r := &reader{b: b}
-	m := bucketCreateReq{file: FileID(r.u8()), addr: r.u64(), level: r.u8()}
-	return m, r.done()
-}
-
 // recordBatch carries the records a migration moves between buckets.
 type recordBatch struct {
 	records []kv
@@ -813,14 +747,23 @@ type kv struct {
 	value []byte
 }
 
-func (m recordBatch) encode() []byte {
-	w := &writer{}
+func (m recordBatch) encodeTo(w *writer) {
 	w.u32(uint32(len(m.records)))
 	for _, r := range m.records {
 		w.u64(r.key)
 		w.bytes(r.value)
 	}
-	return w.b
+}
+
+// decodeFrom copies every value out of the request buffer: the target
+// bucket retains them.
+func (m *recordBatch) decodeFrom(r *reader) {
+	n := int(r.u32())
+	for i := 0; i < n && r.err == nil; i++ {
+		key := r.u64()
+		val := append([]byte(nil), r.bytes()...)
+		m.records = append(m.records, kv{key: key, value: val})
+	}
 }
 
 // migrateHeader is the addressing block shared by every migration op:
@@ -887,20 +830,8 @@ type migratePrepareResp struct {
 func (m migratePrepareResp) encode() []byte {
 	w := &writer{}
 	w.u8(m.status)
-	w.b = append(w.b, m.batch.encode()...)
+	m.batch.encodeTo(w)
 	return w.b
-}
-
-func decodeMigratePrepareResp(b []byte) (migratePrepareResp, error) {
-	r := &reader{b: b}
-	m := migratePrepareResp{status: r.u8()}
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.u64()
-		val := append([]byte(nil), r.bytes()...)
-		m.batch.records = append(m.batch.records, kv{key: key, value: val})
-	}
-	return m, r.done()
 }
 
 // migrateAbsorbReq durably lands the moved records on the target node,
@@ -912,21 +843,16 @@ type migrateAbsorbReq struct {
 
 func (m migrateAbsorbReq) encode() []byte {
 	w := &writer{}
-	m.encodeTo(w)
-	w.b = append(w.b, m.batch.encode()...)
+	m.migrateHeader.encodeTo(w)
+	m.batch.encodeTo(w)
 	return w.b
 }
 
 func decodeMigrateAbsorbReq(b []byte) (migrateAbsorbReq, error) {
 	r := &reader{b: b}
 	var m migrateAbsorbReq
-	m.decodeFrom(r)
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		key := r.u64()
-		val := append([]byte(nil), r.bytes()...)
-		m.batch.records = append(m.batch.records, kv{key: key, value: val})
-	}
+	m.migrateHeader.decodeFrom(r)
+	m.batch.decodeFrom(r)
 	return m, r.done()
 }
 

@@ -91,11 +91,20 @@ func FuzzDecodeSearchResp(f *testing.F) {
 	})
 }
 
-func FuzzDecodeMigratePrepareResp(f *testing.F) {
+// FuzzDecodeMigrateAbsorbReq covers the one decoder of a record batch:
+// the coordinator relays the batch bytes of a prepare response without
+// looking at them, so this is where they are first checked.
+func FuzzDecodeMigrateAbsorbReq(f *testing.F) {
+	hdr := &writer{}
+	migrateHeader{mid: 3, kind: migrateSplit, file: FileIndex, from: 1, to: 3, level: 1}.encodeTo(hdr)
+	batch := recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}
 	f.Add([]byte{})
-	f.Add(migratePrepareResp{status: migrateStatusOK, batch: recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}}.encode())
+	f.Add(hdr.b)
+	f.Add(migrateAbsorbReq{batch: batch}.encode())
+	// The old prepare-response seed, as the coordinator relays it.
+	f.Add(append(hdr.b[:len(hdr.b):len(hdr.b)], migratePrepareResp{status: migrateStatusOK, batch: batch}.encode()[1:]...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeMigratePrepareResp(b)
+		m, err := decodeMigrateAbsorbReq(b)
 		if err != nil {
 			return
 		}

@@ -2,12 +2,15 @@ package sdds
 
 import (
 	"bytes"
+	"context"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/disperse"
+	"repro/internal/transport"
 )
 
 func TestPutReqRoundTrip(t *testing.T) {
@@ -142,12 +145,13 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 			rng.Read(v)
 			m.records = append(m.records, kv{key: rng.Uint64(), value: v})
 		}
-		// A batch only travels inside a migration message.
-		resp, err := decodeMigratePrepareResp(migratePrepareResp{status: migrateStatusOK, batch: m}.encode())
+		// A batch only travels inside a migration message, and the absorb
+		// request is the one that is decoded.
+		req, err := decodeMigrateAbsorbReq(migrateAbsorbReq{batch: m}.encode())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := resp.batch
+		got := req.batch
 		if len(got.records) != len(m.records) {
 			t.Fatal("count mismatch")
 		}
@@ -161,22 +165,23 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 }
 
 func TestControlMessageRoundTrips(t *testing.T) {
-	bc := bucketCreateReq{file: 2, addr: 77, level: 5}
-	if got, err := decodeBucketCreateReq(bc.encode()); err != nil || got != bc {
-		t.Errorf("bucketCreate: %v %v", got, err)
-	}
 	hdr := migrateHeader{mid: 7, kind: migrateMerge, file: 1, from: 9, to: 1, level: 3}
 	batch := recordBatch{records: []kv{{key: 5, value: []byte("x")}}}
 	if got, err := decodeMigratePrepareReq(migratePrepareReq{hdr}.encode()); err != nil || got.migrateHeader != hdr {
 		t.Errorf("migratePrepare: %+v %v", got, err)
 	}
-	pr := migratePrepareResp{status: migrateStatusOK, batch: batch}
-	if got, err := decodeMigratePrepareResp(pr.encode()); err != nil || !reflect.DeepEqual(got, pr) {
-		t.Errorf("migratePrepareResp: %+v %v", got, err)
-	}
 	ab := migrateAbsorbReq{migrateHeader: hdr, batch: batch}
 	if got, err := decodeMigrateAbsorbReq(ab.encode()); err != nil || !reflect.DeepEqual(got, ab) {
 		t.Errorf("migrateAbsorb: %+v %v", got, err)
+	}
+	// A prepare response is a status byte and the same batch encoding the
+	// absorb request carries behind its header: that identity is what
+	// lets the coordinator relay the batch without decoding it.
+	pr := migratePrepareResp{status: migrateStatusOK, batch: batch}.encode()
+	w := &writer{}
+	hdr.encodeTo(w)
+	if relayed := append(w.b, pr[1:]...); pr[0] != migrateStatusOK || !bytes.Equal(relayed, ab.encode()) {
+		t.Errorf("prepare response %x does not relay into absorb request %x", pr, ab.encode())
 	}
 	fin := migrateFinishReq{mid: 7}
 	if got, err := decodeMigrateFinishReq(fin.encode()); err != nil || got != fin {
@@ -204,7 +209,6 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		keyReq{file: 1, addr: 2, key: 3}.encode(),
 		valueResp{found: true, value: []byte("xyz")}.encode(),
 		indexValue{firstIndex: 1, pieces: []disperse.Piece{1, 2, 3}}.encode(),
-		migratePrepareResp{status: migrateStatusOK, batch: recordBatch{records: []kv{{key: 1, value: []byte("v")}}}}.encode(),
 		migrateAbsorbReq{migrateHeader: migrateHeader{mid: 1, kind: migrateSplit}, batch: recordBatch{records: []kv{{key: 1, value: []byte("v")}}}}.encode(),
 		wordSearchReq{file: 2, token: bytes.Repeat([]byte{1}, 16)}.encode(),
 	}
@@ -214,7 +218,6 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		func(b []byte) error { _, err := decodeKeyReq(b); return err },
 		func(b []byte) error { _, err := decodeValueResp(b); return err },
 		func(b []byte) error { _, err := decodeIndexValue(b); return err },
-		func(b []byte) error { _, err := decodeMigratePrepareResp(b); return err },
 		func(b []byte) error { _, err := decodeMigrateAbsorbReq(b); return err },
 		func(b []byte) error { _, err := decodeWordSearchReq(b); return err },
 	}
@@ -236,7 +239,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 // histogram for an op whose OpName is empty.
 func TestOpCodesPinned(t *testing.T) {
 	want := map[uint8]uint8{
-		opPut: 1, opGet: 2, opDelete: 3, opSearch: 4, opBucketCreate: 5,
+		opPut: 1, opGet: 2, opDelete: 3, opSearch: 4,
 		opStats: 8, opWordSearch: 11, opNodeSnapshot: 12, opNodeRestore: 13,
 		opPutBatch: 14, opPing: 15, opRecoveryState: 16,
 		opMigratePrepare: 17, opMigrateAbsorb: 18, opMigrateCommit: 19, opMigrateAbort: 20,
@@ -249,9 +252,60 @@ func TestOpCodesPinned(t *testing.T) {
 			t.Errorf("op %d has no name", op)
 		}
 	}
-	for _, op := range []uint8{0, 6, 7, 9, 10, 21} {
+	for _, op := range []uint8{0, 5, 6, 7, 9, 10, 21} {
 		if name := OpName(op); name != "" {
 			t.Errorf("OpName(%d) = %q, want \"\" (retired or never assigned)", op, name)
 		}
+	}
+}
+
+// wireTap records the two payloads of a migration that carry records.
+type wireTap struct {
+	transport.Transport
+	prepareResp, absorbReq []byte
+}
+
+func (w *wireTap) Send(ctx context.Context, node transport.NodeID, op uint8, payload []byte) ([]byte, error) {
+	resp, err := w.Transport.Send(ctx, node, op, payload)
+	switch op {
+	case opMigratePrepare:
+		w.prepareResp = append([]byte(nil), resp...)
+	case opMigrateAbsorb:
+		w.absorbReq = append([]byte(nil), payload...)
+	}
+	return resp, err
+}
+
+// TestMigrationWireBytesPinned: nodes journal the absorb request they
+// receive, so its bytes — and the prepare response they are relayed from
+// — must not drift, or journals written by an earlier version stop
+// replaying. The literals were captured by this same test body at
+// 5bd14e1, where the coordinator still decoded the response into records
+// and re-encoded them.
+func TestMigrationWireBytesPinned(t *testing.T) {
+	const (
+		wantPrepareResp = "01" + "00000003" +
+			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
+			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
+			"0000000000000005" + "0000000a" + "6d696776616c2d303035"
+		wantAbsorbReq = "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
+			"00000003" +
+			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
+			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
+			"0000000000000005" + "0000000a" + "6d696776616c2d303035"
+	)
+	h := newMigHarness(t, 2)
+	h.load(FileRecords, 6)
+	h.c.SetMaxLoad(FileRecords, 2)
+	tap := &wireTap{Transport: h.mem}
+	h.hook.inner = tap
+	if err := h.c.split(context.Background(), FileRecords); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(tap.prepareResp); got != wantPrepareResp {
+		t.Errorf("prepare response\n got %s\nwant %s", got, wantPrepareResp)
+	}
+	if got := hex.EncodeToString(tap.absorbReq); got != wantAbsorbReq {
+		t.Errorf("absorb request\n got %s\nwant %s", got, wantAbsorbReq)
 	}
 }

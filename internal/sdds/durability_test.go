@@ -110,26 +110,29 @@ func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []
 	if !ok {
 		return false
 	}
-	resp, err := decodeMigratePrepareResp(raw)
-	if err != nil {
-		h.t.Fatalf("migration %d: prepare response: %v", hdr.mid, err)
+	// Like the coordinator, relay the batch bytes behind the status byte.
+	if len(raw) == 0 {
+		h.t.Fatalf("migration %d: empty prepare response", hdr.mid)
 	}
-	switch resp.status {
+	switch raw[0] {
 	case migrateStatusCommitted:
 		return true
 	case migrateStatusOK:
 	default:
-		h.t.Fatalf("migration %d: prepare status %d", hdr.mid, resp.status)
+		h.t.Fatalf("migration %d: prepare status %d", hdr.mid, raw[0])
 	}
-	if _, ok := send(opMigrateAbsorb, migrateAbsorbReq{migrateHeader: hdr, batch: resp.batch}.encode()); !ok {
+	absorb := &writer{}
+	hdr.encodeTo(absorb)
+	absorb.b = append(absorb.b, raw[1:]...)
+	if _, ok := send(opMigrateAbsorb, absorb.b); !ok {
 		return false
 	}
 	_, ok = send(opMigrateCommit, migrateFinishReq{mid: hdr.mid}.encode())
 	return ok
 }
 
-// workload drives a fixed mutation script — puts, deletes, two splits,
-// one merge, one bare bucket create — through every journaled handler.
+// workload drives a fixed mutation script — puts (into two files),
+// deletes, two splits, one merge — through every journaled handler.
 // It reports false when the injected crash cut it short, leaving h.mig
 // set if that happened inside a migration.
 func (h *durableHarness) workload() bool {
@@ -158,10 +161,9 @@ func (h *durableHarness) workload() bool {
 			return false
 		}
 	}
-	// opBucketCreate is journaled like the rest, but no migration sends
-	// it (a split's absorb creates its own target), so it gets a file
-	// the migrations below leave alone.
-	if _, ok := h.do(opBucketCreate, bucketCreateReq{file: FileWords, addr: 1, level: 1}.encode()); !ok {
+	// One mutation of a second file, which the migrations below leave
+	// alone: replay must keep the files apart.
+	if _, ok := h.do(opPut, putReq{file: FileWords, addr: 0, key: 1, value: recVal(0)}.encode()); !ok {
 		return false
 	}
 	// bucket 0 (level 0→1) spills into bucket 1

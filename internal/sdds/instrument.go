@@ -20,7 +20,6 @@ var opNames = [...]string{
 	opGet:            "get",
 	opDelete:         "delete",
 	opSearch:         "search",
-	opBucketCreate:   "bucket_create",
 	opStats:          "stats",
 	opWordSearch:     "word_search",
 	opNodeSnapshot:   "node_snapshot",

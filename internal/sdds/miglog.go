@@ -1,9 +1,7 @@
 package sdds
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -67,6 +65,12 @@ type MigrationIntent struct {
 	PrevState lhstar.State
 }
 
+// header is the intent as the migration ops carry it to the nodes (and
+// as the durable log journals it).
+func (i MigrationIntent) header() migrateHeader {
+	return migrateHeader{mid: i.MID, kind: i.Kind, file: i.File, from: i.From, to: i.To, level: i.Level}
+}
+
 // resultingState is the coordinator file state after the intent
 // commits.
 func resultingState(intent MigrationIntent) lhstar.State {
@@ -103,272 +107,164 @@ type MigrationLog interface {
 	Close() error
 }
 
-// MemMigrationLog is the in-memory MigrationLog — the default for
-// ephemeral clusters: resume works within the process (lost responses,
-// aborted drives) but not across a coordinator restart.
-type MemMigrationLog struct {
+// ledger is what both MigrationLog implementations are: the records,
+// and the rule that a change is handed to persist BEFORE the ledger shows
+// it — an intent or outcome the log failed to make durable must never
+// be resumed or reported. Migration IDs are dense from 1, so recs[i]
+// holds migration i+1.
+type ledger struct {
 	mu      sync.Mutex
 	recs    []MigrationRecord
-	idx     map[uint64]int
-	nextMID uint64
+	persist func(typ uint8, body []byte) error
 }
 
-// NewMemMigrationLog creates an empty in-memory migration log.
-func NewMemMigrationLog() *MemMigrationLog {
-	return &MemMigrationLog{idx: make(map[uint64]int), nextMID: 1}
-}
+// discard is the persist of a ledger with nowhere to write: the
+// in-memory log, and the durable log while it replays what is on disk.
+func discard(uint8, []byte) error { return nil }
+
+// Record types handed to persist (the wal op byte of the durable log).
+// An intent's body is its migrateHeader followed by PrevState (u8 I,
+// u64 N); a done body is u64 MID, u8 outcome.
+const (
+	migRecIntent uint8 = 1
+	migRecDone   uint8 = 2
+)
 
 // Begin implements MigrationLog.
-func (l *MemMigrationLog) Begin(intent MigrationIntent) (uint64, error) {
+func (l *ledger) Begin(intent MigrationIntent) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	intent.MID = l.nextMID
-	l.nextMID++
-	l.idx[intent.MID] = len(l.recs)
+	intent.MID = uint64(len(l.recs)) + 1
+	w := &writer{}
+	intent.header().encodeTo(w)
+	w.u8(uint8(intent.PrevState.I))
+	w.u64(intent.PrevState.N)
+	if err := l.persist(migRecIntent, w.b); err != nil {
+		return 0, fmt.Errorf("sdds: migration log: %w", err)
+	}
 	l.recs = append(l.recs, MigrationRecord{Intent: intent})
 	return intent.MID, nil
 }
 
 // Finish implements MigrationLog.
-func (l *MemMigrationLog) Finish(mid uint64, outcome MigrationOutcome) error {
+func (l *ledger) Finish(mid uint64, outcome MigrationOutcome) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i, ok := l.idx[mid]
-	if !ok {
+	if mid == 0 || mid > uint64(len(l.recs)) {
 		return fmt.Errorf("sdds: migration log has no intent %d", mid)
 	}
-	if l.recs[i].Done {
-		if l.recs[i].Outcome != outcome {
-			return fmt.Errorf("sdds: migration %d already finished as %v, refusing %v", mid, l.recs[i].Outcome, outcome)
+	rec := &l.recs[mid-1]
+	if rec.Done {
+		if rec.Outcome != outcome {
+			return fmt.Errorf("sdds: migration %d already finished as %v, refusing %v", mid, rec.Outcome, outcome)
 		}
 		return nil // idempotent re-finish
 	}
-	l.recs[i].Done = true
-	l.recs[i].Outcome = outcome
+	w := &writer{}
+	w.u64(mid)
+	w.u8(uint8(outcome))
+	if err := l.persist(migRecDone, w.b); err != nil {
+		return fmt.Errorf("sdds: migration log: %w", err)
+	}
+	rec.Done, rec.Outcome = true, outcome
 	return nil
 }
 
 // Records implements MigrationLog.
-func (l *MemMigrationLog) Records() []MigrationRecord {
+func (l *ledger) Records() []MigrationRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]MigrationRecord(nil), l.recs...)
 }
 
+// MemMigrationLog is the in-memory MigrationLog — the default for
+// ephemeral clusters: resume works within the process (lost responses,
+// aborted drives) but not across a coordinator restart.
+type MemMigrationLog struct{ ledger }
+
+// NewMemMigrationLog creates an empty in-memory migration log.
+func NewMemMigrationLog() *MemMigrationLog {
+	return &MemMigrationLog{ledger{persist: discard}}
+}
+
 // Close implements MigrationLog.
 func (l *MemMigrationLog) Close() error { return nil }
 
-// FileMigrationLog is the durable MigrationLog: an append-only record
-// file over a wal.FS. Every record is length-prefixed and checksummed;
-// a torn tail (the crash case) is truncated away on open — losing at
-// most the record whose append never completed, which is exactly the
-// intent/outcome the caller never saw acknowledged.
+// FileMigrationLog is the durable MigrationLog: a ledger that persists
+// into a wal.Store, one record written and fsynced per Begin and per
+// Finish. It inherits the store's recovery rules: a torn tail (the
+// append in flight at a crash, which no caller saw acknowledged) is cut
+// on open, while a checksum failure on a complete record or a sequence
+// gap fails the open — a coordinator that forgot a committed split would
+// compute every later address from the wrong file state, so it must
+// stop instead.
 type FileMigrationLog struct {
-	mu   sync.Mutex
-	fsys wal.FS
-	path string
-	f    wal.File
-	mem  *MemMigrationLog
+	ledger
+	st *wal.Store
 }
 
-const (
-	migLogName = "migrations.log"
-
-	migRecIntent uint8 = 1
-	migRecDone   uint8 = 2
-)
-
-var migLogMagic = []byte("ESDDSMIG1\n")
+// legacyMigrationLog is the coordinator journal of earlier versions: a
+// private record file beside which a fresh wal.log would silently start
+// the ledger over.
+const legacyMigrationLog = "migrations.log"
 
 // OpenFileMigrationLog opens (creating if absent) the migration log in
-// dir, replaying its records into memory and truncating any torn tail.
+// dir and replays its records into memory.
 func OpenFileMigrationLog(fsys wal.FS, dir string) (*FileMigrationLog, error) {
-	if err := fsys.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("sdds: migration log dir: %w", err)
-	}
-	l := &FileMigrationLog{
-		fsys: fsys,
-		path: filepath.Join(dir, migLogName),
-		mem:  NewMemMigrationLog(),
-	}
-	data, err := fsys.ReadFile(l.path)
-	switch {
-	case os.IsNotExist(err):
-		f, err := fsys.OpenAppend(l.path)
-		if err != nil {
-			return nil, fmt.Errorf("sdds: migration log: %w", err)
-		}
-		if _, err := f.Write(migLogMagic); err != nil {
-			return nil, fmt.Errorf("sdds: migration log magic: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("sdds: migration log sync: %w", err)
-		}
-		l.f = f
-		return l, nil
-	case err != nil:
+	legacy := filepath.Join(dir, legacyMigrationLog)
+	if _, err := fsys.ReadFile(legacy); err == nil {
+		return nil, fmt.Errorf("sdds: migration log: %s is a journal in the retired pre-wal format, which this version cannot replay; refusing to start an empty ledger beside it", legacy)
+	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("sdds: migration log: %w", err)
 	}
-	good, err := l.replay(data)
-	if err != nil {
-		return nil, err
-	}
-	if good < len(data) {
-		// Torn tail: drop the partial record so appends resume cleanly.
-		if err := fsys.Truncate(l.path, int64(good)); err != nil {
-			return nil, fmt.Errorf("sdds: migration log truncate: %w", err)
-		}
-	}
-	f, err := fsys.OpenAppend(l.path)
+	st, err := wal.Open(fsys, dir, wal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("sdds: migration log: %w", err)
 	}
-	l.f = f
+	l := &FileMigrationLog{ledger: ledger{persist: discard}, st: st}
+	// The log never checkpoints, so an image on disk is not its own.
+	noImage := func([]byte) error { return fmt.Errorf("sdds: migration log: unexpected checkpoint in %s", dir) }
+	if _, err := st.Recover(noImage, l.replay); err != nil {
+		st.Close() //nolint:errcheck // nothing was appended; the recovery error is the one to report
+		return nil, fmt.Errorf("sdds: migration log in %s: %w", dir, err)
+	}
+	l.persist = st.Journal
 	return l, nil
 }
 
-var migCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// replay loads records from raw bytes and returns the length of the
-// valid prefix. A corrupt or torn record ends the replay: everything
-// before it is kept, everything from it on is reported for truncation.
-func (l *FileMigrationLog) replay(data []byte) (int, error) {
-	if len(data) < len(migLogMagic) || string(data[:len(migLogMagic)]) != string(migLogMagic) {
-		return 0, fmt.Errorf("sdds: migration log: bad magic")
-	}
-	off := len(migLogMagic)
-	for off < len(data) {
-		if len(data)-off < 8 {
-			return off, nil // torn length/crc header
-		}
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		crc := binary.BigEndian.Uint32(data[off+4:])
-		if n <= 0 || len(data)-off-8 < n {
-			return off, nil // torn body
-		}
-		body := data[off+8 : off+8+n]
-		if crc32.Checksum(body, migCRC) != crc {
-			return off, nil // torn or corrupt record: stop here, loudly truncate
-		}
-		if err := l.applyRecord(body); err != nil {
-			return 0, err
-		}
-		off += 8 + n
-	}
-	return off, nil
-}
-
-func (l *FileMigrationLog) applyRecord(body []byte) error {
-	if len(body) < 1 {
-		return fmt.Errorf("sdds: migration log: empty record")
-	}
-	switch body[0] {
+// replay re-applies one journaled record through Begin or Finish; the
+// ledger still discards, the record being on disk already.
+func (l *FileMigrationLog) replay(typ uint8, body []byte) error {
+	r := &reader{b: body}
+	switch typ {
 	case migRecIntent:
-		if len(body) != 1+8+1+1+8+8+1+1+8 {
-			return fmt.Errorf("sdds: migration log: intent record length %d", len(body))
-		}
+		var hdr migrateHeader
+		hdr.decodeFrom(r)
 		intent := MigrationIntent{
-			MID:   binary.BigEndian.Uint64(body[1:]),
-			Kind:  body[9],
-			File:  FileID(body[10]),
-			From:  binary.BigEndian.Uint64(body[11:]),
-			To:    binary.BigEndian.Uint64(body[19:]),
-			Level: body[27],
-			PrevState: lhstar.State{
-				I: uint(body[28]),
-				N: binary.BigEndian.Uint64(body[29:]),
-			},
+			Kind: hdr.kind, File: hdr.file, From: hdr.from, To: hdr.to, Level: hdr.level,
+			PrevState: lhstar.State{I: uint(r.u8()), N: r.u64()},
 		}
-		l.mem.mu.Lock()
-		l.mem.idx[intent.MID] = len(l.mem.recs)
-		l.mem.recs = append(l.mem.recs, MigrationRecord{Intent: intent})
-		if intent.MID >= l.mem.nextMID {
-			l.mem.nextMID = intent.MID + 1
+		if err := r.done(); err != nil {
+			return err
 		}
-		l.mem.mu.Unlock()
-		return nil
-	case migRecDone:
-		if len(body) != 1+8+1 {
-			return fmt.Errorf("sdds: migration log: done record length %d", len(body))
+		mid, err := l.Begin(intent)
+		if err == nil && mid != hdr.mid {
+			err = fmt.Errorf("sdds: migration log: intent %d journaled where %d belongs", hdr.mid, mid)
 		}
-		mid := binary.BigEndian.Uint64(body[1:])
-		return l.mem.Finish(mid, MigrationOutcome(body[9]))
-	default:
-		return fmt.Errorf("sdds: migration log: unknown record type %d", body[0])
-	}
-}
-
-// append frames, writes and syncs one record; the append is durable
-// when it returns.
-func (l *FileMigrationLog) append(body []byte) error {
-	frame := make([]byte, 0, 8+len(body))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, migCRC))
-	frame = append(frame, body...)
-	if _, err := l.f.Write(frame); err != nil {
-		return fmt.Errorf("sdds: migration log append: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("sdds: migration log sync: %w", err)
-	}
-	return nil
-}
-
-// Begin implements MigrationLog.
-func (l *FileMigrationLog) Begin(intent MigrationIntent) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, fmt.Errorf("sdds: migration log is closed")
-	}
-	mid, _ := l.mem.Begin(intent)
-	body := make([]byte, 0, 37)
-	body = append(body, migRecIntent)
-	body = binary.BigEndian.AppendUint64(body, mid)
-	body = append(body, intent.Kind, uint8(intent.File))
-	body = binary.BigEndian.AppendUint64(body, intent.From)
-	body = binary.BigEndian.AppendUint64(body, intent.To)
-	body = append(body, intent.Level, uint8(intent.PrevState.I))
-	body = binary.BigEndian.AppendUint64(body, intent.PrevState.N)
-	if err := l.append(body); err != nil {
-		return 0, err
-	}
-	return mid, nil
-}
-
-// Finish implements MigrationLog.
-func (l *FileMigrationLog) Finish(mid uint64, outcome MigrationOutcome) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("sdds: migration log is closed")
-	}
-	if err := l.mem.Finish(mid, outcome); err != nil {
 		return err
+	case migRecDone:
+		mid, outcome := r.u64(), MigrationOutcome(r.u8())
+		if err := r.done(); err != nil {
+			return err
+		}
+		return l.Finish(mid, outcome)
+	default:
+		return fmt.Errorf("sdds: migration log: unknown record type %d", typ)
 	}
-	body := make([]byte, 0, 10)
-	body = append(body, migRecDone)
-	body = binary.BigEndian.AppendUint64(body, mid)
-	body = append(body, uint8(outcome))
-	return l.append(body)
-}
-
-// Records implements MigrationLog.
-func (l *FileMigrationLog) Records() []MigrationRecord {
-	return l.mem.Records()
 }
 
 // Close implements MigrationLog.
-func (l *FileMigrationLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
-}
+func (l *FileMigrationLog) Close() error { return l.st.Close() }
 
 // MigrationStats summarizes the migration ledger for health surfaces.
 // Started, Committed and Aborted are durable log counts, so the

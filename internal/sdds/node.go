@@ -35,8 +35,8 @@ type Store interface {
 	// concurrent caller. Nothing is acknowledged before it returns nil.
 	Sync(seq uint64) error
 	// Journal is Append followed by Sync, for the callers that keep the
-	// node lock across their flush: the rare structural ops (bucket
-	// create, split, merge, migration phases) and the single put.
+	// node lock across their flush: the rare structural ops (the
+	// migration phases of a split or merge) and the single put.
 	Journal(op uint8, payload []byte) error
 	// CheckpointDue reports that the journal has outgrown the cadence.
 	CheckpointDue() bool
@@ -378,17 +378,6 @@ func (n *Node) applyLoggedLocked(op uint8, payload []byte) error {
 			f.indexDelete(m.key)
 		}
 		return nil
-	case opBucketCreate:
-		m, err := decodeBucketCreateReq(payload)
-		if err != nil {
-			return err
-		}
-		f := n.fileLocked(m.file)
-		if _, exists := f.buckets[m.addr]; exists {
-			return fmt.Errorf("sdds: replay: bucket %d of file %d already exists on node %d", m.addr, m.file, n.id)
-		}
-		f.buckets[m.addr] = lhstar.NewBucket(m.addr, uint(m.level))
-		return nil
 	case opMigratePrepare:
 		m, err := decodeMigratePrepareReq(payload)
 		if err != nil {
@@ -447,8 +436,6 @@ func (n *Node) dispatch(ctx context.Context, op uint8, payload []byte) ([]byte, 
 		return n.handleDelete(ctx, payload)
 	case opSearch:
 		return n.handleSearch(payload)
-	case opBucketCreate:
-		return n.handleBucketCreate(payload)
 	case opStats:
 		return n.handleStats(payload)
 	case opWordSearch:
@@ -512,17 +499,6 @@ func (n *Node) newFileLocked(id FileID) *nodeFile {
 		}
 	}
 	return f
-}
-
-func (n *Node) bucket(id FileID, addr uint64) (*lhstar.Bucket, error) {
-	f := n.getFile(id)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	b, ok := f.buckets[addr]
-	if !ok {
-		return nil, fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, addr, id)
-	}
-	return b, nil
 }
 
 const maxHops = 3
@@ -953,24 +929,6 @@ func searchNodeImage(raw []byte, m *searchReq) (searchResp, error) {
 		}
 	}
 	return resp, nil
-}
-
-func (n *Node) handleBucketCreate(payload []byte) ([]byte, error) {
-	m, err := decodeBucketCreateReq(payload)
-	if err != nil {
-		return nil, err
-	}
-	f := n.getFile(m.file)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, exists := f.buckets[m.addr]; exists {
-		return nil, fmt.Errorf("sdds: bucket %d already exists on node %d", m.addr, n.id)
-	}
-	if err := n.journalLocked(opBucketCreate, payload); err != nil {
-		return nil, err
-	}
-	f.buckets[m.addr] = lhstar.NewBucket(m.addr, uint(m.level))
-	return nil, n.maybeCheckpointLocked()
 }
 
 // handleWordSearch scans every local bucket of the word file: each

@@ -454,28 +454,17 @@ func TestClusterOverTCP(t *testing.T) {
 func TestNodeRejectsMalformedPayloads(t *testing.T) {
 	c := memCluster(t, 1)
 	ctx := context.Background()
-	for _, op := range []uint8{opPut, opGet, opDelete, opSearch, opBucketCreate, opMigratePrepare, opMigrateAbsorb} {
+	for _, op := range []uint8{opPut, opGet, opDelete, opSearch, opMigratePrepare, opMigrateAbsorb} {
 		if _, err := c.tr.Send(ctx, 0, op, []byte{0xFF}); err == nil {
 			t.Errorf("op %d accepted garbage", op)
 		}
 	}
-	// 6, 7, 9, 10 are the retired destructive split/merge codes.
-	for _, op := range []uint8{6, 7, 9, 10, 200} {
+	// 5 is the retired bucket create, 6, 7, 9, 10 the retired
+	// destructive split/merge codes.
+	for _, op := range []uint8{5, 6, 7, 9, 10, 200} {
 		if _, err := c.tr.Send(ctx, 0, op, nil); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("op %d: err = %v, want unknown op", op, err)
 		}
-	}
-}
-
-func TestBucketCreateDuplicateRejected(t *testing.T) {
-	c := memCluster(t, 1)
-	ctx := context.Background()
-	req := bucketCreateReq{file: FileRecords, addr: 1, level: 1}.encode()
-	if _, err := c.tr.Send(ctx, 0, opBucketCreate, req); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.tr.Send(ctx, 0, opBucketCreate, req); err == nil {
-		t.Error("duplicate bucket accepted")
 	}
 }
 

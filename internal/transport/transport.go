@@ -288,32 +288,11 @@ func Broadcast(ctx context.Context, tr Transport, nodes []NodeID, op uint8, payl
 	return out
 }
 
-// Scatter sends a distinct request to each node in parallel; requests
-// maps node → payload. Results are ordered by ascending node ID. When
-// the context ends, pending sends abort promptly and their Results
-// carry ctx.Err().
-func Scatter(ctx context.Context, tr Transport, op uint8, requests map[NodeID][]byte) []Result {
-	nodes := make([]NodeID, 0, len(requests))
-	payloads := make([][]byte, 0, len(requests))
-	for n := range requests {
-		nodes = append(nodes, n)
-	}
-	// Destination sets are small (one entry per node); a direct insertion
-	// sort beats sort.Slice's reflection-based swaps on every hot path.
-	for i := 1; i < len(nodes); i++ {
-		for j := i; j > 0 && nodes[j] < nodes[j-1]; j-- {
-			nodes[j], nodes[j-1] = nodes[j-1], nodes[j]
-		}
-	}
-	for _, n := range nodes {
-		payloads = append(payloads, requests[n])
-	}
-	return ScatterList(ctx, tr, op, nodes, payloads)
-}
-
-// ScatterList is Scatter for callers that already hold parallel node and
-// payload slices: no map, no sort — results come back in input order,
-// results[i] answering nodes[i]. Nodes must be distinct.
+// ScatterList sends a distinct request to each node in parallel, from
+// parallel node and payload slices; results come back in input order,
+// results[i] answering nodes[i]. Nodes must be distinct. When the
+// context ends, pending sends abort promptly and their Results carry
+// ctx.Err().
 func ScatterList(ctx context.Context, tr Transport, op uint8, nodes []NodeID, payloads [][]byte) []Result {
 	out := make([]Result, len(nodes))
 	fanOut(ctx, tr, nodes, op, func(i int) []byte { return payloads[i] }, out)

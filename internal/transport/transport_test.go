@@ -107,17 +107,15 @@ func TestScatter(t *testing.T) {
 	for i := NodeID(0); i < 4; i++ {
 		m.Register(i, echoHandler)
 	}
-	reqs := map[NodeID][]byte{
-		0: []byte("a"), 2: []byte("c"), 3: []byte("d"),
-	}
-	results := Scatter(context.Background(), m, 5, reqs)
+	// Results answer the nodes in the order given, not in ID order.
+	nodes := []NodeID{3, 0, 2}
+	results := ScatterList(context.Background(), m, 5, nodes, [][]byte{[]byte("d"), []byte("a"), []byte("c")})
 	if len(results) != 3 {
 		t.Fatalf("%d results", len(results))
 	}
-	wantNodes := []NodeID{0, 2, 3}
-	wantPayload := []string{"\x05a", "\x05c", "\x05d"}
+	wantPayload := []string{"\x05d", "\x05a", "\x05c"}
 	for i, r := range results {
-		if r.Node != wantNodes[i] || string(r.Payload) != wantPayload[i] {
+		if r.Node != nodes[i] || string(r.Payload) != wantPayload[i] {
 			t.Errorf("result %d: node %d payload %q", i, r.Node, r.Payload)
 		}
 	}
@@ -329,12 +327,9 @@ func TestScatterAbortsOnContextCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results := Scatter(ctx, m, 7, map[NodeID][]byte{
-		0: []byte("a"),
-		1: []byte("b"),
-	})
+	results := ScatterList(ctx, m, 7, []NodeID{0, 1}, [][]byte{[]byte("a"), []byte("b")})
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Scatter blocked %v on a hung node instead of aborting", elapsed)
+		t.Fatalf("ScatterList blocked %v on a hung node instead of aborting", elapsed)
 	}
 	if len(results) != 2 {
 		t.Fatalf("results = %v", results)
