@@ -20,13 +20,6 @@
 // absent from this run are preserved. That lets a partial bench run
 // (e.g. only the search benchmarks) refresh its own entries without
 // silently dropping everyone else's history from BENCH_*.json.
-//
-// With -gate FILE, the run is compared against the baseline in FILE
-// instead of being emitted: for every benchmark present in both, each
-// gated metric (default the time-like ones, ns/op and ns/entry) must
-// not exceed baseline*(1+tolerance). Any regression prints a FAIL line
-// and the exit status is 1 — the CI regression gate for the posting
-// index and search hot paths.
 package main
 
 import (
@@ -139,47 +132,6 @@ func loadPrev(path string) ([]result, error) {
 	return prev, nil
 }
 
-// gate compares fresh results against a baseline: for every benchmark
-// name present in both, each metric named in gateMetrics must satisfy
-// fresh <= base*(1+tolerance). It returns the number of regressions,
-// writing one line per comparison to w. Benchmarks or metrics absent
-// from either side are skipped — the gate covers the intersection, so
-// a partial bench run gates only what it measured.
-func gate(w io.Writer, baseline, fresh []result, gateMetrics []string, tolerance float64) int {
-	base := make(map[string]result, len(baseline))
-	for _, r := range baseline {
-		base[r.Name] = r
-	}
-	regressions, compared := 0, 0
-	for _, r := range fresh {
-		b, ok := base[r.Name]
-		if !ok {
-			continue
-		}
-		for _, m := range gateMetrics {
-			fv, fok := r.Metrics[m]
-			bv, bok := b.Metrics[m]
-			if !fok || !bok || bv <= 0 {
-				continue
-			}
-			compared++
-			delta := fv/bv - 1
-			status := "ok  "
-			if fv > bv*(1+tolerance) {
-				status = "FAIL"
-				regressions++
-			}
-			fmt.Fprintf(w, "%s %s %s: %.4g vs baseline %.4g (%+.1f%%, limit +%.0f%%)\n",
-				status, r.Name, m, fv, bv, delta*100, tolerance*100)
-		}
-	}
-	if compared == 0 {
-		fmt.Fprintln(w, "FAIL no gated metrics in common between run and baseline")
-		return 1
-	}
-	return regressions
-}
-
 func encode(w io.Writer, results []result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -191,18 +143,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	merge := fl.Bool("merge", false, "merge results by name into -out instead of overwriting")
 	out := fl.String("out", "", "write JSON to this file instead of stdout (atomic)")
-	gateFile := fl.String("gate", "", "compare run against this baseline file and exit 1 on regression")
-	tolerance := fl.Float64("tolerance", 0.25, "allowed fractional regression in -gate mode")
-	gateMetrics := fl.String("metrics", "ns/op,ns/entry", "comma-separated metrics gated in -gate mode")
 	if err := fl.Parse(args); err != nil {
 		return 2
 	}
 	if *merge && *out == "" {
 		fmt.Fprintln(stderr, "benchjson: -merge requires -out FILE")
-		return 2
-	}
-	if *gateFile != "" && (*merge || *out != "") {
-		fmt.Fprintln(stderr, "benchjson: -gate cannot be combined with -merge/-out")
 		return 2
 	}
 
@@ -214,29 +159,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(results) == 0 {
 		fmt.Fprintln(stderr, "benchjson: no benchmark lines on stdin")
 		return 1
-	}
-
-	if *gateFile != "" {
-		baseline, err := loadPrev(*gateFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchjson:", err)
-			return 1
-		}
-		if len(baseline) == 0 {
-			fmt.Fprintf(stderr, "benchjson: baseline %s missing or empty\n", *gateFile)
-			return 1
-		}
-		var metrics []string
-		for _, m := range strings.Split(*gateMetrics, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				metrics = append(metrics, m)
-			}
-		}
-		if n := gate(stdout, baseline, results, metrics, *tolerance); n > 0 {
-			fmt.Fprintf(stderr, "benchjson: %d metric(s) regressed beyond %.0f%%\n", n, *tolerance*100)
-			return 1
-		}
-		return 0
 	}
 
 	if *merge {

@@ -149,81 +149,3 @@ func TestMergeRefusesCorruptHistory(t *testing.T) {
 		t.Fatal("failed merge modified the target file")
 	}
 }
-
-func writeBaseline(t *testing.T, results []result) string {
-	t.Helper()
-	data, err := json.Marshal(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestGatePassesWithinTolerance(t *testing.T) {
-	// Baseline 20000 ns/op vs run 20846: +4.2%, within the default 25%.
-	base := writeBaseline(t, []result{
-		{Name: "NodeSearch/posting", Iterations: 1, Metrics: map[string]float64{"ns/op": 20000}},
-		{Name: "InsertIndexed/batched", Iterations: 1, Metrics: map[string]float64{"ns/op": 991216}},
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-gate", base}, strings.NewReader(benchText), &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr %q, stdout %q", code, stderr.String(), stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "ok   NodeSearch/posting ns/op") {
-		t.Fatalf("missing comparison line in %q", stdout.String())
-	}
-}
-
-func TestGateFailsOnRegression(t *testing.T) {
-	// Baseline 10000 ns/op vs run 20846: +108%, far past 25%.
-	base := writeBaseline(t, []result{
-		{Name: "NodeSearch/posting", Iterations: 1, Metrics: map[string]float64{"ns/op": 10000}},
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-gate", base}, strings.NewReader(benchText), &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1; stdout %q", code, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "FAIL NodeSearch/posting ns/op") {
-		t.Fatalf("missing FAIL line in %q", stdout.String())
-	}
-	if !strings.Contains(stderr.String(), "regressed") {
-		t.Fatalf("missing regression summary in %q", stderr.String())
-	}
-}
-
-func TestGateToleranceFlag(t *testing.T) {
-	// +4.2% over baseline fails a 2% tolerance.
-	base := writeBaseline(t, []result{
-		{Name: "NodeSearch/posting", Iterations: 1, Metrics: map[string]float64{"ns/op": 20000}},
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-gate", base, "-tolerance", "0.02"}, strings.NewReader(benchText), &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1; stdout %q", code, stdout.String())
-	}
-}
-
-func TestGateSkipsUnsharedSeries(t *testing.T) {
-	// Baseline names nothing in the run: nothing compared is an error,
-	// not a silent pass.
-	base := writeBaseline(t, []result{
-		{Name: "SomethingElse", Iterations: 1, Metrics: map[string]float64{"ns/op": 1}},
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-gate", base}, strings.NewReader(benchText), &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1; stdout %q", code, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), "no gated metrics in common") {
-		t.Fatalf("missing empty-intersection error in %q", stdout.String())
-	}
-}
-
-func TestGateExcludesMergeAndOut(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-gate", "x.json", "-out", "y.json"}, strings.NewReader(benchText), &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}

@@ -44,7 +44,7 @@ func RestoreBucket(snapshot []byte) (*Bucket, error) {
 	addr := binary.BigEndian.Uint64(snapshot)
 	level := binary.BigEndian.Uint64(snapshot[8:])
 	count := binary.BigEndian.Uint32(snapshot[16:])
-	if level > 64 {
+	if level >= 64 { // key mod 2^64 has no address to compute
 		return nil, fmt.Errorf("lhstar: snapshot level %d implausible", level)
 	}
 	b := NewBucket(addr, uint(level))

@@ -287,7 +287,7 @@ func idxBenchValues() []kv {
 		}
 		ents[i] = kv{
 			key:   uint64(i + 1),
-			value: indexValue{firstIndex: uint32(i % 4), pieces: ps}.encode(),
+			value: encode(indexValue{firstIndex: uint32(i % 4), pieces: ps}),
 		}
 	}
 	return ents

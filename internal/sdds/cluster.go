@@ -199,40 +199,54 @@ func (c *Cluster) Merges(id FileID) int {
 	return c.file(id).merges
 }
 
-// Put stores a key/value pair in a file, splitting the file if it
-// overflows.
-func (c *Cluster) Put(ctx context.Context, id FileID, key uint64, value []byte) error {
-	c.met.puts.Inc()
-	c.opsMu.RLock()
+// keyOp is the client half of every single-key op: address the key
+// from the client image, send one request (a put's carries value), and
+// fold the response's IAM back into the image. Callers hold opsMu shared.
+func (c *Cluster) keyOp(ctx context.Context, op uint8, id FileID, key uint64, value []byte) (*fileState, keyResp, error) {
 	c.mu.Lock()
 	f := c.file(id)
 	addr := f.image.Address(key)
 	c.mu.Unlock()
 
-	req := putReq{file: id, addr: addr, key: key, value: value}
-	node := c.place.NodeOf(addr)
+	req := putReq{keyHeader{file: id, addr: addr, key: key}, value}
 	w := getWriter()
-	req.encodeTo(w)
-	raw, err := c.tr.Send(ctx, node, opPut, w.b)
+	if op == opPut {
+		req.encodeTo(w)
+	} else {
+		req.keyHeader.encodeTo(w)
+	}
+	raw, err := c.tr.Send(ctx, c.place.NodeOf(addr), op, w.b)
 	putWriter(w)
 	if err != nil {
-		c.opsMu.RUnlock()
-		return err
+		return nil, keyResp{}, err
 	}
-	resp, err := decodePutResp(raw)
+	resp, err := decode[keyResp](raw)
 	if err != nil {
-		c.opsMu.RUnlock()
-		return err
+		return nil, keyResp{}, err
 	}
-
-	c.mu.Lock()
 	if resp.iamAddr != addr {
+		c.mu.Lock()
 		f.image.Adjust(resp.iamAddr, uint(resp.iamLevel))
 		f.iams++
+		c.mu.Unlock()
 		c.met.iams.Inc()
 		obs.TraceFrom(ctx).AddHops(1)
 	}
-	if resp.isNew {
+	return f, resp, nil
+}
+
+// Put stores a key/value pair in a file, splitting the file if it
+// overflows.
+func (c *Cluster) Put(ctx context.Context, id FileID, key uint64, value []byte) error {
+	c.met.puts.Inc()
+	c.opsMu.RLock()
+	f, resp, err := c.keyOp(ctx, opPut, id, key, value)
+	if err != nil {
+		c.opsMu.RUnlock()
+		return err
+	}
+	c.mu.Lock()
+	if !resp.existed {
 		f.size++
 	}
 	needSplit := f.size > int(f.state.Buckets())*f.maxLoad
@@ -250,33 +264,9 @@ func (c *Cluster) Get(ctx context.Context, id FileID, key uint64) ([]byte, bool,
 	c.met.gets.Inc()
 	c.opsMu.RLock()
 	defer c.opsMu.RUnlock()
-	c.mu.Lock()
-	f := c.file(id)
-	addr := f.image.Address(key)
-	c.mu.Unlock()
-
-	req := keyReq{file: id, addr: addr, key: key}
-	w := getWriter()
-	req.encodeTo(w)
-	raw, err := c.tr.Send(ctx, c.place.NodeOf(addr), opGet, w.b)
-	putWriter(w)
-	if err != nil {
+	_, resp, err := c.keyOp(ctx, opGet, id, key, nil)
+	if err != nil || !resp.existed {
 		return nil, false, err
-	}
-	resp, err := decodeValueResp(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	if resp.iamAddr != addr {
-		c.mu.Lock()
-		f.image.Adjust(resp.iamAddr, uint(resp.iamLevel))
-		f.iams++
-		c.mu.Unlock()
-		c.met.iams.Inc()
-		obs.TraceFrom(ctx).AddHops(1)
-	}
-	if !resp.found {
-		return nil, false, nil
 	}
 	return resp.value, true, nil
 }
@@ -285,46 +275,26 @@ func (c *Cluster) Get(ctx context.Context, id FileID, key uint64) ([]byte, bool,
 func (c *Cluster) Delete(ctx context.Context, id FileID, key uint64) (bool, error) {
 	c.met.deletes.Inc()
 	c.opsMu.RLock()
-	c.mu.Lock()
-	f := c.file(id)
-	addr := f.image.Address(key)
-	c.mu.Unlock()
-
-	req := keyReq{file: id, addr: addr, key: key}
-	w := getWriter()
-	req.encodeTo(w)
-	raw, err := c.tr.Send(ctx, c.place.NodeOf(addr), opDelete, w.b)
-	putWriter(w)
+	f, resp, err := c.keyOp(ctx, opDelete, id, key, nil)
 	if err != nil {
 		c.opsMu.RUnlock()
 		return false, err
-	}
-	resp, err := decodeValueResp(raw)
-	if err != nil {
-		c.opsMu.RUnlock()
-		return false, err
-	}
-	c.mu.Lock()
-	if resp.iamAddr != addr {
-		f.image.Adjust(resp.iamAddr, uint(resp.iamLevel))
-		f.iams++
-		c.met.iams.Inc()
-		obs.TraceFrom(ctx).AddHops(1)
 	}
 	needMerge := false
-	if resp.found {
+	if resp.existed {
+		c.mu.Lock()
 		f.size--
 		needMerge = f.minLoad > 0 && f.state.Buckets() > 1 &&
 			f.size < int(f.state.Buckets()-1)*f.minLoad
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 	c.opsMu.RUnlock()
 	if needMerge {
 		if err := c.merge(ctx, id); err != nil {
-			return resp.found, err
+			return true, err
 		}
 	}
-	return resp.found, nil
+	return resp.existed, nil
 }
 
 // merge performs one coordinator-driven file shrink: close the last
@@ -424,7 +394,7 @@ func (c *Cluster) driveMigrationLocked(ctx context.Context, intent MigrationInte
 
 	// Phase 1: the source journals the moved set as outgoing, freezes
 	// the bucket for writes, and returns a copy — destroying nothing.
-	raw, err := c.tr.Send(ctx, srcNode, opMigratePrepare, migratePrepareReq{hdr}.encode())
+	raw, err := c.tr.Send(ctx, srcNode, opMigratePrepare, encode(hdr))
 	if err != nil {
 		if !isDefinitive(err) {
 			return fmt.Errorf("sdds: migration %d: preparing bucket %d on node %d: %w", intent.MID, intent.From, srcNode, err)
@@ -451,10 +421,7 @@ func (c *Cluster) driveMigrationLocked(ctx context.Context, intent MigrationInte
 
 	// Phase 2: the target durably lands the records under the migration
 	// ID. Idempotent: a retried absorb acks without re-applying.
-	absorb := &writer{}
-	hdr.encodeTo(absorb)
-	absorb.b = append(absorb.b, raw[1:]...)
-	if _, err := c.tr.Send(ctx, dstNode, opMigrateAbsorb, absorb.b); err != nil {
+	if _, err := c.tr.Send(ctx, dstNode, opMigrateAbsorb, append(encode(hdr), raw[1:]...)); err != nil {
 		if !isDefinitive(err) {
 			return fmt.Errorf("sdds: migration %d: absorbing into bucket %d on node %d: %w", intent.MID, intent.To, dstNode, err)
 		}
@@ -509,7 +476,7 @@ func (c *Cluster) finishCommitLocked(ctx context.Context, intent MigrationIntent
 // settles every role it plays for the ID in one message. Callers must
 // hold opsMu exclusively.
 func (c *Cluster) sendFinishLocked(ctx context.Context, intent MigrationIntent, op uint8, sourceDone bool) error {
-	fin := migrateFinishReq{mid: intent.MID}.encode()
+	fin := encode(migrateFinishReq{mid: intent.MID})
 	srcNode := c.place.NodeOf(intent.From)
 	dstNode := c.place.NodeOf(intent.To)
 	if !sourceDone {
@@ -653,15 +620,12 @@ func (e *BatchError) Unwrap() []error {
 // partial failure the successful nodes' entries remain applied and a
 // *BatchError names the failed nodes.
 func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.IndexRecord, kSites int, slotBits uint) error {
-	// Each destination's putBatchReq is encoded directly into a pooled
-	// writer as entries are routed — no intermediate batchEntry slices or
-	// per-entry indexValue buffers. The entry count isn't known until
-	// routing finishes, so it is reserved up front and patched at the end.
+	// Each destination's put_batch request is encoded directly into a
+	// pooled writer as entries are routed — no intermediate batchEntry
+	// slices or per-entry indexValue buffers.
 	type nodeBatch struct {
-		node     transport.NodeID
-		w        *writer
-		countOff int
-		count    int
+		node transport.NodeID
+		bw   batchWriter
 	}
 	c.opsMu.RLock()
 	c.mu.Lock()
@@ -683,21 +647,10 @@ func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.Inde
 				}
 			}
 			if bi < 0 {
-				w := getWriter()
-				w.u8(uint8(id))
-				batches = append(batches, nodeBatch{node: node, w: w, countOff: w.reserveU32()})
+				batches = append(batches, nodeBatch{node: node, bw: newBatchWriter(getWriter(), id)})
 				bi = len(batches) - 1
 			}
-			b := &batches[bi]
-			// One putBatchReq entry: addr, key, then the indexValue
-			// (firstIndex + piece stream) encoded in place as the
-			// length-prefixed value.
-			b.w.u64(addr)
-			b.w.u64(key)
-			b.w.u32(uint32(8 + 2*len(stream)))
-			b.w.u32(uint32(rec.FirstIndex))
-			b.w.pieces(stream)
-			b.count++
+			indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream}.encodeTo(batches[bi].bw.entry(addr, key))
 		}
 	}
 	c.mu.Unlock()
@@ -705,16 +658,14 @@ func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.Inde
 	nodeIDs := make([]transport.NodeID, len(batches))
 	payloads := make([][]byte, len(batches))
 	for i := range batches {
-		b := &batches[i]
-		b.w.patchU32(b.countOff, uint32(b.count))
-		nodeIDs[i] = b.node
-		payloads[i] = b.w.b
+		nodeIDs[i] = batches[i].node
+		payloads[i] = batches[i].bw.finish()
 	}
 	c.met.batches.Add(uint64(len(batches)))
 	results := transport.ScatterList(ctx, c.tr, opPutBatch, nodeIDs, payloads)
 	for i := range batches {
-		putWriter(batches[i].w)
-		batches[i].w = nil // the buffer may be reused; the response loop needs only counts
+		putWriter(batches[i].bw.w)
+		batches[i].bw.w = nil // the buffer may be reused; the response loop needs only counts
 	}
 
 	var batchErr *BatchError
@@ -728,8 +679,8 @@ func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.Inde
 			continue
 		}
 		it, derr := newBatchRespIter(r.Payload)
-		if derr == nil && it.n != batches[bi].count {
-			derr = fmt.Errorf("sdds: batch response has %d entries, want %d", it.n, batches[bi].count)
+		if derr == nil && it.n != batches[bi].bw.n {
+			derr = fmt.Errorf("sdds: batch response has %d entries, want %d", it.n, batches[bi].bw.n)
 		}
 		if derr != nil {
 			c.mu.Unlock()
@@ -748,7 +699,7 @@ func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.Inde
 				f.iams++
 				c.met.iams.Inc()
 			}
-			if pr.isNew {
+			if !pr.existed {
 				f.size++
 			}
 		}
@@ -856,7 +807,7 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 	// Broadcast over the placement's authoritative membership, not the
 	// transport's live view — a crashed node must surface as a failure,
 	// not be silently skipped.
-	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), opSearch, req.encode())
+	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), opSearch, encode(req))
 	tr.Lap("broadcast")
 	if err := ctx.Err(); err != nil {
 		return nil, SearchInfo{}, err
@@ -913,7 +864,7 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 			c.met.failedSites.Inc()
 			continue
 		}
-		resp, derr := decodeSearchResp(r.Payload)
+		resp, derr := decode[searchResp](r.Payload)
 		if derr != nil {
 			return nil, SearchInfo{}, derr
 		}
@@ -947,13 +898,13 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 func (c *Cluster) WordSearch(ctx context.Context, id FileID, token []byte) ([]uint64, error) {
 	c.met.wordSearches.Inc()
 	req := wordSearchReq{file: id, token: token}
-	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), opWordSearch, req.encode())
+	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), opWordSearch, encode(req))
 	var out []uint64
 	for _, r := range results {
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		resp, err := decodeWordSearchResp(r.Payload)
+		resp, err := decode[wordSearchResp](r.Payload)
 		if err != nil {
 			return nil, err
 		}
@@ -981,7 +932,7 @@ func (c *Cluster) BucketInventory(ctx context.Context, id FileID) ([]BucketInfo,
 		if r.Err != nil {
 			return nil, r.Err
 		}
-		resp, err := decodeStatsResp(r.Payload)
+		resp, err := decode[statsResp](r.Payload)
 		if err != nil {
 			return nil, err
 		}

@@ -16,11 +16,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/disperse"
 	"repro/internal/transport"
+	"repro/internal/wordindex"
 )
 
 // FileID identifies a logical SDDS file on the cluster.
@@ -123,19 +125,14 @@ type recoveryStateResp struct {
 	detail string
 }
 
-func (m recoveryStateResp) encode() []byte {
-	w := &writer{}
+func (m recoveryStateResp) encodeTo(w *writer) {
 	w.u8(m.mode)
 	w.u64(m.seq)
 	w.bytes([]byte(m.detail))
-	return w.b
 }
 
-func decodeRecoveryStateResp(b []byte) (recoveryStateResp, error) {
-	r := &reader{b: b}
-	m := recoveryStateResp{mode: r.u8(), seq: r.u64()}
-	m.detail = string(r.bytes())
-	return m, r.done()
+func (m *recoveryStateResp) decodeFrom(r *reader) {
+	m.mode, m.seq, m.detail = r.u8(), r.u64(), string(r.bytes())
 }
 
 // ComposeIndexKey builds the §5 composite key: RID shifted left by
@@ -163,6 +160,36 @@ func SlotBits(m, k int) uint {
 		bits++
 	}
 	return bits
+}
+
+// --- one codec shape ---
+
+// message is every node-protocol payload: it appends its encoding to a
+// writer. Decodable messages also have a pointer-receiver decodeFrom,
+// which reads the fields back and rejects the values a node cannot serve.
+type message interface{ encodeTo(w *writer) }
+
+// encode serializes one message.
+func encode(m message) []byte {
+	w := &writer{}
+	m.encodeTo(w)
+	return w.b
+}
+
+// decode parses a whole payload as one T. A short payload, a field value
+// decodeFrom rejects, or trailing bytes fail it.
+func decode[T any, P interface {
+	*T
+	decodeFrom(*reader)
+}](b []byte) (T, error) {
+	// decodeFrom is called through the instantiation's dictionary, so
+	// what it is handed escapes: one allocation holds both.
+	d := &struct {
+		r reader
+		m T
+	}{r: reader{b: b}}
+	P(&d.m).decodeFrom(&d.r)
+	return d.m, d.r.done()
 }
 
 // --- binary buffer helpers ---
@@ -310,6 +337,14 @@ func (r *reader) bound(n uint32, elemSize int) int {
 	return int(n)
 }
 
+// fail rejects a decoded field value; like a short read, the first
+// error sticks and ends the decode.
+func (r *reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("sdds: "+format, args...)
+	}
+}
+
 func (r *reader) done() error {
 	if r.err != nil {
 		return r.err
@@ -322,107 +357,143 @@ func (r *reader) done() error {
 
 // --- request/response payloads ---
 
-// putReq: file, bucket addr, hop count, key, value.
-type putReq struct {
-	file  FileID
-	addr  uint64
-	hops  uint8
-	key   uint64
-	value []byte
+// keyHeader addresses one key: file, bucket address (the client's image
+// of it, or the forwarding node's), hop count, key. It is the whole get
+// and delete request and the head of a put.
+type keyHeader struct {
+	file FileID
+	addr uint64
+	hops uint8
+	key  uint64
 }
 
-func (m putReq) encode() []byte {
-	w := &writer{}
-	m.encodeTo(w)
-	return w.b
-}
-
-func (m putReq) encodeTo(w *writer) {
+func (m keyHeader) encodeTo(w *writer) {
 	w.u8(uint8(m.file))
 	w.u64(m.addr)
 	w.u8(m.hops)
 	w.u64(m.key)
-	w.bytes(m.value)
 }
 
-func decodePutReq(b []byte) (putReq, error) {
-	r := &reader{b: b}
-	m := putReq{
-		file: FileID(r.u8()),
-		addr: r.u64(),
-		hops: r.u8(),
-		key:  r.u64(),
-	}
-	m.value = append([]byte(nil), r.bytes()...)
-	return m, r.done()
+func (m *keyHeader) decodeFrom(r *reader) {
+	m.file, m.addr, m.hops, m.key = FileID(r.u8()), r.u64(), r.u8(), r.u64()
 }
 
-// putResp: whether the key was new, the owning bucket's address/level
-// (IAM), and the owning bucket's record count (load signal for the
-// coordinator).
-type putResp struct {
-	isNew     bool
-	iamAddr   uint64
-	iamLevel  uint8
-	bucketLen uint32
-}
-
-func (m putResp) encode() []byte {
-	w := &writer{}
-	if m.isNew {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u64(m.iamAddr)
-	w.u8(m.iamLevel)
-	w.u32(m.bucketLen)
+// readdress copies payload, a single-key request headed by m, under a new
+// bucket address and hop count: the LH* forward to the owning peer, and
+// (hops 0, the resolved local address) the form a node journals, so
+// replay applies it without re-running the forwarding computation.
+func (m keyHeader) readdress(payload []byte, addr uint64, hops uint8) []byte {
+	m.addr, m.hops = addr, hops
+	w := &writer{b: make([]byte, 0, len(payload))}
+	m.encodeTo(w)
+	w.b = append(w.b, payload[len(w.b):]...) // a put's value follows the header
 	return w.b
 }
 
-func decodePutResp(b []byte) (putResp, error) {
-	r := &reader{b: b}
-	m := putResp{
-		isNew:     r.u8() == 1,
-		iamAddr:   r.u64(),
-		iamLevel:  r.u8(),
-		bucketLen: r.u32(),
+// putReq is a keyHeader followed by the value.
+type putReq struct {
+	keyHeader
+	value []byte
+}
+
+func (m putReq) encodeTo(w *writer) {
+	m.keyHeader.encodeTo(w)
+	w.bytes(m.value)
+}
+
+// decodeFrom copies the value out of the request buffer: the bucket
+// retains it.
+func (m *putReq) decodeFrom(r *reader) {
+	m.keyHeader.decodeFrom(r)
+	m.value = append([]byte(nil), r.bytes()...)
+}
+
+// keyResp answers every single-key op and each put_batch entry: whether
+// the key existed before the op, whether (put_batch only) its owner
+// differed from the address the client sent, the owner's address and
+// level (the IAM), and a get's value. Byte 0 packs existed and moved.
+type keyResp struct {
+	existed  bool
+	moved    bool
+	iamAddr  uint64
+	iamLevel uint8
+	value    []byte
+}
+
+func (m keyResp) encodeTo(w *writer) {
+	var flags uint8
+	if m.existed {
+		flags |= 1
 	}
-	return m, r.done()
+	if m.moved {
+		flags |= 2
+	}
+	w.u8(flags)
+	w.u64(m.iamAddr)
+	w.u8(m.iamLevel)
+	w.bytes(m.value)
 }
 
-// putBatchReq carries the coalesced index-piece puts destined for one
-// node: every entry is independently addressed (entries of one record
-// scatter over many buckets), so the node re-runs the LH* ownership
-// check per entry and forwards strays individually.
-type putBatchReq struct {
-	file    FileID
-	entries []batchEntry
+func (m *keyResp) decodeFrom(r *reader) {
+	flags := r.u8()
+	if flags > 3 {
+		r.fail("key response flags %#x", flags)
+	}
+	m.existed, m.moved = flags&1 != 0, flags&2 != 0
+	m.iamAddr, m.iamLevel = r.u64(), r.u8()
+	m.value = append([]byte(nil), r.bytes()...)
 }
 
+// batchEntry is one independently addressed put of a put_batch request:
+// entries of one record scatter over many buckets, so the node re-runs
+// the LH* ownership check per entry and forwards strays individually.
 type batchEntry struct {
 	addr  uint64
 	key   uint64
 	value []byte
 }
 
-func (m putBatchReq) encode() []byte {
-	w := &writer{}
-	m.encodeTo(w)
-	return w.b
+// batchWriter streams a put_batch request (file, count, then per entry
+// addr, key, value) into a pooled writer as entries are routed, patching
+// the count at finish and each value's length when the next entry opens.
+type batchWriter struct {
+	w        *writer
+	countOff int
+	lenOff   int // the open entry's value length
+	n        int
 }
 
-func (m putBatchReq) encodeTo(w *writer) {
-	w.u8(uint8(m.file))
-	w.u32(uint32(len(m.entries)))
-	for _, e := range m.entries {
-		w.u64(e.addr)
-		w.u64(e.key)
-		w.bytes(e.value)
+func newBatchWriter(w *writer, file FileID) batchWriter {
+	w.u8(uint8(file))
+	return batchWriter{w: w, countOff: w.reserveU32()}
+}
+
+// entry opens the next entry and returns the writer its value is
+// encoded into (by the value's own encodeTo).
+func (b *batchWriter) entry(addr, key uint64) *writer {
+	b.closeEntry()
+	b.w.u64(addr)
+	b.w.u64(key)
+	b.lenOff = b.w.reserveU32()
+	b.n++
+	return b.w
+}
+
+func (b *batchWriter) closeEntry() {
+	if b.n > 0 {
+		b.w.patchU32(b.lenOff, uint32(len(b.w.b)-b.lenOff-4))
 	}
 }
 
-// batchReqIter stream-decodes a putBatchReq entry by entry. Values are
+// finish closes the last entry, patches the count and returns the
+// request.
+func (b *batchWriter) finish() []byte {
+	b.closeEntry()
+	b.w.patchU32(b.countOff, uint32(b.n))
+	return b.w.b
+}
+
+// batchReqIter stream-decodes a put_batch request entry by entry. Values are
 // BORROWED from the transport's request buffer: the handler must copy
 // any byte it stores (bucket storage retains values, and the buffer may
 // be pooled), but entries it only forwards or journals can use the
@@ -457,41 +528,17 @@ func (it *batchReqIter) next() (batchEntry, error) {
 	return e, it.r.err
 }
 
-// batchPutResp is one entry of a putBatchResp. moved reports that the
-// entry's owning bucket differed from the address the client sent —
-// the server sees both, so the client learns "apply this IAM" without
-// remembering per entry what it asked for.
-type batchPutResp struct {
-	isNew     bool
-	moved     bool
-	iamAddr   uint64
-	iamLevel  uint8
-	bucketLen uint32
-}
-
-// putBatchResp returns one entry per batch entry, in request order. The
-// leading byte of each entry packs isNew (bit 0) with moved (bit 1).
+// putBatchResp returns one keyResp per batch entry, in request order.
 type putBatchResp struct {
-	resps []batchPutResp
+	resps []keyResp
 }
 
-func (m putBatchResp) encode() []byte {
-	w := &writer{b: make([]byte, 0, 4+14*len(m.resps))}
+func (m putBatchResp) encodeTo(w *writer) {
+	w.b = slices.Grow(w.b, 4+14*len(m.resps))
 	w.u32(uint32(len(m.resps)))
 	for _, p := range m.resps {
-		var flags uint8
-		if p.isNew {
-			flags |= 1
-		}
-		if p.moved {
-			flags |= 2
-		}
-		w.u8(flags)
-		w.u64(p.iamAddr)
-		w.u8(p.iamLevel)
-		w.u32(p.bucketLen)
+		p.encodeTo(w)
 	}
-	return w.b
 }
 
 // batchRespIter stream-decodes a putBatchResp entry by entry: the
@@ -504,84 +551,14 @@ type batchRespIter struct {
 
 func newBatchRespIter(b []byte) (batchRespIter, error) {
 	it := batchRespIter{r: reader{b: b}}
-	it.n = it.r.bound(it.r.u32(), 14) // flags(1) + addr(8) + level(1) + len(4)
+	it.n = it.r.bound(it.r.u32(), 14) // flags(1) + addr(8) + level(1) + value length(4)
 	return it, it.r.err
 }
 
-func (it *batchRespIter) next() (batchPutResp, error) {
-	flags := it.r.u8()
-	p := batchPutResp{
-		isNew:     flags&1 != 0,
-		moved:     flags&2 != 0,
-		iamAddr:   it.r.u64(),
-		iamLevel:  it.r.u8(),
-		bucketLen: it.r.u32(),
-	}
+func (it *batchRespIter) next() (keyResp, error) {
+	var p keyResp
+	p.decodeFrom(&it.r)
 	return p, it.r.err
-}
-
-// keyReq serves Get and Delete.
-type keyReq struct {
-	file FileID
-	addr uint64
-	hops uint8
-	key  uint64
-}
-
-func (m keyReq) encode() []byte {
-	w := &writer{}
-	m.encodeTo(w)
-	return w.b
-}
-
-func (m keyReq) encodeTo(w *writer) {
-	w.u8(uint8(m.file))
-	w.u64(m.addr)
-	w.u8(m.hops)
-	w.u64(m.key)
-}
-
-func decodeKeyReq(b []byte) (keyReq, error) {
-	r := &reader{b: b}
-	m := keyReq{
-		file: FileID(r.u8()),
-		addr: r.u64(),
-		hops: r.u8(),
-		key:  r.u64(),
-	}
-	return m, r.done()
-}
-
-// valueResp serves Get (found+value) and Delete (found).
-type valueResp struct {
-	found    bool
-	iamAddr  uint64
-	iamLevel uint8
-	value    []byte
-}
-
-func (m valueResp) encode() []byte {
-	w := &writer{}
-	if m.found {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.u64(m.iamAddr)
-	w.u8(m.iamLevel)
-	w.bytes(m.value)
-	return w.b
-}
-
-func decodeValueResp(b []byte) (valueResp, error) {
-	r := &reader{b: b}
-	m := valueResp{
-		found:    r.u8() == 1,
-		iamAddr:  r.u64(),
-		iamLevel: r.u8(),
-	}
-	m.value = append([]byte(nil), r.bytes()...)
-	return m, r.done()
 }
 
 // indexValue is the stored value of one index piece: the first chunk
@@ -591,17 +568,13 @@ type indexValue struct {
 	pieces     []disperse.Piece
 }
 
-func (m indexValue) encode() []byte {
-	w := &writer{}
+func (m indexValue) encodeTo(w *writer) {
 	w.u32(m.firstIndex)
 	w.pieces(m.pieces)
-	return w.b
 }
 
-func decodeIndexValue(b []byte) (indexValue, error) {
-	r := &reader{b: b}
-	m := indexValue{firstIndex: r.u32(), pieces: r.pieces()}
-	return m, r.done()
+func (m *indexValue) decodeFrom(r *reader) {
+	m.firstIndex, m.pieces = r.u32(), r.pieces()
 }
 
 // indexValuePieceCount peeks the piece count of an encoded indexValue
@@ -621,7 +594,7 @@ func indexValuePieceCount(b []byte) (int, bool) {
 	return n, true
 }
 
-// decodeIndexValueInto decodes like decodeIndexValue but appends the
+// decodeIndexValueInto decodes like decode[indexValue] but appends the
 // piece stream to arena instead of allocating, returning the grown
 // arena. The caller must pre-size arena (via indexValuePieceCount sums)
 // so it never reallocates — the returned iv.pieces is a full-capacity
@@ -658,8 +631,7 @@ type searchSeries struct {
 	patterns [][]disperse.Piece // indexed by site k
 }
 
-func (m searchReq) encode() []byte {
-	w := &writer{}
+func (m searchReq) encodeTo(w *writer) {
 	w.u8(uint8(m.file))
 	w.u8(m.kSites)
 	w.u8(m.slotBits)
@@ -671,12 +643,15 @@ func (m searchReq) encode() []byte {
 			w.pieces(p)
 		}
 	}
-	return w.b
 }
 
-func decodeSearchReq(b []byte) (searchReq, error) {
-	r := &reader{b: b}
-	m := searchReq{file: FileID(r.u8()), kSites: r.u8(), slotBits: r.u8()}
+// decodeFrom rejects what DecomposeIndexKey cannot apply: it divides by
+// kSites, and a slot of 64 bits or more yields negative site indexes.
+func (m *searchReq) decodeFrom(r *reader) {
+	m.file, m.kSites, m.slotBits = FileID(r.u8()), r.u8(), r.u8()
+	if m.kSites == 0 || m.slotBits >= 64 {
+		r.fail("search with %d sites and %d slot bits", m.kSites, m.slotBits)
+	}
 	n := int(r.u16())
 	for i := 0; i < n && r.err == nil; i++ {
 		s := searchSeries{a: r.u16()}
@@ -686,7 +661,6 @@ func decodeSearchReq(b []byte) (searchReq, error) {
 		}
 		m.series = append(m.series, s)
 	}
-	return m, r.done()
 }
 
 // rawHit is one node-side match: entry (rid, j, k) matched series a at
@@ -706,8 +680,7 @@ type searchResp struct {
 	hits []rawHit
 }
 
-func (m searchResp) encode() []byte {
-	w := &writer{}
+func (m searchResp) encodeTo(w *writer) {
 	w.u32(uint32(len(m.hits)))
 	for _, h := range m.hits {
 		w.u64(h.rid)
@@ -717,13 +690,10 @@ func (m searchResp) encode() []byte {
 		w.u32(h.firstIndex)
 		w.u32(h.pieceOffset)
 	}
-	return w.b
 }
 
-func decodeSearchResp(b []byte) (searchResp, error) {
-	r := &reader{b: b}
+func (m *searchResp) decodeFrom(r *reader) {
 	n := int(r.u32())
-	m := searchResp{}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.hits = append(m.hits, rawHit{
 			rid:         r.u64(),
@@ -734,7 +704,6 @@ func decodeSearchResp(b []byte) (searchResp, error) {
 			pieceOffset: r.u32(),
 		})
 	}
-	return m, r.done()
 }
 
 // recordBatch carries the records a migration moves between buckets.
@@ -790,6 +759,8 @@ func (m migrateHeader) encodeTo(w *writer) {
 	w.u8(m.level)
 }
 
+// decodeFrom rejects a level that would create or check a bucket at level
+// 64 or above (a split's target is one up): key mod 2^64 has no address.
 func (m *migrateHeader) decodeFrom(r *reader) {
 	m.mid = r.u64()
 	m.kind = r.u8()
@@ -797,25 +768,13 @@ func (m *migrateHeader) decodeFrom(r *reader) {
 	m.from = r.u64()
 	m.to = r.u64()
 	m.level = r.u8()
-}
-
-// migratePrepareReq opens a migration on the source node: journal the
-// moved set as outgoing, keep serving it, and return a copy.
-type migratePrepareReq struct {
-	migrateHeader
-}
-
-func (m migratePrepareReq) encode() []byte {
-	w := &writer{}
-	m.encodeTo(w)
-	return w.b
-}
-
-func decodeMigratePrepareReq(b []byte) (migratePrepareReq, error) {
-	r := &reader{b: b}
-	var m migratePrepareReq
-	m.decodeFrom(r)
-	return m, r.done()
+	top := int(m.level)
+	if m.kind == migrateSplit {
+		top++
+	}
+	if top >= 64 {
+		r.fail("migration %d: level %d takes a bucket past level 63", m.mid, m.level)
+	}
 }
 
 // migratePrepareResp reports the source's migration status for the ID —
@@ -827,11 +786,9 @@ type migratePrepareResp struct {
 	batch  recordBatch
 }
 
-func (m migratePrepareResp) encode() []byte {
-	w := &writer{}
+func (m migratePrepareResp) encodeTo(w *writer) {
 	w.u8(m.status)
 	m.batch.encodeTo(w)
-	return w.b
 }
 
 // migrateAbsorbReq durably lands the moved records on the target node,
@@ -841,19 +798,14 @@ type migrateAbsorbReq struct {
 	batch recordBatch
 }
 
-func (m migrateAbsorbReq) encode() []byte {
-	w := &writer{}
+func (m migrateAbsorbReq) encodeTo(w *writer) {
 	m.migrateHeader.encodeTo(w)
 	m.batch.encodeTo(w)
-	return w.b
 }
 
-func decodeMigrateAbsorbReq(b []byte) (migrateAbsorbReq, error) {
-	r := &reader{b: b}
-	var m migrateAbsorbReq
+func (m *migrateAbsorbReq) decodeFrom(r *reader) {
 	m.migrateHeader.decodeFrom(r)
 	m.batch.decodeFrom(r)
-	return m, r.done()
 }
 
 // migrateFinishReq closes a migration on either participant: commit
@@ -864,17 +816,9 @@ type migrateFinishReq struct {
 	mid uint64
 }
 
-func (m migrateFinishReq) encode() []byte {
-	w := &writer{}
-	w.u64(m.mid)
-	return w.b
-}
+func (m migrateFinishReq) encodeTo(w *writer) { w.u64(m.mid) }
 
-func decodeMigrateFinishReq(b []byte) (migrateFinishReq, error) {
-	r := &reader{b: b}
-	m := migrateFinishReq{mid: r.u64()}
-	return m, r.done()
-}
+func (m *migrateFinishReq) decodeFrom(r *reader) { m.mid = r.u64() }
 
 // statsResp reports a node's bucket inventory for one file.
 type statsResp struct {
@@ -887,21 +831,17 @@ type bucketStat struct {
 	size  uint32
 }
 
-func (m statsResp) encode() []byte {
-	w := &writer{}
+func (m statsResp) encodeTo(w *writer) {
 	w.u32(uint32(len(m.buckets)))
 	for _, b := range m.buckets {
 		w.u64(b.addr)
 		w.u8(b.level)
 		w.u32(b.size)
 	}
-	return w.b
 }
 
-func decodeStatsResp(b []byte) (statsResp, error) {
-	r := &reader{b: b}
+func (m *statsResp) decodeFrom(r *reader) {
 	n := int(r.u32())
-	m := statsResp{}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.buckets = append(m.buckets, bucketStat{
 			addr:  r.u64(),
@@ -909,7 +849,6 @@ func decodeStatsResp(b []byte) (statsResp, error) {
 			size:  r.u32(),
 		})
 	}
-	return m, r.done()
 }
 
 // wordSearchReq broadcasts one word token to every node.
@@ -918,18 +857,17 @@ type wordSearchReq struct {
 	token []byte
 }
 
-func (m wordSearchReq) encode() []byte {
-	w := &writer{}
+func (m wordSearchReq) encodeTo(w *writer) {
 	w.u8(uint8(m.file))
 	w.bytes(m.token)
-	return w.b
 }
 
-func decodeWordSearchReq(b []byte) (wordSearchReq, error) {
-	r := &reader{b: b}
-	m := wordSearchReq{file: FileID(r.u8())}
+func (m *wordSearchReq) decodeFrom(r *reader) {
+	m.file = FileID(r.u8())
 	m.token = append([]byte(nil), r.bytes()...)
-	return m, r.done()
+	if len(m.token) != wordindex.TokenSize {
+		r.fail("word token length %d, want %d", len(m.token), wordindex.TokenSize)
+	}
 }
 
 // wordSearchResp lists the RIDs whose blobs contain the token.
@@ -937,23 +875,18 @@ type wordSearchResp struct {
 	rids []uint64
 }
 
-func (m wordSearchResp) encode() []byte {
-	w := &writer{}
+func (m wordSearchResp) encodeTo(w *writer) {
 	w.u32(uint32(len(m.rids)))
 	for _, r := range m.rids {
 		w.u64(r)
 	}
-	return w.b
 }
 
-func decodeWordSearchResp(b []byte) (wordSearchResp, error) {
-	r := &reader{b: b}
+func (m *wordSearchResp) decodeFrom(r *reader) {
 	n := int(r.u32())
-	m := wordSearchResp{}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.rids = append(m.rids, r.u64())
 	}
-	return m, r.done()
 }
 
 // nodeImage is a node's full serialized bucket inventory across all
@@ -1018,8 +951,7 @@ func decodeMigRecords(r *reader) []migRecord {
 	return out
 }
 
-func (m nodeImage) encode() []byte {
-	w := &writer{}
+func (m nodeImage) encodeTo(w *writer) {
 	w.u32(uint32(len(m.files)))
 	for _, f := range m.files {
 		w.u8(uint8(f.file))
@@ -1039,7 +971,6 @@ func (m nodeImage) encode() []byte {
 			w.u8(d.outcome)
 		}
 	}
-	return w.b
 }
 
 // decodeNodeImage decodes a node image, tolerating trailing zero bytes:

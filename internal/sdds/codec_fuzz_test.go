@@ -2,139 +2,261 @@ package sdds
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/disperse"
+	"repro/internal/lhstar"
+	"repro/internal/transport"
+	"repro/internal/wal"
+	"repro/internal/wordindex"
 )
 
 // Fuzz targets: every decoder must be total — arbitrary bytes either
-// decode or error, never panic — and every encoder must round-trip
-// through its decoder bit-exactly.
+// decode or error, never panic — and a successful decode must re-encode
+// to its input wherever the encoding is canonical. Past the decoders, a
+// node must survive any request: FuzzNodeHandler.
 
-func FuzzDecodePutReq(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(putReq{file: FileIndex, addr: 5, hops: 1, key: 99, value: []byte("v")}.encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodePutReq(b)
-		if err != nil {
-			return
-		}
-		if got := m.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("re-encode mismatch: %x -> %x", b, got)
-		}
-	})
+// decodeRow is one message type the decoder fuzzers cover: seed inputs
+// and the property checked on fuzzed bytes.
+type decodeRow struct {
+	name  string
+	seeds [][]byte
+	check func(t *testing.T, b []byte)
 }
 
-func FuzzDecodeKeyReq(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(keyReq{file: FileRecords, addr: 3, key: 7}.encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeKeyReq(b)
-		if err != nil {
-			return
-		}
-		if got := m.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("re-encode mismatch: %x -> %x", b, got)
-		}
-	})
+// roundTrips checks a canonical encoding: a successful decode re-encodes
+// to its input.
+func roundTrips[T message, P interface {
+	*T
+	decodeFrom(*reader)
+}](t *testing.T, b []byte) {
+	m, err := decode[T, P](b)
+	if err != nil {
+		return
+	}
+	if got := encode(m); !bytes.Equal(got, b) {
+		t.Fatalf("%T re-encode mismatch: %x -> %x", m, b, got)
+	}
 }
 
-func FuzzDecodeValueResp(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(valueResp{found: true, iamAddr: 2, iamLevel: 1, value: []byte("abc")}.encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeValueResp(b)
-		if err != nil {
-			return
-		}
-		if got := m.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("re-encode mismatch: %x -> %x", b, got)
-		}
-	})
-}
+var fuzzHeader = migrateHeader{mid: 3, kind: migrateSplit, file: FileIndex, from: 1, to: 3, level: 1}
+var fuzzBatch = recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}
 
-func FuzzDecodeSearchReq(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(searchReq{
+// decodeRows covers every type decode serves, plus the node image.
+var decodeRows = []decodeRow{
+	{"putReq", [][]byte{{}, encode(putReq{keyHeader{file: FileIndex, addr: 5, hops: 1, key: 99}, []byte("v")})}, roundTrips[putReq]},
+	{"keyHeader", [][]byte{{}, encode(keyHeader{file: FileRecords, addr: 3, key: 7})}, roundTrips[keyHeader]},
+	{"keyResp", [][]byte{{}, encode(keyResp{existed: true, iamAddr: 2, iamLevel: 1, value: []byte("abc")})}, roundTrips[keyResp]},
+	{"searchReq", [][]byte{{}, encode(searchReq{
 		file: FileIndex, kSites: 2, slotBits: 2,
 		series: []searchSeries{{a: 1, patterns: [][]disperse.Piece{{1, 2}, {3}}}},
-	}.encode())
+	})}, roundTrips[searchReq]},
+	{"searchResp", [][]byte{{}, encode(searchResp{hits: []rawHit{{rid: 1, j: 0, k: 1, a: 2, firstIndex: 0, pieceOffset: 3}}})}, roundTrips[searchResp]},
+	// The absorb request is the one decoder of a record batch: the
+	// coordinator relays the batch bytes of a prepare response without
+	// looking at them, so this is where they are first checked.
+	{"migrateAbsorbReq", [][]byte{
+		{},
+		encode(fuzzHeader),
+		encode(migrateAbsorbReq{batch: fuzzBatch}),
+		// A prepare response as the coordinator relays it.
+		append(encode(fuzzHeader), encode(migratePrepareResp{status: migrateStatusOK, batch: fuzzBatch})[1:]...),
+	}, roundTrips[migrateAbsorbReq]},
+	{"nodeImage", [][]byte{{}, encode(nodeImage{files: []fileImage{{file: FileRecords, buckets: [][]byte{{1, 2, 3}}}}})}, func(t *testing.T, b []byte) {
+		decodeNodeImage(b) //nolint:errcheck // totality is the property; zero padding makes the encoding non-canonical
+	}},
+	{"indexValue", [][]byte{{}, encode(indexValue{firstIndex: 2, pieces: []disperse.Piece{9, 8, 7}})}, roundTrips[indexValue]},
+	{"migrateHeader", [][]byte{{}, encode(fuzzHeader)}, roundTrips[migrateHeader]},
+	{"migrateFinishReq", [][]byte{{}, encode(migrateFinishReq{mid: 9})}, roundTrips[migrateFinishReq]},
+	{"wordSearchReq", [][]byte{{}, encode(wordSearchReq{file: FileWords, token: bytes.Repeat([]byte{5}, wordindex.TokenSize)})}, roundTrips[wordSearchReq]},
+	{"wordSearchResp", [][]byte{{}, encode(wordSearchResp{rids: []uint64{4, 1 << 50}})}, roundTrips[wordSearchResp]},
+	{"statsResp", [][]byte{{}, encode(statsResp{buckets: []bucketStat{{addr: 1, level: 1, size: 3}}})}, roundTrips[statsResp]},
+	{"recoveryStateResp", [][]byte{{}, encode(recoveryStateResp{mode: recoveryCorrupt, seq: 3, detail: "bad crc"})}, roundTrips[recoveryStateResp]},
+}
+
+// FuzzDecode fuzzes every row at once: the first byte selects the row.
+func FuzzDecode(f *testing.F) {
+	for i, row := range decodeRows {
+		for _, s := range row.seeds {
+			f.Add(append([]byte{byte(i)}, s...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, err := decodeSearchReq(b); err != nil {
+		if len(b) == 0 {
 			return
 		}
-		// A valid decode of fuzzer bytes need not re-encode bit-exactly
-		// (nil vs empty slices), but must decode again identically.
-		m, _ := decodeSearchReq(b)
-		m2, err := decodeSearchReq(m.encode())
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(m2.series) != len(m.series) {
-			t.Fatalf("series count changed: %d -> %d", len(m.series), len(m2.series))
-		}
+		decodeRows[int(b[0])%len(decodeRows)].check(t, b[1:])
 	})
 }
 
-func FuzzDecodeSearchResp(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(searchResp{hits: []rawHit{{rid: 1, j: 0, k: 1, a: 2, firstIndex: 0, pieceOffset: 3}}}.encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeSearchResp(b)
-		if err != nil {
+// fuzzDecodeRow fuzzes one row on its own.
+func fuzzDecodeRow(f *testing.F, name string) {
+	for _, row := range decodeRows {
+		if row.name == name {
+			for _, s := range row.seeds {
+				f.Add(s)
+			}
+			f.Fuzz(row.check)
 			return
 		}
-		if got := m.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("re-encode mismatch: %x -> %x", b, got)
-		}
-	})
+	}
+	f.Fatalf("no decode row %q", name)
 }
 
-// FuzzDecodeMigrateAbsorbReq covers the one decoder of a record batch:
-// the coordinator relays the batch bytes of a prepare response without
-// looking at them, so this is where they are first checked.
-func FuzzDecodeMigrateAbsorbReq(f *testing.F) {
-	hdr := &writer{}
-	migrateHeader{mid: 3, kind: migrateSplit, file: FileIndex, from: 1, to: 3, level: 1}.encodeTo(hdr)
-	batch := recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}
-	f.Add([]byte{})
-	f.Add(hdr.b)
-	f.Add(migrateAbsorbReq{batch: batch}.encode())
-	// The old prepare-response seed, as the coordinator relays it.
-	f.Add(append(hdr.b[:len(hdr.b):len(hdr.b)], migratePrepareResp{status: migrateStatusOK, batch: batch}.encode()[1:]...))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeMigrateAbsorbReq(b)
-		if err != nil {
-			return
-		}
-		if got := m.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("re-encode mismatch: %x -> %x", b, got)
-		}
-	})
+// The per-type targets each fuzz one row of FuzzDecode's table.
+func FuzzDecodePutReq(f *testing.F)           { fuzzDecodeRow(f, "putReq") }
+func FuzzDecodeKeyReq(f *testing.F)           { fuzzDecodeRow(f, "keyHeader") }
+func FuzzDecodeValueResp(f *testing.F)        { fuzzDecodeRow(f, "keyResp") }
+func FuzzDecodeSearchReq(f *testing.F)        { fuzzDecodeRow(f, "searchReq") }
+func FuzzDecodeSearchResp(f *testing.F)       { fuzzDecodeRow(f, "searchResp") }
+func FuzzDecodeMigrateAbsorbReq(f *testing.F) { fuzzDecodeRow(f, "migrateAbsorbReq") }
+func FuzzDecodeNodeImage(f *testing.F)        { fuzzDecodeRow(f, "nodeImage") }
+func FuzzDecodeIndexValue(f *testing.F)       { fuzzDecodeRow(f, "indexValue") }
+
+// fuzzNodeLoad is what fuzzNode loads: records, two index piece streams
+// (both starting with piece 1) and a word blob.
+var fuzzNodeLoad = []struct {
+	op      uint8
+	payload []byte
+}{
+	{opPut, encode(putReq{keyHeader{file: FileRecords, key: 1}, []byte("record-1")})},
+	{opPut, encode(putReq{keyHeader{file: FileRecords, key: 2}, []byte("record-2")})},
+	{opPutBatch, batchReq(FileIndex,
+		batchEntry{key: ComposeIndexKey(1, 0, 0, 2, 2), value: encode(indexValue{pieces: []disperse.Piece{1, 2, 3}})},
+		batchEntry{key: ComposeIndexKey(1, 0, 1, 2, 2), value: encode(indexValue{pieces: []disperse.Piece{1, 5}})})},
+	{opPut, encode(putReq{keyHeader{file: FileWords, key: 1}, wordindex.Blob([]wordindex.Token{{7}})})},
 }
 
-func FuzzDecodeNodeImage(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(nodeImage{files: []fileImage{{file: FileRecords, buckets: [][]byte{{1, 2, 3}}}}}.encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, err := decodeNodeImage(b); err != nil {
-			return
+// fuzzSearch matches both loaded index streams.
+var fuzzSearch = encode(searchReq{file: FileIndex, kSites: 2, slotBits: 2,
+	series: []searchSeries{{patterns: [][]disperse.Piece{{1}, {1}}}}})
+
+// fuzzNode is a single-node placement's node over a MemFS-backed store,
+// loaded with fuzzNodeLoad.
+func fuzzNode(t testing.TB) *Node {
+	t.Helper()
+	place, err := NewPlacement([]transport.NodeID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(0, nil, place)
+	st, err := wal.Open(wal.NewMemFS(), "node", wal.Options{CheckpointBytes: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range fuzzNodeLoad {
+		if _, err := n.Handler()(context.Background(), req.op, req.payload); err != nil {
+			t.Fatalf("loading op %d: %v", req.op, err)
 		}
-	})
+	}
+	return n
 }
 
-func FuzzDecodeIndexValue(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(indexValue{firstIndex: 2, pieces: []disperse.Piece{9, 8, 7}}.encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		m, err := decodeIndexValue(b)
-		if err != nil {
-			return
+// probeNode sends a get and a put to every bucket the node holds, then a
+// search: requests that reach whatever state an earlier request left.
+// Their errors do not matter; a panic does.
+func probeNode(n *Node) {
+	type target struct {
+		file FileID
+		addr uint64
+	}
+	var targets []target
+	n.mu.RLock()
+	for id, f := range n.files {
+		for addr := range f.buckets {
+			targets = append(targets, target{id, addr})
 		}
-		if got := m.encode(); !bytes.Equal(got, b) {
-			t.Fatalf("re-encode mismatch: %x -> %x", b, got)
-		}
+	}
+	n.mu.RUnlock()
+	ctx, h := context.Background(), n.Handler()
+	for _, tg := range targets {
+		hdr := keyHeader{file: tg.file, addr: tg.addr, key: tg.addr}
+		h(ctx, opGet, encode(hdr))                          //nolint:errcheck
+		h(ctx, opPut, encode(putReq{hdr, []byte("probe")})) //nolint:errcheck
+	}
+	h(ctx, opSearch, fuzzSearch) //nolint:errcheck
+}
+
+// The two requests that crashed a node before decodeFrom checked field
+// values (committed as FuzzNodeHandler seeds too): a search with zero
+// sites divided by zero decomposing index keys; a split absorb at level
+// 63 created a level-64 bucket on which every later request panicked in
+// LH* addressing (key mod 2^64), and replay re-created it after restart.
+var (
+	crashSearchZeroSites = encode(searchReq{file: FileIndex, kSites: 0, slotBits: 2,
+		series: []searchSeries{{patterns: [][]disperse.Piece{{1}}}}})
+	crashAbsorbLevel63 = encode(migrateAbsorbReq{migrateHeader: migrateHeader{
+		mid: 1, kind: migrateSplit, file: FileRecords, from: 0, to: 1 << 63, level: 63}})
+)
+
+// TestNodeRejectsUnservableRequests: both crashers, and a restore image
+// holding a level-64 bucket (the same poison by another door), are
+// refused before anything is journaled, and the node keeps serving.
+func TestNodeRejectsUnservableRequests(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name    string
+		op      uint8
+		payload []byte
+	}{
+		{"search with zero sites", opSearch, crashSearchZeroSites},
+		{"split absorb at level 63", opMigrateAbsorb, crashAbsorbLevel63},
+		{"restore of a level-64 bucket", opNodeRestore, encode(nodeImage{files: []fileImage{
+			{file: FileRecords, buckets: [][]byte{lhstar.NewBucket(1, 64).Snapshot()}}}})},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := fuzzNode(t)
+			seq := n.store.Seq()
+			if _, err := n.Handler()(ctx, c.op, c.payload); err == nil {
+				t.Fatal("node accepted the request")
+			}
+			if got := n.store.Seq(); got != seq {
+				t.Fatalf("rejected request journaled %d frames", got-seq)
+			}
+			probeNode(n)
+			raw, err := n.Handler()(ctx, opGet, encode(keyHeader{file: FileRecords, key: 1}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := decode[keyResp](raw); err != nil || !v.existed || string(v.value) != "record-1" {
+				t.Fatalf("get after the rejection = %+v, %v", v, err)
+			}
+		})
+	}
+}
+
+// FuzzNodeHandler sends one arbitrary request to a loaded durable node,
+// then probes every bucket: no request may crash the node, or leave state
+// that crashes a later one.
+func FuzzNodeHandler(f *testing.F) {
+	img, err := fuzzNode(f).Handler()(context.Background(), opNodeSnapshot, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(opPut, encode(putReq{keyHeader{file: FileRecords, key: 3}, []byte("v")}))
+	f.Add(opGet, encode(keyHeader{file: FileRecords, key: 1}))
+	f.Add(opDelete, encode(keyHeader{file: FileRecords, key: 1}))
+	f.Add(opSearch, fuzzSearch)
+	f.Add(opStats, []byte{byte(FileIndex)})
+	f.Add(opWordSearch, encode(wordSearchReq{file: FileWords, token: make([]byte, wordindex.TokenSize)}))
+	f.Add(opNodeSnapshot, []byte{})
+	f.Add(opNodeRestore, img)
+	f.Add(opPutBatch, fuzzNodeLoad[2].payload)
+	f.Add(opPing, []byte{})
+	f.Add(opRecoveryState, []byte{})
+	f.Add(opMigratePrepare, encode(migrateHeader{mid: 1, kind: migrateSplit, file: FileRecords, from: 0, to: 1, level: 0}))
+	f.Add(opMigrateAbsorb, encode(migrateAbsorbReq{migrateHeader: migrateHeader{mid: 2, kind: migrateSplit, file: FileIndex, from: 0, to: 1, level: 0}, batch: fuzzBatch}))
+	f.Add(opMigrateCommit, encode(migrateFinishReq{mid: 1}))
+	f.Add(opMigrateAbort, encode(migrateFinishReq{mid: 2}))
+	f.Fuzz(func(t *testing.T, op uint8, payload []byte) {
+		n := fuzzNode(t)
+		n.Handler()(context.Background(), op, payload) //nolint:errcheck // only a panic fails
+		probeNode(n)
 	})
 }
 
@@ -150,27 +272,35 @@ func randBytes(rng *rand.Rand, maxLen int) []byte {
 func TestCodecRoundTripProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060410))
 	for i := 0; i < 500; i++ {
-		pr := putReq{
-			file:  FileID(rng.Intn(3)),
-			addr:  rng.Uint64(),
-			hops:  uint8(rng.Intn(4)),
-			key:   rng.Uint64(),
-			value: randBytes(rng, 64),
-		}
-		got, err := decodePutReq(pr.encode())
+		pr := putReq{keyHeader{
+			file: FileID(rng.Intn(3)),
+			addr: rng.Uint64(),
+			hops: uint8(rng.Intn(4)),
+			key:  rng.Uint64(),
+		}, randBytes(rng, 64)}
+		got, err := decode[putReq](encode(pr))
 		if err != nil {
 			t.Fatalf("putReq: %v", err)
 		}
-		if got.file != pr.file || got.addr != pr.addr || got.hops != pr.hops ||
-			got.key != pr.key || !bytes.Equal(got.value, pr.value) {
+		if got.keyHeader != pr.keyHeader || !bytes.Equal(got.value, pr.value) {
 			t.Fatalf("putReq round trip: %+v -> %+v", pr, got)
+		}
+
+		kr := keyResp{existed: rng.Intn(2) == 0, moved: rng.Intn(2) == 0, iamAddr: rng.Uint64(), iamLevel: uint8(rng.Intn(64)), value: randBytes(rng, 32)}
+		gk, err := decode[keyResp](encode(kr))
+		if err != nil {
+			t.Fatalf("keyResp: %v", err)
+		}
+		if gk.existed != kr.existed || gk.moved != kr.moved || gk.iamAddr != kr.iamAddr ||
+			gk.iamLevel != kr.iamLevel || !bytes.Equal(gk.value, kr.value) {
+			t.Fatalf("keyResp round trip: %+v -> %+v", kr, gk)
 		}
 
 		batch := recordBatch{}
 		for j := rng.Intn(8); j > 0; j-- {
 			batch.records = append(batch.records, kv{key: rng.Uint64(), value: randBytes(rng, 32)})
 		}
-		absorb, err := decodeMigrateAbsorbReq(migrateAbsorbReq{batch: batch}.encode())
+		absorb, err := decode[migrateAbsorbReq](encode(migrateAbsorbReq{batch: batch}))
 		if err != nil {
 			t.Fatalf("recordBatch: %v", err)
 		}
@@ -193,7 +323,7 @@ func TestCodecRoundTripProperties(t *testing.T) {
 			}
 			img.files = append(img.files, f)
 		}
-		enc := img.encode()
+		enc := encode(img)
 		// Zero padding (parity-shard equalization) must be tolerated.
 		enc = append(enc, make([]byte, rng.Intn(7))...)
 		gi, err := decodeNodeImage(enc)
@@ -218,7 +348,7 @@ func TestCodecRoundTripProperties(t *testing.T) {
 
 func TestDecodeNodeImageRejectsNonZeroTrailer(t *testing.T) {
 	img := nodeImage{files: []fileImage{{file: FileRecords, buckets: [][]byte{{1}}}}}
-	enc := append(img.encode(), 0, 0, 5)
+	enc := append(encode(img), 0, 0, 5)
 	if _, err := decodeNodeImage(enc); err == nil {
 		t.Fatal("non-zero trailer accepted")
 	}

@@ -4,48 +4,90 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/disperse"
 	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
+// decodeErr decodes b as a T and reports only the error.
+func decodeErr[T any, P interface {
+	*T
+	decodeFrom(*reader)
+}](b []byte) error {
+	_, err := decode[T, P](b)
+	return err
+}
+
+// rawValue is a put_batch value written as is.
+type rawValue []byte
+
+func (v rawValue) encodeTo(w *writer) { w.b = append(w.b, v...) }
+
+// batchReq builds a put_batch request with the writer InsertIndexed uses.
+func batchReq(file FileID, entries ...batchEntry) []byte {
+	bw := newBatchWriter(&writer{}, file)
+	for _, e := range entries {
+		rawValue(e.value).encodeTo(bw.entry(e.addr, e.key))
+	}
+	return bw.finish()
+}
+
+// TestPutReqRoundTrip also covers readdress, which copies a put under a
+// new address and hop count for a forward or the journal.
 func TestPutReqRoundTrip(t *testing.T) {
-	prop := func(file uint8, addr uint64, hops uint8, key uint64, value []byte) bool {
-		m := putReq{file: FileID(file), addr: addr, hops: hops, key: key, value: value}
-		got, err := decodePutReq(m.encode())
-		return err == nil && got.file == m.file && got.addr == m.addr &&
-			got.hops == m.hops && got.key == m.key && bytes.Equal(got.value, m.value)
+	prop := func(file uint8, addr uint64, hops uint8, key uint64, value []byte, addr2 uint64, hops2 uint8) bool {
+		m := putReq{keyHeader{file: FileID(file), addr: addr, hops: hops, key: key}, value}
+		got, err := decode[putReq](encode(m))
+		if err != nil || got.keyHeader != m.keyHeader || !bytes.Equal(got.value, m.value) {
+			return false
+		}
+		moved, err := decode[putReq](m.readdress(encode(m), addr2, hops2))
+		want := m.keyHeader
+		want.addr, want.hops = addr2, hops2
+		return err == nil && moved.keyHeader == want && bytes.Equal(moved.value, m.value)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestPutRespRoundTrip: a put (or put_batch entry) is answered by a
+// keyResp without a value.
 func TestPutRespRoundTrip(t *testing.T) {
-	prop := func(isNew bool, addr uint64, level uint8, n uint32) bool {
-		m := putResp{isNew: isNew, iamAddr: addr, iamLevel: level, bucketLen: n}
-		got, err := decodePutResp(m.encode())
-		return err == nil && got == m
+	prop := func(existed, moved bool, addr uint64, level uint8) bool {
+		m := keyResp{existed: existed, moved: moved, iamAddr: addr, iamLevel: level}
+		got, err := decode[keyResp](encode(m))
+		return err == nil && reflect.DeepEqual(got, m)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestKeyReqValueRespRoundTrip: a get or delete is a bare keyHeader,
+// answered by a keyResp carrying the value.
 func TestKeyReqValueRespRoundTrip(t *testing.T) {
 	prop := func(file uint8, addr uint64, hops uint8, key uint64, found bool, value []byte) bool {
-		kr := keyReq{file: FileID(file), addr: addr, hops: hops, key: key}
-		gk, err := decodeKeyReq(kr.encode())
+		kr := keyHeader{file: FileID(file), addr: addr, hops: hops, key: key}
+		gk, err := decode[keyHeader](encode(kr))
 		if err != nil || gk != kr {
 			return false
 		}
-		vr := valueResp{found: found, iamAddr: addr, iamLevel: hops, value: value}
-		gv, err := decodeValueResp(vr.encode())
-		return err == nil && gv.found == vr.found && gv.iamAddr == vr.iamAddr &&
+		if moved, err := decode[keyHeader](kr.readdress(encode(kr), key, 0)); err != nil || moved.addr != key || moved.hops != 0 {
+			return false
+		}
+		vr := keyResp{existed: found, iamAddr: addr, iamLevel: hops, value: value}
+		gv, err := decode[keyResp](encode(vr))
+		return err == nil && gv.existed == vr.existed && gv.iamAddr == vr.iamAddr &&
 			gv.iamLevel == vr.iamLevel && bytes.Equal(gv.value, vr.value)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
@@ -61,7 +103,7 @@ func TestIndexValueRoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.pieces = append(m.pieces, disperse.Piece(rng.Intn(1<<16)))
 		}
-		got, err := decodeIndexValue(m.encode())
+		got, err := decode[indexValue](encode(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +137,7 @@ func TestSearchReqRespRoundTrip(t *testing.T) {
 			}
 			req.series = append(req.series, ser)
 		}
-		got, err := decodeSearchReq(req.encode())
+		got, err := decode[searchReq](encode(req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +163,7 @@ func TestSearchReqRespRoundTrip(t *testing.T) {
 				pieceOffset: rng.Uint32(),
 			})
 		}
-		gotResp, err := decodeSearchResp(resp.encode())
+		gotResp, err := decode[searchResp](encode(resp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +189,7 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 		}
 		// A batch only travels inside a migration message, and the absorb
 		// request is the one that is decoded.
-		req, err := decodeMigrateAbsorbReq(migrateAbsorbReq{batch: m}.encode())
+		req, err := decode[migrateAbsorbReq](encode(migrateAbsorbReq{batch: m}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,69 +209,124 @@ func TestRecordBatchRoundTrip(t *testing.T) {
 func TestControlMessageRoundTrips(t *testing.T) {
 	hdr := migrateHeader{mid: 7, kind: migrateMerge, file: 1, from: 9, to: 1, level: 3}
 	batch := recordBatch{records: []kv{{key: 5, value: []byte("x")}}}
-	if got, err := decodeMigratePrepareReq(migratePrepareReq{hdr}.encode()); err != nil || got.migrateHeader != hdr {
+	if got, err := decode[migrateHeader](encode(hdr)); err != nil || got != hdr {
 		t.Errorf("migratePrepare: %+v %v", got, err)
 	}
 	ab := migrateAbsorbReq{migrateHeader: hdr, batch: batch}
-	if got, err := decodeMigrateAbsorbReq(ab.encode()); err != nil || !reflect.DeepEqual(got, ab) {
+	if got, err := decode[migrateAbsorbReq](encode(ab)); err != nil || !reflect.DeepEqual(got, ab) {
 		t.Errorf("migrateAbsorb: %+v %v", got, err)
 	}
 	// A prepare response is a status byte and the same batch encoding the
 	// absorb request carries behind its header: that identity is what
 	// lets the coordinator relay the batch without decoding it.
-	pr := migratePrepareResp{status: migrateStatusOK, batch: batch}.encode()
-	w := &writer{}
-	hdr.encodeTo(w)
-	if relayed := append(w.b, pr[1:]...); pr[0] != migrateStatusOK || !bytes.Equal(relayed, ab.encode()) {
-		t.Errorf("prepare response %x does not relay into absorb request %x", pr, ab.encode())
+	pr := encode(migratePrepareResp{status: migrateStatusOK, batch: batch})
+	if relayed := append(encode(hdr), pr[1:]...); pr[0] != migrateStatusOK || !bytes.Equal(relayed, encode(ab)) {
+		t.Errorf("prepare response %x does not relay into absorb request %x", pr, encode(ab))
 	}
 	fin := migrateFinishReq{mid: 7}
-	if got, err := decodeMigrateFinishReq(fin.encode()); err != nil || got != fin {
+	if got, err := decode[migrateFinishReq](encode(fin)); err != nil || got != fin {
 		t.Errorf("migrateFinish: %+v %v", got, err)
 	}
 	ws := wordSearchReq{file: FileWords, token: bytes.Repeat([]byte{7}, 16)}
-	gotWS, err := decodeWordSearchReq(ws.encode())
-	if err != nil || gotWS.file != ws.file || !bytes.Equal(gotWS.token, ws.token) {
-		t.Errorf("wordSearch: %+v %v", gotWS, err)
+	if got, err := decode[wordSearchReq](encode(ws)); err != nil || !reflect.DeepEqual(got, ws) {
+		t.Errorf("wordSearch: %+v %v", got, err)
 	}
 	wr := wordSearchResp{rids: []uint64{1, 99, 1 << 60}}
-	gotWR, err := decodeWordSearchResp(wr.encode())
-	if err != nil || len(gotWR.rids) != 3 || gotWR.rids[2] != 1<<60 {
-		t.Errorf("wordSearchResp: %+v %v", gotWR, err)
+	if got, err := decode[wordSearchResp](encode(wr)); err != nil || !reflect.DeepEqual(got, wr) {
+		t.Errorf("wordSearchResp: %+v %v", got, err)
+	}
+	st := statsResp{buckets: []bucketStat{{addr: 3, level: 2, size: 40}, {addr: 7, level: 3, size: 1}}}
+	if got, err := decode[statsResp](encode(st)); err != nil || !reflect.DeepEqual(got, st) {
+		t.Errorf("statsResp: %+v %v", got, err)
+	}
+	rs := recoveryStateResp{mode: recoveryCorrupt, seq: 12, detail: "checksum"}
+	if got, err := decode[recoveryStateResp](encode(rs)); err != nil || got != rs {
+		t.Errorf("recoveryStateResp: %+v %v", got, err)
+	}
+	// put_batch: the writer's request streams back out of the node's
+	// iterator, and the node's response out of the client's.
+	entries := []batchEntry{{addr: 1, key: 2, value: []byte("ab")}, {addr: 3, key: 4, value: nil}}
+	it, err := newBatchReqIter(batchReq(FileIndex, entries...))
+	if err != nil || it.file != FileIndex || it.n != len(entries) {
+		t.Fatalf("put_batch header: %+v %v", it, err)
+	}
+	for _, want := range entries {
+		if got, err := it.next(); err != nil || got.addr != want.addr || got.key != want.key || !bytes.Equal(got.value, want.value) {
+			t.Errorf("put_batch entry %+v, want %+v (%v)", got, want, err)
+		}
+	}
+	if err := it.r.done(); err != nil {
+		t.Error(err)
+	}
+	resps := []keyResp{{existed: true, iamAddr: 5, iamLevel: 2}, {moved: true, iamAddr: 6, iamLevel: 3}}
+	rit, err := newBatchRespIter(encode(putBatchResp{resps: resps}))
+	if err != nil || rit.n != len(resps) {
+		t.Fatalf("put_batch response header: %+v %v", rit, err)
+	}
+	for _, want := range resps {
+		if got, err := rit.next(); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("put_batch response entry %+v, want %+v (%v)", got, want, err)
+		}
 	}
 }
 
 // TestDecodersRejectTruncation feeds every decoder truncated prefixes of
 // valid messages: none may panic, and all must error (or decode a valid
-// strict prefix — not possible here since all carry length fields).
+// strict prefix — not possible here since all carry length fields). It
+// also feeds them whole messages with field values a node cannot serve,
+// which must error too.
 func TestDecodersRejectTruncation(t *testing.T) {
-	valid := [][]byte{
-		putReq{file: 1, addr: 2, key: 3, value: []byte("abcdef")}.encode(),
-		putResp{isNew: true, iamAddr: 9, bucketLen: 4}.encode(),
-		keyReq{file: 1, addr: 2, key: 3}.encode(),
-		valueResp{found: true, value: []byte("xyz")}.encode(),
-		indexValue{firstIndex: 1, pieces: []disperse.Piece{1, 2, 3}}.encode(),
-		migrateAbsorbReq{migrateHeader: migrateHeader{mid: 1, kind: migrateSplit}, batch: recordBatch{records: []kv{{key: 1, value: []byte("v")}}}}.encode(),
-		wordSearchReq{file: 2, token: bytes.Repeat([]byte{1}, 16)}.encode(),
+	pieces := []disperse.Piece{1, 2, 3}
+	cases := []struct {
+		msg    message
+		decode func([]byte) error
+	}{
+		{putReq{keyHeader{file: 1, addr: 2, key: 3}, []byte("abcdef")}, decodeErr[putReq]},
+		{keyHeader{file: 1, addr: 2, key: 3}, decodeErr[keyHeader]},
+		{keyResp{existed: true, iamAddr: 9, value: []byte("xyz")}, decodeErr[keyResp]},
+		{indexValue{firstIndex: 1, pieces: pieces}, decodeErr[indexValue]},
+		{searchReq{file: 1, kSites: 2, slotBits: 2, series: []searchSeries{{a: 1, patterns: [][]disperse.Piece{pieces, pieces}}}}, decodeErr[searchReq]},
+		{searchResp{hits: []rawHit{{rid: 1, k: 1}}}, decodeErr[searchResp]},
+		{migrateHeader{mid: 1, kind: migrateSplit, level: 3}, decodeErr[migrateHeader]},
+		{migrateAbsorbReq{migrateHeader: migrateHeader{mid: 1, kind: migrateSplit}, batch: recordBatch{records: []kv{{key: 1, value: []byte("v")}}}}, decodeErr[migrateAbsorbReq]},
+		{migrateFinishReq{mid: 4}, decodeErr[migrateFinishReq]},
+		{wordSearchReq{file: 2, token: bytes.Repeat([]byte{1}, 16)}, decodeErr[wordSearchReq]},
+		{wordSearchResp{rids: []uint64{8}}, decodeErr[wordSearchResp]},
+		{statsResp{buckets: []bucketStat{{addr: 1, level: 1, size: 1}}}, decodeErr[statsResp]},
+		{recoveryStateResp{mode: recoveryFresh, detail: "d"}, decodeErr[recoveryStateResp]},
 	}
-	decoders := []func([]byte) error{
-		func(b []byte) error { _, err := decodePutReq(b); return err },
-		func(b []byte) error { _, err := decodePutResp(b); return err },
-		func(b []byte) error { _, err := decodeKeyReq(b); return err },
-		func(b []byte) error { _, err := decodeValueResp(b); return err },
-		func(b []byte) error { _, err := decodeIndexValue(b); return err },
-		func(b []byte) error { _, err := decodeMigrateAbsorbReq(b); return err },
-		func(b []byte) error { _, err := decodeWordSearchReq(b); return err },
-	}
-	for i, msg := range valid {
-		if err := decoders[i](msg); err != nil {
-			t.Fatalf("decoder %d rejects its own valid message: %v", i, err)
+	for i, c := range cases {
+		msg := encode(c.msg)
+		if err := c.decode(msg); err != nil {
+			t.Fatalf("decoder %d (%T) rejects its own valid message: %v", i, c.msg, err)
 		}
 		for cut := 0; cut < len(msg); cut++ {
-			if err := decoders[i](msg[:cut]); err == nil {
-				t.Errorf("decoder %d accepted truncation at %d/%d", i, cut, len(msg))
+			if err := c.decode(msg[:cut]); err == nil {
+				t.Errorf("decoder %d (%T) accepted truncation at %d/%d", i, c.msg, cut, len(msg))
 			}
 		}
+	}
+
+	unservable := []struct {
+		msg    message
+		decode func([]byte) error
+	}{
+		{searchReq{file: FileIndex, kSites: 0, slotBits: 2}, decodeErr[searchReq]},
+		{searchReq{file: FileIndex, kSites: 2, slotBits: 64}, decodeErr[searchReq]},
+		{migrateHeader{kind: migrateSplit, from: 0, to: 1 << 63, level: 63}, decodeErr[migrateHeader]},
+		{migrateHeader{kind: migrateMerge, level: 64}, decodeErr[migrateHeader]},
+		{migrateAbsorbReq{migrateHeader: migrateHeader{kind: migrateSplit, level: 200}}, decodeErr[migrateAbsorbReq]},
+		{keyResp{}, func(b []byte) error { return decodeErr[keyResp](append([]byte{4}, b[1:]...)) }},
+		{wordSearchReq{file: FileWords, token: []byte("short")}, decodeErr[wordSearchReq]},
+	}
+	for i, c := range unservable {
+		if err := c.decode(encode(c.msg)); err == nil {
+			t.Errorf("unservable message %d (%T %+v) decoded", i, c.msg, c.msg)
+		}
+	}
+	// A split at level 62 creates its target at 63, the last usable level.
+	if err := decodeErr[migrateHeader](encode(migrateHeader{kind: migrateSplit, level: 62})); err != nil {
+		t.Errorf("split at level 62 rejected: %v", err)
 	}
 }
 
@@ -259,53 +356,217 @@ func TestOpCodesPinned(t *testing.T) {
 	}
 }
 
-// wireTap records the two payloads of a migration that carry records.
+// wireTap remembers the last request of each op (and the last prepare
+// response) that crossed it.
 type wireTap struct {
 	transport.Transport
-	prepareResp, absorbReq []byte
+	mu          sync.Mutex
+	last        map[uint8][]byte
+	prepareResp []byte
 }
 
 func (w *wireTap) Send(ctx context.Context, node transport.NodeID, op uint8, payload []byte) ([]byte, error) {
+	w.mu.Lock()
+	w.last[op] = append([]byte(nil), payload...)
+	w.mu.Unlock()
 	resp, err := w.Transport.Send(ctx, node, op, payload)
-	switch op {
-	case opMigratePrepare:
+	if op == opMigratePrepare {
+		w.mu.Lock()
 		w.prepareResp = append([]byte(nil), resp...)
-	case opMigrateAbsorb:
-		w.absorbReq = append([]byte(nil), payload...)
+		w.mu.Unlock()
 	}
 	return resp, err
 }
 
-// TestMigrationWireBytesPinned: nodes journal the absorb request they
-// receive, so its bytes — and the prepare response they are relayed from
-// — must not drift, or journals written by an earlier version stop
-// replaying. The literals were captured by this same test body at
-// 5bd14e1, where the coordinator still decoded the response into records
-// and re-encoded them.
-func TestMigrationWireBytesPinned(t *testing.T) {
-	const (
-		wantPrepareResp = "01" + "00000003" +
+// journalTap remembers every frame a node hands its store.
+type journalTap struct {
+	Store
+	frames [][]byte // op byte, then payload
+}
+
+func (j *journalTap) Append(op uint8, payload []byte) (uint64, error) {
+	j.frames = append(j.frames, append([]byte{op}, payload...))
+	return j.Store.Append(op, payload)
+}
+
+func (j *journalTap) Journal(op uint8, payload []byte) error {
+	j.frames = append(j.frames, append([]byte{op}, payload...))
+	return j.Store.Journal(op, payload)
+}
+
+// TestWireBytesPinned: nodes journal the requests they receive and
+// checkpoint their images, so those bytes must not drift, or journals and
+// checkpoints written by an earlier version stop replaying. It pins one
+// request of every op a client or coordinator sends (and the put a node
+// forwards), the journal frames of the single-key and batch mutations,
+// and a node image with a migration section. Responses are not pinned:
+// both ends of a response change together. The migration literals were
+// captured by TestMigrationWireBytesPinned at 5bd14e1, everything else
+// by this same test body at f13f763.
+func TestWireBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"prepare response": "01" + "00000003" +
 			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
 			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
-			"0000000000000005" + "0000000a" + "6d696776616c2d303035"
-		wantAbsorbReq = "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
+			"0000000000000005" + "0000000a" + "6d696776616c2d303035",
+		"absorb": "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
 			"00000003" +
 			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
 			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
-			"0000000000000005" + "0000000a" + "6d696776616c2d303035"
-	)
-	h := newMigHarness(t, 2)
-	h.load(FileRecords, 6)
-	h.c.SetMaxLoad(FileRecords, 2)
-	tap := &wireTap{Transport: h.mem}
-	h.hook.inner = tap
-	if err := h.c.split(context.Background(), FileRecords); err != nil {
+			"0000000000000005" + "0000000a" + "6d696776616c2d303035",
+		// file, addr, hops, key[, value]
+		"put":           "00" + "0000000000000000" + "00" + "0000000000000005" + "0000000a" + "6d696776616c2d303035",
+		"forwarded put": "00" + "0000000000000001" + "01" + "0000000000000007" + "0000000a" + "6d696776616c2d303037",
+		"get":           "00" + "0000000000000000" + "00" + "0000000000000005",
+		"delete":        "00" + "0000000000000000" + "00" + "0000000000000004",
+		// op, then the request as the applying node resolved it
+		"journal put":           "01" + "00" + "0000000000000000" + "00" + "0000000000000005" + "0000000a" + "6d696776616c2d303035",
+		"journal forwarded put": "01" + "00" + "0000000000000001" + "00" + "0000000000000007" + "0000000a" + "6d696776616c2d303037",
+		"journal delete":        "03" + "00" + "0000000000000000" + "00" + "0000000000000004",
+		"journal put_batch entry": "01" + "01" + "0000000000000000" + "00" + "0000000000000007" +
+			"00000010" + "00000000" + "00000004" + "3bc26f3edacb5471",
+		// file, count, then addr, key, value (firstIndex, piece count, pieces)
+		"put_batch": "01" + "00000004" +
+			"0000000000000000" + "0000000000000004" + "0000000e" + "00000000" + "00000003" + "3309d69fc767" +
+			"0000000000000000" + "0000000000000005" + "0000000e" + "00000000" + "00000003" + "4d5384348c35" +
+			"0000000000000000" + "0000000000000006" + "00000010" + "00000000" + "00000004" + "0c1c1ae45e285a6d" +
+			"0000000000000000" + "0000000000000007" + "00000010" + "00000000" + "00000004" + "3bc26f3edacb5471",
+		// file, kSites, slotBits, series count, then a, pattern count, patterns
+		"search": "01" + "02" + "02" + "0002" +
+			"0000" + "02" + "00000001" + "1ae4" + "00000001" + "6f3e" +
+			"0001" + "02" + "00000001" + "ea2a" + "00000001" + "f322",
+		"word search": "02" + "00000010" + "abababababababababababababababab",
+		"stats":       "00",
+		"prepare":     "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00",
+		"commit":      "0000000000000001",
+		"abort":       "0000000000000002",
+		// files: count, then file, bucket count, bucket snapshots; then the
+		// migration section: marker, version, outgoing, absorbed, done
+		"image with migration section": "00000001" + "00" + "00000001" +
+			"00000098" + "0000000000000000" + "0000000000000000" + "00000006" +
+			"0000000000000000" + "0000000a" + "6d696776616c2d303030" +
+			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
+			"0000000000000002" + "0000000a" + "6d696776616c2d303032" +
+			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
+			"0000000000000004" + "0000000a" + "6d696776616c2d303034" +
+			"0000000000000005" + "0000000a" + "6d696776616c2d303035" +
+			"4d" + "01" +
+			"00000001" + "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
+			"00000003" + "0000000000000001" + "0000000000000003" + "0000000000000005" +
+			"00000000" + "00000000",
+	}
+	ctx := context.Background()
+	mem := transport.NewMemory()
+	hook := &hookTr{inner: mem}
+	tap := &wireTap{Transport: hook, last: map[uint8][]byte{}}
+	place, err := NewPlacement([]transport.NodeID{0, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hex.EncodeToString(tap.prepareResp); got != wantPrepareResp {
-		t.Errorf("prepare response\n got %s\nwant %s", got, wantPrepareResp)
+	var nodes [2]*Node
+	var journals [2]*journalTap
+	for i := range nodes {
+		st, err := wal.Open(wal.NewMemFS(), "node", wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals[i] = &journalTap{Store: st}
+		// Nodes forward through the tap too, so the forwarded put is seen.
+		nodes[i] = NewNode(transport.NodeID(i), tap, place)
+		if _, err := nodes[i].AttachStore(journals[i]); err != nil {
+			t.Fatal(err)
+		}
+		mem.Register(transport.NodeID(i), nodes[i].Handler())
 	}
-	if got := hex.EncodeToString(tap.absorbReq); got != wantAbsorbReq {
-		t.Errorf("absorb request\n got %s\nwant %s", got, wantAbsorbReq)
+	c := NewCluster(tap, place)
+	c.SetMaxLoad(FileRecords, 1<<20)
+	got := map[string]string{}
+	pin := func(name string, b []byte) { got[name] = hex.EncodeToString(b) }
+	lastFrame := func(node int) []byte { return journals[node].frames[len(journals[node].frames)-1] }
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for k := uint64(0); k < 6; k++ {
+		must(c.Put(ctx, FileRecords, k, []byte(fmt.Sprintf("migval-%03d", k))))
+		if k == 5 {
+			pin("put", tap.last[opPut])
+			pin("journal put", lastFrame(0))
+		}
+	}
+	_, _, err = c.Get(ctx, FileRecords, 5)
+	must(err)
+	pin("get", tap.last[opGet])
+
+	// A committed split, with node 0's image taken while its outgoing set
+	// is in flight.
+	hook.setAfter(func(_ transport.NodeID, op uint8) error {
+		if op == opMigrateAbsorb {
+			img, err := nodes[0].Handler()(ctx, opNodeSnapshot, nil)
+			must(err)
+			pin("image with migration section", img)
+		}
+		return nil
+	})
+	c.SetMaxLoad(FileRecords, 2)
+	must(c.split(ctx, FileRecords))
+	c.SetMaxLoad(FileRecords, 16) // neither split nor merge until the abort below
+	hook.setAfter(nil)
+	pin("prepare", tap.last[opMigratePrepare])
+	pin("prepare response", tap.prepareResp)
+	pin("absorb", tap.last[opMigrateAbsorb])
+	pin("commit", tap.last[opMigrateCommit])
+
+	// The client image still has one bucket: key 7 goes to bucket 0 and
+	// node 0 forwards it to bucket 1 on node 1.
+	must(c.Put(ctx, FileRecords, 7, []byte("migval-007")))
+	pin("forwarded put", tap.last[opPut])
+	pin("journal forwarded put", lastFrame(1))
+	_, err = c.Delete(ctx, FileRecords, 4)
+	must(err)
+	pin("delete", tap.last[opDelete])
+	pin("journal delete", lastFrame(0))
+
+	pl := testPipeline(t, 4, 2, 2)
+	recs, err := pl.BuildIndex(1, []byte("ABCDEFGHIJKL"))
+	must(err)
+	must(c.InsertIndexed(ctx, FileIndex, recs, pl.K(), SlotBits(pl.Chunkings(), pl.K())))
+	pin("put_batch", tap.last[opPutBatch])
+	pin("journal put_batch entry", lastFrame(0))
+	query, err := pl.BuildQuery([]byte("CDEFGH"), false)
+	must(err)
+	_, err = c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	must(err)
+	pin("search", tap.last[opSearch])
+	_, err = c.WordSearch(ctx, FileWords, bytes.Repeat([]byte{0xab}, 16))
+	must(err)
+	pin("word search", tap.last[opWordSearch])
+	_, err = c.BucketInventory(ctx, FileRecords)
+	must(err)
+	pin("stats", tap.last[opStats])
+
+	// A split the target rejects is aborted.
+	c.SetMaxLoad(FileRecords, 1)
+	hook.setBefore(rejectOnce(0, opMigrateAbsorb))
+	if err := c.split(ctx, FileRecords); err == nil {
+		t.Fatal("split with a rejected absorb succeeded")
+	}
+	pin("abort", tap.last[opMigrateAbort])
+
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s\n got %q\nwant %q", name, got[name], want[name])
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("pinned %d payloads, want %d", len(got), len(want))
 	}
 }

@@ -17,7 +17,7 @@ func hotValue(hot disperse.Piece, rng *rand.Rand) []byte {
 	for i := 1; i < n; i++ {
 		ps[i] = disperse.Piece(1000 + rng.Intn(50))
 	}
-	return indexValue{firstIndex: 0, pieces: ps}.encode()
+	return encode(indexValue{firstIndex: 0, pieces: ps})
 }
 
 // TestCompactionTriggerUnderDeleteChurn drives sustained delete churn
@@ -210,7 +210,7 @@ func TestIndexPutBatchArenaStability(t *testing.T) {
 	for key := uint64(0); key < 500; key++ {
 		v := encodeTestValue(rng, z)
 		ents = append(ents, kv{key: key, value: v})
-		iv, err := decodeIndexValue(v)
+		iv, err := decode[indexValue](v)
 		if err != nil {
 			t.Fatal(err)
 		}

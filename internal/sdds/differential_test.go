@@ -53,7 +53,7 @@ func probeMatches(idx postingIndex, pat []disperse.Piece) []idxMatch {
 func scanMatches(stored map[uint64][]byte, pat []disperse.Piece) []idxMatch {
 	var out []idxMatch
 	for key, value := range stored {
-		iv, err := decodeIndexValue(value)
+		iv, err := decode[indexValue](value)
 		if err != nil {
 			continue
 		}
@@ -143,10 +143,10 @@ func zipfPieces(rng *rand.Rand, z *rand.Zipf, n int) []disperse.Piece {
 
 func encodeTestValue(rng *rand.Rand, z *rand.Zipf) []byte {
 	n := 1 + rng.Intn(12)
-	return indexValue{
+	return encode(indexValue{
 		firstIndex: uint32(rng.Intn(4)),
 		pieces:     zipfPieces(rng, z, n),
-	}.encode()
+	})
 }
 
 // TestIndexDifferentialRandomOps drives the three representations

@@ -106,7 +106,7 @@ func (h *durableHarness) sendTo(n *Node) func(op uint8, payload []byte) ([]byte,
 // when send did.
 func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []byte) ([]byte, bool)) bool {
 	h.t.Helper()
-	raw, ok := send(opMigratePrepare, migratePrepareReq{hdr}.encode())
+	raw, ok := send(opMigratePrepare, encode(hdr))
 	if !ok {
 		return false
 	}
@@ -127,7 +127,7 @@ func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []
 	if _, ok := send(opMigrateAbsorb, absorb.b); !ok {
 		return false
 	}
-	_, ok = send(opMigrateCommit, migrateFinishReq{mid: hdr.mid}.encode())
+	_, ok = send(opMigrateCommit, encode(migrateFinishReq{mid: hdr.mid}))
 	return ok
 }
 
@@ -137,13 +137,11 @@ func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []
 // set if that happened inside a migration.
 func (h *durableHarness) workload() bool {
 	put := func(key uint64, i int) bool {
-		req := putReq{file: FileRecords, addr: 0, key: key, value: recVal(i)}
-		_, ok := h.do(opPut, req.encode())
+		_, ok := h.do(opPut, encode(putReq{keyHeader{file: FileRecords, key: key}, recVal(i)}))
 		return ok
 	}
 	del := func(key uint64) bool {
-		req := keyReq{file: FileRecords, addr: 0, key: key}
-		_, ok := h.do(opDelete, req.encode())
+		_, ok := h.do(opDelete, encode(keyHeader{file: FileRecords, key: key}))
 		return ok
 	}
 	migrate := func(hdr migrateHeader) bool {
@@ -163,7 +161,7 @@ func (h *durableHarness) workload() bool {
 	}
 	// One mutation of a second file, which the migrations below leave
 	// alone: replay must keep the files apart.
-	if _, ok := h.do(opPut, putReq{file: FileWords, addr: 0, key: 1, value: recVal(0)}.encode()); !ok {
+	if _, ok := h.do(opPut, encode(putReq{keyHeader{file: FileWords, key: 1}, recVal(0)})); !ok {
 		return false
 	}
 	// bucket 0 (level 0→1) spills into bucket 1
@@ -233,7 +231,7 @@ func putAndRecoverAgain(t *testing.T, fs *wal.MemFS, node *Node) {
 	t.Helper()
 	const key = 1 << 40 // no workload touches it
 	ctx := context.Background()
-	if _, err := node.Handler()(ctx, opPut, putReq{file: FileRecords, key: key, value: []byte("post-crash")}.encode()); err != nil {
+	if _, err := node.Handler()(ctx, opPut, encode(putReq{keyHeader{file: FileRecords, key: key}, []byte("post-crash")})); err != nil {
 		t.Fatalf("put after recovery: %v", err)
 	}
 	node.store.(*wal.Store).Abort()
@@ -247,11 +245,11 @@ func putAndRecoverAgain(t *testing.T, fs *wal.MemFS, node *Node) {
 	if out, err := again.AttachStore(st); err != nil || out != wal.OutcomeRecovered {
 		t.Fatalf("second recovery = %v, %v", out, err)
 	}
-	raw, err := again.Handler()(ctx, opGet, keyReq{file: FileRecords, key: key}.encode())
+	raw, err := again.Handler()(ctx, opGet, encode(keyHeader{file: FileRecords, key: key}))
 	if err != nil {
 		t.Fatalf("get after second recovery: %v", err)
 	}
-	if v, err := decodeValueResp(raw); err != nil || string(v.value) != "post-crash" {
+	if v, err := decode[keyResp](raw); err != nil || string(v.value) != "post-crash" {
 		t.Fatalf("put acknowledged after the first recovery = %+v, %v after the second", v, err)
 	}
 }
@@ -367,7 +365,7 @@ func TestNodeBitFlipDetectedAndRepaired(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr)
 	}
-	rs, derr := decodeRecoveryStateResp(raw)
+	rs, derr := decode[recoveryStateResp](raw)
 	if derr != nil || rs.mode != recoveryCorrupt || rs.detail == "" {
 		t.Fatalf("recovery state after corruption = %+v, %v", rs, derr)
 	}
@@ -380,7 +378,7 @@ func TestNodeBitFlipDetectedAndRepaired(t *testing.T) {
 		t.Fatal("restored state diverges from reference")
 	}
 	raw, _ = node.Handler()(context.Background(), opRecoveryState, nil)
-	if rs, _ := decodeRecoveryStateResp(raw); rs.mode != recoveryRecovered {
+	if rs, _ := decode[recoveryStateResp](raw); rs.mode != recoveryRecovered {
 		t.Fatalf("recovery state after repair = %+v, want recovered", rs)
 	}
 

@@ -123,20 +123,19 @@ func TestPutBatchPartialFailureKeepsIndexInSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chunking J=0: site 0's stream gets an even key, site 1's an odd one.
-	var batch putBatchReq
-	batch.file = FileIndex
+	var entries []batchEntry
 	for k, stream := range recs[0].Streams {
 		key := ComposeIndexKey(1, recs[0].J, k, pl.K(), slotBits)
-		batch.entries = append(batch.entries, batchEntry{
+		entries = append(entries, batchEntry{
 			addr:  key % 2,
 			key:   key,
-			value: indexValue{firstIndex: uint32(recs[0].FirstIndex), pieces: stream}.encode(),
+			value: encode(indexValue{firstIndex: uint32(recs[0].FirstIndex), pieces: stream}),
 		})
 	}
-	if batch.entries[0].addr != 0 || batch.entries[1].addr != 1 {
-		t.Fatalf("test set-up: entries land on buckets %d, %d; want 0, 1", batch.entries[0].addr, batch.entries[1].addr)
+	if entries[0].addr != 0 || entries[1].addr != 1 {
+		t.Fatalf("test set-up: entries land on buckets %d, %d; want 0, 1", entries[0].addr, entries[1].addr)
 	}
-	_, err = n.Handler()(context.Background(), opPutBatch, batch.encode())
+	_, err = n.Handler()(context.Background(), opPutBatch, batchReq(FileIndex, entries...))
 	if err == nil || !strings.Contains(err.Error(), "frozen") {
 		t.Fatalf("batch into a frozen bucket = %v, want the freeze rejection", err)
 	}
@@ -183,29 +182,26 @@ func TestReadsNotBlockedByFlush(t *testing.T) {
 		return nil
 	})
 
-	batch := putBatchReq{file: FileRecords, entries: []batchEntry{
-		{key: 7, value: []byte("unacked")},
-		{key: 8, value: []byte("unacked")},
-	}}
+	batch := batchReq(FileRecords, batchEntry{key: 7, value: []byte("unacked")}, batchEntry{key: 8, value: []byte("unacked")})
 	putDone := make(chan error, 1)
 	go func() {
-		_, err := h(ctx, opPutBatch, batch.encode())
+		_, err := h(ctx, opPutBatch, batch)
 		putDone <- err
 	}()
 	<-entered // the batch is applied and its flush is on "disk"
 
 	reads := make(chan error, 1)
 	go func() {
-		if _, err := h(ctx, opSearch, searchReq{file: FileIndex, kSites: 2, slotBits: 2}.encode()); err != nil {
+		if _, err := h(ctx, opSearch, encode(searchReq{file: FileIndex, kSites: 2, slotBits: 2})); err != nil {
 			reads <- fmt.Errorf("search: %w", err)
 			return
 		}
-		raw, err := h(ctx, opGet, keyReq{file: FileRecords, key: 7}.encode())
+		raw, err := h(ctx, opGet, encode(keyHeader{file: FileRecords, key: 7}))
 		if err != nil {
 			reads <- fmt.Errorf("get: %w", err)
 			return
 		}
-		if v, err := decodeValueResp(raw); err != nil || !v.found || string(v.value) != "unacked" {
+		if v, err := decode[keyResp](raw); err != nil || !v.existed || string(v.value) != "unacked" {
 			reads <- fmt.Errorf("get during the flush = %+v, %v; want the applied value", v, err)
 			return
 		}
@@ -237,11 +233,11 @@ func TestPutBatchSharesOneFlush(t *testing.T) {
 	n := newDurableNode(t, fs)
 	var flushes int
 	fs.onSync(func() error { flushes++; return nil })
-	batch := putBatchReq{file: FileRecords}
+	var entries []batchEntry
 	for k := uint64(1); k <= 6; k++ {
-		batch.entries = append(batch.entries, batchEntry{key: k, value: []byte("v")})
+		entries = append(entries, batchEntry{key: k, value: []byte("v")})
 	}
-	if _, err := n.Handler()(context.Background(), opPutBatch, batch.encode()); err != nil {
+	if _, err := n.Handler()(context.Background(), opPutBatch, batchReq(FileRecords, entries...)); err != nil {
 		t.Fatal(err)
 	}
 	if flushes != 1 {
@@ -262,7 +258,7 @@ func TestNodeFailStopsOnFlushError(t *testing.T) {
 	h := n.Handler()
 	ctx := context.Background()
 	put := func(key uint64) error {
-		_, err := h(ctx, opPut, putReq{file: FileRecords, key: key, value: []byte("v")}.encode())
+		_, err := h(ctx, opPut, encode(putReq{keyHeader{file: FileRecords, key: key}, []byte("v")}))
 		return err
 	}
 	if err := put(1); err != nil {
@@ -277,14 +273,14 @@ func TestNodeFailStopsOnFlushError(t *testing.T) {
 	if err := put(3); !errors.Is(err, boom) {
 		t.Fatalf("put after a failed flush = %v, want the store's first error", err)
 	}
-	if _, err := h(ctx, opDelete, keyReq{file: FileRecords, key: 1}.encode()); !errors.Is(err, boom) {
+	if _, err := h(ctx, opDelete, encode(keyHeader{file: FileRecords, key: 1})); !errors.Is(err, boom) {
 		t.Fatalf("delete after a failed flush = %v, want the store's first error", err)
 	}
-	raw, err := h(ctx, opGet, keyReq{file: FileRecords, key: 1}.encode())
+	raw, err := h(ctx, opGet, encode(keyHeader{file: FileRecords, key: 1}))
 	if err != nil {
 		t.Fatalf("get on a fail-stopped node: %v", err)
 	}
-	if v, err := decodeValueResp(raw); err != nil || !v.found {
+	if v, err := decode[keyResp](raw); err != nil || !v.existed {
 		t.Fatalf("get on a fail-stopped node = %+v, %v; want the acknowledged record", v, err)
 	}
 }
@@ -300,15 +296,15 @@ type scriptOp struct {
 func (o scriptOp) encode() []byte {
 	switch o.op {
 	case opPut:
-		return putReq{file: FileRecords, key: o.keys[0], value: o.val}.encode()
+		return encode(putReq{keyHeader{file: FileRecords, key: o.keys[0]}, o.val})
 	case opDelete:
-		return keyReq{file: FileRecords, key: o.keys[0]}.encode()
+		return encode(keyHeader{file: FileRecords, key: o.keys[0]})
 	default:
-		b := putBatchReq{file: FileRecords}
+		var entries []batchEntry
 		for _, k := range o.keys {
-			b.entries = append(b.entries, batchEntry{key: k, value: o.val})
+			entries = append(entries, batchEntry{key: k, value: o.val})
 		}
-		return b.encode()
+		return batchReq(FileRecords, entries...)
 	}
 }
 
@@ -423,11 +419,11 @@ func TestNodeCrashMatrixConcurrent(t *testing.T) {
 				for w := 0; w < writers; w++ {
 					for _, op := range writerScript(w) {
 						for _, k := range op.keys {
-							raw, err := node.Handler()(ctx, opGet, keyReq{file: FileRecords, key: k}.encode())
+							raw, err := node.Handler()(ctx, opGet, encode(keyHeader{file: FileRecords, key: k}))
 							if err != nil {
 								t.Fatalf("get %d: %v", k, err)
 							}
-							got, err := decodeValueResp(raw)
+							got, err := decode[keyResp](raw)
 							if err != nil {
 								t.Fatal(err)
 							}

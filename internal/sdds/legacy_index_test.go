@@ -27,7 +27,7 @@ func newLegacyMapIndex() *legacyMapIndex {
 
 func (x *legacyMapIndex) put(key uint64, value []byte) {
 	x.remove(key)
-	iv, err := decodeIndexValue(value)
+	iv, err := decode[indexValue](value)
 	if err != nil {
 		return
 	}

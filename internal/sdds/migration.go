@@ -169,7 +169,7 @@ func (n *Node) migBatchLocked(f *nodeFile, rec *migRecord) (recordBatch, error) 
 }
 
 func (n *Node) handleMigratePrepare(payload []byte) ([]byte, error) {
-	m, err := decodeMigratePrepareReq(payload)
+	m, err := decode[migrateHeader](payload)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func (n *Node) handleMigratePrepare(payload []byte) ([]byte, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if outcome, ok := n.migDone[m.mid]; ok {
-		return migratePrepareResp{status: migStatusOf(outcome)}.encode(), nil
+		return encode(migratePrepareResp{status: migStatusOf(outcome)}), nil
 	}
 	if rec, ok := n.outgoing[m.mid]; ok {
 		// Idempotent re-prepare: the frozen bucket makes rebuilding the
@@ -186,9 +186,9 @@ func (n *Node) handleMigratePrepare(payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return migratePrepareResp{status: migrateStatusOK, batch: batch}.encode(), nil
+		return encode(migratePrepareResp{status: migrateStatusOK, batch: batch}), nil
 	}
-	if _, err := n.prepareMovedKeysLocked(f, m.migrateHeader); err != nil {
+	if _, err := n.prepareMovedKeysLocked(f, m); err != nil {
 		return nil, err
 	}
 	if err := n.journalLocked(opMigratePrepare, payload); err != nil {
@@ -201,25 +201,25 @@ func (n *Node) handleMigratePrepare(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return migratePrepareResp{status: migrateStatusOK, batch: batch}.encode(), n.maybeCheckpointLocked()
+	return encode(migratePrepareResp{status: migrateStatusOK, batch: batch}), n.maybeCheckpointLocked()
 }
 
 // applyMigratePrepareLocked records the outgoing set and freezes the
 // source bucket — shared by the live handler (post-journal) and WAL
 // replay. Callers must hold the write lock.
-func (n *Node) applyMigratePrepareLocked(m migratePrepareReq) error {
+func (n *Node) applyMigratePrepareLocked(m migrateHeader) error {
 	f := n.fileLocked(m.file)
-	keys, err := n.prepareMovedKeysLocked(f, m.migrateHeader)
+	keys, err := n.prepareMovedKeysLocked(f, m)
 	if err != nil {
 		return err
 	}
-	n.outgoing[m.mid] = &migRecord{migrateHeader: m.migrateHeader, keys: keys}
+	n.outgoing[m.mid] = &migRecord{migrateHeader: m, keys: keys}
 	f.migLock(m.from, m.mid)
 	return nil
 }
 
 func (n *Node) handleMigrateAbsorb(payload []byte) ([]byte, error) {
-	m, err := decodeMigrateAbsorbReq(payload)
+	m, err := decode[migrateAbsorbReq](payload)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +317,7 @@ func (n *Node) applyMigrateAbsorbLocked(m migrateAbsorbReq) error {
 }
 
 func (n *Node) handleMigrateCommit(payload []byte) ([]byte, error) {
-	m, err := decodeMigrateFinishReq(payload)
+	m, err := decode[migrateFinishReq](payload)
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +403,7 @@ func (n *Node) applyMigrateCommitLocked(m migrateFinishReq) error {
 }
 
 func (n *Node) handleMigrateAbort(payload []byte) ([]byte, error) {
-	m, err := decodeMigrateFinishReq(payload)
+	m, err := decode[migrateFinishReq](payload)
 	if err != nil {
 		return nil, err
 	}

@@ -637,7 +637,7 @@ func TestMigrateHeaderMismatchRejected(t *testing.T) {
 		{mid: 99, kind: migrateMerge, file: FileRecords, from: 0, to: 1, level: 0},   // level-0 merge
 	}
 	for i, hdr := range bad {
-		if _, err := h.hook.Send(ctx, 0, opMigratePrepare, migratePrepareReq{hdr}.encode()); err == nil {
+		if _, err := h.hook.Send(ctx, 0, opMigratePrepare, encode(hdr)); err == nil {
 			t.Fatalf("case %d: node accepted mismatched header %+v", i, hdr)
 		}
 	}

@@ -354,57 +354,49 @@ func (n *Node) applyLoggedLocked(op uint8, payload []byte) error {
 	}
 	switch op {
 	case opPut:
-		m, err := decodePutReq(payload)
-		if err != nil {
-			return err
-		}
-		f, b, err := replayBucket(m.file, m.addr)
-		if err != nil {
-			return err
-		}
-		b.Put(m.key, m.value)
-		f.indexPut(m.key, m.value)
-		return nil
+		return replayAs(payload, func(m putReq) error {
+			f, b, err := replayBucket(m.file, m.addr)
+			if err != nil {
+				return err
+			}
+			b.Put(m.key, m.value)
+			f.indexPut(m.key, m.value)
+			return nil
+		})
 	case opDelete:
-		m, err := decodeKeyReq(payload)
-		if err != nil {
-			return err
-		}
-		f, b, err := replayBucket(m.file, m.addr)
-		if err != nil {
-			return err
-		}
-		if b.Delete(m.key) {
-			f.indexDelete(m.key)
-		}
-		return nil
+		return replayAs(payload, func(m keyHeader) error {
+			f, b, err := replayBucket(m.file, m.addr)
+			if err != nil {
+				return err
+			}
+			if b.Delete(m.key) {
+				f.indexDelete(m.key)
+			}
+			return nil
+		})
 	case opMigratePrepare:
-		m, err := decodeMigratePrepareReq(payload)
-		if err != nil {
-			return err
-		}
-		return n.applyMigratePrepareLocked(m)
+		return replayAs(payload, n.applyMigratePrepareLocked)
 	case opMigrateAbsorb:
-		m, err := decodeMigrateAbsorbReq(payload)
-		if err != nil {
-			return err
-		}
-		return n.applyMigrateAbsorbLocked(m)
+		return replayAs(payload, n.applyMigrateAbsorbLocked)
 	case opMigrateCommit:
-		m, err := decodeMigrateFinishReq(payload)
-		if err != nil {
-			return err
-		}
-		return n.applyMigrateCommitLocked(m)
+		return replayAs(payload, n.applyMigrateCommitLocked)
 	case opMigrateAbort:
-		m, err := decodeMigrateFinishReq(payload)
-		if err != nil {
-			return err
-		}
-		return n.applyMigrateAbortLocked(m)
+		return replayAs(payload, n.applyMigrateAbortLocked)
 	default:
 		return fmt.Errorf("sdds: replay: op %d is not a journaled mutation", op)
 	}
+}
+
+// replayAs decodes a journaled payload as a T and applies it.
+func replayAs[T any, P interface {
+	*T
+	decodeFrom(*reader)
+}](payload []byte, apply func(T) error) error {
+	m, err := decode[T, P](payload)
+	if err != nil {
+		return err
+	}
+	return apply(m)
 }
 
 // Handler returns the transport handler serving this node. When the
@@ -506,25 +498,28 @@ const maxHops = 3
 // forwardDeadline bounds server-to-server forwards.
 const forwardDeadline = 10 * time.Second
 
-// withOwnedBucket runs the LH* server-side address computation and, if
-// the key belongs to the addressed local bucket, executes fn on it while
-// still holding the node lock — so the ownership check and the operation
-// are atomic with respect to concurrent splits. fn reports the journal
-// sequence number it appended (0 for none); the response is released
-// only once the journal is flushed that far, AFTER the node lock is
-// dropped. If the key belongs elsewhere, the (re-encoded) request is
+// withOwnedBucket runs the LH* server-side address computation for a
+// single-key request (payload, headed by h) and, if the key belongs to
+// the addressed local bucket, executes fn on it while still holding the
+// node lock — so the ownership check and the operation are atomic with
+// respect to concurrent splits — and answers with the bucket's IAM. fn
+// reports the journal sequence number it appended (0 for none); the
+// response is released only once the journal is flushed that far, AFTER
+// the node lock is dropped. Otherwise the readdressed request is
 // forwarded to the owning peer and its response relayed.
-func (n *Node) withOwnedBucket(ctx context.Context, file FileID, addr uint64, hops uint8, key uint64, op uint8, reencode func(nextAddr uint64) []byte, fn func(f *nodeFile, b *lhstar.Bucket) (resp []byte, seq uint64, err error)) ([]byte, error) {
-	f := n.getFile(file)
+func (n *Node) withOwnedBucket(ctx context.Context, op uint8, payload []byte, h keyHeader, fn func(f *nodeFile, b *lhstar.Bucket) (keyResp, uint64, error)) ([]byte, error) {
+	f := n.getFile(h.file)
 	n.mu.Lock()
-	b, ok := f.buckets[addr]
+	b, ok := f.buckets[h.addr]
 	if !ok {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, addr, file)
+		return nil, fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, h.addr, h.file)
 	}
-	next, fwd := lhstar.ServerAddress(b.Addr(), b.Level(), key)
+	next, fwd := lhstar.ServerAddress(b.Addr(), b.Level(), h.key)
 	if !fwd {
 		resp, seq, err := fn(f, b)
+		resp.iamAddr, resp.iamLevel = b.Addr(), uint8(b.Level())
+		out := encode(resp)
 		store := n.store
 		n.mu.Unlock()
 		if err != nil {
@@ -533,11 +528,11 @@ func (n *Node) withOwnedBucket(ctx context.Context, file FileID, addr uint64, ho
 		if err := n.syncJournal(store, seq); err != nil {
 			return nil, err
 		}
-		return resp, nil
+		return out, nil
 	}
 	n.mu.Unlock()
-	if hops+1 >= maxHops {
-		return nil, fmt.Errorf("sdds: forwarding chain exceeded %d hops for key %d", maxHops, key)
+	if h.hops+1 >= maxHops {
+		return nil, fmt.Errorf("sdds: forwarding chain exceeded %d hops for key %d", maxHops, h.key)
 	}
 	if n.peers == nil {
 		return nil, fmt.Errorf("sdds: forward needed but node %d has no peer transport", n.id)
@@ -548,22 +543,17 @@ func (n *Node) withOwnedBucket(ctx context.Context, file FileID, addr uint64, ho
 	// inherits the tighter of the two budgets.
 	ctx, cancel := context.WithTimeout(ctx, forwardDeadline)
 	defer cancel()
-	return n.peers.Send(ctx, n.place.NodeOf(next), op, reencode(next))
+	return n.peers.Send(ctx, n.place.NodeOf(next), op, h.readdress(payload, next, h.hops+1))
 }
 
 func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
-	m, err := decodePutReq(payload)
+	m, err := decode[putReq](payload)
 	if err != nil {
 		return nil, err
 	}
-	return n.withOwnedBucket(ctx, m.file, m.addr, m.hops, m.key, opPut, func(next uint64) []byte {
-		fwd := m
-		fwd.addr = next
-		fwd.hops++
-		return fwd.encode()
-	}, func(f *nodeFile, b *lhstar.Bucket) ([]byte, uint64, error) {
+	return n.withOwnedBucket(ctx, opPut, payload, m.keyHeader, func(f *nodeFile, b *lhstar.Bucket) (keyResp, uint64, error) {
 		if err := f.migBlocked(m.file, b.Addr()); err != nil {
-			return nil, 0, err
+			return keyResp{}, 0, err
 		}
 		// Journal with the resolved local address so replay applies
 		// directly, without re-running the forwarding computation. The
@@ -577,22 +567,13 @@ func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
 		// insert. With one frame per request there is no flush to save
 		// here, only the lock hold; see DESIGN.md §10.
 		if n.store != nil {
-			logged := m
-			logged.addr = b.Addr()
-			logged.hops = 0
-			if err := n.journalLocked(opPut, logged.encode()); err != nil {
-				return nil, 0, err
+			if err := n.journalLocked(opPut, m.readdress(payload, b.Addr(), 0)); err != nil {
+				return keyResp{}, 0, err
 			}
 		}
-		isNew := b.Put(m.key, m.value)
+		existed := !b.Put(m.key, m.value)
 		f.indexPut(m.key, m.value)
-		resp := putResp{
-			isNew:     isNew,
-			iamAddr:   b.Addr(),
-			iamLevel:  uint8(b.Level()),
-			bucketLen: uint32(b.Len()),
-		}.encode()
-		return resp, 0, n.maybeCheckpointLocked()
+		return keyResp{existed: existed}, 0, n.maybeCheckpointLocked()
 	})
 }
 
@@ -601,7 +582,7 @@ func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
 // under a single lock acquisition; entries whose bucket has split away
 // are forwarded individually as plain puts (the forward carries the
 // server-computed address, so the LH* hop bound still holds). The
-// response carries one putResp per entry in request order, so the
+// response carries one keyResp per entry in request order, so the
 // client receives every IAM it would have gotten from sequential puts.
 func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, error) {
 	it, err := newBatchReqIter(payload)
@@ -609,7 +590,7 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 		return nil, err
 	}
 	f := n.getFile(it.file)
-	resps := make([]batchPutResp, it.n)
+	resps := make([]keyResp, it.n)
 	type fwd struct {
 		i    int
 		addr uint64
@@ -659,8 +640,8 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 		// node that ends up applying them. The frames only queue here.
 		// Ephemeral nodes skip the journal encode entirely.
 		if n.store != nil {
-			logged := putReq{file: it.file, addr: b.Addr(), key: e.key, value: e.value}
-			if seq, err = n.appendLocked(opPut, logged.encode()); err != nil {
+			logged := putReq{keyHeader{file: it.file, addr: b.Addr(), key: e.key}, e.value}
+			if seq, err = n.appendLocked(opPut, encode(logged)); err != nil {
 				break
 			}
 		}
@@ -670,15 +651,10 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 		start := len(vals)
 		vals = append(vals, e.value...)
 		v := vals[start:len(vals):len(vals)]
-		isNew := b.Put(e.key, v)
+		existed := !b.Put(e.key, v)
 		applied = append(applied, kv{key: e.key, value: v})
 		// moved stays false: the bucket was found at the client's address.
-		resps[i] = batchPutResp{
-			isNew:     isNew,
-			iamAddr:   b.Addr(),
-			iamLevel:  uint8(b.Level()),
-			bucketLen: uint32(b.Len()),
-		}
+		resps[i] = keyResp{existed: existed, iamAddr: b.Addr(), iamLevel: uint8(b.Level())}
 	}
 	f.indexPutBatch(applied)
 	if err == nil {
@@ -700,81 +676,53 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 	}
 	for _, fw := range fwds {
 		n.met.forwards.Inc()
-		req := putReq{file: it.file, addr: fw.addr, hops: 1, key: fw.e.key, value: fw.e.value}
+		req := putReq{keyHeader{file: it.file, addr: fw.addr, hops: 1, key: fw.e.key}, fw.e.value}
 		fctx, cancel := context.WithTimeout(ctx, forwardDeadline)
-		raw, err := n.peers.Send(fctx, n.place.NodeOf(fw.addr), opPut, req.encode())
+		raw, err := n.peers.Send(fctx, n.place.NodeOf(fw.addr), opPut, encode(req))
 		cancel()
 		if err != nil {
 			return nil, err
 		}
-		pr, err := decodePutResp(raw)
+		pr, err := decode[keyResp](raw)
 		if err != nil {
 			return nil, err
 		}
-		resps[fw.i] = batchPutResp{
-			isNew:     pr.isNew,
-			moved:     pr.iamAddr != fw.e.addr,
-			iamAddr:   pr.iamAddr,
-			iamLevel:  pr.iamLevel,
-			bucketLen: pr.bucketLen,
-		}
+		pr.moved = pr.iamAddr != fw.e.addr
+		resps[fw.i] = pr
 	}
-	return putBatchResp{resps: resps}.encode(), nil
+	return encode(putBatchResp{resps: resps}), nil
 }
 
 func (n *Node) handleGet(ctx context.Context, payload []byte) ([]byte, error) {
-	m, err := decodeKeyReq(payload)
+	h, err := decode[keyHeader](payload)
 	if err != nil {
 		return nil, err
 	}
-	return n.withOwnedBucket(ctx, m.file, m.addr, m.hops, m.key, opGet, func(next uint64) []byte {
-		fwd := m
-		fwd.addr = next
-		fwd.hops++
-		return fwd.encode()
-	}, func(_ *nodeFile, b *lhstar.Bucket) ([]byte, uint64, error) {
-		v, ok := b.Get(m.key)
-		return valueResp{
-			found:    ok,
-			iamAddr:  b.Addr(),
-			iamLevel: uint8(b.Level()),
-			value:    v,
-		}.encode(), 0, nil
+	return n.withOwnedBucket(ctx, opGet, payload, h, func(_ *nodeFile, b *lhstar.Bucket) (keyResp, uint64, error) {
+		v, ok := b.Get(h.key)
+		return keyResp{existed: ok, value: v}, 0, nil
 	})
 }
 
 func (n *Node) handleDelete(ctx context.Context, payload []byte) ([]byte, error) {
-	m, err := decodeKeyReq(payload)
+	h, err := decode[keyHeader](payload)
 	if err != nil {
 		return nil, err
 	}
-	return n.withOwnedBucket(ctx, m.file, m.addr, m.hops, m.key, opDelete, func(next uint64) []byte {
-		fwd := m
-		fwd.addr = next
-		fwd.hops++
-		return fwd.encode()
-	}, func(f *nodeFile, b *lhstar.Bucket) (_ []byte, seq uint64, err error) {
-		if err := f.migBlocked(m.file, b.Addr()); err != nil {
-			return nil, 0, err
+	return n.withOwnedBucket(ctx, opDelete, payload, h, func(f *nodeFile, b *lhstar.Bucket) (_ keyResp, seq uint64, err error) {
+		if err := f.migBlocked(h.file, b.Addr()); err != nil {
+			return keyResp{}, 0, err
 		}
 		if n.store != nil {
-			logged := m
-			logged.addr = b.Addr()
-			logged.hops = 0
-			if seq, err = n.appendLocked(opDelete, logged.encode()); err != nil {
-				return nil, 0, err
+			if seq, err = n.appendLocked(opDelete, h.readdress(payload, b.Addr(), 0)); err != nil {
+				return keyResp{}, 0, err
 			}
 		}
-		ok := b.Delete(m.key)
+		ok := b.Delete(h.key)
 		if ok {
-			f.indexDelete(m.key)
+			f.indexDelete(h.key)
 		}
-		resp := valueResp{
-			found:    ok,
-			iamAddr:  b.Addr(),
-			iamLevel: uint8(b.Level()),
-		}.encode()
-		return resp, seq, n.maybeCheckpointLocked()
+		return keyResp{existed: ok}, seq, n.maybeCheckpointLocked()
 	})
 }
 
@@ -785,7 +733,7 @@ func (n *Node) handleDelete(ctx context.Context, payload []byte) ([]byte, error)
 // it, it falls back to the reference linear scan over every bucket →
 // entry → series. Both paths report the identical raw hit set.
 func (n *Node) handleSearch(payload []byte) ([]byte, error) {
-	m, err := decodeSearchReq(payload)
+	m, err := decode[searchReq](payload)
 	if err != nil {
 		return nil, err
 	}
@@ -802,7 +750,7 @@ func (n *Node) handleSearch(payload []byte) ([]byte, error) {
 		n.searchLinear(f, &m, &resp)
 	}
 	n.met.searchHits.Add(uint64(len(resp.hits)))
-	return resp.encode(), nil
+	return encode(resp), nil
 }
 
 // searchPosting probes the posting index: for each (series, site)
@@ -936,12 +884,9 @@ func searchNodeImage(raw []byte, m *searchReq) (searchResp, error) {
 // blob contains the query token. Pure equality on opaque tokens — no
 // key material involved.
 func (n *Node) handleWordSearch(payload []byte) ([]byte, error) {
-	m, err := decodeWordSearchReq(payload)
+	m, err := decode[wordSearchReq](payload)
 	if err != nil {
 		return nil, err
-	}
-	if len(m.token) != wordindex.TokenSize {
-		return nil, fmt.Errorf("sdds: word token length %d, want %d", len(m.token), wordindex.TokenSize)
 	}
 	var token wordindex.Token
 	copy(token[:], m.token)
@@ -958,7 +903,7 @@ func (n *Node) handleWordSearch(payload []byte) ([]byte, error) {
 			return true
 		})
 	}
-	return resp.encode(), nil
+	return encode(resp), nil
 }
 
 // handleNodeSnapshot serializes this node's entire bucket inventory
@@ -998,7 +943,7 @@ func (n *Node) snapshotLocked() []byte {
 		img.files = append(img.files, fi)
 	}
 	img.migs = n.migImageLocked()
-	return img.encode()
+	return encode(img)
 }
 
 // handleNodeRestore replaces this node's entire bucket inventory with a
@@ -1090,7 +1035,7 @@ func (n *Node) handleRecoveryState(payload []byte) ([]byte, error) {
 			resp.detail = n.storeDetail
 		}
 	}
-	return resp.encode(), nil
+	return encode(resp), nil
 }
 
 func (n *Node) handleStats(payload []byte) ([]byte, error) {
@@ -1108,5 +1053,5 @@ func (n *Node) handleStats(payload []byte) ([]byte, error) {
 			size:  uint32(b.Len()),
 		})
 	}
-	return resp.encode(), nil
+	return encode(resp), nil
 }

@@ -169,7 +169,7 @@ func (x *flatIndex) put(key uint64, value []byte) {
 		x.tombstoneEntry(key, old)
 		delete(x.entries, key)
 	}
-	iv, err := decodeIndexValue(value)
+	iv, err := decode[indexValue](value)
 	if err != nil {
 		return // foreign value: stays out of the index
 	}

@@ -21,7 +21,7 @@ func insertIndexedSequential(ctx context.Context, c *Cluster, id FileID, recs []
 	for _, rec := range recs {
 		for k, stream := range rec.Streams {
 			key := ComposeIndexKey(rec.RID, rec.J, k, kSites, slotBits)
-			val := indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream}.encode()
+			val := encode(indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream})
 			if err := c.Put(ctx, id, key, val); err != nil {
 				return err
 			}

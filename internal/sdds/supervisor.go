@@ -442,7 +442,7 @@ func (s *Supervisor) recoveryState(ctx context.Context, node transport.NodeID) (
 	if err != nil {
 		return recoveryStateResp{}, err
 	}
-	return decodeRecoveryStateResp(raw)
+	return decode[recoveryStateResp](raw)
 }
 
 // finishRepair closes out repaired nodes: journal, drop them from the

@@ -647,7 +647,7 @@ func (c *muxConn) fail(err error) {
 }
 
 // newReaderBuf sizes the demux read buffer for the typical response mix
-// (small putResp/searchResp frames with the occasional large batch or
+// (small single-key and search frames with the occasional large batch or
 // image frame, which bufio reads through without growing).
 func newReaderBuf(nc net.Conn) *bufio.Reader {
 	return bufio.NewReaderSize(nc, 64<<10)
