@@ -186,6 +186,10 @@ type Store struct {
 // without training data.
 var ErrNeedTrainingCorpus = errors.New("esdds: Stage-2 encoding requires a training corpus")
 
+// ErrTooFewNodes reports more dispersion sites than nodes, which would
+// keep two of a chunk's K pieces on one node.
+var ErrTooFewNodes = errors.New("esdds: DispersionSites exceeds the cluster's node count")
+
 // ErrNotFound reports a missing record.
 var ErrNotFound = errors.New("esdds: record not found")
 
@@ -246,6 +250,9 @@ func openInternal(cluster *Cluster, key Key, cfg Config, cb *encode.Codebook) (*
 	if err != nil {
 		return nil, err
 	}
+	if nodes := len(cluster.inner.Placement().Nodes()); cfg.DispersionSites > nodes {
+		return nil, fmt.Errorf("%w: %d sites on %d nodes", ErrTooFewNodes, cfg.DispersionSites, nodes)
+	}
 	if cfg.MaxBucketLoad > 0 {
 		cluster.inner.SetMaxLoad(sdds.FileRecords, cfg.MaxBucketLoad)
 		cluster.inner.SetMaxLoad(sdds.FileIndex, cfg.MaxBucketLoad)
@@ -280,21 +287,20 @@ func ridAD(rid uint64) []byte {
 	return b[:]
 }
 
-// Insert stores a record: the content sealed at the record-store file
-// and M×K index pieces at the index file.
+// Insert stores the sealed content, its M×K index pieces and, with
+// WordSearch, its word blob in one round, one message per storage node.
+// A failed Insert may have applied any part; repeating it completes it.
 func (s *Store) Insert(ctx context.Context, rid uint64, content []byte) error {
 	sealed := s.records.Seal(ridAD(rid), content)
-	if err := s.cluster.Put(ctx, sdds.FileRecords, rid, sealed); err != nil {
-		return err
-	}
 	recs, err := s.pipeline.BuildIndex(rid, content)
 	if err != nil {
 		return err
 	}
-	if err := s.cluster.InsertIndexed(ctx, sdds.FileIndex, recs, s.pipeline.K(), s.slotBits); err != nil {
-		return err
+	var words []byte
+	if s.words != nil {
+		words = wordindex.Blob(s.words.Tokens(content))
 	}
-	return s.insertWords(ctx, rid, content)
+	return s.cluster.InsertRecord(ctx, rid, sealed, recs, s.pipeline.K(), s.slotBits, words)
 }
 
 // Get fetches and decrypts a record.
@@ -309,19 +315,15 @@ func (s *Store) Get(ctx context.Context, rid uint64) ([]byte, error) {
 	return s.records.Open(ridAD(rid), sealed)
 }
 
-// Delete removes a record and all its index pieces.
+// Delete removes a record, its index pieces and word blob in one round,
+// the latter two even when the record is missing (ErrNotFound), which
+// clears what a failed Insert left. Repeating a failed Delete completes it.
 func (s *Store) Delete(ctx context.Context, rid uint64) error {
-	found, err := s.cluster.Delete(ctx, sdds.FileRecords, rid)
-	if err != nil {
-		return err
-	}
-	if !found {
+	found, err := s.cluster.DeleteRecord(ctx, rid, s.pipeline.Chunkings(), s.pipeline.K(), s.slotBits, s.words != nil)
+	if err == nil && !found {
 		return ErrNotFound
 	}
-	if err := s.cluster.DeleteIndexed(ctx, sdds.FileIndex, rid, s.pipeline.Chunkings(), s.pipeline.K(), s.slotBits); err != nil {
-		return err
-	}
-	return s.deleteWords(ctx, rid)
+	return err
 }
 
 // Search returns the RIDs of records whose content (appears to) contain
@@ -349,15 +351,24 @@ type Record struct {
 
 // SearchRecords runs Search and fetches + decrypts every hit — the full
 // client flow of the paper's Figure 3 (index sites report RIDs, the
-// client pulls the sealed records from the record store site).
+// client pulls the sealed records from the record store site). A hit
+// whose record is missing (a failed Insert's orphan) is skipped.
 func (s *Store) SearchRecords(ctx context.Context, substring []byte, mode SearchMode) ([]Record, error) {
 	rids, err := s.Search(ctx, substring, mode)
 	if err != nil {
 		return nil, err
 	}
+	return s.fetchHits(ctx, rids)
+}
+
+// fetchHits fetches and decrypts every hit, skipping missing records.
+func (s *Store) fetchHits(ctx context.Context, rids []uint64) ([]Record, error) {
 	out := make([]Record, 0, len(rids))
 	for _, rid := range rids {
 		content, err := s.Get(ctx, rid)
+		if errors.Is(err, ErrNotFound) {
+			continue
+		}
 		if err != nil {
 			return nil, fmt.Errorf("esdds: fetching hit %d: %w", rid, err)
 		}

@@ -191,11 +191,10 @@ func TestBatchErrorUnwrap(t *testing.T) {
 	cluster.Faults().Blackout(2)
 	var batchErr *sdds.BatchError
 	for i := 20; i < 60 && batchErr == nil; i++ {
+		// An insert is one write round: any failure is a BatchError.
 		err := store.Insert(ctx, uint64(i), []byte(fmt.Sprintf("BLACKOUT RECORD %04d", i)))
 		if err != nil && !errors.As(err, &batchErr) {
-			// The record put itself can land on the dead node; only batch
-			// index failures carry BatchError.
-			continue
+			t.Fatalf("insert %d failed without a BatchError: %v", i, err)
 		}
 	}
 	if batchErr == nil {

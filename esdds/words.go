@@ -3,10 +3,8 @@ package esdds
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/sdds"
-	"repro/internal/wordindex"
 )
 
 // Word search — the [SWP00] adaptation the paper's conclusion proposes.
@@ -37,15 +35,7 @@ func (s *Store) SearchWordRecords(ctx context.Context, word []byte) ([]Record, e
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, len(rids))
-	for _, rid := range rids {
-		content, err := s.Get(ctx, rid)
-		if err != nil {
-			return nil, fmt.Errorf("esdds: fetching hit %d: %w", rid, err)
-		}
-		out = append(out, Record{RID: rid, Content: content})
-	}
-	return out, nil
+	return s.fetchHits(ctx, rids)
 }
 
 // normalizeWord upper-cases ASCII letters so queries match the default
@@ -59,22 +49,4 @@ func normalizeWord(w []byte) []byte {
 		out[i] = c
 	}
 	return out
-}
-
-// insertWords stores the record's word blob (replacing any previous
-// one); deleteWords removes it.
-func (s *Store) insertWords(ctx context.Context, rid uint64, content []byte) error {
-	if s.words == nil {
-		return nil
-	}
-	blob := wordindex.Blob(s.words.Tokens(content))
-	return s.cluster.Put(ctx, sdds.FileWords, rid, blob)
-}
-
-func (s *Store) deleteWords(ctx context.Context, rid uint64) error {
-	if s.words == nil {
-		return nil
-	}
-	_, err := s.cluster.Delete(ctx, sdds.FileWords, rid)
-	return err
 }

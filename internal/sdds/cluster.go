@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -249,14 +250,9 @@ func (c *Cluster) Put(ctx context.Context, id FileID, key uint64, value []byte) 
 	if !resp.existed {
 		f.size++
 	}
-	needSplit := f.size > int(f.state.Buckets())*f.maxLoad
 	c.mu.Unlock()
 	c.opsMu.RUnlock()
-
-	if needSplit {
-		return c.split(ctx, id)
-	}
-	return nil
+	return c.settle(ctx, writeFile{id: id, f: f})
 }
 
 // Get retrieves a value by key.
@@ -280,21 +276,13 @@ func (c *Cluster) Delete(ctx context.Context, id FileID, key uint64) (bool, erro
 		c.opsMu.RUnlock()
 		return false, err
 	}
-	needMerge := false
 	if resp.existed {
 		c.mu.Lock()
 		f.size--
-		needMerge = f.minLoad > 0 && f.state.Buckets() > 1 &&
-			f.size < int(f.state.Buckets()-1)*f.minLoad
 		c.mu.Unlock()
 	}
 	c.opsMu.RUnlock()
-	if needMerge {
-		if err := c.merge(ctx, id); err != nil {
-			return true, err
-		}
-	}
-	return resp.existed, nil
+	return resp.existed, c.settle(ctx, writeFile{id: id, del: true, f: f})
 }
 
 // merge performs one coordinator-driven file shrink: close the last
@@ -612,132 +600,214 @@ func (e *BatchError) Unwrap() []error {
 	return out
 }
 
-// InsertIndexed stores the index records of one record: every (chunking,
-// site) piece stream becomes one SDDS record under the §5 composite key.
-// The m·k piece records are coalesced by destination node into one
-// opPutBatch message each and sent concurrently, so one record costs at
-// most one RPC per destination node instead of m·k sequential puts. On
-// partial failure the successful nodes' entries remain applied and a
-// *BatchError names the failed nodes.
-func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.IndexRecord, kSites int, slotBits uint) error {
-	// Each destination's put_batch request is encoded directly into a
-	// pooled writer as entries are routed — no intermediate batchEntry
-	// slices or per-entry indexValue buffers.
-	type nodeBatch struct {
-		node transport.NodeID
-		bw   batchWriter
+// writeFile is one file's puts, or deletes, in a write round.
+type writeFile struct {
+	id      FileID
+	del     bool
+	f       *fileState
+	existed int // deletes that found their key
+}
+
+// nodeBatch is the put_batch a write round sends to one node; its groups
+// are tagged with their file's index in the round's files.
+type nodeBatch struct {
+	node transport.NodeID
+	bw   batchWriter
+}
+
+// writeRound routes a write's entries, each from its file's client
+// image, into one put_batch per destination node. It runs under c.mu.
+type writeRound struct {
+	c     *Cluster
+	files []writeFile
+	nodes []nodeBatch
+}
+
+// add routes key of files[fi] and returns the writer a put's value is
+// encoded into.
+func (r *writeRound) add(fi int, key uint64) *writer {
+	w := &r.files[fi]
+	addr := w.f.image.Address(key)
+	node := r.c.place.NodeOf(addr)
+	// A write lands on at most a handful of nodes: a linear scan of a
+	// value slice beats a map's hash and allocation on this hot path.
+	bi := slices.IndexFunc(r.nodes, func(b nodeBatch) bool { return b.node == node })
+	if bi < 0 {
+		r.nodes = append(r.nodes, nodeBatch{node: node, bw: batchWriter{w: getWriter()}})
+		bi = len(r.nodes) - 1
 	}
-	c.opsMu.RLock()
-	c.mu.Lock()
-	f := c.file(id)
-	// Destinations are tracked in one value slice with linear lookup: a
-	// record's pieces land on at most a handful of nodes, and on this hot
-	// path a few integer compares beat a map's hash and allocation.
-	var batches []nodeBatch
+	return r.nodes[bi].bw.entry(fi, w.id, w.del, addr, key)
+}
+
+// putIndex routes one record's index records into files[fi]: every
+// (chunking, site) piece stream under its §5 composite key.
+func (r *writeRound) putIndex(fi int, recs []core.IndexRecord, kSites int, slotBits uint) {
 	for _, rec := range recs {
 		for k, stream := range rec.Streams {
 			key := ComposeIndexKey(rec.RID, rec.J, k, kSites, slotBits)
-			addr := f.image.Address(key)
-			node := c.place.NodeOf(addr)
-			bi := -1
-			for i := range batches {
-				if batches[i].node == node {
-					bi = i
-					break
-				}
-			}
-			if bi < 0 {
-				batches = append(batches, nodeBatch{node: node, bw: newBatchWriter(getWriter(), id)})
-				bi = len(batches) - 1
-			}
-			indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream}.encodeTo(batches[bi].bw.entry(addr, key))
+			indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream}.encodeTo(r.add(fi, key))
 		}
 	}
+}
+
+// delIndex routes the deletes of a record's m·k index keys into files[fi].
+func (r *writeRound) delIndex(fi int, rid uint64, m, kSites int, slotBits uint) {
+	for j := 0; j < m; j++ {
+		for k := 0; k < kSites; k++ {
+			r.add(fi, ComposeIndexKey(rid, j, k, kSites, slotBits))
+		}
+	}
+}
+
+// write runs one write round: route adds the entries, every destination
+// node gets its put_batch at once, the answers update the client images
+// and file sizes, and each file splits or merges as its size demands. On
+// partial failure the answering nodes' entries stay applied and a
+// *BatchError names the failed nodes; repeating the write completes it.
+func (c *Cluster) write(ctx context.Context, files []writeFile, route func(r *writeRound)) error {
+	r := writeRound{c: c, files: files}
+	c.opsMu.RLock()
+	c.mu.Lock()
+	for i := range files {
+		files[i].f = c.file(files[i].id)
+	}
+	route(&r)
 	c.mu.Unlock()
 
-	nodeIDs := make([]transport.NodeID, len(batches))
-	payloads := make([][]byte, len(batches))
-	for i := range batches {
-		nodeIDs[i] = batches[i].node
-		payloads[i] = batches[i].bw.finish()
+	nodeIDs := make([]transport.NodeID, len(r.nodes))
+	payloads := make([][]byte, len(r.nodes))
+	for i := range r.nodes {
+		nodeIDs[i] = r.nodes[i].node
+		payloads[i] = r.nodes[i].bw.finish()
 	}
-	c.met.batches.Add(uint64(len(batches)))
+	c.met.batches.Add(uint64(len(r.nodes)))
 	results := transport.ScatterList(ctx, c.tr, opPutBatch, nodeIDs, payloads)
-	for i := range batches {
-		putWriter(batches[i].bw.w)
-		batches[i].bw.w = nil // the buffer may be reused; the response loop needs only counts
+	for i := range r.nodes {
+		putWriter(r.nodes[i].bw.w)
 	}
 
-	var batchErr *BatchError
 	c.mu.Lock()
-	for bi, r := range results {
-		if r.Err != nil {
-			if batchErr == nil {
-				batchErr = &BatchError{}
-			}
-			batchErr.Failures = append(batchErr.Failures, NodeFailure{Node: r.Node, Err: r.Err})
-			continue
-		}
-		it, derr := newBatchRespIter(r.Payload)
-		if derr == nil && it.n != batches[bi].bw.n {
-			derr = fmt.Errorf("sdds: batch response has %d entries, want %d", it.n, batches[bi].bw.n)
-		}
-		if derr != nil {
-			c.mu.Unlock()
-			c.opsMu.RUnlock()
-			return derr
-		}
-		for i := 0; i < it.n; i++ {
-			pr, perr := it.next()
-			if perr != nil {
-				c.mu.Unlock()
-				c.opsMu.RUnlock()
-				return perr
-			}
-			if pr.moved {
-				f.image.Adjust(pr.iamAddr, uint(pr.iamLevel))
-				f.iams++
-				c.met.iams.Inc()
-			}
-			if !pr.existed {
-				f.size++
-			}
-		}
-	}
-	needSplit := f.size > int(f.state.Buckets())*f.maxLoad
+	failed, err := r.fold(ctx, results)
 	c.mu.Unlock()
 	c.opsMu.RUnlock()
-
-	// With unreachable nodes a split would likely fail too and mask the
-	// partial-failure report; leave the overflow for the next insert.
-	if batchErr != nil {
-		return batchErr
+	if err != nil {
+		return err
 	}
-	// A batch can overflow the file by more than one bucket's worth;
-	// split until the load invariant holds again (split itself no-ops
-	// when it finds the condition already restored).
-	for needSplit {
-		if err := c.split(ctx, id); err != nil {
+	// With unreachable nodes a split would likely fail too and mask the
+	// partial-failure report; leave the overflow for the next write.
+	if failed != nil {
+		return &BatchError{Failures: failed}
+	}
+	for _, w := range files {
+		if err := c.settle(ctx, w); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		needSplit = f.size > int(f.state.Buckets())*f.maxLoad
-		c.mu.Unlock()
 	}
 	return nil
 }
 
-// DeleteIndexed removes all index pieces of a record.
-func (c *Cluster) DeleteIndexed(ctx context.Context, id FileID, rid uint64, m, kSites int, slotBits uint) error {
-	for j := 0; j < m; j++ {
-		for k := 0; k < kSites; k++ {
-			key := ComposeIndexKey(rid, j, k, kSites, slotBits)
-			if _, err := c.Delete(ctx, id, key); err != nil {
-				return err
+// fold applies each node's answer — per group its count, then one
+// keyResp per entry — and collects the nodes that failed.
+func (r *writeRound) fold(ctx context.Context, results []transport.Result) ([]NodeFailure, error) {
+	var failed []NodeFailure
+	for bi, res := range results {
+		if res.Err != nil {
+			failed = append(failed, NodeFailure{Node: res.Node, Err: res.Err})
+			continue
+		}
+		rd := reader{b: res.Payload}
+		for _, g := range r.nodes[bi].bw.groups {
+			if n := rd.bound(rd.u32(), 14); rd.err == nil && n != g.n {
+				return nil, fmt.Errorf("sdds: batch response group has %d entries, want %d", n, g.n)
+			}
+			w := &r.files[g.tag]
+			for i := 0; i < g.n && rd.err == nil; i++ {
+				var pr keyResp
+				if pr.decodeFrom(&rd); rd.err != nil {
+					break
+				}
+				if pr.moved {
+					w.f.image.Adjust(pr.iamAddr, uint(pr.iamLevel))
+					w.f.iams++
+					r.c.met.iams.Inc()
+					obs.TraceFrom(ctx).AddHops(1)
+				}
+				switch {
+				case w.del && pr.existed:
+					w.f.size--
+					w.existed++
+				case !w.del && !pr.existed:
+					w.f.size++
+				}
 			}
 		}
+		if err := rd.done(); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return failed, nil
+}
+
+// settle restores a written file's load invariant: after puts it splits
+// until the file fits (one batch can overflow it by more than a bucket),
+// after deletes it merges if the file has shrunk enough.
+func (c *Cluster) settle(ctx context.Context, w writeFile) error {
+	for {
+		c.mu.Lock()
+		f, b := w.f, int(w.f.state.Buckets())
+		split := !w.del && f.size > b*f.maxLoad
+		merge := w.del && f.minLoad > 0 && b > 1 && f.size < (b-1)*f.minLoad
+		c.mu.Unlock()
+		if merge {
+			return c.merge(ctx, w.id)
+		}
+		if !split {
+			return nil
+		}
+		if err := c.split(ctx, w.id); err != nil {
+			return err
+		}
+	}
+}
+
+// InsertIndexed stores the index records of one record in one write
+// round: one put_batch per destination node instead of m·k puts.
+func (c *Cluster) InsertIndexed(ctx context.Context, id FileID, recs []core.IndexRecord, kSites int, slotBits uint) error {
+	return c.write(ctx, []writeFile{{id: id}}, func(r *writeRound) { r.putIndex(0, recs, kSites, slotBits) })
+}
+
+// DeleteIndexed removes all index pieces of a record in one write round.
+func (c *Cluster) DeleteIndexed(ctx context.Context, id FileID, rid uint64, m, kSites int, slotBits uint) error {
+	return c.write(ctx, []writeFile{{id: id, del: true}}, func(r *writeRound) { r.delIndex(0, rid, m, kSites, slotBits) })
+}
+
+// InsertRecord writes in one round sealed under rid in FileRecords, recs
+// in FileIndex and, if non-nil, the word blob in FileWords.
+func (c *Cluster) InsertRecord(ctx context.Context, rid uint64, sealed []byte, recs []core.IndexRecord, kSites int, slotBits uint, words []byte) error {
+	c.met.puts.Inc()
+	return c.write(ctx, []writeFile{{id: FileRecords}, {id: FileIndex}, {id: FileWords}}, func(r *writeRound) {
+		r.add(0, rid).raw(sealed)
+		r.putIndex(1, recs, kSites, slotBits)
+		if words != nil {
+			r.add(2, rid).raw(words)
+		}
+	})
+}
+
+// DeleteRecord removes in one round rid from FileRecords, its m·k index
+// pieces from FileIndex and, with words, its FileWords blob, reporting
+// whether the record existed; the rest is deleted either way.
+func (c *Cluster) DeleteRecord(ctx context.Context, rid uint64, m, kSites int, slotBits uint, words bool) (bool, error) {
+	c.met.deletes.Inc()
+	files := []writeFile{{id: FileRecords, del: true}, {id: FileIndex, del: true}, {id: FileWords, del: true}}
+	err := c.write(ctx, files, func(r *writeRound) {
+		r.add(0, rid)
+		r.delIndex(1, rid, m, kSites, slotBits)
+		if words {
+			r.add(2, rid)
+		}
+	})
+	return files[0].existed > 0, err
 }
 
 // SearchInfo reports how a search's per-node fan-out went.
@@ -910,17 +980,11 @@ func (c *Cluster) WordSearch(ctx context.Context, id FileID, token []byte) ([]ui
 		}
 		out = append(out, resp.rids...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	// While a migration is in flight both the source (frozen outgoing
 	// set) and the target (absorbed copy) serve the moved records, so a
 	// RID can be reported twice; collapse duplicates.
-	uniq := out[:0]
-	for i, rid := range out {
-		if i == 0 || rid != out[i-1] {
-			uniq = append(uniq, rid)
-		}
-	}
-	return uniq, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // BucketInventory gathers every node's bucket stats for a file, sorted

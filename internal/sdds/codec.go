@@ -200,6 +200,7 @@ func (w *writer) u8(v uint8)   { w.b = append(w.b, v) }
 func (w *writer) u16(v uint16) { w.b = binary.BigEndian.AppendUint16(w.b, v) }
 func (w *writer) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
 func (w *writer) u64(v uint64) { w.b = binary.BigEndian.AppendUint64(w.b, v) }
+func (w *writer) raw(v []byte) { w.b = append(w.b, v...) }
 func (w *writer) bytes(v []byte) {
 	w.u32(uint32(len(v)))
 	w.b = append(w.b, v...)
@@ -444,121 +445,151 @@ func (m *keyResp) decodeFrom(r *reader) {
 	m.value = append([]byte(nil), r.bytes()...)
 }
 
-// batchEntry is one independently addressed put of a put_batch request:
+// batchEntry is one independently addressed entry of a put_batch group:
 // entries of one record scatter over many buckets, so the node re-runs
 // the LH* ownership check per entry and forwards strays individually.
+// A delete group's entries carry no value.
 type batchEntry struct {
 	addr  uint64
 	key   uint64
 	value []byte
 }
 
-// batchWriter streams a put_batch request (file, count, then per entry
-// addr, key, value) into a pooled writer as entries are routed, patching
-// the count at finish and each value's length when the next entry opens.
+// groupDelete in a put_batch group's file byte marks a delete group.
+const groupDelete = 0x80
+
+// batchWriter streams a put_batch request (DESIGN.md §16) into a pooled
+// writer as entries are routed, patching a group's count when the next
+// group opens and a value's length when the next entry opens. groups keeps
+// each group's tag and entry count, which the response is checked against.
 type batchWriter struct {
 	w        *writer
-	countOff int
-	lenOff   int // the open entry's value length
-	n        int
+	del      bool // the open group holds deletes
+	countOff int  // the open group's count
+	lenOff   int  // the open put's value length
+	groups   []struct{ tag, n int }
 }
 
-func newBatchWriter(w *writer, file FileID) batchWriter {
-	w.u8(uint8(file))
-	return batchWriter{w: w, countOff: w.reserveU32()}
-}
-
-// entry opens the next entry and returns the writer its value is
-// encoded into (by the value's own encodeTo).
-func (b *batchWriter) entry(addr, key uint64) *writer {
+// entry appends an entry to the group tagged tag, first opening one of
+// file's puts, or deletes, unless that is the open group, and returns
+// the writer a put's value is encoded into (by the value's own encodeTo).
+func (b *batchWriter) entry(tag int, file FileID, del bool, addr, key uint64) *writer {
 	b.closeEntry()
+	if g := len(b.groups); g == 0 || b.groups[g-1].tag != tag {
+		b.closeGroup()
+		if b.del = del; del {
+			file |= groupDelete
+		}
+		b.w.u8(uint8(file))
+		b.countOff = b.w.reserveU32()
+		b.groups = append(b.groups, struct{ tag, n int }{tag: tag})
+	}
 	b.w.u64(addr)
 	b.w.u64(key)
-	b.lenOff = b.w.reserveU32()
-	b.n++
+	if !del {
+		b.lenOff = b.w.reserveU32()
+	}
+	b.groups[len(b.groups)-1].n++
 	return b.w
 }
 
 func (b *batchWriter) closeEntry() {
-	if b.n > 0 {
+	if len(b.groups) > 0 && !b.del {
 		b.w.patchU32(b.lenOff, uint32(len(b.w.b)-b.lenOff-4))
 	}
 }
 
-// finish closes the last entry, patches the count and returns the
-// request.
-func (b *batchWriter) finish() []byte {
-	b.closeEntry()
-	b.w.patchU32(b.countOff, uint32(b.n))
-	return b.w.b
-}
-
-// batchReqIter stream-decodes a put_batch request entry by entry. Values are
-// BORROWED from the transport's request buffer: the handler must copy
-// any byte it stores (bucket storage retains values, and the buffer may
-// be pooled), but entries it only forwards or journals can use the
-// borrowed bytes in place. valsCap bounds the total retained value
-// bytes, so the handler can pack all copies into one exact backing.
-type batchReqIter struct {
-	r reader
-	// file and n are the batch header, decoded up front.
-	file FileID
-	n    int
-}
-
-func newBatchReqIter(b []byte) (batchReqIter, error) {
-	it := batchReqIter{r: reader{b: b}}
-	it.file = FileID(it.r.u8())
-	// Each entry is at least addr(8) + key(8) + value length(4).
-	it.n = it.r.bound(it.r.u32(), 20)
-	return it, it.r.err
-}
-
-// valsCap returns an upper bound on the summed value lengths: the bytes
-// remaining after the header minus each entry's 20 fixed bytes. A
-// backing with this capacity never reallocates, so slices carved from
-// it while appending stay valid.
-func (it *batchReqIter) valsCap() int {
-	return len(it.r.b) - it.r.off - 20*it.n
-}
-
-func (it *batchReqIter) next() (batchEntry, error) {
-	e := batchEntry{addr: it.r.u64(), key: it.r.u64()}
-	e.value = it.r.bytes() // borrowed — copy before retaining
-	return e, it.r.err
-}
-
-// putBatchResp returns one keyResp per batch entry, in request order.
-type putBatchResp struct {
-	resps []keyResp
-}
-
-func (m putBatchResp) encodeTo(w *writer) {
-	w.b = slices.Grow(w.b, 4+14*len(m.resps))
-	w.u32(uint32(len(m.resps)))
-	for _, p := range m.resps {
-		p.encodeTo(w)
+func (b *batchWriter) closeGroup() {
+	if g := len(b.groups); g > 0 {
+		b.w.patchU32(b.countOff, uint32(b.groups[g-1].n))
 	}
 }
 
-// batchRespIter stream-decodes a putBatchResp entry by entry: the
-// client walks the response exactly once, so decoding in place saves
-// materializing a slice per batch on the insert hot path.
-type batchRespIter struct {
-	r reader
-	n int
+// finish closes the last entry and group and returns the request.
+func (b *batchWriter) finish() []byte {
+	b.closeEntry()
+	b.closeGroup()
+	return b.w.b
 }
 
-func newBatchRespIter(b []byte) (batchRespIter, error) {
-	it := batchRespIter{r: reader{b: b}}
-	it.n = it.r.bound(it.r.u32(), 14) // flags(1) + addr(8) + level(1) + value length(4)
-	return it, it.r.err
+// batchGroup is one decoded put_batch group: one file's puts, or its
+// deletes.
+type batchGroup struct {
+	file    FileID
+	del     bool
+	entries []batchEntry
 }
 
-func (it *batchRespIter) next() (keyResp, error) {
-	var p keyResp
-	p.decodeFrom(&it.r)
-	return p, it.r.err
+// request encodes entry e of the group as the single-key request it
+// stands for, a put or a delete, at addr after hops forwards: the frame
+// a node journals (hops 0) and the request it forwards a stray as.
+func (g *batchGroup) request(e batchEntry, addr uint64, hops uint8) (uint8, []byte) {
+	h := keyHeader{file: g.file, addr: addr, hops: hops, key: e.key}
+	if g.del {
+		return opDelete, encode(h)
+	}
+	return opPut, encode(putReq{h, e.value})
+}
+
+// putBatchReq is a decoded put_batch request. Values are BORROWED from
+// the transport's request buffer: the handler must copy any byte it
+// stores (bucket storage retains values, and the buffer may be pooled),
+// but entries it only forwards or journals can use the borrowed bytes in
+// place. valBytes sums the value lengths, so the handler can pack all
+// copies into one exact backing.
+type putBatchReq struct {
+	groups   []batchGroup
+	n        int // entries over all groups
+	valBytes int
+}
+
+// decodeFrom rejects a request with no group, a group of an unknown file
+// and an empty group; a cut-off group fails as a short payload.
+func (m *putBatchReq) decodeFrom(r *reader) {
+	for r.err == nil {
+		fb := r.u8()
+		g := batchGroup{file: FileID(fb &^ groupDelete), del: fb&groupDelete != 0}
+		if g.file > FileWords {
+			r.fail("put_batch group of unknown file %d", g.file)
+		}
+		n := r.bound(r.u32(), 16) // every entry has at least addr and key
+		if n == 0 {
+			r.fail("empty put_batch group")
+		}
+		g.entries = make([]batchEntry, n)
+		for i := range g.entries {
+			e := &g.entries[i]
+			e.addr, e.key = r.u64(), r.u64()
+			if !g.del {
+				e.value = r.bytes() // borrowed — copy before retaining
+				m.valBytes += len(e.value)
+			}
+		}
+		m.groups = append(m.groups, g)
+		m.n += n
+		if r.off == len(r.b) {
+			return
+		}
+	}
+}
+
+// putBatchResp answers a put_batch: per group its entry count and one
+// keyResp per entry, in request order (decoded in place by writeRound.fold).
+type putBatchResp struct {
+	groups []batchGroup // only the entry counts are read
+	resps  []keyResp
+}
+
+func (m putBatchResp) encodeTo(w *writer) {
+	w.b = slices.Grow(w.b, 4*len(m.groups)+14*len(m.resps))
+	resps := m.resps
+	for _, g := range m.groups {
+		w.u32(uint32(len(g.entries)))
+		for _, p := range resps[:len(g.entries)] {
+			p.encodeTo(w)
+		}
+		resps = resps[len(g.entries):]
+	}
 }
 
 // indexValue is the stored value of one index piece: the first chunk

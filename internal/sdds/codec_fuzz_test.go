@@ -44,6 +44,27 @@ func roundTrips[T message, P interface {
 var fuzzHeader = migrateHeader{mid: 3, kind: migrateSplit, file: FileIndex, from: 1, to: 3, level: 1}
 var fuzzBatch = recordBatch{records: []kv{{key: 1, value: []byte("a")}, {key: 2, value: nil}}}
 
+// fuzzGroups is a put_batch of put and delete groups over every file,
+// each entry addressed to bucket 0 of fuzzNode.
+var fuzzGroups = groupsReq(
+	batchGroup{file: FileRecords, entries: []batchEntry{{key: 3, value: []byte("record-3")}}},
+	batchGroup{file: FileIndex, del: true, entries: []batchEntry{{key: ComposeIndexKey(1, 0, 1, 2, 2)}}},
+	batchGroup{file: FileWords, entries: []batchEntry{{key: 2, value: wordindex.Blob([]wordindex.Token{{9}})}}},
+	batchGroup{file: FileRecords, del: true, entries: []batchEntry{{key: 1}, {key: 4}}},
+)
+
+// putBatchRoundTrips is roundTrips for the put_batch request, which the
+// client streams through a batchWriter instead of an encodeTo.
+func putBatchRoundTrips(t *testing.T, b []byte) {
+	m, err := decode[putBatchReq](b)
+	if err != nil {
+		return
+	}
+	if got := groupsReq(m.groups...); !bytes.Equal(got, b) {
+		t.Fatalf("put_batch re-encode mismatch: %x -> %x", b, got)
+	}
+}
+
 // decodeRows covers every type decode serves, plus the node image.
 var decodeRows = []decodeRow{
 	{"putReq", [][]byte{{}, encode(putReq{keyHeader{file: FileIndex, addr: 5, hops: 1, key: 99}, []byte("v")})}, roundTrips[putReq]},
@@ -73,6 +94,7 @@ var decodeRows = []decodeRow{
 	{"wordSearchReq", [][]byte{{}, encode(wordSearchReq{file: FileWords, token: bytes.Repeat([]byte{5}, wordindex.TokenSize)})}, roundTrips[wordSearchReq]},
 	{"wordSearchResp", [][]byte{{}, encode(wordSearchResp{rids: []uint64{4, 1 << 50}})}, roundTrips[wordSearchResp]},
 	{"statsResp", [][]byte{{}, encode(statsResp{buckets: []bucketStat{{addr: 1, level: 1, size: 3}}})}, roundTrips[statsResp]},
+	{"putBatchReq", [][]byte{{}, fuzzNodeLoad[2].payload, fuzzGroups}, putBatchRoundTrips},
 	{"recoveryStateResp", [][]byte{{}, encode(recoveryStateResp{mode: recoveryCorrupt, seq: 3, detail: "bad crc"})}, roundTrips[recoveryStateResp]},
 }
 
@@ -247,6 +269,7 @@ func FuzzNodeHandler(f *testing.F) {
 	f.Add(opNodeSnapshot, []byte{})
 	f.Add(opNodeRestore, img)
 	f.Add(opPutBatch, fuzzNodeLoad[2].payload)
+	f.Add(opPutBatch, fuzzGroups)
 	f.Add(opPing, []byte{})
 	f.Add(opRecoveryState, []byte{})
 	f.Add(opMigratePrepare, encode(migrateHeader{mid: 1, kind: migrateSplit, file: FileRecords, from: 0, to: 1, level: 0}))

@@ -27,16 +27,20 @@ func decodeErr[T any, P interface {
 	return err
 }
 
-// rawValue is a put_batch value written as is.
-type rawValue []byte
-
-func (v rawValue) encodeTo(w *writer) { w.b = append(w.b, v...) }
-
-// batchReq builds a put_batch request with the writer InsertIndexed uses.
+// batchReq builds a one-group put_batch request of puts with the writer
+// the client's write round uses.
 func batchReq(file FileID, entries ...batchEntry) []byte {
-	bw := newBatchWriter(&writer{}, file)
-	for _, e := range entries {
-		rawValue(e.value).encodeTo(bw.entry(e.addr, e.key))
+	return groupsReq(batchGroup{file: file, entries: entries})
+}
+
+// groupsReq builds a put_batch request of any groups.
+func groupsReq(groups ...batchGroup) []byte {
+	bw := batchWriter{w: &writer{}}
+	for gi, g := range groups {
+		for _, e := range g.entries {
+			// A delete entry's value is nil: nothing follows its key.
+			bw.entry(gi, g.file, g.del, e.addr, e.key).raw(e.value)
+		}
 	}
 	return bw.finish()
 }
@@ -243,30 +247,61 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	if got, err := decode[recoveryStateResp](encode(rs)); err != nil || got != rs {
 		t.Errorf("recoveryStateResp: %+v %v", got, err)
 	}
-	// put_batch: the writer's request streams back out of the node's
-	// iterator, and the node's response out of the client's.
-	entries := []batchEntry{{addr: 1, key: 2, value: []byte("ab")}, {addr: 3, key: 4, value: nil}}
-	it, err := newBatchReqIter(batchReq(FileIndex, entries...))
-	if err != nil || it.file != FileIndex || it.n != len(entries) {
-		t.Fatalf("put_batch header: %+v %v", it, err)
+	// put_batch: the writer's groups decode back out of the node's
+	// decoder, and the node's response out of the client's iterator.
+	groups := []batchGroup{
+		{file: FileIndex, entries: []batchEntry{{addr: 1, key: 2, value: []byte("ab")}, {addr: 3, key: 4, value: []byte{}}}},
+		{file: FileRecords, del: true, entries: []batchEntry{{addr: 5, key: 6}}},
+		{file: FileWords, entries: []batchEntry{{addr: 7, key: 8, value: []byte("w")}}},
 	}
-	for _, want := range entries {
-		if got, err := it.next(); err != nil || got.addr != want.addr || got.key != want.key || !bytes.Equal(got.value, want.value) {
-			t.Errorf("put_batch entry %+v, want %+v (%v)", got, want, err)
+	req, err := decode[putBatchReq](groupsReq(groups...))
+	if err != nil || req.n != 4 || req.valBytes != 3 || !reflect.DeepEqual(req.groups, groups) {
+		t.Fatalf("put_batch request: %+v %v", req, err)
+	}
+	resps := []keyResp{{existed: true, iamAddr: 5, iamLevel: 2}, {moved: true, iamAddr: 6, iamLevel: 3}, {existed: true}, {}}
+	rd := reader{b: encode(putBatchResp{groups: groups, resps: resps})}
+	next := resps
+	for _, g := range groups {
+		if n := rd.u32(); n != uint32(len(g.entries)) {
+			t.Fatalf("put_batch response group of %d entries, want %d", n, len(g.entries))
+		}
+		for range g.entries {
+			var got keyResp
+			if got.decodeFrom(&rd); !reflect.DeepEqual(got, next[0]) {
+				t.Errorf("put_batch response entry %+v, want %+v", got, next[0])
+			}
+			next = next[1:]
 		}
 	}
-	if err := it.r.done(); err != nil {
+	if err := rd.done(); err != nil {
 		t.Error(err)
 	}
-	resps := []keyResp{{existed: true, iamAddr: 5, iamLevel: 2}, {moved: true, iamAddr: 6, iamLevel: 3}}
-	rit, err := newBatchRespIter(encode(putBatchResp{resps: resps}))
-	if err != nil || rit.n != len(resps) {
-		t.Fatalf("put_batch response header: %+v %v", rit, err)
-	}
-	for _, want := range resps {
-		if got, err := rit.next(); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("put_batch response entry %+v, want %+v (%v)", got, want, err)
+}
+
+// TestPutBatchDecodeRejections: a put_batch with no group, a group of an
+// unknown file, an empty group or bytes past its last group is refused by
+// the decoder, and a node handed one journals nothing and keeps serving.
+func TestPutBatchDecodeRejections(t *testing.T) {
+	valid := groupsReq(batchGroup{file: FileRecords, entries: []batchEntry{{key: 3, value: []byte("v")}}})
+	for name, payload := range map[string][]byte{
+		"no group":              {},
+		"unknown file":          groupsReq(batchGroup{file: FileWords + 1, entries: []batchEntry{{key: 3, value: []byte("v")}}}),
+		"unknown file, deletes": groupsReq(batchGroup{file: 0x7f, del: true, entries: []batchEntry{{key: 3}}}),
+		"empty group":           append(append([]byte(nil), valid...), byte(FileIndex), 0, 0, 0, 0),
+		"trailing bytes":        append(append([]byte(nil), valid...), 0x01),
+	} {
+		if _, err := decode[putBatchReq](payload); err == nil {
+			t.Errorf("%s: decoded", name)
 		}
+		n := fuzzNode(t)
+		seq := n.store.Seq()
+		if _, err := n.Handler()(context.Background(), opPutBatch, payload); err == nil {
+			t.Errorf("%s: node accepted it", name)
+		}
+		if got := n.store.Seq(); got != seq {
+			t.Errorf("%s: rejected request journaled %d frames", name, got-seq)
+		}
+		probeNode(n)
 	}
 }
 
@@ -399,10 +434,12 @@ func (j *journalTap) Journal(op uint8, payload []byte) error {
 // checkpoints written by an earlier version stop replaying. It pins one
 // request of every op a client or coordinator sends (and the put a node
 // forwards), the journal frames of the single-key and batch mutations,
-// and a node image with a migration section. Responses are not pinned:
-// both ends of a response change together. The migration literals were
-// captured by TestMigrationWireBytesPinned at 5bd14e1, everything else
-// by this same test body at f13f763.
+// and a node image with a migration section. Responses are not pinned —
+// both ends of a response change together — except the multi-group
+// put_batch answers, which fix the per-group layout. The migration
+// literals were captured by TestMigrationWireBytesPinned at 5bd14e1, the
+// multi-group put_batch ones when groups were added, everything else by
+// this same test body at f13f763.
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"prepare response": "01" + "00000003" +
@@ -431,6 +468,22 @@ func TestWireBytesPinned(t *testing.T) {
 			"0000000000000000" + "0000000000000005" + "0000000e" + "00000000" + "00000003" + "4d5384348c35" +
 			"0000000000000000" + "0000000000000006" + "00000010" + "00000000" + "00000004" + "0c1c1ae45e285a6d" +
 			"0000000000000000" + "0000000000000007" + "00000010" + "00000000" + "00000004" + "3bc26f3edacb5471",
+		// groups back to back; a delete group's file byte has 0x80 set and
+		// its entries carry addr, key only
+		"put_batch put+put": "02" + "00000001" + "0000000000000000" + "0000000000000001" + "00000002" + "7731" +
+			"01" + "00000002" + "0000000000000000" + "0000000000000009" + "00000001" + "78" +
+			"0000000000000000" + "000000000000000a" + "00000001" + "79",
+		"put_batch put+delete": "02" + "00000001" + "0000000000000000" + "0000000000000002" + "00000002" + "7732" +
+			"82" + "00000002" + "0000000000000000" + "0000000000000001" + "0000000000000000" + "0000000000000003",
+		"put_batch delete-only": "82" + "00000001" + "0000000000000000" + "0000000000000002" +
+			"81" + "00000001" + "0000000000000000" + "0000000000000009",
+		// per group: count, then flags, IAM addr, IAM level, value length
+		"put_batch put+put response": "00000001" + "00" + "0000000000000000" + "00" + "00000000" +
+			"00000002" + "00" + "0000000000000000" + "00" + "00000000" + "00" + "0000000000000000" + "00" + "00000000",
+		"put_batch put+delete response": "00000001" + "00" + "0000000000000000" + "00" + "00000000" +
+			"00000002" + "01" + "0000000000000000" + "00" + "00000000" + "00" + "0000000000000000" + "00" + "00000000",
+		"put_batch delete-only response": "00000001" + "01" + "0000000000000000" + "00" + "00000000" +
+			"00000001" + "01" + "0000000000000000" + "00" + "00000000",
 		// file, kSites, slotBits, series count, then a, pattern count, patterns
 		"search": "01" + "02" + "02" + "0002" +
 			"0000" + "02" + "00000001" + "1ae4" + "00000001" + "6f3e" +
@@ -547,6 +600,32 @@ func TestWireBytesPinned(t *testing.T) {
 	_, err = c.BucketInventory(ctx, FileRecords)
 	must(err)
 	pin("stats", tap.last[opStats])
+
+	// Multi-group put_batch requests and node 0's answers: bucket 0 of
+	// the words and index files is still level 0, so nothing forwards.
+	for _, mg := range []struct {
+		name   string
+		groups []batchGroup
+	}{
+		{"put+put", []batchGroup{
+			{file: FileWords, entries: []batchEntry{{key: 1, value: []byte("w1")}}},
+			{file: FileIndex, entries: []batchEntry{{key: 9, value: []byte("x")}, {key: 10, value: []byte("y")}}},
+		}},
+		{"put+delete", []batchGroup{
+			{file: FileWords, entries: []batchEntry{{key: 2, value: []byte("w2")}}},
+			{file: FileWords, del: true, entries: []batchEntry{{key: 1}, {key: 3}}},
+		}},
+		{"delete-only", []batchGroup{
+			{file: FileWords, del: true, entries: []batchEntry{{key: 2}}},
+			{file: FileIndex, del: true, entries: []batchEntry{{key: 9}}},
+		}},
+	} {
+		req := groupsReq(mg.groups...)
+		resp, err := tap.Send(ctx, 0, opPutBatch, req)
+		must(err)
+		pin("put_batch "+mg.name, req)
+		pin("put_batch "+mg.name+" response", resp)
+	}
 
 	// A split the target rejects is aborted.
 	c.SetMaxLoad(FileRecords, 1)

@@ -132,7 +132,8 @@ func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []
 }
 
 // workload drives a fixed mutation script — puts (into two files),
-// deletes, two splits, one merge — through every journaled handler.
+// deletes, two splits, one merge, one mixed put_batch — through every
+// journaled handler.
 // It reports false when the injected crash cut it short, leaving h.mig
 // set if that happened inside a migration.
 func (h *durableHarness) workload() bool {
@@ -196,7 +197,58 @@ func (h *durableHarness) workload() bool {
 			return false
 		}
 	}
-	return true
+	// One put_batch of put and delete groups over both files: its entries
+	// are journaled frame by frame ahead of one flush, so a crash can
+	// leave any prefix of them. Buckets 0 and 1 are at level 1 again.
+	_, ok := h.do(opPutBatch, groupsReq(
+		batchGroup{file: FileRecords, entries: []batchEntry{{addr: 0, key: 24, value: recVal(24)}, {addr: 1, key: 25, value: recVal(25)}}},
+		batchGroup{file: FileRecords, del: true, entries: []batchEntry{{addr: 1, key: 3}, {addr: 0, key: 4}}},
+		batchGroup{file: FileWords, entries: []batchEntry{{addr: 0, key: 2, value: recVal(2)}}},
+	))
+	return ok
+}
+
+// inflightMatches reports whether got, a replayed snapshot, is the acked
+// state plus what the crash may have kept of the in-flight op: the whole
+// op or, for a put_batch, any prefix of its entries. A single op is
+// applied to the reference itself, which a re-driven migration then
+// continues from.
+func (h *durableHarness) inflightMatches(got []byte) bool {
+	h.t.Helper()
+	ctx := context.Background()
+	if h.inflight.op != opPutBatch {
+		if _, err := h.ref.Handler()(ctx, h.inflight.op, h.inflight.payload); err != nil {
+			h.t.Fatalf("applying in-flight op %d to reference: %v", h.inflight.op, err)
+		}
+		return bytes.Equal(got, h.snapshot(h.ref))
+	}
+	req, err := decode[putBatchReq](h.inflight.payload)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	acked := h.snapshot(h.ref)
+	for n := 1; n <= req.n; n++ {
+		var prefix []batchGroup
+		for left, gi := n, 0; left > 0; gi++ {
+			g := req.groups[gi]
+			g.entries = g.entries[:min(left, len(g.entries))]
+			prefix = append(prefix, g)
+			left -= len(g.entries)
+		}
+		scratch := NewNode(0, nil, h.place)
+		for _, step := range []struct {
+			op      uint8
+			payload []byte
+		}{{opNodeRestore, acked}, {opPutBatch, groupsReq(prefix...)}} {
+			if _, err := scratch.Handler()(ctx, step.op, step.payload); err != nil {
+				h.t.Fatalf("applying %d in-flight entries to a copy of the reference: %v", n, err)
+			}
+		}
+		if bytes.Equal(got, h.snapshot(scratch)) {
+			return true
+		}
+	}
+	return false
 }
 
 func (h *durableHarness) snapshot(n *Node) []byte {
@@ -302,15 +354,13 @@ func TestNodeCrashMatrix(t *testing.T) {
 				want := h.snapshot(h.ref)
 				if !bytes.Equal(got, want) {
 					// Not the acked state: the only other legal outcome is
-					// acked + the in-flight op (journaled durably in the
-					// same instant the crash killed its acknowledgment).
+					// acked + the in-flight op, or a put_batch prefix of it
+					// (journaled durably in the same instant the crash
+					// killed its acknowledgment).
 					if h.inflight == nil {
 						t.Fatal("replayed state diverges from reference with no op in flight")
 					}
-					if _, err := h.ref.Handler()(context.Background(), h.inflight.op, h.inflight.payload); err != nil {
-						t.Fatalf("applying in-flight op %d to reference: %v", h.inflight.op, err)
-					}
-					if want = h.snapshot(h.ref); !bytes.Equal(got, want) {
+					if !h.inflightMatches(got) {
 						t.Fatalf("replayed state matches neither acked nor acked+inflight (op %d at fs op %d)",
 							h.inflight.op, at)
 					}

@@ -117,7 +117,7 @@ type clusterMetrics struct {
 	deletes      *obs.Counter
 	searches     *obs.Counter
 	wordSearches *obs.Counter
-	batches      *obs.Counter // InsertIndexed batch RPC fan-outs
+	batches      *obs.Counter // write-round put_batch RPCs
 	iams         *obs.Counter
 	splits       *obs.Counter
 	merges       *obs.Counter

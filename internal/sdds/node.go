@@ -534,16 +534,21 @@ func (n *Node) withOwnedBucket(ctx context.Context, op uint8, payload []byte, h 
 	if h.hops+1 >= maxHops {
 		return nil, fmt.Errorf("sdds: forwarding chain exceeded %d hops for key %d", maxHops, h.key)
 	}
+	return n.forward(ctx, next, op, h.readdress(payload, next, h.hops+1))
+}
+
+// forward sends a readdressed single-key request to the peer owning
+// bucket addr. WithTimeout on the request context takes the minimum of
+// the local forward bound and the caller's propagated deadline, so the
+// hop inherits the tighter of the two budgets.
+func (n *Node) forward(ctx context.Context, addr uint64, op uint8, req []byte) ([]byte, error) {
 	if n.peers == nil {
 		return nil, fmt.Errorf("sdds: forward needed but node %d has no peer transport", n.id)
 	}
 	n.met.forwards.Inc()
-	// WithTimeout on the request context takes the minimum of the local
-	// forward bound and the caller's propagated deadline, so the hop
-	// inherits the tighter of the two budgets.
 	ctx, cancel := context.WithTimeout(ctx, forwardDeadline)
 	defer cancel()
-	return n.peers.Send(ctx, n.place.NodeOf(next), op, h.readdress(payload, next, h.hops+1))
+	return n.peers.Send(ctx, n.place.NodeOf(addr), op, req)
 }
 
 func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
@@ -577,22 +582,22 @@ func (n *Node) handlePut(ctx context.Context, payload []byte) ([]byte, error) {
 	})
 }
 
-// handlePutBatch applies a coalesced batch of independently addressed
-// puts in one message: entries owned by a local bucket are applied
-// under a single lock acquisition; entries whose bucket has split away
-// are forwarded individually as plain puts (the forward carries the
-// server-computed address, so the LH* hop bound still holds). The
-// response carries one keyResp per entry in request order, so the
-// client receives every IAM it would have gotten from sequential puts.
+// handlePutBatch applies groups of independently addressed puts and
+// deletes in one message: entries owned by a local bucket are applied
+// under one lock acquisition, each journaled as its own put or delete,
+// all sharing one flush; strays are forwarded individually as plain puts
+// or deletes at the server-computed address (so the LH* hop bound
+// holds). One keyResp per entry in request order gives the client every
+// IAM that sequential single-key ops would have.
 func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, error) {
-	it, err := newBatchReqIter(payload)
+	m, err := decode[putBatchReq](payload)
 	if err != nil {
 		return nil, err
 	}
-	f := n.getFile(it.file)
-	resps := make([]keyResp, it.n)
+	resps := make([]keyResp, 0, m.n)
 	type fwd struct {
 		i    int
+		g    *batchGroup
 		addr uint64
 		// e.value stays borrowed from the request buffer: forwards run
 		// before this handler returns, while the buffer is still live.
@@ -601,62 +606,68 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 	var fwds []fwd
 	// Bucket and index storage retain values past this handler, so each
 	// locally applied value is copied out of the borrowed request buffer
-	// into one packed backing. valsCap bounds the total, so the backing
-	// never reallocates and the carved aliases stay valid.
-	var vals []byte
-	valsCap := it.valsCap()
-	// Locally applied entries accumulate here and hit the index as ONE
-	// batch: the indexer sorts and appends per piece once for the whole
-	// message instead of paying per-entry posting maintenance.
+	// into one packed backing of exactly valBytes, which never
+	// reallocates, so the carved aliases stay valid.
+	vals := make([]byte, 0, m.valBytes)
+	// A put group's locally applied entries hit the index as ONE batch:
+	// the indexer sorts and appends per piece once for the whole group
+	// instead of paying per-entry posting maintenance.
 	var applied []kv
 	// seq is the journal position of the last entry appended; the whole
-	// batch shares the one flush that follows the unlock.
+	// request shares the one flush that follows the unlock.
 	var seq uint64
 	n.mu.Lock()
 	// The walk stops at the first entry it cannot apply (err set). The
-	// entries before it stay applied and journaled, so `applied` is
-	// indexed on every path: an early return must not leave bucket
-	// contents the posting index has never seen.
-	for i := 0; i < it.n; i++ {
-		var e batchEntry
-		if e, err = it.next(); err != nil {
-			break
-		}
-		b, ok := f.buckets[e.addr]
-		if !ok {
-			err = fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, e.addr, it.file)
-			break
-		}
-		next, needFwd := lhstar.ServerAddress(b.Addr(), b.Level(), e.key)
-		if needFwd {
-			fwds = append(fwds, fwd{i: i, addr: next, e: e})
-			continue
-		}
-		if err = f.migBlocked(it.file, b.Addr()); err != nil {
-			break
-		}
-		// Each locally applied entry journals as an individual put at
-		// its resolved address; forwarded entries are journaled by the
-		// node that ends up applying them. The frames only queue here.
-		// Ephemeral nodes skip the journal encode entirely.
-		if n.store != nil {
-			logged := putReq{keyHeader{file: it.file, addr: b.Addr(), key: e.key}, e.value}
-			if seq, err = n.appendLocked(opPut, encode(logged)); err != nil {
+	// entries before it stay applied and journaled, so each group's
+	// `applied` is indexed on every path: an early return must not leave
+	// bucket contents the posting index has never seen.
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		f := n.fileLocked(g.file)
+		applied = applied[:0]
+		for _, e := range g.entries {
+			b, ok := f.buckets[e.addr]
+			if !ok {
+				err = fmt.Errorf("sdds: node %d has no bucket %d of file %d", n.id, e.addr, g.file)
 				break
 			}
+			next, needFwd := lhstar.ServerAddress(b.Addr(), b.Level(), e.key)
+			if needFwd {
+				fwds = append(fwds, fwd{i: len(resps), g: g, addr: next, e: e})
+				resps = append(resps, keyResp{})
+				continue
+			}
+			if err = f.migBlocked(g.file, b.Addr()); err != nil {
+				break
+			}
+			// Each local entry journals as a put or delete at its resolved
+			// address (forwards are journaled where they apply); the frames
+			// only queue here. Ephemeral nodes skip the journal encode.
+			if n.store != nil {
+				if seq, err = n.appendLocked(g.request(e, b.Addr(), 0)); err != nil {
+					break
+				}
+			}
+			var existed bool
+			if g.del {
+				if existed = b.Delete(e.key); existed {
+					f.indexDelete(e.key)
+				}
+			} else {
+				start := len(vals)
+				vals = append(vals, e.value...)
+				v := vals[start:len(vals):len(vals)]
+				existed = !b.Put(e.key, v)
+				applied = append(applied, kv{key: e.key, value: v})
+			}
+			// moved stays false: the bucket was found at the client's address.
+			resps = append(resps, keyResp{existed: existed, iamAddr: b.Addr(), iamLevel: uint8(b.Level())})
 		}
-		if vals == nil {
-			vals = make([]byte, 0, valsCap)
+		f.indexPutBatch(applied)
+		if err != nil {
+			break
 		}
-		start := len(vals)
-		vals = append(vals, e.value...)
-		v := vals[start:len(vals):len(vals)]
-		existed := !b.Put(e.key, v)
-		applied = append(applied, kv{key: e.key, value: v})
-		// moved stays false: the bucket was found at the client's address.
-		resps[i] = keyResp{existed: existed, iamAddr: b.Addr(), iamLevel: uint8(b.Level())}
 	}
-	f.indexPutBatch(applied)
 	if err == nil {
 		err = n.maybeCheckpointLocked()
 	}
@@ -665,21 +676,12 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := it.r.done(); err != nil {
-		return nil, err
-	}
 	if err := n.syncJournal(store, seq); err != nil {
 		return nil, err
 	}
-	if len(fwds) > 0 && n.peers == nil {
-		return nil, fmt.Errorf("sdds: forward needed but node %d has no peer transport", n.id)
-	}
 	for _, fw := range fwds {
-		n.met.forwards.Inc()
-		req := putReq{keyHeader{file: it.file, addr: fw.addr, hops: 1, key: fw.e.key}, fw.e.value}
-		fctx, cancel := context.WithTimeout(ctx, forwardDeadline)
-		raw, err := n.peers.Send(fctx, n.place.NodeOf(fw.addr), opPut, encode(req))
-		cancel()
+		op, req := fw.g.request(fw.e, fw.addr, 1)
+		raw, err := n.forward(ctx, fw.addr, op, req)
 		if err != nil {
 			return nil, err
 		}
@@ -690,7 +692,7 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 		pr.moved = pr.iamAddr != fw.e.addr
 		resps[fw.i] = pr
 	}
-	return encode(putBatchResp{resps: resps}), nil
+	return encode(putBatchResp{groups: m.groups, resps: resps}), nil
 }
 
 func (n *Node) handleGet(ctx context.Context, payload []byte) ([]byte, error) {

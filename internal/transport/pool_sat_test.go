@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -87,10 +88,33 @@ func TestPoolWaitersFailFastOnConnDeath(t *testing.T) {
 	}
 }
 
+// clientGoroutines counts the goroutines running this package's TCP
+// client: pooled conns' read and write loops, reapers, dials and Send
+// waiters. Other tests' leftovers and the parked fan-out and server
+// worker pools run none of that code, so they do not move the count.
+func clientGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("transport.(*TCP).")) || bytes.Contains(g, []byte("transport.(*muxConn).")) {
+			count++
+		}
+	}
+	return count
+}
+
 // TestPoolSaturationNoGoroutineLeak: bursts far past PoolSize queue
-// onto the bounded pool; repeating the burst must not grow the
-// process's goroutine population — queued dials and abandoned waiters
-// all terminate.
+// onto the bounded pool; repeating the burst must not grow the client's
+// goroutine population — queued dials and abandoned waiters all
+// terminate.
 func TestPoolSaturationNoGoroutineLeak(t *testing.T) {
 	addr, stop := startTCPNode(t, echoHandler)
 	defer stop()
@@ -113,26 +137,23 @@ func TestPoolSaturationNoGoroutineLeak(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Warm burst: establishes conns and parks the reusable worker pools
-	// (those are process-global and bounded; they are the baseline, not
-	// a leak).
+	// Warm burst: establishes the pool's conns, whose loops are the
+	// baseline, not a leak.
 	burst()
-	time.Sleep(50 * time.Millisecond)
-	base := runtime.NumGoroutine()
+	base := clientGoroutines()
 
 	for i := 0; i < 3; i++ {
 		burst()
 	}
 
-	const slack = 20
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n := runtime.NumGoroutine(); n <= base+slack {
+		if n := clientGoroutines(); n <= base {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d across repeated saturation bursts",
-				base, runtime.NumGoroutine())
+			t.Fatalf("client goroutines grew from %d to %d across repeated saturation bursts",
+				base, clientGoroutines())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
