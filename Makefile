@@ -73,12 +73,11 @@ soak: soak-bins
 	$(BIN_DIR)/esdds-soak -profile full -cluster proc \
 		-node-bin $(BIN_DIR)/esdds-node -out BENCH_cluster.json
 
-# Overload soak: 3 shedding daemons driven at ~3x their measured
-# capacity. Gates prove graceful degradation (DESIGN.md §13): goodput
-# stays above a floor, retry budgets bound attempts/op, shed requests
-# are accounted as backpressure (not errors), the read-back audit loses
-# nothing that was acknowledged, and zero self-healing repairs fire —
-# saturation must never read as node death.
+# Overload soak: 3 plain daemons offered more than they drain. Gates
+# prove graceful degradation under saturation (DESIGN.md §13): goodput
+# stays above a floor, no op errors, the read-back audit loses nothing
+# that was acknowledged, zero self-healing repairs fire (saturation
+# never reads as node death), and attempts per op stay bounded.
 soak-overload: soak-bins
 	$(BIN_DIR)/esdds-soak -profile overload -cluster proc \
 		-node-bin $(BIN_DIR)/esdds-node -out BENCH_cluster.json

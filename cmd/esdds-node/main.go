@@ -62,7 +62,6 @@ func main() {
 		breaker   = flag.Int("breaker", 8, "consecutive failures opening a peer's circuit breaker (0 disables)")
 		cooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects forwards")
 
-		shed       = flag.Bool("shed", false, "enable adaptive admission control: past saturation, reject excess requests with a retry-after hint instead of queueing without bound")
 		linearScan = flag.Bool("linear-scan", false, "disable the posting index; serve searches by full linear scan")
 		dataDir    = flag.String("data-dir", "", "directory for the node's write-ahead log and checkpoints (empty: in-memory only)")
 
@@ -142,11 +141,6 @@ func main() {
 		}()
 	}
 	srv := transport.NewServer(node.Handler())
-	if *shed {
-		sh := transport.NewShedder(transport.ShedPolicy{Classify: sdds.OpPriority})
-		sh.Instrument(reg)
-		srv.SetShedder(sh)
-	}
 	srv.Instrument(reg)
 
 	lis, err := net.Listen("tcp", *listen)

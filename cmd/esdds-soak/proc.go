@@ -48,10 +48,8 @@ func freeAddrs(n int) ([]string, error) {
 
 // startProcCluster spawns n esdds-node daemons on pre-allocated ports,
 // waits for every main and metrics listener to come up, and returns
-// the handles. extraArgs are appended to every daemon's command line
-// (e.g. -shed for overload profiles). Daemon output goes to per-node
-// log files under logDir.
-func startProcCluster(ctx context.Context, n int, nodeBin, logDir string, extraArgs []string, stderr io.Writer) (*procCluster, error) {
+// the handles. Daemon output goes to per-node log files under logDir.
+func startProcCluster(ctx context.Context, n int, nodeBin, logDir string, stderr io.Writer) (*procCluster, error) {
 	if nodeBin == "" {
 		path, err := exec.LookPath("esdds-node")
 		if err != nil {
@@ -88,14 +86,12 @@ func startProcCluster(ctx context.Context, n int, nodeBin, logDir string, extraA
 			return nil, err
 		}
 		pc.logs = append(pc.logs, logF)
-		args := []string{
+		cmd := exec.CommandContext(ctx, nodeBin,
 			"-id", strconv.Itoa(i),
 			"-listen", mainAddrs[i],
 			"-peers", peers,
 			"-metrics-addr", metricsAddrs[i],
-		}
-		args = append(args, extraArgs...)
-		cmd := exec.CommandContext(ctx, nodeBin, args...)
+		)
 		// Pin the daemons' GC pacing to the same setting the soak client
 		// uses (see run): baselines stay comparable across hosts whose
 		// ambient GOGC differs, and the soak measures the store, not the

@@ -27,11 +27,6 @@ type Cluster struct {
 	// resilience stack handles (nil when the option was not requested)
 	faulty *transport.Faulty
 	retry  *transport.Retry
-	hedge  *transport.Hedge
-
-	// shedders armed on locally hosted TCP servers (WithAdmissionControl
-	// on StartLocalTCPCluster; empty otherwise), indexed like servers.
-	shedders []*transport.Shedder
 
 	// tcp is the pooled client transport (nil for memory clusters); kept
 	// so self-healing can subscribe the detector to pool-level failures.
@@ -88,8 +83,6 @@ type clusterConfig struct {
 	selfHeal   *SelfHealingConfig
 	dataDir    string
 	observe    bool
-	shed       *transport.ShedPolicy
-	hedge      *transport.HedgePolicy
 }
 
 // WithDataDir makes every node durable: each journals its mutations to
@@ -143,28 +136,6 @@ func WithFaultInjection(seed int64) ClusterOption {
 	return func(c *clusterConfig) { c.faultSeed = &seed }
 }
 
-// WithAdmissionControl arms every locally hosted TCP server with an
-// adaptive shedder (AIMD concurrency limit + CoDel-style queue-delay
-// target, see DESIGN.md §13): past saturation, excess requests are
-// rejected with a retry-after hint instead of queueing without bound.
-// The zero policy takes shedder defaults; the op classifier defaults
-// to sdds.OpPriority (probes are never shed, Guardian image traffic
-// yields first). Only meaningful for StartLocalTCPCluster — memory
-// clusters have no server loop, and dialed daemons own their shedders
-// (esdds-node -shed).
-func WithAdmissionControl(p transport.ShedPolicy) ClusterOption {
-	return func(c *clusterConfig) { c.shed = &p }
-}
-
-// WithHedging layers budgeted backup requests for idempotent read ops
-// (get, search, word search, stats) under the retry layer: when a
-// primary attempt is slower than a p99-ish adaptive delay, a second
-// attempt races it and the first answer wins. An empty policy Ops list
-// defaults to sdds.HedgeSafeOps().
-func WithHedging(p transport.HedgePolicy) ClusterOption {
-	return func(c *clusterConfig) { c.hedge = &p }
-}
-
 func applyOptions(opts []ClusterOption) clusterConfig {
 	var cfg clusterConfig
 	for _, o := range opts {
@@ -174,10 +145,8 @@ func applyOptions(opts []ClusterOption) clusterConfig {
 }
 
 // stack layers the configured middleware over a base transport:
-// base → Faulty (optional) → Hedge (optional) → Retry (optional).
-// Hedge sits below Retry so each retry attempt makes a fresh hedging
-// decision; probes bypass both (probeTr), so breakers and hedge
-// budgets never mask health checks.
+// base → Faulty (optional) → Retry (optional). Probes bypass Retry
+// (probeTr), so open breakers never mask health checks.
 func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.Transport {
 	tr := base
 	if cfg.faultSeed != nil {
@@ -186,15 +155,6 @@ func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.
 		tr = c.faulty
 	}
 	c.probeTr = tr
-	if cfg.hedge != nil {
-		hp := *cfg.hedge
-		if len(hp.Ops) == 0 {
-			hp.Ops = sdds.HedgeSafeOps()
-		}
-		c.hedge = transport.NewHedge(tr, hp)
-		c.hedge.Instrument(c.met)
-		tr = c.hedge
-	}
 	if cfg.retry != nil {
 		c.retry = transport.NewRetry(tr, *cfg.retry, cfg.retrySeed)
 		c.retry.Instrument(c.met)
@@ -350,16 +310,6 @@ func StartLocalTCPCluster(n int, opts ...ClusterOption) (_ *Cluster, err error) 
 			return nil, err
 		}
 		srv := transport.NewServer(node.Handler())
-		if cfg.shed != nil {
-			sp := *cfg.shed
-			if sp.Classify == nil {
-				sp.Classify = sdds.OpPriority
-			}
-			sh := transport.NewShedder(sp)
-			sh.Instrument(c.met)
-			srv.SetShedder(sh)
-			c.shedders = append(c.shedders, sh)
-		}
 		srv.Instrument(c.met)
 		c.servers = append(c.servers, srv)
 		c.close = append(c.close, srv.Close)

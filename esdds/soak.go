@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/sdds"
-	"repro/internal/transport"
 )
 
 // SoakClusterOptions is the option set the soak harness (cmd/esdds-soak)
@@ -22,38 +21,18 @@ func SoakClusterOptions(seed int64) []ClusterOption {
 	}
 }
 
-// OverloadClusterOptions is SoakClusterOptions plus the full overload-
-// control stack (DESIGN.md §13), for soaks that deliberately offer ~3x
-// the cluster's capacity and gate on graceful degradation:
-//
-//   - server-side admission control, so saturation surfaces as prompt
-//     ErrOverloaded rejections instead of unbounded queueing;
-//   - a retry budget, so rejections cannot amplify into a retry storm
-//     (the budget caps retries near 10% of successes, with burst
-//     headroom for the transient spikes a healthy soak still has);
-//   - hedged reads, so the latency tail of admitted work stays bounded
-//     while queues are deep;
-//   - self-healing with deliberately patient detection (confirming a
-//     node down takes ~25s of consecutive probe failures), which the
-//     soak gates at zero repairs: overload must read as backpressure,
-//     never as node death.
+// OverloadClusterOptions is SoakClusterOptions plus self-healing with
+// deliberately patient detection (confirming a node down takes ~25s of
+// consecutive probe failures), for soaks that offer more than the
+// cluster can drain (DESIGN.md §13). The soak gates it at zero
+// repairs: saturation must read as a slow node, never as a dead one.
 func OverloadClusterOptions(seed int64) []ClusterOption {
-	retry := transport.DefaultRetryPolicy()
-	retry.RetryBudget = 0.1
-	retry.BudgetBurst = 50
-	return []ClusterOption{
-		WithObservability(),
-		WithRetry(retry),
-		WithRetrySeed(seed),
-		WithAdmissionControl(transport.ShedPolicy{}),
-		WithHedging(transport.HedgePolicy{}),
-		WithSelfHealing(SelfHealingConfig{
-			Parity:        1,
-			ProbeInterval: 250 * time.Millisecond,
-			ProbeTimeout:  5 * time.Second,
-			DownAfter:     5,
-		}),
-	}
+	return append(SoakClusterOptions(seed), WithSelfHealing(SelfHealingConfig{
+		Parity:        1,
+		ProbeInterval: 250 * time.Millisecond,
+		ProbeTimeout:  5 * time.Second,
+		DownAfter:     5,
+	}))
 }
 
 // BucketPlacement locates one bucket of the store on the cluster, with

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// errShedByServer stands in for transport.ErrOverloaded: the sentinel a
-// soak harness's IsRejected classifier matches with errors.Is.
+// errShedByServer stands in for a server's overload sentinel: the error
+// a harness's IsRejected classifier matches with errors.Is.
 var errShedByServer = errors.New("server shed the request")
 
 // sheddingTarget rejects every insert with a wrapped overload sentinel

@@ -30,7 +30,7 @@ type RunnerConfig struct {
 	// OpTimeout is the per-operation context deadline (default 30s).
 	OpTimeout time.Duration
 	// IsRejected classifies an op error as a server-side overload
-	// rejection (e.g. transport.ErrOverloaded after retries). Rejected
+	// rejection (a target-specific sentinel, matched with errors.Is). Rejected
 	// ops are counted separately from errors and excluded from the
 	// latency histograms: a shedding server is the overload design
 	// working, not the cluster failing, and it must not be conflated

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/disperse"
-	"repro/internal/transport"
 	"repro/internal/wordindex"
 )
 
@@ -70,34 +69,6 @@ const (
 // empty payload and no side effects, making it the natural ProbeOp for
 // a transport.Detector watching sdds nodes.
 const PingOp = opPing
-
-// OpPriority classifies the node protocol's op codes into admission-
-// control classes for a transport.Shedder guarding an sdds node:
-// health probes and recovery-state queries are control traffic (a
-// saturated node must keep proving liveness, or backpressure turns
-// into spurious down-detection); Guardian image transfer (snapshot /
-// restore) is background maintenance that yields to client traffic
-// first; everything else — put/get/delete/search and the split/merge
-// protocol — is foreground.
-func OpPriority(op uint8) transport.Priority {
-	switch op {
-	case opPing, opRecoveryState:
-		return transport.PriorityControl
-	case opNodeSnapshot, opNodeRestore:
-		return transport.PriorityBackground
-	default:
-		return transport.PriorityForeground
-	}
-}
-
-// HedgeSafeOps lists the read-only, idempotent op codes that a
-// transport.Hedge may safely attempt twice: record/index lookups and
-// the ciphertext search ops. Mutations (put, delete, split, merge,
-// restore) are excluded — a duplicated apply is not idempotent at the
-// bucket-load level even when the final state converges.
-func HedgeSafeOps() []uint8 {
-	return []uint8{opGet, opSearch, opWordSearch, opStats}
-}
 
 // Recovery modes reported by opRecoveryState — how a node's local state
 // came to be. The Supervisor uses them to pick the cheapest sound repair:

@@ -202,10 +202,9 @@ func TestServerDropsExpiredOnArrival(t *testing.T) {
 	}
 	frames := reg.CounterValue("transport_srv_frames_total")
 	sum := reg.CounterValue("transport_srv_admits_total") +
-		reg.CounterValue("transport_srv_shed_total") +
 		reg.CounterValue("transport_srv_expired_total")
 	if sum != frames {
-		t.Errorf("admission invariant broken: admits+sheds+expired = %d, frames = %d", sum, frames)
+		t.Errorf("admission invariant broken: admits+expired = %d, frames = %d", sum, frames)
 	}
 }
 

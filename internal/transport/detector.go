@@ -219,14 +219,13 @@ func (d *Detector) ObserveSend(node NodeID, err error) {
 }
 
 // alive classifies a send outcome: the node is alive if the request got
-// an answer — an application-level error, a shed (overloaded) response,
-// or a deadline-expired drop all prove the node read the frame and
-// replied. Only transport failures (no answer at all) count against it:
-// a node at 3x capacity sheds by design, and shedding must never read
-// as dying.
+// an answer — an application-level error or a deadline-expired drop
+// both prove the node read the frame and replied. Only transport
+// failures (no answer at all) count against it: a saturated node
+// answers late, and lateness must never read as dying.
 func alive(err error) bool {
 	var re *RemoteError
-	return err == nil || errors.As(err, &re) || overloadAlive(err)
+	return err == nil || errors.As(err, &re) || answeredExpired(err)
 }
 
 // signal folds one outcome into the node's state machine and publishes

@@ -25,8 +25,6 @@ type retryMetrics struct {
 	exhausted      *obs.Counter // Sends that failed all MaxAttempts
 	breakerTrips   *obs.Counter // breaker open events
 	breakerRejects *obs.Counter // Sends rejected by an open breaker
-	budgetDenied   *obs.Counter // retries withheld: token bucket empty
-	overloaded     *obs.Counter // attempts answered with ErrOverloaded
 	backoffNS      *obs.Histogram
 	sendNS         *obs.Histogram
 }
@@ -46,31 +44,8 @@ func (r *Retry) Instrument(reg *obs.Registry) {
 		exhausted:      reg.Counter("transport_retry_exhausted_total"),
 		breakerTrips:   reg.Counter("transport_retry_breaker_trips_total"),
 		breakerRejects: reg.Counter("transport_retry_breaker_rejects_total"),
-		budgetDenied:   reg.Counter("transport_retry_budget_exhausted_total"),
-		overloaded:     reg.Counter("transport_retry_overloaded_total"),
 		backoffNS:      reg.Histogram("transport_retry_backoff_ns"),
 		sendNS:         reg.Histogram("transport_retry_send_ns"),
-	}
-}
-
-// hedgeMetrics counts the hedging middleware. Invariant: won ≤ fired ≤
-// eligible sends; a hedge "wins" when its response arrives before the
-// primary's.
-type hedgeMetrics struct {
-	fired  *obs.Counter // second attempts actually launched
-	won    *obs.Counter // hedges whose response was used
-	denied *obs.Counter // hedge delay elapsed but token bucket was empty
-}
-
-// Instrument publishes the hedge middleware's counters into reg.
-func (h *Hedge) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	h.met = hedgeMetrics{
-		fired:  reg.Counter("transport_hedge_fired_total"),
-		won:    reg.Counter("transport_hedge_won_total"),
-		denied: reg.Counter("transport_hedge_denied_total"),
 	}
 }
 
@@ -166,9 +141,9 @@ func (t *TCP) Instrument(reg *obs.Registry) {
 // serverMetrics counts the node side of the TCP protocol. inflight is
 // the number of v2 request frames currently inside handler workers.
 // Every well-formed request frame lands in exactly one of admits /
-// sheds / expired, so the invariant suite asserts
+// expired, so the invariant suite asserts
 //
-//	admits_total + shed_total + expired_total == frames_total
+//	admits_total + expired_total == frames_total
 //
 // (corrupt frames kill the connection and dispatch nowhere).
 type serverMetrics struct {
@@ -179,7 +154,6 @@ type serverMetrics struct {
 	bytesOut      *obs.Counter
 	inflight      *obs.Gauge
 	admits        *obs.Counter // requests dispatched to a handler
-	sheds         *obs.Counter // rejected by the admission controller
 	expired       *obs.Counter // dropped: propagated deadline already passed
 }
 
@@ -196,7 +170,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		bytesOut:      reg.Counter("transport_srv_bytes_out_total"),
 		inflight:      reg.Gauge("transport_srv_inflight"),
 		admits:        reg.Counter("transport_srv_admits_total"),
-		sheds:         reg.Counter("transport_srv_shed_total"),
 		expired:       reg.Counter("transport_srv_expired_total"),
 	}
 }

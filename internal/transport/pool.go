@@ -370,20 +370,17 @@ func (t *TCP) Send(ctx context.Context, node NodeID, op uint8, payload []byte) (
 		return nil, err
 	}
 	switch resp.status {
+	case statusOK:
+		return resp.payload, nil
 	case statusErr:
 		return nil, &RemoteError{Node: node, Msg: string(resp.payload)}
-	case statusOverloaded:
-		var retryAfter time.Duration
-		if len(resp.payload) >= deadlineBytes {
-			if d := time.Duration(binary.BigEndian.Uint64(resp.payload[:deadlineBytes])); d > 0 {
-				retryAfter = d
-			}
-		}
-		return nil, &OverloadedError{Node: node, RetryAfter: retryAfter}
 	case statusExpired:
 		return nil, &ExpiredError{Node: node}
 	}
-	return resp.payload, nil
+	// The node answered, so the request may have run: a RemoteError is
+	// never retried blindly and proves the node alive, while the payload
+	// is not handed to a decoder as data.
+	return nil, &RemoteError{Node: node, Msg: fmt.Sprintf("unknown response status %d", resp.status)}
 }
 
 // Close implements Transport.

@@ -36,19 +36,6 @@ type RetryPolicy struct {
 	// Cooldown is how long an open breaker rejects sends before letting
 	// a probe through.
 	Cooldown time.Duration
-	// RetryBudget, when > 0, caps retries across the whole transport to
-	// roughly this fraction of successful sends (Finagle-style token
-	// bucket: every success earns RetryBudget tokens, every retry spends
-	// one, balance capped at BudgetBurst). With the budget drained a
-	// failed attempt is returned instead of retried, so N clients
-	// retrying into an overloaded cluster amplify offered load by at
-	// most 1+RetryBudget — a retry storm cannot melt a brown-out into a
-	// blackout. 0 disables budgeting (every retry allowed, as before).
-	RetryBudget float64
-	// BudgetBurst caps (and seeds) the token balance, letting a cold
-	// client retry before its first success (default 20 when RetryBudget
-	// is set).
-	BudgetBurst int
 }
 
 // DefaultRetryPolicy returns the stock policy: 4 attempts, 10ms–1s
@@ -82,19 +69,15 @@ func (p *RetryPolicy) fillDefaults() {
 	if p.Jitter > 1 {
 		p.Jitter = 1
 	}
-	if p.RetryBudget > 0 && p.BudgetBurst <= 0 {
-		p.BudgetBurst = 20
-	}
 }
 
 // Retryable classifies an error as a transport-level failure worth
 // retrying. Handler errors (RemoteError) reached the node and must not
 // be replayed blindly; context errors mean the caller gave up; unknown
 // nodes and open breakers cannot be cured by resending. An
-// OverloadedError IS retryable (backpressure asks us to come back
-// later, subject to the retry budget and retry-after hint); an
-// ExpiredError is not — it matches context.DeadlineExceeded, because
-// the caller's deadline is what expired.
+// ExpiredError is not retryable either — it matches
+// context.DeadlineExceeded, because the caller's deadline is what
+// expired.
 func Retryable(err error) bool {
 	var re *RemoteError
 	switch {
@@ -151,7 +134,6 @@ type Retry struct {
 	nodes    map[NodeID]*nodeHealth
 	now      func() time.Time // injectable clock for tests
 	observer SendObserver
-	budget   float64 // retry tokens left (meaningful when policy.RetryBudget > 0)
 
 	met retryMetrics // set by Instrument before traffic; nil-safe
 }
@@ -166,7 +148,6 @@ func NewRetry(inner Transport, policy RetryPolicy, seed int64) *Retry {
 		rng:    rand.New(rand.NewSource(seed)),
 		nodes:  make(map[NodeID]*nodeHealth),
 		now:    time.Now,
-		budget: float64(policy.BudgetBurst),
 	}
 }
 
@@ -191,13 +172,13 @@ func (r *Retry) observe(node NodeID, err error) {
 	if o == nil {
 		return
 	}
-	// Overload and expired responses prove the node alive — it read our
-	// frame and answered. Check before the context-error cases: an
-	// ExpiredError matches context.DeadlineExceeded, but unlike a true
-	// caller-side expiry it IS evidence about the node, and it must land
-	// as an up-signal, not be discarded (or worse, a saturated-but-
-	// healthy node would drift into suspicion on pure backpressure).
-	if overloadAlive(err) {
+	// An expired response proves the node alive — it read our frame and
+	// answered. Check before the context-error cases: an ExpiredError
+	// matches context.DeadlineExceeded, but unlike a true caller-side
+	// expiry it IS evidence about the node, and it must land as an
+	// up-signal, not be discarded (or worse, a saturated-but-healthy node
+	// would drift into suspicion).
+	if answeredExpired(err) {
 		o.ObserveSend(node, nil)
 		return
 	}
@@ -270,22 +251,10 @@ func (r *Retry) Send(ctx context.Context, node NodeID, op uint8, payload []byte)
 	var last error
 	for attempt := 1; attempt <= r.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
-			if !r.takeToken() {
-				// Budget drained: stop amplifying load. The last failure
-				// is surfaced (wrapped) so callers still see the cause.
-				r.met.budgetDenied.Inc()
-				return nil, fmt.Errorf("transport: retry budget exhausted, giving up on node %d after %d attempts: %w",
-					node, attempt-1, last)
-			}
 			r.mu.Lock()
 			h.Retries++
 			pause := r.backoff(attempt - 1)
 			r.mu.Unlock()
-			// An overloaded node's retry-after hint is a promise that
-			// sooner is pointless; never come back before it.
-			if ra, ok := RetryAfterOf(last); ok && ra > pause {
-				pause = ra
-			}
 			r.met.retries.Inc()
 			r.met.backoffNS.Observe(pause.Nanoseconds())
 			if err := sleepCtx(ctx, pause); err != nil {
@@ -305,25 +274,16 @@ func (r *Retry) Send(ctx context.Context, node NodeID, op uint8, payload []byte)
 			h.ConsecutiveFailures = 0
 			h.openUntil = time.Time{}
 			h.BreakerOpen = false
-			if r.policy.RetryBudget > 0 {
-				r.budget += r.policy.RetryBudget
-				if burst := float64(r.policy.BudgetBurst); r.budget > burst {
-					r.budget = burst
-				}
-			}
 			r.mu.Unlock()
 			return resp, nil
 		}
 		last = err
 		r.met.failures.Inc()
-		if overloadAlive(err) {
-			r.met.overloaded.Inc()
-		}
-		// Backpressure is not node failure: shed/expired responses come
-		// from a live node doing its job, so they never feed the breaker's
-		// consecutive-failure count (a saturated cluster with a tripped-
-		// open breaker would turn brown-out into black-out).
-		r.recordFailure(h, !overloadAlive(err))
+		// An expired response is not node failure: it comes from a live
+		// node that answered too late to matter, so it never feeds the
+		// breaker's consecutive-failure count (a saturated cluster with a
+		// tripped-open breaker would turn brown-out into black-out).
+		r.recordFailure(h, !answeredExpired(err))
 		if !Retryable(err) {
 			return nil, err
 		}
@@ -331,21 +291,6 @@ func (r *Retry) Send(ctx context.Context, node NodeID, op uint8, payload []byte)
 	r.met.exhausted.Inc()
 	return nil, fmt.Errorf("transport: %d attempts to node %d failed: %w",
 		r.policy.MaxAttempts, node, last)
-}
-
-// takeToken spends one retry token; reports false when the budget is
-// drained. Always true when budgeting is disabled.
-func (r *Retry) takeToken() bool {
-	if r.policy.RetryBudget <= 0 {
-		return true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.budget >= 1 {
-		r.budget--
-		return true
-	}
-	return false
 }
 
 func (r *Retry) recordFailure(h *nodeHealth, breaker bool) {

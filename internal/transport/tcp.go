@@ -19,11 +19,6 @@ import (
 // memory.
 const maxFrame = 64 << 20
 
-const (
-	statusOK  = 0
-	statusErr = 1
-)
-
 // srvReadBuf / srvWriteBuf size the server's per-connection bufio
 // layers. Typical frames are a few hundred bytes (a record + its index
 // pieces) but batch frames run to tens of KiB; 64 KiB lets a whole
@@ -43,8 +38,6 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	shed *Shedder // optional admission control; set before Serve
-
 	met serverMetrics // set by Instrument before Serve; nil-safe
 }
 
@@ -52,12 +45,6 @@ type Server struct {
 func NewServer(h Handler) *Server {
 	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
 }
-
-// SetShedder arms adaptive admission control: requests past the
-// shedder's limit are answered with statusOverloaded (and a retry-after
-// hint) instead of being queued, and requests whose propagated deadline
-// already passed are dropped with statusExpired. Call before Serve.
-func (s *Server) SetShedder(sh *Shedder) { s.shed = sh }
 
 // Serve accepts connections until the listener is closed. Each
 // connection must open with the v2 magic preamble and then carries
@@ -133,8 +120,7 @@ type srvResp struct {
 // srvTask is one v2 request dispatched to a handler worker. inflight is
 // the connection's own live-request counter; the writer consults it to
 // decide whether yielding for more responses is worthwhile. deadline is
-// the caller's propagated deadline (zero when none was sent); tok is
-// the shedder admission receipt when the server runs one.
+// the caller's propagated deadline (zero when none was sent).
 type srvTask struct {
 	s        *Server
 	id       uint32
@@ -142,8 +128,6 @@ type srvTask struct {
 	payload  []byte
 	buf      *[]byte
 	deadline time.Time
-	tok      ShedToken
-	admitted bool
 	respCh   chan srvResp
 	wg       *sync.WaitGroup
 	inflight *atomic.Int32
@@ -160,26 +144,16 @@ func (t srvTask) run() {
 	if cancel != nil {
 		cancel()
 	}
-	if t.admitted {
-		t.s.shed.Done(t.tok)
-	}
 	// Decrement before the response is queued so the writer's snapshot
 	// counts only requests that still owe it a response.
 	t.s.met.inflight.Add(-1)
 	t.inflight.Add(-1)
 	if herr != nil {
 		t.s.met.handlerErrors.Inc()
-		// A request whose forward was shed or expired downstream keeps
-		// its status on the way back out instead of flattening into a
-		// generic remote error: the original client must see overload as
-		// backpressure (and honor the hint), not as a node failure.
-		var oe *OverloadedError
-		if errors.As(herr, &oe) {
-			hint := make([]byte, deadlineBytes)
-			binary.BigEndian.PutUint64(hint, uint64(oe.RetryAfter))
-			t.respCh <- srvResp{id: t.id, status: statusOverloaded, payload: hint, reqBuf: t.buf}
-			return
-		}
+		// A request whose deadline ran out here or downstream keeps its
+		// status on the way back out instead of flattening into a generic
+		// remote error: the original client must see an expiry, not a
+		// handler failure.
 		if errors.Is(herr, context.DeadlineExceeded) {
 			t.respCh <- srvResp{id: t.id, status: statusExpired, reqBuf: t.buf}
 			return
@@ -302,23 +276,11 @@ func (s *Server) serveConnV2(conn net.Conn, r *bufio.Reader) {
 			}
 			deadline = time.Now().Add(budget)
 		}
-		task := srvTask{s: s, id: id, op: op, payload: payload, buf: buf, deadline: deadline, respCh: respCh, wg: &wg, inflight: &inflight}
-		if s.shed != nil {
-			tok, retryAfter, ok := s.shed.Admit(op)
-			if !ok {
-				s.met.sheds.Inc()
-				hint := make([]byte, deadlineBytes)
-				binary.BigEndian.PutUint64(hint, uint64(retryAfter))
-				respCh <- srvResp{id: id, status: statusOverloaded, payload: hint, reqBuf: buf}
-				continue
-			}
-			task.tok, task.admitted = tok, true
-		}
 		s.met.admits.Inc()
 		s.met.inflight.Add(1)
 		inflight.Add(1)
 		wg.Add(1)
-		srvGo(task)
+		srvGo(srvTask{s: s, id: id, op: op, payload: payload, buf: buf, deadline: deadline, respCh: respCh, wg: &wg, inflight: &inflight})
 	}
 	wg.Wait()
 	close(respCh)

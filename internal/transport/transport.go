@@ -43,7 +43,8 @@ type Transport interface {
 }
 
 // RemoteError is an error returned by a node's handler, carried across
-// the transport.
+// the transport — or an answer whose status the client cannot read.
+// Either way the node answered, and the request may have run.
 type RemoteError struct {
 	Node NodeID
 	Msg  string
@@ -51,6 +52,33 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("node %d: %s", e.Node, e.Msg)
+}
+
+// ExpiredError is the client-side form of a statusExpired wire
+// response: the request's propagated deadline had already passed when
+// the server read it (or ran out inside the handler), so the server
+// answered without doing the work. It matches errors.Is(err,
+// context.DeadlineExceeded) — from the caller's point of view the op
+// timed out; the wire status only tells us the server noticed first.
+type ExpiredError struct {
+	Node NodeID
+}
+
+func (e *ExpiredError) Error() string {
+	return fmt.Sprintf("node %d: request deadline expired before dispatch", e.Node)
+}
+
+// Is makes errors.Is(err, context.DeadlineExceeded) match.
+func (e *ExpiredError) Is(target error) bool { return target == context.DeadlineExceeded }
+
+// answeredExpired reports whether err is a node's statusExpired answer.
+// Unlike a caller-side context expiry it proves the node alive — it
+// read our frame and replied — so Retry and Detector keep it out of
+// the failure path: a saturated node whose queue outlives the callers'
+// deadlines must never read as a dying one.
+func answeredExpired(err error) bool {
+	var ee *ExpiredError
+	return errors.As(err, &ee)
 }
 
 // ErrUnknownNode reports a send to an unregistered node.

@@ -42,17 +42,19 @@ const tagDeadline = 0x80
 // deadlineBytes is the wire size of the optional deadline field.
 const deadlineBytes = 8
 
-// statusOverloaded / statusExpired extend the response statuses
-// (0 ok, 1 handler error). Overloaded: the server's admission
-// controller shed the request before the handler ran; the payload
-// carries a big-endian uint64 retry-after hint in nanoseconds.
-// Expired: the propagated deadline had already passed on arrival, so
-// the server dropped the request instead of burning CPU on doomed
-// work; the payload is empty. Both are distinguishable from handler
-// errors so clients treat them as backpressure, not node failure.
+// Response statuses. OK carries the handler's response and Err its
+// error text. Expired: the propagated deadline had already passed on
+// arrival (or ran out in the handler), so the server answered without
+// burning CPU on doomed work; the payload is empty, and the client
+// reads it as a timeout from a live node, not as node failure. Any
+// other status is a peer speaking a protocol this client does not, and
+// TCP.Send reports it as an error naming the node and the status.
+// Retired statuses stay reserved, like retired op codes — never reuse.
 const (
-	statusOverloaded = 2
-	statusExpired    = 3
+	statusOK      = 0
+	statusErr     = 1
+	_             = 2 // retired: "overloaded" (server admission control)
+	statusExpired = 3
 )
 
 // putBudget encodes a deadline budget for the wire. Budgets are
