@@ -7,8 +7,10 @@
 //	insert <rid> <content>  store one record
 //	get <rid>               fetch and decrypt one record
 //	delete <rid>            remove a record and its index
-//	search <substring>      encrypted substring search (filtered)
-//	rawsearch <substring>   encrypted search without client-side filter
+//	search <substring>      encrypted substring search: matching records,
+//	                        decrypted, false positives filtered out
+//	rawsearch <substring>   the index's matching RIDs, false positives
+//	                        included
 //	stats                   SDDS state (buckets, splits, IAMs) plus a
 //	                        metrics summary: op counts and search
 //	                        latency quantiles (p50/p90/p99)
@@ -217,14 +219,8 @@ func repl(store *esdds.Store, cluster *esdds.Cluster) {
 			} else {
 				fmt.Println("ok")
 			}
-		case "search", "rawsearch":
-			var recs []esdds.Record
-			var err error
-			if cmd == "search" {
-				recs, err = store.SearchRecordsFiltered(ctx, []byte(rest), esdds.SearchFast)
-			} else {
-				recs, err = store.SearchRecords(ctx, []byte(rest), esdds.SearchFast)
-			}
+		case "search":
+			recs, err := store.SearchRecords(ctx, []byte(rest), esdds.SearchFast)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -233,6 +229,13 @@ func repl(store *esdds.Store, cluster *esdds.Cluster) {
 				fmt.Printf("%d: %s\n", r.RID, r.Content)
 			}
 			fmt.Printf("%d hit(s)\n", len(recs))
+		case "rawsearch":
+			rids, err := store.Search(ctx, []byte(rest), esdds.SearchFast)
+			if err != nil {
+				fmt.Println("error:", err)
+				continue
+			}
+			fmt.Printf("%v\n%d hit(s)\n", rids, len(rids))
 		case "stats":
 			st := store.Stats()
 			fmt.Printf("record buckets %d (splits %d), index buckets %d (splits %d), IAMs %d\n",

@@ -14,7 +14,8 @@
 //
 // Every node answers health probes (the ping opcode) automatically, so
 // a client opened with esdds.WithSelfHealing can detect daemon failures
-// and serve degraded searches; automatic restore onto a replacement
+// and repair them. While a daemon is down, searches fail with an
+// esdds.IncompleteError naming it; automatic restore onto a replacement
 // daemon requires restarting it under the dead node's ID and address.
 //
 // With -data-dir the node is durable: every mutation is journaled to a

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/encode"
+	"repro/internal/sdds"
 )
 
 // Codebook persistence. Stage-2 codebooks are trained on a corpus sample
@@ -75,6 +76,10 @@ func OpenWithCodebook(cluster *Cluster, key Key, cfg Config, codebook io.Reader)
 // network traffic" — it issues |alphabet| searches whose union
 // over-approximates the true result set. alphabet defaults to the
 // printable upper-case set used by the directory corpus when nil.
+//
+// A probe that some nodes do not answer ends the expansion with an
+// *IncompleteError whose RIDs are the union gathered so far, still a
+// subset of the full answer.
 func (s *Store) SearchShort(ctx context.Context, substring []byte, alphabet []byte) ([]uint64, error) {
 	if len(alphabet) == 0 {
 		alphabet = []byte(" &'-ABCDEFGHIJKLMNOPQRSTUVWXYZ")
@@ -84,33 +89,40 @@ func (s *Store) SearchShort(ctx context.Context, substring []byte, alphabet []by
 		return nil, fmt.Errorf("esdds: SearchShort needs exactly %d symbols (MinQueryLen-1), got %d",
 			want, len(substring))
 	}
-	union := make(map[uint64]bool)
-	q := make([]byte, len(substring)+1)
-	copy(q, substring)
-	for _, c := range alphabet {
+	// A record may also end with the short query as its suffix (no
+	// following symbol). Those occurrences sit against the zero-padded
+	// tail, so the padding symbol 0 is probed last.
+	probes := append(slices.Clip(alphabet), 0)
+	var union []uint64
+	q := append(slices.Clip(substring), 0)
+	for i, c := range probes {
 		q[len(substring)] = c
-		rids, err := s.Search(ctx, q, SearchFast)
+		query, err := s.pipeline.BuildQuery(q, false)
+		if err != nil {
+			if i == len(alphabet) {
+				// Only a Stage-2 codebook with the strict unknown-group
+				// policy (encode.UnknownError, loadable through
+				// OpenWithCodebook) refuses a query: when no training
+				// group held the padding symbol, the store cannot express
+				// the suffix probe at all.
+				break
+			}
+			return nil, err
+		}
+		rids, err := s.cluster.Search(ctx, sdds.FileIndex, s.pipeline, query, SearchFast.internal())
+		var ie *IncompleteError
+		if errors.As(err, &ie) {
+			ie.RIDs = sortedSet(append(union, ie.RIDs...))
+		}
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range rids {
-			union[r] = true
-		}
+		union = append(union, rids...)
 	}
-	// A record may also end with the short query as its suffix (no
-	// following symbol). Those occurrences sit against the zero-padded
-	// tail, so probe with the padding symbol too.
-	q[len(substring)] = 0
-	rids, err := s.Search(ctx, q, SearchFast)
-	if err == nil {
-		for _, r := range rids {
-			union[r] = true
-		}
-	}
-	out := make([]uint64, 0, len(union))
-	for r := range union {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
+	return sortedSet(union), nil
+}
+
+func sortedSet(rids []uint64) []uint64 {
+	slices.Sort(rids)
+	return slices.Compact(rids)
 }

@@ -3,9 +3,14 @@ package esdds
 import (
 	"bytes"
 	"context"
+	"errors"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/phonebook"
+	"repro/internal/sdds"
+	"repro/internal/transport"
 )
 
 func TestCodebookPersistenceRoundTrip(t *testing.T) {
@@ -63,7 +68,7 @@ func TestCodebookPersistenceRoundTrip(t *testing.T) {
 	if err := second.Insert(ctx, 9999, []byte("ZELENSKY OLEKSANDRA")); err != nil {
 		t.Fatal(err)
 	}
-	rids, err := first.SearchRecordsFiltered(ctx, []byte("ZELENSKY"), SearchFast)
+	rids, err := first.SearchRecords(ctx, []byte("ZELENSKY"), SearchFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,5 +167,64 @@ func TestSearchShort(t *testing.T) {
 	// Wrong length rejected.
 	if _, err := store.SearchShort(ctx, []byte("YU"), nil); err == nil {
 		t.Error("wrong-length short query accepted")
+	}
+}
+
+// failNthSearch fails the nth search send to one node with
+// transport.ErrNodeDown and passes every other send through.
+type failNthSearch struct {
+	transport.Transport
+	node transport.NodeID
+	n    int
+
+	mu   sync.Mutex
+	seen int
+}
+
+func (f *failNthSearch) Send(ctx context.Context, node transport.NodeID, op uint8, payload []byte) ([]byte, error) {
+	if node == f.node && sdds.OpName(op) == "search" {
+		f.mu.Lock()
+		f.seen++
+		fail := f.seen == f.n
+		f.mu.Unlock()
+		if fail {
+			return nil, transport.ErrNodeDown
+		}
+	}
+	return f.Transport.Send(ctx, node, op, payload)
+}
+
+// TestSearchShortReportsFailedPaddingProbe: the padding probe is the one
+// that finds records ending in the short query. A node failing only that
+// probe must surface as an IncompleteError holding what the alphabet
+// probes found, not as a union silently missing the suffix matches.
+func TestSearchShortReportsFailedPaddingProbe(t *testing.T) {
+	alphabet := []byte(" ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+	cluster := NewMemoryCluster(3)
+	t.Cleanup(func() { cluster.Close() })
+	// The index file's only bucket lives on node 0; its search sends come
+	// one per probe, the padding probe last.
+	tr := &failNthSearch{Transport: cluster.inner.Transport(), node: 0, n: len(alphabet) + 1}
+	cluster.inner = sdds.NewCluster(tr, cluster.place)
+	store, err := Open(cluster, KeyFromPassphrase("short"), Config{ChunkSize: 4, Chunkings: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for rid, n := range map[uint64]string{1: "YUAN LI", 2: "WONG YUA", 3: "MARTINEZ ANA"} {
+		if err := store.Insert(ctx, rid, []byte(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rids, err := store.SearchShort(ctx, []byte("YUA"), alphabet)
+	var ie *IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("SearchShort with a failed padding probe = %v, %v; want an IncompleteError", rids, err)
+	}
+	if len(ie.Failed) != 1 || ie.Failed[0].Node != 0 {
+		t.Fatalf("Failed = %v, want node 0", ie.Failed)
+	}
+	if !slices.Equal(ie.RIDs, []uint64{1}) {
+		t.Fatalf("partial union = %v, want the alphabet probes' [1]", ie.RIDs)
 	}
 }

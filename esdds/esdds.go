@@ -32,7 +32,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/cipherx"
@@ -330,11 +329,10 @@ func (s *Store) Delete(ctx context.Context, rid uint64) error {
 // the substring. Depending on the mode and Stage-2 lossiness the result
 // may include false positives, but never misses a true occurrence.
 //
-// On a self-healing cluster (WithSelfHealing), Search stays complete
-// while at most Parity nodes are down: unreachable nodes' index buckets
-// are answered transparently from the guardian's last-synced parity
-// images. Use SearchDetailed to observe when that happened and how
-// stale the served images were.
+// A node that does not answer — down, partitioned or under repair — is a
+// failed node: Search returns an *IncompleteError naming it, whose RIDs
+// are the answering nodes' matches. That is a subset of the full answer;
+// take it with errors.As where a best-effort answer will do.
 func (s *Store) Search(ctx context.Context, substring []byte, mode SearchMode) ([]uint64, error) {
 	query, err := s.pipeline.BuildQuery(substring, mode != SearchFast)
 	if err != nil {
@@ -343,26 +341,29 @@ func (s *Store) Search(ctx context.Context, substring []byte, mode SearchMode) (
 	return s.cluster.Search(ctx, sdds.FileIndex, s.pipeline, query, mode.internal())
 }
 
+// IncompleteError is the error Search, SearchWord, SearchShort and
+// SearchRecords return when some nodes did not answer. RIDs holds what
+// the answering nodes matched, a subset of the full answer; Failed names
+// each silent node with its error.
+type IncompleteError = sdds.IncompleteError
+
 // Record is one decrypted search result.
 type Record struct {
 	RID     uint64
 	Content []byte
 }
 
-// SearchRecords runs Search and fetches + decrypts every hit — the full
-// client flow of the paper's Figure 3 (index sites report RIDs, the
-// client pulls the sealed records from the record store site). A hit
-// whose record is missing (a failed Insert's orphan) is skipped.
+// SearchRecords runs Search, fetches and decrypts every hit, and keeps
+// the records whose plaintext contains the substring — the full client
+// flow of the paper's Figure 3 (index sites report RIDs, the client
+// pulls the sealed records from the record store site) with the scheme's
+// false positives removed. A hit whose record is missing (a failed
+// Insert's orphan) is skipped.
 func (s *Store) SearchRecords(ctx context.Context, substring []byte, mode SearchMode) ([]Record, error) {
 	rids, err := s.Search(ctx, substring, mode)
 	if err != nil {
 		return nil, err
 	}
-	return s.fetchHits(ctx, rids)
-}
-
-// fetchHits fetches and decrypts every hit, skipping missing records.
-func (s *Store) fetchHits(ctx context.Context, rids []uint64) ([]Record, error) {
 	out := make([]Record, 0, len(rids))
 	for _, rid := range rids {
 		content, err := s.Get(ctx, rid)
@@ -372,24 +373,8 @@ func (s *Store) fetchHits(ctx context.Context, rids []uint64) ([]Record, error) 
 		if err != nil {
 			return nil, fmt.Errorf("esdds: fetching hit %d: %w", rid, err)
 		}
-		out = append(out, Record{RID: rid, Content: content})
-	}
-	return out, nil
-}
-
-// SearchRecordsFiltered is SearchRecords followed by client-side
-// post-filtering on the decrypted plaintext, discarding the scheme's
-// false positives. This gives exact results at the cost of fetching the
-// (typically few) extra records.
-func (s *Store) SearchRecordsFiltered(ctx context.Context, substring []byte, mode SearchMode) ([]Record, error) {
-	recs, err := s.SearchRecords(ctx, substring, mode)
-	if err != nil {
-		return nil, err
-	}
-	out := recs[:0]
-	for _, r := range recs {
-		if bytes.Contains(r.Content, substring) {
-			out = append(out, r)
+		if bytes.Contains(content, substring) {
+			out = append(out, Record{RID: rid, Content: content})
 		}
 	}
 	return out, nil
@@ -416,53 +401,4 @@ func (s *Store) Stats() Stats {
 		IndexSplits:   is,
 		IAMs:          riam + iiam,
 	}
-}
-
-// SearchOutcome carries a search's results plus its availability
-// metadata: whether the answer is complete, which nodes (if any) were
-// served degraded from last-synced parity images, and how stale those
-// images were.
-type SearchOutcome struct {
-	// RIDs are the matching record IDs (sorted, deduplicated).
-	RIDs []uint64
-	// Complete is true when every node's index buckets contributed —
-	// live or served degraded. False means FailedNodes' hits are
-	// missing.
-	Complete bool
-	// DegradedNodes were unreachable but answered from the guardian's
-	// last-synced images; their contribution may miss records inserted
-	// after StaleSince (nothing spurious is added).
-	DegradedNodes []int
-	// FailedNodes were unreachable with no degraded coverage.
-	FailedNodes []int
-	// StaleSince is the recovery point the degraded nodes were served
-	// from (zero when DegradedNodes is empty).
-	StaleSince time.Time
-}
-
-// SearchDetailed is Search with full availability metadata. Unlike
-// Search it does not fail on unreachable nodes — inspect
-// Outcome.Complete / FailedNodes to decide whether the
-// under-approximation is acceptable.
-func (s *Store) SearchDetailed(ctx context.Context, substring []byte, mode SearchMode) (SearchOutcome, error) {
-	query, err := s.pipeline.BuildQuery(substring, mode != SearchFast)
-	if err != nil {
-		return SearchOutcome{}, err
-	}
-	rids, info, err := s.cluster.SearchPartialInfo(ctx, sdds.FileIndex, s.pipeline, query, mode.internal())
-	if err != nil {
-		return SearchOutcome{}, err
-	}
-	out := SearchOutcome{
-		RIDs:       rids,
-		Complete:   info.Complete(),
-		StaleSince: info.StaleSince,
-	}
-	for _, n := range info.Degraded {
-		out.DegradedNodes = append(out.DegradedNodes, int(n))
-	}
-	for _, n := range info.Failed {
-		out.FailedNodes = append(out.FailedNodes, int(n))
-	}
-	return out, nil
 }

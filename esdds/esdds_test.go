@@ -172,7 +172,7 @@ func TestStage2SymbolEncodingStore(t *testing.T) {
 	}
 }
 
-func TestSearchRecordsFilteredRemovesFalsePositives(t *testing.T) {
+func TestSearchRecordsRemovesFalsePositives(t *testing.T) {
 	entries := phonebook.Generate(400, 2)
 	corpus := phonebook.Names(entries)
 	// Aggressive compression (8 codes) to force plenty of collisions.
@@ -183,17 +183,19 @@ func TestSearchRecordsFilteredRemovesFalsePositives(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	query := []byte("MARTINEZ")
-	raw, err := store.SearchRecords(ctx, query, SearchFast)
+	// A short surname under 8 codes collides often: the index alone
+	// over-reports, and SearchRecords must drop the extras.
+	query := []byte("LEE")
+	raw, err := store.Search(ctx, query, SearchFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := store.SearchRecordsFiltered(ctx, query, SearchFast)
+	filtered, err := store.SearchRecords(ctx, query, SearchFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(filtered) > len(raw) {
-		t.Error("filtering added records")
+	if len(filtered) >= len(raw) {
+		t.Errorf("SearchRecords kept %d of %d index hits; want the false positives dropped", len(filtered), len(raw))
 	}
 	for _, r := range filtered {
 		if !bytes.Contains(r.Content, query) {
@@ -284,7 +286,7 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, err := store.SearchRecordsFiltered(ctx, []byte("LITWIN"), SearchFast)
+	recs, err := store.SearchRecords(ctx, []byte("LITWIN"), SearchFast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,13 +360,13 @@ func TestWordSearch(t *testing.T) {
 	if len(rids) != 1 || rids[0] != 5 {
 		t.Errorf("SearchWord(YU) = %v, want [5]", rids)
 	}
-	// SearchWordRecords decrypts.
-	recs, err := store.SearchWordRecords(ctx, []byte("LITWIN"))
-	if err != nil {
-		t.Fatal(err)
+	// Word hits are exact: Get fetches the record itself.
+	rids, err = store.SearchWord(ctx, []byte("LITWIN"))
+	if err != nil || len(rids) != 1 {
+		t.Fatalf("SearchWord(LITWIN) = %v, %v", rids, err)
 	}
-	if len(recs) != 1 || string(recs[0].Content) != "LITWIN WITOLD" {
-		t.Errorf("SearchWordRecords = %+v", recs)
+	if got, err := store.Get(ctx, rids[0]); err != nil || string(got) != "LITWIN WITOLD" {
+		t.Errorf("Get(%d) = %q, %v", rids[0], got, err)
 	}
 	// Delete removes word entries too.
 	if err := store.Delete(ctx, 1); err != nil {
@@ -391,23 +393,5 @@ func TestWordSearchDisabled(t *testing.T) {
 	store := openMem(t, Config{ChunkSize: 4, Chunkings: 2}, nil)
 	if _, err := store.SearchWord(context.Background(), []byte("X")); !errors.Is(err, ErrWordSearchDisabled) {
 		t.Errorf("err = %v, want ErrWordSearchDisabled", err)
-	}
-}
-
-func TestSearchDetailedHealthy(t *testing.T) {
-	store := openMem(t, Config{ChunkSize: 4, Chunkings: 2}, nil)
-	ctx := context.Background()
-	if err := store.Insert(ctx, 9, []byte("MARTINEZ MARIA")); err != nil {
-		t.Fatal(err)
-	}
-	out, err := store.SearchDetailed(ctx, []byte("MARTINEZ"), SearchFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Complete || len(out.FailedNodes) != 0 {
-		t.Errorf("healthy cluster: complete=%v failed nodes %v", out.Complete, out.FailedNodes)
-	}
-	if len(out.RIDs) != 1 || out.RIDs[0] != 9 {
-		t.Errorf("rids = %v", out.RIDs)
 	}
 }

@@ -26,7 +26,7 @@ func Example() {
 	store.Insert(ctx, 4154090007, []byte("SCHWARZ THOMAS"))
 	store.Insert(ctx, 4154090008, []byte("LITWIN WITOLD"))
 
-	recs, err := store.SearchRecordsFiltered(ctx, []byte("SCHWARZ"), esdds.SearchFast)
+	recs, err := store.SearchRecords(ctx, []byte("SCHWARZ"), esdds.SearchFast)
 	if err != nil {
 		log.Fatal(err)
 	}

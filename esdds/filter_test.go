@@ -7,7 +7,7 @@ import (
 )
 
 // naiveContains is the obvious O(n*m) reference matcher the client-side
-// plaintext filter used to hand-roll. SearchRecordsFiltered now relies
+// plaintext filter used to hand-roll. SearchRecords now relies
 // on bytes.Contains; this differential test pins the two to identical
 // behavior, including the edge cases (empty needle, needle == haystack,
 // needle longer than haystack, overlapping near-matches).

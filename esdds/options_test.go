@@ -212,10 +212,9 @@ func TestBatchErrorUnwrap(t *testing.T) {
 	}
 }
 
-// TestSearchDetailedReportsFailedNodes pins the no-coverage outcome: a
-// dead node on a cluster without self-healing shows up in FailedNodes
-// and marks the result incomplete, while Search proper fails loudly.
-func TestSearchDetailedReportsFailedNodes(t *testing.T) {
+// TestSearchReportsFailedNodes pins the failed-node outcome: Search with
+// a dead node fails with an IncompleteError naming exactly that node.
+func TestSearchReportsFailedNodes(t *testing.T) {
 	cluster := NewMemoryCluster(3)
 	defer cluster.Close()
 	store, err := Open(cluster, KeyFromPassphrase("k"), Config{
@@ -235,20 +234,15 @@ func TestSearchDetailedReportsFailedNodes(t *testing.T) {
 	if err := cluster.KillNode(1); err != nil {
 		t.Fatal(err)
 	}
-	out, err := store.SearchDetailed(ctx, []byte("DETAIL RECORD"), SearchFast)
-	if err != nil {
-		t.Fatal(err)
+	rids, err := store.Search(ctx, []byte("DETAIL RECORD"), SearchFast)
+	var ie *IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("Search with a dead node = %v, %v; want an IncompleteError", rids, err)
 	}
-	if out.Complete {
-		t.Fatal("search with a dead node reported complete")
+	if len(ie.Failed) != 1 || ie.Failed[0].Node != 1 {
+		t.Fatalf("Failed = %v, want node 1", ie.Failed)
 	}
-	if len(out.FailedNodes) != 1 || out.FailedNodes[0] != 1 {
-		t.Fatalf("FailedNodes = %v, want [1]", out.FailedNodes)
-	}
-	if len(out.DegradedNodes) != 0 {
-		t.Fatalf("DegradedNodes = %v without self-healing", out.DegradedNodes)
-	}
-	if _, err := store.Search(ctx, []byte("DETAIL RECORD"), SearchFast); err == nil {
-		t.Fatal("strict Search succeeded with a dead node")
+	if !errors.Is(err, transport.ErrUnknownNode) {
+		t.Fatalf("errors.Is(err, ErrUnknownNode) = false: %v", err)
 	}
 }

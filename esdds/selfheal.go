@@ -9,10 +9,9 @@ import (
 )
 
 // SelfHealingConfig tunes the availability loop enabled by
-// WithSelfHealing: a failure detector probing every node, a repair
+// WithSelfHealing: a failure detector probing every node and a repair
 // supervisor that automatically restores failed nodes from LH*RS
-// parity, and degraded-mode search serving down nodes' index buckets
-// from the guardian's last-synced images.
+// parity.
 type SelfHealingConfig struct {
 	// Parity is k, the number of simultaneous node failures the cluster
 	// survives with zero record loss. Required, >= 1.
@@ -27,16 +26,16 @@ type SelfHealingConfig struct {
 	// Repair supervisor tuning (zero values take sdds defaults).
 	Debounce      time.Duration // confirmed-down dwell before repair
 	RepairBackoff time.Duration // pause between failed repair attempts
-	SyncInterval  time.Duration // periodic recovery-point refresh (0: manual Sync only)
+	SyncInterval  time.Duration // periodic parity recovery-point refresh (0: manual Sync only)
 	JournalCap    int           // repair-journal ring bound (default 512)
 }
 
 // WithSelfHealing turns the cluster into a self-healing one: node
 // images are kept under Reed–Solomon parity (tolerating cfg.Parity
-// simultaneous failures), a detector probes node health, a supervisor
-// automatically revives and restores confirmed-dead nodes, and
-// searches transparently stay complete while at most Parity nodes are
-// down by answering their share from the last-synced parity images.
+// simultaneous failures), a detector probes node health, and a
+// supervisor automatically revives and restores confirmed-dead nodes.
+// Until a node is back, searches treat it as failed and return an
+// IncompleteError naming it.
 //
 // Call Store inserts as usual, then SelfHealing().Sync (or set
 // SyncInterval) to establish the recovery point. Inspect progress with
@@ -103,7 +102,6 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 	// supervisor rolls those handoffs forward (or aborts them) so the
 	// cluster returns to nominal without operator action.
 	sup.SetMigrationResumer(c.inner.ResumeMigrations)
-	c.inner.SetDegradedProvider(sup)
 	det.Start()
 	sup.Start()
 	c.det, c.sup, c.guard = det, sup, guard
@@ -129,14 +127,16 @@ func (c *Cluster) SelfHealing() *SelfHealing {
 	return &SelfHealing{c: c}
 }
 
-// Sync establishes (or refreshes) the recovery point: every node's
-// current image is folded into the parity group. Run it after bulk
-// loads and periodically during quiet moments — degraded reads and
-// repairs restore to the last Sync.
+// Sync establishes (or refreshes) the parity recovery point: every
+// node's current image is folded into the parity group. Run it after
+// bulk loads and periodically during quiet moments — a node that cannot
+// replay its own journal is restored to the last Sync, losing the
+// writes it took since.
 func (h *SelfHealing) Sync(ctx context.Context) error { return h.c.guard.Sync(ctx) }
 
-// LastSync reports the recovery point time and sequence (zero values:
-// never synced).
+// LastSync reports the parity recovery point's time and sequence
+// (zero values: never synced) — the state a parity restore returns a
+// node to.
 func (h *SelfHealing) LastSync() (time.Time, uint64) { return h.c.guard.LastSync() }
 
 // AwaitHealthy blocks until every node is up and no repair is pending,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,9 +30,10 @@ func fastSelfHealing(parity int) SelfHealingConfig {
 // self-healing availability loop, over the public API only:
 //
 //  1. a workload loads a store and establishes a recovery point,
-//  2. k nodes are killed mid-workload; every Search keeps returning the
-//     complete baseline with zero lost results (down nodes served
-//     degraded from last-synced images),
+//  2. k nodes are killed mid-workload; every Search either returns
+//     exactly the baseline or fails with an IncompleteError naming only
+//     dead nodes and carrying a subset of the baseline — never a stale
+//     or spurious answer passed off as complete,
 //  3. the supervisor detects, revives, and restores the dead nodes
 //     automatically — no operator call — and the cluster converges back
 //     to fully healthy with all records intact.
@@ -92,31 +94,28 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Until convergence, every single search must return the complete
-	// baseline — degraded serving bridges the gap, repair closes it.
+	// Until convergence, every search either answers exactly the baseline
+	// or says which dead nodes it is missing.
 	deadline := time.After(10 * time.Second)
-	sawDegraded := false
 	for healthy := false; !healthy; {
-		out, err := store.SearchDetailed(ctx, marker, SearchVerified)
-		if err != nil {
+		rids, err := store.Search(ctx, marker, SearchVerified)
+		var ie *IncompleteError
+		switch {
+		case errors.As(err, &ie):
+			for _, f := range ie.Failed {
+				if f.Node != 1 && f.Node != 4 {
+					t.Fatalf("search mid-repair blamed live node %d: %v", f.Node, err)
+				}
+			}
+			for _, r := range ie.RIDs {
+				if !slices.Contains(baseline, r) {
+					t.Fatalf("partial answer %v holds %d, not in baseline %v", ie.RIDs, r, baseline)
+				}
+			}
+		case err != nil:
 			t.Fatalf("search during failure/repair: %v", err)
-		}
-		if !out.Complete {
-			t.Fatalf("search lost results mid-repair: %+v", out)
-		}
-		if len(out.RIDs) != len(baseline) {
-			t.Fatalf("search returned %v, want baseline %v", out.RIDs, baseline)
-		}
-		for i := range out.RIDs {
-			if out.RIDs[i] != baseline[i] {
-				t.Fatalf("search diverged: %v, want %v", out.RIDs, baseline)
-			}
-		}
-		if len(out.DegradedNodes) > 0 {
-			sawDegraded = true
-			if out.StaleSince.IsZero() {
-				t.Fatal("degraded result missing StaleSince")
-			}
+		case !slices.Equal(rids, baseline):
+			t.Fatalf("search returned %v as complete, want baseline %v", rids, baseline)
 		}
 		hctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 		healthy = heal.AwaitHealthy(hctx) == nil
@@ -128,10 +127,6 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 		default:
 		}
 	}
-	if !sawDegraded {
-		t.Log("note: repair won the race before any degraded search was observed")
-	}
-
 	// Converged: repairs journaled, records intact, strict search exact.
 	if n := heal.Repairs(); n != 2 {
 		t.Errorf("Repairs = %d, want 2", n)
@@ -234,16 +229,11 @@ func TestSelfHealingAlarmsBeyondBudget(t *testing.T) {
 	}
 
 	// Searches must not pretend completeness: the dead nodes surface as
-	// failed, and nothing spurious is returned.
-	out, err := store.SearchDetailed(ctx, []byte("GRIDLOCK"), SearchFast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Complete {
-		t.Fatal("search claimed completeness beyond the parity budget")
-	}
-	if len(out.FailedNodes) != 2 {
-		t.Fatalf("FailedNodes = %v, want the two dead nodes", out.FailedNodes)
+	// failed.
+	_, err = store.Search(ctx, []byte("GRIDLOCK"), SearchFast)
+	var ie *IncompleteError
+	if !errors.As(err, &ie) || len(ie.Failed) != 2 {
+		t.Fatalf("Search beyond the parity budget = %v, want an IncompleteError naming the two dead nodes", err)
 	}
 	// Surviving nodes' data is untouched.
 	for rid := uint64(1); rid <= 40; rid++ {

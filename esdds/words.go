@@ -20,22 +20,14 @@ var ErrWordSearchDisabled = errors.New("esdds: word search not enabled in Config
 
 // SearchWord returns the RIDs of records containing the exact word
 // (case-insensitive under the default tokenizer). Unlike the substring
-// Search, results are exact, and any word length is searchable.
+// Search, results are exact, and any word length is searchable. A node
+// that does not answer makes it return an *IncompleteError, as Search.
 func (s *Store) SearchWord(ctx context.Context, word []byte) ([]uint64, error) {
 	if s.words == nil {
 		return nil, ErrWordSearchDisabled
 	}
 	token := s.words.TokenOf(normalizeWord(word))
 	return s.cluster.WordSearch(ctx, sdds.FileWords, token[:])
-}
-
-// SearchWordRecords runs SearchWord and fetches + decrypts every hit.
-func (s *Store) SearchWordRecords(ctx context.Context, word []byte) ([]Record, error) {
-	rids, err := s.SearchWord(ctx, word)
-	if err != nil {
-		return nil, err
-	}
-	return s.fetchHits(ctx, rids)
 }
 
 // normalizeWord upper-cases ASCII letters so queries match the default

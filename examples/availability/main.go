@@ -2,15 +2,17 @@
 // in-process multicomputer runs an encrypted workload over a lossy
 // network (seeded fault injection; retries with exponential backoff
 // mask every drop). An LH*RS guardian then puts each node's bucket
-// inventory under Reed–Solomon parity, two nodes die mid-flight,
-// best-effort search degrades gracefully and names exactly the dead
-// sites, and the guardian reconstructs both nodes bit-exactly from
-// parity — the high-availability story of LH*RS [LMS05] that the paper
-// names as its storage substrate, driven through the public API.
+// inventory under Reed–Solomon parity, two nodes die mid-flight, search
+// returns an IncompleteError that names exactly the dead sites and
+// carries the survivors' hits, and the guardian reconstructs both nodes
+// bit-exactly from parity — the high-availability story of LH*RS
+// [LMS05] that the paper names as its storage substrate, driven through
+// the public API.
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"time"
@@ -103,12 +105,19 @@ func main() {
 	}
 	cluster.Faults().Blackout(4)
 
-	out, err := store.SearchDetailed(ctx, query, esdds.SearchVerified)
-	if err != nil {
-		log.Fatal(err)
+	// A search that some nodes cannot answer fails with an
+	// IncompleteError; a best-effort caller takes the survivors' hits
+	// from it.
+	_, err = store.Search(ctx, query, esdds.SearchVerified)
+	var ie *esdds.IncompleteError
+	if !errors.As(err, &ie) {
+		log.Fatalf("search with two dead nodes: %v, want an IncompleteError", err)
 	}
-	hits, failed := out.RIDs, out.FailedNodes
-	fmt.Printf("best-effort search: %d/%d hits, failed nodes reported: %v\n", len(hits), len(baseline), failed)
+	var failed []int
+	for _, f := range ie.Failed {
+		failed = append(failed, int(f.Node))
+	}
+	fmt.Printf("best-effort search: %d/%d hits, failed nodes reported: %v\n", len(ie.RIDs), len(baseline), failed)
 
 	// Phase 4 — recovery: spare nodes take over the dead IDs, the
 	// guardian rebuilds their buckets from the survivors plus parity.

@@ -7,7 +7,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -62,23 +61,22 @@ func main() {
 			continue
 		}
 		t0 := time.Now()
-		raw, err := store.SearchRecords(ctx, []byte(q), esdds.SearchFast)
+		raw, err := store.Search(ctx, []byte(q), esdds.SearchFast)
 		if err != nil {
 			log.Fatal(err)
 		}
 		lat := time.Since(t0)
-		trueHits := 0
-		for _, r := range raw {
-			if bytes.Contains(r.Content, []byte(q)) {
-				trueHits++
-			}
+		// SearchRecords decrypts the hits and drops the false positives.
+		exact, err := store.SearchRecords(ctx, []byte(q), esdds.SearchFast)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%-10s %8d %8d %8d %10v\n", q, len(raw), trueHits, len(raw)-trueHits,
+		fmt.Printf("%-10s %8d %8d %8d %10v\n", q, len(raw), len(exact), len(raw)-len(exact),
 			lat.Round(time.Microsecond))
 	}
 
 	fmt.Println("\nclient-side filtering gives exact results:")
-	recs, err := store.SearchRecordsFiltered(ctx, []byte("SCHWARZ"), esdds.SearchFast)
+	recs, err := store.SearchRecords(ctx, []byte("SCHWARZ"), esdds.SearchFast)
 	if err != nil {
 		log.Fatal(err)
 	}

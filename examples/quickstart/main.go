@@ -45,7 +45,7 @@ func main() {
 		len(people), store.MinQueryLen())
 
 	// Substring search runs in parallel on every node, over ciphertext.
-	recs, err := store.SearchRecordsFiltered(ctx, []byte("SCHWARZ"), esdds.SearchFast)
+	recs, err := store.SearchRecords(ctx, []byte("SCHWARZ"), esdds.SearchFast)
 	if err != nil {
 		log.Fatal(err)
 	}

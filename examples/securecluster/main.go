@@ -54,7 +54,7 @@ func main() {
 		len(people), st.RecordBuckets, st.RecordSplits, st.IndexBuckets, st.IndexSplits, st.IAMs)
 
 	fmt.Println("parallel encrypted search for \"MARTINEZ\" across all nodes:")
-	recs, err := store.SearchRecordsFiltered(ctx, []byte("MARTINEZ"), esdds.SearchExact)
+	recs, err := store.SearchRecords(ctx, []byte("MARTINEZ"), esdds.SearchExact)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -130,8 +130,9 @@ func TestChaosDeterministicReplay(t *testing.T) {
 }
 
 // TestSearchPartialNamesExactlyTheDeadNodes blacks out a subset of
-// nodes and requires SearchPartial to report precisely that subset —
-// no more (healthy nodes misreported) and no less (failures swallowed).
+// nodes and requires Search's IncompleteError to name precisely that
+// subset — no more (healthy nodes misreported) and no less (failures
+// swallowed).
 func TestSearchPartialNamesExactlyTheDeadNodes(t *testing.T) {
 	p := chaosPolicy()
 	p.MaxAttempts = 3 // keep exhaustion against dead nodes quick
@@ -154,33 +155,26 @@ func TestSearchPartialNamesExactlyTheDeadNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Healthy cluster: no failures reported.
-	_, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	failed := info.Failed
-	if err != nil || len(failed) != 0 {
-		t.Fatalf("healthy SearchPartialInfo: failed=%v err=%v", failed, err)
+	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
+		t.Fatalf("healthy Search: %v", err)
 	}
 
+	// Search refuses to return a silent under-approximation: the dead
+	// nodes come back named in an IncompleteError.
 	dead := []transport.NodeID{1, 3}
 	faulty.Blackout(dead...)
-	_, info, err = c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	failed = info.Failed
-	if err != nil {
-		t.Fatal(err)
+	_, err = c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	var ie *IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("Search with dead nodes: %v, want an IncompleteError", err)
 	}
-	if len(failed) != len(dead) || failed[0] != dead[0] || failed[1] != dead[1] {
+	if failed := failedNodes(ie.Failed); len(failed) != len(dead) || failed[0] != dead[0] || failed[1] != dead[1] {
 		t.Fatalf("failed = %v, want exactly %v", failed, dead)
 	}
 
-	// Full Search refuses to return a silent under-approximation.
-	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err == nil {
-		t.Error("Search succeeded with dead nodes")
-	}
-
 	faulty.Restore(dead...)
-	_, info, err = c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	failed = info.Failed
-	if err != nil || len(failed) != 0 {
-		t.Fatalf("restored SearchPartialInfo: failed=%v err=%v", failed, err)
+	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
+		t.Fatalf("restored Search: %v", err)
 	}
 }
 
@@ -243,10 +237,9 @@ func TestSearchPartialUnderDupAndDelayFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	failed := info.Failed
-	if err != nil || len(failed) != 0 {
-		t.Fatalf("clean SearchPartialInfo: failed=%v err=%v", failed, err)
+	baseline, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	if err != nil {
+		t.Fatalf("clean Search: %v", err)
 	}
 	if len(baseline) == 0 {
 		t.Fatal("baseline found no hits")
@@ -263,13 +256,9 @@ func TestSearchPartialUnderDupAndDelayFaults(t *testing.T) {
 		Delay:     200 * time.Microsecond,
 	})
 	for run := 0; run < 5; run++ {
-		rids, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-		failed := info.Failed
+		rids, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
 		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if len(failed) != 0 {
-			t.Fatalf("run %d: dup/delay faults reported failures: %v", run, failed)
+			t.Fatalf("run %d: dup/delay faults failed the search: %v", run, err)
 		}
 		if len(rids) != len(baseline) {
 			t.Fatalf("run %d: %v, want baseline %v", run, rids, baseline)

@@ -45,36 +45,7 @@ type Cluster struct {
 	// durable one. Only mutated under opsMu exclusive.
 	miglog MigrationLog
 
-	degradedMu sync.RWMutex
-	degraded   DegradedProvider
-
 	met clusterMetrics // set by Instrument before traffic; nil-safe
-}
-
-// DegradedProvider supplies last-synced node images for degraded-mode
-// search: when a broadcast cannot reach a node, the cluster asks the
-// provider for that node's image and serves the node's index buckets
-// from it instead of dropping their matches. A Supervisor implements
-// this over its Guardian.
-type DegradedProvider interface {
-	// DegradedImage returns the node's last-synced serialized image and
-	// the sync time, or ok=false when the node must not be served
-	// degraded (healthy, never synced, or failure budget exceeded).
-	DegradedImage(node transport.NodeID) (img []byte, syncedAt time.Time, ok bool)
-}
-
-// SetDegradedProvider installs (or, with nil, removes) the degraded
-// search provider.
-func (c *Cluster) SetDegradedProvider(p DegradedProvider) {
-	c.degradedMu.Lock()
-	c.degraded = p
-	c.degradedMu.Unlock()
-}
-
-func (c *Cluster) degradedProvider() DegradedProvider {
-	c.degradedMu.RLock()
-	defer c.degradedMu.RUnlock()
-	return c.degraded
 }
 
 type fileState struct {
@@ -584,17 +555,38 @@ type BatchError struct {
 }
 
 func (e *BatchError) Error() string {
-	nodes := make([]transport.NodeID, len(e.Failures))
-	for i, f := range e.Failures {
-		nodes[i] = f.Node
-	}
-	return fmt.Sprintf("sdds: batch failed on nodes %v: %v", nodes, e.Failures[0].Err)
+	return fmt.Sprintf("sdds: batch failed on nodes %v: %v", failedNodes(e.Failures), e.Failures[0].Err)
 }
 
 // Unwrap exposes the per-node errors to errors.Is/As.
-func (e *BatchError) Unwrap() []error {
-	out := make([]error, len(e.Failures))
-	for i, f := range e.Failures {
+func (e *BatchError) Unwrap() []error { return failureErrs(e.Failures) }
+
+// IncompleteError reports a search that some nodes did not answer. RIDs
+// holds what the answering nodes matched: a subset of the full answer,
+// never a superset, since a match needs hits and a silent node adds none.
+type IncompleteError struct {
+	RIDs   []uint64
+	Failed []NodeFailure
+}
+
+func (e *IncompleteError) Error() string {
+	return fmt.Sprintf("sdds: search incomplete, nodes %v did not answer: %v", failedNodes(e.Failed), e.Failed[0].Err)
+}
+
+// Unwrap exposes the per-node errors to errors.Is/As.
+func (e *IncompleteError) Unwrap() []error { return failureErrs(e.Failed) }
+
+func failedNodes(fs []NodeFailure) []transport.NodeID {
+	out := make([]transport.NodeID, len(fs))
+	for i, f := range fs {
+		out[i] = f.Node
+	}
+	return out
+}
+
+func failureErrs(fs []NodeFailure) []error {
+	out := make([]error, len(fs))
+	for i, f := range fs {
 		out[i] = f.Err
 	}
 	return out
@@ -810,52 +802,53 @@ func (c *Cluster) DeleteRecord(ctx context.Context, rid uint64, m, kSites int, s
 	return files[0].existed > 0, err
 }
 
-// SearchInfo reports how a search's per-node fan-out went.
-type SearchInfo struct {
-	// Failed lists the nodes that could not be reached AND could not be
-	// served degraded — their matches are missing from the result.
-	Failed []transport.NodeID
-	// Degraded lists the unreachable nodes whose index buckets were
-	// served from the guardian's last-synced images instead; their
-	// matches are present, as of StaleSince.
-	Degraded []transport.NodeID
-	// StaleSince is the guardian sync time the degraded buckets reflect
-	// (zero when Degraded is empty). Writes after this instant that
-	// landed on the degraded nodes are not visible.
-	StaleSince time.Time
+// gather broadcasts one request to every node and decodes each answer.
+// It sends to the placement's authoritative membership, not the
+// transport's live view, so a crashed node surfaces as a failure rather
+// than being skipped. Nodes that do not answer come back as failures; a
+// malformed answer or the caller's context ending fails the call.
+func gather[T any, P interface {
+	*T
+	decodeFrom(*reader)
+}](ctx context.Context, c *Cluster, op uint8, req []byte) ([]T, []NodeFailure, error) {
+	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), op, req)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	resps := make([]T, 0, len(results))
+	var failed []NodeFailure
+	for _, r := range results {
+		if r.Err != nil {
+			failed = append(failed, NodeFailure{Node: r.Node, Err: r.Err})
+			continue
+		}
+		resp, err := decode[T, P](r.Payload)
+		if err != nil {
+			return nil, nil, err
+		}
+		resps = append(resps, resp)
+	}
+	return resps, failed, nil
 }
 
-// Complete reports whether the result misses no node's matches (live or
-// degraded-served).
-func (i SearchInfo) Complete() bool { return len(i.Failed) == 0 }
+// answer returns a search's RIDs, or, when some node failed, an
+// *IncompleteError carrying them.
+func (c *Cluster) answer(rids []uint64, failed []NodeFailure) ([]uint64, error) {
+	if len(failed) == 0 {
+		return rids, nil
+	}
+	c.met.searchesPartial.Inc()
+	c.met.failedSites.Add(uint64(len(failed)))
+	return nil, &IncompleteError{RIDs: rids, Failed: failed}
+}
 
 // Search broadcasts a compiled query to every node in parallel, gathers
 // the raw per-site hits, and combines them: a series hit requires all K
 // sites of a chunking to agree at the same chunk offset; record-level
 // acceptance follows the verification mode. It returns the sorted
-// matching RIDs. Unreachable nodes are transparently served from the
-// degraded provider's last-synced images when one is installed; Search
-// fails only when some node is neither reachable nor degraded-servable
-// (use SearchPartialInfo for best-effort results in that case).
+// matching RIDs. When some node does not answer it returns an
+// *IncompleteError holding the answering nodes' matches.
 func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, query *core.Query, mode core.VerifyMode) ([]uint64, error) {
-	rids, info, err := c.SearchPartialInfo(ctx, id, pl, query, mode)
-	if err != nil {
-		return nil, err
-	}
-	if !info.Complete() {
-		return nil, fmt.Errorf("sdds: search could not reach nodes %v (no degraded coverage)", info.Failed)
-	}
-	return rids, nil
-}
-
-// SearchPartialInfo is the full-fidelity search: it tolerates per-node
-// failures, serves confirmed-down nodes from the degraded provider's
-// last-synced images, and reports exactly which nodes failed, which
-// were served degraded, and how stale the degraded buckets are. With
-// info.Failed non-empty the result is a best-effort
-// under-approximation: matches whose K-site agreement involved a failed
-// node are lost, never spuriously added.
-func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pipeline, query *core.Query, mode core.VerifyMode) (rids []uint64, info SearchInfo, err error) {
 	c.met.searches.Inc()
 	start := time.Now()
 	// Per-op trace: adopt the caller's (threaded via context) or, when
@@ -865,22 +858,13 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 		tr = c.met.reg.StartTrace("search")
 		defer tr.Finish()
 	}
-	defer func() {
-		c.met.searchNS.Observe(time.Since(start).Nanoseconds())
-		if !info.Complete() {
-			c.met.searchesPartial.Inc()
-		}
-	}()
+	defer func() { c.met.searchNS.Observe(time.Since(start).Nanoseconds()) }()
 	kSites := pl.K()
 	m := pl.Chunkings()
-	req := queryToSearchReq(id, query, m, kSites)
-	// Broadcast over the placement's authoritative membership, not the
-	// transport's live view — a crashed node must surface as a failure,
-	// not be silently skipped.
-	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), opSearch, encode(req))
+	resps, failed, err := gather[searchResp](ctx, c, opSearch, encode(queryToSearchReq(id, query, m, kSites)))
 	tr.Lap("broadcast")
-	if err := ctx.Err(); err != nil {
-		return nil, SearchInfo{}, err
+	if err != nil {
+		return nil, err
 	}
 
 	ppc := 1
@@ -898,7 +882,7 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 	// parameter, not a cluster size), so one uint64 replaces an allocated
 	// set per position.
 	agree := make(map[hitKey]uint64)
-	addHits := func(resp *searchResp) {
+	for _, resp := range resps {
 		for _, h := range resp.hits {
 			if ppc > 1 && int(h.pieceOffset)%ppc != 0 {
 				continue
@@ -915,31 +899,6 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 			agree[k] |= 1 << uint(h.k)
 		}
 	}
-	provider := c.degradedProvider()
-	for _, r := range results {
-		if r.Err != nil {
-			if provider != nil {
-				if img, syncedAt, ok := provider.DegradedImage(r.Node); ok {
-					resp, derr := searchNodeImage(img, &req)
-					if derr == nil {
-						addHits(&resp)
-						info.Degraded = append(info.Degraded, r.Node)
-						info.StaleSince = syncedAt
-						c.met.degradedServes.Inc()
-						continue
-					}
-				}
-			}
-			info.Failed = append(info.Failed, r.Node)
-			c.met.failedSites.Inc()
-			continue
-		}
-		resp, derr := decode[searchResp](r.Payload)
-		if derr != nil {
-			return nil, SearchInfo{}, derr
-		}
-		addHits(&resp)
-	}
 	byRID := make(map[uint64][]core.SeriesHit)
 	for k, sites := range agree {
 		if bits.OnesCount64(sites) == kSites {
@@ -952,6 +911,7 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 		}
 	}
 	geom := pl.Params().Chunk
+	var rids []uint64
 	for rid, hits := range byRID {
 		if core.CombineHits(hits, m, mode, geom) {
 			rids = append(rids, rid)
@@ -959,32 +919,28 @@ func (c *Cluster) SearchPartialInfo(ctx context.Context, id FileID, pl *core.Pip
 	}
 	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
 	tr.Lap("combine")
-	return rids, info, nil
+	return c.answer(rids, failed)
 }
 
 // WordSearch broadcasts one word token to every node and returns the
 // sorted RIDs of records whose word blob contains it — the [SWP00]
-// word-search path. Exact: no false positives, no false negatives.
+// word-search path. Exact: no false positives, no false negatives. When
+// some node does not answer it returns an *IncompleteError, as Search.
 func (c *Cluster) WordSearch(ctx context.Context, id FileID, token []byte) ([]uint64, error) {
 	c.met.wordSearches.Inc()
-	req := wordSearchReq{file: id, token: token}
-	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), opWordSearch, encode(req))
+	resps, failed, err := gather[wordSearchResp](ctx, c, opWordSearch, encode(wordSearchReq{file: id, token: token}))
+	if err != nil {
+		return nil, err
+	}
 	var out []uint64
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		resp, err := decode[wordSearchResp](r.Payload)
-		if err != nil {
-			return nil, err
-		}
+	for _, resp := range resps {
 		out = append(out, resp.rids...)
 	}
 	// While a migration is in flight both the source (frozen outgoing
 	// set) and the target (absorbed copy) serve the moved records, so a
 	// RID can be reported twice; collapse duplicates.
 	slices.Sort(out)
-	return slices.Compact(out), nil
+	return c.answer(slices.Compact(out), failed)
 }
 
 // BucketInventory gathers every node's bucket stats for a file, sorted

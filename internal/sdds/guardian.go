@@ -11,7 +11,7 @@ import (
 	"repro/internal/transport"
 )
 
-// ErrNeverSynced reports a recovery (or degraded read) attempted before
+// ErrNeverSynced reports a recovery attempted before
 // the guardian's first successful Sync: there is no recovery point, so
 // there is nothing to restore. Callers automating repair should treat
 // it as "restart the node empty", not as a parity failure.
@@ -120,28 +120,6 @@ func (g *Guardian) Synced() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.synced
-}
-
-// SyncedImage returns a copy of one node's last-synced image (its data
-// shard, possibly zero-padded — the image codec tolerates the padding)
-// plus the sync time. ok is false before the first Sync or for nodes
-// the guardian does not protect. This is what degraded-mode search
-// serves while the node itself is down.
-func (g *Guardian) SyncedImage(node transport.NodeID) (img []byte, syncedAt time.Time, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.synced {
-		return nil, time.Time{}, false
-	}
-	i, okPos := g.pos[node]
-	if !okPos {
-		return nil, time.Time{}, false
-	}
-	img, err := g.group.DataShard(i)
-	if err != nil {
-		return nil, time.Time{}, false
-	}
-	return img, g.syncedAt, true
 }
 
 // Recover reconstructs the images of the dead nodes from the survivors'

@@ -217,9 +217,6 @@ func TestGuardianPreconditions(t *testing.T) {
 	if err := guard.Recover(ctx, []transport.NodeID{0}); !errors.Is(err, ErrNeverSynced) {
 		t.Errorf("recover before any sync: err = %v, want ErrNeverSynced", err)
 	}
-	if _, _, ok := guard.SyncedImage(0); ok {
-		t.Error("SyncedImage available before any sync")
-	}
 	if guard.Synced() {
 		t.Error("Synced() true before any sync")
 	}

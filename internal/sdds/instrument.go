@@ -123,9 +123,8 @@ type clusterMetrics struct {
 	merges       *obs.Counter
 
 	searchNS        *obs.Histogram
-	degradedServes  *obs.Counter // node results served from guardian images
 	failedSites     *obs.Counter // node results lost entirely
-	searchesPartial *obs.Counter // searches that returned incomplete
+	searchesPartial *obs.Counter // searches and word searches that returned incomplete
 
 	// Two-phase migration lifecycle (DESIGN.md §14). The durable ledger
 	// invariant started == committed + aborted + in_flight is asserted by
@@ -155,7 +154,6 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		splits:          reg.Counter("cluster_splits_total"),
 		merges:          reg.Counter("cluster_merges_total"),
 		searchNS:        reg.Histogram("cluster_search_ns"),
-		degradedServes:  reg.Counter("cluster_degraded_serves_total"),
 		failedSites:     reg.Counter("cluster_failed_sites_total"),
 		searchesPartial: reg.Counter("cluster_partial_searches_total"),
 		migStarted:      reg.Counter("sdds_migrations_started_total"),

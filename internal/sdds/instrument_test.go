@@ -237,7 +237,7 @@ func TestSearchTraceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
+	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
 		t.Fatal(err)
 	}
 	traces := reg.Traces()

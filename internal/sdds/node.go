@@ -812,73 +812,36 @@ func (n *Node) searchPosting(idx postingIndex, m *searchReq, resp *searchResp) {
 }
 
 // searchLinear is the reference full scan: every bucket → entry →
-// series → MatchOffsets. Callers must hold the node lock (shared
-// suffices).
+// series → MatchOffsets. One piece-decode arena is reused across every
+// entry of the scan. Callers must hold the node lock (shared suffices).
 func (n *Node) searchLinear(f *nodeFile, m *searchReq, resp *searchResp) {
 	var scratch []disperse.Piece
 	for _, b := range f.buckets {
-		scratch = searchBucket(b, m, resp, scratch)
-	}
-}
-
-// searchBucket runs the reference scan over one bucket's entries. It is
-// shared by the node's linear fallback and by degraded-mode search over
-// guardian images. scratch is a reusable piece-decode arena (pass nil
-// on first use); the grown arena is returned so one allocation is
-// amortized over every entry of a scan instead of paid per entry.
-func searchBucket(b *lhstar.Bucket, m *searchReq, resp *searchResp, scratch []disperse.Piece) []disperse.Piece {
-	b.Scan(func(key uint64, value []byte) bool {
-		iv, grown, err := decodeIndexValueInto(value, scratch[:0])
-		if err != nil {
-			return true // skip foreign entries
-		}
-		scratch = grown[:0]
-		rid, j, k := DecomposeIndexKey(key, int(m.kSites), uint(m.slotBits))
-		for _, s := range m.series {
-			if k >= len(s.patterns) {
-				continue
-			}
-			for _, off := range core.MatchOffsets(iv.pieces, s.patterns[k]) {
-				resp.hits = append(resp.hits, rawHit{
-					rid:         rid,
-					j:           uint8(j),
-					k:           uint8(k),
-					a:           s.a,
-					firstIndex:  iv.firstIndex,
-					pieceOffset: uint32(off),
-				})
-			}
-		}
-		return true
-	})
-	return scratch
-}
-
-// searchNodeImage answers a search request from a serialized node image
-// — the degraded-mode path: while a node is down, its last-synced
-// guardian image stands in for it, so the dead node's index buckets
-// still contribute their hits. The scan is the same reference walk the
-// node's linear fallback uses, guaranteeing identical raw hit sets.
-func searchNodeImage(raw []byte, m *searchReq) (searchResp, error) {
-	var resp searchResp
-	img, err := decodeNodeImage(raw)
-	if err != nil {
-		return resp, fmt.Errorf("sdds: degraded search: decoding image: %w", err)
-	}
-	var scratch []disperse.Piece
-	for _, fi := range img.files {
-		if fi.file != m.file {
-			continue
-		}
-		for _, snap := range fi.buckets {
-			b, err := lhstar.RestoreBucket(snap)
+		b.Scan(func(key uint64, value []byte) bool {
+			iv, grown, err := decodeIndexValueInto(value, scratch[:0])
 			if err != nil {
-				return resp, fmt.Errorf("sdds: degraded search: restoring bucket: %w", err)
+				return true // skip foreign entries
 			}
-			scratch = searchBucket(b, m, &resp, scratch)
-		}
+			scratch = grown[:0]
+			rid, j, k := DecomposeIndexKey(key, int(m.kSites), uint(m.slotBits))
+			for _, s := range m.series {
+				if k >= len(s.patterns) {
+					continue
+				}
+				for _, off := range core.MatchOffsets(iv.pieces, s.patterns[k]) {
+					resp.hits = append(resp.hits, rawHit{
+						rid:         rid,
+						j:           uint8(j),
+						k:           uint8(k),
+						a:           s.a,
+						firstIndex:  iv.firstIndex,
+						pieceOffset: uint32(off),
+					})
+				}
+			}
+			return true
+		})
 	}
-	return resp, nil
 }
 
 // handleWordSearch scans every local bucket of the word file: each

@@ -453,14 +453,14 @@ func TestInsertIndexedPartialFailure(t *testing.T) {
 			t.Errorf("failure reported for healthy node %d", f.Node)
 		}
 	}
-	// Surviving nodes' pieces must be present: SearchPartial over the
-	// healthy transport skipping nothing should find entries for rid 7
-	// unless every piece happened to land on node 1.
+	// Surviving nodes' pieces must be present: a search over the healthy
+	// transport should find entries for rid 7 unless every piece happened
+	// to land on node 1.
 	query, err := pl.BuildQuery([]byte("SCHWARZ T"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := healthy.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
+	if _, err := healthy.Search(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package sdds
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -600,21 +601,18 @@ func TestSearchPartialUnderNodeFailure(t *testing.T) {
 		t.Fatalf("healthy search: %v", got)
 	}
 
-	// Kill node 2: strict search fails loudly, partial search degrades
-	// gracefully and never returns spurious hits.
+	// Kill node 2: search fails loudly, and the partial answer its
+	// IncompleteError carries never holds spurious hits.
 	mem.Unregister(2)
-	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err == nil {
-		t.Error("strict search succeeded despite dead node")
+	_, err = c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	var ie *IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("search despite dead node: %v, want an IncompleteError", err)
 	}
-	rids, info, err := c.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	failed := info.Failed
-	if err != nil {
-		t.Fatal(err)
+	if len(ie.Failed) != 1 || ie.Failed[0].Node != 2 {
+		t.Errorf("failed = %v, want node 2", ie.Failed)
 	}
-	if len(failed) != 1 || failed[0] != 2 {
-		t.Errorf("failed = %v, want [2]", failed)
-	}
-	for _, r := range rids {
+	for _, r := range ie.RIDs {
 		if r != 1 {
 			t.Errorf("spurious hit %d from partial search", r)
 		}

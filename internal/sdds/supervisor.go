@@ -35,7 +35,8 @@ type SupervisorConfig struct {
 	RepairTimeout time.Duration
 	// SyncInterval, when nonzero, re-establishes the recovery point
 	// automatically: while every node is healthy the supervisor runs
-	// Guardian.Sync on this period (tightening degraded-read staleness).
+	// Guardian.Sync on this period, bounding what a parity restore
+	// rolls back.
 	SyncInterval time.Duration
 	// JournalCap bounds the repair journal: once full, the oldest
 	// records are dropped (and counted) rather than growing without
@@ -151,16 +152,16 @@ type downNode struct {
 // Supervisor closes the availability loop: it watches a Detector for
 // confirmed node failures, debounces flaps, automatically drives
 // Guardian recovery onto replacement nodes (within the k-failure
-// budget, alarming beyond it), journals every step, and serves as the
-// cluster's DegradedProvider so searches keep answering completely
-// while repair is in flight.
+// budget, alarming beyond it), and journals every step. A node under
+// repair is simply a failed node to searches (they return an
+// IncompleteError naming it).
 //
 // Concurrency: all repair work runs on the supervisor's single loop
-// goroutine; state reads (Health, Journal, DegradedImage) take the
-// mutex. Restores are idempotent whole-image pushes (opNodeRestore
-// replaces the node's entire inventory under the node's lock), so a
-// repair that dies mid-flight — or a supervisor restarted over the same
-// guardian — simply re-runs the restore with no torn state.
+// goroutine; state reads (Down, Journal, Alarm) take the mutex.
+// Restores are idempotent whole-image pushes (opNodeRestore replaces
+// the node's entire inventory under the node's lock), so a repair that
+// dies mid-flight — or a supervisor restarted over the same guardian —
+// simply re-runs the restore with no torn state.
 type Supervisor struct {
 	det    *transport.Detector
 	guard  *Guardian
@@ -461,8 +462,8 @@ func (s *Supervisor) finishRepair(nodes []transport.NodeID, phase RepairPhase, d
 			s.retry.ResetBreaker(n)
 		}
 	}
-	// Refresh the verdicts so degraded serving hands back to the live
-	// nodes without waiting out a probe interval.
+	// Refresh the verdicts so the repaired nodes read up without waiting
+	// out a probe interval: resumeMigrations and AwaitHealthy need allUp.
 	pctx, cancel := context.WithTimeout(context.Background(), s.det.Policy().ProbeTimeout)
 	defer cancel()
 	for i := 0; i < s.det.Policy().UpAfter; i++ {
@@ -494,45 +495,6 @@ func (s *Supervisor) allUp() bool {
 		}
 	}
 	return true
-}
-
-// DegradedImage implements DegradedProvider: while a node is believed
-// down and the failure budget holds, searches serve its buckets from
-// the guardian's last-synced image. A healthy, untracked node is never
-// served degraded — a transient send failure must surface as a failure,
-// not silently read stale data.
-func (s *Supervisor) DegradedImage(node transport.NodeID) ([]byte, time.Time, bool) {
-	img, syncedAt, ok := s.guard.SyncedImage(node)
-	if !ok {
-		return nil, time.Time{}, false
-	}
-	s.mu.Lock()
-	_, tracked := s.down[node]
-	alarmed := s.alarm != ""
-	trackedSet := make(map[transport.NodeID]bool, len(s.down))
-	for n := range s.down {
-		trackedSet[n] = true
-	}
-	s.mu.Unlock()
-	if alarmed {
-		return nil, time.Time{}, false
-	}
-	if !tracked && s.det.State(node) == transport.NodeUp {
-		return nil, time.Time{}, false
-	}
-	// Budget check over everything currently unhealthy (tracked or not):
-	// serving more than k nodes from images would claim a completeness
-	// the parity design cannot honor.
-	unhealthy := trackedSet
-	for _, nh := range s.det.Snapshot() {
-		if nh.State != transport.NodeUp {
-			unhealthy[nh.Node] = true
-		}
-	}
-	if len(unhealthy) > s.guard.K() {
-		return nil, time.Time{}, false
-	}
-	return img, syncedAt, true
 }
 
 // Alarm returns the active alarm message ("" when nominal).

@@ -3,12 +3,14 @@ package sdds
 import (
 	"context"
 	"errors"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cipherx"
 	"repro/internal/core"
 	"repro/internal/transport"
+	"repro/internal/wordindex"
 )
 
 // supervisedCluster wires the full availability loop over a guarded
@@ -42,7 +44,6 @@ func newSupervisedCluster(t *testing.T, n, k int, cfg SupervisorConfig) *supervi
 	sup := NewSupervisor(det, guard, nil, revive, cfg)
 	clk := newMetClock()
 	sup.now = clk.Now // deterministic debounce: tests advance, never sleep
-	gc.cluster.SetDegradedProvider(sup)
 	return &supervisedCluster{guardedCluster: gc, guard: guard, det: det, sup: sup, clk: clk}
 }
 
@@ -195,10 +196,6 @@ func TestSupervisorAlarmsBeyondBudget(t *testing.T) {
 	if err := sc.sup.AwaitHealthy(actx); !errors.Is(err, ErrRepairBudgetExceeded) {
 		t.Fatalf("AwaitHealthy = %v, want ErrRepairBudgetExceeded", err)
 	}
-	// Degraded serving must refuse too: completeness cannot be promised.
-	if _, _, ok := sc.sup.DegradedImage(1); ok {
-		t.Fatal("degraded image served while alarmed")
-	}
 
 	// The partition around node 1 heals (it returns with its data): the
 	// budget is met again, the alarm clears, the flap exits cleanly, and
@@ -223,83 +220,130 @@ func TestSupervisorAlarmsBeyondBudget(t *testing.T) {
 	verifyRecords(t, sc.cluster, want)
 }
 
-func TestDegradedSearchStaysCompleteWithDownNodes(t *testing.T) {
-	sc := newSupervisedCluster(t, 5, 2, SupervisorConfig{
-		Debounce: time.Hour, // keep nodes down: this test exercises serving, not repair
-	})
-	pl := testPipeline(t, 4, 2, 2)
-	ctx := context.Background()
-
-	rng := newChaosCorpus()
-	for rid := uint64(1); rid <= 40; rid++ {
-		recs, err := pl.BuildIndex(rid, rng.record(rid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.cluster.InsertIndexed(ctx, FileIndex, recs, pl.K(), SlotBits(pl.Chunkings(), pl.K())); err != nil {
-			t.Fatal(err)
-		}
+// newMarkerCluster is a 3-node supervised cluster (parity K=1, repair
+// held off by an hour's debounce) whose index file holds the chaos
+// corpus' records 1..20 — GRIDLOCK in every fourth — in one bucket, so
+// every index piece lives on bucket 0's node. It returns that node and
+// the GRIDLOCK query.
+func newMarkerCluster(t *testing.T) (*supervisedCluster, *core.Pipeline, *core.Query, transport.NodeID) {
+	t.Helper()
+	sc := newSupervisedCluster(t, 3, 1, SupervisorConfig{Debounce: time.Hour})
+	pl := testPipeline(t, 4, 2, 1)
+	for rid := uint64(1); rid <= 20; rid++ {
+		indexRecord(t, sc.cluster, pl, rid, newChaosCorpus().record(rid))
+	}
+	if b := sc.cluster.State(FileIndex).Buckets(); b != 1 {
+		t.Fatalf("index file has %d buckets, want 1", b)
 	}
 	query, err := pl.BuildQuery([]byte("GRIDLOCK"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, info, err := sc.cluster.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	if err != nil || !info.Complete() || len(info.Degraded) != 0 {
-		t.Fatalf("healthy search: info=%+v err=%v", info, err)
+	return sc, pl, query, sc.place.NodeOf(0)
+}
+
+func indexRecord(t *testing.T, c *Cluster, pl *core.Pipeline, rid uint64, content []byte) {
+	t.Helper()
+	recs, err := pl.BuildIndex(rid, content)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(baseline) == 0 {
-		t.Fatal("baseline found no hits")
+	if err := c.InsertIndexed(context.Background(), FileIndex, recs, pl.K(), SlotBits(pl.Chunkings(), pl.K())); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// wantIncomplete asserts err is an *IncompleteError naming exactly node.
+func wantIncomplete(t *testing.T, err error, node transport.NodeID) *IncompleteError {
+	t.Helper()
+	var ie *IncompleteError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want an *IncompleteError", err)
+	}
+	if len(ie.Failed) != 1 || ie.Failed[0].Node != node {
+		t.Fatalf("Failed = %v, want exactly node %d", ie.Failed, node)
+	}
+	return ie
+}
+
+// TestSearchReportsDownNodeAfterLateInsert: a record inserted after the
+// last Sync, whose index node then dies, must not silently drop out of
+// the answer — the search fails with an IncompleteError naming the node
+// instead of answering from the stale recovery point.
+func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
+	sc, pl, query, victim := newMarkerCluster(t)
+	ctx := context.Background()
 	if err := sc.guard.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	// Two nodes die (the full parity budget). Search must still answer
-	// the complete baseline, naming the nodes served degraded.
-	sc.kill(1, 3)
+	indexRecord(t, sc.cluster, pl, 100, []byte("RECORD 0100 HAS GRIDLOCK INSIDE"))
+	sc.kill(victim)
 	sc.step(ctx)
-	rids, info, err := sc.cluster.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	if err != nil {
+	if got := sc.sup.Down(); len(got) != 1 || got[0] != victim {
+		t.Fatalf("Down = %v, want [%d]", got, victim)
+	}
+	rids, err := sc.cluster.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	wantIncomplete(t, err, victim)
+	if rids != nil {
+		t.Fatalf("incomplete search also returned RIDs %v", rids)
+	}
+}
+
+// TestSearchReportsDownNodeAfterLateDelete: a record deleted after the
+// last Sync, whose index node then dies, must not come back as a ghost.
+func TestSearchReportsDownNodeAfterLateDelete(t *testing.T) {
+	sc, pl, query, victim := newMarkerCluster(t)
+	ctx := context.Background()
+	if err := sc.guard.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !info.Complete() || len(info.Failed) != 0 {
-		t.Fatalf("degraded search incomplete: %+v", info)
+	if err := sc.cluster.DeleteIndexed(ctx, FileIndex, 4, pl.Chunkings(), pl.K(), SlotBits(pl.Chunkings(), pl.K())); err != nil {
+		t.Fatal(err)
 	}
-	sort.Slice(info.Degraded, func(i, j int) bool { return info.Degraded[i] < info.Degraded[j] })
-	if len(info.Degraded) != 2 || info.Degraded[0] != 1 || info.Degraded[1] != 3 {
-		t.Fatalf("Degraded = %v, want [1 3]", info.Degraded)
+	sc.kill(victim)
+	sc.step(ctx)
+	_, err := sc.cluster.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	if ie := wantIncomplete(t, err, victim); slices.Contains(ie.RIDs, 4) {
+		t.Fatalf("deleted record 4 came back: %v", ie.RIDs)
 	}
-	if info.StaleSince.IsZero() {
-		t.Fatal("StaleSince not reported for degraded nodes")
-	}
-	if len(rids) != len(baseline) {
-		t.Fatalf("degraded search lost results: %v vs baseline %v", rids, baseline)
-	}
-	for i := range rids {
-		if rids[i] != baseline[i] {
-			t.Fatalf("degraded search diverged: %v vs baseline %v", rids, baseline)
+}
+
+// TestWordSearchReportsDeadNode: a word search that a node cannot answer
+// fails with an IncompleteError naming it, carrying the other nodes'
+// matches — a subset of the healthy answer.
+func TestWordSearchReportsDeadNode(t *testing.T) {
+	ctx := context.Background()
+	c, mem := memClusterWithTransport(t, 3)
+	c.SetMaxLoad(FileWords, 4) // spread the word file over every node
+	ix := wordindex.New(cipherx.KeyFromPassphrase("word-test"), nil)
+	for rid := uint64(0); rid < 48; rid++ {
+		content := []byte("plain hay content")
+		if rid%3 == 0 {
+			content = []byte("hay with needle inside")
+		}
+		if err := c.Put(ctx, FileWords, rid, wordindex.Blob(ix.Tokens(content))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Search (the strict API) must also succeed transparently.
-	strict, err := sc.cluster.Search(ctx, FileIndex, pl, query, core.VerifyAny)
-	if err != nil {
-		t.Fatalf("Search with degraded coverage failed: %v", err)
-	}
-	if len(strict) != len(baseline) {
-		t.Fatalf("strict search lost results: %v", strict)
+	needle := ix.TokenOf([]byte("NEEDLE"))
+	healthy, err := c.WordSearch(ctx, FileWords, needle[:])
+	if err != nil || len(healthy) != 16 {
+		t.Fatalf("healthy word search = %v, %v; want the 16 needle records", healthy, err)
 	}
 
-	// A third failure exceeds the budget: completeness can no longer be
-	// promised, so the dead nodes must surface as Failed again.
-	sc.kill(4)
-	sc.step(ctx)
-	_, info, err = sc.cluster.SearchPartialInfo(ctx, FileIndex, pl, query, core.VerifyAny)
-	if err != nil {
-		t.Fatal(err)
+	mem.Unregister(1)
+	rids, err := c.WordSearch(ctx, FileWords, needle[:])
+	ie := wantIncomplete(t, err, 1)
+	if rids != nil {
+		t.Fatalf("incomplete word search also returned RIDs %v", rids)
 	}
-	if info.Complete() {
-		t.Fatal("search claimed completeness beyond the parity budget")
+	if len(ie.RIDs) == 0 || len(ie.RIDs) >= len(healthy) {
+		t.Fatalf("partial answer %v, want a proper subset of %v", ie.RIDs, healthy)
+	}
+	for _, r := range ie.RIDs {
+		if !slices.Contains(healthy, r) {
+			t.Fatalf("partial answer holds %d, not in the healthy answer %v", r, healthy)
+		}
 	}
 }
 
