@@ -26,7 +26,6 @@ import (
 	"repro/internal/gf"
 	"repro/internal/lhstar"
 	"repro/internal/phonebook"
-	"repro/internal/rs"
 	"repro/internal/stats"
 	"repro/internal/wordindex"
 )
@@ -275,53 +274,6 @@ func BenchmarkGFMul(b *testing.B) {
 	}
 }
 
-func BenchmarkRSEncode(b *testing.B) {
-	g, err := rs.NewGroup(4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([][]byte, 4)
-	for i := range data {
-		data[i] = make([]byte, 4096)
-		for j := range data[i] {
-			data[i][j] = byte(i*31 + j)
-		}
-	}
-	b.SetBytes(4 * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Encode(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSRecover(b *testing.B) {
-	g, err := rs.NewGroup(4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([][]byte, 4)
-	for i := range data {
-		data[i] = make([]byte, 4096)
-	}
-	parity, err := g.Encode(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full := append(append([][]byte{}, data...), parity...)
-	b.SetBytes(4 * 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		shards := make([][]byte, len(full))
-		copy(shards, full)
-		shards[1], shards[3] = nil, nil
-		if err := g.Recover(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLHStarInsert(b *testing.B) {
 	f := lhstar.NewFile(64)
 	img := &lhstar.Image{}
@@ -408,24 +360,6 @@ func BenchmarkWordTokens(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := ix.Tokens(content); len(got) == 0 {
 			b.Fatal("no tokens")
-		}
-	}
-}
-
-// BenchmarkBucketGroupUpdate measures the LH*RS delta parity update for
-// one bucket-image change.
-func BenchmarkBucketGroupUpdate(b *testing.B) {
-	bg, err := rs.NewBucketGroup(4, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	image := make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		image[i%4096] = byte(i)
-		if err := bg.Update(i%4, image); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -17,8 +17,8 @@
 //	metrics                 full metrics exposition (every counter,
 //	                        gauge, and histogram, /metrics format)
 //	health                  per-node health: detector state, retry and
-//	                        breaker accounting, injected-fault counters
-//	sync                    establish the LH*RS recovery point (-self-heal)
+//	                        breaker accounting, injected-fault counters,
+//	                        and any node whose state is lost
 //	heal                    wait for automatic repair to converge (-self-heal)
 //	kill <node>             crash a node (-mem clusters; pairs with -self-heal)
 //	quit
@@ -66,7 +66,7 @@ func main() {
 		breaker   = flag.Int("breaker", 8, "consecutive failures opening a node's circuit breaker (0 disables)")
 		cooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects requests")
 
-		selfHeal  = flag.Int("self-heal", 0, "enable self-healing with this parity (tolerated simultaneous node failures)")
+		selfHeal  = flag.Bool("self-heal", false, "enable self-healing: revive dead nodes from their own journals (-mem needs -data-dir)")
 		faultSeed = flag.Int64("fault-seed", 0, "insert a deterministic fault injector with this seed (0 = off)")
 		dataDir   = flag.String("data-dir", "", "make -mem nodes durable: per-node write-ahead logs under this directory")
 		observe   = flag.Bool("observe", true, "instrument every layer into a metrics registry (stats/metrics commands)")
@@ -92,10 +92,11 @@ func main() {
 	if *faultSeed != 0 {
 		opts = append(opts, esdds.WithFaultInjection(*faultSeed))
 	}
-	if *selfHeal > 0 {
-		opts = append(opts, esdds.WithSelfHealing(esdds.SelfHealingConfig{
-			Parity: *selfHeal,
-		}))
+	if *selfHeal {
+		if *mem > 0 && *dataDir == "" {
+			fatal(fmt.Errorf("-self-heal with -mem needs -data-dir: a node is only ever revived from its own journal"))
+		}
+		opts = append(opts, esdds.WithSelfHealing(esdds.SelfHealingConfig{}))
 	}
 	if *dataDir != "" {
 		opts = append(opts, esdds.WithDataDir(*dataDir))
@@ -250,22 +251,10 @@ func repl(store *esdds.Store, cluster *esdds.Cluster) {
 			fmt.Print(reg.WriteString())
 		case "health":
 			printHealth(cluster)
-		case "sync":
-			heal := cluster.SelfHealing()
-			if heal == nil {
-				fmt.Println("self-healing disabled (run with -self-heal <k>)")
-				continue
-			}
-			if err := heal.Sync(ctx); err != nil {
-				fmt.Println("error:", err)
-			} else {
-				at, seq := heal.LastSync()
-				fmt.Printf("recovery point established: sync #%d at %s\n", seq, at.Format(time.RFC3339))
-			}
 		case "heal":
 			heal := cluster.SelfHealing()
 			if heal == nil {
-				fmt.Println("self-healing disabled (run with -self-heal <k>)")
+				fmt.Println("self-healing disabled (run with -self-heal)")
 				continue
 			}
 			hctx, cancel := context.WithTimeout(ctx, 30*time.Second)
@@ -289,7 +278,7 @@ func repl(store *esdds.Store, cluster *esdds.Cluster) {
 				fmt.Printf("node %d killed\n", id)
 			}
 		default:
-			fmt.Println("commands: load insert get delete search rawsearch stats metrics health sync heal kill quit")
+			fmt.Println("commands: load insert get delete search rawsearch stats metrics health heal kill quit")
 		}
 	}
 }
@@ -315,8 +304,8 @@ func printMetricsSummary(cluster *esdds.Cluster) {
 }
 
 // printHealth renders the full availability picture: detector verdicts,
-// retry/breaker accounting, injected-fault counters, repair status, and
-// the parity recovery point.
+// retry/breaker accounting, injected-fault counters, and repair status,
+// naming any node whose state is lost.
 func printHealth(cluster *esdds.Cluster) {
 	h := cluster.ClusterHealth()
 	for _, n := range h.Nodes {
@@ -357,17 +346,13 @@ func printHealth(cluster *esdds.Cluster) {
 		return
 	}
 	switch {
-	case h.Alarm != "":
+	case len(h.Lost) > 0:
+		fmt.Printf("LOST: nodes %v came back without their state and stay down\n", h.Lost)
 		fmt.Println("ALARM:", h.Alarm)
 	case len(h.Down) > 0:
 		fmt.Printf("repair in progress: nodes %v down\n", h.Down)
 	default:
 		fmt.Printf("self-healing: healthy (%d repairs completed)\n", h.Repairs)
-	}
-	if h.SyncSeq == 0 {
-		fmt.Println("recovery point: never synced — run `sync`")
-	} else {
-		fmt.Printf("recovery point: sync #%d at %s\n", h.SyncSeq, h.LastSync.Format(time.RFC3339))
 	}
 	if h.JournalCap > 0 {
 		line := fmt.Sprintf("repair journal: %d/%d records", h.JournalLen, h.JournalCap)

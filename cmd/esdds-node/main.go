@@ -13,16 +13,19 @@
 // must receive the same list so LH* forwarding can reach any bucket.
 //
 // Every node answers health probes (the ping opcode) automatically, so
-// a client opened with esdds.WithSelfHealing can detect daemon failures
-// and repair them. While a daemon is down, searches fail with an
-// esdds.IncompleteError naming it; automatic restore onto a replacement
-// daemon requires restarting it under the dead node's ID and address.
+// a client opened with esdds.WithSelfHealing can detect daemon failures.
+// While a daemon is down, searches fail with an esdds.IncompleteError
+// naming it; the client counts it repaired once the daemon is restarted
+// under the dead node's ID and address and reports a replay of its own
+// journal.
 //
 // With -data-dir the node is durable: every mutation is journaled to a
 // checksummed write-ahead log (with periodic checkpoints) before it is
 // applied, and a restarted daemon replays checkpoint+journal to rejoin
-// already whole — no parity restore needed. SIGINT/SIGTERM shut down
-// gracefully: the journal is flushed and a final checkpoint written.
+// already whole. A journal that fails verification stops the daemon
+// with exit status 1, naming the directory and leaving its files as
+// they are. SIGINT/SIGTERM shut down gracefully: the journal is flushed
+// and a final checkpoint written.
 //
 // With -metrics-addr the node also serves an observability endpoint:
 // GET /metrics returns the text exposition of every counter, gauge,
@@ -125,11 +128,15 @@ func main() {
 			os.Exit(1)
 		}
 		st.Instrument(reg)
-		switch out, err := node.AttachStore(st); out {
-		case wal.OutcomeCorrupt:
-			// Loud, never silent: the node serves empty and waits for a
-			// guardian restore (which re-establishes durability).
-			fmt.Fprintf(os.Stderr, "esdds-node: local state in %s failed verification (%v); starting empty, needs parity restore\n", *dataDir, err)
+		out, err := node.AttachStore(st)
+		if err != nil {
+			// Loud, never silent: serving empty would answer searches as
+			// if the node's records never existed. The files stay as they
+			// are for salvage.
+			fmt.Fprintf(os.Stderr, "esdds-node: local state in %s failed verification, refusing to start: %v\n", *dataDir, err)
+			os.Exit(1)
+		}
+		switch out {
 		case wal.OutcomeRecovered:
 			fmt.Printf("esdds-node %d recovered local state from %s (seq %d)\n", *id, *dataDir, st.Seq())
 		default:

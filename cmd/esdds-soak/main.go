@@ -44,6 +44,7 @@ import (
 	"repro/esdds"
 	"repro/internal/loadgen"
 	"repro/internal/obs"
+	"repro/internal/sdds"
 )
 
 func main() {
@@ -162,6 +163,7 @@ var profiles = map[string]profile{
 			"audit_errors == 0",
 			"record_splits >= 3",
 			"repairs >= 1",
+			"alarms == 0",
 			"migrations_started >= 3",
 			"migrations_in_flight == 0",
 		},
@@ -371,7 +373,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// its own journal and the supervisor rolls any interrupted
 			// split/merge handoff forward as part of finishing the repair.
 			memOpts = append(memOpts, esdds.WithSelfHealing(esdds.SelfHealingConfig{
-				Parity:        1,
 				ProbeInterval: 20 * time.Millisecond,
 				ProbeTimeout:  time.Second,
 				DownAfter:     3,
@@ -583,9 +584,9 @@ func snapshotRetry(cluster *esdds.Cluster) retrySnapshot {
 }
 
 // chaosKiller kills one node per interval, round-robin, waiting for
-// the self-healing repair to complete between kills so the parity
-// budget (one failure at a time) is never exceeded by the harness
-// itself.
+// the self-healing repair to complete between kills, so each kill's
+// repair is measured on its own and the harness never runs the cluster
+// with more than one node down.
 type chaosKiller struct {
 	stopCh chan struct{}
 	doneCh chan struct{}
@@ -725,6 +726,11 @@ func clusterCounters(ctx context.Context, cluster *esdds.Cluster, store *esdds.S
 	}
 	if sh := cluster.SelfHealing(); sh != nil {
 		c.Repairs = sh.Repairs()
+		for _, r := range sh.Journal() {
+			if r.Phase == sdds.RepairAlarm {
+				c.Alarms++
+			}
+		}
 	}
 	ms := cluster.MigrationStats()
 	c.MigStarted = ms.Started
@@ -825,9 +831,9 @@ func printSummary(w io.Writer, rep *loadgen.Report) {
 	fmt.Fprintf(w, "retries: %d sends, %d retries, %d failed attempts\n",
 		rep.Cluster.RetryAttempts, rep.Cluster.RetryRetries, rep.Cluster.RetryFailures)
 	if rep.Cluster.MigStarted > 0 {
-		fmt.Fprintf(w, "migrations: %d started, %d committed, %d aborted, %d resumed, %d in flight; %d repairs\n",
+		fmt.Fprintf(w, "migrations: %d started, %d committed, %d aborted, %d resumed, %d in flight; %d repairs, %d alarms\n",
 			rep.Cluster.MigStarted, rep.Cluster.MigCommitted, rep.Cluster.MigAborted,
-			rep.Cluster.MigResumed, rep.Cluster.MigInFlight, rep.Cluster.Repairs)
+			rep.Cluster.MigResumed, rep.Cluster.MigInFlight, rep.Cluster.Repairs, rep.Cluster.Alarms)
 	}
 	if a := rep.Audit; a != nil {
 		fmt.Fprintf(w, "audit: %d records read back, %d missing, %d corrupt, %d ghosts (of %d), %d search checks, %d misses, %d errors (%.1fs)\n",

@@ -29,18 +29,18 @@ func chaosRetryPolicy() transport.RetryPolicy {
 //
 //  1. a seeded workload runs against a lossy network with zero
 //     client-visible errors (retries mask the injected drops),
-//  2. f <= k nodes are killed mid-operation; Search fails with an
+//  2. two nodes are killed mid-operation; Search fails with an
 //     IncompleteError that names exactly the dead nodes and carries no
 //     spurious hit,
-//  3. the LH*RS guardian recovers the dead nodes from parity, after
-//     which a full Search returns the pre-failure result set.
+//  3. each dead node is revived from its own journal, after which a
+//     full Search returns the pre-failure result set.
 func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 	const (
 		nodes = 6
-		k     = 2 // parity shards = tolerated simultaneous failures
 		seed  = 20060410
 	)
 	cluster := NewMemoryCluster(nodes,
+		WithDataDir(t.TempDir()),
 		WithFaultInjection(seed),
 		WithRetry(chaosRetryPolicy()),
 		WithRetrySeed(seed),
@@ -101,23 +101,11 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Establish the recovery point on a quiet network.
+	// Phase 2 — on a quiet network, kill two nodes two different ways:
+	// node 1 crashes outright (unknown to the transport, fails fast),
+	// node 4 is partitioned (sends time out through retry exhaustion).
+	// Both must appear in the failed list — and nothing else.
 	cluster.Faults().ClearFaults()
-	guard, err := cluster.Guardian(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := guard.Scrub(); err != nil || !ok {
-		t.Fatalf("scrub: %v %v", ok, err)
-	}
-
-	// Phase 2 — kill f = k nodes two different ways: node 1 crashes
-	// outright (unknown to the transport, fails fast), node 4 is
-	// partitioned (sends time out through retry exhaustion). Both must
-	// appear in the failed list — and nothing else.
 	dead := []int{1, 4}
 	if err := cluster.KillNode(1); err != nil {
 		t.Fatal(err)
@@ -146,16 +134,13 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Phase 3 — recovery: spare nodes take over the dead IDs, the
-	// guardian rebuilds their buckets from parity, traffic resumes.
+	// Phase 3 — recovery: each dead node restarts under its ID and
+	// replays its own journal; traffic resumes.
 	cluster.Faults().Restore(transport.NodeID(4))
 	for _, id := range dead {
 		if err := cluster.ReviveNode(id); err != nil {
-			t.Fatal(err)
+			t.Fatalf("reviving node %d: %v", id, err)
 		}
-	}
-	if err := guard.Recover(ctx, dead...); err != nil {
-		t.Fatalf("recovery of %v failed: %v", dead, err)
 	}
 
 	healed, err := store.Search(ctx, []byte("BEACON PAYLOAD"), SearchVerified)
@@ -180,41 +165,6 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 		if want := fmt.Sprintf("RECORD %04d CARRIES BEACON PAYLOAD", rid); string(got) != want {
 			t.Fatalf("Get(%d) = %q, want %q", rid, got, want)
 		}
-	}
-}
-
-// TestGuardianRefusesBeyondKOverPublicAPI: killing k+1 nodes must make
-// recovery fail loudly — the MDS bound, surfaced to the API user.
-func TestGuardianRefusesBeyondKOverPublicAPI(t *testing.T) {
-	cluster := NewMemoryCluster(5, WithRetry(chaosRetryPolicy()))
-	defer cluster.Close()
-	store, err := Open(cluster, KeyFromPassphrase("bound"), Config{ChunkSize: 4, Chunkings: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for rid := uint64(1); rid <= 20; rid++ {
-		if err := store.Insert(ctx, rid, []byte(fmt.Sprintf("RECORD %d", rid))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	guard, err := cluster.Guardian(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []int{0, 2} { // f = k+1 = 2
-		if err := cluster.KillNode(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := cluster.ReviveNode(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := guard.Recover(ctx, 0, 2); err == nil {
-		t.Fatal("recovery of k+1 failures succeeded — MDS bound violated")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -38,7 +39,6 @@ type Cluster struct {
 	probeTr transport.Transport
 	det     *transport.Detector
 	sup     *sdds.Supervisor
-	guard   *sdds.Guardian
 
 	// memory-cluster internals enabling node kill/revive for chaos and
 	// recovery scenarios (nil for dialed clusters)
@@ -64,12 +64,11 @@ type Cluster struct {
 }
 
 // NodeRecovery reports how a durable node's local state came to be at
-// its most recent (re)start: "fresh" (no prior state), "recovered"
-// (checkpoint+journal replayed), or "corrupt" (verification failed; the
-// node came up empty and needs a parity restore — Err says why).
+// its most recent (re)start: "fresh" (no store files found) or
+// "recovered" (checkpoint+journal replayed). A node whose journal fails
+// verification never starts, so it has no NodeRecovery.
 type NodeRecovery struct {
 	Outcome string
-	Err     string
 }
 
 // ClusterOption configures the transport stack of a cluster.
@@ -89,12 +88,11 @@ type clusterConfig struct {
 // a checksummed write-ahead log (with periodic checkpoints) under
 // dir/node-<id>/ and replays it on restart, so reopening a cluster over
 // the same directory — or reviving a killed node — recovers its state
-// locally instead of consuming LH*RS parity-repair capacity. A journal
-// that fails checksum verification is detected and reported (see
-// NodeRecovery); the node then comes up empty for a parity restore.
-// Only meaningful for clusters that host their own nodes (memory and
-// local-TCP); DialCluster rejects it — a dialed daemon owns its own
-// data directory (see cmd/esdds-node -data-dir).
+// from its own journal. A journal that fails checksum verification is
+// an error wrapping wal.ErrCorrupt, and its files are left untouched:
+// the node does not start. Only meaningful for clusters that host their
+// own nodes (memory and local-TCP); DialCluster rejects it — a dialed
+// daemon owns its own data directory (see cmd/esdds-node -data-dir).
 func WithDataDir(dir string) ClusterOption {
 	return func(c *clusterConfig) { c.dataDir = dir }
 }
@@ -217,7 +215,7 @@ func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
 	for _, id := range ids {
 		node, err := c.newNode(id)
 		if err != nil {
-			panic("esdds: " + err.Error()) // unusable data dir
+			panic("esdds: " + err.Error()) // unusable or corrupt data dir
 		}
 		c.mem.Register(id, node.Handler())
 	}
@@ -228,7 +226,7 @@ func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
 	}
 	if cfg.selfHeal != nil {
 		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
-			panic("esdds: self-healing: " + err.Error()) // bad Parity config
+			panic("esdds: " + err.Error()) // self-healing without a data dir
 		}
 	}
 	return c
@@ -346,32 +344,33 @@ func (c *Cluster) initStores(dataDir string) {
 
 // attachNodeStore opens (or reopens) a node's durable store under the
 // cluster data dir, replays whatever it holds, and records the recovery
-// outcome. Corruption is not an error here: it is detected, recorded,
-// and left for a parity restore — the node comes up empty with a reset,
-// armed store. Call before the node starts serving traffic.
+// outcome. A store that fails verification is an error wrapping
+// wal.ErrCorrupt, with its files left as they were; the node is not
+// recorded and must not serve. Call before the node starts serving
+// traffic.
 func (c *Cluster) attachNodeStore(id int, node *sdds.Node) error {
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	c.nodes[id] = node
 	if c.dataDir == "" {
+		c.storeMu.Lock()
+		c.nodes[id] = node
+		c.storeMu.Unlock()
 		return nil
 	}
-	st, err := wal.Open(wal.OSFS{}, filepath.Join(c.dataDir, fmt.Sprintf("node-%d", id)), wal.Options{})
+	dir := c.nodeDir(id)
+	st, err := wal.Open(wal.OSFS{}, dir, wal.Options{})
 	if err != nil {
 		return fmt.Errorf("esdds: opening node %d store: %w", id, err)
 	}
 	st.Instrument(c.met)
-	out, aerr := node.AttachStore(st)
-	rec := NodeRecovery{Outcome: out.String()}
-	if aerr != nil {
-		rec.Err = aerr.Error()
-		if out != wal.OutcomeCorrupt {
-			st.Close() //nolint:errcheck // best-effort unwind
-			return fmt.Errorf("esdds: attaching node %d store: %w", id, aerr)
-		}
+	out, err := node.AttachStore(st)
+	if err != nil {
+		st.Close() //nolint:errcheck // nothing was appended; the recovery error is the one to report
+		return fmt.Errorf("esdds: node %d store in %s: %w", id, dir, err)
 	}
+	c.storeMu.Lock()
+	defer c.storeMu.Unlock()
+	c.nodes[id] = node
 	c.stores[id] = st
-	c.recovery[id] = rec
+	c.recovery[id] = NodeRecovery{Outcome: out.String()}
 	return nil
 }
 
@@ -502,71 +501,44 @@ func (c *Cluster) KillNode(id int) error {
 	return nil
 }
 
-// ReviveNode registers a node under the given ID — the spare site
-// taking over a killed node's identity. On an ephemeral cluster it
-// comes up empty (buckets restorable only by a Guardian); with
-// WithDataDir it reopens its durable store first and replays
-// checkpoint+journal, so it rejoins already whole and the Supervisor
-// skips the parity restore. Only supported on memory clusters.
+// ReviveNode restarts a killed node under its ID from its own durable
+// store: it reopens the store, replays checkpoint+journal, and rejoins
+// already whole. It requires WithDataDir, and it refuses to register a
+// node that cannot vouch for its state: a journal that fails
+// verification returns an error wrapping wal.ErrCorrupt, and a store
+// that comes back fresh (the data dir was lost) returns one wrapping
+// sdds.ErrNodeStateLost. The node then stays down, and searches return
+// an IncompleteError naming it. Only supported on memory clusters.
 func (c *Cluster) ReviveNode(id int) error {
 	if c.mem == nil {
 		return fmt.Errorf("esdds: ReviveNode requires a memory cluster")
+	}
+	if c.dataDir == "" {
+		return fmt.Errorf("esdds: ReviveNode requires WithDataDir: an ephemeral node has nothing to revive from")
 	}
 	node, err := c.newNode(transport.NodeID(id))
 	if err != nil {
 		return err
 	}
+	if rec, _ := c.NodeRecovery(id); rec.Outcome == wal.OutcomeFresh.String() {
+		// Opening the store stamped a new journal into the empty dir;
+		// take it back out, so a later revive finds the disk as lost as
+		// this one did instead of an empty journal that replays cleanly.
+		c.storeMu.Lock()
+		st := c.stores[id]
+		c.storeMu.Unlock()
+		st.Abort()
+		os.Remove(filepath.Join(c.nodeDir(id), "wal.log")) //nolint:errcheck // best effort; the refusal is what matters
+		return fmt.Errorf("esdds: reviving node %d: store came back fresh: %w", id, sdds.ErrNodeStateLost)
+	}
 	c.mem.Register(transport.NodeID(id), node.Handler())
 	return nil
 }
 
-// Guardian is the LH*RS availability layer over a cluster: it keeps
-// every node's bucket inventory under Reed–Solomon parity and can
-// rebuild up to K simultaneously failed nodes with zero record loss.
-type Guardian struct {
-	inner *sdds.Guardian
-	c     *Cluster
+// nodeDir is a hosted node's store directory under the data dir.
+func (c *Cluster) nodeDir(id int) string {
+	return filepath.Join(c.dataDir, fmt.Sprintf("node-%d", id))
 }
-
-// Guardian builds a parity guardian tolerating any k simultaneous node
-// failures. Call Sync while the cluster is healthy to (re)establish the
-// recovery point.
-func (c *Cluster) Guardian(k int) (*Guardian, error) {
-	g, err := sdds.NewGuardian(c.inner.Transport(), c.inner.Placement(), k)
-	if err != nil {
-		return nil, err
-	}
-	return &Guardian{inner: g, c: c}, nil
-}
-
-// K returns the number of tolerated simultaneous node failures.
-func (g *Guardian) K() int { return g.inner.K() }
-
-// Sync pulls every node's current image into the parity group. The last
-// successful Sync is the recovery point.
-func (g *Guardian) Sync(ctx context.Context) error { return g.inner.Sync(ctx) }
-
-// Recover rebuilds the given (dead, already revived-empty) nodes from
-// parity and reinstalls their bucket images. More than K dead nodes
-// fails loudly. Breakers for the recovered nodes are reset.
-func (g *Guardian) Recover(ctx context.Context, nodes ...int) error {
-	ids := make([]transport.NodeID, len(nodes))
-	for i, n := range nodes {
-		ids[i] = transport.NodeID(n)
-	}
-	if err := g.inner.Recover(ctx, ids); err != nil {
-		return err
-	}
-	if g.c.retry != nil {
-		for _, id := range ids {
-			g.c.retry.ResetBreaker(id)
-		}
-	}
-	return nil
-}
-
-// Scrub verifies parity against the last-synced images.
-func (g *Guardian) Scrub() (bool, error) { return g.inner.Scrub() }
 
 // Close releases transports and stops any in-process daemons.
 func (c *Cluster) Close() error {

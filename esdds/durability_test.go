@@ -3,14 +3,17 @@ package esdds
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sdds"
+	"repro/internal/wal"
 )
 
 func durableConfig() Config {
@@ -99,7 +102,7 @@ func TestClusterRestartRecoversState(t *testing.T) {
 	}
 
 	// Reopen over the same directory: state must come back from local
-	// checkpoints+journals alone (no parity, no re-insert).
+	// checkpoints+journals alone (no re-insert).
 	c2 := NewMemoryCluster(3, WithDataDir(dir))
 	defer c2.Close()
 	for i := 0; i < 3; i++ {
@@ -199,16 +202,14 @@ func awaitPhase(t *testing.T, heal *SelfHealing, node int, want sdds.RepairPhase
 	}
 }
 
-// TestSelfHealingPrefersLocalRecovery kills a durable node AFTER writes
-// that were never folded into the parity group. The supervisor must let
-// the revived node replay its own journal (RepairLocalRecovery) instead
-// of rolling it back to the recovery point with Guardian.Recover — the
-// post-sync records surviving is the proof, and the parity budget stays
-// untouched for real losses.
+// TestSelfHealingPrefersLocalRecovery kills a durable node after a
+// stream of writes. The supervisor must let the revived node replay its
+// own journal (RepairLocalRecovery): every acknowledged record, up to
+// the last one, must survive the crash, with no alarm raised.
 func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	c := NewMemoryCluster(4, WithDataDir(dir), WithSelfHealing(fastSelfHealing(1)))
+	c := NewMemoryCluster(4, WithDataDir(dir), WithSelfHealing(fastSelfHealing()))
 	defer c.Close()
 	st, err := Open(c, KeyFromPassphrase("durability"), durableConfig(), nil)
 	if err != nil {
@@ -217,20 +218,13 @@ func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 	heal := c.SelfHealing()
 
 	contents := make(map[uint64][]byte)
-	insert := func(lo, hi int, tag string) {
-		for i := lo; i <= hi; i++ {
-			content := []byte(fmt.Sprintf("durable payload %s %02d", tag, i))
-			contents[uint64(i)] = content
-			if err := st.Insert(ctx, uint64(i), content); err != nil {
-				t.Fatalf("insert %d: %v", i, err)
-			}
+	for i := 1; i <= 20; i++ {
+		content := []byte(fmt.Sprintf("durable payload record %02d", i))
+		contents[uint64(i)] = content
+		if err := st.Insert(ctx, uint64(i), content); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	insert(1, 12, "synced")
-	if err := heal.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	insert(13, 20, "beyond-sync") // the recovery point does NOT have these
 
 	victim := victimNode(t, dir, 4)
 	if err := c.KillNode(victim); err != nil {
@@ -243,13 +237,12 @@ func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 		t.Fatalf("AwaitHealthy after local recovery: %v", err)
 	}
 	for _, p := range phasesFor(heal.Journal(), victim) {
-		if p == sdds.RepairParityFallback || p == sdds.RepairCompleted {
-			t.Fatalf("node %d consumed a parity restore (%v) despite a replayable journal", victim, p)
+		if p == sdds.RepairAlarm {
+			t.Fatalf("node %d raised an alarm despite a replayable journal", victim)
 		}
 	}
 
-	// Every record — including the ones past the recovery point — must
-	// have survived the crash, which only local replay can deliver.
+	// Every record must have survived the crash.
 	for rid, want := range contents {
 		got, err := st.Get(ctx, rid)
 		if err != nil || !bytes.Equal(got, want) {
@@ -273,85 +266,93 @@ func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 	}
 }
 
-// TestSelfHealingParityFallbackOnCorruptJournal flips one bit in a live
-// node's on-disk journal and then kills the node. The revived node must
-// detect the corruption (never silently replay past it), report it, and
-// the supervisor must fall back to a parity restore — corruption is
-// loud, and the data still comes back.
-func TestSelfHealingParityFallbackOnCorruptJournal(t *testing.T) {
+// flipJournalBit flips one bit inside the first frame's checksum field
+// of node's journal (byte 13: past the 8-byte magic, inside the CRC at
+// offset 12..15): a complete frame that no longer verifies — corruption,
+// not a torn tail. It returns the journal path.
+func flipJournalBit(t *testing.T, dir string, node int) string {
+	t.Helper()
+	walPath := filepath.Join(dir, fmt.Sprintf("node-%d", node), "wal.log")
+	raw, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[13] ^= 0x20
+	if err := os.WriteFile(walPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return walPath
+}
+
+// TestSelfHealingAlarmsOnCorruptJournal flips one bit in a live node's
+// on-disk journal and then kills the node. The revive must detect the
+// corruption and refuse to start the node — never replay past it, never
+// bring it up empty — and the supervisor raises a sticky alarm naming
+// it. The journal stays byte-identical, searches report the node
+// missing, and reopening the cluster over the directory refuses too.
+func TestSelfHealingAlarmsOnCorruptJournal(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	c := NewMemoryCluster(4, WithDataDir(dir), WithSelfHealing(fastSelfHealing(1)))
+	c := NewMemoryCluster(4, WithDataDir(dir), WithSelfHealing(fastSelfHealing()))
 	defer c.Close()
 	st, err := Open(c, KeyFromPassphrase("durability"), durableConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	heal := c.SelfHealing()
-
-	contents := make(map[uint64][]byte)
 	for i := 1; i <= 16; i++ {
-		content := []byte(fmt.Sprintf("durable payload record %02d", i))
-		contents[uint64(i)] = content
-		if err := st.Insert(ctx, uint64(i), content); err != nil {
+		if err := st.Insert(ctx, uint64(i), []byte(fmt.Sprintf("durable payload record %02d", i))); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	if err := heal.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	victim := victimNode(t, dir, 4)
-	// Flip one bit inside the first frame's checksum field (byte 13:
-	// past the 8-byte magic, inside the CRC at offset 12..15): a
-	// complete frame that no longer verifies — corruption, not a torn
-	// tail.
-	walPath := filepath.Join(dir, fmt.Sprintf("node-%d", victim), "wal.log")
-	f, err := os.OpenFile(walPath, os.O_WRONLY, 0)
+	walPath := flipJournalBit(t, dir, victim)
+	flipped, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one := [1]byte{raw[13] ^ 0x20}
-	if _, err := f.WriteAt(one[:], 13); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	if err := c.KillNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	awaitPhase(t, heal, victim, sdds.RepairParityFallback)
-	awaitPhase(t, heal, victim, sdds.RepairCompleted)
+	awaitPhase(t, heal, victim, sdds.RepairAlarm)
 	hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	if err := heal.AwaitHealthy(hctx); err != nil {
-		t.Fatalf("AwaitHealthy after parity fallback: %v", err)
+	if err := heal.AwaitHealthy(hctx); !errors.Is(err, sdds.ErrNodeStateLost) {
+		t.Fatalf("AwaitHealthy with a corrupt journal = %v, want ErrNodeStateLost", err)
 	}
-
-	// The corruption was detected and reported, never silently replayed.
-	rec, ok := c.NodeRecovery(victim)
-	if !ok || rec.Outcome != "corrupt" || rec.Err == "" {
-		t.Fatalf("node %d recovery = %+v, %v; want a reported corrupt outcome", victim, rec, ok)
+	if a := heal.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) || !strings.Contains(a, "corrupt") {
+		t.Fatalf("Alarm = %q, want it to name node %d and the corruption", a, victim)
 	}
-
-	// ... and parity made the node whole anyway.
-	for rid, want := range contents {
-		got, err := st.Get(ctx, rid)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Get(%d) after parity fallback = %q, %v; want %q", rid, got, err, want)
-		}
+	if err := c.ReviveNode(victim); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("ReviveNode over a corrupt journal = %v, want wal.ErrCorrupt", err)
 	}
-	rids, err := st.Search(ctx, []byte("durable payload"), SearchVerified)
-	if err != nil {
+	_, err = st.Search(ctx, []byte("durable payload"), SearchFast)
+	var ie *IncompleteError
+	if !errors.As(err, &ie) || len(ie.Failed) != 1 || int(ie.Failed[0].Node) != victim {
+		t.Fatalf("Search with the corrupt node down = %v, want an IncompleteError naming node %d", err, victim)
+	}
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, flipped) {
+		t.Fatalf("revive attempts changed the corrupt journal (err %v)", err)
+	}
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rids) != len(contents) {
-		t.Fatalf("search after parity fallback found %d of %d records", len(rids), len(contents))
+
+	// A cold start over the same directory refuses as loudly.
+	if _, err := StartLocalTCPCluster(4, WithDataDir(dir)); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("StartLocalTCPCluster over a corrupt journal = %v, want wal.ErrCorrupt", err)
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), walPath[:len(walPath)-len("/wal.log")]) {
+				t.Fatalf("NewMemoryCluster over a corrupt journal: recover() = %v, want a panic naming the node dir", r)
+			}
+		}()
+		NewMemoryCluster(4, WithDataDir(dir))
+	}()
+	if got, err := os.ReadFile(walPath); err != nil || !bytes.Equal(got, flipped) {
+		t.Fatalf("cold starts changed the corrupt journal (err %v)", err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // the node-side posting index: a posting-indexed cluster and a
 // linear-scan cluster (WithLinearScan) run the same randomized
 // workload — inserts forcing splits, deletes forcing merges, a node
-// crash recovered from parity — and must answer every query
-// identically in every search mode at every stage.
+// crash recovered by replaying its journal — and must answer every
+// query identically in every search mode at every stage.
 func TestPostingIndexEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20060410))
 	ctx := context.Background()
@@ -22,9 +22,9 @@ func TestPostingIndexEquivalence(t *testing.T) {
 		MaxBucketLoad: 6, // small buckets: plenty of splits and merges
 	}
 
-	posting := NewMemoryCluster(4)
+	posting := NewMemoryCluster(4, WithDataDir(t.TempDir()))
 	defer posting.Close()
-	linear := NewMemoryCluster(4, WithLinearScan())
+	linear := NewMemoryCluster(4, WithDataDir(t.TempDir()), WithLinearScan())
 	defer linear.Close()
 
 	ps, err := Open(posting, KeyFromPassphrase("equiv"), cfg, nil)
@@ -122,24 +122,14 @@ func TestPostingIndexEquivalence(t *testing.T) {
 	}
 	compare("after deletes")
 
-	// Crash-and-recover both clusters: parity-rebuilt node images must
-	// rebuild their posting indexes (and the linear cluster must stay
-	// linear through revival).
+	// Crash-and-recover both clusters: node images replayed from
+	// checkpoint+journal must rebuild their posting indexes (and the
+	// linear cluster must stay linear through revival).
 	for _, cl := range []*Cluster{posting, linear} {
-		guard, err := cl.Guardian(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := guard.Sync(ctx); err != nil {
-			t.Fatal(err)
-		}
 		if err := cl.KillNode(1); err != nil {
 			t.Fatal(err)
 		}
 		if err := cl.ReviveNode(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := guard.Recover(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

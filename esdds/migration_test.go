@@ -92,7 +92,7 @@ func TestMigrationLedgerSurvivesClusterReopen(t *testing.T) {
 // after the node returns rolls the handoff forward with zero loss.
 func TestMigrationInterruptedByNodeLossResumes(t *testing.T) {
 	ctx := context.Background()
-	c := NewMemoryCluster(2)
+	c := NewMemoryCluster(2, WithDataDir(t.TempDir()))
 	defer c.Close()
 	c.inner.SetMaxLoad(sdds.FileRecords, 4)
 	val := func(i int) []byte { return []byte(fmt.Sprintf("mig-record-%02d", i)) }
@@ -152,7 +152,7 @@ func TestMigrationInterruptedByNodeLossResumes(t *testing.T) {
 func TestSelfHealingResumesInterruptedMigration(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	c := NewMemoryCluster(3, WithDataDir(dir), WithSelfHealing(fastSelfHealing(1)))
+	c := NewMemoryCluster(3, WithDataDir(dir), WithSelfHealing(fastSelfHealing()))
 	defer c.Close()
 	heal := c.SelfHealing()
 	c.inner.SetMaxLoad(sdds.FileRecords, 4)
@@ -161,9 +161,6 @@ func TestSelfHealingResumesInterruptedMigration(t *testing.T) {
 		if err := c.inner.Put(ctx, sdds.FileRecords, uint64(i), val(i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
-	}
-	if err := heal.Sync(ctx); err != nil {
-		t.Fatal(err)
 	}
 	if err := c.KillNode(1); err != nil {
 		t.Fatal(err)

@@ -8,9 +8,8 @@ import (
 // metrics registry: transport sends, retries, breaker activity and
 // injected faults; per-node opcode latencies and search-path counters;
 // WAL group sizes and sync-wait/fsync/checkpoint timings (with
-// WithDataDir); and the
-// self-healing loop's detector transitions, repair phases, and
-// guardian sync/recover durations (with WithSelfHealing). Instrumented
+// WithDataDir); and the self-healing loop's detector transitions and
+// repair phases (with WithSelfHealing). Instrumented
 // searches also record per-op traces (stage timings and IAM hop
 // counts).
 //

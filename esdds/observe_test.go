@@ -219,16 +219,16 @@ func TestObservabilityDurabilityMetricInvariants(t *testing.T) {
 // TestObservabilitySelfHealingMetricInvariants runs a full failure →
 // repair cycle and checks the control-loop counters: the supervisor's
 // phase counters sum to the journal accounting, the detector's
-// transition counters saw the node go down and come back, and the
-// guardian's syncs are counted.
+// transition counters saw the node go down and come back, and no layer
+// registers a guardian_ metric.
 func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 	const seed = 7
 	cluster := NewMemoryCluster(4,
 		WithObservability(),
+		WithDataDir(t.TempDir()),
 		WithRetry(chaosRetryPolicy()),
 		WithRetrySeed(seed),
 		WithSelfHealing(SelfHealingConfig{
-			Parity:        1,
 			ProbeInterval: 2 * time.Millisecond,
 			Debounce:      2 * time.Millisecond,
 			RepairBackoff: 2 * time.Millisecond,
@@ -247,12 +247,6 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 	}
 	ctx := context.Background()
 	observeCorpus(t, store, 30)
-	if err := cluster.SelfHealing().Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue("guardian_syncs_total"); got != 1 {
-		t.Errorf("guardian_syncs_total = %d, want 1", got)
-	}
 
 	if err := cluster.KillNode(2); err != nil {
 		t.Fatal(err)
@@ -284,14 +278,11 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 		t.Errorf("detector_down_nodes = %d after AwaitHealthy, want 0", got)
 	}
 
-	// The guardian restored the node and the supervisor journaled the
+	// The node replayed its journal and the supervisor journaled the
 	// repair; phase counters must account for every journal record.
-	if got := reg.CounterValue("guardian_recovers_total"); got != 1 {
-		t.Errorf("guardian_recovers_total = %d, want 1", got)
-	}
 	health := cluster.ClusterHealth()
 	var phaseSum uint64
-	for p := 0; p <= int(sdds.RepairParityFallback); p++ {
+	for p := 0; p <= int(sdds.RepairLocalRecovery); p++ {
 		name := "supervisor_phase_" + strings.ReplaceAll(sdds.RepairPhase(p).String(), "-", "_") + "_total"
 		phaseSum += reg.CounterValue(name)
 	}
@@ -299,8 +290,8 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 		t.Errorf("sum(phase counters) = %d, want journal len %d + dropped %d",
 			phaseSum, health.JournalLen, health.JournalDropped)
 	}
-	if got := reg.CounterValue("supervisor_phase_completed_total"); got == 0 {
-		t.Error("no completed repairs counted")
+	if got := reg.CounterValue("supervisor_phase_local_recovery_total"); got != 1 {
+		t.Errorf("supervisor_phase_local_recovery_total = %d, want 1", got)
 	}
 
 	// The /metrics exposition carries every layer's names.
@@ -310,12 +301,14 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 		"detector_probes_total",
 		"node_ops_total",
 		"cluster_puts_total",
-		"guardian_syncs_total",
-		"supervisor_phase_completed_total",
+		"supervisor_phase_local_recovery_total",
 	} {
 		if !strings.Contains(text, name) {
 			t.Errorf("metrics exposition missing %q", name)
 		}
+	}
+	if strings.Contains(text, "guardian_") {
+		t.Error("metrics exposition carries a guardian_ metric")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,28 +92,8 @@ func TestResetBreakersWithoutRetryIsNoop(t *testing.T) {
 	}
 }
 
-func TestGuardianHandleAccessors(t *testing.T) {
-	cluster := NewMemoryCluster(3)
-	defer cluster.Close()
-	g, err := cluster.Guardian(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.K() != 1 {
-		t.Fatalf("K = %d, want 1", g.K())
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := g.Scrub()
-	if err != nil || !ok {
-		t.Fatalf("Scrub = %v, %v; want clean", ok, err)
-	}
-}
-
 func TestSelfHealingAccessors(t *testing.T) {
-	cluster := NewMemoryCluster(2, WithSelfHealing(SelfHealingConfig{
-		Parity:        1,
+	cluster := NewMemoryCluster(2, WithDataDir(t.TempDir()), WithSelfHealing(SelfHealingConfig{
 		ProbeInterval: 5 * time.Millisecond,
 	}))
 	defer cluster.Close()
@@ -120,23 +101,43 @@ func TestSelfHealingAccessors(t *testing.T) {
 	if heal == nil {
 		t.Fatal("SelfHealing() nil with WithSelfHealing")
 	}
-	if at, seq := heal.LastSync(); !at.IsZero() || seq != 0 {
-		t.Fatalf("LastSync before any sync = %v, %d", at, seq)
-	}
-	if err := heal.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if at, seq := heal.LastSync(); at.IsZero() || seq != 1 {
-		t.Fatalf("LastSync after sync = %v, %d; want nonzero, 1", at, seq)
-	}
 	if down := heal.Down(); len(down) != 0 {
 		t.Fatalf("Down = %v on a healthy cluster", down)
+	}
+	if a := heal.Alarm(); a != "" {
+		t.Fatalf("Alarm = %q on a healthy cluster", a)
 	}
 
 	plain := NewMemoryCluster(1)
 	defer plain.Close()
 	if plain.SelfHealing() != nil {
 		t.Fatal("SelfHealing() non-nil without the option")
+	}
+}
+
+// TestSelfHealingRequiresDataDir: a cluster hosting its own nodes can
+// only revive a node from that node's journal, so self-healing without
+// WithDataDir is refused at construction — and an ephemeral node cannot
+// be revived by hand either.
+func TestSelfHealingRequiresDataDir(t *testing.T) {
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "WithDataDir") {
+				t.Fatalf("NewMemoryCluster with self-healing and no data dir: recover() = %v, want a panic naming WithDataDir", r)
+			}
+		}()
+		NewMemoryCluster(2, WithSelfHealing(SelfHealingConfig{}))
+	}()
+	if _, err := StartLocalTCPCluster(2, WithSelfHealing(SelfHealingConfig{})); err == nil || !strings.Contains(err.Error(), "WithDataDir") {
+		t.Fatalf("StartLocalTCPCluster with self-healing and no data dir = %v, want an error naming WithDataDir", err)
+	}
+	plain := NewMemoryCluster(2)
+	defer plain.Close()
+	if err := plain.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.ReviveNode(1); err == nil {
+		t.Fatal("ReviveNode of an ephemeral node succeeded")
 	}
 }
 

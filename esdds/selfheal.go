@@ -2,6 +2,7 @@ package esdds
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/sdds"
@@ -10,13 +11,8 @@ import (
 
 // SelfHealingConfig tunes the availability loop enabled by
 // WithSelfHealing: a failure detector probing every node and a repair
-// supervisor that automatically restores failed nodes from LH*RS
-// parity.
+// supervisor that revives failed nodes from their own journals.
 type SelfHealingConfig struct {
-	// Parity is k, the number of simultaneous node failures the cluster
-	// survives with zero record loss. Required, >= 1.
-	Parity int
-
 	// Failure detector tuning (zero values take transport defaults).
 	ProbeInterval time.Duration // active health-probe period (default 50ms)
 	ProbeTimeout  time.Duration // per-probe deadline
@@ -26,20 +22,21 @@ type SelfHealingConfig struct {
 	// Repair supervisor tuning (zero values take sdds defaults).
 	Debounce      time.Duration // confirmed-down dwell before repair
 	RepairBackoff time.Duration // pause between failed repair attempts
-	SyncInterval  time.Duration // periodic parity recovery-point refresh (0: manual Sync only)
 	JournalCap    int           // repair-journal ring bound (default 512)
 }
 
-// WithSelfHealing turns the cluster into a self-healing one: node
-// images are kept under Reed–Solomon parity (tolerating cfg.Parity
-// simultaneous failures), a detector probes node health, and a
-// supervisor automatically revives and restores confirmed-dead nodes.
-// Until a node is back, searches treat it as failed and return an
-// IncompleteError naming it.
+// WithSelfHealing turns the cluster into a self-healing one: a detector
+// probes node health, and a supervisor revives confirmed-dead nodes,
+// each replaying its own journal. A node that comes back without its
+// state (a journal that fails verification, a lost data dir, no durable
+// store) raises a sticky alarm and stays down; nothing else holds a copy
+// to restore it from. Until a node is back, searches treat it as failed
+// and return an IncompleteError naming it.
 //
-// Call Store inserts as usual, then SelfHealing().Sync (or set
-// SyncInterval) to establish the recovery point. Inspect progress with
-// ClusterHealth, SelfHealing().Journal, and SelfHealing().Alarm.
+// A cluster that hosts its own nodes needs WithDataDir as well (the
+// constructors reject self-healing without it); a dialed cluster relies
+// on each daemon's -data-dir. Inspect progress with ClusterHealth,
+// SelfHealing().Journal, and SelfHealing().Alarm.
 func WithSelfHealing(cfg SelfHealingConfig) ClusterOption {
 	return func(c *clusterConfig) { c.selfHeal = &cfg }
 }
@@ -47,13 +44,11 @@ func WithSelfHealing(cfg SelfHealingConfig) ClusterOption {
 // RepairRecord is one entry of the supervisor's repair journal.
 type RepairRecord = sdds.RepairRecord
 
-// enableSelfHealing wires guardian + detector + supervisor over an
-// already-built cluster and registers their shutdown ahead of the
-// transport teardown.
+// enableSelfHealing wires detector + supervisor over an already-built
+// cluster and registers their shutdown ahead of the transport teardown.
 func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
-	guard, err := sdds.NewGuardian(c.inner.Transport(), c.inner.Placement(), sh.Parity)
-	if err != nil {
-		return err
+	if c.nodes != nil && c.dataDir == "" {
+		return fmt.Errorf("esdds: WithSelfHealing on a cluster that hosts its own nodes requires WithDataDir: an ephemeral node has no state to revive")
 	}
 	probeTr := c.probeTr
 	if probeTr == nil {
@@ -88,15 +83,13 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 			return c.ReviveNode(int(node))
 		}
 	}
-	sup := sdds.NewSupervisor(det, guard, c.retry, revive, sdds.SupervisorConfig{
+	sup := sdds.NewSupervisor(det, c.retry, revive, sdds.SupervisorConfig{
 		Debounce:      sh.Debounce,
 		RepairBackoff: sh.RepairBackoff,
-		SyncInterval:  sh.SyncInterval,
 		JournalCap:    sh.JournalCap,
 	})
 	det.Instrument(c.met)
 	sup.Instrument(c.met)
-	guard.Instrument(c.met)
 	// A node failure mid-split/merge leaves the migration journalled
 	// in-flight with its buckets frozen; finishing each repair, the
 	// supervisor rolls those handoffs forward (or aborts them) so the
@@ -104,7 +97,7 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 	sup.SetMigrationResumer(c.inner.ResumeMigrations)
 	det.Start()
 	sup.Start()
-	c.det, c.sup, c.guard = det, sup, guard
+	c.det, c.sup = det, sup
 	// Stop the loops before the transports they probe are closed.
 	c.close = append([]func() error{func() error {
 		sup.Stop()
@@ -127,30 +120,17 @@ func (c *Cluster) SelfHealing() *SelfHealing {
 	return &SelfHealing{c: c}
 }
 
-// Sync establishes (or refreshes) the parity recovery point: every
-// node's current image is folded into the parity group. Run it after
-// bulk loads and periodically during quiet moments — a node that cannot
-// replay its own journal is restored to the last Sync, losing the
-// writes it took since.
-func (h *SelfHealing) Sync(ctx context.Context) error { return h.c.guard.Sync(ctx) }
-
-// LastSync reports the parity recovery point's time and sequence
-// (zero values: never synced) — the state a parity restore returns a
-// node to.
-func (h *SelfHealing) LastSync() (time.Time, uint64) { return h.c.guard.LastSync() }
-
 // AwaitHealthy blocks until every node is up and no repair is pending,
-// or the context ends. An active alarm (more failures than Parity)
-// fails immediately with sdds.ErrRepairBudgetExceeded. Detection is
+// or the context ends. An active alarm (a node whose state is lost)
+// fails immediately with sdds.ErrNodeStateLost. Detection is
 // asynchronous: called in the instant between a failure and its first
 // failed probe or send, AwaitHealthy can truthfully report healthy.
 func (h *SelfHealing) AwaitHealthy(ctx context.Context) error { return h.c.sup.AwaitHealthy(ctx) }
 
-// Alarm returns the active alarm message, or "" while the failure
-// budget holds. An alarm means more nodes are confirmed down than
-// parity can restore; the supervisor stands down until the operator
-// intervenes (data already synced remains recoverable once enough
-// nodes return).
+// Alarm returns the active alarm message naming every node whose state
+// is lost, or "" when there is none. An alarmed node is not revived
+// again; the alarm clears only when the node itself later comes back
+// with a replay of its own journal.
 func (h *SelfHealing) Alarm() string { return h.c.sup.Alarm() }
 
 // Down lists nodes currently confirmed down, ascending.
@@ -194,8 +174,8 @@ type NodeHealth struct {
 	Faults *transport.FaultStats
 
 	// Durability is the node's recovery outcome at its most recent
-	// (re)start — "fresh", "recovered", or "corrupt" — or "" for
-	// ephemeral nodes (no WithDataDir).
+	// (re)start — "fresh" or "recovered" — or "" for ephemeral nodes (no
+	// WithDataDir).
 	Durability string
 }
 
@@ -203,11 +183,10 @@ type NodeHealth struct {
 type ClusterHealth struct {
 	Nodes       []NodeHealth
 	SelfHealing bool
-	Alarm       string    // "" when nominal
-	Down        []int     // confirmed-down nodes under repair
-	Repairs     uint64    // completed repairs
-	LastSync    time.Time // recovery point (zero: never synced)
-	SyncSeq     uint64
+	Alarm       string // "" when nominal
+	Down        []int  // confirmed-down nodes under repair
+	Lost        []int  // down nodes whose state is lost (the alarm's subjects)
+	Repairs     uint64 // completed repairs
 
 	// Repair-journal bookkeeping (zero without self-healing): current
 	// length, capacity, and how many old records the ring bound shed.
@@ -224,7 +203,7 @@ type ClusterHealth struct {
 
 // ClusterHealth assembles the availability picture across every layer:
 // detector verdicts, retry/breaker accounting, injected-fault counters,
-// and the parity recovery point. It works on any cluster; without
+// and the repair supervisor's state. It works on any cluster; without
 // WithSelfHealing the detector fields read "n/a"/zero.
 func (c *Cluster) ClusterHealth() ClusterHealth {
 	n := len(c.inner.Placement().Nodes())
@@ -276,6 +255,9 @@ func (c *Cluster) ClusterHealth() ClusterHealth {
 		for _, id := range c.sup.Down() {
 			out.Down = append(out.Down, int(id))
 		}
+		for _, id := range c.sup.Lost() {
+			out.Lost = append(out.Lost, int(id))
+		}
 		out.Repairs = c.sup.Repairs()
 		out.JournalLen, out.JournalDropped, out.JournalCap = c.sup.JournalStats()
 	}
@@ -286,9 +268,6 @@ func (c *Cluster) ClusterHealth() ClusterHealth {
 		}
 	}
 	c.storeMu.Unlock()
-	if c.guard != nil {
-		out.LastSync, out.SyncSeq = c.guard.LastSync()
-	}
 	out.Migrations = c.inner.MigrationStats()
 	return out
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,9 +17,8 @@ import (
 // fastSelfHealing tunes the availability loop for test speed: quick
 // probes, fast confirmation, and short debounce. Semantics are the
 // production ones — only the clocks differ.
-func fastSelfHealing(parity int) SelfHealingConfig {
+func fastSelfHealing() SelfHealingConfig {
 	return SelfHealingConfig{
-		Parity:        parity,
 		ProbeInterval: 2 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     1,
@@ -29,24 +31,24 @@ func fastSelfHealing(parity int) SelfHealingConfig {
 // TestSelfHealingClusterEndToEnd is the acceptance scenario for the
 // self-healing availability loop, over the public API only:
 //
-//  1. a workload loads a store and establishes a recovery point,
-//  2. k nodes are killed mid-workload; every Search either returns
+//  1. a workload loads a store of durable nodes,
+//  2. two nodes are killed mid-workload; every Search either returns
 //     exactly the baseline or fails with an IncompleteError naming only
 //     dead nodes and carrying a subset of the baseline — never a stale
 //     or spurious answer passed off as complete,
-//  3. the supervisor detects, revives, and restores the dead nodes
-//     automatically — no operator call — and the cluster converges back
-//     to fully healthy with all records intact.
+//  3. the supervisor detects the dead nodes and revives each from its
+//     own journal automatically — no operator call — and the cluster
+//     converges back to fully healthy with all records intact.
 func TestSelfHealingClusterEndToEnd(t *testing.T) {
 	const (
 		nodes = 6
-		k     = 2
 		seed  = 20060410
 	)
 	cluster := NewMemoryCluster(nodes,
+		WithDataDir(t.TempDir()),
 		WithRetry(chaosRetryPolicy()),
 		WithRetrySeed(seed),
-		WithSelfHealing(fastSelfHealing(k)),
+		WithSelfHealing(fastSelfHealing()),
 	)
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
@@ -83,11 +85,8 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 	if len(baseline) != 12 {
 		t.Fatalf("baseline = %v, want the 12 GRIDLOCK records", baseline)
 	}
-	if err := heal.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 
-	// Kill the full parity budget mid-workload.
+	// Kill two nodes mid-workload.
 	for _, n := range []int{1, 4} {
 		if err := cluster.KillNode(n); err != nil {
 			t.Fatal(err)
@@ -133,7 +132,7 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 	}
 	completed := map[int]bool{}
 	for _, r := range heal.Journal() {
-		if r.Phase == sdds.RepairCompleted {
+		if r.Phase == sdds.RepairLocalRecovery {
 			completed[int(r.Node)] = true
 		}
 	}
@@ -169,22 +168,22 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 		t.Fatalf("post-repair insert not searchable: %v", rids)
 	}
 	health := cluster.ClusterHealth()
-	if !health.SelfHealing || health.Alarm != "" || len(health.Down) != 0 {
+	if !health.SelfHealing || health.Alarm != "" || len(health.Down) != 0 || len(health.Lost) != 0 {
 		t.Errorf("ClusterHealth after convergence = %+v", health)
-	}
-	if health.SyncSeq == 0 {
-		t.Error("no recovery point recorded in ClusterHealth")
 	}
 }
 
-// TestSelfHealingAlarmsBeyondBudget: k+1 failures must raise the alarm
-// and refuse automatic repair — no corruption, no false completeness —
-// over the public API.
-func TestSelfHealingAlarmsBeyondBudget(t *testing.T) {
-	const k = 1
+// TestSelfHealingAlarmsOnLostDataDir: a node whose data dir is wiped
+// before it dies cannot be revived — its store would come back fresh
+// and serve as if its records never existed. ReviveNode refuses, the
+// supervisor raises a sticky alarm naming the node and does not try
+// again, AwaitHealthy fails fast, and searches report the node missing.
+func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
+	dir := t.TempDir()
 	cluster := NewMemoryCluster(4,
+		WithDataDir(dir),
 		WithRetry(chaosRetryPolicy()),
-		WithSelfHealing(fastSelfHealing(k)),
+		WithSelfHealing(fastSelfHealing()),
 	)
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
@@ -203,62 +202,52 @@ func TestSelfHealingAlarmsBeyondBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := heal.Sync(ctx); err != nil {
+
+	const victim = 2
+	if err := os.RemoveAll(filepath.Join(dir, fmt.Sprintf("node-%d", victim))); err != nil {
 		t.Fatal(err)
 	}
-
-	cluster.KillNode(1)
-	cluster.KillNode(2)
-
-	// Detection is asynchronous: wait for the supervisor to confirm both
-	// failures and raise the alarm.
-	for deadline := time.Now().Add(10 * time.Second); heal.Alarm() == ""; {
-		if time.Now().After(deadline) {
-			t.Fatalf("alarm never raised; journal=%+v", heal.Journal())
-		}
-		time.Sleep(time.Millisecond)
+	if err := cluster.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	awaitPhase(t, heal, victim, sdds.RepairAlarm)
+	if a := heal.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
+		t.Fatalf("Alarm = %q, want it to name node %d", a, victim)
 	}
 	actx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	err = heal.AwaitHealthy(actx)
-	if !errors.Is(err, sdds.ErrRepairBudgetExceeded) {
-		t.Fatalf("AwaitHealthy = %v, want ErrRepairBudgetExceeded", err)
+	if err := heal.AwaitHealthy(actx); !errors.Is(err, sdds.ErrNodeStateLost) {
+		t.Fatalf("AwaitHealthy = %v, want ErrNodeStateLost", err)
 	}
 	if n := heal.Repairs(); n != 0 {
-		t.Fatalf("Repairs = %d despite exceeded budget", n)
+		t.Fatalf("Repairs = %d for a node whose state is lost", n)
+	}
+	// The node is not revived again: one attempt, one alarm, ever.
+	time.Sleep(50 * time.Millisecond)
+	if got := phasesFor(heal.Journal(), victim); !slices.Equal(got, []sdds.RepairPhase{sdds.RepairDetected, sdds.RepairStarted, sdds.RepairAlarm}) {
+		t.Fatalf("journal phases = %v, want [detected started alarm]", got)
+	}
+	if err := cluster.ReviveNode(victim); !errors.Is(err, sdds.ErrNodeStateLost) {
+		t.Fatalf("ReviveNode over a lost data dir = %v, want ErrNodeStateLost", err)
 	}
 
-	// Searches must not pretend completeness: the dead nodes surface as
+	// Searches must not pretend completeness: the lost node surfaces as
 	// failed.
 	_, err = store.Search(ctx, []byte("GRIDLOCK"), SearchFast)
 	var ie *IncompleteError
-	if !errors.As(err, &ie) || len(ie.Failed) != 2 {
-		t.Fatalf("Search beyond the parity budget = %v, want an IncompleteError naming the two dead nodes", err)
-	}
-	// Surviving nodes' data is untouched.
-	for rid := uint64(1); rid <= 40; rid++ {
-		got, err := store.Get(ctx, rid)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // lived on a dead node; lost until operator acts
-			}
-			// transport failure against a dead node's bucket — also fine
-			continue
-		}
-		if string(got) != fmt.Sprintf("record %04d with GRIDLOCK", rid) {
-			t.Fatalf("surviving record %d corrupted: %q", rid, got)
-		}
+	if !errors.As(err, &ie) || len(ie.Failed) != 1 || ie.Failed[0].Node != victim {
+		t.Fatalf("Search with a lost node = %v, want an IncompleteError naming node %d", err, victim)
 	}
 	health := cluster.ClusterHealth()
-	if health.Alarm == "" || len(health.Down) != 2 {
-		t.Errorf("ClusterHealth = %+v, want alarm with 2 down nodes", health)
+	if health.Alarm == "" || !slices.Equal(health.Lost, []int{victim}) || !slices.Equal(health.Down, []int{victim}) {
+		t.Errorf("ClusterHealth = %+v, want an alarm with node %d lost and down", health, victim)
 	}
 }
 
 // TestSelfHealingWorksWithoutRetryLayer: the loop must run on active
 // probes alone (no passive signals without the retry middleware).
 func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
-	cluster := NewMemoryCluster(3, WithSelfHealing(fastSelfHealing(1)))
+	cluster := NewMemoryCluster(3, WithDataDir(t.TempDir()), WithSelfHealing(fastSelfHealing()))
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
 
@@ -274,9 +263,6 @@ func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 		if err := store.Insert(ctx, rid, []byte(fmt.Sprintf("plain record %d", rid))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := heal.Sync(ctx); err != nil {
-		t.Fatal(err)
 	}
 	cluster.KillNode(2)
 	// Active probes alone must detect and repair: wait for the completed
@@ -336,8 +322,5 @@ func TestClusterHealthWithoutSelfHealing(t *testing.T) {
 	}
 	if !sawFaultStats {
 		t.Fatal("fault-injection stats missing on a fault-injected cluster with traffic")
-	}
-	if h.SyncSeq != 0 || !h.LastSync.IsZero() {
-		t.Fatalf("recovery point reported without a guardian: %+v", h)
 	}
 }

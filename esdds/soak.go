@@ -26,9 +26,11 @@ func SoakClusterOptions(seed int64) []ClusterOption {
 // consecutive probe failures), for soaks that offer more than the
 // cluster can drain (DESIGN.md §13). The soak gates it at zero
 // repairs: saturation must read as a slow node, never as a dead one.
+// Meant for a dialed cluster of daemons (esdds-soak -cluster proc); a
+// cluster that hosts its own nodes also needs WithDataDir, because
+// self-healing only ever revives a node from its own journal.
 func OverloadClusterOptions(seed int64) []ClusterOption {
 	return append(SoakClusterOptions(seed), WithSelfHealing(SelfHealingConfig{
-		Parity:        1,
 		ProbeInterval: 250 * time.Millisecond,
 		ProbeTimeout:  5 * time.Second,
 		DownAfter:     5,

@@ -1,13 +1,12 @@
 // Availability: the full resilience stack end to end. A six-node
 // in-process multicomputer runs an encrypted workload over a lossy
 // network (seeded fault injection; retries with exponential backoff
-// mask every drop). An LH*RS guardian then puts each node's bucket
-// inventory under Reed–Solomon parity, two nodes die mid-flight, search
-// returns an IncompleteError that names exactly the dead sites and
-// carries the survivors' hits, and the guardian reconstructs both nodes
-// bit-exactly from parity — the high-availability story of LH*RS
-// [LMS05] that the paper names as its storage substrate, driven through
-// the public API.
+// mask every drop). Every node journals its mutations to a checksummed
+// write-ahead log under a temporary data dir. Two nodes die mid-flight,
+// search returns an IncompleteError that names exactly the dead sites
+// and carries the survivors' hits, and each dead node is revived by
+// replaying its own journal — back to every write it acknowledged —
+// driven through the public API.
 package main
 
 import (
@@ -15,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/esdds"
@@ -25,10 +25,15 @@ import (
 func main() {
 	const (
 		nodes = 6
-		k     = 2 // parity shards: any k simultaneous node failures survive
 		seed  = 42
 	)
+	dataDir, err := os.MkdirTemp("", "esdds-availability-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dataDir)
 	cluster := esdds.NewMemoryCluster(nodes,
+		esdds.WithDataDir(dataDir),
 		esdds.WithFaultInjection(seed),
 		esdds.WithRetry(transport.RetryPolicy{
 			MaxAttempts: 8,
@@ -82,20 +87,10 @@ func main() {
 	}
 	fmt.Printf("baseline search %q: %d hits\n\n", query, len(baseline))
 
-	// Phase 2 — establish the recovery point: the guardian pulls every
-	// node's bucket image under Reed–Solomon parity (m data + k parity).
+	// Phase 2 — disaster on a quiet network: node 1 crashes outright,
+	// node 4 is partitioned. Both lose their in-memory state; what their
+	// journals made durable is what a revival finds.
 	cluster.Faults().ClearFaults()
-	guard, err := cluster.Guardian(k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := guard.Sync(ctx); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("guardian synced: %d node images + %d parity shards (survives any %d failures)\n\n",
-		nodes, k, k)
-
-	// Phase 3 — disaster: node 1 crashes outright, node 4 is partitioned.
 	fmt.Println("*** nodes lost: 1 (crashed), 4 (partitioned) ***")
 	if err := cluster.KillNode(1); err != nil {
 		log.Fatal(err)
@@ -119,22 +114,21 @@ func main() {
 	}
 	fmt.Printf("best-effort search: %d/%d hits, failed nodes reported: %v\n", len(ie.RIDs), len(baseline), failed)
 
-	// Phase 4 — recovery: spare nodes take over the dead IDs, the
-	// guardian rebuilds their buckets from the survivors plus parity.
+	// Phase 3 — recovery: each dead node restarts under its ID and
+	// replays its own checkpoint+journal.
 	cluster.Faults().Restore(4)
+	fmt.Println()
 	for _, id := range failed {
 		if err := cluster.ReviveNode(id); err != nil {
 			log.Fatal(err)
 		}
-	}
-	if err := guard.Recover(ctx, failed...); err != nil {
-		log.Fatal(err)
+		rec, _ := cluster.NodeRecovery(id)
+		fmt.Printf("node %d revived: %s from its own journal\n", id, rec.Outcome)
 	}
 	healed, err := store.Search(ctx, query, esdds.SearchVerified)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nguardian recovered nodes %v from parity\n", failed)
 	fmt.Printf("full search after recovery: %d hits (baseline %d)\n", len(healed), len(baseline))
 
 	// Prove the payloads survived end to end: decrypt recovered records.

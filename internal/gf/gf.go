@@ -2,12 +2,9 @@
 // 1 <= g <= 16, together with vector and matrix operations over those
 // fields.
 //
-// The package serves two consumers in this repository:
-//
-//   - Stage-3 dispersion of index records (an invertible k×k matrix over
-//     GF(2^g) splits each chunk into k pieces stored on k sites), and
-//   - LH*RS-style parity groups, which use Reed–Solomon coding over
-//     GF(2^16).
+// Its consumer in this repository is Stage-3 dispersion of index
+// records: an invertible k×k matrix over GF(2^g) splits each chunk into
+// k pieces stored on k sites.
 //
 // Fields are represented by log/antilog tables generated from a fixed
 // primitive polynomial per width, so multiplication and division are two

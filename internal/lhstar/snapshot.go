@@ -8,9 +8,8 @@ import (
 
 // Snapshot serializes the bucket's contents deterministically (records
 // sorted by key): header (address, level, count) followed by
-// length-prefixed key/value pairs. Snapshots feed the LH*RS-style
-// parity machinery in internal/rs, which protects bucket images against
-// site loss.
+// length-prefixed key/value pairs. Snapshots are the bucket sections of
+// a node's WAL checkpoint image.
 func (b *Bucket) Snapshot() []byte {
 	keys := make([]uint64, 0, len(b.recs))
 	for k := range b.recs {
@@ -36,7 +35,8 @@ func (b *Bucket) Snapshot() []byte {
 }
 
 // RestoreBucket rebuilds a bucket from a snapshot. Trailing zero padding
-// (added to equalize parity-group shard lengths) is tolerated.
+// is tolerated: earlier versions restored buckets from zero-padded
+// parity shards, and checkpoints taken then still carry it.
 func RestoreBucket(snapshot []byte) (*Bucket, error) {
 	if len(snapshot) < 20 {
 		return nil, fmt.Errorf("lhstar: snapshot too short (%d bytes)", len(snapshot))

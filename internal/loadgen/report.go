@@ -98,6 +98,10 @@ type ClusterCounters struct {
 	// (zero without WithSelfHealing). An overload soak gates it at zero:
 	// saturation must read as backpressure, never as node death.
 	Repairs uint64 `json:"repairs,omitempty"`
+	// Alarms counts the supervisor's journal `alarm` records: nodes that
+	// came back without their state and stay down. A chaos soak gates
+	// it at zero — every repair must be a local journal replay.
+	Alarms uint64 `json:"alarms,omitempty"`
 	// Migration-ledger counters: every split/merge is a journalled
 	// two-phase handoff; Started == Committed + Aborted + InFlight. A
 	// chaos soak gates InFlight at zero (every handoff interrupted by a

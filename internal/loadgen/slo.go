@@ -184,6 +184,8 @@ func metricValue(r *Report, name string) (float64, bool) {
 		return float64(r.Cluster.RetryFailures), true
 	case "repairs":
 		return float64(r.Cluster.Repairs), true
+	case "alarms":
+		return float64(r.Cluster.Alarms), true
 	case "migrations_started":
 		return float64(r.Cluster.MigStarted), true
 	case "migrations_committed":

@@ -12,8 +12,8 @@
 // is a copy-on-read map under a mutex.
 //
 // Naming convention: `<layer>_<what>_<unit>` in snake_case, where layer
-// is one of transport_, node_, wal_, cluster_, detector_, supervisor_,
-// guardian_; counters end in _total, duration histograms in _ns.
+// is one of transport_, node_, wal_, cluster_, detector_, supervisor_;
+// counters end in _total, duration histograms in _ns.
 package obs
 
 import (

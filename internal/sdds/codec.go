@@ -51,8 +51,8 @@ const (
 	_ // 9: retired one-shot merge close
 	_ // 10: retired one-shot merge absorb
 	opWordSearch
-	opNodeSnapshot
-	opNodeRestore
+	_ // 12: retired whole-node snapshot (parity sync)
+	_ // 13: retired whole-node restore (parity recovery)
 	opPutBatch
 	opPing
 	opRecoveryState
@@ -71,39 +71,35 @@ const (
 const PingOp = opPing
 
 // Recovery modes reported by opRecoveryState — how a node's local state
-// came to be. The Supervisor uses them to pick the cheapest sound repair:
-// a durable node that replayed its own journal needs no parity
-// reconstruction; a node whose journal was absent or corrupt does.
+// came to be. The Supervisor counts only a replay of the node's own
+// journal as a repair; either other mode means the node's state is lost.
+// (A journal that fails verification never gets this far: the node
+// refuses to start.)
 const (
 	// recoveryEphemeral: no durable store attached — every restart is a
 	// total state loss.
 	recoveryEphemeral uint8 = iota
-	// recoveryFresh: durable store attached but it held no prior state.
+	// recoveryFresh: durable store attached but no store files were
+	// found — a new node, or one whose disk was lost.
 	recoveryFresh
 	// recoveryRecovered: state replayed from the local checkpoint+journal.
 	recoveryRecovered
-	// recoveryCorrupt: durable state failed checksum verification and was
-	// reset; the node restarted empty and needs a remote restore.
-	recoveryCorrupt
 )
 
 // recoveryStateResp reports a node's durable-recovery status: the mode
-// above, the last journaled sequence number, and (for corrupt) the
-// verification failure detail.
+// above and the last journaled sequence number.
 type recoveryStateResp struct {
-	mode   uint8
-	seq    uint64
-	detail string
+	mode uint8
+	seq  uint64
 }
 
 func (m recoveryStateResp) encodeTo(w *writer) {
 	w.u8(m.mode)
 	w.u64(m.seq)
-	w.bytes([]byte(m.detail))
 }
 
 func (m *recoveryStateResp) decodeFrom(r *reader) {
-	m.mode, m.seq, m.detail = r.u8(), r.u64(), string(r.bytes())
+	m.mode, m.seq = r.u8(), r.u64()
 }
 
 // ComposeIndexKey builds the §5 composite key: RID shifted left by
@@ -892,11 +888,9 @@ func (m *wordSearchResp) decodeFrom(r *reader) {
 }
 
 // nodeImage is a node's full serialized bucket inventory across all
-// files — what a spare site needs to take over the node's identity.
-// The encoding is deterministic (files by ID, buckets by address), so
-// byte-identical logical state yields byte-identical images; that is
-// what lets the LH*RS parity machinery in internal/rs protect images as
-// opaque shards.
+// files — the body of a WAL checkpoint. The encoding is deterministic
+// (files by ID, buckets by address), so byte-identical logical state
+// yields byte-identical images, which is what the crash tests compare.
 type nodeImage struct {
 	files []fileImage
 	migs  migrationImage
@@ -976,8 +970,8 @@ func (m nodeImage) encodeTo(w *writer) {
 }
 
 // decodeNodeImage decodes a node image, tolerating trailing zero bytes:
-// parity-group shards are zero-padded to a common length, and a
-// recovered image comes back with that padding attached.
+// earlier versions restored nodes from zero-padded parity shards and
+// checkpointed the padded image, and those checkpoints must still load.
 func decodeNodeImage(b []byte) (nodeImage, error) {
 	r := &reader{b: b}
 	nf := int(r.u32())

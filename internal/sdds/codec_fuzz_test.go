@@ -3,6 +3,7 @@ package sdds
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -95,7 +96,7 @@ var decodeRows = []decodeRow{
 	{"wordSearchResp", [][]byte{{}, encode(wordSearchResp{rids: []uint64{4, 1 << 50}})}, roundTrips[wordSearchResp]},
 	{"statsResp", [][]byte{{}, encode(statsResp{buckets: []bucketStat{{addr: 1, level: 1, size: 3}}})}, roundTrips[statsResp]},
 	{"putBatchReq", [][]byte{{}, fuzzNodeLoad[2].payload, fuzzGroups}, putBatchRoundTrips},
-	{"recoveryStateResp", [][]byte{{}, encode(recoveryStateResp{mode: recoveryCorrupt, seq: 3, detail: "bad crc"})}, roundTrips[recoveryStateResp]},
+	{"recoveryStateResp", [][]byte{{}, encode(recoveryStateResp{mode: recoveryRecovered, seq: 3})}, roundTrips[recoveryStateResp]},
 }
 
 // FuzzDecode fuzzes every row at once: the first byte selects the row.
@@ -216,9 +217,10 @@ var (
 		mid: 1, kind: migrateSplit, file: FileRecords, from: 0, to: 1 << 63, level: 63}})
 )
 
-// TestNodeRejectsUnservableRequests: both crashers, and a restore image
-// holding a level-64 bucket (the same poison by another door), are
-// refused before anything is journaled, and the node keeps serving.
+// TestNodeRejectsUnservableRequests: both crashers are refused before
+// anything is journaled, and the node keeps serving; a checkpoint
+// holding a level-64 bucket (the same poison by another door) refuses
+// to load.
 func TestNodeRejectsUnservableRequests(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -228,8 +230,6 @@ func TestNodeRejectsUnservableRequests(t *testing.T) {
 	}{
 		{"search with zero sites", opSearch, crashSearchZeroSites},
 		{"split absorb at level 63", opMigrateAbsorb, crashAbsorbLevel63},
-		{"restore of a level-64 bucket", opNodeRestore, encode(nodeImage{files: []fileImage{
-			{file: FileRecords, buckets: [][]byte{lhstar.NewBucket(1, 64).Snapshot()}}}})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			n := fuzzNode(t)
@@ -250,24 +250,33 @@ func TestNodeRejectsUnservableRequests(t *testing.T) {
 			}
 		})
 	}
+	t.Run("restore of a level-64 bucket", func(t *testing.T) {
+		place, err := NewPlacement([]transport.NodeID{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		poison := encode(nodeImage{files: []fileImage{
+			{file: FileRecords, buckets: [][]byte{lhstar.NewBucket(1, 64).Snapshot()}}}})
+		if err := attachCheckpoint(t, NewNode(0, nil, place), poison); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("checkpoint holding a level-64 bucket: AttachStore = %v, want wal.ErrCorrupt", err)
+		}
+	})
 }
 
 // FuzzNodeHandler sends one arbitrary request to a loaded durable node,
 // then probes every bucket: no request may crash the node, or leave state
 // that crashes a later one.
 func FuzzNodeHandler(f *testing.F) {
-	img, err := fuzzNode(f).Handler()(context.Background(), opNodeSnapshot, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(opPut, encode(putReq{keyHeader{file: FileRecords, key: 3}, []byte("v")}))
 	f.Add(opGet, encode(keyHeader{file: FileRecords, key: 1}))
 	f.Add(opDelete, encode(keyHeader{file: FileRecords, key: 1}))
 	f.Add(opSearch, fuzzSearch)
 	f.Add(opStats, []byte{byte(FileIndex)})
 	f.Add(opWordSearch, encode(wordSearchReq{file: FileWords, token: make([]byte, wordindex.TokenSize)}))
-	f.Add(opNodeSnapshot, []byte{})
-	f.Add(opNodeRestore, img)
+	// The retired whole-node snapshot and restore codes, as a client of
+	// an older version would send them.
+	f.Add(uint8(12), []byte{})
+	f.Add(uint8(13), encode(nodeImage{files: []fileImage{{file: FileRecords, buckets: [][]byte{lhstar.NewBucket(0, 0).Snapshot()}}}}))
 	f.Add(opPutBatch, fuzzNodeLoad[2].payload)
 	f.Add(opPutBatch, fuzzGroups)
 	f.Add(opPing, []byte{})
@@ -347,7 +356,8 @@ func TestCodecRoundTripProperties(t *testing.T) {
 			img.files = append(img.files, f)
 		}
 		enc := encode(img)
-		// Zero padding (parity-shard equalization) must be tolerated.
+		// Zero padding (left by restores from parity shards in earlier
+		// versions) must be tolerated.
 		enc = append(enc, make([]byte, rng.Intn(7))...)
 		gi, err := decodeNodeImage(enc)
 		if err != nil {

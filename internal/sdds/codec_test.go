@@ -243,7 +243,7 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	if got, err := decode[statsResp](encode(st)); err != nil || !reflect.DeepEqual(got, st) {
 		t.Errorf("statsResp: %+v %v", got, err)
 	}
-	rs := recoveryStateResp{mode: recoveryCorrupt, seq: 12, detail: "checksum"}
+	rs := recoveryStateResp{mode: recoveryRecovered, seq: 12}
 	if got, err := decode[recoveryStateResp](encode(rs)); err != nil || got != rs {
 		t.Errorf("recoveryStateResp: %+v %v", got, err)
 	}
@@ -328,7 +328,7 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		{wordSearchReq{file: 2, token: bytes.Repeat([]byte{1}, 16)}, decodeErr[wordSearchReq]},
 		{wordSearchResp{rids: []uint64{8}}, decodeErr[wordSearchResp]},
 		{statsResp{buckets: []bucketStat{{addr: 1, level: 1, size: 1}}}, decodeErr[statsResp]},
-		{recoveryStateResp{mode: recoveryFresh, detail: "d"}, decodeErr[recoveryStateResp]},
+		{recoveryStateResp{mode: recoveryFresh, seq: 3}, decodeErr[recoveryStateResp]},
 	}
 	for i, c := range cases {
 		msg := encode(c.msg)
@@ -366,13 +366,14 @@ func TestDecodersRejectTruncation(t *testing.T) {
 }
 
 // TestOpCodesPinned: op codes are persisted in node journals, so every
-// code in use keeps its number forever, and the retired destructive
-// split/merge numbers stay unnamed — nodeMetrics registers no latency
-// histogram for an op whose OpName is empty.
+// code in use keeps its number forever, and the retired numbers (the
+// destructive split/merge ops, the whole-node snapshot and restore) stay
+// unnamed — nodeMetrics registers no latency histogram for an op whose
+// OpName is empty.
 func TestOpCodesPinned(t *testing.T) {
 	want := map[uint8]uint8{
 		opPut: 1, opGet: 2, opDelete: 3, opSearch: 4,
-		opStats: 8, opWordSearch: 11, opNodeSnapshot: 12, opNodeRestore: 13,
+		opStats: 8, opWordSearch: 11,
 		opPutBatch: 14, opPing: 15, opRecoveryState: 16,
 		opMigratePrepare: 17, opMigrateAbsorb: 18, opMigrateCommit: 19, opMigrateAbort: 20,
 	}
@@ -384,7 +385,7 @@ func TestOpCodesPinned(t *testing.T) {
 			t.Errorf("op %d has no name", op)
 		}
 	}
-	for _, op := range []uint8{0, 5, 6, 7, 9, 10, 21} {
+	for _, op := range []uint8{0, 5, 6, 7, 9, 10, 12, 13, 21} {
 		if name := OpName(op); name != "" {
 			t.Errorf("OpName(%d) = %q, want \"\" (retired or never assigned)", op, name)
 		}
@@ -558,9 +559,7 @@ func TestWireBytesPinned(t *testing.T) {
 	// is in flight.
 	hook.setAfter(func(_ transport.NodeID, op uint8) error {
 		if op == opMigrateAbsorb {
-			img, err := nodes[0].Handler()(ctx, opNodeSnapshot, nil)
-			must(err)
-			pin("image with migration section", img)
+			pin("image with migration section", imageOf(nodes[0]))
 		}
 		return nil
 	})

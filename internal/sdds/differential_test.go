@@ -379,11 +379,7 @@ func TestIndexDifferentialChurn(t *testing.T) {
 	restore := func(nodes []*Node) {
 		t.Helper()
 		for _, n := range nodes {
-			img, err := n.Handler()(ctx, opNodeSnapshot, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := n.Handler()(ctx, opNodeRestore, img); err != nil {
+			if err := attachCheckpoint(t, n, imageOf(n)); err != nil {
 				t.Fatal(err)
 			}
 		}

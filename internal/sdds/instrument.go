@@ -9,10 +9,9 @@ import (
 
 // This file wires the SDDS layer into the obs registry: node-side
 // per-opcode latency and search-path counters, client-side operation
-// counters plus per-search traces, supervisor repair-phase counters,
-// and guardian sync/recover timings. Instrument methods must run
-// before the component carries traffic; all instruments are nil-safe
-// no-ops until then.
+// counters plus per-search traces, and supervisor repair-phase
+// counters. Instrument methods must run before the component carries
+// traffic; all instruments are nil-safe no-ops until then.
 
 // opNames labels the per-opcode latency histograms.
 var opNames = [...]string{
@@ -22,8 +21,6 @@ var opNames = [...]string{
 	opSearch:         "search",
 	opStats:          "stats",
 	opWordSearch:     "word_search",
-	opNodeSnapshot:   "node_snapshot",
-	opNodeRestore:    "node_restore",
 	opPutBatch:       "put_batch",
 	opPing:           "ping",
 	opRecoveryState:  "recovery_state",
@@ -180,10 +177,10 @@ type supervisorMetrics struct {
 	phases [repairPhaseCount]*obs.Counter
 }
 
-const repairPhaseCount = int(RepairParityFallback) + 1
+const repairPhaseCount = int(RepairLocalRecovery) + 1
 
 // sanitizePhase turns a RepairPhase display name into a metric-name
-// segment ("nothing-to-restore" → "nothing_to_restore").
+// segment ("local-recovery" → "local_recovery").
 func sanitizePhase(name string) string {
 	return strings.ReplaceAll(name, "-", "_")
 }
@@ -199,30 +196,4 @@ func (s *Supervisor) Instrument(reg *obs.Registry) {
 		m.phases[p] = reg.Counter("supervisor_phase_" + sanitizePhase(RepairPhase(p).String()) + "_total")
 	}
 	s.met = m
-}
-
-// guardianMetrics times the parity layer's two jobs.
-type guardianMetrics struct {
-	syncs       *obs.Counter
-	syncErrors  *obs.Counter
-	recovers    *obs.Counter
-	recoverErrs *obs.Counter
-	syncNS      *obs.Histogram
-	recoverNS   *obs.Histogram
-}
-
-// Instrument publishes the guardian's counters into reg. Call before
-// the guardian runs.
-func (g *Guardian) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	g.met = guardianMetrics{
-		syncs:       reg.Counter("guardian_syncs_total"),
-		syncErrors:  reg.Counter("guardian_sync_errors_total"),
-		recovers:    reg.Counter("guardian_recovers_total"),
-		recoverErrs: reg.Counter("guardian_recover_errors_total"),
-		syncNS:      reg.Histogram("guardian_sync_ns"),
-		recoverNS:   reg.Histogram("guardian_recover_ns"),
-	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/transport"
 )
 
 // metClock is a hand-advanced clock for supervisor timing without
@@ -281,13 +280,13 @@ func TestSearchTraceLifecycle(t *testing.T) {
 	}
 }
 
-// TestSupervisorPhaseMetricsMatchJournal runs a full detect → repair →
-// restore cycle and checks the central repair-accounting invariant:
+// TestSupervisorPhaseMetricsMatchJournal runs a full detect → revive →
+// local replay cycle and checks the central repair-accounting invariant:
 // every journaled record increments exactly one phase counter, so the
 // phase counters sum to the journal length plus anything the ring
 // bound shed.
 func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
-	sc := newSupervisedCluster(t, 4, 2, SupervisorConfig{
+	sc := newSupervisedCluster(t, 4, SupervisorConfig{
 		Debounce:      time.Millisecond,
 		RepairBackoff: time.Millisecond,
 	})
@@ -297,14 +296,11 @@ func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
 
 	ctx := context.Background()
 	loadRecords(t, sc.cluster, 60)
-	if err := sc.guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	sc.kill(1, 3)
 	sc.step(ctx) // detect both down
 	clk.Advance(10 * time.Millisecond)
-	sc.step(ctx) // debounce ripe: repair and restore
+	sc.step(ctx) // debounce ripe: revive and replay
 	clk.Advance(10 * time.Millisecond)
 	sc.step(ctx) // observe recovery
 
@@ -328,69 +324,7 @@ func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
 	if got := reg.CounterValue("supervisor_phase_detected_total"); got != 2 {
 		t.Errorf("supervisor_phase_detected_total = %d, want 2", got)
 	}
-	if got := reg.CounterValue("supervisor_phase_completed_total"); got == 0 {
-		t.Error("no completed repairs counted")
-	}
-}
-
-// TestGuardianMetrics checks the parity layer's sync/recover counters
-// on both the success and error paths.
-func TestGuardianMetrics(t *testing.T) {
-	gc := newGuardedCluster(t, 3)
-	guard, err := NewGuardian(gc.tr, gc.place, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	guard.Instrument(reg)
-	ctx := context.Background()
-	loadRecords(t, gc.cluster, 20)
-
-	if err := guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue("guardian_syncs_total"); got != 1 {
-		t.Errorf("guardian_syncs_total = %d, want 1", got)
-	}
-	if snap := reg.HistogramSnapshot("guardian_sync_ns"); snap.Count != 1 {
-		t.Errorf("guardian_sync_ns count = %d, want 1", snap.Count)
-	}
-
-	gc.kill(2)
-	if err := guard.Sync(ctx); err == nil {
-		t.Fatal("sync with a dead node succeeded")
-	}
-	if got := reg.CounterValue("guardian_syncs_total"); got != 2 {
-		t.Errorf("guardian_syncs_total = %d, want 2", got)
-	}
-	if got := reg.CounterValue("guardian_sync_errors_total"); got != 1 {
-		t.Errorf("guardian_sync_errors_total = %d, want 1", got)
-	}
-
-	// Real recovery of the killed node onto a fresh replacement.
-	gc.reviveEmpty(2)
-	if err := guard.Recover(ctx, []transport.NodeID{2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue("guardian_recovers_total"); got != 1 {
-		t.Errorf("guardian_recovers_total = %d, want 1", got)
-	}
-	if got := reg.CounterValue("guardian_recover_errors_total"); got != 0 {
-		t.Errorf("guardian_recover_errors_total = %d, want 0", got)
-	}
-
-	// An unprotected node is a counted error; an empty dead set is not
-	// counted at all.
-	if err := guard.Recover(ctx, []transport.NodeID{99}); err == nil {
-		t.Fatal("recover of unprotected node succeeded")
-	}
-	if err := guard.Recover(ctx, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.CounterValue("guardian_recovers_total"); got != 2 {
-		t.Errorf("guardian_recovers_total = %d, want 2 (nil dead set must not count)", got)
-	}
-	if got := reg.CounterValue("guardian_recover_errors_total"); got != 1 {
-		t.Errorf("guardian_recover_errors_total = %d, want 1", got)
+	if got := reg.CounterValue("supervisor_phase_local_recovery_total"); got != 2 {
+		t.Errorf("supervisor_phase_local_recovery_total = %d, want 2", got)
 	}
 }

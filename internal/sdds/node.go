@@ -18,11 +18,10 @@ import (
 
 // Store is the durable backing a node journals into — the narrow
 // surface of *wal.Store the node needs. A storeless node is ephemeral:
-// every restart is a total state loss that only LH*RS parity can repair.
-// With a store attached, every mutating handler journals what it
-// applies and acknowledges only once the journal frame is flushed, so a
-// restarted node replays checkpoint+journal back to its last
-// acknowledged state and rejoins without touching the parity budget.
+// every restart is a total state loss. With a store attached, every
+// mutating handler journals what it applies and acknowledges only once
+// the journal frame is flushed, so a restarted node replays
+// checkpoint+journal back to its last acknowledged state.
 type Store interface {
 	// Recover replays durable state: restore with the checkpoint image,
 	// then apply per journal entry. See wal.Store.Recover.
@@ -42,8 +41,6 @@ type Store interface {
 	CheckpointDue() bool
 	// Checkpoint persists a full state image and prunes the journal.
 	Checkpoint(image []byte) error
-	// Reset wipes the store — the exit from the corrupt state.
-	Reset() error
 	// Seq returns the last journaled sequence number.
 	Seq() uint64
 	// Close flushes and closes the store.
@@ -72,11 +69,10 @@ type Node struct {
 	files map[FileID]*nodeFile
 
 	// store, when non-nil, is the durable journal every mutation goes
-	// through; storeOutcome/storeDetail record how the last AttachStore
-	// recovery went (surfaced via opRecoveryState).
+	// through; storeOutcome records how AttachStore's recovery went
+	// (surfaced via opRecoveryState).
 	store        Store
 	storeOutcome wal.Outcome
-	storeDetail  string
 
 	// Two-phase migration ledger (DESIGN.md §14): outgoing sets this
 	// node sourced, absorbed sets it received, and durable outcomes of
@@ -227,33 +223,24 @@ func (n *Node) DisablePostingIndex() {
 
 // AttachStore gives the node a durable backing and replays whatever
 // state the store recovered — call it before the node serves traffic.
-// The returned outcome distinguishes a fresh store, a successful replay,
-// and corruption. On ANY recovery failure (checksum mismatch, sequence
-// gap, or a replay that no longer applies) the local state is
-// untrusted: the node comes up EMPTY with the store reset and re-armed,
-// the corrupt outcome is returned (and kept for opRecoveryState), and
-// the caller must restore from elsewhere — detected, never silently
-// ignored.
+// The returned outcome distinguishes a fresh store from a successful
+// replay. On ANY recovery failure (checksum mismatch, sequence gap, or a
+// replay that no longer applies) the local state cannot be vouched for:
+// AttachStore returns OutcomeCorrupt with an error wrapping
+// wal.ErrCorrupt, leaves the store's files exactly as they were (they
+// are the only copy to salvage from), and the node must not serve.
 func (n *Node) AttachStore(s Store) (wal.Outcome, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out, err := s.Recover(n.restoreImageLocked, n.applyLoggedLocked)
 	if err != nil {
-		n.files = make(map[FileID]*nodeFile)
-		n.outgoing = make(map[uint64]*migRecord)
-		n.absorbed = make(map[uint64]*migRecord)
-		n.migDone = make(map[uint64]uint8)
-		if rerr := s.Reset(); rerr != nil {
-			return wal.OutcomeCorrupt, fmt.Errorf("sdds: node %d: resetting store after failed recovery (%v): %w", n.id, err, rerr)
+		if !errors.Is(err, wal.ErrCorrupt) {
+			err = fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
 		}
-		n.store = s
-		n.storeOutcome = wal.OutcomeCorrupt
-		n.storeDetail = err.Error()
-		return wal.OutcomeCorrupt, err
+		return wal.OutcomeCorrupt, fmt.Errorf("sdds: node %d: %w", n.id, err)
 	}
 	n.store = s
 	n.storeOutcome = out
-	n.storeDetail = ""
 	return out, nil
 }
 
@@ -432,10 +419,6 @@ func (n *Node) dispatch(ctx context.Context, op uint8, payload []byte) ([]byte, 
 		return n.handleStats(payload)
 	case opWordSearch:
 		return n.handleWordSearch(payload)
-	case opNodeSnapshot:
-		return n.handleNodeSnapshot(payload)
-	case opNodeRestore:
-		return n.handleNodeRestore(payload)
 	case opPutBatch:
 		return n.handlePutBatch(ctx, payload)
 	case opPing:
@@ -871,22 +854,11 @@ func (n *Node) handleWordSearch(payload []byte) ([]byte, error) {
 	return encode(resp), nil
 }
 
-// handleNodeSnapshot serializes this node's entire bucket inventory
-// (all files) into a deterministic image — the data shard the LH*RS
-// parity layer protects. Nodes hold no key material, so the image is as
-// opaque as the buckets themselves.
-func (n *Node) handleNodeSnapshot(payload []byte) ([]byte, error) {
-	if len(payload) != 0 {
-		return nil, errors.New("sdds: node snapshot takes no payload")
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.snapshotLocked(), nil
-}
-
-// snapshotLocked serializes the node's entire bucket inventory into the
-// deterministic image shared by parity sync and WAL checkpoints.
-// Callers must hold the node lock (shared suffices).
+// snapshotLocked serializes the node's entire bucket inventory (all
+// files, plus the migration ledger) into the deterministic image a WAL
+// checkpoint holds. Nodes hold no key material, so the image is as
+// opaque as the buckets themselves. Callers must hold the node lock
+// (shared suffices).
 func (n *Node) snapshotLocked() []byte {
 	fileIDs := make([]FileID, 0, len(n.files))
 	for id := range n.files {
@@ -909,34 +881,6 @@ func (n *Node) snapshotLocked() []byte {
 	}
 	img.migs = n.migImageLocked()
 	return encode(img)
-}
-
-// handleNodeRestore replaces this node's entire bucket inventory with a
-// reconstructed image — what a spare site runs when taking over a
-// failed node's identity after LH*RS recovery.
-func (n *Node) handleNodeRestore(payload []byte) ([]byte, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	files, migs, err := n.buildFilesLocked(payload)
-	if err != nil {
-		return nil, err
-	}
-	// Checkpoint the incoming image BEFORE swapping it in: a restore
-	// replaces everything the journal describes, so the durable state
-	// must jump with it — a crash between the two leaves the old
-	// (journal-consistent) state, never a mix.
-	if n.store != nil {
-		if err := n.store.Checkpoint(payload); err != nil {
-			return nil, fmt.Errorf("sdds: node %d: checkpointing restored image: %w", n.id, err)
-		}
-		// A successful restore supersedes whatever recovery verdict the
-		// store carried: the durable state is valid again.
-		n.storeOutcome = wal.OutcomeRecovered
-		n.storeDetail = ""
-	}
-	n.files = files
-	n.adoptMigImageLocked(migs)
-	return nil, nil
 }
 
 // restoreImageLocked replaces the node's state with a checkpoint image —
@@ -979,8 +923,8 @@ func (n *Node) buildFilesLocked(payload []byte) (map[FileID]*nodeFile, migration
 }
 
 // handleRecoveryState reports how this node's local state came to be —
-// the signal the Supervisor uses to decide between trusting a local
-// replay and falling back to parity reconstruction.
+// the signal the Supervisor uses to tell a local replay (a repair) from
+// a node that came back without its state (an alarm).
 func (n *Node) handleRecoveryState(payload []byte) ([]byte, error) {
 	if len(payload) != 0 {
 		return nil, errors.New("sdds: recovery state takes no payload")
@@ -995,9 +939,6 @@ func (n *Node) handleRecoveryState(payload []byte) ([]byte, error) {
 			resp.mode = recoveryFresh
 		case wal.OutcomeRecovered:
 			resp.mode = recoveryRecovered
-		case wal.OutcomeCorrupt:
-			resp.mode = recoveryCorrupt
-			resp.detail = n.storeDetail
 		}
 	}
 	return encode(resp), nil

@@ -295,8 +295,8 @@ func TestPostingSearchMatchesLinearScan(t *testing.T) {
 }
 
 // TestPostingIndexSurvivesSnapshotRestore round-trips every node
-// through snapshot + restore and requires the rebuilt posting index to
-// match the incremental one.
+// through its checkpoint image and a restart from it, and requires the
+// rebuilt posting index to match the incremental one.
 func TestPostingIndexSurvivesSnapshotRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pl := testPipeline(t, 4, 2, 2)
@@ -314,11 +314,7 @@ func TestPostingIndexSurvivesSnapshotRestore(t *testing.T) {
 		}
 	}
 	for _, n := range nodes {
-		img, err := n.Handler()(context.Background(), opNodeSnapshot, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := n.Handler()(context.Background(), opNodeRestore, img); err != nil {
+		if err := attachCheckpoint(t, n, imageOf(n)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,8 +13,7 @@ import (
 
 // walIndexHarness is a single durable node serving the index file
 // through a real cluster client, for exercising the flat index's
-// recovery paths: WAL replay, checkpoint restore, and wholesale node
-// restore.
+// recovery paths: WAL replay and checkpoint restore.
 type walIndexHarness struct {
 	t     *testing.T
 	fs    *wal.MemFS
@@ -143,19 +142,15 @@ func TestFlatIndexWALReplay(t *testing.T) {
 	}
 
 	// The recovered index must also equal a linear-scan node fed the
-	// same recovered state (guardian-restore equivalence): restore the
-	// recovered node's image into a linear-scan node and cross-compare.
-	img, err := h.node.Handler()(ctx, opNodeSnapshot, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// same recovered state: restart a linear-scan node from the
+	// recovered node's checkpoint image and cross-compare.
 	linMem := transport.NewMemory()
 	linNode := NewNode(0, linMem, h.place)
 	linNode.DisablePostingIndex()
-	linMem.Register(0, linNode.Handler())
-	if _, err := linNode.Handler()(ctx, opNodeRestore, img); err != nil {
+	if err := attachCheckpoint(t, linNode, imageOf(h.node)); err != nil {
 		t.Fatal(err)
 	}
+	linMem.Register(0, linNode.Handler())
 	linC := NewCluster(linMem, h.place)
 	// Share the client-side file image so both clusters address the same
 	// bucket layout.
@@ -179,11 +174,11 @@ func TestFlatIndexWALReplay(t *testing.T) {
 	}
 }
 
-// TestFlatIndexGuardianRestore round-trips a grown, churned node
-// through snapshot + restore (the guardian resurrection path) and
-// requires the rebuilt flat index to be exactly what the incremental
-// one was: same invariants, same search results.
-func TestFlatIndexGuardianRestore(t *testing.T) {
+// TestFlatIndexCheckpointRestore round-trips a grown, churned node
+// through a checkpoint image and a restart from it, and requires the
+// rebuilt flat index to be exactly what the incremental one was: same
+// invariants, same search results.
+func TestFlatIndexCheckpointRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	pl := testPipeline(t, 4, 2, 2)
 	slotBits := SlotBits(pl.Chunkings(), pl.K())
@@ -242,11 +237,7 @@ func TestFlatIndexGuardianRestore(t *testing.T) {
 	// or leftover state would compound and show up in the invariants.
 	for round := 0; round < 2; round++ {
 		for _, n := range nodes {
-			img, err := n.Handler()(ctx, opNodeSnapshot, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := n.Handler()(ctx, opNodeRestore, img); err != nil {
+			if err := attachCheckpoint(t, n, imageOf(n)); err != nil {
 				t.Fatal(err)
 			}
 		}

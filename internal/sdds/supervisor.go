@@ -5,39 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
-// ErrRepairBudgetExceeded reports more confirmed-down nodes than the
-// guardian's parity budget k can restore — the supervisor alarms and
-// stands down rather than risking a reconstruction from insufficient
-// survivors.
-var ErrRepairBudgetExceeded = errors.New("sdds: confirmed failures exceed the parity budget")
+// ErrNodeStateLost reports a node that came back without the state it
+// acknowledged: its journal failed verification, its store came back
+// fresh (the disk was lost), or it runs without a durable store. Nothing
+// in the cluster holds another copy, so the supervisor raises a sticky
+// alarm instead of letting the node rejoin empty.
+var ErrNodeStateLost = errors.New("sdds: node state lost")
 
 // SupervisorConfig tunes the repair supervisor.
 type SupervisorConfig struct {
 	// Debounce is how long a node must stay confirmed-down before repair
 	// begins. Flaps shorter than this (a lifted partition, a restarted
-	// process) exit cleanly without a restore. Default 100ms.
+	// process) exit cleanly without a revive. Default 100ms.
 	Debounce time.Duration
 	// PollInterval is the reconciliation tick — the backstop that
 	// catches dropped detector events and fires due repairs. Default
 	// Debounce/2 (min 1ms).
 	PollInterval time.Duration
 	// RepairBackoff is the pause between repair attempts against a node
-	// whose restore keeps failing (e.g. its replacement is not up yet).
+	// whose revive keeps failing (e.g. it is not reachable yet).
 	// Default 250ms.
 	RepairBackoff time.Duration
 	// RepairTimeout bounds one repair pass. Default 30s.
 	RepairTimeout time.Duration
-	// SyncInterval, when nonzero, re-establishes the recovery point
-	// automatically: while every node is healthy the supervisor runs
-	// Guardian.Sync on this period, bounding what a parity restore
-	// rolls back.
-	SyncInterval time.Duration
 	// JournalCap bounds the repair journal: once full, the oldest
 	// records are dropped (and counted) rather than growing without
 	// bound under a flapping node. Default 512.
@@ -65,12 +63,13 @@ func (c *SupervisorConfig) fillDefaults() {
 	}
 }
 
-// Reviver brings a replacement (or revived) node online under a dead
-// node's ID before the guardian pushes the restored image — in a memory
-// cluster it registers a fresh handler; in a real deployment it might
-// start a spare daemon. A nil Reviver means replacements come up out of
-// band (the supervisor just keeps retrying the restore until one
-// answers).
+// Reviver restarts a dead node under its ID from the node's own durable
+// state — in a memory cluster it reopens the node's store, replays it
+// and registers a handler; in a real deployment it might restart the
+// daemon. A nil Reviver means nodes come back out of band (the
+// supervisor keeps asking the node how it recovered until it answers).
+// A revive that fails with wal.ErrCorrupt or ErrNodeStateLost raises
+// the node's alarm; any other error is retried after RepairBackoff.
 type Reviver func(ctx context.Context, node transport.NodeID) error
 
 // RepairPhase labels one step of a node's repair lifecycle.
@@ -82,27 +81,17 @@ const (
 	// RepairFlap: the node came back before the debounce elapsed; no
 	// repair was needed (or attempted).
 	RepairFlap
-	// RepairStarted: revive + restore began.
+	// RepairStarted: revive + recovery check began.
 	RepairStarted
-	// RepairNothingToRestore: the guardian had never synced, so the node
-	// restarts empty (Guardian.ErrNeverSynced semantics).
-	RepairNothingToRestore
-	// RepairCompleted: the node's image was restored successfully.
-	RepairCompleted
 	// RepairFailed: this attempt failed; it will be retried after
 	// RepairBackoff.
 	RepairFailed
-	// RepairAlarm: confirmed failures exceed the parity budget; the
-	// supervisor stands down until the operator intervenes.
+	// RepairAlarm: the node's state is lost (ErrNodeStateLost); it is
+	// not revived again until it reports a local replay by itself.
 	RepairAlarm
 	// RepairLocalRecovery: the revived node replayed its own durable
-	// journal — no parity reconstruction was needed, so the repair
-	// consumed none of the k-failure budget's capacity.
+	// journal — the one way a repair completes.
 	RepairLocalRecovery
-	// RepairParityFallback: the node came back durable but its local
-	// state was unusable (corrupt or empty journal) — detected, reported,
-	// and repaired via Guardian.Recover instead.
-	RepairParityFallback
 )
 
 // String implements fmt.Stringer.
@@ -114,18 +103,12 @@ func (p RepairPhase) String() string {
 		return "flap"
 	case RepairStarted:
 		return "started"
-	case RepairNothingToRestore:
-		return "nothing-to-restore"
-	case RepairCompleted:
-		return "completed"
 	case RepairFailed:
 		return "failed"
 	case RepairAlarm:
 		return "alarm"
 	case RepairLocalRecovery:
 		return "local-recovery"
-	case RepairParityFallback:
-		return "parity-fallback"
 	default:
 		return "unknown"
 	}
@@ -145,33 +128,29 @@ type RepairRecord struct {
 // downNode tracks one confirmed-down node through repair.
 type downNode struct {
 	since       time.Time
-	attempted   bool // revive/restore was attempted: no silent flap exit anymore
+	attempted   bool // a revive was attempted: no silent flap exit anymore
 	lastAttempt time.Time
 }
 
 // Supervisor closes the availability loop: it watches a Detector for
-// confirmed node failures, debounces flaps, automatically drives
-// Guardian recovery onto replacement nodes (within the k-failure
-// budget, alarming beyond it), and journals every step. A node under
+// confirmed node failures, debounces flaps, revives dead nodes from
+// their own journals, and journals every step. A revived node counts as
+// repaired only when it reports a replay of its local journal; a node
+// whose state is lost raises a sticky alarm and stays down. A node under
 // repair is simply a failed node to searches (they return an
 // IncompleteError naming it).
 //
 // Concurrency: all repair work runs on the supervisor's single loop
 // goroutine; state reads (Down, Journal, Alarm) take the mutex.
-// Restores are idempotent whole-image pushes (opNodeRestore replaces
-// the node's entire inventory under the node's lock), so a repair that
-// dies mid-flight — or a supervisor restarted over the same guardian —
-// simply re-runs the restore with no torn state.
 type Supervisor struct {
 	det    *transport.Detector
-	guard  *Guardian
 	retry  *transport.Retry // optional: breakers to reset after repair
 	revive Reviver
 	cfg    SupervisorConfig
 
 	mu             sync.Mutex
 	down           map[transport.NodeID]*downNode
-	alarm          string
+	lost           map[transport.NodeID]string // sticky alarms: why each node's state is lost
 	journal        []RepairRecord
 	journalDropped uint64 // oldest records shed by the ring bound
 	seq            uint64
@@ -202,18 +181,18 @@ func (s *Supervisor) SetMigrationResumer(r MigrationResumer) {
 	s.mu.Unlock()
 }
 
-// NewSupervisor wires a supervisor over a detector and guardian. retry
-// may be nil (no breakers to reset); revive may be nil (replacements
-// come up out of band).
-func NewSupervisor(det *transport.Detector, guard *Guardian, retry *transport.Retry, revive Reviver, cfg SupervisorConfig) *Supervisor {
+// NewSupervisor wires a supervisor over a detector. retry may be nil
+// (no breakers to reset); revive may be nil (nodes come back out of
+// band).
+func NewSupervisor(det *transport.Detector, retry *transport.Retry, revive Reviver, cfg SupervisorConfig) *Supervisor {
 	cfg.fillDefaults()
 	return &Supervisor{
 		det:    det,
-		guard:  guard,
 		retry:  retry,
 		revive: revive,
 		cfg:    cfg,
 		down:   make(map[transport.NodeID]*downNode),
+		lost:   make(map[transport.NodeID]string),
 		now:    time.Now,
 	}
 }
@@ -253,12 +232,6 @@ func (s *Supervisor) loop(stop, done chan struct{}, events <-chan transport.Heal
 	defer close(done)
 	tick := time.NewTicker(s.cfg.PollInterval)
 	defer tick.Stop()
-	var syncC <-chan time.Time
-	if s.cfg.SyncInterval > 0 {
-		st := time.NewTicker(s.cfg.SyncInterval)
-		defer st.Stop()
-		syncC = st.C
-	}
 	for {
 		select {
 		case <-stop:
@@ -267,41 +240,20 @@ func (s *Supervisor) loop(stop, done chan struct{}, events <-chan transport.Heal
 			s.Reconcile(context.Background())
 		case <-tick.C:
 			s.Reconcile(context.Background())
-		case <-syncC:
-			s.autoSync()
 		}
 	}
-}
-
-// autoSync re-establishes the recovery point while the cluster is
-// healthy. Syncing around a down node would silently move its recovery
-// point backwards, so any tracked failure skips the round.
-func (s *Supervisor) autoSync() {
-	s.mu.Lock()
-	busy := len(s.down) > 0 || s.alarm != ""
-	s.mu.Unlock()
-	if busy {
-		return
-	}
-	for _, nh := range s.det.Snapshot() {
-		if nh.State != transport.NodeUp {
-			return
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RepairTimeout)
-	defer cancel()
-	s.guard.Sync(ctx) //nolint:errcheck // transient; retried next interval
 }
 
 // Reconcile runs one supervision pass: fold the detector's current
-// verdicts into the down-set, absorb flaps, check the failure budget,
-// and fire any due repairs. The loop calls it on every event and tick;
-// tests may call it directly for deterministic stepping.
+// verdicts into the down-set, absorb flaps, and fire any due repairs.
+// The loop calls it on every event and tick; tests may call it directly
+// for deterministic stepping.
 func (s *Supervisor) Reconcile(ctx context.Context) {
 	now := s.now()
 	states := s.det.Snapshot()
 
 	s.mu.Lock()
+	up := make(map[transport.NodeID]bool, len(states))
 	for _, nh := range states {
 		switch nh.State {
 		case transport.NodeDown:
@@ -310,40 +262,26 @@ func (s *Supervisor) Reconcile(ctx context.Context) {
 				s.journalLocked(nh.Node, RepairDetected, nh.LastError)
 			}
 		case transport.NodeUp:
+			up[nh.Node] = true
 			if dn, tracked := s.down[nh.Node]; tracked && !dn.attempted {
 				// Came back within its own state — a flap, nothing to
-				// restore. (Once a repair was attempted the node may be
-				// an empty replacement, so it must finish the restore.)
+				// repair. (Once a revive was attempted the node must
+				// report how it recovered.)
 				delete(s.down, nh.Node)
 				s.journalLocked(nh.Node, RepairFlap, fmt.Sprintf("down %v", now.Sub(dn.since).Round(time.Millisecond)))
 			}
 		}
 	}
 
-	// Failure budget: beyond k confirmed failures the MDS bound is gone;
-	// alarm and stand down instead of attempting a doomed (or worse,
-	// state-corrupting) reconstruction.
-	if len(s.down) > s.guard.K() {
-		if s.alarm == "" {
-			s.alarm = fmt.Sprintf("%d nodes down exceeds parity budget k=%d: %v",
-				len(s.down), s.guard.K(), sortedNodesLocked(s.down))
-			for n := range s.down {
-				s.journalLocked(n, RepairAlarm, s.alarm)
-			}
-		}
-		s.mu.Unlock()
-		return
-	}
-	if s.alarm != "" {
-		s.alarm = "" // budget restored (operator intervened); resume
-	}
-
 	var ripe []transport.NodeID
 	for n, dn := range s.down {
-		if now.Sub(dn.since) < s.cfg.Debounce {
+		_, lost := s.lost[n]
+		switch {
+		case lost && !up[n]:
+			continue // alarmed: never revived again
+		case now.Sub(dn.since) < s.cfg.Debounce:
 			continue
-		}
-		if dn.attempted && now.Sub(dn.lastAttempt) < s.cfg.RepairBackoff {
+		case dn.attempted && now.Sub(dn.lastAttempt) < s.cfg.RepairBackoff:
 			continue
 		}
 		ripe = append(ripe, n)
@@ -352,117 +290,81 @@ func (s *Supervisor) Reconcile(ctx context.Context) {
 	for _, n := range ripe {
 		s.down[n].attempted = true
 		s.down[n].lastAttempt = now
-		s.journalLocked(n, RepairStarted, "")
+		if _, alarmed := s.lost[n]; !alarmed {
+			s.journalLocked(n, RepairStarted, "")
+		}
 	}
 	s.mu.Unlock()
 
-	if len(ripe) > 0 {
-		s.repair(ctx, ripe)
+	if len(ripe) == 0 {
+		return
 	}
-}
-
-// repair revives and restores the given nodes in one pass.
-func (s *Supervisor) repair(ctx context.Context, nodes []transport.NodeID) {
 	rctx, cancel := context.WithTimeout(ctx, s.cfg.RepairTimeout)
 	defer cancel()
+	for _, n := range ripe {
+		s.repair(rctx, n, up[n])
+	}
+}
 
-	// Bring replacements online first — the restore needs someone
-	// listening under the dead IDs.
-	alive := nodes[:0:0]
-	for _, n := range nodes {
-		if s.revive != nil {
-			if err := s.revive(rctx, n); err != nil {
+// repair asks node n how it recovered, reviving it first unless it is
+// already up. A replay of its own journal completes the repair; anything
+// else means its state is lost. An alarmed node is only ripe once it is
+// up again by other means, so it is re-asked but never revived, and its
+// alarm clears exactly when the node itself reports a replay.
+func (s *Supervisor) repair(ctx context.Context, n transport.NodeID, up bool) {
+	if !up && s.revive != nil {
+		if err := s.revive(ctx, n); err != nil {
+			if errors.Is(err, wal.ErrCorrupt) || errors.Is(err, ErrNodeStateLost) {
+				s.raiseAlarm(n, "revive: "+err.Error())
+			} else {
 				s.journalOne(n, RepairFailed, fmt.Sprintf("revive: %v", err))
-				continue
 			}
-		}
-		alive = append(alive, n)
-	}
-	if len(alive) == 0 {
-		return
-	}
-
-	// Prefer local restart-recovery: a durable node that replayed its
-	// own checkpoint+journal is already whole, so restoring it from
-	// parity would be pure waste — and, worse, would roll it back to the
-	// recovery point, losing every write since the last Sync. Only nodes
-	// that cannot vouch for their state (ephemeral, fresh, or corrupt
-	// journals — the latter two journaled as an explicit parity
-	// fallback) proceed to Guardian.Recover.
-	var needRestore []transport.NodeID
-	for _, n := range alive {
-		switch st, err := s.recoveryState(rctx, n); {
-		case err != nil:
-			// Unreachable or pre-durability node: status quo, restore.
-			needRestore = append(needRestore, n)
-		case st.mode == recoveryRecovered:
-			s.finishRepair([]transport.NodeID{n}, RepairLocalRecovery,
-				fmt.Sprintf("replayed local journal to seq %d", st.seq))
-		case st.mode == recoveryCorrupt:
-			s.journalOne(n, RepairParityFallback, "local journal corrupt: "+st.detail)
-			needRestore = append(needRestore, n)
-		case st.mode == recoveryFresh:
-			s.journalOne(n, RepairParityFallback, "local journal empty")
-			needRestore = append(needRestore, n)
-		default: // ephemeral
-			needRestore = append(needRestore, n)
+			return
 		}
 	}
-	if len(needRestore) == 0 {
-		// Everyone self-recovered; refresh the recovery point so the
-		// parity group reflects the replayed state.
-		if s.allUp() {
-			s.guard.Sync(rctx) //nolint:errcheck // transient; retried by autoSync
-		}
-		return
+	raw, err := s.det.Transport().Send(ctx, n, opRecoveryState, nil)
+	var st recoveryStateResp
+	if err == nil {
+		st, err = decode[recoveryStateResp](raw)
 	}
-
-	err := s.guard.Recover(rctx, needRestore)
 	switch {
-	case errors.Is(err, ErrNeverSynced):
-		// Nothing to restore: there is no recovery point, so the
-		// replacements legitimately start empty. Not a parity error.
-		s.finishRepair(needRestore, RepairNothingToRestore, err.Error())
 	case err != nil:
-		for _, n := range needRestore {
-			s.journalOne(n, RepairFailed, err.Error())
-		}
+		s.journalOne(n, RepairFailed, fmt.Sprintf("recovery state: %v", err))
+	case st.mode == recoveryRecovered:
+		s.finishRepair(n, fmt.Sprintf("replayed local journal to seq %d", st.seq))
+	case st.mode == recoveryFresh:
+		s.raiseAlarm(n, "store came back fresh: its data dir was lost")
 	default:
-		s.finishRepair(needRestore, RepairCompleted, "")
-		// Fold the repaired reality back into the parity group so the
-		// recovery point catches up (best effort; autoSync retries).
-		if s.allUp() {
-			s.guard.Sync(rctx) //nolint:errcheck // transient; retried by autoSync
-		}
+		s.raiseAlarm(n, "node runs without a durable store")
 	}
 }
 
-// recoveryState asks a revived node how its local state came to be.
-func (s *Supervisor) recoveryState(ctx context.Context, node transport.NodeID) (recoveryStateResp, error) {
-	raw, err := s.det.Transport().Send(ctx, node, opRecoveryState, nil)
-	if err != nil {
-		return recoveryStateResp{}, err
-	}
-	return decode[recoveryStateResp](raw)
-}
-
-// finishRepair closes out repaired nodes: journal, drop them from the
-// down-set, reopen their traffic (breakers), and let the detector see
-// them alive immediately.
-func (s *Supervisor) finishRepair(nodes []transport.NodeID, phase RepairPhase, detail string) {
+// raiseAlarm marks a node's state lost, journaling the alarm the first
+// time. The node stays in the down-set.
+func (s *Supervisor) raiseAlarm(n transport.NodeID, why string) {
 	s.mu.Lock()
-	for _, n := range nodes {
-		delete(s.down, n)
-		s.repairs++
-		s.journalLocked(n, phase, detail)
+	defer s.mu.Unlock()
+	if _, ok := s.lost[n]; ok {
+		return
 	}
+	s.lost[n] = why
+	s.journalLocked(n, RepairAlarm, why)
+}
+
+// finishRepair closes out a repaired node: journal, drop it from the
+// down-set (and any alarm), reopen its traffic (breaker), and let the
+// detector see it alive immediately.
+func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
+	s.mu.Lock()
+	delete(s.down, n)
+	delete(s.lost, n)
+	s.repairs++
+	s.journalLocked(n, RepairLocalRecovery, detail)
 	s.mu.Unlock()
-	for _, n := range nodes {
-		if s.retry != nil {
-			s.retry.ResetBreaker(n)
-		}
+	if s.retry != nil {
+		s.retry.ResetBreaker(n)
 	}
-	// Refresh the verdicts so the repaired nodes read up without waiting
+	// Refresh the verdicts so the repaired node reads up without waiting
 	// out a probe interval: resumeMigrations and AwaitHealthy need allUp.
 	pctx, cancel := context.WithTimeout(context.Background(), s.det.Policy().ProbeTimeout)
 	defer cancel()
@@ -497,11 +399,26 @@ func (s *Supervisor) allUp() bool {
 	return true
 }
 
-// Alarm returns the active alarm message ("" when nominal).
+// Alarm returns the active alarm message naming every node whose state
+// is lost ("" when nominal).
 func (s *Supervisor) Alarm() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.alarm
+	var parts []string
+	for _, n := range sortedNodesLocked(s.lost) {
+		parts = append(parts, fmt.Sprintf("node %d: %s", n, s.lost[n]))
+	}
+	if len(parts) == 0 {
+		return ""
+	}
+	return "state lost on " + strings.Join(parts, "; ")
+}
+
+// Lost lists the nodes whose state is lost, ascending.
+func (s *Supervisor) Lost() []transport.NodeID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return sortedNodesLocked(s.lost)
 }
 
 // Down lists the nodes currently tracked as confirmed-down, ascending.
@@ -535,21 +452,21 @@ func (s *Supervisor) JournalStats() (length int, dropped uint64, capacity int) {
 }
 
 // AwaitHealthy blocks until every node is up with no tracked failures
-// and no alarm, or the context ends. An active alarm fails fast — the
-// cluster cannot heal itself past the parity budget. Detection is
-// asynchronous: called in the instant between a failure and its first
-// failed probe/send, AwaitHealthy can truthfully report the cluster
-// healthy.
+// and no alarm, or the context ends. An active alarm fails fast with
+// ErrNodeStateLost — the cluster cannot heal a node whose state is gone.
+// Detection is asynchronous: called in the instant between a failure
+// and its first failed probe/send, AwaitHealthy can truthfully report
+// the cluster healthy.
 func (s *Supervisor) AwaitHealthy(ctx context.Context) error {
 	t := time.NewTicker(s.cfg.PollInterval)
 	defer t.Stop()
 	for {
+		alarm := s.Alarm()
 		s.mu.Lock()
-		alarm := s.alarm
 		downN := len(s.down)
 		s.mu.Unlock()
 		if alarm != "" {
-			return fmt.Errorf("%w: %s", ErrRepairBudgetExceeded, alarm)
+			return fmt.Errorf("%w: %s", ErrNodeStateLost, alarm)
 		}
 		if downN == 0 && s.allUp() {
 			return nil
@@ -589,7 +506,7 @@ func (s *Supervisor) journalOne(node transport.NodeID, phase RepairPhase, detail
 	s.mu.Unlock()
 }
 
-func sortedNodesLocked(m map[transport.NodeID]*downNode) []transport.NodeID {
+func sortedNodesLocked[V any](m map[transport.NodeID]V) []transport.NodeID {
 	out := make([]transport.NodeID, 0, len(m))
 	for n := range m {
 		out = append(out, n)

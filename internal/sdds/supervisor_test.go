@@ -1,56 +1,125 @@
 package sdds
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cipherx"
 	"repro/internal/core"
 	"repro/internal/transport"
+	"repro/internal/wal"
 	"repro/internal/wordindex"
 )
 
-// supervisedCluster wires the full availability loop over a guarded
-// memory cluster: detector (manual probing for deterministic stepping),
-// guardian, and supervisor with an in-memory reviver.
+// supervisedCluster wires the full availability loop over a memory
+// cluster of durable nodes, each journaling into its own directory of
+// one MemFS: detector (manual probing for deterministic stepping) and a
+// supervisor whose reviver reopens a node's store and replays it.
 type supervisedCluster struct {
-	*guardedCluster
-	guard *Guardian
-	det   *transport.Detector
-	sup   *Supervisor
-	clk   *metClock // drives the supervisor's debounce/backoff timing
+	cluster *Cluster
+	mem     *transport.Memory
+	place   *Placement
+	fs      *wal.MemFS
+	det     *transport.Detector
+	sup     *Supervisor
+	clk     *metClock // drives the supervisor's debounce/backoff timing
+
+	mu     sync.Mutex
+	nodes  map[transport.NodeID]*Node
+	stores map[transport.NodeID]*wal.Store
 }
 
-func newSupervisedCluster(t *testing.T, n, k int, cfg SupervisorConfig) *supervisedCluster {
+func newSupervisedCluster(t *testing.T, n int, cfg SupervisorConfig) *supervisedCluster {
 	t.Helper()
-	gc := newGuardedCluster(t, n)
-	guard, err := NewGuardian(gc.tr, gc.place, k)
+	ids := make([]transport.NodeID, n)
+	for i := range ids {
+		ids[i] = transport.NodeID(i)
+	}
+	place, err := NewPlacement(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := transport.NewDetector(gc.tr, gc.place.Nodes(), transport.DetectorPolicy{
+	sc := &supervisedCluster{
+		mem:    transport.NewMemory(),
+		place:  place,
+		fs:     wal.NewMemFS(),
+		nodes:  make(map[transport.NodeID]*Node),
+		stores: make(map[transport.NodeID]*wal.Store),
+		clk:    newMetClock(),
+	}
+	for _, id := range ids {
+		if err := sc.start(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc.cluster = NewCluster(sc.mem, place)
+	sc.det = transport.NewDetector(sc.mem, place.Nodes(), transport.DetectorPolicy{
 		ProbeOp:      PingOp,
 		ProbeTimeout: 200 * time.Millisecond,
 		DownAfter:    1,
 		UpAfter:      1,
 	})
-	revive := func(_ context.Context, node transport.NodeID) error {
-		gc.reviveEmpty(node)
-		return nil
+	revive := func(_ context.Context, id transport.NodeID) error { return sc.start(id) }
+	sc.sup = NewSupervisor(sc.det, nil, revive, cfg)
+	sc.sup.now = sc.clk.Now // deterministic debounce: tests advance, never sleep
+	return sc
+}
+
+// journalPath is node id's journal file on the cluster's MemFS.
+func journalPath(id transport.NodeID) string { return fmt.Sprintf("node-%d/wal.log", id) }
+
+// start opens node id's store, replays it into a new node and registers
+// the node: the initial start, the reviver, and an operator's restart.
+// A store that fails verification is the error (wrapping wal.ErrCorrupt)
+// and the node stays unregistered. A store that comes back fresh is
+// registered anyway, so the supervisor's recovery check is what sees it.
+func (sc *supervisedCluster) start(id transport.NodeID) error {
+	st, err := wal.Open(sc.fs, fmt.Sprintf("node-%d", id), wal.Options{})
+	if err != nil {
+		return err
 	}
-	sup := NewSupervisor(det, guard, nil, revive, cfg)
-	clk := newMetClock()
-	sup.now = clk.Now // deterministic debounce: tests advance, never sleep
-	return &supervisedCluster{guardedCluster: gc, guard: guard, det: det, sup: sup, clk: clk}
+	node := NewNode(id, sc.mem, sc.place)
+	if _, err := node.AttachStore(st); err != nil {
+		st.Close() //nolint:errcheck // nothing was appended
+		return err
+	}
+	sc.mu.Lock()
+	sc.nodes[id], sc.stores[id] = node, st
+	sc.mu.Unlock()
+	sc.mem.Register(id, node.Handler())
+	return nil
+}
+
+// kill crashes nodes: unregistered, stores torn down without a flush.
+func (sc *supervisedCluster) kill(ids ...transport.NodeID) {
+	for _, id := range ids {
+		sc.mem.Unregister(id)
+		sc.mu.Lock()
+		st := sc.stores[id]
+		sc.mu.Unlock()
+		st.Abort()
+	}
 }
 
 // step runs one probe round plus one supervision pass.
 func (sc *supervisedCluster) step(ctx context.Context) {
 	sc.det.ProbeOnce(ctx)
 	sc.sup.Reconcile(ctx)
+}
+
+// repairPass steps past the debounce (and any backoff) so every tracked
+// node gets one repair attempt.
+func (sc *supervisedCluster) repairPass(ctx context.Context) {
+	sc.step(ctx)
+	sc.clk.Advance(5 * time.Millisecond)
+	sc.step(ctx)
 }
 
 func phases(j []RepairRecord, node transport.NodeID) []RepairPhase {
@@ -63,16 +132,43 @@ func phases(j []RepairRecord, node transport.NodeID) []RepairPhase {
 	return out
 }
 
+// loadRecords inserts count records and returns the values by key.
+func loadRecords(t *testing.T, c *Cluster, count int) map[uint64][]byte {
+	t.Helper()
+	ctx := context.Background()
+	c.SetMaxLoad(FileRecords, 8)
+	want := make(map[uint64][]byte, count)
+	for k := uint64(0); k < uint64(count); k++ {
+		v := []byte(fmt.Sprintf("value-%06d-%s", k, strings.Repeat("x", int(k%13))))
+		if err := c.Put(ctx, FileRecords, k, v); err != nil {
+			t.Fatal(err)
+		}
+		want[k] = v
+	}
+	return want
+}
+
+func verifyRecords(t *testing.T, c *Cluster, want map[uint64][]byte) {
+	t.Helper()
+	ctx := context.Background()
+	for k, v := range want {
+		got, ok, err := c.Get(ctx, FileRecords, k)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", k, err)
+		}
+		if !ok || string(got) != string(v) {
+			t.Fatalf("Get(%d) = %q %v, want %q — record lost in recovery", k, got, ok, v)
+		}
+	}
+}
+
 func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
-	sc := newSupervisedCluster(t, 4, 2, SupervisorConfig{
+	sc := newSupervisedCluster(t, 4, SupervisorConfig{
 		Debounce:      time.Millisecond,
 		RepairBackoff: time.Millisecond,
 	})
 	ctx := context.Background()
 	want := loadRecords(t, sc.cluster, 60)
-	if err := sc.guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	sc.kill(1, 3)
 	sc.step(ctx) // detect both down
@@ -80,7 +176,7 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 		t.Fatalf("Down = %v, want [1 3]", got)
 	}
 	sc.clk.Advance(5 * time.Millisecond) // let the debounce elapse
-	sc.step(ctx)                         // revive + restore
+	sc.step(ctx)                         // revive: each node replays its own journal
 
 	if got := sc.sup.Down(); len(got) != 0 {
 		t.Fatalf("Down after repair = %v", got)
@@ -91,7 +187,7 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 	verifyRecords(t, sc.cluster, want) // zero record loss
 	for _, node := range []transport.NodeID{1, 3} {
 		got := phases(sc.sup.Journal(), node)
-		if len(got) < 2 || got[0] != RepairDetected || got[len(got)-1] != RepairCompleted {
+		if len(got) < 2 || got[0] != RepairDetected || got[len(got)-1] != RepairLocalRecovery {
 			t.Fatalf("node %d journal phases = %v", node, got)
 		}
 		if st := sc.det.State(node); st != transport.NodeUp {
@@ -103,53 +199,168 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 	}
 }
 
-func TestSupervisorNeverSyncedRevivesEmpty(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, 1, SupervisorConfig{
+// TestSupervisorRecoversMajorityKill: with every node durable there is
+// no failure budget — two of three nodes dying at once is two local
+// replays, not an alarm.
+func TestSupervisorRecoversMajorityKill(t *testing.T) {
+	sc := newSupervisedCluster(t, 3, SupervisorConfig{
 		Debounce:      time.Millisecond,
 		RepairBackoff: time.Millisecond,
 	})
 	ctx := context.Background()
-	// No Sync has ever happened: a failed node has no recovery point and
-	// must come back empty without the supervisor treating it as a
-	// parity failure.
-	sc.kill(2)
-	sc.step(ctx)
-	sc.clk.Advance(5 * time.Millisecond)
-	sc.step(ctx)
+	want := loadRecords(t, sc.cluster, 40)
 
-	if got := sc.sup.Down(); len(got) != 0 {
-		t.Fatalf("Down = %v, want empty (revived empty)", got)
+	sc.kill(0, 2)
+	sc.repairPass(ctx)
+
+	if a := sc.sup.Alarm(); a != "" {
+		t.Fatalf("alarm after killing 2 of 3 durable nodes: %q", a)
 	}
-	got := phases(sc.sup.Journal(), 2)
-	if len(got) < 2 || got[len(got)-1] != RepairNothingToRestore {
-		t.Fatalf("journal phases = %v, want ... nothing-to-restore", got)
+	if n := sc.sup.Repairs(); n != 2 {
+		t.Fatalf("Repairs = %d, want 2; journal %+v", n, sc.sup.Journal())
 	}
-	if st := sc.det.State(2); st != transport.NodeUp {
-		t.Fatalf("revived node state = %v", st)
+	for _, node := range []transport.NodeID{0, 2} {
+		if got := phases(sc.sup.Journal(), node); got[len(got)-1] != RepairLocalRecovery {
+			t.Fatalf("node %d journal phases = %v, want ... local-recovery", node, got)
+		}
 	}
-	if sc.sup.Alarm() != "" {
-		t.Fatalf("alarm raised for never-synced revive: %q", sc.sup.Alarm())
+	if err := sc.sup.AwaitHealthy(ctx); err != nil {
+		t.Fatalf("AwaitHealthy: %v", err)
+	}
+	verifyRecords(t, sc.cluster, want)
+}
+
+// TestSupervisorAlarmsOnCorruptJournal: a node whose journal fails
+// verification is not revived empty. The revive fails, the alarm names
+// the node, searches report it missing, and its journal is left
+// byte-for-byte as it was for salvage.
+func TestSupervisorAlarmsOnCorruptJournal(t *testing.T) {
+	sc, pl, query, victim := newMarkerCluster(t, time.Millisecond)
+	ctx := context.Background()
+	loadRecords(t, sc.cluster, 20)
+
+	// Bit 5 of byte 13 sits in the first frame's checksum: a complete
+	// frame that no longer verifies — corruption, not a torn tail.
+	if err := sc.fs.FlipBit(journalPath(victim), 13, 5); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sc.fs.ReadFile(journalPath(victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.kill(victim)
+	sc.repairPass(ctx)
+	sc.repairPass(ctx) // a later pass must not try again
+
+	got := phases(sc.sup.Journal(), victim)
+	if want := []RepairPhase{RepairDetected, RepairStarted, RepairAlarm}; !slices.Equal(got, want) {
+		t.Fatalf("journal phases = %v, want %v", got, want)
+	}
+	if a := sc.sup.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
+		t.Fatalf("Alarm = %q, want it to name node %d", a, victim)
+	}
+	if n := sc.sup.Repairs(); n != 0 {
+		t.Fatalf("Repairs = %d for a corrupt journal", n)
+	}
+	if err := sc.sup.AwaitHealthy(ctx); !errors.Is(err, ErrNodeStateLost) {
+		t.Fatalf("AwaitHealthy = %v, want ErrNodeStateLost", err)
+	}
+	_, err = sc.cluster.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	wantIncomplete(t, err, victim)
+	after, err := sc.fs.ReadFile(journalPath(victim))
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("corrupt journal changed by the revive attempts (err %v)", err)
 	}
 }
 
+// TestSupervisorAlarmsOnLostDataDir: a node whose data dir was wiped
+// comes back fresh. That is an alarm, not a repair; the alarm stays
+// through later passes, AwaitHealthy fails fast, and only the node
+// reporting a replay of its own journal again clears it.
+func TestSupervisorAlarmsOnLostDataDir(t *testing.T) {
+	sc := newSupervisedCluster(t, 3, SupervisorConfig{
+		Debounce:      time.Millisecond,
+		RepairBackoff: time.Millisecond,
+	})
+	ctx := context.Background()
+	want := loadRecords(t, sc.cluster, 30)
+	const victim = transport.NodeID(1)
+
+	saved, err := sc.fs.ReadFile(journalPath(victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.kill(victim)
+	if err := sc.fs.Remove(journalPath(victim)); err != nil {
+		t.Fatal(err)
+	}
+	sc.repairPass(ctx)
+	for i := 0; i < 3; i++ {
+		sc.repairPass(ctx)
+		if a := sc.sup.Alarm(); !strings.Contains(a, "node 1") {
+			t.Fatalf("pass %d: Alarm = %q, want it to name node 1", i, a)
+		}
+	}
+	if got := phases(sc.sup.Journal(), victim); got[len(got)-1] != RepairAlarm {
+		t.Fatalf("journal phases = %v, want ... alarm", got)
+	}
+	if lost := sc.sup.Lost(); len(lost) != 1 || lost[0] != victim {
+		t.Fatalf("Lost = %v, want [1]", lost)
+	}
+	actx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	start := time.Now()
+	if err := sc.sup.AwaitHealthy(actx); !errors.Is(err, ErrNodeStateLost) {
+		t.Fatalf("AwaitHealthy = %v, want ErrNodeStateLost", err)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("AwaitHealthy waited instead of failing fast")
+	}
+
+	// The operator puts the journal back and restarts the node: its own
+	// replay clears the alarm and completes the repair.
+	sc.kill(victim)
+	sc.fs.Remove(journalPath(victim)) //nolint:errcheck // the fresh store's stamp
+	f, err := sc.fs.OpenTrunc(journalPath(victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.start(victim); err != nil {
+		t.Fatal(err)
+	}
+	sc.repairPass(ctx)
+	if a := sc.sup.Alarm(); a != "" {
+		t.Fatalf("alarm after the node replayed its journal: %q", a)
+	}
+	if err := sc.sup.AwaitHealthy(ctx); err != nil {
+		t.Fatalf("AwaitHealthy after the restore: %v", err)
+	}
+	verifyRecords(t, sc.cluster, want)
+}
+
 func TestSupervisorAbsorbsFlaps(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, 1, SupervisorConfig{
+	sc := newSupervisedCluster(t, 3, SupervisorConfig{
 		Debounce: time.Hour, // nothing becomes ripe in this test
 	})
 	ctx := context.Background()
 	loadRecords(t, sc.cluster, 20)
-	if err := sc.guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	sc.kill(1)
 	sc.step(ctx)
 	if got := sc.sup.Down(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Down = %v", got)
 	}
-	// The node returns before the debounce elapses: the supervisor must
-	// drop it without a restore.
-	sc.reviveEmpty(1)
+	// The process restarts before the debounce elapses: the supervisor
+	// must drop it without a repair.
+	if err := sc.start(1); err != nil {
+		t.Fatal(err)
+	}
 	sc.step(ctx)
 	if got := sc.sup.Down(); len(got) != 0 {
 		t.Fatalf("Down after flap = %v", got)
@@ -163,71 +374,13 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 	}
 }
 
-func TestSupervisorAlarmsBeyondBudget(t *testing.T) {
-	sc := newSupervisedCluster(t, 4, 1, SupervisorConfig{
-		Debounce:      time.Millisecond,
-		RepairBackoff: time.Millisecond,
-	})
-	ctx := context.Background()
-	want := loadRecords(t, sc.cluster, 40)
-	if err := sc.guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// k=1 but two nodes die: repair must refuse and alarm, not corrupt.
-	sc.kill(1, 2)
-	sc.step(ctx)
-	sc.clk.Advance(5 * time.Millisecond)
-	sc.step(ctx)
-
-	if sc.sup.Alarm() == "" {
-		t.Fatal("no alarm with failures beyond the parity budget")
-	}
-	if n := sc.sup.Repairs(); n != 0 {
-		t.Fatalf("Repairs = %d despite exceeded budget", n)
-	}
-	for _, r := range sc.sup.Journal() {
-		if r.Phase == RepairStarted || r.Phase == RepairCompleted {
-			t.Fatalf("repair attempted beyond budget: %+v", r)
-		}
-	}
-	actx, cancel := context.WithTimeout(ctx, time.Second)
-	defer cancel()
-	if err := sc.sup.AwaitHealthy(actx); !errors.Is(err, ErrRepairBudgetExceeded) {
-		t.Fatalf("AwaitHealthy = %v, want ErrRepairBudgetExceeded", err)
-	}
-
-	// The partition around node 1 heals (it returns with its data): the
-	// budget is met again, the alarm clears, the flap exits cleanly, and
-	// the remaining real failure is repaired with all records intact.
-	sc.healPartition(1)
-	sc.step(ctx)
-	sc.step(ctx)
-	sc.clk.Advance(5 * time.Millisecond)
-	sc.step(ctx)
-	if a := sc.sup.Alarm(); a != "" {
-		t.Fatalf("alarm still active after recovery: %q", a)
-	}
-	awctx, cancel2 := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel2()
-	for sc.sup.AwaitHealthy(awctx) != nil {
-		time.Sleep(2 * time.Millisecond)
-		sc.step(ctx)
-		if awctx.Err() != nil {
-			t.Fatal("cluster never converged after operator intervention")
-		}
-	}
-	verifyRecords(t, sc.cluster, want)
-}
-
-// newMarkerCluster is a 3-node supervised cluster (parity K=1, repair
-// held off by an hour's debounce) whose index file holds the chaos
-// corpus' records 1..20 — GRIDLOCK in every fourth — in one bucket, so
-// every index piece lives on bucket 0's node. It returns that node and
-// the GRIDLOCK query.
-func newMarkerCluster(t *testing.T) (*supervisedCluster, *core.Pipeline, *core.Query, transport.NodeID) {
+// newMarkerCluster is a 3-node supervised cluster (repair after the
+// given debounce) whose index file holds the chaos corpus' records
+// 1..20 — GRIDLOCK in every fourth — in one bucket, so every index piece
+// lives on bucket 0's node. It returns that node and the GRIDLOCK query.
+func newMarkerCluster(t *testing.T, debounce time.Duration) (*supervisedCluster, *core.Pipeline, *core.Query, transport.NodeID) {
 	t.Helper()
-	sc := newSupervisedCluster(t, 3, 1, SupervisorConfig{Debounce: time.Hour})
+	sc := newSupervisedCluster(t, 3, SupervisorConfig{Debounce: debounce, RepairBackoff: debounce})
 	pl := testPipeline(t, 4, 2, 1)
 	for rid := uint64(1); rid <= 20; rid++ {
 		indexRecord(t, sc.cluster, pl, rid, newChaosCorpus().record(rid))
@@ -266,16 +419,12 @@ func wantIncomplete(t *testing.T, err error, node transport.NodeID) *IncompleteE
 	return ie
 }
 
-// TestSearchReportsDownNodeAfterLateInsert: a record inserted after the
-// last Sync, whose index node then dies, must not silently drop out of
-// the answer — the search fails with an IncompleteError naming the node
-// instead of answering from the stale recovery point.
+// TestSearchReportsDownNodeAfterLateInsert: a record inserted just
+// before its index node dies must not silently drop out of the answer —
+// the search fails with an IncompleteError naming the node.
 func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
-	sc, pl, query, victim := newMarkerCluster(t)
+	sc, pl, query, victim := newMarkerCluster(t, time.Hour)
 	ctx := context.Background()
-	if err := sc.guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 	indexRecord(t, sc.cluster, pl, 100, []byte("RECORD 0100 HAS GRIDLOCK INSIDE"))
 	sc.kill(victim)
 	sc.step(ctx)
@@ -289,14 +438,11 @@ func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
 	}
 }
 
-// TestSearchReportsDownNodeAfterLateDelete: a record deleted after the
-// last Sync, whose index node then dies, must not come back as a ghost.
+// TestSearchReportsDownNodeAfterLateDelete: a record deleted just
+// before its index node dies must not come back as a ghost.
 func TestSearchReportsDownNodeAfterLateDelete(t *testing.T) {
-	sc, pl, query, victim := newMarkerCluster(t)
+	sc, pl, query, victim := newMarkerCluster(t, time.Hour)
 	ctx := context.Background()
-	if err := sc.guard.Sync(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if err := sc.cluster.DeleteIndexed(ctx, FileIndex, 4, pl.Chunkings(), pl.K(), SlotBits(pl.Chunkings(), pl.K())); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +497,7 @@ func TestWordSearchReportsDeadNode(t *testing.T) {
 // grows past JournalCap, sheds oldest-first, counts what it shed, and
 // keeps sequence numbers monotonic so an auditor can see the gap.
 func TestRepairJournalRingBound(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, 1, SupervisorConfig{JournalCap: 8})
+	sc := newSupervisedCluster(t, 3, SupervisorConfig{JournalCap: 8})
 	for i := 0; i < 20; i++ {
 		sc.sup.journalOne(transport.NodeID(i%3), RepairDetected, "synthetic")
 	}

@@ -7,9 +7,10 @@
 // equivalent to what it had acknowledged — torn journal tails (the
 // un-acknowledged group flush in flight at the crash) are detected by
 // CRC framing and truncated, while checksum failures anywhere else are
-// surfaced as ErrCorrupt so the caller can fall back to remote parity
-// repair instead of trusting a damaged replay. Nothing is ever silently dropped: every recovery
-// reports exactly one of fresh, recovered, or corrupt.
+// surfaced as ErrCorrupt so the caller refuses to start instead of
+// trusting a damaged replay, with the files left as they are. Nothing is
+// ever silently dropped: every recovery reports exactly one of fresh,
+// recovered, or corrupt.
 package wal
 
 import (
@@ -29,8 +30,8 @@ var (
 	// ErrCorrupt reports durable state that failed verification in a
 	// way a crash cannot explain: a checksum mismatch on a complete
 	// journal frame or on the checkpoint, a sequence gap, or a mangled
-	// header. The local state must not be trusted; Reset and restore
-	// from elsewhere (e.g. LH*RS parity).
+	// header. The local state must not be trusted, and the files are the
+	// only copy of it: leave them for salvage rather than Reset.
 	ErrCorrupt = errors.New("wal: durable state corrupt")
 	// ErrClosed reports use of a closed store.
 	ErrClosed = errors.New("wal: store closed")
@@ -40,10 +41,11 @@ var (
 type Outcome uint8
 
 const (
-	// OutcomeFresh: no prior durable state — a brand-new store.
+	// OutcomeFresh: no store files found — a brand-new store, or one
+	// whose directory was lost.
 	OutcomeFresh Outcome = iota
-	// OutcomeRecovered: checkpoint and/or journal verified and
-	// replayed.
+	// OutcomeRecovered: the store found its own files, verified them and
+	// replayed whatever they hold (possibly nothing).
 	OutcomeRecovered
 	// OutcomeCorrupt: durable state failed verification; the store
 	// refuses writes until Reset.
@@ -291,9 +293,9 @@ type Store struct {
 
 // Open opens (creating if necessary) the store in dir on fsys and
 // verifies its durable state. Corruption does not fail Open: the store
-// comes back in a read-refusing corrupt state that Recover reports and
-// Reset clears — so the caller, not a disk error path, decides how to
-// repair. Open fails only on real I/O errors.
+// comes back in a write-refusing corrupt state that Recover reports,
+// with its files untouched — so the caller, not a disk error path,
+// decides what to do. Open fails only on real I/O errors.
 func Open(fsys FS, dir string, opts Options) (*Store, error) {
 	if opts.CheckpointBytes <= 0 {
 		opts.CheckpointBytes = 1 << 20
@@ -383,7 +385,9 @@ func (s *Store) load() error {
 	s.logBytes = int64(goodLen)
 	s.seq = lastSeq
 	s.syncedSeq = lastSeq
-	if lastSeq > 0 || len(entries) > 0 {
+	if goodLen >= len(logMagic) {
+		// The store's own header: this directory has held a store
+		// before, even if it never journaled a frame.
 		s.recovered = true
 	}
 	return nil
@@ -413,9 +417,9 @@ func (s *Store) openLog() error {
 // Recover reports what Open found and replays it in order: restore is
 // called first with the checkpoint image (if any), then apply once per
 // journal entry past the checkpoint. On OutcomeCorrupt neither callback
-// runs and the error (wrapping ErrCorrupt) says why; the caller must
-// Reset before journaling. The replay material is consumed: a second
-// call reports OutcomeFresh.
+// runs and the error (wrapping ErrCorrupt) says why; the store keeps
+// refusing writes. The replay material is consumed: a second call
+// reports OutcomeFresh.
 func (s *Store) Recover(restore func(image []byte) error, apply func(op uint8, payload []byte) error) (Outcome, error) {
 	s.mu.Lock()
 	corrupt, image, entries, recovered := s.corrupt, s.image, s.entries, s.recovered
@@ -669,8 +673,8 @@ func (s *Store) coverPendingLocked() {
 }
 
 // Reset wipes the store back to empty — the only way out of the corrupt
-// state, taken after deciding the local replay cannot be trusted and a
-// remote restore will follow.
+// state, for an operator who has decided the files hold nothing worth
+// salvaging. Nothing in the node calls it.
 func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -82,6 +82,24 @@ func TestFreshStore(t *testing.T) {
 	}
 }
 
+// TestEmptyJournalReopensRecovered: a store that finds its own header
+// has existed before, even if it never journaled a frame (a node killed
+// before its first write). Only a directory with no store files is
+// fresh, so "fresh on restart" means the disk was lost.
+func TestEmptyJournalReopensRecovered(t *testing.T) {
+	fsys := NewMemFS()
+	mustOpen(t, fsys, "d", Options{}).Abort()
+	s := mustOpen(t, fsys, "d", Options{})
+	out, err := s.Recover(func([]byte) error { t.Fatal("restore without a checkpoint"); return nil },
+		func(uint8, []byte) error { t.Fatal("apply without frames"); return nil })
+	if err != nil || out != OutcomeRecovered {
+		t.Fatalf("Recover = %v, %v; want recovered with nothing to replay", out, err)
+	}
+	if s.Seq() != 0 {
+		t.Fatalf("Seq = %d, want 0", s.Seq())
+	}
+}
+
 func TestJournalReplayRoundtrip(t *testing.T) {
 	fsys := NewMemFS()
 	s := mustOpen(t, fsys, "d", Options{})
