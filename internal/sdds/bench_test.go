@@ -351,6 +351,26 @@ func BenchmarkIndexPut(b *testing.B) {
 	})
 }
 
+// --- Client combine: agreement table over canned answers ---
+//
+// Three nodes' answers, 600 hits in all (50 records, 3 positions each,
+// 2 chunkings x 2 sites): the client's share of a search after the
+// wire, with no transport or node in the loop.
+
+func BenchmarkSearchCombine(b *testing.B) {
+	const m, kSites = 2, 2
+	resps := cannedResponses(50, m, kSites, 3)
+	geom := chunk.Params{S: 4, M: m}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rids, err := combineHits(resps, m, kSites, 1, core.VerifyAny, geom)
+		if err != nil || len(rids) != 50 {
+			b.Fatalf("combine: %d RIDs, %v", len(rids), err)
+		}
+	}
+}
+
 // --- Placement.Nodes: cached immutable slice, zero allocations ---
 
 func TestPlacementNodesZeroAlloc(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -871,54 +870,11 @@ func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, quer
 	if kSites == 1 {
 		ppc = int((pl.ChunkBits() + 15) / 16)
 	}
-	type hitKey struct {
-		rid      uint64
-		j        int
-		a        int
-		chunkIdx int
-	}
-	// agree tracks which of the k dispersal sites reported each series
-	// position as a bitmask — k is small by construction (a dispersal
-	// parameter, not a cluster size), so one uint64 replaces an allocated
-	// set per position.
-	agree := make(map[hitKey]uint64)
-	for _, resp := range resps {
-		for _, h := range resp.hits {
-			if ppc > 1 && int(h.pieceOffset)%ppc != 0 {
-				continue
-			}
-			if h.k >= 64 {
-				continue // malformed site index; cannot contribute to agreement
-			}
-			k := hitKey{
-				rid:      h.rid,
-				j:        int(h.j),
-				a:        int(h.a),
-				chunkIdx: int(h.firstIndex) + int(h.pieceOffset)/ppc,
-			}
-			agree[k] |= 1 << uint(h.k)
-		}
-	}
-	byRID := make(map[uint64][]core.SeriesHit)
-	for k, sites := range agree {
-		if bits.OnesCount64(sites) == kSites {
-			byRID[k.rid] = append(byRID[k.rid], core.SeriesHit{
-				RID:        k.rid,
-				J:          k.j,
-				A:          k.a,
-				ChunkIndex: k.chunkIdx,
-			})
-		}
-	}
-	geom := pl.Params().Chunk
-	var rids []uint64
-	for rid, hits := range byRID {
-		if core.CombineHits(hits, m, mode, geom) {
-			rids = append(rids, rid)
-		}
-	}
-	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
+	rids, err := combineHits(resps, m, kSites, ppc, mode, pl.Params().Chunk)
 	tr.Lap("combine")
+	if err != nil {
+		return nil, err
+	}
 	return c.answer(rids, failed)
 }
 

@@ -674,6 +674,9 @@ type rawHit struct {
 	pieceOffset uint32
 }
 
+// hitWireSize is one rawHit's encoded size.
+const hitWireSize = 20
+
 type searchResp struct {
 	hits []rawHit
 }
@@ -691,7 +694,10 @@ func (m searchResp) encodeTo(w *writer) {
 }
 
 func (m *searchResp) decodeFrom(r *reader) {
-	n := int(r.u32())
+	n := r.bound(r.u32(), hitWireSize)
+	if n > 0 {
+		m.hits = make([]rawHit, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		m.hits = append(m.hits, rawHit{
 			rid:         r.u64(),

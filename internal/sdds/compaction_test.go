@@ -51,6 +51,11 @@ func TestCompactionTriggerUnderDeleteChurn(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("invariant broken at step %d", step)
 		}
+		// Freed slots are reused: the entry table never outgrows the
+		// key space, however long the churn runs.
+		if len(x.ents) > n {
+			t.Fatalf("step %d: entry table holds %d slots for %d keys", step, len(x.ents), n)
+		}
 	}
 	st := x.stats()
 	if st.compactions == 0 {

@@ -36,12 +36,9 @@ func probeMatches(idx postingIndex, pat []disperse.Piece) []idxMatch {
 		if pt.off == tombstoneOff {
 			continue
 		}
-		e, ok := idx.entry(pt.key)
-		if !ok {
-			continue
-		}
+		e := idx.at(pt.slot)
 		if core.MatchAt(e.pieces, pat, int(pt.off)) {
-			out = append(out, idxMatch{key: pt.key, off: pt.off})
+			out = append(out, idxMatch{key: e.key, off: pt.off})
 		}
 	}
 	sortMatches(out)
@@ -226,6 +223,14 @@ func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x05, 0xFF, 0x00, 0x05, 0x00, 0x90, 0x05, 0x00, 0x05, 0x01})
 	f.Add([]byte{0x30, 0x07, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99,
 		0x90, 0x07, 0x30, 0x07, 0x01, 0x02, 0x03})
+	// Delete then reinsert: key 5 takes key 3's freed slot, key 3
+	// returns into key 4's, then key 5 is overwritten in place.
+	f.Add([]byte{0x00, 0x03, 0x11, 0x00, 0x04, 0x22, 0x90, 0x03, 0x00, 0x05, 0x33,
+		0x90, 0x04, 0x00, 0x03, 0x44, 0x01, 0x05, 0x55, 0x66})
+	// Overwrites within one batch: keys 10 and 12 are live when a batch
+	// over keys 9..13 replaces them, freeing and reusing their slots
+	// mid-batch; a second batch does it again after a delete.
+	f.Add([]byte{0x00, 0x0A, 0x01, 0x00, 0x0C, 0x02, 0xC3, 0x09, 0x90, 0x0B, 0xC1, 0x0A})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newDiffHarness()
 		rng := rand.New(rand.NewSource(99))

@@ -12,16 +12,19 @@ import (
 // the churn/fuzz battery drives it and the flat index through identical
 // op streams and requires identical search results, so any divergence
 // in the packed representation is caught against the structure it
-// replaced. Not used in production.
+// replaced. It keeps its own slot table, so the probe reaches its
+// entries the way it reaches the flat index's. Not used in production.
 type legacyMapIndex struct {
-	post    map[disperse.Piece]map[uint64][]uint32
-	entries map[uint64]postEntry
+	post  map[disperse.Piece]map[uint64][]uint32
+	ents  []postEntry
+	slots map[uint64]uint32
+	free  []uint32
 }
 
 func newLegacyMapIndex() *legacyMapIndex {
 	return &legacyMapIndex{
-		post:    make(map[disperse.Piece]map[uint64][]uint32),
-		entries: make(map[uint64]postEntry),
+		post:  make(map[disperse.Piece]map[uint64][]uint32),
+		slots: make(map[uint64]uint32),
 	}
 }
 
@@ -31,7 +34,15 @@ func (x *legacyMapIndex) put(key uint64, value []byte) {
 	if err != nil {
 		return
 	}
-	x.entries[key] = postEntry{firstIndex: iv.firstIndex, pieces: iv.pieces}
+	e := postEntry{key: key, firstIndex: iv.firstIndex, pieces: iv.pieces}
+	if n := len(x.free); n > 0 {
+		x.slots[key] = x.free[n-1]
+		x.ents[x.free[n-1]] = e
+		x.free = x.free[:n-1]
+	} else {
+		x.slots[key] = uint32(len(x.ents))
+		x.ents = append(x.ents, e)
+	}
 	for off, p := range iv.pieces {
 		m := x.post[p]
 		if m == nil {
@@ -49,12 +60,11 @@ func (x *legacyMapIndex) putBatch(ents []kv) {
 }
 
 func (x *legacyMapIndex) remove(key uint64) {
-	e, ok := x.entries[key]
+	s, ok := x.slots[key]
 	if !ok {
 		return
 	}
-	delete(x.entries, key)
-	for _, p := range e.pieces {
+	for _, p := range x.ents[s].pieces {
 		if m := x.post[p]; m != nil {
 			delete(m, key)
 			if len(m) == 0 {
@@ -62,16 +72,24 @@ func (x *legacyMapIndex) remove(key uint64) {
 			}
 		}
 	}
+	delete(x.slots, key)
+	x.ents[s] = postEntry{}
+	x.free = append(x.free, s)
 }
 
 func (x *legacyMapIndex) entry(key uint64) (postEntry, bool) {
-	e, ok := x.entries[key]
-	return e, ok
+	s, ok := x.slots[key]
+	if !ok {
+		return postEntry{}, false
+	}
+	return x.ents[s], true
 }
+
+func (x *legacyMapIndex) at(slot uint32) *postEntry { return &x.ents[slot] }
 
 // postings materializes the two-level map as a packed array, grouped by
 // key (searchPosting memoizes the key decomposition across runs of
-// equal keys, so grouping is part of the interface contract). The
+// equal slots, so grouping is part of the interface contract). The
 // allocation per probe is acceptable: this implementation only runs in
 // the test battery.
 func (x *legacyMapIndex) postings(p disperse.Piece) []posting {
@@ -87,7 +105,7 @@ func (x *legacyMapIndex) postings(p disperse.Piece) []posting {
 	var items []posting
 	for _, key := range keys {
 		for _, off := range m[key] {
-			items = append(items, posting{key: key, off: off})
+			items = append(items, posting{slot: x.slots[key], off: off})
 		}
 	}
 	return items
@@ -100,7 +118,7 @@ func (x *legacyMapIndex) forEach(fn func(p disperse.Piece, items []posting)) {
 }
 
 func (x *legacyMapIndex) stats() indexStats {
-	s := indexStats{entries: len(x.entries), pieces: len(x.post)}
+	s := indexStats{entries: len(x.slots), pieces: len(x.post)}
 	for _, m := range x.post {
 		for _, offs := range m {
 			s.live += len(offs)
@@ -111,5 +129,6 @@ func (x *legacyMapIndex) stats() indexStats {
 
 func (x *legacyMapIndex) reset() {
 	x.post = make(map[disperse.Piece]map[uint64][]uint32)
-	x.entries = make(map[uint64]postEntry)
+	x.ents, x.free = nil, nil
+	x.slots = make(map[uint64]uint32)
 }

@@ -104,9 +104,10 @@ type nodeFile struct {
 	migLocked map[uint64]uint64
 }
 
-// postEntry caches one indexed entry's decoded piece stream, so a probe
-// can verify candidates without re-decoding bucket values.
+// postEntry caches one indexed entry's key and decoded piece stream, so
+// a probe can verify candidates without re-decoding bucket values.
 type postEntry struct {
+	key        uint64
 	firstIndex uint32
 	pieces     []disperse.Piece
 }
@@ -711,21 +712,30 @@ func (n *Node) handleDelete(ctx context.Context, payload []byte) ([]byte, error)
 	})
 }
 
+// hitPool recycles handleSearch's hit scratch. A slice grown past
+// maxPooledHits is left to the collector, so one huge answer does not
+// stay pinned.
+var hitPool = sync.Pool{New: func() any { return new([]rawHit) }}
+
+const maxPooledHits = 1 << 14
+
 // handleSearch answers the site-side half of the paper's parallel
 // search — executed entirely on opaque ciphertext. With the posting
 // index enabled it probes the index by each pattern's anchor piece
 // (its first piece) and verifies only the candidate positions; without
 // it, it falls back to the reference linear scan over every bucket →
-// entry → series. Both paths report the identical raw hit set.
+// entry → series. Both paths report the identical raw hit set. Hits
+// gather in pooled scratch, and the answer is encoded into one buffer
+// of exactly its size, after the node lock is released.
 func (n *Node) handleSearch(payload []byte) ([]byte, error) {
 	m, err := decode[searchReq](payload)
 	if err != nil {
 		return nil, err
 	}
 	f := n.getFile(m.file)
-	var resp searchResp
+	scratch := hitPool.Get().(*[]rawHit)
+	resp := searchResp{hits: (*scratch)[:0]}
 	n.mu.RLock()
-	defer n.mu.RUnlock()
 	n.met.searches.Inc()
 	if f.idx != nil {
 		n.met.postingSearches.Inc()
@@ -734,8 +744,15 @@ func (n *Node) handleSearch(payload []byte) ([]byte, error) {
 		n.met.linearSearches.Inc()
 		n.searchLinear(f, &m, &resp)
 	}
+	n.mu.RUnlock()
 	n.met.searchHits.Add(uint64(len(resp.hits)))
-	return encode(resp), nil
+	w := writer{b: make([]byte, 0, 4+hitWireSize*len(resp.hits))}
+	resp.encodeTo(&w)
+	if cap(resp.hits) <= maxPooledHits {
+		*scratch = resp.hits[:0]
+		hitPool.Put(scratch)
+	}
+	return w.b, nil
 }
 
 // searchPosting probes the posting index: for each (series, site)
@@ -743,44 +760,44 @@ func (n *Node) handleSearch(payload []byte) ([]byte, error) {
 // only candidates, and each candidate offset is verified against the
 // full pattern. Cost scales with candidate count, not file size. The
 // probe walks the piece's packed posting array in one contiguous pass,
-// skipping tombstones; a key's postings sit adjacent in the array
-// (batch inserts sort, single inserts append together), so the key
-// decomposition and entry lookup are memoized across the run of equal
-// keys. Callers must hold the node lock (shared suffices).
+// skipping tombstones, and reaches each entry through the posting's
+// slot, so it never hashes a key. An entry's postings sit adjacent in
+// the array (batch inserts sort, single inserts append together), so
+// the key decomposition is memoized across the run of equal slots.
+// Callers must hold the node lock (shared suffices).
 func (n *Node) searchPosting(idx postingIndex, m *searchReq, resp *searchResp) {
+	var candidates, verified uint64
 	for _, s := range m.series {
 		for k, pat := range s.patterns {
 			if len(pat) == 0 {
 				continue
 			}
 			var (
-				lastKey uint64
-				haveKey bool
-				skipKey bool
-				e       postEntry
-				rid     uint64
-				j, ek   int
+				lastSlot uint32
+				haveSlot bool
+				skipSlot bool
+				e        *postEntry
+				rid      uint64
+				j, ek    int
 			)
 			for _, pt := range idx.postings(pat[0]) {
 				if pt.off == tombstoneOff {
 					continue
 				}
-				if !haveKey || pt.key != lastKey {
-					lastKey, haveKey = pt.key, true
-					rid, j, ek = DecomposeIndexKey(pt.key, int(m.kSites), uint(m.slotBits))
-					skipKey = ek != k
-					if !skipKey {
-						e, _ = idx.entry(pt.key)
-					}
+				if !haveSlot || pt.slot != lastSlot {
+					lastSlot, haveSlot = pt.slot, true
+					e = idx.at(pt.slot)
+					rid, j, ek = DecomposeIndexKey(e.key, int(m.kSites), uint(m.slotBits))
+					skipSlot = ek != k
 				}
-				if skipKey {
+				if skipSlot {
 					continue
 				}
-				n.met.postingCandidates.Inc()
+				candidates++
 				if !core.MatchAt(e.pieces, pat, int(pt.off)) {
 					continue
 				}
-				n.met.postingVerified.Inc()
+				verified++
 				resp.hits = append(resp.hits, rawHit{
 					rid:         rid,
 					j:           uint8(j),
@@ -792,6 +809,8 @@ func (n *Node) searchPosting(idx postingIndex, m *searchReq, resp *searchResp) {
 			}
 		}
 	}
+	n.met.postingCandidates.Add(candidates)
+	n.met.postingVerified.Add(verified)
 }
 
 // searchLinear is the reference full scan: every bucket → entry →

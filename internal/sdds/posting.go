@@ -7,16 +7,20 @@
 // linear scan, but `indexPut` was ~35% of daemon CPU once the wire
 // stopped being the bottleneck, with GC assist over the millions of
 // tiny slices eating much of the rest. The flat layout stores, per
-// piece value, ONE packed array of (key, offset) postings:
+// piece value, ONE packed array of (slot, offset) postings, where the
+// slot indexes a dense entry table:
 //
 //   - appends are a single slice grow (batched: one grow per distinct
 //     piece for a whole request batch);
 //   - the anchor probe of a search walks a contiguous array instead of
-//     chasing a map of maps — memory locality is the whole point, the
-//     same argument Minaud & Reichle make for dynamic local SSE;
-//   - deletes tombstone in place (the key stays, the offset becomes
+//     chasing a map of maps, and reaches each candidate's entry by
+//     index, never by hashing its key — memory locality is the whole
+//     point, the same argument Minaud & Reichle make for dynamic local
+//     SSE;
+//   - deletes tombstone in place (the slot stays, the offset becomes
 //     tombstoneOff) and are reclaimed by threshold-triggered
-//     compaction, amortized O(1) per mutation.
+//     compaction, amortized O(1) per mutation; the freed entry slot is
+//     reused by the next put.
 //
 // Compaction policy: a list is compacted in place the moment its dead
 // fraction reaches half (lists shorter than compactMinLen are exempt —
@@ -50,11 +54,13 @@ const tombstoneOff = ^uint32(0)
 // list is dropped regardless of length.
 const compactMinLen = 16
 
-// posting is one occurrence of a piece value: the composite entry key
-// and the offset within that entry's piece stream.
+// posting is one occurrence of a piece value: the slot of the owning
+// entry in the index's dense entry table and the offset within that
+// entry's piece stream. Eight bytes, and the probe reaches the entry by
+// indexing, not by hashing a key.
 type posting struct {
-	key uint64
-	off uint32
+	slot uint32
+	off  uint32
 }
 
 // postList is the packed posting array of one piece value plus its
@@ -81,7 +87,7 @@ type indexStats struct {
 // values. Two implementations exist: the production flatIndex below and
 // the legacy two-level map index, kept in the test battery as a
 // differential reference. All methods require the node write lock
-// (postings/entry/forEach/stats tolerate the read lock).
+// (entry/postings/at/forEach/stats tolerate the read lock).
 type postingIndex interface {
 	// put (re)indexes one stored value; values that do not decode as
 	// index pieces (foreign entries) are removed/kept out, mirroring the
@@ -97,9 +103,13 @@ type postingIndex interface {
 	entry(key uint64) (postEntry, bool)
 	// postings returns the packed posting array of a piece value —
 	// including tombstones, which callers skip by off == tombstoneOff.
-	// The returned slice is the index's own storage: read-only, valid
-	// only while the node lock is held.
+	// A key's live postings sit adjacent, offsets ascending. The returned
+	// slice is the index's own storage: read-only, valid only while the
+	// node lock is held.
 	postings(p disperse.Piece) []posting
+	// at returns the entry a live posting's slot names, read-only under
+	// the node lock. A tombstone's slot may since have been recycled.
+	at(slot uint32) *postEntry
 	// forEach visits every (piece, posting array) pair.
 	forEach(fn func(p disperse.Piece, items []posting))
 	// stats summarizes the index.
@@ -110,11 +120,17 @@ type postingIndex interface {
 
 // flatIndex is the production postingIndex: packed per-piece posting
 // arrays with tombstoned deletes and threshold-triggered compaction.
-// met, when non-nil, receives compaction/tombstone counts (nil-safe
-// obs counters, so an uninstrumented node pays nothing).
+// Entries live in the dense ents table, addressed by the slot every
+// posting carries; slots maps a key to its slot and is consulted only
+// by put and remove, and a removed entry's slot goes on free for the
+// next put to reuse. met, when non-nil, receives compaction/tombstone
+// counts (nil-safe obs counters, so an uninstrumented node pays
+// nothing).
 type flatIndex struct {
-	post    map[disperse.Piece]*postList
-	entries map[uint64]flatEntry
+	post  map[disperse.Piece]*postList
+	ents  []flatEntry
+	slots map[uint64]uint32
+	free  []uint32
 
 	compactions uint64
 	tombstones  uint64
@@ -132,61 +148,69 @@ type flatIndex struct {
 // flatEntry is postEntry plus the positional back-references that make
 // deletes O(occurrences): pos[i] is the index, in piece pieces[i]'s
 // posting list, of this entry's i-th posting. Without them a delete
-// would scan whole posting lists for the key — O(list length), which
+// would scan whole posting lists for the entry — O(list length), which
 // degenerates catastrophically on hot pieces (phonebook records share
 // the area-code substring, so a few piece values list nearly every
 // record). Compaction moves postings, so it rewrites the survivors'
-// back-references as part of its O(L) pass.
+// back-references, through their slots, as part of its O(L) pass. A
+// free slot holds the zero flatEntry.
 type flatEntry struct {
 	postEntry
 	pos []uint32
 }
 
 // pieceApp is one queued posting append of a batch: grouped by piece so
-// the whole batch touches each posting list exactly once. slot points
-// at the owning entry's back-reference for this occurrence, written
-// when the posting lands in its list.
+// the whole batch touches each posting list exactly once.
 type pieceApp struct {
-	p    disperse.Piece
-	key  uint64
-	off  uint32
-	slot *uint32
+	p  disperse.Piece
+	pt posting
 }
 
 func newFlatIndex(met *nodeMetrics) *flatIndex {
 	return &flatIndex{
-		post:    make(map[disperse.Piece]*postList),
-		entries: make(map[uint64]flatEntry),
-		met:     met,
+		post:  make(map[disperse.Piece]*postList),
+		slots: make(map[uint64]uint32),
+		met:   met,
 	}
 }
 
-func (x *flatIndex) put(key uint64, value []byte) {
-	// Overwrite detection is this single entries lookup: fresh keys pay
-	// one map miss, no piece walk. (The old index ran a full
-	// indexDelete — two map lookups plus a piece walk — on every put.)
-	if old, existed := x.entries[key]; existed {
-		x.tombstoneEntry(key, old)
-		delete(x.entries, key)
+// alloc stores e in a free slot, or a new one, and maps its key there.
+func (x *flatIndex) alloc(e flatEntry) uint32 {
+	var s uint32
+	if n := len(x.free); n > 0 {
+		s = x.free[n-1]
+		x.free = x.free[:n-1]
+		x.ents[s] = e
+	} else {
+		s = uint32(len(x.ents))
+		x.ents = append(x.ents, e)
 	}
+	x.slots[e.key] = s
+	return s
+}
+
+func (x *flatIndex) put(key uint64, value []byte) {
+	// Overwrite detection is this single slots lookup: fresh keys pay
+	// one map miss, no piece walk.
+	x.remove(key)
 	iv, err := decode[indexValue](value)
 	if err != nil {
 		return // foreign value: stays out of the index
 	}
 	pos := make([]uint32, len(iv.pieces))
-	// The entry must be in the map before the appends: a compaction
+	// The entry must be in its slot before the appends: a compaction
 	// fired mid-loop rewrites back-references through it.
-	x.entries[key] = flatEntry{
-		postEntry: postEntry{firstIndex: iv.firstIndex, pieces: iv.pieces},
+	s := x.alloc(flatEntry{
+		postEntry: postEntry{key: key, firstIndex: iv.firstIndex, pieces: iv.pieces},
 		pos:       pos,
-	}
+	})
 	for off, p := range iv.pieces {
 		l := x.post[p]
 		if l == nil {
 			l = &postList{}
 			x.post[p] = l
 		}
-		l.items = append(l.items, posting{key: key, off: uint32(off)})
+		l.items = append(l.items, posting{slot: s, off: uint32(off)})
 		pos[off] = uint32(len(l.items) - 1)
 		// Appends can only lower the dead fraction — except when they push
 		// a short list (exempt from compaction) past compactMinLen with
@@ -215,8 +239,7 @@ func (x *flatIndex) putBatch(ents []kv) {
 	}
 	arena := make([]disperse.Piece, 0, total)
 	// posArena is carved in lockstep with arena: each entry's pos slice
-	// covers the same index range as its pieces slice. Full-length up
-	// front so the slot pointers below never move.
+	// covers the same index range as its pieces slice.
 	posArena := make([]uint32, total)
 	apps := x.apps[:0]
 	if x.seen == nil {
@@ -232,23 +255,19 @@ func (x *flatIndex) putBatch(ents []kv) {
 			continue
 		}
 		x.seen[e.key] = struct{}{}
-		if old, existed := x.entries[e.key]; existed {
-			x.tombstoneEntry(e.key, old)
-			delete(x.entries, e.key)
-		}
+		x.remove(e.key)
 		start := len(arena)
 		iv, rest, err := decodeIndexValueInto(e.value, arena)
 		if err != nil {
 			continue
 		}
 		arena = rest
-		pos := posArena[start:len(arena):len(arena)]
-		x.entries[e.key] = flatEntry{
-			postEntry: postEntry{firstIndex: iv.firstIndex, pieces: iv.pieces},
-			pos:       pos,
-		}
+		s := x.alloc(flatEntry{
+			postEntry: postEntry{key: e.key, firstIndex: iv.firstIndex, pieces: iv.pieces},
+			pos:       posArena[start:len(arena):len(arena)],
+		})
 		for off, p := range iv.pieces {
-			apps = append(apps, pieceApp{p: p, key: e.key, off: uint32(off), slot: &pos[off]})
+			apps = append(apps, pieceApp{p: p, pt: posting{slot: s, off: uint32(off)}})
 		}
 	}
 	// Group by piece: one map lookup and one (amortized) slice grow per
@@ -256,8 +275,8 @@ func (x *flatIndex) putBatch(ents []kv) {
 	// sort on the uint16 piece value does the grouping in O(n) — a
 	// comparison sort's log factor was measured to dominate the whole
 	// batch path. Stability preserves emission order within a piece,
-	// which already has each key's postings adjacent with offsets
-	// ascending — the layout searchPosting's key memoization wants.
+	// which already has each entry's postings adjacent with offsets
+	// ascending — the layout searchPosting's per-slot memoization wants.
 	if x.counts == nil {
 		x.counts = make([]uint32, 1<<16)
 	}
@@ -295,12 +314,12 @@ func (x *flatIndex) putBatch(ents []kv) {
 			l = &postList{}
 			x.post[grouped[i].p] = l
 		}
-		// Every slot of this list's group is written before the trigger
-		// re-check: a compaction rewrites back-references, so none of the
-		// postings it moves may have an unset slot.
+		// Every back-reference of this list's group is written before the
+		// trigger re-check: a compaction rewrites back-references, so none
+		// of the postings it moves may have an unset one.
 		for _, a := range grouped[i:j] {
-			l.items = append(l.items, posting{key: a.key, off: a.off})
-			*a.slot = uint32(len(l.items) - 1)
+			l.items = append(l.items, a.pt)
+			x.ents[a.pt.slot].pos[a.pt.off] = uint32(len(l.items) - 1)
 		}
 		if l.dead > 0 {
 			x.maybeCompact(grouped[i].p, l)
@@ -315,29 +334,33 @@ func (x *flatIndex) putBatch(ents []kv) {
 	x.apps = apps[:0]
 }
 
+// remove tombstones key's postings and frees its slot.
 func (x *flatIndex) remove(key uint64) {
-	e, ok := x.entries[key]
+	s, ok := x.slots[key]
 	if !ok {
 		return
 	}
-	delete(x.entries, key)
-	x.tombstoneEntry(key, e)
+	x.tombstoneEntry(s)
+	delete(x.slots, key)
+	x.ents[s] = flatEntry{}
+	x.free = append(x.free, s)
 }
 
-// tombstoneEntry marks every posting of key dead by direct index — the
-// back-references make this O(occurrences), independent of list
-// lengths. All occurrences are marked before any list is compacted:
-// a compaction moves postings and only rewrites LIVE back-references,
-// so marking must not race it within one entry. Each distinct piece
-// list is then compacted at most once (duplicate pieces within the
-// stream are skipped by the first-occurrence check — streams are
-// short, so the quadratic check beats allocating a set).
-func (x *flatIndex) tombstoneEntry(key uint64, e flatEntry) {
+// tombstoneEntry marks every posting of the entry in slot s dead by
+// direct index — the back-references make this O(occurrences),
+// independent of list lengths. All occurrences are marked before any
+// list is compacted: a compaction moves postings and only rewrites LIVE
+// back-references, so marking must not race it within one entry. Each
+// distinct piece list is then compacted at most once (duplicate pieces
+// within the stream are skipped by the first-occurrence check — streams
+// are short, so the quadratic check beats allocating a set).
+func (x *flatIndex) tombstoneEntry(s uint32) {
+	e := &x.ents[s]
 	var marked uint32
 	for i, p := range e.pieces {
 		l := x.post[p]
 		idx := int(e.pos[i])
-		if l == nil || idx >= len(l.items) || l.items[idx].key != key {
+		if l == nil || idx >= len(l.items) || l.items[idx].slot != s {
 			continue // never under the back-reference invariant
 		}
 		if l.items[idx].off != tombstoneOff {
@@ -394,22 +417,9 @@ func (x *flatIndex) maybeCompact(p disperse.Piece, l *postList) {
 	}
 	l.items = live
 	l.dead = 0
-	// Survivors moved: rewrite their owners' back-references. Postings
-	// of one key are adjacent, so the entry lookup is memoized per run.
-	var (
-		lastKey uint64
-		pos     []uint32
-		have    bool
-	)
+	// Survivors moved: rewrite their owners' back-references.
 	for i, pt := range l.items {
-		if !have || pt.key != lastKey {
-			e, ok := x.entries[pt.key]
-			if !ok {
-				continue // never: live postings always have an owner entry
-			}
-			pos, lastKey, have = e.pos, pt.key, true
-		}
-		pos[pt.off] = uint32(i)
+		x.ents[pt.slot].pos[pt.off] = uint32(i)
 	}
 	x.noteCompaction()
 }
@@ -422,8 +432,11 @@ func (x *flatIndex) noteCompaction() {
 }
 
 func (x *flatIndex) entry(key uint64) (postEntry, bool) {
-	e, ok := x.entries[key]
-	return e.postEntry, ok
+	s, ok := x.slots[key]
+	if !ok {
+		return postEntry{}, false
+	}
+	return x.ents[s].postEntry, true
 }
 
 func (x *flatIndex) postings(p disperse.Piece) []posting {
@@ -434,6 +447,8 @@ func (x *flatIndex) postings(p disperse.Piece) []posting {
 	return l.items
 }
 
+func (x *flatIndex) at(slot uint32) *postEntry { return &x.ents[slot].postEntry }
+
 func (x *flatIndex) forEach(fn func(p disperse.Piece, items []posting)) {
 	for p, l := range x.post {
 		fn(p, l.items)
@@ -442,7 +457,7 @@ func (x *flatIndex) forEach(fn func(p disperse.Piece, items []posting)) {
 
 func (x *flatIndex) stats() indexStats {
 	s := indexStats{
-		entries:     len(x.entries),
+		entries:     len(x.slots),
 		pieces:      len(x.post),
 		compactions: x.compactions,
 		tombstones:  x.tombstones,
@@ -456,5 +471,8 @@ func (x *flatIndex) stats() indexStats {
 
 func (x *flatIndex) reset() {
 	x.post = make(map[disperse.Piece]*postList)
-	x.entries = make(map[uint64]flatEntry)
+	clear(x.ents)
+	x.ents = x.ents[:0]
+	x.free = x.free[:0]
+	clear(x.slots)
 }

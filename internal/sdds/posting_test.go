@@ -73,7 +73,8 @@ func dumpPostings(idx postingIndex) postingDump {
 				m = make(map[uint64][]uint32)
 				d[p] = m
 			}
-			m[pt.key] = append(m[pt.key], pt.off)
+			key := idx.at(pt.slot).key
+			m[key] = append(m[key], pt.off)
 		}
 	})
 	for _, m := range d {
@@ -133,21 +134,55 @@ func checkPostingInvariants(t *testing.T, nodes []*Node) {
 }
 
 // checkFlatInvariants asserts the flat index's internal accounting: the
-// per-list dead counter matches the tombstones actually present, and no
+// per-list dead counter matches the tombstones actually present, no
 // list of compactable length carries a dead fraction at or above the
 // trigger (compaction fires the moment the threshold is crossed, so a
-// quiescent index can never sit beyond it).
+// quiescent index can never sit beyond it), and the slot table is
+// consistent: every slot is either mapped from its entry's key or free,
+// free slots hold nothing, and every live posting and its owner entry
+// point at each other.
 func checkFlatInvariants(t *testing.T, node transport.NodeID, file FileID, idx postingIndex) {
 	t.Helper()
 	fi, ok := idx.(*flatIndex)
 	if !ok {
 		return
 	}
+	if len(fi.slots)+len(fi.free) != len(fi.ents) {
+		t.Errorf("node %d file %d: %d mapped + %d free slots, table holds %d",
+			node, file, len(fi.slots), len(fi.free), len(fi.ents))
+	}
+	freed := make(map[uint32]bool, len(fi.free))
+	for _, s := range fi.free {
+		if int(s) >= len(fi.ents) || freed[s] {
+			t.Errorf("node %d file %d: free list names slot %d twice or out of range", node, file, s)
+			continue
+		}
+		freed[s] = true
+		if e := fi.ents[s]; e.pieces != nil || e.pos != nil {
+			t.Errorf("node %d file %d: free slot %d still holds key %d", node, file, s, e.key)
+		}
+	}
 	for p, l := range fi.post {
 		var dead uint32
-		for _, pt := range l.items {
+		for i, pt := range l.items {
 			if pt.off == tombstoneOff {
 				dead++
+				continue
+			}
+			if int(pt.slot) >= len(fi.ents) || freed[pt.slot] {
+				t.Errorf("node %d file %d: piece %d live posting %d names freed slot %d",
+					node, file, p, i, pt.slot)
+				continue
+			}
+			e := fi.ents[pt.slot]
+			if s, ok := fi.slots[e.key]; !ok || s != pt.slot {
+				t.Errorf("node %d file %d: piece %d posting %d: slot %d holds key %d, which maps to slot %d (%v)",
+					node, file, p, i, pt.slot, e.key, s, ok)
+				continue
+			}
+			if int(pt.off) >= len(e.pieces) || e.pieces[pt.off] != p || e.pos[pt.off] != uint32(i) {
+				t.Errorf("node %d file %d: piece %d posting %d (%+v): owner key %d does not point back",
+					node, file, p, i, pt, e.key)
 			}
 		}
 		if dead != l.dead {
@@ -167,7 +202,15 @@ func checkFlatInvariants(t *testing.T, node transport.NodeID, file FileID, idx p
 	// exactly where pos[i] says, and it must be live — deletes and
 	// compactions both maintain this (deletes rely on it for their
 	// O(occurrences) bound).
-	for key, e := range fi.entries {
+	for key, s := range fi.slots {
+		if int(s) >= len(fi.ents) {
+			t.Errorf("node %d file %d: key %d maps to slot %d out of range", node, file, key, s)
+			continue
+		}
+		e := fi.ents[s]
+		if e.key != key {
+			t.Errorf("node %d file %d: key %d maps to slot %d, which holds key %d", node, file, key, s, e.key)
+		}
 		if len(e.pos) != len(e.pieces) {
 			t.Errorf("node %d file %d: key %d pos len %d != pieces len %d",
 				node, file, key, len(e.pos), len(e.pieces))
@@ -180,7 +223,7 @@ func checkFlatInvariants(t *testing.T, node transport.NodeID, file FileID, idx p
 					node, file, key, i, e.pos[i], p)
 				continue
 			}
-			if got := l.items[e.pos[i]]; got.key != key || got.off != uint32(i) {
+			if got := l.items[e.pos[i]]; got != (posting{slot: s, off: uint32(i)}) {
 				t.Errorf("node %d file %d: key %d occurrence %d: back-reference points at %+v",
 					node, file, key, i, got)
 			}
