@@ -12,7 +12,9 @@ import (
 	"repro/internal/cipherx"
 	"repro/internal/core"
 	"repro/internal/disperse"
+	"repro/internal/lhstar"
 	"repro/internal/obs"
+	"repro/internal/phonebook"
 	"repro/internal/transport"
 )
 
@@ -349,6 +351,98 @@ func BenchmarkIndexPut(b *testing.B) {
 		}
 		perEntry(b, time.Since(start))
 	})
+}
+
+// --- Split commit: the index half of an LH* split ---
+//
+// A split runs while every writer waits: the target absorbs the moved
+// half and the source commits, tombstoning the moved entries' postings
+// in lists it shares with everything else the node indexes. The source
+// node is preloaded with 32 768 phonebook index entries in 64 level-6
+// buckets of 512 (the end-to-end benchmark's bucket capacity), so each
+// split moves 256. The absorb and both commits are timed; the split is
+// then undone untimed, so every iteration starts from the same preload.
+
+func BenchmarkSplitCommit(b *testing.B) {
+	const level, records = 6, 8192
+	pl := benchPipeline(b, 4, 2, 2)
+	slotBits := SlotBits(pl.Chunkings(), pl.K())
+	halves := make([][]kv, 1<<level)
+	for i, e := range phonebook.Generate(records, 5) {
+		rid := uint64(i)
+		recs, err := pl.BuildIndex(rid, []byte(phonebook.FormatRecord(e)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rec := range recs {
+			for k, stream := range rec.Streams {
+				key := ComposeIndexKey(rid, rec.J, k, pl.K(), slotBits)
+				val := encode(indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream})
+				halves[key%(1<<level)] = append(halves[key%(1<<level)], kv{key: key, value: val})
+			}
+		}
+	}
+	fullBucket := func(a uint64) *lhstar.Bucket {
+		bk := lhstar.NewBucket(a, level)
+		for _, r := range halves[a] {
+			bk.Put(r.key, r.value)
+		}
+		return bk
+	}
+	place, err := NewPlacement([]transport.NodeID{0, 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst := NewNode(0, nil, place), NewNode(1, nil, place)
+	sf, df := src.getFile(FileIndex), dst.getFile(FileIndex)
+	var all []kv
+	for a := range halves {
+		sf.buckets[uint64(a)] = fullBucket(uint64(a))
+		all = append(all, halves[a]...)
+	}
+	sf.indexPutBatch(all)
+
+	ctx := context.Background()
+	send := func(n *Node, op uint8, payload []byte) []byte {
+		resp, err := n.Handler()(ctx, op, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return resp
+	}
+	moved := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		from := uint64(i % (1 << level))
+		hdr := migrateHeader{mid: uint64(i + 1), kind: migrateSplit, file: FileIndex,
+			from: from, to: from + 1<<level, level: level}
+		// The prepare response relays into the absorb request as the
+		// coordinator sends it: the header, then the status-less batch.
+		prep := send(src, opMigratePrepare, encode(hdr))
+		batch, err := decode[recordBatch](prep[1:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		absorb := append(encode(hdr), prep[1:]...)
+		commit := encode(migrateFinishReq{mid: hdr.mid})
+		b.StartTimer()
+		send(dst, opMigrateAbsorb, absorb)
+		send(src, opMigrateCommit, commit)
+		send(dst, opMigrateCommit, commit)
+		b.StopTimer()
+		moved += len(batch.records)
+		// Undo: the source gets its whole bucket back, the target drops
+		// the half it absorbed.
+		sf.buckets[from] = fullBucket(from)
+		sf.indexPutBatch(batch.records)
+		delete(df.buckets, hdr.to)
+		for _, r := range batch.records {
+			df.indexDelete(r.key)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/moved-entry")
 }
 
 // --- Client combine: agreement table over canned answers ---

@@ -242,3 +242,44 @@ func TestIndexPutBatchArenaStability(t *testing.T) {
 		t.Fatalf("%d entries indexed, want %d", st.entries, len(want))
 	}
 }
+
+// TestFlatIndexDirectoryIsLazy pins the directory's lazy allocation: an
+// index that never listed a posting — fresh, probed, fed only foreign
+// or pieceless values, reset — holds no directory, and the first
+// posting allocates it.
+func TestFlatIndexDirectoryIsLazy(t *testing.T) {
+	x := newFlatIndex(nil)
+	x.remove(1)
+	x.put(2, []byte("not an index value"))
+	x.putBatch([]kv{{key: 3, value: []byte("foreign")}, {key: 4, value: encode(indexValue{})}})
+	x.forEach(func(p disperse.Piece, _ []posting) { t.Errorf("piece %d listed", p) })
+	if got := x.postings(0xFFFF); got != nil {
+		t.Errorf("postings(0xFFFF) = %v on an index with no postings", got)
+	}
+	if st := x.stats(); st.entries != 1 || st.pieces != 0 || st.live != 0 {
+		t.Errorf("stats = %+v, want the one pieceless entry and nothing listed", st)
+	}
+	x.remove(4)
+	x.reset()
+	checkFlatInvariants(t, 0, 0, x)
+	if x.post != nil {
+		t.Fatal("an index that never saw a posting allocated its directory")
+	}
+	x.put(5, encode(indexValue{pieces: []disperse.Piece{0xFFFF, 0}}))
+	if x.post == nil {
+		t.Fatal("the first posting allocated no directory")
+	}
+	if got := len(probeMatches(x, []disperse.Piece{0xFFFF, 0})); got != 1 {
+		t.Fatalf("%d matches for the stored stream, want 1", got)
+	}
+	// A fully dead list returns to the zero postList, and reset empties
+	// every list but keeps the directory.
+	x.remove(5)
+	checkFlatInvariants(t, 0, 0, x)
+	x.put(6, encode(indexValue{pieces: []disperse.Piece{0, 0xFFFF}}))
+	x.reset()
+	checkFlatInvariants(t, 0, 0, x)
+	if x.post == nil || x.post[0].items != nil || x.post[0xFFFF].items != nil {
+		t.Fatal("reset left a list behind or dropped the directory")
+	}
+}

@@ -231,11 +231,26 @@ func FuzzIndexOps(f *testing.F) {
 	// over keys 9..13 replaces them, freeing and reusing their slots
 	// mid-batch; a second batch does it again after a delete.
 	f.Add([]byte{0x00, 0x0A, 0x01, 0x00, 0x0C, 0x02, 0xC3, 0x09, 0x90, 0x0B, 0xC1, 0x0A})
+	// The directory's first and last slots: key 1 lists 0xFFFF, 0x0000,
+	// 0xFFFF, 0x0000; its delete leaves both lists fully dead, and keys
+	// 2 and 1 bring them back.
+	f.Add([]byte{0xB3, 0x01, 0x05, 0x90, 0x01, 0xB1, 0x02, 0x03, 0xB7, 0x01, 0xF0, 0x90, 0x02})
+	// Long lists at both ends: 20 keys of eight pieces each, half 0xFFFF
+	// and half 0x0000, compact under deletes, die out (checked empty at
+	// step 48), and come back.
+	var edges []byte
+	for k := byte(0); k < 20; k++ {
+		edges = append(edges, 0xB7, k, 0x0F)
+	}
+	for k := byte(0); k < 28; k++ { // the last 8 miss, so step 48 checks the empty ends
+		edges = append(edges, 0x90, k)
+	}
+	f.Add(append(edges, 0xB7, 0x05, 0x3C, 0xB0, 0x06, 0x01))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newDiffHarness()
 		rng := rand.New(rand.NewSource(99))
 		z := rand.NewZipf(rng, 1.2, 1, 15)
-		pats := [][]disperse.Piece{{0}, {1}, {2}, {3, 0}, {15}}
+		pats := [][]disperse.Piece{{0}, {1}, {2}, {3, 0}, {15}, {0xFFFF}, {0xFFFF, 0}, {0, 0xFFFF, 0xFFFF}}
 		i := 0
 		steps := 0
 		for i+1 < len(data) && steps < 512 {
@@ -258,8 +273,22 @@ func FuzzIndexOps(f *testing.F) {
 				h.put(key, encodeTestValue(vrng, vz))
 			case sel < 0xA0: // delete
 				h.remove(key)
-			case sel < 0xC0: // foreign value put
+			case sel < 0xB0: // foreign value put
 				h.put(key, []byte{sel, kb})
+			case sel < 0xC0: // edge put: sel%8+1 pieces, each 0x0000 or
+				// 0xFFFF by a bit of the next byte — the directory's ends
+				var bits byte
+				if i < len(data) {
+					bits = data[i]
+					i++
+				}
+				ps := make([]disperse.Piece, sel%8+1)
+				for j := range ps {
+					if bits>>j&1 == 1 {
+						ps[j] = 0xFFFF
+					}
+				}
+				h.put(key, encode(indexValue{pieces: ps}))
 			default: // batch of small puts
 				var ents []kv
 				for j := 0; j < int(sel%6)+2; j++ {

@@ -8,15 +8,16 @@
 // stopped being the bottleneck, with GC assist over the millions of
 // tiny slices eating much of the rest. The flat layout stores, per
 // piece value, ONE packed array of (slot, offset) postings, where the
-// slot indexes a dense entry table:
+// slot indexes a dense entry table, and finds that array in a directory
+// indexed by the piece value itself — a piece is a g-bit symbol with
+// g <= 16, so no hash is needed:
 //
-//   - appends are a single slice grow (batched: one grow per distinct
-//     piece for a whole request batch);
+//   - appends are a single slice grow;
 //   - the anchor probe of a search walks a contiguous array instead of
 //     chasing a map of maps, and reaches each candidate's entry by
-//     index, never by hashing its key — memory locality is the whole
-//     point, the same argument Minaud & Reichle make for dynamic local
-//     SSE;
+//     index, never by hashing its key or its piece — memory locality
+//     is the whole point, the same argument Minaud & Reichle make for
+//     dynamic local SSE;
 //   - deletes tombstone in place (the slot stays, the offset becomes
 //     tombstoneOff) and are reclaimed by threshold-triggered
 //     compaction, amortized O(1) per mutation; the freed entry slot is
@@ -24,12 +25,12 @@
 //
 // Compaction policy: a list is compacted in place the moment its dead
 // fraction reaches half (lists shorter than compactMinLen are exempt —
-// scanning them is cheaper than bookkeeping), and a fully dead list is
-// dropped from the piece map entirely. Because accumulating L/2
-// tombstones in a list of length L takes L/2 delete mutations and a
-// compaction costs O(L), the amortized compaction cost per mutation is
-// constant, and no posting list ever exceeds 2x its live size — so
-// zipfian piece popularity under delete churn and split/merge
+// scanning them is cheaper than bookkeeping), and a fully dead list
+// resets to the empty list, releasing its backing. Because
+// accumulating L/2 tombstones in a list of length L takes L/2 delete
+// mutations and a compaction costs O(L), the amortized cost per
+// mutation is constant, and no posting list ever exceeds 2x its live
+// size — so zipfian piece popularity under delete churn and split/merge
 // migrations cannot degenerate a probe into a scan over unbounded
 // garbage. Deletes never scan at all: each entry carries positional
 // back-references to its postings (see flatEntry), so tombstoning is
@@ -51,7 +52,7 @@ const tombstoneOff = ^uint32(0)
 
 // compactMinLen exempts short posting lists from compaction: scanning a
 // handful of postings costs less than reclaiming them. A fully dead
-// list is dropped regardless of length.
+// list is emptied regardless of length.
 const compactMinLen = 16
 
 // posting is one occurrence of a piece value: the slot of the owning
@@ -66,7 +67,8 @@ type posting struct {
 // postList is the packed posting array of one piece value plus its
 // tombstone count. dead <= len(items) always; after every mutation the
 // compaction invariant 2*dead < len(items) || len(items) < compactMinLen
-// holds (asserted by the churn test battery).
+// holds (asserted by the churn test battery). An empty list is the zero
+// postList: no backing, nothing dead.
 type postList struct {
 	items []posting
 	dead  uint32
@@ -120,6 +122,11 @@ type postingIndex interface {
 
 // flatIndex is the production postingIndex: packed per-piece posting
 // arrays with tombstoned deletes and threshold-triggered compaction.
+// post is the piece directory: piece value p's list lives at post[p].
+// A piece is one g-bit symbol of GF(2^g) with g <= 16, so its value is
+// its own perfect hash and reaching a list is one array index, never a
+// hash and probe. The directory is nil until the index's first posting
+// (an empty index costs nothing) and 1<<16 lists of 32 B, 2 MiB, after.
 // Entries live in the dense ents table, addressed by the slot every
 // posting carries; slots maps a key to its slot and is consulted only
 // by put and remove, and a removed entry's slot goes on free for the
@@ -127,7 +134,7 @@ type postingIndex interface {
 // counts (nil-safe obs counters, so an uninstrumented node pays
 // nothing).
 type flatIndex struct {
-	post  map[disperse.Piece]*postList
+	post  *[1 << 16]postList
 	ents  []flatEntry
 	slots map[uint64]uint32
 	free  []uint32
@@ -135,14 +142,6 @@ type flatIndex struct {
 	compactions uint64
 	tombstones  uint64
 	met         *nodeMetrics
-
-	// batch scratch, reused across putBatch calls (mutations run under
-	// the node write lock, so there is exactly one user at a time).
-	apps    []pieceApp
-	grouped []pieceApp
-	seen    map[uint64]struct{}
-	counts  []uint32 // per-piece counting-sort cursors, len 1<<16
-	touched []disperse.Piece
 }
 
 // flatEntry is postEntry plus the positional back-references that make
@@ -159,16 +158,12 @@ type flatEntry struct {
 	pos []uint32
 }
 
-// pieceApp is one queued posting append of a batch: grouped by piece so
-// the whole batch touches each posting list exactly once.
-type pieceApp struct {
-	p  disperse.Piece
-	pt posting
-}
+// dedupeScanMax is the largest batch putBatch dedupes by scanning its
+// later entries; a larger one builds a key set for the call.
+const dedupeScanMax = 32
 
 func newFlatIndex(met *nodeMetrics) *flatIndex {
 	return &flatIndex{
-		post:  make(map[disperse.Piece]*postList),
 		slots: make(map[uint64]uint32),
 		met:   met,
 	}
@@ -189,36 +184,44 @@ func (x *flatIndex) alloc(e flatEntry) uint32 {
 	return s
 }
 
-func (x *flatIndex) put(key uint64, value []byte) {
-	// Overwrite detection is this single slots lookup: fresh keys pay
-	// one map miss, no piece walk.
-	x.remove(key)
-	iv, err := decode[indexValue](value)
-	if err != nil {
-		return // foreign value: stays out of the index
+// appendPostings lists every piece occurrence of the entry in slot s
+// and records its back-references. The entry must already sit in its
+// slot: a compaction fired mid-loop rewrites back-references through
+// it. Appending entry by entry leaves each entry's postings in a list
+// adjacent, offsets ascending — the layout searchPosting's per-slot
+// memoization wants.
+func (x *flatIndex) appendPostings(s uint32) {
+	e := &x.ents[s]
+	if x.post == nil && len(e.pieces) > 0 {
+		x.post = new([1 << 16]postList)
 	}
-	pos := make([]uint32, len(iv.pieces))
-	// The entry must be in its slot before the appends: a compaction
-	// fired mid-loop rewrites back-references through it.
-	s := x.alloc(flatEntry{
-		postEntry: postEntry{key: key, firstIndex: iv.firstIndex, pieces: iv.pieces},
-		pos:       pos,
-	})
-	for off, p := range iv.pieces {
-		l := x.post[p]
-		if l == nil {
-			l = &postList{}
-			x.post[p] = l
-		}
+	for off, p := range e.pieces {
+		l := &x.post[p]
 		l.items = append(l.items, posting{slot: s, off: uint32(off)})
-		pos[off] = uint32(len(l.items) - 1)
+		e.pos[off] = uint32(len(l.items) - 1)
 		// Appends can only lower the dead fraction — except when they push
 		// a short list (exempt from compaction) past compactMinLen with
 		// tombstones already aboard, so the trigger is re-checked here too.
 		if l.dead > 0 {
-			x.maybeCompact(p, l)
+			x.maybeCompact(l)
 		}
 	}
+}
+
+func (x *flatIndex) put(key uint64, value []byte) {
+	// Overwrite detection is this single slots lookup: fresh keys pay
+	// one map miss, no piece walk.
+	x.remove(key)
+	n, ok := indexValuePieceCount(value)
+	if !ok {
+		return // foreign value: stays out of the index
+	}
+	// Cannot fail: it accepts exactly what the peek accepted.
+	iv, _, _ := decodeIndexValueInto(value, make([]disperse.Piece, 0, n))
+	x.appendPostings(x.alloc(flatEntry{
+		postEntry: postEntry{key: key, firstIndex: iv.firstIndex, pieces: iv.pieces},
+		pos:       make([]uint32, len(iv.pieces)),
+	}))
 }
 
 func (x *flatIndex) putBatch(ents []kv) {
@@ -241,20 +244,26 @@ func (x *flatIndex) putBatch(ents []kv) {
 	// posArena is carved in lockstep with arena: each entry's pos slice
 	// covers the same index range as its pieces slice.
 	posArena := make([]uint32, total)
-	apps := x.apps[:0]
-	if x.seen == nil {
-		x.seen = make(map[uint64]struct{}, len(ents))
-	} else {
-		clear(x.seen)
+	// A small batch finds a duplicate by scanning its later entries; a
+	// large one (an absorb, a rebuild) builds a key set for this call
+	// only — clearing a retained set costs its high-water capacity on
+	// every later batch, however small.
+	var seen map[uint64]struct{}
+	if len(ents) > dedupeScanMax {
+		seen = make(map[uint64]struct{}, len(ents))
 	}
 	// Walk the batch backwards so a duplicated key resolves to its last
 	// occurrence — the same state a sequential put-by-put apply ends in.
 	for i := len(ents) - 1; i >= 0; i-- {
 		e := ents[i]
-		if _, dup := x.seen[e.key]; dup {
+		if seen != nil {
+			if _, dup := seen[e.key]; dup {
+				continue
+			}
+			seen[e.key] = struct{}{}
+		} else if laterKey(ents[i+1:], e.key) {
 			continue
 		}
-		x.seen[e.key] = struct{}{}
 		x.remove(e.key)
 		start := len(arena)
 		iv, rest, err := decodeIndexValueInto(e.value, arena)
@@ -262,76 +271,21 @@ func (x *flatIndex) putBatch(ents []kv) {
 			continue
 		}
 		arena = rest
-		s := x.alloc(flatEntry{
+		x.appendPostings(x.alloc(flatEntry{
 			postEntry: postEntry{key: e.key, firstIndex: iv.firstIndex, pieces: iv.pieces},
 			pos:       posArena[start:len(arena):len(arena)],
-		})
-		for off, p := range iv.pieces {
-			apps = append(apps, pieceApp{p: p, pt: posting{slot: s, off: uint32(off)}})
+		}))
+	}
+}
+
+// laterKey reports whether key occurs in ents.
+func laterKey(ents []kv, key uint64) bool {
+	for _, e := range ents {
+		if e.key == key {
+			return true
 		}
 	}
-	// Group by piece: one map lookup and one (amortized) slice grow per
-	// distinct piece for the entire batch. A stable two-pass counting
-	// sort on the uint16 piece value does the grouping in O(n) — a
-	// comparison sort's log factor was measured to dominate the whole
-	// batch path. Stability preserves emission order within a piece,
-	// which already has each entry's postings adjacent with offsets
-	// ascending — the layout searchPosting's per-slot memoization wants.
-	if x.counts == nil {
-		x.counts = make([]uint32, 1<<16)
-	}
-	touched := x.touched[:0]
-	for _, a := range apps {
-		c := x.counts[a.p]
-		if c == 0 {
-			touched = append(touched, a.p)
-		}
-		x.counts[a.p] = c + 1
-	}
-	pos := uint32(0)
-	for _, p := range touched {
-		n := x.counts[p]
-		x.counts[p] = pos
-		pos += n
-	}
-	grouped := x.grouped
-	if cap(grouped) < len(apps) {
-		grouped = make([]pieceApp, len(apps))
-	} else {
-		grouped = grouped[:len(apps)]
-	}
-	for _, a := range apps {
-		grouped[x.counts[a.p]] = a
-		x.counts[a.p]++
-	}
-	for i := 0; i < len(grouped); {
-		j := i + 1
-		for j < len(grouped) && grouped[j].p == grouped[i].p {
-			j++
-		}
-		l := x.post[grouped[i].p]
-		if l == nil {
-			l = &postList{}
-			x.post[grouped[i].p] = l
-		}
-		// Every back-reference of this list's group is written before the
-		// trigger re-check: a compaction rewrites back-references, so none
-		// of the postings it moves may have an unset one.
-		for _, a := range grouped[i:j] {
-			l.items = append(l.items, a.pt)
-			x.ents[a.pt.slot].pos[a.pt.off] = uint32(len(l.items) - 1)
-		}
-		if l.dead > 0 {
-			x.maybeCompact(grouped[i].p, l)
-		}
-		i = j
-	}
-	for _, p := range touched {
-		x.counts[p] = 0
-	}
-	x.touched = touched[:0]
-	x.grouped = grouped[:0]
-	x.apps = apps[:0]
+	return false
 }
 
 // remove tombstones key's postings and frees its slot.
@@ -358,9 +312,9 @@ func (x *flatIndex) tombstoneEntry(s uint32) {
 	e := &x.ents[s]
 	var marked uint32
 	for i, p := range e.pieces {
-		l := x.post[p]
+		l := &x.post[p]
 		idx := int(e.pos[i])
-		if l == nil || idx >= len(l.items) || l.items[idx].slot != s {
+		if idx >= len(l.items) || l.items[idx].slot != s {
 			continue // never under the back-reference invariant
 		}
 		if l.items[idx].off != tombstoneOff {
@@ -383,21 +337,21 @@ outer:
 				continue outer
 			}
 		}
-		if l := x.post[p]; l != nil && l.dead > 0 {
-			x.maybeCompact(p, l)
+		if l := &x.post[p]; l.dead > 0 {
+			x.maybeCompact(l)
 		}
 	}
 }
 
 // maybeCompact reclaims a list once at least half of it is dead: live
 // postings are packed to the front in place, order preserved. A fully
-// dead list leaves the piece map entirely; a mostly dead one also
-// releases its oversized backing. Amortized O(1) per mutation — see the
-// package comment.
-func (x *flatIndex) maybeCompact(p disperse.Piece, l *postList) {
+// dead list resets to the zero postList, releasing its backing; a
+// mostly dead one also releases an oversized backing. Amortized O(1)
+// per mutation — see the package comment.
+func (x *flatIndex) maybeCompact(l *postList) {
 	n := len(l.items)
 	if int(l.dead) == n {
-		delete(x.post, p)
+		*l = postList{}
 		x.noteCompaction()
 		return
 	}
@@ -440,37 +394,51 @@ func (x *flatIndex) entry(key uint64) (postEntry, bool) {
 }
 
 func (x *flatIndex) postings(p disperse.Piece) []posting {
-	l := x.post[p]
-	if l == nil {
+	if x.post == nil {
 		return nil
 	}
-	return l.items
+	return x.post[p].items
 }
 
 func (x *flatIndex) at(slot uint32) *postEntry { return &x.ents[slot].postEntry }
 
+// forEach visits the non-empty lists in piece order.
 func (x *flatIndex) forEach(fn func(p disperse.Piece, items []posting)) {
-	for p, l := range x.post {
-		fn(p, l.items)
+	if x.post == nil {
+		return
+	}
+	for p := range x.post {
+		if items := x.post[p].items; len(items) > 0 {
+			fn(disperse.Piece(p), items)
+		}
 	}
 }
 
 func (x *flatIndex) stats() indexStats {
 	s := indexStats{
 		entries:     len(x.slots),
-		pieces:      len(x.post),
 		compactions: x.compactions,
 		tombstones:  x.tombstones,
 	}
-	for _, l := range x.post {
-		s.dead += int(l.dead)
-		s.live += len(l.items) - int(l.dead)
-	}
+	x.forEach(func(p disperse.Piece, items []posting) {
+		dead := int(x.post[p].dead)
+		s.pieces++
+		s.dead += dead
+		s.live += len(items) - dead
+	})
 	return s
 }
 
+// reset empties the index, directory included. Every non-empty list
+// holds a live posting (a fully dead one is emptied on the spot), so
+// emptying the lists the live entries name clears the directory in
+// O(postings) rather than O(2^16).
 func (x *flatIndex) reset() {
-	x.post = make(map[disperse.Piece]*postList)
+	for i := range x.ents {
+		for _, p := range x.ents[i].pieces {
+			x.post[p] = postList{}
+		}
+	}
 	clear(x.ents)
 	x.ents = x.ents[:0]
 	x.free = x.free[:0]

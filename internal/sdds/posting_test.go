@@ -137,7 +137,8 @@ func checkPostingInvariants(t *testing.T, nodes []*Node) {
 // per-list dead counter matches the tombstones actually present, no
 // list of compactable length carries a dead fraction at or above the
 // trigger (compaction fires the moment the threshold is crossed, so a
-// quiescent index can never sit beyond it), and the slot table is
+// quiescent index can never sit beyond it), every empty directory slot
+// is the zero list (nothing dead, no backing), and the slot table is
 // consistent: every slot is either mapped from its entry's key or free,
 // free slots hold nothing, and every live posting and its owner entry
 // point at each other.
@@ -162,7 +163,26 @@ func checkFlatInvariants(t *testing.T, node transport.NodeID, file FileID, idx p
 			t.Errorf("node %d file %d: free slot %d still holds key %d", node, file, s, e.key)
 		}
 	}
-	for p, l := range fi.post {
+	var dir []postList
+	if fi.post != nil {
+		dir = fi.post[:]
+	} else {
+		for _, e := range fi.ents {
+			if len(e.pieces) > 0 {
+				t.Fatalf("node %d file %d: key %d has pieces but the index has no directory",
+					node, file, e.key)
+			}
+		}
+	}
+	for pi := range dir {
+		p, l := disperse.Piece(pi), &dir[pi]
+		if len(l.items) == 0 {
+			if l.dead != 0 || l.items != nil {
+				t.Errorf("node %d file %d: empty piece %d slot holds dead %d, backing cap %d",
+					node, file, p, l.dead, cap(l.items))
+			}
+			continue
+		}
 		var dead uint32
 		for i, pt := range l.items {
 			if pt.off == tombstoneOff {
@@ -189,7 +209,7 @@ func checkFlatInvariants(t *testing.T, node transport.NodeID, file FileID, idx p
 			t.Errorf("node %d file %d: piece %d dead counter %d, %d tombstones present",
 				node, file, p, l.dead, dead)
 		}
-		if len(l.items) == 0 || int(l.dead) == len(l.items) {
+		if int(l.dead) == len(l.items) {
 			t.Errorf("node %d file %d: piece %d kept a fully dead list (len %d)",
 				node, file, p, len(l.items))
 		}
@@ -217,8 +237,8 @@ func checkFlatInvariants(t *testing.T, node transport.NodeID, file FileID, idx p
 			continue
 		}
 		for i, p := range e.pieces {
-			l := fi.post[p]
-			if l == nil || int(e.pos[i]) >= len(l.items) {
+			l := &dir[p]
+			if int(e.pos[i]) >= len(l.items) {
 				t.Errorf("node %d file %d: key %d occurrence %d: back-reference %d out of range (piece %d)",
 					node, file, key, i, e.pos[i], p)
 				continue
