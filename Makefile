@@ -107,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzFrameV2RoundTrip$$' -fuzztime=30s ./internal/transport
 	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=30s ./internal/sdds
 	$(GO) test -fuzz='^FuzzNodeHandler$$' -fuzztime=30s ./internal/sdds
+	$(GO) test -run '^$$' -fuzz='^FuzzSearchCombine$$' -fuzztime=30s ./internal/sdds
 	$(GO) test -fuzz=FuzzIndexOps -fuzztime=30s ./internal/sdds
 	$(GO) test -fuzz=FuzzWALDecode -fuzztime=30s ./internal/wal
 

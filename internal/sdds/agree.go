@@ -2,6 +2,7 @@ package sdds
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -91,18 +92,35 @@ func (t *agreement) release() {
 	}
 }
 
-// combineHits folds the sites' raw hits into the sorted RIDs that mode
-// accepts. A series position counts once all kSites sites of its
+// hitCount checks one search answer's framing — a u32 hit count, then
+// exactly that many hitWireSize-byte hits — with decode[searchResp]'s
+// reader, so a bad frame fails with the error decode would report.
+func hitCount(b []byte) (int, error) {
+	r := reader{b: b}
+	n := r.bound(r.u32(), hitWireSize)
+	r.off += n * hitWireSize
+	return n, r.done()
+}
+
+// combineHits folds the nodes' encoded search answers into the sorted
+// RIDs that mode accepts, reading each hit once, straight from the wire
+// bytes. A series position counts once all kSites sites of its
 // chunking report it; with one site and ppc pieces per chunk, only
-// offsets on a chunk boundary count. A hit naming a site or chunking
-// the query does not have is a malformed answer and fails the search,
-// as an undecodable one does: counting it could complete a mask no
-// honest site set did. A uint64 mask holds every site: the pipeline
-// caps a chunk at 64 bits and K divides it.
-func combineHits(resps []searchResp, m, kSites, ppc int, mode core.VerifyMode, geom chunk.Params) ([]uint64, error) {
+// offsets on a chunk boundary count. A badly framed answer, or a hit
+// naming a site or chunking the query does not have, fails the search:
+// counting such a hit could complete a mask no honest site set did. A
+// uint64 mask holds every site: the pipeline caps a chunk at 64 bits
+// and K divides it. Under VerifyAny every filled position is a match,
+// so its RIDs are sorted as plain integers; the other modes sort the
+// series hits by RID and judge each record's run.
+func combineHits(payloads [][]byte, m, kSites, ppc int, mode core.VerifyMode, geom chunk.Params) ([]uint64, error) {
 	n := 0
-	for _, r := range resps {
-		n += len(r.hits)
+	for _, b := range payloads {
+		c, err := hitCount(b)
+		if err != nil {
+			return nil, err
+		}
+		n += c
 	}
 	if n == 0 {
 		return nil, nil
@@ -111,16 +129,19 @@ func combineHits(resps []searchResp, m, kSites, ppc int, mode core.VerifyMode, g
 	defer t.release()
 	t.reset(n)
 	all := ^uint64(0) >> (64 - kSites)
-	for _, r := range resps {
-		for _, h := range r.hits {
-			if int(h.k) >= kSites || int(h.j) >= m {
-				return nil, fmt.Errorf("sdds: malformed search hit: site %d of %d, chunking %d of %d", h.k, kSites, h.j, m)
+	for _, b := range payloads {
+		for b = b[4:]; len(b) >= hitWireSize; b = b[hitWireSize:] {
+			j, k := b[8], b[9]
+			if int(k) >= kSites || int(j) >= m {
+				return nil, fmt.Errorf("sdds: malformed search hit: site %d of %d, chunking %d of %d", k, kSites, j, m)
 			}
-			if ppc > 1 && int(h.pieceOffset)%ppc != 0 {
+			off := binary.BigEndian.Uint32(b[16:])
+			if ppc > 1 && int(off)%ppc != 0 {
 				continue
 			}
-			p := seriesPos{rid: h.rid, chunk: int(h.firstIndex) + int(h.pieceOffset)/ppc, a: h.a, j: h.j}
-			if t.vote(p, 1<<h.k, all) {
+			first, a := binary.BigEndian.Uint32(b[12:]), binary.BigEndian.Uint16(b[10:])
+			p := seriesPos{rid: binary.BigEndian.Uint64(b), chunk: int(first) + int(off)/ppc, a: a, j: j}
+			if t.vote(p, 1<<k, all) {
 				t.full = append(t.full, core.SeriesHit{RID: p.rid, J: int(p.j), A: int(p.a), ChunkIndex: p.chunk})
 			}
 		}
@@ -128,6 +149,14 @@ func combineHits(resps []searchResp, m, kSites, ppc int, mode core.VerifyMode, g
 	full := t.full
 	if len(full) == 0 {
 		return nil, nil
+	}
+	if mode == core.VerifyAny {
+		rids := make([]uint64, len(full))
+		for i, h := range full {
+			rids[i] = h.RID
+		}
+		slices.Sort(rids)
+		return slices.Compact(rids), nil
 	}
 	slices.SortFunc(full, func(x, y core.SeriesHit) int { return cmp.Compare(x.RID, y.RID) })
 	runs := 1

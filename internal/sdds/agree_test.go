@@ -2,11 +2,13 @@ package sdds
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/chunk"
@@ -15,12 +17,20 @@ import (
 )
 
 // referenceCombine is the map-based combine Cluster.Search ran before
-// the agreement table, kept as the differential reference: one map from
-// series position to a site mask, one map of series hits per RID, and a
-// final sort. A site index of 64 or more is skipped, as it was; the
-// reference never sees one, because malformed hits are combineHits'
-// error case, not a difference to compare.
-func referenceCombine(resps []searchResp, m, kSites, ppc int, mode core.VerifyMode, geom chunk.Params) []uint64 {
+// the agreement table, kept as the differential reference: it decodes
+// every answer into rawHits, then builds one map from series position
+// to a site mask, one map of series hits per RID, and a final sort. A
+// site index of 64 or more is skipped, as it was; the reference never
+// sees one, because malformed hits are combineHits' error case, not a
+// difference to compare. It fails where an answer does not decode.
+func referenceCombine(payloads [][]byte, m, kSites, ppc int, mode core.VerifyMode, geom chunk.Params) ([]uint64, error) {
+	resps := make([]searchResp, len(payloads))
+	for i, b := range payloads {
+		var err error
+		if resps[i], err = decode[searchResp](b); err != nil {
+			return nil, err
+		}
+	}
 	type hitKey struct {
 		rid      uint64
 		j        int
@@ -53,7 +63,16 @@ func referenceCombine(resps []searchResp, m, kSites, ppc int, mode core.VerifyMo
 		}
 	}
 	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
-	return rids
+	return rids, nil
+}
+
+// encodeAnswers encodes each node's answer as it crosses the wire.
+func encodeAnswers(resps []searchResp) [][]byte {
+	out := make([][]byte, len(resps))
+	for i, r := range resps {
+		out[i] = encode(r)
+	}
+	return out
 }
 
 // randomHitSet draws the answers of nodes sites for one search. Each of
@@ -91,34 +110,43 @@ func randomHitSet(rng *rand.Rand, nodes, m, kSites, ppc int) []searchResp {
 	return resps
 }
 
-// TestCombineMatchesReference drives the agreement table and the map
-// combine it replaced over seeded random hit sets — every verify mode,
-// several (M, K) shapes including K = 1 with more than one piece per
-// chunk, duplicate reports, partial answers with a node missing, and
+// combineShapes are the (M, K, pieces per chunk) shapes the combine
+// tests draw from, including K = 1 with more than one piece per chunk.
+var combineShapes = []struct{ m, k, ppc int }{
+	{1, 1, 1}, {2, 1, 2}, {4, 1, 3}, {2, 2, 1}, {2, 4, 1}, {4, 3, 1}, {1, 4, 1},
+}
+
+var combineModes = []core.VerifyMode{core.VerifyAny, core.VerifyAll, core.VerifyAligned}
+
+// TestCombineMatchesReference drives the wire-reading agreement table
+// and the decoding map combine it replaced over seeded random hit sets,
+// encoded as the nodes send them — every verify mode, several (M, K)
+// shapes, duplicate reports, partial answers with a node missing, and
 // empty answers — and requires identical RIDs.
 func TestCombineMatchesReference(t *testing.T) {
 	const nodes = 3
-	shapes := []struct{ m, k, ppc int }{
-		{1, 1, 1}, {2, 1, 2}, {4, 1, 3}, {2, 2, 1}, {2, 4, 1}, {4, 3, 1}, {1, 4, 1},
-	}
-	modes := []core.VerifyMode{core.VerifyAny, core.VerifyAll, core.VerifyAligned}
 	check := func(name string, resps []searchResp, m, k, ppc int, mode core.VerifyMode) {
 		t.Helper()
 		geom := chunk.Params{S: 4, M: m}
-		got, err := combineHits(resps, m, k, ppc, mode, geom)
+		payloads := encodeAnswers(resps)
+		got, err := combineHits(payloads, m, k, ppc, mode, geom)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := referenceCombine(resps, m, k, ppc, mode, geom); !slices.Equal(got, want) {
+		want, err := referenceCombine(payloads, m, k, ppc, mode, geom)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: agreement table %v, map reference %v", name, got, want)
 		}
 	}
 	var matched int
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		sh := shapes[rng.Intn(len(shapes))]
+		sh := combineShapes[rng.Intn(len(combineShapes))]
 		resps := randomHitSet(rng, nodes, sh.m, sh.k, sh.ppc)
-		for _, mode := range modes {
+		for _, mode := range combineModes {
 			name := fmt.Sprintf("seed %d m=%d k=%d ppc=%d mode %s", seed, sh.m, sh.k, sh.ppc, mode)
 			check(name, resps, sh.m, sh.k, sh.ppc, mode)
 			// A partial answer: one node's reply is missing.
@@ -126,14 +154,14 @@ func TestCombineMatchesReference(t *testing.T) {
 			partial := slices.Delete(slices.Clone(resps), missing, missing+1)
 			check(name+" partial", partial, sh.m, sh.k, sh.ppc, mode)
 		}
-		if got, _ := combineHits(resps, sh.m, sh.k, sh.ppc, core.VerifyAny, chunk.Params{S: 4, M: sh.m}); len(got) > 0 {
+		if got, _ := combineHits(encodeAnswers(resps), sh.m, sh.k, sh.ppc, core.VerifyAny, chunk.Params{S: 4, M: sh.m}); len(got) > 0 {
 			matched++
 		}
 	}
 	if matched < 100 {
 		t.Fatalf("only %d of 300 hit sets matched anything: the generator proves too little", matched)
 	}
-	for _, mode := range modes {
+	for _, mode := range combineModes {
 		check("no answers", nil, 2, 2, 1, mode)
 		check("empty answers", make([]searchResp, nodes), 2, 2, 1, mode)
 	}
@@ -198,6 +226,145 @@ func TestSearchRejectsForgedSiteAgreement(t *testing.T) {
 	}
 }
 
+// stubSearchCluster is a three-node cluster whose node i answers every
+// search with the bytes answers[i].
+func stubSearchCluster(t *testing.T, answers [3][]byte) *Cluster {
+	t.Helper()
+	mem := transport.NewMemory()
+	ids := []transport.NodeID{0, 1, 2}
+	place, err := NewPlacement(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		answer := answers[i]
+		mem.Register(id, func(_ context.Context, op uint8, _ []byte) ([]byte, error) {
+			if op != opSearch {
+				return nil, fmt.Errorf("stub node: unexpected op %d", op)
+			}
+			return answer, nil
+		})
+	}
+	return NewCluster(mem, place)
+}
+
+// TestSearchCombineRejectsMalformedAnswers: an answer that is shorter
+// than its count, counts more hits than its bytes hold, or carries bytes
+// past its last hit fails the search with the error decode[searchResp]
+// reports on the same bytes; one that decodes but names a site or
+// chunking the query lacks fails it as malformed. Either way the search
+// returns no RIDs, although the other two nodes' answers alone match
+// record 7.
+func TestSearchCombineRejectsMalformedAnswers(t *testing.T) {
+	pl := testPipeline(t, 4, 2, 2)
+	ctx := context.Background()
+	query, err := pl.BuildQuery([]byte("MALFORMED ANSWER"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(answer []byte) ([]uint64, error) {
+		return stubSearchCluster(t, [3][]byte{
+			encode(searchResp{hits: []rawHit{{rid: 7, j: 0, k: 0}}}),
+			answer,
+			encode(searchResp{hits: []rawHit{{rid: 7, j: 0, k: 1}}}),
+		}).Search(ctx, FileIndex, pl, query, core.VerifyAny)
+	}
+	if rids, err := search(encode(searchResp{})); err != nil || !slices.Equal(rids, []uint64{7}) {
+		t.Fatalf("honest answers: RIDs %v, %v; want [7]", rids, err)
+	}
+	two := encode(searchResp{hits: []rawHit{{rid: 9, k: 0}, {rid: 9, k: 1}}})
+	overCount := slices.Clone(two)
+	binary.BigEndian.PutUint32(overCount, 3)
+	cases := []struct {
+		name   string
+		answer []byte
+		forged bool
+	}{
+		{"shorter than a count", []byte{0, 0, 1}, false},
+		{"count beyond the bytes", overCount, false},
+		{"trailing bytes", append(slices.Clone(two), 1, 2, 3), false},
+		{"forged site", encode(searchResp{hits: []rawHit{{rid: 7, j: 0, k: 2}}}), true},
+		{"forged chunking", encode(searchResp{hits: []rawHit{{rid: 7, j: 2, k: 1}}}), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rids, err := search(tc.answer)
+			if err == nil || rids != nil {
+				t.Fatalf("malformed answer accepted: RIDs %v, %v", rids, err)
+			}
+			decErr := decodeErr[searchResp](tc.answer)
+			if tc.forged {
+				if decErr != nil || !strings.Contains(err.Error(), "malformed search hit") {
+					t.Fatalf("search error %q, decode error %v; want a malformed hit that decodes", err, decErr)
+				}
+			} else if decErr == nil || err.Error() != decErr.Error() {
+				t.Fatalf("search error %q, decode error %v; want the same", err, decErr)
+			}
+		})
+	}
+}
+
+// forgedHit reports whether decoded answers name a site at or beyond
+// kSites or a chunking at or beyond m.
+func forgedHit(resps []searchResp, m, kSites int) bool {
+	for _, r := range resps {
+		for _, h := range r.hits {
+			if int(h.k) >= kSites || int(h.j) >= m {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FuzzSearchCombine: the combine survives one to three arbitrary
+// answers. If one does not decode, it fails with decode's error for the
+// first such answer; if one names a forged site or chunking, it fails;
+// otherwise it returns the decoding reference's RIDs. shape picks the
+// (M, K, pieces per chunk) shape and the verify mode.
+func FuzzSearchCombine(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shape := uint8(rng.Intn(256))
+		sh := combineShapes[int(shape)%len(combineShapes)]
+		p := encodeAnswers(randomHitSet(rng, 3, sh.m, sh.k, sh.ppc))
+		f.Add(p[0], p[1], p[2], uint8(seed), shape)
+	}
+	f.Add([]byte{}, []byte{0, 0, 0, 1}, []byte{0, 0, 0, 0, 9}, uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, a, b, c []byte, count, shape uint8) {
+		payloads := [][]byte{a, b, c}[:1+int(count)%3]
+		sh := combineShapes[int(shape)%len(combineShapes)]
+		mode := combineModes[int(shape)/len(combineShapes)%len(combineModes)]
+		geom := chunk.Params{S: 4, M: sh.m}
+		got, err := combineHits(payloads, sh.m, sh.k, sh.ppc, mode, geom)
+		if err != nil && got != nil {
+			t.Fatalf("failed combine returned RIDs %v: %v", got, err)
+		}
+		resps := make([]searchResp, len(payloads))
+		for i, p := range payloads {
+			var decErr error
+			if resps[i], decErr = decode[searchResp](p); decErr != nil {
+				if err == nil || err.Error() != decErr.Error() {
+					t.Fatalf("answer %d does not decode: combine error %v, decode error %v", i, err, decErr)
+				}
+				return
+			}
+		}
+		if forgedHit(resps, sh.m, sh.k) {
+			if err == nil {
+				t.Fatalf("forged hit accepted: RIDs %v", got)
+			}
+			return
+		}
+		// Only now: the reference counts forged hits, and a forged
+		// chunking panics its VerifyAligned geometry.
+		want, _ := referenceCombine(payloads, sh.m, sh.k, sh.ppc, mode, geom)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("combine %v, %v; reference %v", got, err, want)
+		}
+	})
+}
+
 // TestHandleSearchAllocsFlat: a node answers a search with the same
 // number of allocations whether it reports ten hits or two thousand —
 // the hit scratch is pooled and the answer is one exactly sized buffer.
@@ -258,50 +425,60 @@ func TestHandleSearchAllocsFlat(t *testing.T) {
 	}
 }
 
-// cannedResponses builds three nodes' answers holding about n hits in
-// all: rids records, each matched at one position by all K sites of
-// every chunking, spread over the nodes as dispersal spreads them.
-func cannedResponses(rids, m, kSites, perRID int) []searchResp {
+// cannedAnswers encodes three nodes' answers for rids records, each
+// matched at perRID positions by all K sites of one chunking and spread
+// over the nodes as dispersal spreads them: rids·perRID·kSites hits.
+// The RIDs are scattered (i·2654435761 mod 2^32), since a node reports
+// hits in posting order, not sorted by RID.
+func cannedAnswers(rids, m, kSites, perRID int) [][]byte {
 	resps := make([]searchResp, 3)
-	for rid := uint64(1); rid <= uint64(rids); rid++ {
+	for i := 1; i <= rids; i++ {
+		rid := uint64(uint32(i * 2654435761))
 		for p := 0; p < perRID; p++ {
-			for j := 0; j < m; j++ {
-				for k := 0; k < kSites; k++ {
-					n := (int(rid) + j*kSites + k) % len(resps)
-					resps[n].hits = append(resps[n].hits, rawHit{
-						rid: rid, j: uint8(j), k: uint8(k), a: uint16(p % 2), firstIndex: uint32(p), pieceOffset: 1,
-					})
-				}
+			j := (i + p) % m
+			for k := 0; k < kSites; k++ {
+				n := (i + j*kSites + k) % len(resps)
+				resps[n].hits = append(resps[n].hits, rawHit{
+					rid: rid, j: uint8(j), k: uint8(k), a: uint16(p % 2), firstIndex: uint32(p), pieceOffset: 1,
+				})
 			}
 		}
 	}
-	return resps
+	return encodeAnswers(resps)
 }
 
-// TestCombineAllocsFlat: the client combine allocates the same whether
-// the answers hold ten hits or two thousand — only the result slice is
-// new; the agreement table and the full-series list are pooled.
+// TestCombineAllocsFlat: combining encoded answers allocates once — the
+// result — whether they hold ten hits or two thousand: nothing is
+// decoded into hit structs, and the agreement table and full-position
+// list are pooled.
 func TestCombineAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool puts at random")
 	}
 	const m, kSites = 2, 2
 	geom := chunk.Params{S: 4, M: m}
-	measure := func(resps []searchResp) (hits int, allocs float64) {
-		for _, r := range resps {
-			hits += len(r.hits)
+	measure := func(payloads [][]byte) (hits int, allocs float64) {
+		for _, b := range payloads {
+			n, err := hitCount(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits += n
 		}
 		return hits, testing.AllocsPerRun(50, func() {
-			if _, err := combineHits(resps, m, kSites, 1, core.VerifyAny, geom); err != nil {
+			if _, err := combineHits(payloads, m, kSites, 1, core.VerifyAny, geom); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	fewHits, fewAllocs := measure(cannedResponses(3, m, kSites, 1))
-	manyHits, manyAllocs := measure(cannedResponses(100, m, kSites, 5))
+	fewHits, fewAllocs := measure(cannedAnswers(5, m, kSites, 1))
+	manyHits, manyAllocs := measure(cannedAnswers(200, m, kSites, 5))
 	t.Logf("%d hits: %.1f allocs; %d hits: %.1f allocs", fewHits, fewAllocs, manyHits, manyAllocs)
-	if manyAllocs > fewAllocs+1 {
-		t.Fatalf("combine allocations grow with hits: %.1f at %d hits, %.1f at %d",
+	if fewHits != 10 || manyHits != 2000 {
+		t.Fatalf("test set-up: %d and %d hits, want 10 and 2000", fewHits, manyHits)
+	}
+	if fewAllocs > 1 || manyAllocs > 1 {
+		t.Fatalf("combine allocates more than its result: %.1f at %d hits, %.1f at %d",
 			fewAllocs, fewHits, manyAllocs, manyHits)
 	}
 }

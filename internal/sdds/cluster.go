@@ -801,33 +801,27 @@ func (c *Cluster) DeleteRecord(ctx context.Context, rid uint64, m, kSites int, s
 	return files[0].existed > 0, err
 }
 
-// gather broadcasts one request to every node and decodes each answer.
-// It sends to the placement's authoritative membership, not the
-// transport's live view, so a crashed node surfaces as a failure rather
-// than being skipped. Nodes that do not answer come back as failures; a
-// malformed answer or the caller's context ending fails the call.
-func gather[T any, P interface {
-	*T
-	decodeFrom(*reader)
-}](ctx context.Context, c *Cluster, op uint8, req []byte) ([]T, []NodeFailure, error) {
+// gather broadcasts one request to every node and returns the
+// answering nodes' payloads, undecoded. It sends to the placement's
+// authoritative membership, not the transport's live view, so a crashed
+// node surfaces as a failure rather than being skipped. Nodes that do
+// not answer come back as failures; the caller's context ending fails
+// the call.
+func (c *Cluster) gather(ctx context.Context, op uint8, req []byte) ([][]byte, []NodeFailure, error) {
 	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), op, req)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	resps := make([]T, 0, len(results))
+	payloads := make([][]byte, 0, len(results))
 	var failed []NodeFailure
 	for _, r := range results {
 		if r.Err != nil {
 			failed = append(failed, NodeFailure{Node: r.Node, Err: r.Err})
 			continue
 		}
-		resp, err := decode[T, P](r.Payload)
-		if err != nil {
-			return nil, nil, err
-		}
-		resps = append(resps, resp)
+		payloads = append(payloads, r.Payload)
 	}
-	return resps, failed, nil
+	return payloads, failed, nil
 }
 
 // answer returns a search's RIDs, or, when some node failed, an
@@ -860,7 +854,7 @@ func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, quer
 	defer func() { c.met.searchNS.Observe(time.Since(start).Nanoseconds()) }()
 	kSites := pl.K()
 	m := pl.Chunkings()
-	resps, failed, err := gather[searchResp](ctx, c, opSearch, encode(queryToSearchReq(id, query, m, kSites)))
+	payloads, failed, err := c.gather(ctx, opSearch, encode(queryToSearchReq(id, query, m, kSites)))
 	tr.Lap("broadcast")
 	if err != nil {
 		return nil, err
@@ -870,7 +864,7 @@ func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, quer
 	if kSites == 1 {
 		ppc = int((pl.ChunkBits() + 15) / 16)
 	}
-	rids, err := combineHits(resps, m, kSites, ppc, mode, pl.Params().Chunk)
+	rids, err := combineHits(payloads, m, kSites, ppc, mode, pl.Params().Chunk)
 	tr.Lap("combine")
 	if err != nil {
 		return nil, err
@@ -884,12 +878,16 @@ func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, quer
 // some node does not answer it returns an *IncompleteError, as Search.
 func (c *Cluster) WordSearch(ctx context.Context, id FileID, token []byte) ([]uint64, error) {
 	c.met.wordSearches.Inc()
-	resps, failed, err := gather[wordSearchResp](ctx, c, opWordSearch, encode(wordSearchReq{file: id, token: token}))
+	payloads, failed, err := c.gather(ctx, opWordSearch, encode(wordSearchReq{file: id, token: token}))
 	if err != nil {
 		return nil, err
 	}
 	var out []uint64
-	for _, resp := range resps {
+	for _, b := range payloads {
+		resp, err := decode[wordSearchResp](b)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, resp.rids...)
 	}
 	// While a migration is in flight both the source (frozen outgoing

@@ -677,6 +677,10 @@ type rawHit struct {
 // hitWireSize is one rawHit's encoded size.
 const hitWireSize = 20
 
+// searchResp is a node's search answer: a u32 hit count, then each hit
+// as rid u64, j u8, k u8, a u16, firstIndex u32, pieceOffset u32. The
+// client reads it straight from the wire in combineHits, so its
+// decodeFrom lives with the tests.
 type searchResp struct {
 	hits []rawHit
 }
@@ -690,23 +694,6 @@ func (m searchResp) encodeTo(w *writer) {
 		w.u16(h.a)
 		w.u32(h.firstIndex)
 		w.u32(h.pieceOffset)
-	}
-}
-
-func (m *searchResp) decodeFrom(r *reader) {
-	n := r.bound(r.u32(), hitWireSize)
-	if n > 0 {
-		m.hits = make([]rawHit, 0, n)
-	}
-	for i := 0; i < n && r.err == nil; i++ {
-		m.hits = append(m.hits, rawHit{
-			rid:         r.u64(),
-			j:           r.u8(),
-			k:           r.u8(),
-			a:           r.u16(),
-			firstIndex:  r.u32(),
-			pieceOffset: r.u32(),
-		})
 	}
 }
 

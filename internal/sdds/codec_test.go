@@ -27,6 +27,26 @@ func decodeErr[T any, P interface {
 	return err
 }
 
+// decodeFrom decodes a search answer into rawHits — the reference for
+// combineHits, which reads the same bytes in place, and for the codec
+// tests.
+func (m *searchResp) decodeFrom(r *reader) {
+	n := r.bound(r.u32(), hitWireSize)
+	if n > 0 {
+		m.hits = make([]rawHit, 0, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		m.hits = append(m.hits, rawHit{
+			rid:         r.u64(),
+			j:           r.u8(),
+			k:           r.u8(),
+			a:           r.u16(),
+			firstIndex:  r.u32(),
+			pieceOffset: r.u32(),
+		})
+	}
+}
+
 // batchReq builds a one-group put_batch request of puts with the writer
 // the client's write round uses.
 func batchReq(file FileID, entries ...batchEntry) []byte {

@@ -594,8 +594,8 @@ func (n *Node) handlePutBatch(ctx context.Context, payload []byte) ([]byte, erro
 	// reallocates, so the carved aliases stay valid.
 	vals := make([]byte, 0, m.valBytes)
 	// A put group's locally applied entries hit the index as ONE batch:
-	// the indexer sorts and appends per piece once for the whole group
-	// instead of paying per-entry posting maintenance.
+	// one putBatch call for the whole group, which carves the entries'
+	// streams from one arena and appends each entry's postings in turn.
 	var applied []kv
 	// seq is the journal position of the last entry appended; the whole
 	// request shares the one flush that follows the unlock.
@@ -762,9 +762,12 @@ func (n *Node) handleSearch(payload []byte) ([]byte, error) {
 // probe walks the piece's packed posting array in one contiguous pass,
 // skipping tombstones, and reaches each entry through the posting's
 // slot, so it never hashes a key. An entry's postings sit adjacent in
-// the array (batch inserts sort, single inserts append together), so
-// the key decomposition is memoized across the run of equal slots.
-// Callers must hold the node lock (shared suffices).
+// the array (every put appends one entry's postings together), so the
+// key decomposition is memoized across the run of equal slots. A live
+// posting of piece p at offset off guarantees pieces[off] == p, so a
+// one-piece pattern is a hit without reading the entry's stream; only
+// longer patterns are verified. Callers must hold the node lock (shared
+// suffices).
 func (n *Node) searchPosting(idx postingIndex, m *searchReq, resp *searchResp) {
 	var candidates, verified uint64
 	for _, s := range m.series {
@@ -794,7 +797,7 @@ func (n *Node) searchPosting(idx postingIndex, m *searchReq, resp *searchResp) {
 					continue
 				}
 				candidates++
-				if !core.MatchAt(e.pieces, pat, int(pt.off)) {
+				if len(pat) > 1 && !core.MatchAt(e.pieces, pat, int(pt.off)) {
 					continue
 				}
 				verified++

@@ -95,9 +95,9 @@ type postingIndex interface {
 	// index pieces (foreign entries) are removed/kept out, mirroring the
 	// linear scan's skip.
 	put(key uint64, value []byte)
-	// putBatch indexes a batch of stored values in one pass, grouping
-	// posting appends per piece. Duplicate keys within the batch resolve
-	// to the last occurrence.
+	// putBatch indexes a batch of stored values in one call, appending
+	// each entry's postings as put appends them. Duplicate keys within
+	// the batch resolve to the last occurrence.
 	putBatch(ents []kv)
 	// remove deletes one key's postings and its entry.
 	remove(key uint64)
@@ -105,7 +105,8 @@ type postingIndex interface {
 	entry(key uint64) (postEntry, bool)
 	// postings returns the packed posting array of a piece value —
 	// including tombstones, which callers skip by off == tombstoneOff.
-	// A key's live postings sit adjacent, offsets ascending. The returned
+	// A live posting's entry holds the piece at the posting's offset, and
+	// a key's live postings sit adjacent, offsets ascending. The returned
 	// slice is the index's own storage: read-only, valid only while the
 	// node lock is held.
 	postings(p disperse.Piece) []posting
