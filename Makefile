@@ -76,8 +76,8 @@ soak: soak-bins
 # Overload soak: 3 plain daemons offered more than they drain. Gates
 # prove graceful degradation under saturation (DESIGN.md §13): goodput
 # stays above a floor, no op errors, the read-back audit loses nothing
-# that was acknowledged, zero self-healing repairs fire (saturation
-# never reads as node death), and attempts per op stay bounded.
+# that was acknowledged, and zero self-healing repairs fire (saturation
+# never reads as node death).
 soak-overload: soak-bins
 	$(BIN_DIR)/esdds-soak -profile overload -cluster proc \
 		-node-bin $(BIN_DIR)/esdds-node -out BENCH_cluster.json

@@ -16,9 +16,9 @@
 //	                        latency quantiles (p50/p90/p99)
 //	metrics                 full metrics exposition (every counter,
 //	                        gauge, and histogram, /metrics format)
-//	health                  per-node health: detector state, retry and
-//	                        breaker accounting, injected-fault counters,
-//	                        and any node whose state is lost
+//	health                  per-node health: detector state, probe and
+//	                        passive signal counts, injected-fault
+//	                        counters, and any node whose state is lost
 //	heal                    wait for automatic repair to converge (-self-heal)
 //	kill <node>             crash a node (-mem clusters; pairs with -self-heal)
 //	quit
@@ -46,7 +46,6 @@ import (
 
 	"repro/esdds"
 	"repro/internal/phonebook"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -60,12 +59,6 @@ func main() {
 		symCodes   = flag.Int("symcodes", 0, "Stage-2 symbol encodings (0 = off)")
 		trainFile  = flag.String("train", "", "directory file to train the Stage-2 codebook on")
 
-		retries   = flag.Int("retries", 4, "max delivery attempts per request (1 disables retry)")
-		retryBase = flag.Duration("retry-base", 10*time.Millisecond, "first retry backoff; doubles per retry")
-		retryMax  = flag.Duration("retry-max", time.Second, "backoff cap")
-		breaker   = flag.Int("breaker", 8, "consecutive failures opening a node's circuit breaker (0 disables)")
-		cooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects requests")
-
 		selfHeal  = flag.Bool("self-heal", false, "enable self-healing: revive dead nodes from their own journals (-mem needs -data-dir)")
 		faultSeed = flag.Int64("fault-seed", 0, "insert a deterministic fault injector with this seed (0 = off)")
 		dataDir   = flag.String("data-dir", "", "make -mem nodes durable: per-node write-ahead logs under this directory")
@@ -78,17 +71,6 @@ func main() {
 	}
 
 	var opts []esdds.ClusterOption
-	if *retries > 1 || *breaker > 0 {
-		opts = append(opts, esdds.WithRetry(transport.RetryPolicy{
-			MaxAttempts:      *retries,
-			BaseDelay:        *retryBase,
-			MaxDelay:         *retryMax,
-			Multiplier:       2,
-			Jitter:           0.2,
-			FailureThreshold: *breaker,
-			Cooldown:         *cooldown,
-		}))
-	}
 	if *faultSeed != 0 {
 		opts = append(opts, esdds.WithFaultInjection(*faultSeed))
 	}
@@ -304,20 +286,14 @@ func printMetricsSummary(cluster *esdds.Cluster) {
 }
 
 // printHealth renders the full availability picture: detector verdicts,
-// retry/breaker accounting, injected-fault counters, and repair status,
-// naming any node whose state is lost.
+// injected-fault counters, and repair status, naming any node whose
+// state is lost.
 func printHealth(cluster *esdds.Cluster) {
 	h := cluster.ClusterHealth()
 	for _, n := range h.Nodes {
 		line := fmt.Sprintf("node %d: state %s", n.Node, n.State)
 		if n.State == "down" || n.State == "suspect" {
 			line += fmt.Sprintf(" (consecutive failures %d, last error %q)", n.ConsecutiveFailures, n.LastError)
-		}
-		line += fmt.Sprintf(" | sends %d failures %d retries %d", n.Sends, n.Failures, n.Retries)
-		if n.BreakerOpen {
-			line += fmt.Sprintf(" breaker OPEN (trips %d)", n.BreakerTrips)
-		} else if n.BreakerTrips > 0 {
-			line += fmt.Sprintf(" breaker closed (trips %d)", n.BreakerTrips)
 		}
 		if n.ActiveProbes > 0 || n.PassiveSignals > 0 {
 			line += fmt.Sprintf(" | probes %d passive %d", n.ActiveProbes, n.PassiveSignals)

@@ -46,7 +46,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sdds"
@@ -60,14 +59,7 @@ func main() {
 		listen = flag.String("listen", "127.0.0.1:7001", "listen address")
 		peers  = flag.String("peers", "", "comma-separated addresses of ALL nodes, in ID order")
 
-		retries   = flag.Int("retries", 4, "max delivery attempts for server-to-server forwards (1 disables retry)")
-		retryBase = flag.Duration("retry-base", 10*time.Millisecond, "first retry backoff; doubles per retry")
-		retryMax  = flag.Duration("retry-max", time.Second, "backoff cap")
-		breaker   = flag.Int("breaker", 8, "consecutive failures opening a peer's circuit breaker (0 disables)")
-		cooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker rejects forwards")
-
-		linearScan = flag.Bool("linear-scan", false, "disable the posting index; serve searches by full linear scan")
-		dataDir    = flag.String("data-dir", "", "directory for the node's write-ahead log and checkpoints (empty: in-memory only)")
+		dataDir = flag.String("data-dir", "", "directory for the node's write-ahead log and checkpoints (empty: in-memory only)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (empty: disabled)")
 	)
@@ -98,29 +90,14 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 
+	// Forwards to peers are sent once: a failed forward fails the
+	// client's request, and the client re-runs it.
 	peerTCP := transport.NewTCP(dir)
 	defer peerTCP.Close()
 	peerTCP.Instrument(reg)
-	var peerTr transport.Transport = peerTCP
-	if *retries > 1 || *breaker > 0 {
-		retry := transport.NewRetry(peerTCP, transport.RetryPolicy{
-			MaxAttempts:      *retries,
-			BaseDelay:        *retryBase,
-			MaxDelay:         *retryMax,
-			Multiplier:       2,
-			Jitter:           0.2,
-			FailureThreshold: *breaker,
-			Cooldown:         *cooldown,
-		}, int64(*id))
-		retry.Instrument(reg)
-		peerTr = retry
-	}
 
-	node := sdds.NewNode(transport.NodeID(*id), peerTr, place)
+	node := sdds.NewNode(transport.NodeID(*id), peerTCP, place)
 	node.Instrument(reg)
-	if *linearScan {
-		node.DisablePostingIndex()
-	}
 	if *dataDir != "" {
 		st, err := wal.Open(wal.OSFS{}, *dataDir, wal.Options{})
 		if err != nil {

@@ -10,7 +10,7 @@
 //	esdds-soak -profile full -gate 'search.p99 < 250ms'
 //
 // The run writes (merges) its report into BENCH_cluster.json under its
-// profile name: client-side p50/p90/p99 per op type, split/IAM/retry
+// profile name: client-side p50/p90/p99 per op type, split/IAM/migration
 // counters, a per-second latency+growth timeline, the audit verdict,
 // and every gate outcome. Gates compare against absolute bounds
 // ("search.p99 < 250ms", "error_rate == 0", "loss == 0") or against
@@ -116,8 +116,7 @@ var profiles = map[string]profile{
 	// cluster keeps at least the smoke gate's goodput floor (2200/s * 0.7
 	// = 1540/s of completed work), no op errors, the audit loses nothing,
 	// the failure detector never reads saturation as death (repairs ==
-	// 0), and mean attempts per op stay under 1.5 (no retry storm). The
-	// excess waits in the load generator's bounded queue and is counted
+	// 0). The excess waits in the load generator's bounded queue and is counted
 	// as shed there. Latency gates are deliberately loose: queue wait
 	// dominates the p99 under saturation, and the gate only asserts it
 	// stays an order of magnitude inside the 30s op timeout
@@ -129,7 +128,6 @@ var profiles = map[string]profile{
 		zipfS: 1.1, queryPool: 512, overload: true,
 		gates: []string{
 			"goodput >= 1540",
-			"attempts_per_op <= 1.5",
 			"error_rate == 0",
 			"loss == 0",
 			"ghosts == 0",
@@ -260,7 +258,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ops         = fs.Int("ops", 0, "override: total operations")
 		rate        = fs.Float64("rate", 0, "override: offered rate, ops/second")
 		mixStr      = fs.String("mix", "", "override: insert/search/delete percentages, e.g. 70/25/5")
-		seed        = fs.Int64("seed", 1, "deterministic seed for the op stream, arrival jitter, and retry jitter")
+		seed        = fs.Int64("seed", 1, "deterministic seed for the op stream and arrival jitter")
 		bucketCap   = fs.Int("bucket-cap", 0, "override: LH* max bucket load (smaller = more splits)")
 		maxInFlight = fs.Int("max-inflight", 0, "override: bound on concurrently executing ops")
 		searchMode  = fs.String("search-mode", "", "override: fast|verified|exact")
@@ -345,9 +343,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		nodeURLs map[int]string // proc mode: node id -> metrics base URL
 		teardown func()
 	)
-	opts := esdds.SoakClusterOptions(*seed)
+	opts := esdds.SoakClusterOptions()
 	if prof.overload {
-		opts = esdds.OverloadClusterOptions(*seed)
+		opts = esdds.OverloadClusterOptions()
 	}
 	if prof.chaos && *clusterMode != "mem" {
 		fmt.Fprintf(stderr, "esdds-soak: profile %q kills nodes mid-run and needs -cluster mem\n", *profileName)
@@ -496,10 +494,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "load done in %.1fs: %d completions, %d shed; auditing...\n",
 		res.Elapsed.Seconds(), totalCount(res), res.Shed)
 
-	// Snapshot retry counters before the audit: attempts_per_op must
-	// measure the load phase, not the read-back.
-	retrySnap := snapshotRetry(cluster)
-
 	// --- audit -------------------------------------------------------
 	audit, err := loadgen.RunAudit(ctx, target, stream, runner.Ledger(), loadgen.AuditConfig{
 		Concurrency: *auditReaders, MinQueryLen: minQ,
@@ -520,7 +514,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep.When = start.UTC().Format(time.RFC3339)
 	rep.Growth = samples
 	rep.Audit = audit
-	rep.Cluster = clusterCounters(ctx, cluster, store, prof.nodes, retrySnap, stderr)
+	rep.Cluster = clusterCounters(ctx, cluster, store, prof.nodes, stderr)
 	rep.NodeMetrics = gatherNodeMetrics(ctx, cluster, nodeURLs, stderr)
 
 	prevFile, err := loadgen.LoadBenchFile(*out)
@@ -565,22 +559,6 @@ func totalCount(res *loadgen.RunResult) uint64 {
 		n += st.Count
 	}
 	return n
-}
-
-// retrySnapshot is the load phase's retry accounting, captured before
-// the audit adds its own sends.
-type retrySnapshot struct {
-	attempts, retries, failures uint64
-}
-
-func snapshotRetry(cluster *esdds.Cluster) retrySnapshot {
-	var s retrySnapshot
-	for _, ns := range cluster.RetryStats() {
-		s.attempts += ns.Sends
-		s.retries += ns.Retries
-		s.failures += ns.Failures
-	}
-	return s
 }
 
 // chaosKiller kills one node per interval, round-robin, waiting for
@@ -709,9 +687,9 @@ func (w *growthWatcher) stop() []loadgen.GrowthSample {
 }
 
 // clusterCounters gathers end-of-run cluster-side totals: the client's
-// split/IAM accounting, the retry middleware's health counters, and the
+// split/IAM accounting, the self-healing and migration counters, and the
 // server-side bucket census for how many nodes the file reached.
-func clusterCounters(ctx context.Context, cluster *esdds.Cluster, store *esdds.Store, nodes int, retry retrySnapshot, stderr io.Writer) loadgen.ClusterCounters {
+func clusterCounters(ctx context.Context, cluster *esdds.Cluster, store *esdds.Store, nodes int, stderr io.Writer) loadgen.ClusterCounters {
 	st := store.Stats()
 	c := loadgen.ClusterCounters{
 		Nodes:         nodes,
@@ -720,9 +698,6 @@ func clusterCounters(ctx context.Context, cluster *esdds.Cluster, store *esdds.S
 		RecordSplits:  st.RecordSplits,
 		IndexSplits:   st.IndexSplits,
 		IAMs:          st.IAMs,
-		RetryAttempts: retry.attempts,
-		RetryRetries:  retry.retries,
-		RetryFailures: retry.failures,
 	}
 	if sh := cluster.SelfHealing(); sh != nil {
 		c.Repairs = sh.Repairs()
@@ -754,10 +729,10 @@ func clusterCounters(ctx context.Context, cluster *esdds.Cluster, store *esdds.S
 }
 
 // interestingMetric selects the scraped series worth persisting in the
-// BENCH file (split/IAM/forward traffic, WAL work, retry health,
-// server admits and deadline expiries).
+// BENCH file (split/IAM/forward traffic, WAL work, server admits and
+// deadline expiries).
 func interestingMetric(name string) bool {
-	for _, s := range []string{"split", "iam", "forward", "wal", "retry", "breaker", "expired", "admits"} {
+	for _, s := range []string{"split", "iam", "forward", "wal", "expired", "admits"} {
 		if strings.Contains(name, s) {
 			return true
 		}
@@ -828,8 +803,6 @@ func printSummary(w io.Writer, rep *loadgen.Report) {
 		rep.Cluster.RecordBuckets, rep.Cluster.RecordSplits,
 		rep.Cluster.IndexBuckets, rep.Cluster.IndexSplits,
 		rep.Cluster.IAMs, rep.Cluster.NodesUsed, rep.Cluster.Nodes)
-	fmt.Fprintf(w, "retries: %d sends, %d retries, %d failed attempts\n",
-		rep.Cluster.RetryAttempts, rep.Cluster.RetryRetries, rep.Cluster.RetryFailures)
 	if rep.Cluster.MigStarted > 0 {
 		fmt.Fprintf(w, "migrations: %d started, %d committed, %d aborted, %d resumed, %d in flight; %d repairs, %d alarms\n",
 			rep.Cluster.MigStarted, rep.Cluster.MigCommitted, rep.Cluster.MigAborted,

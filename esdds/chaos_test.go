@@ -6,44 +6,71 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/transport"
 )
 
-// chaosRetryPolicy keeps backoff pauses in the microsecond range so the
-// suite stays fast while still exercising every retry code path.
-func chaosRetryPolicy() transport.RetryPolicy {
-	return transport.RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   200 * time.Microsecond,
-		MaxDelay:    2 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
+// faultExplained reports whether an operation's failure is one the
+// injected faults explain: the fault reached the client (wrapped in the
+// error chain) or a node (its forward hit the fault, or a migration an
+// earlier fault stalled froze the bucket), which answers with a
+// RemoteError saying so.
+func faultExplained(err error) bool {
+	if errors.Is(err, transport.ErrInjectedDrop) || errors.Is(err, transport.ErrInjectedFault) {
+		return true
 	}
+	var re *transport.RemoteError
+	return errors.As(err, &re) && (strings.Contains(re.Msg, transport.ErrInjectedDrop.Error()) ||
+		strings.Contains(re.Msg, transport.ErrInjectedFault.Error()) ||
+		strings.Contains(re.Msg, "frozen by in-flight migration"))
+}
+
+// rerun runs op until it succeeds, as a caller of a cluster that never
+// re-sends on its own must: every failure has to be one the injected
+// faults explain, and the runs are bounded. The bound is loose because
+// an insert into six nodes sends six batches plus any split, so at 20 %
+// per-send failure one run succeeds only about a quarter of the time;
+// the eight seeds need at most 13.
+func rerun(t *testing.T, what string, op func() error) {
+	t.Helper()
+	const maxRuns = 20
+	for i := 0; i < maxRuns; i++ {
+		err := op()
+		if err == nil {
+			return
+		}
+		if !faultExplained(err) {
+			t.Fatalf("%s: failure not explained by an injected fault: %v", what, err)
+		}
+	}
+	t.Fatalf("%s: still failing after %d runs", what, maxRuns)
 }
 
 // TestClusterSurvivesNodeFailuresEndToEnd is the acceptance scenario for
-// the resilience stack, over the public API only:
+// the availability contract, over the public API only:
 //
-//  1. a seeded workload runs against a lossy network with zero
-//     client-visible errors (retries mask the injected drops),
+//  1. a seeded workload runs against a lossy network; every failed
+//     insert, get and delete is re-run until it succeeds, and the data
+//     ends exact (each failure is one the injected faults explain),
 //  2. two nodes are killed mid-operation; Search fails with an
 //     IncompleteError that names exactly the dead nodes and carries no
 //     spurious hit,
 //  3. each dead node is revived from its own journal, after which a
 //     full Search returns the pre-failure result set.
 func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
-	const (
-		nodes = 6
-		seed  = 20060410
-	)
+	const nodes = 6
+	for seed := int64(20060410); seed < 20060410+8; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { survivesNodeFailures(t, nodes, seed) })
+	}
+}
+
+func survivesNodeFailures(t *testing.T, nodes int, seed int64) {
 	cluster := NewMemoryCluster(nodes,
 		WithDataDir(t.TempDir()),
 		WithFaultInjection(seed),
-		WithRetry(chaosRetryPolicy()),
-		WithRetrySeed(seed),
 	)
 	defer cluster.Close()
 
@@ -57,34 +84,90 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Phase 1 — workload through a lossy, slow network. Drops and delays
-	// only; duplicate delivery stays off because inserts trigger bucket
-	// splits, which are not idempotent.
+	// Phase 1 — workload through a lossy, slow network: drops, synthetic
+	// errors and delays. Duplicate delivery stays off because inserts
+	// trigger bucket splits, which are not idempotent.
 	cluster.Faults().SetDefault(transport.Fault{
 		Drop:      0.15,
+		Fail:      0.05,
 		DelayProb: 0.1,
 		Delay:     100 * time.Microsecond,
 	})
-	var wantHits []uint64
-	for rid := uint64(1); rid <= 60; rid++ {
-		content := fmt.Sprintf("RECORD %04d ROUTINE TRAFFIC", rid)
+	const records = 60
+	content := func(rid uint64) string {
 		if rid%3 == 0 {
-			content = fmt.Sprintf("RECORD %04d CARRIES BEACON PAYLOAD", rid)
+			return fmt.Sprintf("RECORD %04d CARRIES BEACON PAYLOAD", rid)
+		}
+		return fmt.Sprintf("RECORD %04d ROUTINE TRAFFIC", rid)
+	}
+	for rid := uint64(1); rid <= records; rid++ {
+		rerun(t, fmt.Sprintf("Insert(%d)", rid), func() error {
+			return store.Insert(ctx, rid, []byte(content(rid)))
+		})
+	}
+	// Delete every fifth record; a beacon among them leaves the hits.
+	deleted := func(rid uint64) bool { return rid%5 == 0 }
+	var wantHits []uint64
+	for rid := uint64(1); rid <= records; rid++ {
+		if deleted(rid) {
+			first := true
+			rerun(t, fmt.Sprintf("Delete(%d)", rid), func() error {
+				err := store.Delete(ctx, rid)
+				if errors.Is(err, ErrNotFound) && !first {
+					err = nil // an earlier, failed run already removed the record
+				}
+				first = false
+				return err
+			})
+		} else if rid%3 == 0 {
 			wantHits = append(wantHits, rid)
 		}
-		if err := store.Insert(ctx, rid, []byte(content)); err != nil {
-			t.Fatalf("Insert(%d) not masked by retries: %v", rid, err)
+	}
+	for rid := uint64(1); rid <= records; rid++ {
+		var got []byte
+		rerun(t, fmt.Sprintf("Get(%d)", rid), func() error {
+			var err error
+			got, err = store.Get(ctx, rid)
+			if deleted(rid) && errors.Is(err, ErrNotFound) {
+				return nil
+			}
+			return err
+		})
+		if !deleted(rid) && string(got) != content(rid) {
+			t.Fatalf("Get(%d) = %q, want %q", rid, got, content(rid))
+		}
+		if deleted(rid) && got != nil {
+			t.Fatalf("Get(%d) = %q after its delete", rid, got)
 		}
 	}
-	var dropped, retries uint64
+	var dropped, failedSends uint64
 	for _, st := range cluster.Faults().Stats() {
 		dropped += st.Dropped
+		failedSends += st.Failed
 	}
-	for _, st := range cluster.RetryStats() {
-		retries += st.Retries
+	if dropped == 0 || failedSends == 0 {
+		t.Fatalf("chaos did not engage: dropped=%d failed=%d", dropped, failedSends)
 	}
-	if dropped == 0 || retries == 0 {
-		t.Fatalf("chaos did not engage: dropped=%d retries=%d", dropped, retries)
+	cluster.Faults().ClearFaults()
+	if n := cluster.MigrationStats().InFlight; n != 0 {
+		t.Fatalf("%d migrations still in flight after every op succeeded", n)
+	}
+	// The nodes' own census, not the coordinator's load counter: that
+	// counter learns each key's fate from the answer of the batch that
+	// carried it, and a batch that failed after applying some entries
+	// gave no answer, so re-runs can leave it off by a few (ROADMAP).
+	inv, err := store.Inventory(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := 0
+	for _, b := range inv {
+		if b.File == "records" {
+			stored += b.Size
+		}
+	}
+	if want := records - records/5; stored != want {
+		t.Fatalf("records file holds %d records, want %d", stored, want)
 	}
 
 	baseline, err := store.Search(ctx, []byte("BEACON PAYLOAD"), SearchVerified)
@@ -103,9 +186,8 @@ func TestClusterSurvivesNodeFailuresEndToEnd(t *testing.T) {
 
 	// Phase 2 — on a quiet network, kill two nodes two different ways:
 	// node 1 crashes outright (unknown to the transport, fails fast),
-	// node 4 is partitioned (sends time out through retry exhaustion).
-	// Both must appear in the failed list — and nothing else.
-	cluster.Faults().ClearFaults()
+	// node 4 is partitioned (its sends fail with ErrNodeDown). Both must
+	// appear in the failed list — and nothing else.
 	dead := []int{1, 4}
 	if err := cluster.KillNode(1); err != nil {
 		t.Fatal(err)

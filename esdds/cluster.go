@@ -16,29 +16,26 @@ import (
 )
 
 // Cluster is a handle to a set of storage nodes: either an in-process
-// simulated multicomputer or real TCP daemons. Every transport the
-// cluster builds can be layered with resilience middleware: a Retry
-// stack (exponential backoff + jitter, per-node circuit breaking) and,
-// for chaos testing, a deterministic fault injector.
+// simulated multicomputer or real TCP daemons. For chaos testing, the
+// transports the cluster builds can carry a deterministic fault
+// injector. Nothing below the caller re-sends a failed request: an
+// operation that fails returns its error, and re-running it is the
+// caller's call (DESIGN.md §7).
 type Cluster struct {
 	inner   *sdds.Cluster
 	servers []*transport.Server // only for in-process TCP test clusters
 	close   []func() error
 
-	// resilience stack handles (nil when the option was not requested)
+	// faulty is the fault injector (nil without WithFaultInjection).
 	faulty *transport.Faulty
-	retry  *transport.Retry
 
 	// tcp is the pooled client transport (nil for memory clusters); kept
 	// so self-healing can subscribe the detector to pool-level failures.
 	tcp *transport.TCP
 
 	// self-healing availability loop (nil without WithSelfHealing).
-	// probeTr is the transport below the retry layer: health probes must
-	// not be masked by open circuit breakers.
-	probeTr transport.Transport
-	det     *transport.Detector
-	sup     *sdds.Supervisor
+	det *transport.Detector
+	sup *sdds.Supervisor
 
 	// memory-cluster internals enabling node kill/revive for chaos and
 	// recovery scenarios (nil for dialed clusters)
@@ -46,8 +43,9 @@ type Cluster struct {
 	peers transport.Transport
 	place *sdds.Placement
 
-	// linearScan records the WithLinearScan option so revived nodes
-	// match the rest of the cluster.
+	// linearScan turns off the node-side posting index on every node
+	// the cluster hosts, revived ones included: the reference full-scan
+	// path the equivalence tests compare the index against.
 	linearScan bool
 
 	// met is the shared metrics registry (nil without WithObservability).
@@ -75,8 +73,6 @@ type NodeRecovery struct {
 type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
-	retry      *transport.RetryPolicy
-	retrySeed  int64
 	faultSeed  *int64
 	linearScan bool
 	selfHeal   *SelfHealingConfig
@@ -97,39 +93,8 @@ func WithDataDir(dir string) ClusterOption {
 	return func(c *clusterConfig) { c.dataDir = dir }
 }
 
-// WithLinearScan disables the node-side posting index, making every
-// search a full linear scan over bucket contents — the reference
-// behavior the posting index is differentially tested against. Only
-// meaningful for clusters that construct their own nodes (memory and
-// local-TCP clusters).
-func WithLinearScan() ClusterOption {
-	return func(c *clusterConfig) { c.linearScan = true }
-}
-
-// WithRetry layers the retry/backoff/circuit-breaker middleware (with
-// the given policy) over the cluster's transports — both the client
-// side and, for in-process clusters, server-to-server forwarding.
-func WithRetry(p transport.RetryPolicy) ClusterOption {
-	return func(c *clusterConfig) { c.retry = &p }
-}
-
-// WithDefaultRetry is WithRetry(transport.DefaultRetryPolicy()).
-func WithDefaultRetry() ClusterOption {
-	return func(c *clusterConfig) {
-		p := transport.DefaultRetryPolicy()
-		c.retry = &p
-	}
-}
-
-// WithRetrySeed fixes the retry middleware's jitter seed (for
-// reproducible chaos runs). Jitter only shapes backoff pauses; it never
-// changes which attempts happen.
-func WithRetrySeed(seed int64) ClusterOption {
-	return func(c *clusterConfig) { c.retrySeed = seed }
-}
-
 // WithFaultInjection inserts a seeded, deterministic fault injector
-// under the retry layer. Configure it through Cluster.Faults().
+// into the cluster's transports. Configure it through Cluster.Faults().
 func WithFaultInjection(seed int64) ClusterOption {
 	return func(c *clusterConfig) { c.faultSeed = &seed }
 }
@@ -143,8 +108,9 @@ func applyOptions(opts []ClusterOption) clusterConfig {
 }
 
 // stack layers the configured middleware over a base transport:
-// base → Faulty (optional) → Retry (optional). Probes bypass Retry
-// (probeTr), so open breakers never mask health checks.
+// base → Faulty (WithFaultInjection) → Watch (WithSelfHealing). The
+// detector probes the transport below Watch, so a probe is never
+// counted twice.
 func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.Transport {
 	tr := base
 	if cfg.faultSeed != nil {
@@ -152,11 +118,10 @@ func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.
 		c.faulty.Instrument(c.met)
 		tr = c.faulty
 	}
-	c.probeTr = tr
-	if cfg.retry != nil {
-		c.retry = transport.NewRetry(tr, *cfg.retry, cfg.retrySeed)
-		c.retry.Instrument(c.met)
-		tr = c.retry
+	if cfg.selfHeal != nil {
+		c.det = newDetector(tr, c.place.Nodes(), *cfg.selfHeal)
+		c.det.Instrument(c.met)
+		tr = c.det.Watch(tr)
 	}
 	return tr
 }
@@ -184,7 +149,7 @@ func newCluster(n int, cfg *clusterConfig) (*Cluster, []transport.NodeID) {
 }
 
 // newNode builds a hosted node the one way every hosted node is built —
-// forwarding over c.peers, posting index per WithLinearScan,
+// forwarding over c.peers, posting index unless linearScan,
 // instrumented, durable store (WithDataDir) attached and replayed — and
 // returns it ready to serve.
 func (c *Cluster) newNode(id transport.NodeID) (*sdds.Node, error) {
@@ -202,8 +167,8 @@ func (c *Cluster) newNode(id transport.NodeID) (*sdds.Node, error) {
 // NewMemoryCluster simulates a multicomputer of n storage nodes inside
 // the current process. Every distributed code path (addressing,
 // forwarding, splits, scatter-gather search) runs exactly as it would
-// over a network. Options layer retry middleware and fault injection
-// over both client operations and server-to-server forwarding.
+// over a network. Fault injection and the self-healing detector's
+// watch cover both client operations and server-to-server forwarding.
 func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
 	cfg := applyOptions(opts)
 	c, ids := newCluster(n, &cfg)
@@ -233,9 +198,9 @@ func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
 }
 
 // DialCluster connects to running esdds-node daemons. addrs maps node
-// IDs (0..n-1, dense) to host:port addresses. Options layer retry
-// middleware (and fault injection, for failure drills against live
-// daemons) over the client transport.
+// IDs (0..n-1, dense) to host:port addresses. Options layer fault
+// injection (for failure drills against live daemons) and the
+// self-healing detector's watch over the client transport.
 func DialCluster(addrs map[int]string, opts ...ClusterOption) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("esdds: empty cluster address map")
@@ -460,26 +425,6 @@ func (c *Cluster) Nodes() int {
 // built with WithFaultInjection. Use it to schedule drops, delays,
 // duplicate deliveries, and node blackouts.
 func (c *Cluster) Faults() *transport.Faulty { return c.faulty }
-
-// RetryStats returns per-node health accounting from the retry
-// middleware (nil unless the cluster was built with a retry option).
-func (c *Cluster) RetryStats() []transport.NodeStats {
-	if c.retry == nil {
-		return nil
-	}
-	return c.retry.Stats()
-}
-
-// ResetBreakers force-closes every node's circuit breaker — call after
-// recovering failed nodes so traffic resumes immediately.
-func (c *Cluster) ResetBreakers() {
-	if c.retry == nil {
-		return
-	}
-	for _, id := range c.inner.Transport().Nodes() {
-		c.retry.ResetBreaker(id)
-	}
-}
 
 // KillNode abruptly removes an in-memory node: its handler is
 // deregistered (sends fail) and its state is gone — a crashed site.

@@ -58,7 +58,7 @@ func searchAllModes(t *testing.T, ctx context.Context, st *Store, query []byte) 
 // must come back — by Get, by substring search in every mode, and by
 // word search — after the cluster is closed and reopened over the same
 // directory, with every node reporting a local "recovered" outcome.
-// A third reopen with WithLinearScan then checks the satellite
+// A third reopen with withLinearScan then checks the satellite
 // equivalence: the posting index rebuilt from durable replay must
 // answer exactly like the linear-scan reference (and like the fresh
 // in-memory insert baseline).
@@ -141,7 +141,7 @@ func TestClusterRestartRecoversState(t *testing.T) {
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c3 := NewMemoryCluster(3, WithDataDir(dir), WithLinearScan())
+	c3 := NewMemoryCluster(3, WithDataDir(dir), withLinearScan())
 	defer c3.Close()
 	st3, err := Open(c3, key, durableConfig(), nil)
 	if err != nil {

@@ -7,9 +7,17 @@ import (
 	"testing"
 )
 
+// withLinearScan disables the node-side posting index on every node the
+// cluster hosts, making every search a full linear scan over bucket
+// contents — the reference behavior the posting index is differentially
+// tested against (Node.DisablePostingIndex).
+func withLinearScan() ClusterOption {
+	return func(c *clusterConfig) { c.linearScan = true }
+}
+
 // TestPostingIndexEquivalence is the end-to-end differential test of
 // the node-side posting index: a posting-indexed cluster and a
-// linear-scan cluster (WithLinearScan) run the same randomized
+// linear-scan cluster (withLinearScan) run the same randomized
 // workload — inserts forcing splits, deletes forcing merges, a node
 // crash recovered by replaying its journal — and must answer every
 // query identically in every search mode at every stage.
@@ -24,7 +32,7 @@ func TestPostingIndexEquivalence(t *testing.T) {
 
 	posting := NewMemoryCluster(4, WithDataDir(t.TempDir()))
 	defer posting.Close()
-	linear := NewMemoryCluster(4, WithDataDir(t.TempDir()), WithLinearScan())
+	linear := NewMemoryCluster(4, WithDataDir(t.TempDir()), withLinearScan())
 	defer linear.Close()
 
 	ps, err := Open(posting, KeyFromPassphrase("equiv"), cfg, nil)

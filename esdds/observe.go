@@ -5,11 +5,11 @@ import (
 )
 
 // WithObservability instruments every layer of the cluster into one
-// metrics registry: transport sends, retries, breaker activity and
-// injected faults; per-node opcode latencies and search-path counters;
-// WAL group sizes and sync-wait/fsync/checkpoint timings (with
-// WithDataDir); and the self-healing loop's detector transitions and
-// repair phases (with WithSelfHealing). Instrumented
+// metrics registry: transport bytes, connections and injected faults;
+// per-node opcode latencies and search-path counters; WAL group sizes
+// and sync-wait/fsync/checkpoint timings (with WithDataDir); and the
+// self-healing loop's detector signals, transitions and repair phases
+// (with WithSelfHealing). Instrumented
 // searches also record per-op traces (stage timings and IAM hop
 // counts).
 //

@@ -30,15 +30,14 @@ func observeCorpus(t *testing.T, store *Store, n int) map[uint64]string {
 
 // TestObservabilityChaosMetricInvariants runs the chaos workload on a
 // fully instrumented cluster and cross-checks every layer's counters
-// against the components' own accounting: injected faults, retry
-// attempts, node search paths, and client operations must all agree.
+// against the components' own accounting: injected faults, node search
+// paths, and client operations (every run, failed ones included) must
+// all agree.
 func TestObservabilityChaosMetricInvariants(t *testing.T) {
 	const seed = 20060410
 	cluster := NewMemoryCluster(4,
 		WithObservability(),
 		WithFaultInjection(seed),
-		WithRetry(chaosRetryPolicy()),
-		WithRetrySeed(seed),
 	)
 	defer cluster.Close()
 	reg := cluster.Metrics()
@@ -58,15 +57,24 @@ func TestObservabilityChaosMetricInvariants(t *testing.T) {
 
 	cluster.Faults().SetDefault(transport.Fault{Drop: 0.05, DelayProb: 0.2, Delay: time.Millisecond})
 	const nRecs = 40
-	corpus := observeCorpus(t, store, nRecs)
+	var inserts, searches uint64 // every run, failed ones included
+	for i := 0; i < nRecs; i++ {
+		rid := uint64(100 + i)
+		rerun(t, fmt.Sprintf("Insert(%d)", rid), func() error {
+			inserts++
+			return store.Insert(ctx, rid, []byte(fmt.Sprintf("RECORD NUMBER %04d PAYLOAD", i)))
+		})
+	}
 
 	const nQueries = 8
 	for i := 0; i < nQueries; i++ {
 		want := uint64(100 + i*4)
-		rids, err := store.Search(ctx, []byte(fmt.Sprintf("NUMBER %04d", i*4)), SearchFast)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var rids []uint64
+		rerun(t, fmt.Sprintf("query %d", i), func() (err error) {
+			searches++
+			rids, err = store.Search(ctx, []byte(fmt.Sprintf("NUMBER %04d", i*4)), SearchFast)
+			return err
+		})
 		found := false
 		for _, r := range rids {
 			found = found || r == want
@@ -97,55 +105,37 @@ func TestObservabilityChaosMetricInvariants(t *testing.T) {
 		t.Error("chaos run injected no drops; invariants not exercised")
 	}
 
-	// Retry layer: every attempt either succeeded or failed, and its own
-	// per-node stats agree with the registry.
-	attempts := reg.CounterValue("transport_retry_attempts_total")
-	succ := reg.CounterValue("transport_retry_attempt_successes_total")
-	fail := reg.CounterValue("transport_retry_attempt_failures_total")
-	if attempts != succ+fail {
-		t.Errorf("attempts(%d) != successes(%d) + failures(%d)", attempts, succ, fail)
-	}
-	var statSends, statRetries uint64
-	for _, st := range cluster.RetryStats() {
-		statSends += st.Sends
-		statRetries += st.Retries
-	}
-	if got := reg.CounterValue("transport_retry_sends_total"); got != statSends {
-		t.Errorf("transport_retry_sends_total = %d, want %d", got, statSends)
-	}
-	if got := reg.CounterValue("transport_retry_retries_total"); got != statRetries {
-		t.Errorf("transport_retry_retries_total = %d, want %d", got, statRetries)
-	}
-
 	// Node layer: search-path split and per-op histograms.
-	searches := reg.CounterValue("node_searches_total")
+	nodeSearches := reg.CounterValue("node_searches_total")
 	posting := reg.CounterValue("node_posting_searches_total")
 	linear := reg.CounterValue("node_linear_searches_total")
-	if posting+linear != searches {
-		t.Errorf("posting(%d) + linear(%d) != searches(%d)", posting, linear, searches)
+	if posting+linear != nodeSearches {
+		t.Errorf("posting(%d) + linear(%d) != searches(%d)", posting, linear, nodeSearches)
 	}
-	if searches == 0 {
+	if nodeSearches == 0 {
 		t.Error("no node searches recorded")
 	}
-	if snap := reg.HistogramSnapshot("node_op_search_ns"); snap.Count != searches {
-		t.Errorf("node_op_search_ns count = %d, want %d", snap.Count, searches)
+	if snap := reg.HistogramSnapshot("node_op_search_ns"); snap.Count != nodeSearches {
+		t.Errorf("node_op_search_ns count = %d, want %d", snap.Count, nodeSearches)
 	}
 	if verified, cand := reg.CounterValue("node_posting_verified_total"), reg.CounterValue("node_posting_candidates_total"); verified > cand {
 		t.Errorf("posting_verified(%d) > posting_candidates(%d)", verified, cand)
 	}
 
-	// Client layer: one Put per insert, one search per query, and the
-	// search latency histogram saw every query.
-	if got := reg.CounterValue("cluster_puts_total"); got != nRecs {
-		t.Errorf("cluster_puts_total = %d, want %d", got, nRecs)
+	// Client layer: one Put per insert run, one search per query run,
+	// and the search latency histogram saw every run.
+	if got := reg.CounterValue("cluster_puts_total"); got != inserts {
+		t.Errorf("cluster_puts_total = %d, want %d", got, inserts)
 	}
-	if got := reg.CounterValue("cluster_searches_total"); got != nQueries {
-		t.Errorf("cluster_searches_total = %d, want %d", got, nQueries)
+	if got := reg.CounterValue("cluster_searches_total"); got != searches {
+		t.Errorf("cluster_searches_total = %d, want %d", got, searches)
 	}
-	if snap := reg.HistogramSnapshot("cluster_search_ns"); snap.Count != nQueries {
-		t.Errorf("cluster_search_ns count = %d, want %d", snap.Count, nQueries)
+	if snap := reg.HistogramSnapshot("cluster_search_ns"); snap.Count != searches {
+		t.Errorf("cluster_search_ns count = %d, want %d", snap.Count, searches)
 	}
-	_ = corpus
+	if inserts == nRecs && searches == nQueries {
+		t.Error("no operation failed; the re-run accounting was not exercised")
+	}
 }
 
 // TestObservabilityDurabilityMetricInvariants checks the WAL counters
@@ -222,12 +212,9 @@ func TestObservabilityDurabilityMetricInvariants(t *testing.T) {
 // transition counters saw the node go down and come back, and no layer
 // registers a guardian_ metric.
 func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
-	const seed = 7
 	cluster := NewMemoryCluster(4,
 		WithObservability(),
 		WithDataDir(t.TempDir()),
-		WithRetry(chaosRetryPolicy()),
-		WithRetrySeed(seed),
 		WithSelfHealing(SelfHealingConfig{
 			ProbeInterval: 2 * time.Millisecond,
 			Debounce:      2 * time.Millisecond,
@@ -297,8 +284,8 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 	// The /metrics exposition carries every layer's names.
 	text := reg.WriteString()
 	for _, name := range []string{
-		"transport_retry_attempts_total",
 		"detector_probes_total",
+		"detector_passive_signals_total",
 		"node_ops_total",
 		"cluster_puts_total",
 		"supervisor_phase_local_recovery_total",

@@ -34,64 +34,6 @@ func TestOpenRejectsUnknownMatrixKind(t *testing.T) {
 	}
 }
 
-// TestResetBreakersReopensTraffic checks the breaker escape hatch: after
-// a blackout trips a node's breaker, ResetBreakers lets traffic flow the
-// instant the node is back — no cooldown wait.
-func TestResetBreakersReopensTraffic(t *testing.T) {
-	cluster := NewMemoryCluster(2,
-		WithFaultInjection(3),
-		WithRetry(transport.RetryPolicy{
-			MaxAttempts:      1,
-			BaseDelay:        time.Microsecond,
-			MaxDelay:         time.Microsecond,
-			Multiplier:       1,
-			FailureThreshold: 2,
-			Cooldown:         time.Hour,
-		}),
-	)
-	defer cluster.Close()
-	store, err := Open(cluster, KeyFromPassphrase("k"), Config{ChunkSize: 4, Chunkings: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := store.Insert(ctx, 1, []byte("BEFORE THE BLACKOUT")); err != nil {
-		t.Fatal(err)
-	}
-
-	cluster.Faults().Blackout(0, 1)
-	for i := 0; i < 6; i++ {
-		store.Get(ctx, 1) //nolint:errcheck // driving the breaker open
-	}
-	open := false
-	for _, st := range cluster.RetryStats() {
-		open = open || st.BreakerOpen
-	}
-	if !open {
-		t.Fatal("blackout never opened a breaker")
-	}
-
-	cluster.Faults().Restore(0, 1)
-	cluster.ResetBreakers()
-	for _, st := range cluster.RetryStats() {
-		if st.BreakerOpen {
-			t.Fatalf("breaker still open after ResetBreakers: %+v", st)
-		}
-	}
-	if _, err := store.Get(ctx, 1); err != nil {
-		t.Fatalf("get after reset: %v", err)
-	}
-}
-
-func TestResetBreakersWithoutRetryIsNoop(t *testing.T) {
-	cluster := NewMemoryCluster(1)
-	defer cluster.Close()
-	cluster.ResetBreakers() // must not panic
-	if got := cluster.RetryStats(); got != nil {
-		t.Fatalf("RetryStats without retry = %v, want nil", got)
-	}
-}
-
 func TestSelfHealingAccessors(t *testing.T) {
 	cluster := NewMemoryCluster(2, WithDataDir(t.TempDir()), WithSelfHealing(SelfHealingConfig{
 		ProbeInterval: 5 * time.Millisecond,
@@ -146,7 +88,7 @@ func TestSelfHealingRequiresDataDir(t *testing.T) {
 // and observability) succeeds without live daemons.
 func TestDialClusterOptionPlumbing(t *testing.T) {
 	c, err := DialCluster(map[int]string{0: "127.0.0.1:1", 1: "127.0.0.1:2"},
-		WithObservability(), WithDefaultRetry())
+		WithObservability(), WithFaultInjection(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // supervisor that revives failed nodes from their own journals.
 type SelfHealingConfig struct {
 	// Failure detector tuning (zero values take transport defaults).
-	ProbeInterval time.Duration // active health-probe period (default 50ms)
+	ProbeInterval time.Duration // active health-probe period (default 50ms; negative: no probes)
 	ProbeTimeout  time.Duration // per-probe deadline
 	DownAfter     int           // consecutive failures before "down"
 	UpAfter       int           // consecutive successes before "up"
@@ -44,32 +44,32 @@ func WithSelfHealing(cfg SelfHealingConfig) ClusterOption {
 // RepairRecord is one entry of the supervisor's repair journal.
 type RepairRecord = sdds.RepairRecord
 
-// enableSelfHealing wires detector + supervisor over an already-built
-// cluster and registers their shutdown ahead of the transport teardown.
-func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
-	if c.nodes != nil && c.dataDir == "" {
-		return fmt.Errorf("esdds: WithSelfHealing on a cluster that hosts its own nodes requires WithDataDir: an ephemeral node has no state to revive")
-	}
-	probeTr := c.probeTr
-	if probeTr == nil {
-		probeTr = c.inner.Transport()
-	}
+// newDetector builds the self-healing failure detector over probeTr,
+// the transport below its own Watch. The cluster's transport stack
+// wraps its traffic with det.Watch, so every client send doubles as a
+// health observation and a failure surfaces faster than the probe
+// period.
+func newDetector(probeTr transport.Transport, members []transport.NodeID, sh SelfHealingConfig) *transport.Detector {
 	if sh.ProbeInterval == 0 {
 		sh.ProbeInterval = 50 * time.Millisecond
 	}
-	det := transport.NewDetector(probeTr, c.inner.Placement().Nodes(), transport.DetectorPolicy{
+	return transport.NewDetector(probeTr, members, transport.DetectorPolicy{
 		ProbeOp:       sdds.PingOp,
 		ProbeInterval: sh.ProbeInterval,
 		ProbeTimeout:  sh.ProbeTimeout,
 		DownAfter:     sh.DownAfter,
 		UpAfter:       sh.UpAfter,
 	})
-	if c.retry != nil {
-		// Passive signals: every send the retry layer makes doubles as a
-		// health observation, so failures surface faster than the probe
-		// period.
-		c.retry.SetObserver(det)
+}
+
+// enableSelfHealing wires the supervisor over an already-built cluster
+// and its detector (built with the transport stack), starts both, and
+// registers their shutdown ahead of the transport teardown.
+func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
+	if c.nodes != nil && c.dataDir == "" {
+		return fmt.Errorf("esdds: WithSelfHealing on a cluster that hosts its own nodes requires WithDataDir: an ephemeral node has no state to revive")
 	}
+	det := c.det
 	if c.tcp != nil {
 		// Pool-level signals: a pooled connection dying (reset, timeout,
 		// EOF mid-stream) is evidence about the node even when no Send is
@@ -83,12 +83,11 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 			return c.ReviveNode(int(node))
 		}
 	}
-	sup := sdds.NewSupervisor(det, c.retry, revive, sdds.SupervisorConfig{
+	sup := sdds.NewSupervisor(det, revive, sdds.SupervisorConfig{
 		Debounce:      sh.Debounce,
 		RepairBackoff: sh.RepairBackoff,
 		JournalCap:    sh.JournalCap,
 	})
-	det.Instrument(c.met)
 	sup.Instrument(c.met)
 	// A node failure mid-split/merge leaves the migration journalled
 	// in-flight with its buckets frozen; finishing each repair, the
@@ -97,7 +96,7 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 	sup.SetMigrationResumer(c.inner.ResumeMigrations)
 	det.Start()
 	sup.Start()
-	c.det, c.sup = det, sup
+	c.sup = sup
 	// Stop the loops before the transports they probe are closed.
 	c.close = append([]func() error{func() error {
 		sup.Stop()
@@ -150,9 +149,9 @@ func (h *SelfHealing) Repairs() uint64 { return h.c.sup.Repairs() }
 // repair attempt, completion, and alarm.
 func (h *SelfHealing) Journal() []RepairRecord { return h.c.sup.Journal() }
 
-// NodeHealth is one node's health as seen by the cluster's middleware:
-// the failure detector's verdict plus retry-layer accounting and (for
-// fault-injected clusters) injected-fault counters.
+// NodeHealth is one node's health as seen by the cluster: the failure
+// detector's verdict and (for fault-injected clusters) injected-fault
+// counters.
 type NodeHealth struct {
 	Node  int
 	State string // "up", "suspect", "down" — "n/a" without self-healing
@@ -162,13 +161,6 @@ type NodeHealth struct {
 	LastError           string
 	ActiveProbes        uint64
 	PassiveSignals      uint64
-
-	// Retry middleware (zero without a retry option).
-	Sends        uint64
-	Failures     uint64
-	Retries      uint64
-	BreakerTrips uint64
-	BreakerOpen  bool
 
 	// Fault injection (nil without WithFaultInjection).
 	Faults *transport.FaultStats
@@ -202,8 +194,8 @@ type ClusterHealth struct {
 }
 
 // ClusterHealth assembles the availability picture across every layer:
-// detector verdicts, retry/breaker accounting, injected-fault counters,
-// and the repair supervisor's state. It works on any cluster; without
+// detector verdicts, injected-fault counters, and the repair
+// supervisor's state. It works on any cluster; without
 // WithSelfHealing the detector fields read "n/a"/zero.
 func (c *Cluster) ClusterHealth() ClusterHealth {
 	n := len(c.inner.Placement().Nodes())
@@ -225,19 +217,6 @@ func (c *Cluster) ClusterHealth() ClusterHealth {
 			}
 			out.Nodes[i].ActiveProbes = nh.ActiveProbes
 			out.Nodes[i].PassiveSignals = nh.PassiveSignals
-		}
-	}
-	if c.retry != nil {
-		for _, st := range c.retry.Stats() {
-			i := int(st.Node)
-			if i < 0 || i >= n {
-				continue
-			}
-			out.Nodes[i].Sends = st.Sends
-			out.Nodes[i].Failures = st.Failures
-			out.Nodes[i].Retries = st.Retries
-			out.Nodes[i].BreakerTrips = st.BreakerTrips
-			out.Nodes[i].BreakerOpen = st.BreakerOpen
 		}
 	}
 	if c.faulty != nil {

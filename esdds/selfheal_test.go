@@ -40,14 +40,8 @@ func fastSelfHealing() SelfHealingConfig {
 //     own journal automatically — no operator call — and the cluster
 //     converges back to fully healthy with all records intact.
 func TestSelfHealingClusterEndToEnd(t *testing.T) {
-	const (
-		nodes = 6
-		seed  = 20060410
-	)
-	cluster := NewMemoryCluster(nodes,
+	cluster := NewMemoryCluster(6,
 		WithDataDir(t.TempDir()),
-		WithRetry(chaosRetryPolicy()),
-		WithRetrySeed(seed),
 		WithSelfHealing(fastSelfHealing()),
 	)
 	defer cluster.Close()
@@ -182,7 +176,6 @@ func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
 	dir := t.TempDir()
 	cluster := NewMemoryCluster(4,
 		WithDataDir(dir),
-		WithRetry(chaosRetryPolicy()),
 		WithSelfHealing(fastSelfHealing()),
 	)
 	defer cluster.Close()
@@ -245,7 +238,8 @@ func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
 }
 
 // TestSelfHealingWorksWithoutRetryLayer: the loop must run on active
-// probes alone (no passive signals without the retry middleware).
+// probes alone. No client traffic follows the kill, so no passive signal
+// about the dead node reaches the detector before its repair.
 func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 	cluster := NewMemoryCluster(3, WithDataDir(t.TempDir()), WithSelfHealing(fastSelfHealing()))
 	defer cluster.Close()
@@ -264,6 +258,7 @@ func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	passive := cluster.ClusterHealth().Nodes[2].PassiveSignals
 	cluster.KillNode(2)
 	// Active probes alone must detect and repair: wait for the completed
 	// repair, then for full convergence.
@@ -272,6 +267,9 @@ func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 			t.Fatalf("probe-only repair never happened; journal=%+v", heal.Journal())
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if got := cluster.ClusterHealth().Nodes[2].PassiveSignals; got != passive {
+		t.Fatalf("node 2 took %d passive signals with no client traffic", got-passive)
 	}
 	actx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -289,10 +287,7 @@ func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 // TestClusterHealthWithoutSelfHealing: the snapshot must degrade
 // gracefully on clusters without the availability loop.
 func TestClusterHealthWithoutSelfHealing(t *testing.T) {
-	cluster := NewMemoryCluster(2,
-		WithFaultInjection(7),
-		WithDefaultRetry(),
-	)
+	cluster := NewMemoryCluster(2, WithFaultInjection(7))
 	defer cluster.Close()
 	if cluster.SelfHealing() != nil {
 		t.Fatal("SelfHealing handle on a plain cluster")
@@ -322,5 +317,37 @@ func TestClusterHealthWithoutSelfHealing(t *testing.T) {
 	}
 	if !sawFaultStats {
 		t.Fatal("fault-injection stats missing on a fault-injected cluster with traffic")
+	}
+}
+
+// TestClientTrafficFeedsDetector: with probing off, a client send to a
+// killed node is the only evidence the detector gets, and it must move
+// the node toward down — one failed send to suspect, a second to down.
+func TestClientTrafficFeedsDetector(t *testing.T) {
+	cluster := NewMemoryCluster(3, WithDataDir(t.TempDir()), WithSelfHealing(SelfHealingConfig{
+		ProbeInterval: -1,        // no probes: detection rides on client traffic alone
+		Debounce:      time.Hour, // no repair during the test
+	}))
+	defer cluster.Close()
+	store, err := Open(cluster, KeyFromPassphrase("passive"), Config{ChunkSize: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := store.Insert(ctx, 1, []byte("a plain record")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"suspect", "down"} {
+		var ie *IncompleteError
+		if _, err := store.Search(ctx, []byte("plain"), SearchFast); !errors.As(err, &ie) {
+			t.Fatalf("Search with node 1 killed = %v, want an IncompleteError", err)
+		}
+		n := cluster.ClusterHealth().Nodes[1]
+		if n.State != want || n.ActiveProbes != 0 || n.PassiveSignals == 0 {
+			t.Fatalf("node 1 health = %+v, want %s from passive signals only", n, want)
+		}
 	}
 }

@@ -9,16 +9,9 @@ import (
 
 // SoakClusterOptions is the option set the soak harness (cmd/esdds-soak)
 // runs clusters with: full observability (client-side histograms plus
-// the counters the harness scrapes), the default retry/breaker policy
-// so transient TCP hiccups surface as retry counters instead of failed
-// ops, and a fixed jitter seed so two soaks with the same seed schedule
-// identical backoff pauses.
-func SoakClusterOptions(seed int64) []ClusterOption {
-	return []ClusterOption{
-		WithObservability(),
-		WithDefaultRetry(),
-		WithRetrySeed(seed),
-	}
+// the counters the harness scrapes).
+func SoakClusterOptions() []ClusterOption {
+	return []ClusterOption{WithObservability()}
 }
 
 // OverloadClusterOptions is SoakClusterOptions plus self-healing with
@@ -29,8 +22,8 @@ func SoakClusterOptions(seed int64) []ClusterOption {
 // Meant for a dialed cluster of daemons (esdds-soak -cluster proc); a
 // cluster that hosts its own nodes also needs WithDataDir, because
 // self-healing only ever revives a node from its own journal.
-func OverloadClusterOptions(seed int64) []ClusterOption {
-	return append(SoakClusterOptions(seed), WithSelfHealing(SelfHealingConfig{
+func OverloadClusterOptions() []ClusterOption {
+	return append(SoakClusterOptions(), WithSelfHealing(SelfHealingConfig{
 		ProbeInterval: 250 * time.Millisecond,
 		ProbeTimeout:  5 * time.Second,
 		DownAfter:     5,

@@ -7,9 +7,9 @@ import (
 )
 
 // TestSoakClusterOptionsPlumbing: the soak option set must yield a
-// cluster with a live metrics registry and retry instrumentation.
+// cluster with a live metrics registry that counts its traffic.
 func TestSoakClusterOptionsPlumbing(t *testing.T) {
-	cluster := NewMemoryCluster(3, SoakClusterOptions(42)...)
+	cluster := NewMemoryCluster(3, SoakClusterOptions()...)
 	defer cluster.Close()
 	if cluster.Metrics() == nil {
 		t.Fatal("soak cluster has no metrics registry")
@@ -21,8 +21,8 @@ func TestSoakClusterOptionsPlumbing(t *testing.T) {
 	if err := store.Insert(context.Background(), 1, []byte("SMITH JOHN%%%STREET%5551234$")); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(cluster.RetryStats()); got == 0 {
-		t.Fatal("soak cluster has no retry middleware accounting after traffic")
+	if got := cluster.Metrics().CounterValue("cluster_puts_total"); got != 1 {
+		t.Fatalf("cluster_puts_total = %d after one insert, want 1", got)
 	}
 }
 
@@ -31,7 +31,7 @@ func TestSoakClusterOptionsPlumbing(t *testing.T) {
 // growth spread over more than one node once splits have run.
 func TestInventoryTracksGrowth(t *testing.T) {
 	const records = 60
-	cluster := NewMemoryCluster(4, SoakClusterOptions(1)...)
+	cluster := NewMemoryCluster(4, SoakClusterOptions()...)
 	defer cluster.Close()
 	store, err := Open(cluster, KeyFromPassphrase("k"), Config{
 		ChunkSize:     4,

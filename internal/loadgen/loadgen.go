@@ -22,7 +22,7 @@
 //	          search spot checks), counting missing and corrupt
 //	          records: the zero-loss verification behind `loss == 0`.
 //	Report  — the BENCH_cluster.json schema: per-op quantiles,
-//	          split/IAM/retry counters, a per-second timeline, and the
+//	          split/IAM/migration counters, a per-second timeline, and the
 //	          audit verdict, merged into the file's profile history.
 //	Gates   — declarative SLOs ("search.p99 < 250ms", "loss == 0",
 //	          "search.p99 <= prev*1.5") evaluated against a report and

@@ -114,7 +114,7 @@ func TestRunnerWithoutClassifierKeepsErrors(t *testing.T) {
 
 // TestReportAndGatesSeeRejection: rejected counts flow into report
 // totals and resolve as SLO gate metrics, goodput reflects only
-// successful work, and attempts_per_op derives from the retry counters.
+// successful work, and a gate on a metric the report lacks fails.
 func TestReportAndGatesSeeRejection(t *testing.T) {
 	const ops = 200
 	fc := NewFakeClock(time.Unix(0, 0))
@@ -144,14 +144,10 @@ func TestReportAndGatesSeeRejection(t *testing.T) {
 	if rep.Totals.Goodput != wantGoodput {
 		t.Fatalf("Goodput = %.3f, want %.3f", rep.Totals.Goodput, wantGoodput)
 	}
-	rep.Cluster.RetryAttempts = 100
-	rep.Cluster.RetryRetries = 25
-
 	gates, err := ParseGates([]string{
 		fmt.Sprintf("rejected == %d", nIns),
 		fmt.Sprintf("insert.rejected == %d", nIns),
 		"goodput > 0",
-		"attempts_per_op <= 1.25",
 		"repairs == 0",
 	})
 	if err != nil {
@@ -167,14 +163,13 @@ func TestReportAndGatesSeeRejection(t *testing.T) {
 		}
 	}
 
-	// attempts_per_op without retry counters is absent, and a gate on a
-	// missing metric fails loudly rather than passing vacuously.
-	rep.Cluster.RetryAttempts = 0
-	gates, err = ParseGates([]string{"attempts_per_op <= 1.5"})
+	// loss without an audit is absent, and a gate on a missing metric
+	// fails loudly rather than passing vacuously.
+	gates, err = ParseGates([]string{"loss == 0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, pass := EvalGates(gates, rep, nil); pass {
-		t.Fatal("attempts_per_op gate passed with no retry counters in the report")
+		t.Fatal("loss gate passed with no audit in the report")
 	}
 }

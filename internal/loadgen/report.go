@@ -20,8 +20,8 @@ const BenchSchema = "esdds-soak/v1"
 type OpStats struct {
 	Count  uint64 `json:"count"`
 	Errors uint64 `json:"errors"`
-	// Rejected counts ops the server refused with an overload rejection
-	// (after the client's retry budget gave up). They are not in Count,
+	// Rejected counts ops the server refused with an overload rejection.
+	// They are not in Count,
 	// not in Errors, and not in the latency quantiles: a load-shedding
 	// server degrading gracefully is accounted as backpressure, not
 	// failure.
@@ -91,9 +91,6 @@ type ClusterCounters struct {
 	RecordSplits  int    `json:"record_splits"`
 	IndexSplits   int    `json:"index_splits"`
 	IAMs          int    `json:"iams"`
-	RetryAttempts uint64 `json:"retry_attempts"`
-	RetryRetries  uint64 `json:"retry_retries"`
-	RetryFailures uint64 `json:"retry_failures"`
 	// Repairs is the self-healing supervisor's completed-repair count
 	// (zero without WithSelfHealing). An overload soak gates it at zero:
 	// saturation must read as backpressure, never as node death.

@@ -176,12 +176,6 @@ func metricValue(r *Report, name string) (float64, bool) {
 		return float64(r.Cluster.IndexBuckets), true
 	case "nodes_used":
 		return float64(r.Cluster.NodesUsed), true
-	case "retry_attempts":
-		return float64(r.Cluster.RetryAttempts), true
-	case "retry_retries":
-		return float64(r.Cluster.RetryRetries), true
-	case "retry_failures":
-		return float64(r.Cluster.RetryFailures), true
 	case "repairs":
 		return float64(r.Cluster.Repairs), true
 	case "alarms":
@@ -196,14 +190,6 @@ func metricValue(r *Report, name string) (float64, bool) {
 		return float64(r.Cluster.MigResumed), true
 	case "migrations_in_flight":
 		return float64(r.Cluster.MigInFlight), true
-	case "attempts_per_op":
-		// Mean transport attempts per logical send: 1 + retries/sends,
-		// from counters snapshotted before the audit. The overload SLO
-		// bounds it to prove retry budgets prevent amplification storms.
-		if r.Cluster.RetryAttempts == 0 {
-			return 0, false
-		}
-		return 1 + float64(r.Cluster.RetryRetries)/float64(r.Cluster.RetryAttempts), true
 	}
 	if r.Audit != nil {
 		switch name {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,10 +12,10 @@ import (
 	"repro/internal/transport"
 )
 
-// chaosCluster wires n in-memory nodes behind a Faulty + Retry stack.
-// Both client operations and server-to-server forwarding traverse the
-// full middleware, exactly as esdds.NewMemoryCluster wires it.
-func chaosCluster(t *testing.T, n int, seed int64, policy transport.RetryPolicy) (*Cluster, *transport.Faulty, *transport.Retry, *transport.Memory) {
+// chaosCluster wires n in-memory nodes behind a Faulty transport. Both
+// client operations and server-to-server forwarding cross it, exactly
+// as esdds.NewMemoryCluster wires it.
+func chaosCluster(t *testing.T, n int, seed int64) (*Cluster, *transport.Faulty, *transport.Memory) {
 	t.Helper()
 	mem := transport.NewMemory()
 	ids := make([]transport.NodeID, n)
@@ -26,29 +27,62 @@ func chaosCluster(t *testing.T, n int, seed int64, policy transport.RetryPolicy)
 		t.Fatal(err)
 	}
 	faulty := transport.NewFaulty(mem, seed)
-	retry := transport.NewRetry(faulty, policy, seed)
 	for _, id := range ids {
-		node := NewNode(id, retry, place)
+		node := NewNode(id, faulty, place)
 		mem.Register(id, node.Handler())
 	}
-	return NewCluster(retry, place), faulty, retry, mem
+	return NewCluster(faulty, place), faulty, mem
 }
 
-func chaosPolicy() transport.RetryPolicy {
-	return transport.RetryPolicy{
-		MaxAttempts: 8,
-		BaseDelay:   200 * time.Microsecond,
-		MaxDelay:    2 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.2,
+// maxReruns bounds how often a chaos test re-runs one failed operation.
+// At 20% per-send failure an op needs a handful of runs at most; a
+// bound this loose only trips when re-running stops converging.
+const maxReruns = 12
+
+// rerun runs op until it succeeds — the caller's side of the re-run
+// contract (DESIGN.md §7): nothing below the caller re-sends, so each
+// failure surfaces, and it must be one the injected faults explain. A
+// fault may reach the client directly (wrapped in the error chain) or
+// through a node: a forward that hit a fault, or a bucket frozen by a
+// migration an earlier fault stalled, comes back as that node's
+// RemoteError.
+func rerun(t *testing.T, what string, op func() error) {
+	t.Helper()
+	for i := 0; i < maxReruns; i++ {
+		err := op()
+		if err == nil {
+			return
+		}
+		if !faultExplained(err) {
+			t.Fatalf("%s: failure not explained by an injected fault: %v", what, err)
+		}
 	}
+	t.Fatalf("%s: still failing after %d runs", what, maxReruns)
+}
+
+func faultExplained(err error) bool {
+	if errors.Is(err, transport.ErrInjectedDrop) || errors.Is(err, transport.ErrInjectedFault) {
+		return true
+	}
+	var re *transport.RemoteError
+	return errors.As(err, &re) && (strings.Contains(re.Msg, transport.ErrInjectedDrop.Error()) ||
+		strings.Contains(re.Msg, transport.ErrInjectedFault.Error()) ||
+		strings.Contains(re.Msg, "frozen by in-flight migration"))
 }
 
 // TestChaosPutGetDeleteUnderDropsAndDelays drives the full key-value
-// workload through a lossy, slow network: with retries enabled, no
-// client-visible error may surface, and the data must be intact.
+// workload through a lossy, slow network. Every failure must be one an
+// injected fault explains, and re-running each failed op until it
+// succeeds must leave the data exact: sizes, values, applied deletes,
+// and no migration left in flight.
 func TestChaosPutGetDeleteUnderDropsAndDelays(t *testing.T) {
-	c, faulty, retry, _ := chaosCluster(t, 4, 20060410, chaosPolicy())
+	for seed := int64(20060410); seed < 20060410+8; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { chaosPutGetDelete(t, seed) })
+	}
+}
+
+func chaosPutGetDelete(t *testing.T, seed int64) {
+	c, faulty, _ := chaosCluster(t, 4, seed)
 	c.SetMaxLoad(FileRecords, 8) // force splits mid-chaos
 	faulty.SetDefault(transport.Fault{
 		Drop:      0.15,
@@ -59,9 +93,9 @@ func TestChaosPutGetDeleteUnderDropsAndDelays(t *testing.T) {
 	ctx := context.Background()
 	const N = 300
 	for k := uint64(0); k < N; k++ {
-		if err := c.Put(ctx, FileRecords, k, []byte{byte(k), byte(k >> 8)}); err != nil {
-			t.Fatalf("Put(%d) not masked: %v", k, err)
-		}
+		rerun(t, fmt.Sprintf("Put(%d)", k), func() error {
+			return c.Put(ctx, FileRecords, k, []byte{byte(k), byte(k >> 8)})
+		})
 	}
 	if c.Size(FileRecords) != N {
 		t.Errorf("Size = %d, want %d", c.Size(FileRecords), N)
@@ -70,33 +104,90 @@ func TestChaosPutGetDeleteUnderDropsAndDelays(t *testing.T) {
 		t.Errorf("no splits under chaos: %d buckets", c.State(FileRecords).Buckets())
 	}
 	for k := uint64(0); k < N; k++ {
-		v, ok, err := c.Get(ctx, FileRecords, k)
-		if err != nil {
-			t.Fatalf("Get(%d) not masked: %v", k, err)
-		}
+		var v []byte
+		var ok bool
+		rerun(t, fmt.Sprintf("Get(%d)", k), func() (err error) {
+			v, ok, err = c.Get(ctx, FileRecords, k)
+			return err
+		})
 		if !ok || v[0] != byte(k) || v[1] != byte(k>>8) {
 			t.Fatalf("Get(%d) = %v %v — record corrupted or lost", k, v, ok)
 		}
 	}
 	for k := uint64(0); k < N/2; k++ {
-		ok, err := c.Delete(ctx, FileRecords, k)
-		if err != nil || !ok {
-			t.Fatalf("Delete(%d) = %v %v", k, ok, err)
-		}
+		rerun(t, fmt.Sprintf("Delete(%d)", k), func() error {
+			_, err := c.Delete(ctx, FileRecords, k)
+			return err
+		})
 	}
 	if c.Size(FileRecords) != N/2 {
 		t.Errorf("Size after deletes = %d, want %d", c.Size(FileRecords), N/2)
 	}
-	// The chaos actually happened: drops were injected and retried.
-	var dropped, retries uint64
+	faulty.SetDefault(transport.Fault{})
+	for k := uint64(0); k < N; k++ {
+		_, ok, err := c.Get(ctx, FileRecords, k)
+		if err != nil || ok != (k >= N/2) {
+			t.Fatalf("clean Get(%d) = %v, %v; want present=%v", k, ok, err, k >= N/2)
+		}
+	}
+	if n := c.MigrationStats().InFlight; n != 0 {
+		t.Errorf("%d migrations still in flight", n)
+	}
+	// The chaos actually happened.
+	var dropped, failed uint64
 	for _, st := range faulty.Stats() {
 		dropped += st.Dropped
+		failed += st.Failed
 	}
-	for _, st := range retry.Stats() {
-		retries += st.Retries
+	if dropped == 0 || failed == 0 {
+		t.Errorf("chaos did not engage: dropped=%d failed=%d", dropped, failed)
 	}
-	if dropped == 0 || retries == 0 {
-		t.Errorf("chaos did not engage: dropped=%d retries=%d", dropped, retries)
+}
+
+// TestFrozenBucketThawsAfterTransientSplitFailure: a split whose target
+// is unreachable leaves its source bucket frozen. Once the target is
+// back, a failed write re-drives the stalled migration, so re-running
+// the write succeeds instead of failing until the next split or merge.
+func TestFrozenBucketThawsAfterTransientSplitFailure(t *testing.T) {
+	c, faulty, _ := chaosCluster(t, 3, 1)
+	c.SetMaxLoad(FileRecords, 8)
+	ctx := context.Background()
+	for k := uint64(0); k < 8; k++ {
+		if err := c.Put(ctx, FileRecords, k, []byte{byte(k)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Bucket 0 splits into bucket 1, which lives on node 1.
+	faulty.Blackout(1)
+	if err := c.Put(ctx, FileRecords, 8, []byte{8}); !errors.Is(err, transport.ErrNodeDown) {
+		t.Fatalf("overflowing put with the split target down = %v, want ErrNodeDown", err)
+	}
+	if n := c.MigrationStats().InFlight; n != 1 {
+		t.Fatalf("InFlight = %d after the failed split, want 1", n)
+	}
+	faulty.Restore(1)
+	// The first re-run is refused by the frozen bucket and, failing,
+	// re-drives the stalled split; the second lands.
+	for run := 1; ; run++ {
+		err := c.Put(ctx, FileRecords, 0, []byte{0})
+		if err == nil {
+			break
+		}
+		if run == 2 {
+			t.Fatalf("Put(0) still failing after %d re-runs: %v", run, err)
+		}
+	}
+	if n := c.MigrationStats().InFlight; n != 0 {
+		t.Fatalf("InFlight = %d after the re-run succeeded, want 0", n)
+	}
+	for k := uint64(0); k <= 8; k++ {
+		v, ok, err := c.Get(ctx, FileRecords, k)
+		if err != nil || !ok || v[0] != byte(k) {
+			t.Fatalf("Get(%d) = %v %v %v", k, v, ok, err)
+		}
+	}
+	if got := c.State(FileRecords).Buckets(); got != 2 {
+		t.Fatalf("buckets = %d, want 2", got)
 	}
 }
 
@@ -105,16 +196,17 @@ func TestChaosPutGetDeleteUnderDropsAndDelays(t *testing.T) {
 // guarantee that makes chaos failures debuggable.
 func TestChaosDeterministicReplay(t *testing.T) {
 	run := func() []transport.FaultStats {
-		c, faulty, _, _ := chaosCluster(t, 4, 777, chaosPolicy())
+		c, faulty, _ := chaosCluster(t, 4, 777)
 		faulty.SetDefault(transport.Fault{Drop: 0.2, Fail: 0.1})
 		ctx := context.Background()
 		for k := uint64(0); k < 200; k++ {
-			if err := c.Put(ctx, FileRecords, k, []byte{byte(k)}); err != nil {
-				t.Fatalf("Put(%d): %v", k, err)
-			}
-			if _, _, err := c.Get(ctx, FileRecords, k); err != nil {
-				t.Fatalf("Get(%d): %v", k, err)
-			}
+			rerun(t, fmt.Sprintf("Put(%d)", k), func() error {
+				return c.Put(ctx, FileRecords, k, []byte{byte(k)})
+			})
+			rerun(t, fmt.Sprintf("Get(%d)", k), func() error {
+				_, _, err := c.Get(ctx, FileRecords, k)
+				return err
+			})
 		}
 		return faulty.Stats()
 	}
@@ -134,9 +226,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 // subset — no more (healthy nodes misreported) and no less (failures
 // swallowed).
 func TestSearchPartialNamesExactlyTheDeadNodes(t *testing.T) {
-	p := chaosPolicy()
-	p.MaxAttempts = 3 // keep exhaustion against dead nodes quick
-	c, faulty, _, _ := chaosCluster(t, 5, 4242, p)
+	c, faulty, _ := chaosCluster(t, 5, 4242)
 	pl := testPipeline(t, 4, 2, 2)
 	ctx := context.Background()
 
@@ -178,28 +268,6 @@ func TestSearchPartialNamesExactlyTheDeadNodes(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustionSurfacesUnderlyingError kills one node's traffic
-// completely and requires the SDDS operation to fail with the true
-// transport cause still identifiable through the wrap chain.
-func TestRetryExhaustionSurfacesUnderlyingError(t *testing.T) {
-	p := chaosPolicy()
-	p.MaxAttempts = 3
-	c, faulty, _, _ := chaosCluster(t, 2, 5, p)
-	faulty.SetFault(0, transport.Fault{Drop: 1})
-	faulty.SetFault(1, transport.Fault{Drop: 1})
-	ctx := context.Background()
-	err := c.Put(ctx, FileRecords, 1, []byte("x"))
-	if err == nil {
-		t.Fatal("Put succeeded through a fully lossy network")
-	}
-	if !errors.Is(err, transport.ErrInjectedDrop) {
-		t.Errorf("underlying drop lost: %v", err)
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("exhaustion masqueraded as timeout: %v", err)
-	}
-}
-
 // chaosCorpus generates deterministic record contents with a marker
 // substring present in a known subset.
 type chaosCorpus struct{}
@@ -219,7 +287,7 @@ func (cc *chaosCorpus) record(rid uint64) []byte {
 // over a dup/delay-faulty network return the same dup-free, sorted RID
 // set as a clean run.
 func TestSearchPartialUnderDupAndDelayFaults(t *testing.T) {
-	c, faulty, _, _ := chaosCluster(t, 4, 777, chaosPolicy())
+	c, faulty, _ := chaosCluster(t, 4, 777)
 	pl := testPipeline(t, 4, 2, 2)
 	ctx := context.Background()
 

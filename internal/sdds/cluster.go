@@ -214,7 +214,7 @@ func (c *Cluster) Put(ctx context.Context, id FileID, key uint64, value []byte) 
 	f, resp, err := c.keyOp(ctx, opPut, id, key, value)
 	if err != nil {
 		c.opsMu.RUnlock()
-		return err
+		return c.thaw(ctx, err, id)
 	}
 	c.mu.Lock()
 	if !resp.existed {
@@ -222,7 +222,10 @@ func (c *Cluster) Put(ctx context.Context, id FileID, key uint64, value []byte) 
 	}
 	c.mu.Unlock()
 	c.opsMu.RUnlock()
-	return c.settle(ctx, writeFile{id: id, f: f})
+	if err := c.settle(ctx, writeFile{id: id, f: f}); err != nil {
+		return c.thaw(ctx, err, id)
+	}
+	return nil
 }
 
 // Get retrieves a value by key.
@@ -244,7 +247,7 @@ func (c *Cluster) Delete(ctx context.Context, id FileID, key uint64) (bool, erro
 	f, resp, err := c.keyOp(ctx, opDelete, id, key, nil)
 	if err != nil {
 		c.opsMu.RUnlock()
-		return false, err
+		return false, c.thaw(ctx, err, id)
 	}
 	if resp.existed {
 		c.mu.Lock()
@@ -252,7 +255,59 @@ func (c *Cluster) Delete(ctx context.Context, id FileID, key uint64) (bool, erro
 		c.mu.Unlock()
 	}
 	c.opsMu.RUnlock()
-	return resp.existed, c.settle(ctx, writeFile{id: id, del: true, f: f})
+	if err := c.settle(ctx, writeFile{id: id, del: true, f: f}); err != nil {
+		return resp.existed, c.thaw(ctx, err, id)
+	}
+	return resp.existed, nil
+}
+
+// thaw is the failed-write path. A write that failed may have stalled
+// its file's migration in flight, or been refused by the bucket such a
+// migration froze. Re-driving the file's in-flight migrations here lets
+// the caller's re-run of the write succeed, instead of failing against
+// the frozen bucket until the next split or merge of the file. It
+// returns cause, joined with the re-drive's own failure.
+//
+// The re-drive takes opsMu exclusively, stalling every concurrent op,
+// so it skips what cannot help: with no migration in flight there is
+// nothing to do, and a migration with a participant the write just
+// failed to reach would fail again. During an outage, re-driving on
+// every failed write turned each into a cluster-wide stall against the
+// dead participant.
+func (c *Cluster) thaw(ctx context.Context, cause error, ids ...FileID) error {
+	c.mu.Lock()
+	lg := c.miglog
+	c.mu.Unlock()
+	if lg.InFlight() == 0 {
+		return cause
+	}
+	lost := lostNodes(cause)
+	c.opsMu.Lock()
+	defer c.opsMu.Unlock()
+	err := c.resumeLocked(ctx, func(in MigrationIntent) bool {
+		return slices.Contains(ids, in.File) &&
+			!slices.Contains(lost, c.place.NodeOf(in.From)) && !slices.Contains(lost, c.place.NodeOf(in.To))
+	})
+	if err != nil {
+		return errors.Join(cause, err)
+	}
+	return cause
+}
+
+// lostNodes lists the nodes a failed write round could not reach: its
+// failures that are not a node's own answer.
+func lostNodes(err error) []transport.NodeID {
+	var be *BatchError
+	if !errors.As(err, &be) {
+		return nil
+	}
+	var lost []transport.NodeID
+	for _, f := range be.Failures {
+		if !isDefinitive(f.Err) {
+			lost = append(lost, f.Node)
+		}
+	}
+	return lost
 }
 
 // merge performs one coordinator-driven file shrink: close the last
@@ -473,8 +528,15 @@ func (c *Cluster) abortMigrationLocked(ctx context.Context, intent MigrationInte
 // returned a transport error and left the migration, and its frozen
 // buckets, pending). Callers must hold opsMu exclusively.
 func (c *Cluster) resumeFileLocked(ctx context.Context, id FileID) error {
+	return c.resumeLocked(ctx, func(in MigrationIntent) bool { return in.File == id })
+}
+
+// resumeLocked re-drives, in migration-ID order, each in-flight
+// migration want selects, stopping at the first that fails. Callers
+// must hold opsMu exclusively.
+func (c *Cluster) resumeLocked(ctx context.Context, want func(MigrationIntent) bool) error {
 	for _, r := range c.miglog.Records() {
-		if r.Done || r.Intent.File != id {
+		if r.Done || !want(r.Intent) {
 			continue
 		}
 		c.noteResume()
@@ -520,7 +582,7 @@ func (c *Cluster) syncMigGauge() {
 	if c.met.migInFlight == nil {
 		return
 	}
-	c.met.migInFlight.Set(int64(migStatsOf(c.miglog.Records()).InFlight))
+	c.met.migInFlight.Set(int64(c.miglog.InFlight()))
 }
 
 // ResetImage discards the client image (back to the one-bucket initial
@@ -545,10 +607,9 @@ type NodeFailure struct {
 }
 
 // BatchError reports the nodes whose part of a batched operation
-// failed; the remaining nodes' parts were applied. It composes with
-// the transport Retry middleware: a node is listed only after the
-// retry layer has exhausted its attempts against it, so callers can
-// re-drive just the failed portion (the puts are idempotent).
+// failed; the remaining nodes' parts were applied. Re-running the whole
+// write completes it: the puts are idempotent, and deleting a key
+// already gone is a no-op.
 type BatchError struct {
 	Failures []NodeFailure
 }
@@ -681,18 +742,21 @@ func (c *Cluster) write(ctx context.Context, files []writeFile, route func(r *wr
 	failed, err := r.fold(ctx, results)
 	c.mu.Unlock()
 	c.opsMu.RUnlock()
+	if err == nil && failed != nil {
+		// With unreachable nodes a split would likely fail too and mask
+		// the partial-failure report; leave the overflow for the next
+		// write.
+		err = &BatchError{Failures: failed}
+	}
+	for i := 0; i < len(files) && err == nil; i++ {
+		err = c.settle(ctx, files[i])
+	}
 	if err != nil {
-		return err
-	}
-	// With unreachable nodes a split would likely fail too and mask the
-	// partial-failure report; leave the overflow for the next write.
-	if failed != nil {
-		return &BatchError{Failures: failed}
-	}
-	for _, w := range files {
-		if err := c.settle(ctx, w); err != nil {
-			return err
+		ids := make([]FileID, len(files))
+		for i, w := range files {
+			ids[i] = w.id
 		}
+		return c.thaw(ctx, err, ids...)
 	}
 	return nil
 }

@@ -194,9 +194,9 @@ func (w *writer) patchU32(off int, v uint32) {
 
 // writerPool recycles request-encode scratch buffers on the client hot
 // path. A pooled buffer may be handed to Transport.Send and released
-// immediately after it returns: transports (including the Retry and
-// Faulty middleware, whose retries and duplicate deliveries are
-// synchronous) must not retain request payloads past Send, and the
+// immediately after it returns: transports (including the Faulty
+// middleware, whose duplicate deliveries are synchronous) must not
+// retain request payloads past Send, and the
 // node-side decoders copy every byte they keep.
 var writerPool = sync.Pool{New: func() any { return new(writer) }}
 

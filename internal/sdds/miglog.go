@@ -103,6 +103,8 @@ type MigrationLog interface {
 	Finish(mid uint64, outcome MigrationOutcome) error
 	// Records returns a snapshot of the ledger in migration-ID order.
 	Records() []MigrationRecord
+	// InFlight returns how many migrations have begun and not finished.
+	InFlight() int
 	// Close releases any underlying file handle.
 	Close() error
 }
@@ -115,6 +117,7 @@ type MigrationLog interface {
 type ledger struct {
 	mu      sync.Mutex
 	recs    []MigrationRecord
+	open    int // records not yet Done
 	persist func(typ uint8, body []byte) error
 }
 
@@ -143,6 +146,7 @@ func (l *ledger) Begin(intent MigrationIntent) (uint64, error) {
 		return 0, fmt.Errorf("sdds: migration log: %w", err)
 	}
 	l.recs = append(l.recs, MigrationRecord{Intent: intent})
+	l.open++
 	return intent.MID, nil
 }
 
@@ -167,6 +171,7 @@ func (l *ledger) Finish(mid uint64, outcome MigrationOutcome) error {
 		return fmt.Errorf("sdds: migration log: %w", err)
 	}
 	rec.Done, rec.Outcome = true, outcome
+	l.open--
 	return nil
 }
 
@@ -175,6 +180,13 @@ func (l *ledger) Records() []MigrationRecord {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]MigrationRecord(nil), l.recs...)
+}
+
+// InFlight implements MigrationLog.
+func (l *ledger) InFlight() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.open
 }
 
 // MemMigrationLog is the in-memory MigrationLog — the default for

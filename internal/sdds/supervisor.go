@@ -144,7 +144,6 @@ type downNode struct {
 // goroutine; state reads (Down, Journal, Alarm) take the mutex.
 type Supervisor struct {
 	det    *transport.Detector
-	retry  *transport.Retry // optional: breakers to reset after repair
 	revive Reviver
 	cfg    SupervisorConfig
 
@@ -181,14 +180,12 @@ func (s *Supervisor) SetMigrationResumer(r MigrationResumer) {
 	s.mu.Unlock()
 }
 
-// NewSupervisor wires a supervisor over a detector. retry may be nil
-// (no breakers to reset); revive may be nil (nodes come back out of
-// band).
-func NewSupervisor(det *transport.Detector, retry *transport.Retry, revive Reviver, cfg SupervisorConfig) *Supervisor {
+// NewSupervisor wires a supervisor over a detector. revive may be nil
+// (nodes come back out of band).
+func NewSupervisor(det *transport.Detector, revive Reviver, cfg SupervisorConfig) *Supervisor {
 	cfg.fillDefaults()
 	return &Supervisor{
 		det:    det,
-		retry:  retry,
 		revive: revive,
 		cfg:    cfg,
 		down:   make(map[transport.NodeID]*downNode),
@@ -352,8 +349,8 @@ func (s *Supervisor) raiseAlarm(n transport.NodeID, why string) {
 }
 
 // finishRepair closes out a repaired node: journal, drop it from the
-// down-set (and any alarm), reopen its traffic (breaker), and let the
-// detector see it alive immediately.
+// down-set (and any alarm), and let the detector see it alive
+// immediately.
 func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
 	s.mu.Lock()
 	delete(s.down, n)
@@ -361,9 +358,6 @@ func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
 	s.repairs++
 	s.journalLocked(n, RepairLocalRecovery, detail)
 	s.mu.Unlock()
-	if s.retry != nil {
-		s.retry.ResetBreaker(n)
-	}
 	// Refresh the verdicts so the repaired node reads up without waiting
 	// out a probe interval: resumeMigrations and AwaitHealthy need allUp.
 	pctx, cancel := context.WithTimeout(context.Background(), s.det.Policy().ProbeTimeout)

@@ -67,7 +67,7 @@ func newSupervisedCluster(t *testing.T, n int, cfg SupervisorConfig) *supervised
 		UpAfter:      1,
 	})
 	revive := func(_ context.Context, id transport.NodeID) error { return sc.start(id) }
-	sc.sup = NewSupervisor(sc.det, nil, revive, cfg)
+	sc.sup = NewSupervisor(sc.det, revive, cfg)
 	sc.sup.now = sc.clk.Now // deterministic debounce: tests advance, never sleep
 	return sc
 }

@@ -96,9 +96,9 @@ type detNode struct {
 
 // Detector is a lightweight per-node failure detector: it combines
 // active health probes (a periodic ProbeOp to every member) with
-// passive signals from live traffic (feed it as the Retry middleware's
-// SendObserver) into a three-state verdict per node, and publishes
-// state transitions to subscribers.
+// passive signals from live traffic (the Sends of a transport wrapped
+// by Watch, and the TCP pool's connection deaths) into a three-state
+// verdict per node, and publishes state transitions to subscribers.
 //
 // Membership is authoritative, not discovered: the detector watches
 // exactly the nodes it was constructed with, so a crashed node that
@@ -141,8 +141,8 @@ func NewDetector(tr Transport, members []NodeID, policy DetectorPolicy) *Detecto
 // Policy returns the effective policy (defaults filled).
 func (d *Detector) Policy() DetectorPolicy { return d.policy }
 
-// Transport returns the transport the detector probes over — the same
-// unretried path a supervisor should use for control-plane queries
+// Transport returns the transport the detector probes over — the
+// unwatched path a supervisor should use for control-plane queries
 // against nodes it is inspecting.
 func (d *Detector) Transport() Transport { return d.tr }
 
@@ -210,12 +210,48 @@ func (d *Detector) ProbeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
+// SendObserver receives send outcomes as passive health evidence; the
+// TCP pool reports each connection death to one.
+type SendObserver interface {
+	ObserveSend(node NodeID, err error)
+}
+
 // ObserveSend feeds a passive signal from live traffic; it implements
-// the Retry middleware's SendObserver. A nil error (or a remote handler
-// error, which proves the node answered) counts as alive; transport
-// failures count against the node.
+// SendObserver. A nil error (or a remote handler error, which proves
+// the node answered) counts as alive; transport failures count against
+// the node.
 func (d *Detector) ObserveSend(node NodeID, err error) {
 	d.signal(node, err, true)
+}
+
+// Watch wraps tr so that every Send outcome reaches the detector as a
+// passive signal: client traffic then detects a dead node as fast as it
+// fails, without waiting for the next probe. A caller-side cancellation
+// or timeout is not reported — it says nothing about the node — but an
+// expired answer is: the node read the frame and replied.
+func (d *Detector) Watch(tr Transport) Transport {
+	return &watched{Transport: tr, d: d}
+}
+
+type watched struct {
+	Transport
+	d *Detector
+}
+
+func (w *watched) Send(ctx context.Context, node NodeID, op uint8, payload []byte) ([]byte, error) {
+	resp, err := w.Transport.Send(ctx, node, op, payload)
+	if answeredExpired(err) || !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		w.d.ObserveSend(node, err)
+	}
+	return resp, err
+}
+
+// SendsWithContext forwards the wrapped transport's marker: Watch only
+// observes the outcome, so it aborts exactly when its inner transport
+// does.
+func (w *watched) SendsWithContext() bool {
+	cs, ok := w.Transport.(CtxSender)
+	return ok && cs.SendsWithContext()
 }
 
 // alive classifies a send outcome: the node is alive if the request got

@@ -105,45 +105,39 @@ func TestDetectorPassiveSignals(t *testing.T) {
 }
 
 func TestDetectorRetryObserverIntegration(t *testing.T) {
-	// Wire the detector as the Retry middleware's observer: a send to a
-	// dead node must mark it down purely from live-traffic signals.
+	// Client traffic through Watch is live-traffic evidence: a send to a
+	// dead node must mark it down with no probe at all.
 	m := NewMemory()
 	m.Register(0, echoHandler)
 	m.Register(1, echoHandler)
-	r := NewRetry(m, RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   time.Microsecond,
-		MaxDelay:    10 * time.Microsecond,
-		Multiplier:  2,
-	}, 1)
 	d := newTestDetector(m, []NodeID{0, 1}, 2, 1)
-	r.SetObserver(d)
+	tr := d.Watch(m)
 	ctx := context.Background()
 
 	m.Unregister(1)
-	// ErrUnknownNode is not retryable, so each Send is one attempt = one
-	// passive failure; the second confirms the node down.
-	if _, err := r.Send(ctx, 1, 7, nil); err == nil {
+	// Each failed Send is one passive failure; the second confirms the
+	// node down.
+	if _, err := tr.Send(ctx, 1, 7, nil); err == nil {
 		t.Fatal("send to dead node succeeded")
 	}
 	if st := d.State(1); st != NodeSuspect {
 		t.Fatalf("node 1 after one failed send: %v, want suspect", st)
 	}
-	if _, err := r.Send(ctx, 1, 7, nil); err == nil {
+	if _, err := tr.Send(ctx, 1, 7, nil); err == nil {
 		t.Fatal("send to dead node succeeded")
 	}
 	if st := d.State(1); st != NodeDown {
 		t.Fatalf("node 1 after two failed sends: %v, want down", st)
 	}
 	// Healthy traffic keeps node 0 up and counts signals.
-	if _, err := r.Send(ctx, 0, 7, nil); err != nil {
+	if _, err := tr.Send(ctx, 0, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := d.Snapshot()
 	if snap[0].PassiveSignals == 0 {
 		t.Fatal("successful send produced no passive signal")
 	}
-	if snap[1].State != NodeDown || snap[1].LastError == "" {
+	if snap[1].State != NodeDown || snap[1].LastError == "" || snap[1].ActiveProbes != 0 {
 		t.Fatalf("node 1 health = %+v", snap[1])
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Fault injection errors. Both are transport-level failures (a request
-// that never reached the node), so Retryable reports true for them.
+// Fault injection errors. Both are transport-level failures: the
+// request never reached the node, so the caller may safely re-run it.
 var (
 	// ErrInjectedDrop reports a request discarded by a Faulty transport
 	// before delivery — the network "ate" the message.
@@ -26,7 +26,7 @@ var (
 
 // Fault is one node's failure schedule: independent probabilities drawn
 // per request from the node's seeded stream. All faults act on the
-// request path (before delivery), so retried requests are always safe —
+// request path (before delivery), so re-run requests are always safe —
 // a dropped request was never executed. Duplicate delivery executes the
 // request twice and returns the first response, modeling a duplicated
 // message on an idempotent operation.

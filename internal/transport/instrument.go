@@ -10,45 +10,6 @@ import "repro/internal/obs"
 // carries traffic (it writes plain fields the hot paths read without
 // synchronization).
 
-// retryMetrics counts the Retry middleware's work. Invariants the
-// metrics-invariant suite asserts:
-//
-//	attempts_total == attempt_successes_total + attempt_failures_total
-//	attempts_total == (sends_total - breaker_rejects_total) + retries_total
-//	  (exact when no caller context expires during a backoff)
-type retryMetrics struct {
-	sends          *obs.Counter // Send calls
-	attempts       *obs.Counter // deliveries handed to the inner transport
-	retries        *obs.Counter // attempts beyond a Send's first
-	successes      *obs.Counter // attempts that returned without error
-	failures       *obs.Counter // attempts that returned an error
-	exhausted      *obs.Counter // Sends that failed all MaxAttempts
-	breakerTrips   *obs.Counter // breaker open events
-	breakerRejects *obs.Counter // Sends rejected by an open breaker
-	backoffNS      *obs.Histogram
-	sendNS         *obs.Histogram
-}
-
-// Instrument publishes the middleware's counters into reg. Call before
-// the transport carries traffic.
-func (r *Retry) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	r.met = retryMetrics{
-		sends:          reg.Counter("transport_retry_sends_total"),
-		attempts:       reg.Counter("transport_retry_attempts_total"),
-		retries:        reg.Counter("transport_retry_retries_total"),
-		successes:      reg.Counter("transport_retry_attempt_successes_total"),
-		failures:       reg.Counter("transport_retry_attempt_failures_total"),
-		exhausted:      reg.Counter("transport_retry_exhausted_total"),
-		breakerTrips:   reg.Counter("transport_retry_breaker_trips_total"),
-		breakerRejects: reg.Counter("transport_retry_breaker_rejects_total"),
-		backoffNS:      reg.Histogram("transport_retry_backoff_ns"),
-		sendNS:         reg.Histogram("transport_retry_send_ns"),
-	}
-}
-
 // faultyMetrics mirrors FaultStats into the registry; each counter
 // equals the same field summed over Faulty.Stats().
 type faultyMetrics struct {

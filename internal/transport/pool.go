@@ -23,9 +23,9 @@ import (
 //
 // Failure policy: a dead pooled connection is evicted and reported to
 // the installed SendObserver (so a Detector sees it as passive
-// evidence), and the Sends it carried fail with a retryable error — the
+// evidence), and the Sends it carried fail with a transport error — the
 // transport never silently redials mid-request; redial happens on the
-// next Send (typically driven by the Retry middleware).
+// next Send, when the caller re-runs the operation.
 type TCP struct {
 	mu     sync.Mutex
 	addrs  map[NodeID]string
@@ -93,8 +93,8 @@ func NewTCP(addrs map[NodeID]string) *TCP {
 // SetObserver installs a pool-level failure observer: every connection
 // death (idle or carrying requests) is reported as one ObserveSend with
 // the error that killed it, feeding passive failure detection the same
-// way the Retry middleware does for whole-Send outcomes. Passing nil
-// removes it.
+// way Detector.Watch does for whole-Send outcomes. Passing nil removes
+// it.
 func (t *TCP) SetObserver(o SendObserver) {
 	t.mu.Lock()
 	t.observer = o

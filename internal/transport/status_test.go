@@ -11,9 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // stubTransport scripts responses by global call index — per-call
@@ -33,12 +30,6 @@ func (s *stubTransport) Send(ctx context.Context, node NodeID, op uint8, payload
 	return fn(ctx, c, node, op)
 }
 
-func (s *stubTransport) setFn(fn func(ctx context.Context, call int, node NodeID, op uint8) ([]byte, error)) {
-	s.mu.Lock()
-	s.fn = fn
-	s.mu.Unlock()
-}
-
 func (s *stubTransport) Nodes() []NodeID { return nil }
 func (s *stubTransport) Close() error    { return nil }
 
@@ -48,81 +39,15 @@ func alwaysExpired(_ context.Context, _ int, node NodeID, _ uint8) ([]byte, erro
 	return nil, &ExpiredError{Node: node}
 }
 
-func quickPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Microsecond,
-		MaxDelay:    10 * time.Microsecond,
-		Multiplier:  2,
-	}
-}
-
-// TestOverloadDoesNotTripBreaker: expired responses come from a live
-// node that answered too late. They must not count toward the circuit
-// breaker's consecutive-failure threshold, and the observer (the
-// detector in the real stack) must see them as successes.
-func TestOverloadDoesNotTripBreaker(t *testing.T) {
-	reg := obs.NewRegistry()
-	inner := &stubTransport{fn: alwaysExpired}
-	p := quickPolicy()
-	p.FailureThreshold = 2
-	p.Cooldown = time.Hour
-	r := NewRetry(inner, p, 1)
-	r.Instrument(reg)
-	rec := &recordingObserver{}
-	r.SetObserver(rec)
-
-	for i := 0; i < 10; i++ {
-		_, err := r.Send(context.Background(), 1, 1, nil)
-		var ee *ExpiredError
-		if !errors.As(err, &ee) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("send %d: err = %v, want an ExpiredError matching DeadlineExceeded", i, err)
-		}
-		if errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("send %d rejected by breaker — a slow node turned into a dead one", i)
-		}
-	}
-	st := r.NodeStats(1)
-	if st.ConsecutiveFailures != 0 || st.BreakerTrips != 0 || st.BreakerOpen {
-		t.Errorf("breaker fed by expired answers: %+v", st)
-	}
-	if st.Retries != 0 {
-		t.Errorf("expired answers retried %d times; an expiry is the caller's timeout", st.Retries)
-	}
-	if got := reg.CounterValue("transport_retry_attempt_failures_total"); got != 10 {
-		t.Errorf("transport_retry_attempt_failures_total = %d, want 10", got)
-	}
-	rec.mu.Lock()
-	seen := len(rec.errs)
-	for i, e := range rec.errs {
-		if e != nil {
-			t.Errorf("observer signal %d = %v, want nil (node is alive)", i, e)
-		}
-	}
-	rec.mu.Unlock()
-	if seen != 10 {
-		t.Errorf("observer saw %d signals, want 10", seen)
-	}
-
-	// Real failures still count: two take the breaker down.
-	inner.setFn(func(context.Context, int, NodeID, uint8) ([]byte, error) {
-		return nil, ErrInjectedDrop
-	})
-	r.Send(context.Background(), 1, 1, nil) //nolint:errcheck
-	r.Send(context.Background(), 1, 1, nil) //nolint:errcheck
-	if st := r.NodeStats(1); !st.BreakerOpen {
-		t.Errorf("real failures no longer trip the breaker: %+v", st)
-	}
-}
-
 // TestRetryObserverClassification pins the full passive-signal map:
-// what each error class reports to the failure detector.
+// what each Send outcome through Detector.Watch reports to the failure
+// detector, and that Watch hands the outcome to the caller unchanged.
 func TestRetryObserverClassification(t *testing.T) {
 	cases := []struct {
 		name     string
 		err      error
-		observed bool // reaches the observer at all
-		asAlive  bool // reported with err == nil
+		observed bool // reaches the detector at all
+		asAlive  bool // counts as evidence the node is alive
 	}{
 		{"success", nil, true, true},
 		{"expired", &ExpiredError{Node: 1}, true, true},
@@ -139,27 +64,39 @@ func TestRetryObserverClassification(t *testing.T) {
 				}
 				return nil, tc.err
 			}}
-			p := quickPolicy()
-			p.MaxAttempts = 1
-			r := NewRetry(inner, p, 1)
-			rec := &recordingObserver{}
-			r.SetObserver(rec)
-			r.Send(context.Background(), 1, 1, nil) //nolint:errcheck // outcome is the observer's view
-			rec.mu.Lock()
-			defer rec.mu.Unlock()
+			d := newTestDetector(NewMemory(), []NodeID{1}, 1, 1) // hair-trigger: one bad signal = down
+			_, err := d.Watch(inner).Send(context.Background(), 1, 1, nil)
+			if err != tc.err {
+				t.Fatalf("Watch returned %v, want the inner error %v unchanged", err, tc.err)
+			}
+			snap := d.Snapshot()[0]
 			if !tc.observed {
-				if len(rec.errs) != 0 {
-					t.Fatalf("observer saw %v, want no signal", rec.errs)
+				if snap.PassiveSignals != 0 {
+					t.Fatalf("detector saw %d signals, want none", snap.PassiveSignals)
 				}
 				return
 			}
-			if len(rec.errs) != 1 {
-				t.Fatalf("observer saw %d signals, want 1", len(rec.errs))
+			if snap.PassiveSignals != 1 {
+				t.Fatalf("detector saw %d signals, want 1", snap.PassiveSignals)
 			}
-			if alive := rec.errs[0] == nil; alive != tc.asAlive {
-				t.Errorf("observed err = %v, want alive=%v", rec.errs[0], tc.asAlive)
+			if alive := snap.State == NodeUp; alive != tc.asAlive {
+				t.Errorf("node state %v after %v, want alive=%v", snap.State, tc.err, tc.asAlive)
 			}
 		})
+	}
+}
+
+// TestWatchForwardsCtxSender: Watch adds no blocking of its own, so it
+// carries the CtxSender marker exactly when the transport it wraps does.
+func TestWatchForwardsCtxSender(t *testing.T) {
+	d := newTestDetector(NewMemory(), []NodeID{0}, 1, 1)
+	tcp := NewTCP(nil)
+	defer tcp.Close()
+	if cs, ok := d.Watch(tcp).(CtxSender); !ok || !cs.SendsWithContext() {
+		t.Error("watched TCP lost the CtxSender marker")
+	}
+	if cs, ok := d.Watch(NewMemory()).(CtxSender); ok && cs.SendsWithContext() {
+		t.Error("watched Memory claims to abort on context end")
 	}
 }
 
@@ -183,23 +120,26 @@ func TestDetectorIgnoresBackpressure(t *testing.T) {
 	}
 }
 
-// TestRetryDetectorOverloadEndToEnd wires Retry's observer to a
-// Detector (the esdds stack) and hammers a transport whose every answer
-// is expired: the node must stay Up throughout.
+// TestRetryDetectorOverloadEndToEnd watches a transport whose every
+// answer is expired (the esdds self-healing stack under saturation) and
+// hammers it: the node must stay Up throughout, while the caller still
+// sees each expiry as its own deadline.
 func TestRetryDetectorOverloadEndToEnd(t *testing.T) {
 	m := NewMemory()
 	m.Register(1, echoHandler)
-	r := NewRetry(&stubTransport{fn: alwaysExpired}, quickPolicy(), 1)
 	d := newTestDetector(m, []NodeID{1}, 1, 1)
-	r.SetObserver(d)
+	tr := d.Watch(&stubTransport{fn: alwaysExpired})
 
 	for i := 0; i < 50; i++ {
-		if _, err := r.Send(context.Background(), 1, 1, nil); !errors.Is(err, context.DeadlineExceeded) {
+		if _, err := tr.Send(context.Background(), 1, 1, nil); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
 	if st := d.State(1); st != NodeUp {
 		t.Fatalf("sustained expiries marked the node %v, want up", st)
+	}
+	if n := d.Snapshot()[0].PassiveSignals; n != 50 {
+		t.Fatalf("detector saw %d passive signals, want 50", n)
 	}
 }
 
@@ -299,9 +239,6 @@ func TestTCPSendRejectsUnknownStatus(t *testing.T) {
 		}
 		if want := fmt.Sprintf("node 4: unknown response status %d", status); !strings.Contains(err.Error(), want) {
 			t.Errorf("status %d: err %q does not name the status (want %q)", status, err, want)
-		}
-		if Retryable(err) {
-			t.Errorf("status %d: unknown status classified retryable", status)
 		}
 	}
 }

@@ -73,8 +73,8 @@ func (e *ExpiredError) Is(target error) bool { return target == context.Deadline
 
 // answeredExpired reports whether err is a node's statusExpired answer.
 // Unlike a caller-side context expiry it proves the node alive — it
-// read our frame and replied — so Retry and Detector keep it out of
-// the failure path: a saturated node whose queue outlives the callers'
+// read our frame and replied — so the Detector keeps it out of the
+// failure path: a saturated node whose queue outlives the callers'
 // deadlines must never read as a dying one.
 func answeredExpired(err error) bool {
 	var ee *ExpiredError
@@ -189,14 +189,6 @@ type CtxSender interface {
 // SendsWithContext marks the pooled TCP transport: roundTrip abandons
 // the waiter and returns ctx.Err() the moment the context ends.
 func (t *TCP) SendsWithContext() bool { return true }
-
-// SendsWithContext forwards the inner transport's marker: Retry only
-// adds context-honoring sleeps between attempts, so it aborts promptly
-// exactly when its inner transport does.
-func (r *Retry) SendsWithContext() bool {
-	cs, ok := r.inner.(CtxSender)
-	return ok && cs.SendsWithContext()
-}
 
 // sendAbortable runs one Send but returns as soon as the context ends,
 // carrying ctx.Err(), even if the underlying transport ignores
