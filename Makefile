@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-smoke bench-json bench-e2e-test bench-e2e cover fuzz loc clean soak soak-smoke soak-overload soak-growth
+.PHONY: check build vet test race bench bench-smoke bench-e2e-test bench-e2e cover fuzz loc clean soak soak-smoke soak-overload soak-growth
 
 # Tier-1 gate: everything must build, vet clean, pass under the race
 # detector (the chaos suites are required to be race-clean), every
@@ -29,14 +29,6 @@ bench:
 # rotting while the code under them moves.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
-
-# Machine-readable search/insert performance snapshot. Merged (not
-# overwritten) into the committed BENCH_search.json so a partial bench
-# run refreshes its own series without dropping everyone else's history.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkNodeSearch|BenchmarkIndexPut|BenchmarkInsertIndexed|BenchmarkPlacementNodes|BenchmarkTransport|BenchmarkWALAppend' \
-		-benchmem ./internal/sdds ./internal/transport ./internal/wal | $(GO) run ./cmd/benchjson -merge -out BENCH_search.json
-	@cat BENCH_search.json
 
 # The end-to-end benchmark (BENCHMARK.json) is a Go module of its own
 # under benchmark/, so `go build/test ./...` at the root never reaches

@@ -29,10 +29,6 @@ type Cluster struct {
 	// faulty is the fault injector (nil without WithFaultInjection).
 	faulty *transport.Faulty
 
-	// tcp is the pooled client transport (nil for memory clusters); kept
-	// so self-healing can subscribe the detector to pool-level failures.
-	tcp *transport.TCP
-
 	// self-healing availability loop (nil without WithSelfHealing).
 	det *transport.Detector
 	sup *sdds.Supervisor
@@ -218,10 +214,10 @@ func DialCluster(addrs map[int]string, opts ...ClusterOption) (*Cluster, error) 
 		}
 		dir[id] = addr
 	}
-	c.tcp = transport.NewTCP(dir)
-	c.tcp.Instrument(c.met)
-	c.close = append(c.close, c.tcp.Close)
-	c.inner = sdds.NewCluster(cfg.stack(c.tcp, c), c.place)
+	tcp := transport.NewTCP(dir)
+	tcp.Instrument(c.met)
+	c.close = append(c.close, tcp.Close)
+	c.inner = sdds.NewCluster(cfg.stack(tcp, c), c.place)
 	c.inner.Instrument(c.met)
 	if cfg.selfHeal != nil {
 		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
@@ -279,10 +275,10 @@ func StartLocalTCPCluster(n int, opts ...ClusterOption) (_ *Cluster, err error) 
 		go srv.Serve(unserved[0])
 		unserved = unserved[1:]
 	}
-	c.tcp = transport.NewTCP(addrs)
-	c.tcp.Instrument(c.met)
-	c.close = append(c.close, c.tcp.Close)
-	c.inner = sdds.NewCluster(cfg.stack(c.tcp, c), c.place)
+	tcp := transport.NewTCP(addrs)
+	tcp.Instrument(c.met)
+	c.close = append(c.close, tcp.Close)
+	c.inner = sdds.NewCluster(cfg.stack(tcp, c), c.place)
 	c.inner.Instrument(c.met)
 	if err := c.attachMigrationLog(); err != nil {
 		return nil, err

@@ -9,9 +9,7 @@ import (
 // per-node opcode latencies and search-path counters; WAL group sizes
 // and sync-wait/fsync/checkpoint timings (with WithDataDir); and the
 // self-healing loop's detector signals, transitions and repair phases
-// (with WithSelfHealing). Instrumented
-// searches also record per-op traces (stage timings and IAM hop
-// counts).
+// (with WithSelfHealing).
 //
 // Retrieve the registry with Cluster.Metrics(); expose it with its
 // Handler (a /metrics endpoint), WriteText, or PublishExpvar. All

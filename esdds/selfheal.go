@@ -70,13 +70,6 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 		return fmt.Errorf("esdds: WithSelfHealing on a cluster that hosts its own nodes requires WithDataDir: an ephemeral node has no state to revive")
 	}
 	det := c.det
-	if c.tcp != nil {
-		// Pool-level signals: a pooled connection dying (reset, timeout,
-		// EOF mid-stream) is evidence about the node even when no Send is
-		// in flight to fail, so the pool reports each connection death as
-		// one failed-send observation instead of silently redialing.
-		c.tcp.SetObserver(det)
-	}
 	var revive sdds.Reviver
 	if c.mem != nil {
 		revive = func(_ context.Context, node transport.NodeID) error {

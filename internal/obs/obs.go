@@ -293,8 +293,6 @@ type Registry struct {
 	mu    sync.Mutex
 	order []string // registration order for stable exposition
 	insts map[string]any
-
-	traces traceRing
 }
 
 // NewRegistry returns an empty registry.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -9,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -59,16 +57,12 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram should stay empty")
 	}
-	if r.Names() != nil || r.Traces() != nil {
+	if r.Names() != nil {
 		t.Fatal("nil registry should enumerate nothing")
 	}
 	if err := r.WriteText(nil); err != nil {
 		t.Fatal(err)
 	}
-	var tr *Trace
-	tr.Lap("s")
-	tr.AddHops(1)
-	tr.Finish()
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
@@ -234,95 +228,5 @@ func TestExpvarPublish(t *testing.T) {
 	s := expvarFunc(r.snapshotJSON).String()
 	if !strings.Contains(s, `"c_total":2`) {
 		t.Fatalf("expvar JSON missing counter: %s", s)
-	}
-}
-
-func TestTraceLifecycle(t *testing.T) {
-	r := NewRegistry()
-	tr := r.StartTrace("search")
-	tr.Lap("broadcast")
-	time.Sleep(time.Millisecond)
-	tr.Lap("combine")
-	tr.AddHops(2)
-	tr.AddHops(1)
-	rec := tr.Finish()
-	if rec.Op != "search" || rec.ID == 0 {
-		t.Fatalf("bad record: %+v", rec)
-	}
-	if rec.Hops != 3 {
-		t.Fatalf("hops = %d, want 3", rec.Hops)
-	}
-	if len(rec.Laps) != 2 || rec.Laps[0].Stage != "broadcast" || rec.Laps[1].Stage != "combine" {
-		t.Fatalf("laps = %+v", rec.Laps)
-	}
-	if rec.Laps[1].D < time.Millisecond {
-		t.Fatalf("combine lap %v should cover the sleep", rec.Laps[1].D)
-	}
-	if rec.Total < rec.Laps[0].D+rec.Laps[1].D {
-		t.Fatalf("total %v < sum of laps", rec.Total)
-	}
-	got := r.Traces()
-	if len(got) != 1 || got[0].ID != rec.ID {
-		t.Fatalf("registry traces = %+v", got)
-	}
-	// Finish is idempotent: no double-store.
-	tr.Finish()
-	if len(r.Traces()) != 1 {
-		t.Fatal("double Finish stored the trace twice")
-	}
-	if s := rec.String(); !strings.Contains(s, "search#") || !strings.Contains(s, "hops=3") {
-		t.Fatalf("record string %q", s)
-	}
-}
-
-func TestTraceRingBounded(t *testing.T) {
-	r := NewRegistry()
-	for i := 0; i < traceRingCap+10; i++ {
-		r.StartTrace("op").Finish()
-	}
-	got := r.Traces()
-	if len(got) != traceRingCap {
-		t.Fatalf("ring holds %d, want %d", len(got), traceRingCap)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].ID <= got[i-1].ID {
-			t.Fatalf("ring out of order at %d: %d <= %d", i, got[i].ID, got[i-1].ID)
-		}
-	}
-}
-
-func TestTraceContextThreading(t *testing.T) {
-	r := NewRegistry()
-	tr := r.StartTrace("op")
-	ctx := WithTrace(context.Background(), tr)
-	if got := TraceFrom(ctx); got != tr {
-		t.Fatal("TraceFrom did not return the threaded trace")
-	}
-	if got := TraceFrom(context.Background()); got != nil {
-		t.Fatal("TraceFrom on a bare context should be nil")
-	}
-	if ctx2 := WithTrace(context.Background(), nil); TraceFrom(ctx2) != nil {
-		t.Fatal("WithTrace(nil) should be a no-op")
-	}
-}
-
-func TestConcurrentTraces(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				tr := r.StartTrace("op")
-				tr.Lap("a")
-				tr.AddHops(1)
-				tr.Finish()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Traces(); len(got) != traceRingCap {
-		t.Fatalf("ring holds %d, want %d", len(got), traceRingCap)
 	}
 }

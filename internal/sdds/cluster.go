@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lhstar"
-	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -201,7 +200,6 @@ func (c *Cluster) keyOp(ctx context.Context, op uint8, id FileID, key uint64, va
 		f.iams++
 		c.mu.Unlock()
 		c.met.iams.Inc()
-		obs.TraceFrom(ctx).AddHops(1)
 	}
 	return f, resp, nil
 }
@@ -739,7 +737,7 @@ func (c *Cluster) write(ctx context.Context, files []writeFile, route func(r *wr
 	}
 
 	c.mu.Lock()
-	failed, err := r.fold(ctx, results)
+	failed, err := r.fold(results)
 	c.mu.Unlock()
 	c.opsMu.RUnlock()
 	if err == nil && failed != nil {
@@ -763,7 +761,7 @@ func (c *Cluster) write(ctx context.Context, files []writeFile, route func(r *wr
 
 // fold applies each node's answer — per group its count, then one
 // keyResp per entry — and collects the nodes that failed.
-func (r *writeRound) fold(ctx context.Context, results []transport.Result) ([]NodeFailure, error) {
+func (r *writeRound) fold(results []transport.Result) ([]NodeFailure, error) {
 	var failed []NodeFailure
 	for bi, res := range results {
 		if res.Err != nil {
@@ -785,7 +783,6 @@ func (r *writeRound) fold(ctx context.Context, results []transport.Result) ([]No
 					w.f.image.Adjust(pr.iamAddr, uint(pr.iamLevel))
 					w.f.iams++
 					r.c.met.iams.Inc()
-					obs.TraceFrom(ctx).AddHops(1)
 				}
 				switch {
 				case w.del && pr.existed:
@@ -908,18 +905,10 @@ func (c *Cluster) answer(rids []uint64, failed []NodeFailure) ([]uint64, error) 
 func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, query *core.Query, mode core.VerifyMode) ([]uint64, error) {
 	c.met.searches.Inc()
 	start := time.Now()
-	// Per-op trace: adopt the caller's (threaded via context) or, when
-	// the cluster is instrumented, start one of our own.
-	tr := obs.TraceFrom(ctx)
-	if owned := tr == nil && c.met.reg != nil; owned {
-		tr = c.met.reg.StartTrace("search")
-		defer tr.Finish()
-	}
 	defer func() { c.met.searchNS.Observe(time.Since(start).Nanoseconds()) }()
 	kSites := pl.K()
 	m := pl.Chunkings()
 	payloads, failed, err := c.gather(ctx, opSearch, encode(queryToSearchReq(id, query, m, kSites)))
-	tr.Lap("broadcast")
 	if err != nil {
 		return nil, err
 	}
@@ -929,7 +918,6 @@ func (c *Cluster) Search(ctx context.Context, id FileID, pl *core.Pipeline, quer
 		ppc = int((pl.ChunkBits() + 15) / 16)
 	}
 	rids, err := combineHits(payloads, m, kSites, ppc, mode, pl.Params().Chunk)
-	tr.Lap("combine")
 	if err != nil {
 		return nil, err
 	}

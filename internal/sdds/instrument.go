@@ -9,9 +9,9 @@ import (
 
 // This file wires the SDDS layer into the obs registry: node-side
 // per-opcode latency and search-path counters, client-side operation
-// counters plus per-search traces, and supervisor repair-phase
-// counters. Instrument methods must run before the component carries
-// traffic; all instruments are nil-safe no-ops until then.
+// counters, and supervisor repair-phase counters. Instrument methods
+// must run before the component carries traffic; all instruments are
+// nil-safe no-ops until then.
 
 // opNames labels the per-opcode latency histograms.
 var opNames = [...]string{
@@ -107,8 +107,6 @@ func (m *nodeMetrics) observeOp(op uint8, d time.Duration, err error) {
 // tracks image-adjustment messages — the client's view of how far its
 // image lagged (each one was an extra hop the server chain took).
 type clusterMetrics struct {
-	reg *obs.Registry // for per-search traces; nil when uninstrumented
-
 	puts         *obs.Counter
 	gets         *obs.Counter
 	deletes      *obs.Counter
@@ -133,14 +131,13 @@ type clusterMetrics struct {
 	migInFlight  *obs.Gauge
 }
 
-// Instrument publishes the cluster client's counters into reg and
-// enables per-search tracing. Call before the cluster carries traffic.
+// Instrument publishes the cluster client's counters into reg. Call
+// before the cluster carries traffic.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	c.met = clusterMetrics{
-		reg:             reg,
 		puts:            reg.Counter("cluster_puts_total"),
 		gets:            reg.Counter("cluster_gets_total"),
 		deletes:         reg.Counter("cluster_deletes_total"),
@@ -159,12 +156,6 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		migResumed:      reg.Counter("sdds_migrations_resumed_total"),
 		migInFlight:     reg.Gauge("sdds_migrations_in_flight"),
 	}
-}
-
-// Metrics returns the registry the cluster was instrumented with (nil
-// when uninstrumented).
-func (c *Cluster) Metrics() *obs.Registry {
-	return c.met.reg
 }
 
 // supervisorMetrics counts repair-lifecycle phases. Every journaled

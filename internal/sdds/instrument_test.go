@@ -203,83 +203,6 @@ func TestLinearScanMetricInvariants(t *testing.T) {
 	}
 }
 
-// TestSearchTraceLifecycle checks that an instrumented cluster records
-// a per-search trace with the broadcast and combine stages, and that
-// client-threaded traces accumulate one hop per IAM.
-func TestSearchTraceLifecycle(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pl := testPipeline(t, 4, 2, 2)
-	slotBits := SlotBits(pl.Chunkings(), pl.K())
-	ctx := context.Background()
-
-	c, _ := memClusterNodes(t, 3, false)
-	reg := obs.NewRegistry()
-	c.Instrument(reg)
-	c.SetMaxLoad(FileRecords, 4)
-	c.SetMaxLoad(FileIndex, 8)
-
-	const nRecs = 30
-	for rid := uint64(1); rid <= nRecs; rid++ {
-		rc := randomRecord(rng)
-		if err := c.Put(ctx, FileRecords, rid, rc); err != nil {
-			t.Fatal(err)
-		}
-		recs, err := pl.BuildIndex(rid, rc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits); err != nil {
-			t.Fatal(err)
-		}
-	}
-	query, err := pl.BuildQuery([]byte("ANCHOR"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Search(ctx, FileIndex, pl, query, core.VerifyAny); err != nil {
-		t.Fatal(err)
-	}
-	traces := reg.Traces()
-	if len(traces) == 0 {
-		t.Fatal("no trace recorded for instrumented search")
-	}
-	last := traces[len(traces)-1]
-	if last.Op != "search" {
-		t.Fatalf("trace op = %q, want search", last.Op)
-	}
-	stages := make(map[string]bool)
-	for _, lap := range last.Laps {
-		stages[lap.Stage] = true
-	}
-	if !stages["broadcast"] || !stages["combine"] {
-		t.Fatalf("trace stages = %v, want broadcast and combine", last.Laps)
-	}
-
-	// Forget the client image: the next sweep of Gets must correct it
-	// via IAMs, and a caller-threaded trace counts one hop per IAM.
-	splits, _ := c.Stats(FileRecords)
-	if splits == 0 {
-		t.Fatal("records file did not split; IAM scenario not exercised")
-	}
-	iamsBefore := reg.CounterValue("cluster_iams_total")
-	c.ResetImage(FileRecords)
-	tr := reg.StartTrace("get-sweep")
-	tctx := obs.WithTrace(ctx, tr)
-	for rid := uint64(1); rid <= nRecs; rid++ {
-		if _, ok, err := c.Get(tctx, FileRecords, rid); err != nil || !ok {
-			t.Fatalf("get %d: %v %v", rid, ok, err)
-		}
-	}
-	tr.Finish()
-	iams := reg.CounterValue("cluster_iams_total") - iamsBefore
-	if iams == 0 {
-		t.Fatal("image reset produced no IAMs")
-	}
-	if got := uint64(tr.Hops()); got != iams {
-		t.Errorf("trace hops = %d, want one per IAM = %d", got, iams)
-	}
-}
-
 // TestSupervisorPhaseMetricsMatchJournal runs a full detect → revive →
 // local replay cycle and checks the central repair-accounting invariant:
 // every journaled record increments exactly one phase counter, so the

@@ -27,9 +27,9 @@ func benchServer(b *testing.B) string {
 // through two client strategies against the same server:
 //
 //	pooled    — the multiplexed v2 client, one caller (requests still
-//	            serialize, but through the pool's write/demux loops)
+//	            serialize, but through the connection's write/demux loops)
 //	pipelined — the multiplexed v2 client with many concurrent callers
-//	            sharing pooled connections
+//	            sharing the node's one connection
 func BenchmarkTransport(b *testing.B) {
 	payload := make([]byte, 256)
 	for i := range payload {

@@ -97,8 +97,8 @@ type detNode struct {
 // Detector is a lightweight per-node failure detector: it combines
 // active health probes (a periodic ProbeOp to every member) with
 // passive signals from live traffic (the Sends of a transport wrapped
-// by Watch, and the TCP pool's connection deaths) into a three-state
-// verdict per node, and publishes state transitions to subscribers.
+// by Watch) into a three-state verdict per node, and publishes state
+// transitions to subscribers.
 //
 // Membership is authoritative, not discovered: the detector watches
 // exactly the nodes it was constructed with, so a crashed node that
@@ -145,11 +145,6 @@ func (d *Detector) Policy() DetectorPolicy { return d.policy }
 // unwatched path a supervisor should use for control-plane queries
 // against nodes it is inspecting.
 func (d *Detector) Transport() Transport { return d.tr }
-
-// Members returns the watched membership.
-func (d *Detector) Members() []NodeID {
-	return append([]NodeID(nil), d.members...)
-}
 
 // Start launches the background probe loop (no-op when ProbeInterval
 // is 0 or the detector already runs).
@@ -210,16 +205,10 @@ func (d *Detector) ProbeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// SendObserver receives send outcomes as passive health evidence; the
-// TCP pool reports each connection death to one.
-type SendObserver interface {
-	ObserveSend(node NodeID, err error)
-}
-
-// ObserveSend feeds a passive signal from live traffic; it implements
-// SendObserver. A nil error (or a remote handler error, which proves
-// the node answered) counts as alive; transport failures count against
-// the node.
+// ObserveSend feeds a passive signal from live traffic; Watch calls it
+// for every Send outcome. A nil error (or a remote handler error, which
+// proves the node answered) counts as alive; transport failures count
+// against the node.
 func (d *Detector) ObserveSend(node NodeID, err error) {
 	d.signal(node, err, true)
 }

@@ -63,13 +63,14 @@ func (d *Detector) Instrument(reg *obs.Registry) {
 	}
 }
 
-// tcpMetrics counts the client side of the TCP transport: dials, pooled
+// tcpMetrics counts the client side of the TCP transport: dials,
 // connection reuse, frame bytes on the wire (header included; the
 // 4-byte v2 magic preamble is counted on neither side so client and
-// server byte counters stay symmetric), and pool lifecycle. Invariants:
+// server byte counters stay symmetric), and connection lifecycle.
+// Invariants:
 //
 //	dials_total + conn_reuses_total == Sends that acquired a connection
-//	pool_conns == open pooled connections (gauge)
+//	pool_conns == nodes with an open connection (gauge; one per node)
 //	inflight   == requests between acquire and release (gauge)
 type tcpMetrics struct {
 	dials         *obs.Counter

@@ -14,62 +14,48 @@ import (
 	"time"
 )
 
-// TCP is the client-side transport: a node-address directory over a
-// per-node pool of multiplexed v2 connections. Many in-flight requests
-// share one connection — each Send registers a per-request id, a write
+// TCP is the client-side transport: a node-address directory over one
+// multiplexed v2 connection per node. Every in-flight request to a node
+// shares its connection — each Send registers a per-request id, a write
 // loop coalesces pending frames into one vectored write, and a demux
 // goroutine per connection routes response frames (which may complete
 // out of order) back to their waiters.
 //
-// Failure policy: a dead pooled connection is evicted and reported to
-// the installed SendObserver (so a Detector sees it as passive
-// evidence), and the Sends it carried fail with a transport error — the
-// transport never silently redials mid-request; redial happens on the
-// next Send, when the caller re-runs the operation.
+// Failure policy: a dead connection is evicted and the Sends it carried
+// fail with a transport error — the transport never silently redials
+// mid-request; redial happens on the next Send, when the caller re-runs
+// the operation. A failure detector learns of the death through those
+// failed Sends (Detector.Watch) or its next probe.
 type TCP struct {
 	mu     sync.Mutex
 	addrs  map[NodeID]string
-	pools  map[NodeID]*nodePool
+	slots  map[NodeID]*nodeSlot
 	closed bool
-
-	observer SendObserver // pool-level failure signals; may be nil
-
-	reaperOnce sync.Once
-	reaperStop chan struct{}
-
-	// DialTimeout bounds connection establishment.
-	DialTimeout time.Duration
-	// PoolSize caps multiplexed connections kept per node.
-	PoolSize int
-	// IdleTimeout is how long a connection may sit with no in-flight
-	// requests before the reaper closes it (0 disables reaping).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds one vectored write of queued frames; a
-	// connection that cannot drain its write within it is considered
-	// dead. It exists so a hung peer cannot wedge Sends forever.
-	WriteTimeout time.Duration
 
 	met tcpMetrics // set by Instrument before traffic; nil-safe
 }
 
-// nodePool is one node's connection set plus its dial-coalescing state:
-// at most one dial per node is in flight, and Sends that find the pool
-// empty wait for it instead of dialing their own.
-type nodePool struct {
-	conns   []*muxConn
+// nodeSlot is one node's connection plus its dial-coalescing state: at
+// most one dial per node is in flight, and Sends that find no
+// connection wait for it instead of dialing their own.
+type nodeSlot struct {
+	conn    *muxConn
 	dialing *dialWait
 }
 
 type dialWait struct {
 	done chan struct{}
-	conn *muxConn
 	err  error
 }
 
-// connGrowInflight is the in-flight depth on the least-loaded
-// connection beyond which the pool grows (up to PoolSize): below it,
-// multiplexing on an existing connection is cheaper than a dial.
-const connGrowInflight = 4
+const (
+	// dialTimeout bounds connection establishment, preamble included.
+	dialTimeout = 5 * time.Second
+	// writeTimeout bounds one vectored write of queued frames; a
+	// connection that cannot drain its write within it is dead. It
+	// exists so a hung peer cannot wedge Sends forever.
+	writeTimeout = 15 * time.Second
+)
 
 // ErrClosed reports a Send on a closed transport.
 var ErrClosed = errors.New("transport: closed")
@@ -80,25 +66,7 @@ func NewTCP(addrs map[NodeID]string) *TCP {
 	for k, v := range addrs {
 		cp[k] = v
 	}
-	return &TCP{
-		addrs:        cp,
-		pools:        make(map[NodeID]*nodePool),
-		DialTimeout:  5 * time.Second,
-		PoolSize:     4,
-		IdleTimeout:  60 * time.Second,
-		WriteTimeout: 15 * time.Second,
-	}
-}
-
-// SetObserver installs a pool-level failure observer: every connection
-// death (idle or carrying requests) is reported as one ObserveSend with
-// the error that killed it, feeding passive failure detection the same
-// way Detector.Watch does for whole-Send outcomes. Passing nil removes
-// it.
-func (t *TCP) SetObserver(o SendObserver) {
-	t.mu.Lock()
-	t.observer = o
-	t.mu.Unlock()
+	return &TCP{addrs: cp, slots: make(map[NodeID]*nodeSlot)}
 }
 
 // AddNode registers (or updates) a node address.
@@ -120,21 +88,7 @@ func (t *TCP) Nodes() []NodeID {
 	return out
 }
 
-// PoolStats reports the current pool state: open connections and
-// in-flight requests summed over all nodes.
-func (t *TCP) PoolStats() (conns, inflight int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range t.pools {
-		conns += len(p.conns)
-		for _, c := range p.conns {
-			inflight += int(c.inflight.Load())
-		}
-	}
-	return conns, inflight
-}
-
-// getConn returns a live pooled connection with a reservation (its
+// getConn returns the node's live connection with a reservation (its
 // in-flight count already incremented) or dials one, coalescing
 // concurrent dials per node.
 func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
@@ -149,29 +103,22 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 			t.mu.Unlock()
 			return nil, fmt.Errorf("%w: %d", ErrUnknownNode, node)
 		}
-		p := t.pools[node]
-		if p == nil {
-			p = &nodePool{}
-			t.pools[node] = p
+		slot := t.slots[node]
+		if slot == nil {
+			slot = &nodeSlot{}
+			t.slots[node] = slot
 		}
-		// Least-loaded live connection.
-		var best *muxConn
-		for _, c := range p.conns {
-			if best == nil || c.inflight.Load() < best.inflight.Load() {
-				best = c
-			}
-		}
-		if best != nil && (best.inflight.Load() < connGrowInflight || len(p.conns) >= t.PoolSize || p.dialing != nil) {
-			best.inflight.Add(1)
+		if c := slot.conn; c != nil {
+			c.inflight.Add(1)
 			t.mu.Unlock()
 			t.met.reuses.Inc()
 			t.met.inflight.Add(1)
-			return best, nil
+			return c, nil
 		}
-		if p.dialing != nil {
-			// A dial for this node is already in flight and the pool is
-			// empty: wait for it rather than stampeding the dialer.
-			dw := p.dialing
+		if slot.dialing != nil {
+			// A dial for this node is already in flight: wait for it
+			// rather than stampeding the dialer.
+			dw := slot.dialing
 			t.mu.Unlock()
 			t.met.dialCoalesced.Inc()
 			select {
@@ -182,16 +129,22 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 			if dw.err != nil {
 				return nil, dw.err
 			}
-			continue // re-enter: the fresh conn is in the pool now
+			continue // re-enter: the fresh conn is installed now
 		}
 		dw := &dialWait{done: make(chan struct{})}
-		p.dialing = dw
+		slot.dialing = dw
 		t.mu.Unlock()
 
 		c, err := t.dial(node, addr)
 		t.mu.Lock()
-		p.dialing = nil
-		dw.conn, dw.err = c, err
+		slot.dialing = nil
+		if err == nil && !t.closed && c.isDead() {
+			// The peer hung up before the connection was installed, so
+			// removeConn had nothing to evict: installing it would pin a
+			// dead connection as the node's only one.
+			err = fmt.Errorf("transport: node %d: %w", node, c.deathErr())
+		}
+		dw.err = err
 		if err == nil {
 			if t.closed {
 				t.mu.Unlock()
@@ -199,7 +152,7 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 				c.fail(ErrClosed)
 				return nil, ErrClosed
 			}
-			p.conns = append(p.conns, c)
+			slot.conn = c
 			c.inflight.Add(1)
 			t.met.poolConns.Add(1)
 			t.met.inflight.Add(1)
@@ -209,7 +162,6 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.startReaper()
 		return c, nil
 	}
 }
@@ -217,7 +169,7 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 // dial establishes one v2 connection: TCP connect, magic preamble, then
 // the demux and write loops take over the socket.
 func (t *TCP) dial(node NodeID, addr string) (*muxConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, t.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing node %d: %w", node, err)
 	}
@@ -226,9 +178,7 @@ func (t *TCP) dial(node NodeID, addr string) (*muxConn, error) {
 	}
 	var magic [4]byte
 	binary.BigEndian.PutUint32(magic[:], magicV2)
-	if t.DialTimeout > 0 {
-		nc.SetWriteDeadline(time.Now().Add(t.DialTimeout)) //nolint:errcheck
-	}
+	nc.SetWriteDeadline(time.Now().Add(dialTimeout)) //nolint:errcheck
 	if _, err := nc.Write(magic[:]); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("transport: v2 preamble to node %d: %w", node, err)
@@ -243,100 +193,29 @@ func (t *TCP) dial(node NodeID, addr string) (*muxConn, error) {
 		waiters: make(map[uint32]chan wireResp),
 		closed:  make(chan struct{}),
 	}
-	c.lastIdle.Store(time.Now().UnixNano())
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
 
-// removeConn evicts a dead connection from its pool and reports the
-// death to the observer (unless the transport itself is closing).
+// removeConn evicts a dead connection from its node and counts the
+// death (unless the transport itself is closing).
 func (t *TCP) removeConn(c *muxConn, err error) {
 	t.mu.Lock()
-	p := t.pools[c.node]
-	if p != nil {
-		for i, pc := range p.conns {
-			if pc == c {
-				p.conns = append(p.conns[:i], p.conns[i+1:]...)
-				t.met.poolConns.Add(-1)
-				break
-			}
-		}
+	if slot := t.slots[c.node]; slot != nil && slot.conn == c {
+		slot.conn = nil
+		t.met.poolConns.Add(-1)
 	}
 	closed := t.closed
-	obs := t.observer
 	t.mu.Unlock()
 	if closed || errors.Is(err, ErrClosed) {
 		return
 	}
 	t.met.connDeaths.Inc()
-	if obs != nil {
-		obs.ObserveSend(c.node, err)
-	}
 }
-
-// startReaper lazily launches the idle-connection reaper.
-func (t *TCP) startReaper() {
-	if t.IdleTimeout <= 0 {
-		return
-	}
-	t.reaperOnce.Do(func() {
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return
-		}
-		t.reaperStop = make(chan struct{})
-		stop := t.reaperStop
-		t.mu.Unlock()
-		interval := t.IdleTimeout / 2
-		if interval < time.Millisecond {
-			interval = time.Millisecond
-		}
-		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					t.reapIdle()
-				}
-			}
-		}()
-	})
-}
-
-// reapIdle closes connections that carried no request for IdleTimeout.
-func (t *TCP) reapIdle() {
-	cutoff := time.Now().Add(-t.IdleTimeout).UnixNano()
-	var victims []*muxConn
-	t.mu.Lock()
-	for _, p := range t.pools {
-		kept := p.conns[:0]
-		for _, c := range p.conns {
-			if c.inflight.Load() == 0 && c.lastIdle.Load() < cutoff {
-				victims = append(victims, c)
-				t.met.poolConns.Add(-1)
-			} else {
-				kept = append(kept, c)
-			}
-		}
-		p.conns = kept
-	}
-	t.mu.Unlock()
-	for _, c := range victims {
-		// Evicted before failing, so removeConn finds nothing to report:
-		// an idle reap is policy, not a failure signal.
-		c.fail(errConnReaped)
-	}
-}
-
-var errConnReaped = fmt.Errorf("%w: idle connection reaped", ErrClosed)
 
 // Send implements Transport: one multiplexed round trip. The request
-// shares a pooled connection with other in-flight Sends; the context
+// shares the node's connection with other in-flight Sends; the context
 // governs only this request (cancelling it abandons the response — the
 // connection stays healthy and a late response for the abandoned id is
 // dropped by the demux loop).
@@ -392,16 +271,13 @@ func (t *TCP) Close() error {
 	}
 	t.closed = true
 	var victims []*muxConn
-	for _, p := range t.pools {
-		victims = append(victims, p.conns...)
-		p.conns = nil
+	for _, slot := range t.slots {
+		if slot.conn != nil {
+			victims = append(victims, slot.conn)
+			slot.conn = nil
+		}
 	}
-	stop := t.reaperStop
-	t.reaperStop = nil
 	t.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
 	for _, c := range victims {
 		c.fail(ErrClosed)
 	}
@@ -420,7 +296,6 @@ type muxConn struct {
 
 	writeCh  chan *wireReq
 	inflight atomic.Int32
-	lastIdle atomic.Int64 // UnixNano of the moment inflight last hit 0
 
 	mu      sync.Mutex
 	waiters map[uint32]chan wireResp
@@ -447,9 +322,7 @@ type wireResp struct {
 
 // release drops one in-flight reservation.
 func (c *muxConn) release() {
-	if c.inflight.Add(-1) == 0 {
-		c.lastIdle.Store(time.Now().UnixNano())
-	}
+	c.inflight.Add(-1)
 	c.t.met.inflight.Add(-1)
 }
 
@@ -484,7 +357,7 @@ func (c *muxConn) roundTrip(ctx context.Context, op uint8, deadline time.Time, p
 	// caller may recycle the payload buffer the moment Send returns, so
 	// returning while a write loop still holds it would corrupt frames.
 	// A live conn drains writes promptly; a wedged one trips
-	// WriteTimeout and dies, closing c.closed.
+	// writeTimeout and dies, closing c.closed.
 	select {
 	case <-req.wrote:
 	case <-c.closed:
@@ -509,6 +382,12 @@ func (c *muxConn) dropWaiter(id uint32) {
 	c.mu.Lock()
 	delete(c.waiters, id)
 	c.mu.Unlock()
+}
+
+func (c *muxConn) isDead() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dead
 }
 
 func (c *muxConn) deathErr() error {
@@ -582,9 +461,7 @@ func (c *muxConn) writeLoop() {
 			}
 			wire += frameWireBytesV2(req.payload)
 		}
-		if c.t.WriteTimeout > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(c.t.WriteTimeout)) //nolint:errcheck
-		}
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
 		_, err := bufs.WriteTo(c.nc)
 		for _, req := range pending {
 			close(req.wrote)
@@ -600,8 +477,8 @@ func (c *muxConn) writeLoop() {
 // readLoop is the demux goroutine: it reads response frames and routes
 // each to the waiter registered under its id. Responses for ids whose
 // waiter gave up (context cancelled) are dropped. A read error kills
-// the connection: every current waiter fails, the pool evicts it, and
-// the observer hears about it.
+// the connection: every current waiter fails and the transport evicts
+// it.
 func (c *muxConn) readLoop() {
 	r := newReaderBuf(c.nc)
 	for {
@@ -623,7 +500,7 @@ func (c *muxConn) readLoop() {
 
 // fail tears the connection down exactly once: marks it dead, closes
 // the socket (waking both loops), fails every waiter, and evicts it
-// from the pool.
+// from its node.
 func (c *muxConn) fail(err error) {
 	c.mu.Lock()
 	if c.dead {

@@ -37,8 +37,7 @@ func TestPoolWaitersFailFastOnConnDeath(t *testing.T) {
 		}
 	}()
 
-	cli := NewTCP(map[NodeID]string{1: lis.Addr().String()})
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: lis.Addr().String()})
 
 	const n = 6
 	errCh := make(chan error, n)
@@ -53,12 +52,11 @@ func TestPoolWaitersFailFastOnConnDeath(t *testing.T) {
 	// Wait until every request is written and waiting on a response.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, inflight := cli.PoolStats(); inflight == n {
+		if reg.GaugeValue("transport_tcp_inflight") == n {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, inflight := cli.PoolStats()
-			t.Fatalf("only %d/%d requests in flight", inflight, n)
+			t.Fatalf("only %d/%d requests in flight", reg.GaugeValue("transport_tcp_inflight"), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -89,8 +87,7 @@ func TestPoolWaitersFailFastOnConnDeath(t *testing.T) {
 }
 
 // clientGoroutines counts the goroutines running this package's TCP
-// client: pooled conns' read and write loops, reapers, dials and Send
-// waiters. Other tests' leftovers and the parked fan-out and server
+// client: connections' read and write loops, dials and Send waiters. Other tests' leftovers and the parked fan-out and server
 // worker pools run none of that code, so they do not move the count.
 func clientGoroutines() int {
 	buf := make([]byte, 1<<16)
@@ -111,17 +108,15 @@ func clientGoroutines() int {
 	return count
 }
 
-// TestPoolSaturationNoGoroutineLeak: bursts far past PoolSize queue
-// onto the bounded pool; repeating the burst must not grow the client's
-// goroutine population — queued dials and abandoned waiters all
-// terminate.
+// TestPoolSaturationNoGoroutineLeak: bursts of 100 concurrent Sends
+// queue onto the node's one connection; repeating the burst must not
+// grow the client's goroutine population — queued dials and abandoned
+// waiters all terminate — nor open a second connection.
 func TestPoolSaturationNoGoroutineLeak(t *testing.T) {
 	addr, stop := startTCPNode(t, echoHandler)
 	defer stop()
 
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.PoolSize = 2
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
 	burst := func() {
 		var wg sync.WaitGroup
@@ -137,14 +132,15 @@ func TestPoolSaturationNoGoroutineLeak(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Warm burst: establishes the pool's conns, whose loops are the
-	// baseline, not a leak.
+	// Warm burst: establishes the conn, whose loops are the baseline,
+	// not a leak.
 	burst()
 	base := clientGoroutines()
 
 	for i := 0; i < 3; i++ {
 		burst()
 	}
+	wantOneConn(t, reg)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

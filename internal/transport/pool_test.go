@@ -11,7 +11,33 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// countedTCP returns a client over addrs instrumented into a fresh
+// registry, so tests read its connection count from the same metrics
+// an operator sees.
+func countedTCP(t *testing.T, addrs map[NodeID]string) (*TCP, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	cli := NewTCP(addrs)
+	cli.Instrument(reg)
+	t.Cleanup(func() { cli.Close() })
+	return cli, reg
+}
+
+// wantOneConn asserts the client dialed exactly once and holds exactly
+// one connection.
+func wantOneConn(t *testing.T, reg *obs.Registry) {
+	t.Helper()
+	if d := reg.CounterValue("transport_tcp_dials_total"); d != 1 {
+		t.Errorf("dials = %d, want 1", d)
+	}
+	if c := reg.GaugeValue("transport_tcp_pool_conns"); c != 1 {
+		t.Errorf("pool conns = %d, want 1", c)
+	}
+}
 
 // startRawV2Node runs a hand-rolled v2 peer (no Server involved) so
 // tests control exactly how and when response frames come back. The
@@ -85,9 +111,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 		}
 	})
 
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.PoolSize = 1 // force all requests onto one multiplexed conn
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -112,6 +136,45 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 			t.Errorf("request %d: %v", i, err)
 		}
 	}
+	wantOneConn(t, reg)
+}
+
+// TestOneConnectionPerNode holds 64 concurrent Sends in flight at once
+// with a blocking handler: all of them multiplex onto the node's single
+// connection, however deep the queue — the transport never opens a
+// second one.
+func TestOneConnectionPerNode(t *testing.T) {
+	const concurrent = 64
+	release := make(chan struct{})
+	addr, stop := startTCPNode(t, func(_ context.Context, op uint8, p []byte) ([]byte, error) {
+		<-release
+		return p, nil
+	})
+	defer stop()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
+
+	var wg sync.WaitGroup
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cli.Send(context.Background(), 1, 1, []byte("x")); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.GaugeValue("transport_tcp_inflight") < concurrent {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("only %d/%d requests in flight", reg.GaugeValue("transport_tcp_inflight"), concurrent)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	wantOneConn(t, reg)
+	close(release)
+	wg.Wait()
+	wantOneConn(t, reg)
 }
 
 // TestMuxConcurrencyTorture hammers one pooled connection from many
@@ -124,9 +187,7 @@ func TestMuxConcurrencyTorture(t *testing.T) {
 	})
 	defer stop()
 
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.PoolSize = 1
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
 	const goroutines = 32
 	const perG = 50
@@ -156,170 +217,73 @@ func TestMuxConcurrencyTorture(t *testing.T) {
 	if failures.Load() > 0 {
 		return
 	}
-	conns, inflight := cli.PoolStats()
-	if conns != 1 {
-		t.Errorf("pool conns = %d, want 1 (PoolSize 1)", conns)
-	}
-	if inflight != 0 {
+	wantOneConn(t, reg)
+	if inflight := reg.GaugeValue("transport_tcp_inflight"); inflight != 0 {
 		t.Errorf("inflight = %d, want 0 at rest", inflight)
 	}
 }
 
-// TestPoolBounded verifies pool exhaustion semantics: with more
-// concurrent requests than PoolSize, the pool stops growing at the cap
-// and excess requests multiplex onto existing connections instead of
-// dialing or failing.
-func TestPoolBounded(t *testing.T) {
-	release := make(chan struct{})
-	addr, stop := startTCPNode(t, func(_ context.Context, op uint8, p []byte) ([]byte, error) {
-		<-release
-		return p, nil
-	})
-	defer stop()
-
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.PoolSize = 2
-	defer cli.Close()
-
-	const concurrent = 24
-	var wg sync.WaitGroup
-	for i := 0; i < concurrent; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := cli.Send(context.Background(), 1, 1, []byte("x")); err != nil {
-				t.Errorf("send: %v", err)
-			}
-		}()
-	}
-	// Wait until every request is in flight, then check the pool cap.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, inflight := cli.PoolStats()
-		if inflight == concurrent {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d requests in flight", inflight)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if conns, _ := cli.PoolStats(); conns > cli.PoolSize {
-		t.Errorf("pool grew to %d conns, cap is %d", conns, cli.PoolSize)
-	}
-	close(release)
-	wg.Wait()
-}
-
-// recordingObserver captures pool-level failure signals.
-type recordingObserver struct {
-	mu    sync.Mutex
-	nodes []NodeID
-	errs  []error
-}
-
-func (o *recordingObserver) ObserveSend(node NodeID, err error) {
-	o.mu.Lock()
-	o.nodes = append(o.nodes, node)
-	o.errs = append(o.errs, err)
-	o.mu.Unlock()
-}
-
-func (o *recordingObserver) count() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.nodes)
-}
-
-// TestDeadConnEviction kills the server under a warm pool and verifies
-// the client evicts the dead connection (no silent redial: the pool
-// drains to zero and the failure is reported to the observer even with
-// no Send in flight — the demux goroutine sees the EOF while idle).
+// TestDeadConnEviction kills the server under a warm connection and
+// verifies the client evicts it while idle — the demux goroutine sees
+// the EOF with no Send in flight — and counts the death. The next Send
+// fails loudly instead of being silently redialed mid-request, and once
+// the node is back the Send after that redials.
 func TestDeadConnEviction(t *testing.T) {
 	addr, stop := startTCPNode(t, echoHandler)
-
-	obs := &recordingObserver{}
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.SetObserver(obs)
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
 	if _, err := cli.Send(context.Background(), 1, 1, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	if conns, _ := cli.PoolStats(); conns != 1 {
-		t.Fatalf("pool conns = %d, want 1", conns)
-	}
+	wantOneConn(t, reg)
 
-	stop() // server gone; the pooled conn dies while idle
+	stop() // server gone; the conn dies while idle
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		conns, _ := cli.PoolStats()
-		if conns == 0 && obs.count() > 0 {
+		conns := reg.GaugeValue("transport_tcp_pool_conns")
+		deaths := reg.CounterValue("transport_tcp_conn_deaths_total")
+		if conns == 0 && deaths == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("dead conn not evicted/reported: conns=%d signals=%d", conns, obs.count())
+			t.Fatalf("dead conn not evicted/counted: conns=%d deaths=%d", conns, deaths)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	obs.mu.Lock()
-	if obs.nodes[0] != 1 || obs.errs[0] == nil {
-		t.Errorf("observed (%v, %v), want node 1 with a non-nil error", obs.nodes[0], obs.errs[0])
-	}
-	obs.mu.Unlock()
 
 	// The next Send fails loudly (no transparent redial to a dead node)…
 	if _, err := cli.Send(context.Background(), 1, 1, []byte("x")); err == nil {
 		t.Fatal("send to dead node succeeded")
 	}
-}
 
-// TestIdleReaper closes connections that sat idle past IdleTimeout —
-// and does NOT report reaping to the observer (an idle reap is pool
-// policy, not a failure signal).
-func TestIdleReaper(t *testing.T) {
-	addr, stop := startTCPNode(t, echoHandler)
-	defer stop()
-
-	obs := &recordingObserver{}
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.IdleTimeout = 20 * time.Millisecond
-	cli.SetObserver(obs)
-	defer cli.Close()
-
-	if _, err := cli.Send(context.Background(), 1, 1, []byte("x")); err != nil {
-		t.Fatal(err)
+	// …and once the node listens again, the next Send redials.
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("relisten on %s: %v", addr, err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if conns, _ := cli.PoolStats(); conns == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			conns, _ := cli.PoolStats()
-			t.Fatalf("idle conn not reaped: %d conns", conns)
-		}
-		time.Sleep(5 * time.Millisecond)
+	srv := NewServer(echoHandler)
+	go srv.Serve(lis) //nolint:errcheck
+	defer srv.Close()
+	if resp, err := cli.Send(context.Background(), 1, 1, []byte("back")); err != nil || string(resp) != "\x01back" {
+		t.Fatalf("send after restart: resp=%q err=%v", resp, err)
 	}
-	if n := obs.count(); n != 0 {
-		t.Errorf("idle reap produced %d observer signals, want 0", n)
+	if d := reg.CounterValue("transport_tcp_dials_total"); d != 2 {
+		t.Errorf("dials = %d, want 2 (one redial)", d)
 	}
-	// The pool recovers transparently on the next Send.
-	if _, err := cli.Send(context.Background(), 1, 1, []byte("y")); err != nil {
-		t.Fatalf("send after reap: %v", err)
+	if c := reg.GaugeValue("transport_tcp_pool_conns"); c != 1 {
+		t.Errorf("pool conns = %d, want 1 after redial", c)
 	}
 }
 
 // TestDialCoalescing fires a burst of first-contact Sends at one node:
 // without coalescing each would dial its own connection; with it the
-// dial count stays within the pool bound.
+// burst waits on one dial.
 func TestDialCoalescing(t *testing.T) {
 	addr, stop := startTCPNode(t, echoHandler)
 	defer stop()
 
-	cli := NewTCP(map[NodeID]string{1: addr})
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
 	const burst = 16
 	var wg sync.WaitGroup
@@ -333,9 +297,7 @@ func TestDialCoalescing(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if conns, _ := cli.PoolStats(); conns > cli.PoolSize {
-		t.Errorf("burst grew the pool to %d conns, cap is %d", conns, cli.PoolSize)
-	}
+	wantOneConn(t, reg)
 }
 
 // TestMuxContextCancelAbandonsWaiter cancels one Send mid-flight on a
@@ -354,11 +316,9 @@ func TestMuxContextCancelAbandonsWaiter(t *testing.T) {
 	defer stop()
 	defer gateOnce.Do(func() { close(gate) })
 
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.PoolSize = 1
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
-	// Warm the single conn so both Sends share it.
+	// Warm the conn so both Sends share it.
 	if _, err := cli.Send(context.Background(), 1, 1, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
@@ -378,46 +338,7 @@ func TestMuxContextCancelAbandonsWaiter(t *testing.T) {
 	if resp, err := cli.Send(context.Background(), 1, 1, []byte("after")); err != nil || string(resp) != "after" {
 		t.Fatalf("conn did not survive abandoned waiter: resp=%q err=%v", resp, err)
 	}
-	if conns, _ := cli.PoolStats(); conns != 1 {
-		t.Errorf("pool conns = %d, want the same single conn", conns)
-	}
-}
-
-// TestPoolDeathFeedsDetector wires the pool's failure observer into a
-// Detector and composes the stack the way esdds does — Faulty over the
-// pooled TCP transport. Killing the server must surface as passive
-// detector signals (dead pooled conn = send observation), driving the
-// node to NodeDown without a single application Send after the kill.
-func TestPoolDeathFeedsDetector(t *testing.T) {
-	addr, stop := startTCPNode(t, echoHandler)
-
-	tcp := NewTCP(map[NodeID]string{1: addr})
-	defer tcp.Close()
-	faulty := NewFaulty(tcp, 1)
-	det := NewDetector(faulty, []NodeID{1}, DetectorPolicy{DownAfter: 1})
-	tcp.SetObserver(det)
-
-	// Traffic through the full stack works and keeps the node up.
-	if _, err := faulty.Send(context.Background(), 1, 1, []byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	if s := det.Snapshot(); s[0].State != NodeUp {
-		t.Fatalf("state = %v, want up", s[0].State)
-	}
-
-	// Drop every conn the pool holds by killing the server. No further
-	// Sends: the only failure evidence is the pool-level signal.
-	stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s := det.Snapshot(); s[0].State == NodeDown {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("detector state = %v, want down from passive pool signal", det.Snapshot()[0].State)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	wantOneConn(t, reg)
 }
 
 // TestMuxPayloadNotRetained checks the codec contract the sdds layer
@@ -430,9 +351,7 @@ func TestMuxPayloadNotRetained(t *testing.T) {
 	})
 	defer stop()
 
-	cli := NewTCP(map[NodeID]string{1: addr})
-	cli.PoolSize = 1
-	defer cli.Close()
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
 
 	buf := make([]byte, 64)
 	for i := 0; i < 200; i++ {
@@ -449,4 +368,5 @@ func TestMuxPayloadNotRetained(t *testing.T) {
 			}
 		}
 	}
+	wantOneConn(t, reg)
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// The frame format lives in wire.go and the pooled client in pool.go.
+// The frame format lives in wire.go and the multiplexed client in pool.go.
 //
 // maxFrame bounds a frame to keep a malformed peer from exhausting
 // memory.

@@ -176,7 +176,7 @@ type InlineSender interface {
 func (m *Memory) SendsInline() bool { return true }
 
 // CtxSender marks transports whose Send returns promptly once the
-// context ends, even mid-request — the pooled TCP transport, whose
+// context ends, even mid-request — the multiplexed TCP transport, whose
 // round-trip selects on ctx.Done while the demux goroutine owns the
 // socket. Fan-out helpers call such transports directly instead of
 // paying a watchdog goroutine per send; transports that can block past
@@ -186,7 +186,7 @@ type CtxSender interface {
 	SendsWithContext() bool
 }
 
-// SendsWithContext marks the pooled TCP transport: roundTrip abandons
+// SendsWithContext marks the multiplexed TCP transport: roundTrip abandons
 // the waiter and returns ctx.Err() the moment the context ends.
 func (t *TCP) SendsWithContext() bool { return true }
 

@@ -240,7 +240,6 @@ func TestTCPUnknownAndUnreachable(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	dead := NewTCP(map[NodeID]string{1: "127.0.0.1:1"}) // nothing listens on port 1
-	dead.DialTimeout = 200 * time.Millisecond
 	defer dead.Close()
 	if _, err := dead.Send(context.Background(), 1, 1, nil); err == nil {
 		t.Error("unreachable node accepted")
