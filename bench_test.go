@@ -24,7 +24,6 @@ import (
 	"repro/internal/encode"
 	"repro/internal/experiments"
 	"repro/internal/gf"
-	"repro/internal/lhstar"
 	"repro/internal/phonebook"
 	"repro/internal/stats"
 	"repro/internal/wordindex"
@@ -271,27 +270,6 @@ func BenchmarkGFMul(b *testing.B) {
 			}
 			sinkU64 = uint64(acc)
 		})
-	}
-}
-
-func BenchmarkLHStarInsert(b *testing.B) {
-	f := lhstar.NewFile(64)
-	img := &lhstar.Image{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Insert(img, uint64(i)*2654435761, []byte{1})
-	}
-}
-
-func BenchmarkLHStarLookup(b *testing.B) {
-	f := lhstar.NewFile(64)
-	for i := 0; i < 100000; i++ {
-		f.Insert(nil, uint64(i)*2654435761, []byte{1})
-	}
-	img := &lhstar.Image{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Lookup(img, uint64(i%100000)*2654435761)
 	}
 }
 

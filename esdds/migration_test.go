@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/lhstar"
 	"repro/internal/sdds"
 )
 
@@ -196,5 +197,65 @@ func TestSelfHealingResumesInterruptedMigration(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got, val(i)) {
 			t.Fatalf("post-heal Get(%d) = %q, %v, %v", i, got, ok, err)
 		}
+	}
+}
+
+// TestReopenKeepsRecordCount reopens a grown durable cluster: the
+// ledger gives back each file's shape and the nodes' census its record
+// count, so the first delete after the reopen merges nothing. A count
+// restarted at zero would instead merge the record file down to one
+// bucket on that delete.
+func TestReopenKeepsRecordCount(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	key := KeyFromPassphrase("reopen count")
+	files := []sdds.FileID{sdds.FileRecords, sdds.FileIndex, sdds.FileWords}
+
+	c1 := NewMemoryCluster(3, WithDataDir(dir))
+	st1, err := Open(c1, key, durableConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rid := uint64(1); rid <= 400; rid++ {
+		if err := st1.Insert(ctx, rid, []byte(fmt.Sprintf("reopen record %03d", rid))); err != nil {
+			t.Fatalf("insert %d: %v", rid, err)
+		}
+	}
+	sizes := make(map[sdds.FileID]int)
+	states := make(map[sdds.FileID]lhstar.State)
+	for _, id := range files {
+		sizes[id], states[id] = c1.inner.Size(id), c1.inner.State(id)
+	}
+	if states[sdds.FileRecords].Buckets() < 50 {
+		t.Fatalf("record file grew to only %d buckets", states[sdds.FileRecords].Buckets())
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := NewMemoryCluster(3, WithDataDir(dir))
+	defer c2.Close()
+	st2, err := Open(c2, key, durableConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range files {
+		if got := c2.inner.Size(id); got != sizes[id] {
+			t.Errorf("file %d: Size after reopen = %d, want %d", id, got, sizes[id])
+		}
+		if got := c2.inner.State(id); got != states[id] {
+			t.Errorf("file %d: State after reopen = %+v, want %+v", id, got, states[id])
+		}
+	}
+	if err := st2.Delete(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range files {
+		if m := c2.inner.Merges(id); m != 0 {
+			t.Errorf("file %d: one delete after reopen ran %d merges", id, m)
+		}
+	}
+	if got, want := c2.inner.Size(sdds.FileRecords), sizes[sdds.FileRecords]-1; got != want {
+		t.Errorf("record file Size after one delete = %d, want %d", got, want)
 	}
 }

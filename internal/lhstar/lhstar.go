@@ -15,8 +15,9 @@
 // range forwards it (at most twice, a proved LH* bound) and the final
 // server sends the client an Image Adjustment Message (IAM) so the same
 // mistake is never repeated. This package provides the pure addressing
-// mathematics, the bucket structure, and a single-process File that the
-// distributed layer (internal/sdds) composes with real transports.
+// mathematics, the file state with its one growth rule (Overloaded,
+// Underloaded), and the bucket structure. The coordinator that applies
+// the rule and the nodes that hold the buckets live in internal/sdds.
 package lhstar
 
 import "fmt"
@@ -145,10 +146,19 @@ func (s *State) RetreatSplit() bool {
 	return true
 }
 
-// Record is one key/value pair stored in a bucket.
-type Record struct {
-	Key   uint64
-	Value []byte
+// Overloaded reports whether a file of this state holding records
+// records must split: while records > B·maxLoad, for B buckets.
+func (s State) Overloaded(records, maxLoad int) bool {
+	return records > int(s.Buckets())*maxLoad
+}
+
+// Underloaded reports whether a file of this state holding records
+// records must merge: while B > 1 and records < (B−1)·⌊maxLoad/4⌋. The
+// quarter load is the hysteresis that keeps a file at the split
+// boundary from splitting and merging on alternate writes; a maxLoad
+// below 4 makes it zero, so such a file never merges.
+func (s State) Underloaded(records, maxLoad int) bool {
+	return s.Buckets() > 1 && records < int(s.Buckets()-1)*(maxLoad/4)
 }
 
 // Bucket is one LH* bucket: a level-tagged key/value store.
@@ -171,11 +181,6 @@ func (b *Bucket) Level() uint { return b.level }
 
 // Len returns the number of records.
 func (b *Bucket) Len() int { return len(b.recs) }
-
-// Belongs reports whether key addresses to this bucket at its level.
-func (b *Bucket) Belongs(key uint64) bool {
-	return key%(1<<b.level) == b.addr
-}
 
 // Put stores a record, replacing any existing value. It reports whether
 // the key was new.

@@ -122,9 +122,6 @@ func TestBucketBasics(t *testing.T) {
 	if b.Addr() != 1 || b.Level() != 1 || b.Len() != 0 {
 		t.Fatal("constructor fields")
 	}
-	if !b.Belongs(3) || b.Belongs(2) {
-		t.Error("Belongs wrong")
-	}
 	if !b.Put(3, []byte("x")) {
 		t.Error("first Put should report new")
 	}
@@ -185,138 +182,99 @@ func TestSplitIntoValidation(t *testing.T) {
 	}
 }
 
-func TestFileInsertLookupDelete(t *testing.T) {
-	f := NewFile(8)
-	img := &Image{}
-	for k := uint64(0); k < 1000; k++ {
-		f.Insert(img, k, []byte{byte(k), byte(k >> 8)})
-	}
-	if f.Len() != 1000 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	if f.Buckets() < 2 {
-		t.Error("file did not grow")
-	}
-	for k := uint64(0); k < 1000; k++ {
-		v, ok := f.Lookup(img, k)
-		if !ok || v[0] != byte(k) {
-			t.Fatalf("Lookup(%d) failed", k)
+// walk addresses key from the image img in state s the way a client
+// and the servers do: the client's guess, then each server's forward.
+// It returns the owning bucket and the hops taken, failing the test past
+// two, and applies the last server's IAM when a hop was needed.
+func walk(t *testing.T, s State, img *Image, key uint64) (owner uint64, hops int) {
+	t.Helper()
+	a := img.Address(key)
+	for {
+		next, fwd := ServerAddress(a, s.BucketLevel(a), key)
+		if !fwd {
+			break
 		}
-	}
-	if _, ok := f.Lookup(img, 5000); ok {
-		t.Error("phantom key found")
-	}
-	for k := uint64(0); k < 500; k++ {
-		if !f.Delete(img, k) {
-			t.Fatalf("Delete(%d) failed", k)
+		if hops++; hops > 2 {
+			t.Fatalf("key %d: forwarding chain exceeded 2 hops", key)
 		}
+		a = next
 	}
-	if f.Delete(img, 0) {
-		t.Error("double delete succeeded")
+	if hops > 0 {
+		img.Adjust(a, s.BucketLevel(a))
 	}
-	if f.Len() != 500 {
-		t.Errorf("Len = %d after deletes", f.Len())
-	}
+	return a, hops
 }
 
-func TestFileGrowsAndShrinks(t *testing.T) {
-	f := NewFile(8)
-	for k := uint64(0); k < 2000; k++ {
-		f.Insert(nil, k, []byte("v"))
+// grown returns the state a file holding records records reaches by
+// splitting while it is overloaded.
+func grown(records, maxLoad int) State {
+	var s State
+	for s.Overloaded(records, maxLoad) {
+		s.AdvanceSplit()
 	}
-	grown := f.Buckets()
-	if grown < 100 {
-		t.Fatalf("only %d buckets after 2000 inserts at load 8", grown)
-	}
-	for k := uint64(0); k < 2000; k++ {
-		f.Delete(nil, k)
-	}
-	if f.Len() != 0 {
-		t.Fatal("records remain")
-	}
-	if got := f.Buckets(); got >= grown {
-		t.Errorf("file did not shrink: %d -> %d buckets", grown, got)
-	}
-	splits, merges, _, _ := f.Stats()
-	if splits == 0 || merges == 0 {
-		t.Errorf("splits=%d merges=%d", splits, merges)
-	}
+	return s
 }
 
 // TestStaleImageAlwaysReachesOwner is the LH* core theorem: a client
 // with an arbitrarily stale image reaches the right bucket in at most
-// two forward hops, and IAMs only improve the image.
+// two forward hops, and IAMs only improve the image, never past the
+// true state.
 func TestStaleImageAlwaysReachesOwner(t *testing.T) {
-	f := NewFile(4)
+	s := grown(3000, 4)
 	rng := rand.New(rand.NewSource(3))
-	keys := make([]uint64, 3000)
-	for i := range keys {
-		keys[i] = rng.Uint64() >> 8
-		f.Insert(nil, keys[i], []byte{1}) // grow with a perfect client
-	}
-	// A brand-new client with the initial image must find every key;
-	// route panics if any chain exceeds 2 hops.
 	stale := &Image{}
-	for _, k := range keys {
-		if _, ok := f.Lookup(stale, k); !ok {
-			t.Fatalf("stale client missed key %d", k)
+	for i := 0; i < 3000; i++ {
+		k := rng.Uint64() >> 8
+		if owner, _ := walk(t, s, stale, k); owner != s.Address(k) {
+			t.Fatalf("key %d reached bucket %d, owner is %d", k, owner, s.Address(k))
+		}
+		if stale.Buckets() > s.Buckets() {
+			t.Fatalf("image overshoots: %d > %d", stale.Buckets(), s.Buckets())
 		}
 	}
-	// The image must have improved along the way.
 	if stale.Buckets() == 1 {
 		t.Error("image never adjusted despite forwards")
 	}
-	// And must never overshoot the true state.
-	if stale.Buckets() > f.Buckets() {
-		t.Errorf("image overshoots: %d > %d", stale.Buckets(), f.Buckets())
-	}
 }
 
-// TestImageConvergence: after enough lookups the client image stops
-// causing forwards for previously accessed buckets.
+// TestImageConvergence: once one pass over the keys has adjusted the
+// image, a second pass needs no forward at all.
 func TestImageConvergence(t *testing.T) {
-	f := NewFile(4)
-	for k := uint64(0); k < 500; k++ {
-		f.Insert(nil, k, []byte{1})
-	}
+	s := grown(500, 4)
 	img := &Image{}
+	first := 0
 	for k := uint64(0); k < 500; k++ {
-		f.Lookup(img, k)
+		_, hops := walk(t, s, img, k)
+		first += hops
 	}
-	_, _, forwardsBefore, _ := f.Stats()
-	// Second pass: the converged image should produce almost no new
-	// forwards (Lookup doesn't count forwards in Stats; use Insert).
+	if first == 0 {
+		t.Fatal("the initial image needed no forward")
+	}
 	for k := uint64(0); k < 500; k++ {
-		f.Insert(img, k, []byte{2})
-	}
-	_, _, forwardsAfter, _ := f.Stats()
-	newForwards := forwardsAfter - forwardsBefore
-	if newForwards > 25 { // 5% slack for residual staleness
-		t.Errorf("converged image still caused %d forwards", newForwards)
+		if _, hops := walk(t, s, img, k); hops != 0 {
+			t.Fatalf("converged image still forwarded key %d (%d hops)", k, hops)
+		}
 	}
 }
 
 func TestScan(t *testing.T) {
-	f := NewFile(8)
-	want := make(map[uint64]bool)
+	b := NewBucket(0, 0)
 	for k := uint64(0); k < 300; k++ {
-		f.Insert(nil, k, []byte{byte(k)})
-		want[k] = true
+		b.Put(k, []byte{byte(k)})
 	}
 	got := make(map[uint64]bool)
-	f.Scan(func(k uint64, v []byte) bool {
-		if got[k] {
-			t.Fatalf("key %d scanned twice", k)
+	b.Scan(func(k uint64, v []byte) bool {
+		if got[k] || v[0] != byte(k) {
+			t.Fatalf("key %d scanned twice or with the wrong value", k)
 		}
 		got[k] = true
 		return true
 	})
-	if len(got) != len(want) {
-		t.Errorf("scanned %d records, want %d", len(got), len(want))
+	if len(got) != 300 {
+		t.Errorf("scanned %d records, want 300", len(got))
 	}
-	// Early stop.
 	n := 0
-	f.Scan(func(uint64, []byte) bool {
+	b.Scan(func(uint64, []byte) bool {
 		n++
 		return n < 10
 	})
@@ -325,32 +283,49 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestScanBucket(t *testing.T) {
-	f := NewFile(4)
-	for k := uint64(0); k < 100; k++ {
-		f.Insert(nil, k, []byte{1})
-	}
-	total := 0
-	for a := uint64(0); a < f.Buckets(); a++ {
-		if err := f.ScanBucket(a, func(uint64, []byte) bool { total++; return true }); err != nil {
-			t.Fatal(err)
+// TestLoadFactorBounded: growing one record at a time, the rule keeps
+// every file at ⌈records/maxLoad⌉ buckets — never above maxLoad records
+// per bucket, and never a bucket more than that needs.
+func TestLoadFactorBounded(t *testing.T) {
+	var s State
+	for n := 1; n <= 5000; n++ {
+		for s.Overloaded(n, 16) {
+			s.AdvanceSplit()
 		}
-	}
-	if total != 100 {
-		t.Errorf("bucket scans covered %d records", total)
-	}
-	if err := f.ScanBucket(9999, func(uint64, []byte) bool { return true }); err == nil {
-		t.Error("missing bucket accepted")
+		if want := uint64(max(1, (n+15)/16)); s.Buckets() != want {
+			t.Fatalf("%d records: %d buckets, want %d", n, s.Buckets(), want)
+		}
 	}
 }
 
-func TestLoadFactorBounded(t *testing.T) {
-	f := NewFile(16)
-	for k := uint64(0); k < 5000; k++ {
-		f.Insert(nil, k, []byte{1})
+// TestGrowthRule pins the edges of the split and merge comparisons.
+func TestGrowthRule(t *testing.T) {
+	five := State{I: 2, N: 1} // 5 buckets
+	cases := []struct {
+		s                     State
+		records, maxLoad      int
+		overloaded, underload bool
+	}{
+		{State{}, 4, 4, false, false},  // B·maxLoad exactly fits
+		{State{}, 5, 4, true, false},   // one more splits
+		{five, 40, 8, false, false},    // 5·8
+		{five, 41, 8, true, false},     // 5·8 + 1
+		{five, 8, 8, false, false},     // (5−1)·⌊8/4⌋ is not under
+		{five, 7, 8, false, true},      // one fewer merges
+		{State{}, 0, 4, false, false},  // one bucket never merges
+		{State{}, 0, 16, false, false}, // at any maxLoad
+		{five, 0, 1, false, false},     // maxLoad < 4: ⌊maxLoad/4⌋ = 0
+		{five, 0, 2, false, false},
+		{five, 0, 3, false, false},
+		{five, 3, 4, false, true}, // maxLoad 4 merges below B−1
 	}
-	if lf := f.LoadFactor(); lf > 16.5 {
-		t.Errorf("load factor %f exceeds threshold", lf)
+	for _, c := range cases {
+		if got := c.s.Overloaded(c.records, c.maxLoad); got != c.overloaded {
+			t.Errorf("%+v.Overloaded(%d, %d) = %v", c.s, c.records, c.maxLoad, got)
+		}
+		if got := c.s.Underloaded(c.records, c.maxLoad); got != c.underload {
+			t.Errorf("%+v.Underloaded(%d, %d) = %v", c.s, c.records, c.maxLoad, got)
+		}
 	}
 }
 
@@ -407,51 +382,6 @@ func TestStateNextSplit(t *testing.T) {
 	from, to := s.NextSplit()
 	if from != 1 || to != 5 {
 		t.Errorf("NextSplit = (%d, %d), want (1, 5)", from, to)
-	}
-}
-
-func TestFileStateAccessors(t *testing.T) {
-	f := NewFile(0) // 0 selects DefaultMaxLoad
-	if f.Buckets() != 1 || f.Len() != 0 {
-		t.Error("fresh file state")
-	}
-	st := f.State()
-	if st.I != 0 || st.N != 0 {
-		t.Errorf("State = %+v", st)
-	}
-	for k := uint64(0); k < uint64(DefaultMaxLoad+2); k++ {
-		f.Insert(nil, k, []byte{1})
-	}
-	if f.Buckets() < 2 {
-		t.Error("default-load file never split")
-	}
-}
-
-func TestLookupAdjustsImage(t *testing.T) {
-	f := NewFile(4)
-	for k := uint64(0); k < 200; k++ {
-		f.Insert(nil, k, []byte{1})
-	}
-	img := &Image{}
-	// A lookup that forwards must adjust the image.
-	f.Lookup(img, 3)
-	f.Lookup(img, 77)
-	if img.Buckets() == 1 {
-		t.Error("Lookup never adjusted the stale image")
-	}
-}
-
-func TestDeleteMissingKeyNoMerge(t *testing.T) {
-	f := NewFile(4)
-	for k := uint64(0); k < 100; k++ {
-		f.Insert(nil, k, []byte{1})
-	}
-	before := f.Buckets()
-	if f.Delete(nil, 99999) {
-		t.Error("phantom delete succeeded")
-	}
-	if f.Buckets() != before {
-		t.Error("failed delete changed bucket count")
 	}
 }
 

@@ -42,6 +42,9 @@ type Cluster struct {
 	// §14). Defaults to an in-memory log; AttachMigrationLog installs a
 	// durable one. Only mutated under opsMu exclusive.
 	miglog MigrationLog
+	// recount lists the files whose record count awaits the nodes'
+	// census (recountLocked). Only touched under opsMu exclusive.
+	recount []FileID
 
 	met clusterMetrics // set by Instrument before traffic; nil-safe
 }
@@ -50,8 +53,7 @@ type fileState struct {
 	state   lhstar.State
 	image   lhstar.Image // client image; lags behind state on purpose
 	size    int          // total records (coordinator's load tracker)
-	maxLoad int
-	minLoad int // merge threshold; 0 disables shrinking
+	maxLoad int          // split threshold, records per bucket
 	splits  int
 	merges  int
 	iams    int
@@ -77,6 +79,8 @@ func NewCluster(tr transport.Transport, place *Placement) *Cluster {
 // restarted coordinator otherwise believes every file is back to one
 // bucket); it returns the number of in-flight migrations found, which
 // the caller should resolve with ResumeMigrations once nodes are up.
+// The ledger holds no record counts: for every file it names, the
+// nodes' census restores that (recountLocked); a fresh one names none.
 func (c *Cluster) AttachMigrationLog(lg MigrationLog) (inFlight int, err error) {
 	c.opsMu.Lock()
 	defer c.opsMu.Unlock()
@@ -95,11 +99,42 @@ func (c *Cluster) AttachMigrationLog(lg MigrationLog) (inFlight int, err error) 
 			f.state = resultingState(r.Intent)
 			f.image = f.state.Image()
 		}
+		if !slices.Contains(c.recount, r.Intent.File) {
+			c.recount = append(c.recount, r.Intent.File)
+		}
 	}
 	c.miglog = lg
 	c.mu.Unlock()
 	c.syncMigGauge()
+	// Best effort: a census that fails here stays pending for the next
+	// resume drive, which every split and merge runs before its plan.
+	_ = c.recountLocked(context.TODO()) // the kept signature takes no context
 	return inFlight, nil
+}
+
+// recountLocked sets each file in c.recount to the record count its
+// buckets hold, summed over every node's opStats answer. It waits until
+// no migration is in flight: mid-migration the source and the target
+// both hold the moved records, and the census would count them twice.
+// Callers must hold opsMu exclusively.
+func (c *Cluster) recountLocked(ctx context.Context) error {
+	if len(c.recount) == 0 || c.miglog.InFlight() > 0 {
+		return nil
+	}
+	for ; len(c.recount) > 0; c.recount = c.recount[1:] {
+		inv, err := c.BucketInventory(ctx, c.recount[0])
+		if err != nil {
+			return fmt.Errorf("sdds: counting the records of file %d: %w", c.recount[0], err)
+		}
+		n := 0
+		for _, b := range inv {
+			n += b.Size
+		}
+		c.mu.Lock()
+		c.file(c.recount[0]).size = n
+		c.mu.Unlock()
+	}
+	return nil
 }
 
 // MigrationStats summarizes the migration ledger: durable counts from
@@ -123,7 +158,7 @@ func (c *Cluster) Placement() *Placement { return c.place }
 func (c *Cluster) file(id FileID) *fileState {
 	f, ok := c.files[id]
 	if !ok {
-		f = &fileState{maxLoad: DefaultMaxLoad, minLoad: DefaultMaxLoad / 4}
+		f = &fileState{maxLoad: DefaultMaxLoad}
 		c.files[id] = f
 	}
 	return f
@@ -134,9 +169,7 @@ func (c *Cluster) SetMaxLoad(id FileID, maxLoad int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if maxLoad > 0 {
-		f := c.file(id)
-		f.maxLoad = maxLoad
-		f.minLoad = maxLoad / 4
+		c.file(id).maxLoad = maxLoad
 	}
 }
 
@@ -330,7 +363,7 @@ func (c *Cluster) merge(ctx context.Context, id FileID) error {
 func (c *Cluster) mergeOne(ctx context.Context, id FileID) (done bool, err error) {
 	return c.migrate(ctx, id, func(f *fileState) (MigrationIntent, bool) {
 		st := f.state
-		if st.Buckets() <= 1 || f.size >= int(st.Buckets()-1)*f.minLoad || !st.RetreatSplit() {
+		if !st.Underloaded(f.size, f.maxLoad) || !st.RetreatSplit() {
 			return MigrationIntent{}, false
 		}
 		// The closing bucket (records leave) and the surviving partner they
@@ -346,7 +379,7 @@ func (c *Cluster) mergeOne(ctx context.Context, id FileID) (done bool, err error
 // then commit both sides (DESIGN.md §14). Serialized per cluster.
 func (c *Cluster) split(ctx context.Context, id FileID) error {
 	_, err := c.migrate(ctx, id, func(f *fileState) (MigrationIntent, bool) {
-		if f.size <= int(f.state.Buckets())*f.maxLoad {
+		if !f.state.Overloaded(f.size, f.maxLoad) {
 			return MigrationIntent{}, false // lost the race; someone else split already
 		}
 		from, to := f.state.NextSplit()
@@ -530,8 +563,8 @@ func (c *Cluster) resumeFileLocked(ctx context.Context, id FileID) error {
 }
 
 // resumeLocked re-drives, in migration-ID order, each in-flight
-// migration want selects, stopping at the first that fails. Callers
-// must hold opsMu exclusively.
+// migration want selects, stopping at the first that fails, then takes
+// any census a reopen left pending. Callers must hold opsMu exclusively.
 func (c *Cluster) resumeLocked(ctx context.Context, want func(MigrationIntent) bool) error {
 	for _, r := range c.miglog.Records() {
 		if r.Done || !want(r.Intent) {
@@ -542,14 +575,14 @@ func (c *Cluster) resumeLocked(ctx context.Context, want func(MigrationIntent) b
 			return fmt.Errorf("sdds: resuming migration %d: %w", r.Intent.MID, err)
 		}
 	}
-	return nil
+	return c.recountLocked(ctx)
 }
 
 // ResumeMigrations rolls every in-flight migration in the log forward
 // (or aborts it when a participant definitively rejects) and returns
-// how many were resumed. A restarted coordinator calls this after
-// AttachMigrationLog once nodes are reachable; the Supervisor calls it
-// when the cluster turns healthy.
+// how many were resumed, then takes any census a reopen left pending. A
+// restarted coordinator calls this after AttachMigrationLog once nodes
+// are reachable; the Supervisor calls it when the cluster turns healthy.
 func (c *Cluster) ResumeMigrations(ctx context.Context) (resumed int, err error) {
 	c.opsMu.Lock()
 	defer c.opsMu.Unlock()
@@ -562,6 +595,9 @@ func (c *Cluster) ResumeMigrations(ctx context.Context) (resumed int, err error)
 		if derr := c.driveMigrationLocked(ctx, r.Intent); derr != nil && err == nil {
 			err = derr
 		}
+	}
+	if err == nil {
+		err = c.recountLocked(ctx)
 	}
 	return resumed, err
 }
@@ -806,9 +842,9 @@ func (r *writeRound) fold(results []transport.Result) ([]NodeFailure, error) {
 func (c *Cluster) settle(ctx context.Context, w writeFile) error {
 	for {
 		c.mu.Lock()
-		f, b := w.f, int(w.f.state.Buckets())
-		split := !w.del && f.size > b*f.maxLoad
-		merge := w.del && f.minLoad > 0 && b > 1 && f.size < (b-1)*f.minLoad
+		f := w.f
+		split := !w.del && f.state.Overloaded(f.size, f.maxLoad)
+		merge := w.del && f.state.Underloaded(f.size, f.maxLoad)
 		c.mu.Unlock()
 		if merge {
 			return c.merge(ctx, w.id)

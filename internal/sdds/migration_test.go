@@ -498,17 +498,24 @@ func TestCoordinatorCrashResumesFromJournal(t *testing.T) {
 	if inFlight := h.newCoordinator(); inFlight != 1 {
 		t.Fatalf("restarted coordinator found %d in-flight migrations, want 1", inFlight)
 	}
+	if got := h.c.Size(FileRecords); got != 0 {
+		t.Fatalf("record count %d before the resume settled the migration; the census must wait", got)
+	}
 	resumed, err := h.c.ResumeMigrations(ctx)
 	if err != nil || resumed != 1 {
 		t.Fatalf("ResumeMigrations = %d, %v", resumed, err)
 	}
 	h.wantStats(1, 1, 0, 0)
+	if got := h.c.Size(FileRecords); got != len(keys) {
+		t.Fatalf("record count after the resume = %d, want %d", got, len(keys))
+	}
 	h.checkAll(FileRecords, keys)
 }
 
 // TestCoordinatorRestartFoldsCommittedMigrations: a restarted
 // coordinator reconstructs the file state (I, N) by folding the
-// journal's committed migrations — no node round trips, no guessing.
+// journal's committed migrations, and the record count from one census
+// of the nodes.
 func TestCoordinatorRestartFoldsCommittedMigrations(t *testing.T) {
 	ctx := context.Background()
 	h := newMigHarness(t, 2)
@@ -523,7 +530,38 @@ func TestCoordinatorRestartFoldsCommittedMigrations(t *testing.T) {
 	if got := h.c.State(FileRecords).Buckets(); got != 2 {
 		t.Fatalf("restarted coordinator folded state to %d buckets, want 2", got)
 	}
+	if got := h.c.Size(FileRecords); got != len(keys) {
+		t.Fatalf("restarted coordinator counts %d records, want %d", got, len(keys))
+	}
 	h.wantStats(1, 1, 0, 0)
+	h.checkAll(FileRecords, keys)
+}
+
+// TestCensusLostAtRestartRunsBeforeMerge: when the restarted
+// coordinator's census is lost, the count stays pending, and the first
+// merge plan takes the census before deciding, so a delete does not
+// collapse the file.
+func TestCensusLostAtRestartRunsBeforeMerge(t *testing.T) {
+	ctx := context.Background()
+	h := newMigHarness(t, 2)
+	keys := h.load(FileRecords, 48)
+	h.c.SetMaxLoad(FileRecords, 8)
+	if err := h.c.split(ctx, FileRecords); err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	h.hook.setBefore(dropOnce(1, opStats))
+	h.newCoordinator()
+	h.c.SetMaxLoad(FileRecords, 8)
+	if got := h.c.Size(FileRecords); got != 0 {
+		t.Fatalf("record count %d although the census was lost", got)
+	}
+	if _, err := h.c.Delete(ctx, FileRecords, 0); err != nil {
+		t.Fatal(err)
+	}
+	delete(keys, 0)
+	if got := h.c.Size(FileRecords); got != len(keys) || h.c.Merges(FileRecords) != 0 {
+		t.Fatalf("after one delete: count %d, %d merges; want %d, 0", got, h.c.Merges(FileRecords), len(keys))
+	}
 	h.checkAll(FileRecords, keys)
 }
 

@@ -172,6 +172,18 @@ func TestStaleImageForwardingAndIAM(t *testing.T) {
 	if img.Buckets() > c.State(FileRecords).Buckets() {
 		t.Errorf("image overshoots state: %d > %d", img.Buckets(), c.State(FileRecords).Buckets())
 	}
+	// One pass converged the image: a second finds every key directly.
+	for _, k := range keys {
+		if _, ok, err := c.Get(ctx, FileRecords, k); err != nil || !ok {
+			t.Fatalf("second-pass Get(%d) = %v %v", k, ok, err)
+		}
+	}
+	if _, again := c.Stats(FileRecords); again != iams {
+		t.Errorf("second pass over a converged image sent %d IAMs", again-iams)
+	}
+	if load := float64(c.Size(FileRecords)) / float64(c.State(FileRecords).Buckets()); load > 4 {
+		t.Errorf("grown file holds %.2f records per bucket, above maxLoad 4", load)
+	}
 }
 
 func TestBucketInventory(t *testing.T) {
