@@ -374,9 +374,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ProbeInterval: 20 * time.Millisecond,
 				ProbeTimeout:  time.Second,
 				DownAfter:     3,
-				UpAfter:       1,
-				Debounce:      100 * time.Millisecond,
-				RepairBackoff: 250 * time.Millisecond,
 			}))
 		}
 		cluster = esdds.NewMemoryCluster(prof.nodes, memOpts...)

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/sdds"
 	"repro/internal/transport"
@@ -74,6 +75,9 @@ type clusterConfig struct {
 	selfHeal   *SelfHealingConfig
 	dataDir    string
 	observe    bool
+	// clk times the self-healing loop and injected fault delays: the
+	// wall clock unless a test steps a fake one.
+	clk clock.Clock
 }
 
 // WithDataDir makes every node durable: each journals its mutations to
@@ -96,7 +100,7 @@ func WithFaultInjection(seed int64) ClusterOption {
 }
 
 func applyOptions(opts []ClusterOption) clusterConfig {
-	var cfg clusterConfig
+	cfg := clusterConfig{clk: clock.Real{}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -110,12 +114,12 @@ func applyOptions(opts []ClusterOption) clusterConfig {
 func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.Transport {
 	tr := base
 	if cfg.faultSeed != nil {
-		c.faulty = transport.NewFaulty(tr, *cfg.faultSeed)
+		c.faulty = transport.NewFaulty(tr, *cfg.faultSeed, cfg.clk)
 		c.faulty.Instrument(c.met)
 		tr = c.faulty
 	}
 	if cfg.selfHeal != nil {
-		c.det = newDetector(tr, c.place.Nodes(), *cfg.selfHeal)
+		c.det = newDetector(tr, c.place.Nodes(), *cfg.selfHeal, cfg.clk)
 		c.det.Instrument(c.met)
 		tr = c.det.Watch(tr)
 	}
@@ -186,7 +190,7 @@ func NewMemoryCluster(n int, opts ...ClusterOption) *Cluster {
 		panic("esdds: " + err.Error()) // unusable data dir
 	}
 	if cfg.selfHeal != nil {
-		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
+		if err := c.enableSelfHealing(cfg.clk); err != nil {
 			panic("esdds: " + err.Error()) // self-healing without a data dir
 		}
 	}
@@ -220,7 +224,7 @@ func DialCluster(addrs map[int]string, opts ...ClusterOption) (*Cluster, error) 
 	c.inner = sdds.NewCluster(cfg.stack(tcp, c), c.place)
 	c.inner.Instrument(c.met)
 	if cfg.selfHeal != nil {
-		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
+		if err := c.enableSelfHealing(cfg.clk); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -284,7 +288,7 @@ func StartLocalTCPCluster(n int, opts ...ClusterOption) (_ *Cluster, err error) 
 		return nil, err
 	}
 	if cfg.selfHeal != nil {
-		if err := c.enableSelfHealing(*cfg.selfHeal); err != nil {
+		if err := c.enableSelfHealing(cfg.clk); err != nil {
 			return nil, err
 		}
 	}

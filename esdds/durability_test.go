@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sdds"
 	"repro/internal/wal"
@@ -185,23 +184,6 @@ func phasesFor(journal []RepairRecord, node int) []sdds.RepairPhase {
 	return out
 }
 
-func awaitPhase(t *testing.T, heal *SelfHealing, node int, want sdds.RepairPhase) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for _, p := range phasesFor(heal.Journal(), node) {
-			if p == want {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node %d never reached repair phase %v; journal: %v",
-				node, want, heal.Journal())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestSelfHealingPrefersLocalRecovery kills a durable node after a
 // stream of writes. The supervisor must let the revived node replay its
 // own journal (RepairLocalRecovery): every acknowledged record, up to
@@ -209,7 +191,8 @@ func awaitPhase(t *testing.T, heal *SelfHealing, node int, want sdds.RepairPhase
 func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	c := NewMemoryCluster(4, WithDataDir(dir), WithSelfHealing(fastSelfHealing()))
+	hc := newHealClock()
+	c := NewMemoryCluster(4, append([]ClusterOption{WithDataDir(dir)}, hc.selfHealing()...)...)
 	defer c.Close()
 	st, err := Open(c, KeyFromPassphrase("durability"), durableConfig(), nil)
 	if err != nil {
@@ -230,10 +213,9 @@ func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 	if err := c.KillNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	awaitPhase(t, heal, victim, sdds.RepairLocalRecovery)
-	hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := heal.AwaitHealthy(hctx); err != nil {
+	hc.awaitPhase(t, heal, victim, sdds.RepairLocalRecovery)
+	hc.until(t, "convergence", func() bool { return converged(c) })
+	if err := heal.AwaitHealthy(ctx); err != nil {
 		t.Fatalf("AwaitHealthy after local recovery: %v", err)
 	}
 	for _, p := range phasesFor(heal.Journal(), victim) {
@@ -293,7 +275,8 @@ func flipJournalBit(t *testing.T, dir string, node int) string {
 func TestSelfHealingAlarmsOnCorruptJournal(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	c := NewMemoryCluster(4, WithDataDir(dir), WithSelfHealing(fastSelfHealing()))
+	hc := newHealClock()
+	c := NewMemoryCluster(4, append([]ClusterOption{WithDataDir(dir)}, hc.selfHealing()...)...)
 	defer c.Close()
 	st, err := Open(c, KeyFromPassphrase("durability"), durableConfig(), nil)
 	if err != nil {
@@ -315,10 +298,8 @@ func TestSelfHealingAlarmsOnCorruptJournal(t *testing.T) {
 	if err := c.KillNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	awaitPhase(t, heal, victim, sdds.RepairAlarm)
-	hctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := heal.AwaitHealthy(hctx); !errors.Is(err, sdds.ErrNodeStateLost) {
+	hc.awaitPhase(t, heal, victim, sdds.RepairAlarm)
+	if err := heal.AwaitHealthy(ctx); !errors.Is(err, sdds.ErrNodeStateLost) {
 		t.Fatalf("AwaitHealthy with a corrupt journal = %v, want ErrNodeStateLost", err)
 	}
 	if a := heal.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) || !strings.Contains(a, "corrupt") {

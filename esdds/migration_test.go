@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/lhstar"
 	"repro/internal/sdds"
@@ -153,7 +152,8 @@ func TestMigrationInterruptedByNodeLossResumes(t *testing.T) {
 func TestSelfHealingResumesInterruptedMigration(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	c := NewMemoryCluster(3, WithDataDir(dir), WithSelfHealing(fastSelfHealing()))
+	hc := newHealClock()
+	c := NewMemoryCluster(3, append([]ClusterOption{WithDataDir(dir)}, hc.selfHealing()...)...)
 	defer c.Close()
 	heal := c.SelfHealing()
 	c.inner.SetMaxLoad(sdds.FileRecords, 4)
@@ -173,19 +173,11 @@ func TestSelfHealingResumesInterruptedMigration(t *testing.T) {
 		t.Fatalf("after interrupted split: %+v, want 1 in flight", mid)
 	}
 
-	wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	if err := heal.AwaitHealthy(wctx); err != nil {
+	// The resume runs inside the supervision pass that finishes the
+	// repair, so once the cluster has converged it is done.
+	hc.until(t, "convergence", func() bool { return converged(c) })
+	if err := heal.AwaitHealthy(ctx); err != nil {
 		t.Fatalf("cluster never healed: %v", err)
-	}
-	// The resume runs inside finishRepair, which may still be in
-	// progress the instant AwaitHealthy returns; poll briefly.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.MigrationStats().InFlight != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("supervisor never resumed the migration: %+v", c.MigrationStats())
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	done := c.MigrationStats()
 	if done.Committed != done.Started || done.Resumed == 0 {

@@ -212,15 +212,8 @@ func TestObservabilityDurabilityMetricInvariants(t *testing.T) {
 // transition counters saw the node go down and come back, and no layer
 // registers a guardian_ metric.
 func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
-	cluster := NewMemoryCluster(4,
-		WithObservability(),
-		WithDataDir(t.TempDir()),
-		WithSelfHealing(SelfHealingConfig{
-			ProbeInterval: 2 * time.Millisecond,
-			Debounce:      2 * time.Millisecond,
-			RepairBackoff: 2 * time.Millisecond,
-		}),
-	)
+	hc := newHealClock()
+	cluster := NewMemoryCluster(4, append([]ClusterOption{WithObservability(), WithDataDir(t.TempDir())}, hc.selfHealing()...)...)
 	defer cluster.Close()
 	reg := cluster.Metrics()
 
@@ -238,19 +231,10 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 	if err := cluster.KillNode(2); err != nil {
 		t.Fatal(err)
 	}
-	// Detection is asynchronous: wait until the repair has actually
-	// completed and the cluster reports healthy again.
-	deadline := time.After(10 * time.Second)
-	for cluster.SelfHealing().Repairs() < 1 {
-		select {
-		case <-deadline:
-			t.Fatalf("node never repaired; health=%+v", cluster.ClusterHealth())
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := cluster.SelfHealing().AwaitHealthy(waitCtx); err != nil {
+	// Step until the repair has completed and the cluster reports
+	// healthy again.
+	hc.until(t, "repair", func() bool { return cluster.SelfHealing().Repairs() >= 1 && converged(cluster) })
+	if err := cluster.SelfHealing().AwaitHealthy(ctx); err != nil {
 		t.Fatal(err)
 	}
 

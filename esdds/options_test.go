@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sdds"
 	"repro/internal/transport"
@@ -35,9 +34,7 @@ func TestOpenRejectsUnknownMatrixKind(t *testing.T) {
 }
 
 func TestSelfHealingAccessors(t *testing.T) {
-	cluster := NewMemoryCluster(2, WithDataDir(t.TempDir()), WithSelfHealing(SelfHealingConfig{
-		ProbeInterval: 5 * time.Millisecond,
-	}))
+	cluster := NewMemoryCluster(2, append([]ClusterOption{WithDataDir(t.TempDir())}, newHealClock().selfHealing()...)...)
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
 	if heal == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/sdds"
 	"repro/internal/transport"
 )
@@ -12,17 +13,14 @@ import (
 // SelfHealingConfig tunes the availability loop enabled by
 // WithSelfHealing: a failure detector probing every node and a repair
 // supervisor that revives failed nodes from their own journals.
+//
+// Only the failure detector is tunable (zero values take the transport
+// defaults); the supervisor's debounce, backoff and journal bound are
+// fixed (DESIGN.md §9).
 type SelfHealingConfig struct {
-	// Failure detector tuning (zero values take transport defaults).
-	ProbeInterval time.Duration // active health-probe period (default 50ms; negative: no probes)
-	ProbeTimeout  time.Duration // per-probe deadline
-	DownAfter     int           // consecutive failures before "down"
-	UpAfter       int           // consecutive successes before "up"
-
-	// Repair supervisor tuning (zero values take sdds defaults).
-	Debounce      time.Duration // confirmed-down dwell before repair
-	RepairBackoff time.Duration // pause between failed repair attempts
-	JournalCap    int           // repair-journal ring bound (default 512)
+	ProbeInterval time.Duration // active health-probe period (default 50ms)
+	ProbeTimeout  time.Duration // per-probe deadline (default 1s)
+	DownAfter     int           // consecutive failures before "down" (default 2)
 }
 
 // WithSelfHealing turns the cluster into a self-healing one: a detector
@@ -49,23 +47,24 @@ type RepairRecord = sdds.RepairRecord
 // wraps its traffic with det.Watch, so every client send doubles as a
 // health observation and a failure surfaces faster than the probe
 // period.
-func newDetector(probeTr transport.Transport, members []transport.NodeID, sh SelfHealingConfig) *transport.Detector {
-	if sh.ProbeInterval == 0 {
-		sh.ProbeInterval = 50 * time.Millisecond
-	}
+func newDetector(probeTr transport.Transport, members []transport.NodeID, sh SelfHealingConfig, clk clock.Clock) *transport.Detector {
 	return transport.NewDetector(probeTr, members, transport.DetectorPolicy{
 		ProbeOp:       sdds.PingOp,
 		ProbeInterval: sh.ProbeInterval,
 		ProbeTimeout:  sh.ProbeTimeout,
 		DownAfter:     sh.DownAfter,
-		UpAfter:       sh.UpAfter,
-	})
+	}, clk)
 }
 
 // enableSelfHealing wires the supervisor over an already-built cluster
-// and its detector (built with the transport stack), starts both, and
-// registers their shutdown ahead of the transport teardown.
-func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
+// and its detector (built with the transport stack), starts both on
+// clk, and registers their shutdown ahead of the transport teardown.
+//
+// A node failure mid-split/merge leaves the migration journalled
+// in-flight with its buckets frozen; finishing each repair, the
+// supervisor rolls those handoffs forward (or aborts them) so the
+// cluster returns to nominal without operator action.
+func (c *Cluster) enableSelfHealing(clk clock.Clock) error {
 	if c.nodes != nil && c.dataDir == "" {
 		return fmt.Errorf("esdds: WithSelfHealing on a cluster that hosts its own nodes requires WithDataDir: an ephemeral node has no state to revive")
 	}
@@ -76,17 +75,8 @@ func (c *Cluster) enableSelfHealing(sh SelfHealingConfig) error {
 			return c.ReviveNode(int(node))
 		}
 	}
-	sup := sdds.NewSupervisor(det, revive, sdds.SupervisorConfig{
-		Debounce:      sh.Debounce,
-		RepairBackoff: sh.RepairBackoff,
-		JournalCap:    sh.JournalCap,
-	})
+	sup := sdds.NewSupervisor(det, revive, c.inner.ResumeMigrations, clk)
 	sup.Instrument(c.met)
-	// A node failure mid-split/merge leaves the migration journalled
-	// in-flight with its buckets frozen; finishing each repair, the
-	// supervisor rolls those handoffs forward (or aborts them) so the
-	// cluster returns to nominal without operator action.
-	sup.SetMigrationResumer(c.inner.ResumeMigrations)
 	det.Start()
 	sup.Start()
 	c.sup = sup

@@ -11,21 +11,86 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/sdds"
+	"repro/internal/transport"
 )
 
-// fastSelfHealing tunes the availability loop for test speed: quick
-// probes, fast confirmation, and short debounce. Semantics are the
-// production ones — only the clocks differ.
+// fastSelfHealing tunes the detector for test speed: a probe round
+// every 20ms of the fake clock and one failure confirming a node down.
 func fastSelfHealing() SelfHealingConfig {
 	return SelfHealingConfig{
-		ProbeInterval: 2 * time.Millisecond,
+		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
 		DownAfter:     1,
-		UpAfter:       1,
-		Debounce:      10 * time.Millisecond,
-		RepairBackoff: 10 * time.Millisecond,
 	}
+}
+
+// withClock runs the cluster's self-healing loop and injected fault
+// delays on clk instead of the wall clock.
+func withClock(clk clock.Clock) ClusterOption {
+	return func(c *clusterConfig) { c.clk = clk }
+}
+
+// healLoops is how many Afters a self-healing cluster keeps pending
+// while idle: the detector's probe loop and the supervisor's poll loop.
+const healLoops = 2
+
+// healClock is the fake clock of a self-healing cluster, stepped one
+// loop wake-up at a time: firing one After and waiting until both loops
+// are pending again runs each probe round or supervision pass to its
+// end before the next begins, in the same order on every run.
+type healClock struct{ *clock.FakeClock }
+
+func newHealClock() healClock {
+	return healClock{clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))}
+}
+
+// selfHealing is the option pair of a self-healing cluster on hc.
+func (hc healClock) selfHealing() []ClusterOption {
+	return []ClusterOption{WithSelfHealing(fastSelfHealing()), withClock(hc.FakeClock)}
+}
+
+func (hc healClock) step() {
+	hc.Step()
+	hc.BlockUntil(healLoops)
+}
+
+// until steps the clock until done holds, failing the test after ten
+// minutes of fake time.
+func (hc healClock) until(t *testing.T, what string, done func() bool) {
+	t.Helper()
+	deadline := hc.Now().Add(10 * time.Minute)
+	for !done() {
+		if hc.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+		hc.step()
+	}
+}
+
+// awaitPhase steps the clock until node's journal reaches want.
+func (hc healClock) awaitPhase(t *testing.T, heal *SelfHealing, node int, want sdds.RepairPhase) {
+	t.Helper()
+	hc.until(t, fmt.Sprintf("node %d repair phase %v", node, want), func() bool {
+		return slices.Contains(phasesFor(heal.Journal(), node), want)
+	})
+}
+
+// converged reports every node up with nothing down and no alarm: the
+// condition AwaitHealthy waits for, read without registering a wait on
+// the clock.
+func converged(c *Cluster) bool {
+	h := c.ClusterHealth()
+	if h.Alarm != "" || len(h.Down) != 0 {
+		return false
+	}
+	for _, n := range h.Nodes {
+		if n.State != "up" {
+			return false
+		}
+	}
+	return true
 }
 
 // TestSelfHealingClusterEndToEnd is the acceptance scenario for the
@@ -40,10 +105,41 @@ func fastSelfHealing() SelfHealingConfig {
 //     own journal automatically — no operator call — and the cluster
 //     converges back to fully healthy with all records intact.
 func TestSelfHealingClusterEndToEnd(t *testing.T) {
-	cluster := NewMemoryCluster(6,
-		WithDataDir(t.TempDir()),
-		WithSelfHealing(fastSelfHealing()),
-	)
+	killReviveScenario(t)
+}
+
+// TestSelfHealingJournalReplays: on the fake clock the kill/revive
+// scenario is a replay — two runs journal the same records, the same
+// instants included.
+func TestSelfHealingJournalReplays(t *testing.T) {
+	first, second := killReviveScenario(t), killReviveScenario(t)
+	same := func(a, b RepairRecord) bool {
+		return a.Seq == b.Seq && a.Node == b.Node && a.Phase == b.Phase && a.At.Equal(b.At) && a.Detail == b.Detail
+	}
+	if !slices.EqualFunc(first, second, same) {
+		t.Fatalf("two runs journaled differently:\n%+v\n%+v", first, second)
+	}
+	// The stamps are the fake clock's: each repair starts no sooner
+	// than the debounce after its detection.
+	detected := map[transport.NodeID]time.Time{}
+	for _, r := range first {
+		switch r.Phase {
+		case sdds.RepairDetected:
+			detected[r.Node] = r.At
+		case sdds.RepairStarted:
+			if d := r.At.Sub(detected[r.Node]); d < 100*time.Millisecond {
+				t.Fatalf("node %d repair started %v after detection, inside the debounce: %+v", r.Node, d, first)
+			}
+		}
+	}
+}
+
+// killReviveScenario runs the end-to-end scenario on a fresh cluster
+// and fake clock and returns the repair journal.
+func killReviveScenario(t *testing.T) []RepairRecord {
+	t.Helper()
+	hc := newHealClock()
+	cluster := NewMemoryCluster(6, append([]ClusterOption{WithDataDir(t.TempDir())}, hc.selfHealing()...)...)
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
 	if heal == nil {
@@ -89,8 +185,7 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 
 	// Until convergence, every search either answers exactly the baseline
 	// or says which dead nodes it is missing.
-	deadline := time.After(10 * time.Second)
-	for healthy := false; !healthy; {
+	hc.until(t, "convergence", func() bool {
 		rids, err := store.Search(ctx, marker, SearchVerified)
 		var ie *IncompleteError
 		switch {
@@ -110,15 +205,10 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 		case !slices.Equal(rids, baseline):
 			t.Fatalf("search returned %v as complete, want baseline %v", rids, baseline)
 		}
-		hctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-		healthy = heal.AwaitHealthy(hctx) == nil
-		cancel()
-		select {
-		case <-deadline:
-			t.Fatalf("cluster never converged; health=%+v journal=%+v",
-				cluster.ClusterHealth(), heal.Journal())
-		default:
-		}
+		return converged(cluster)
+	})
+	if err := heal.AwaitHealthy(ctx); err != nil {
+		t.Fatalf("AwaitHealthy once converged: %v", err)
 	}
 	// Converged: repairs journaled, records intact, strict search exact.
 	if n := heal.Repairs(); n != 2 {
@@ -165,6 +255,7 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 	if !health.SelfHealing || health.Alarm != "" || len(health.Down) != 0 || len(health.Lost) != 0 {
 		t.Errorf("ClusterHealth after convergence = %+v", health)
 	}
+	return heal.Journal()
 }
 
 // TestSelfHealingAlarmsOnLostDataDir: a node whose data dir is wiped
@@ -174,10 +265,8 @@ func TestSelfHealingClusterEndToEnd(t *testing.T) {
 // again, AwaitHealthy fails fast, and searches report the node missing.
 func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
 	dir := t.TempDir()
-	cluster := NewMemoryCluster(4,
-		WithDataDir(dir),
-		WithSelfHealing(fastSelfHealing()),
-	)
+	hc := newHealClock()
+	cluster := NewMemoryCluster(4, append([]ClusterOption{WithDataDir(dir)}, hc.selfHealing()...)...)
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
 
@@ -203,20 +292,21 @@ func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
 	if err := cluster.KillNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	awaitPhase(t, heal, victim, sdds.RepairAlarm)
+	hc.awaitPhase(t, heal, victim, sdds.RepairAlarm)
 	if a := heal.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
 		t.Fatalf("Alarm = %q, want it to name node %d", a, victim)
 	}
-	actx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := heal.AwaitHealthy(actx); !errors.Is(err, sdds.ErrNodeStateLost) {
+	if err := heal.AwaitHealthy(ctx); !errors.Is(err, sdds.ErrNodeStateLost) {
 		t.Fatalf("AwaitHealthy = %v, want ErrNodeStateLost", err)
 	}
 	if n := heal.Repairs(); n != 0 {
 		t.Fatalf("Repairs = %d for a node whose state is lost", n)
 	}
-	// The node is not revived again: one attempt, one alarm, ever.
-	time.Sleep(50 * time.Millisecond)
+	// The node is not revived again: one attempt, one alarm, ever —
+	// not even after several repair backoffs.
+	for i := 0; i < 100; i++ {
+		hc.step()
+	}
 	if got := phasesFor(heal.Journal(), victim); !slices.Equal(got, []sdds.RepairPhase{sdds.RepairDetected, sdds.RepairStarted, sdds.RepairAlarm}) {
 		t.Fatalf("journal phases = %v, want [detected started alarm]", got)
 	}
@@ -241,7 +331,8 @@ func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
 // probes alone. No client traffic follows the kill, so no passive signal
 // about the dead node reaches the detector before its repair.
 func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
-	cluster := NewMemoryCluster(3, WithDataDir(t.TempDir()), WithSelfHealing(fastSelfHealing()))
+	hc := newHealClock()
+	cluster := NewMemoryCluster(3, append([]ClusterOption{WithDataDir(t.TempDir())}, hc.selfHealing()...)...)
 	defer cluster.Close()
 	heal := cluster.SelfHealing()
 
@@ -260,20 +351,14 @@ func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 	}
 	passive := cluster.ClusterHealth().Nodes[2].PassiveSignals
 	cluster.KillNode(2)
-	// Active probes alone must detect and repair: wait for the completed
-	// repair, then for full convergence.
-	for deadline := time.Now().Add(10 * time.Second); heal.Repairs() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("probe-only repair never happened; journal=%+v", heal.Journal())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Active probes alone must detect and repair: step to the completed
+	// repair, then to full convergence.
+	hc.until(t, "probe-only repair", func() bool { return heal.Repairs() > 0 })
 	if got := cluster.ClusterHealth().Nodes[2].PassiveSignals; got != passive {
 		t.Fatalf("node 2 took %d passive signals with no client traffic", got-passive)
 	}
-	actx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if err := heal.AwaitHealthy(actx); err != nil {
+	hc.until(t, "convergence", func() bool { return converged(cluster) })
+	if err := heal.AwaitHealthy(ctx); err != nil {
 		t.Fatalf("probe-only self-healing never converged: %v", err)
 	}
 	for rid := uint64(1); rid <= 20; rid++ {
@@ -320,14 +405,13 @@ func TestClusterHealthWithoutSelfHealing(t *testing.T) {
 	}
 }
 
-// TestClientTrafficFeedsDetector: with probing off, a client send to a
-// killed node is the only evidence the detector gets, and it must move
-// the node toward down — one failed send to suspect, a second to down.
+// TestClientTrafficFeedsDetector: with the clock standing still no
+// probe runs and nothing is repaired, so a client send to a killed node
+// is the only evidence the detector gets, and it must move the node
+// toward down — one failed send to suspect, a second to down.
 func TestClientTrafficFeedsDetector(t *testing.T) {
-	cluster := NewMemoryCluster(3, WithDataDir(t.TempDir()), WithSelfHealing(SelfHealingConfig{
-		ProbeInterval: -1,        // no probes: detection rides on client traffic alone
-		Debounce:      time.Hour, // no repair during the test
-	}))
+	cluster := NewMemoryCluster(3, WithDataDir(t.TempDir()), WithSelfHealing(SelfHealingConfig{}),
+		withClock(clock.NewFake(time.Unix(0, 0))))
 	defer cluster.Close()
 	store, err := Open(cluster, KeyFromPassphrase("passive"), Config{ChunkSize: 4}, nil)
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // errShedByServer stands in for a server's overload sentinel: the error
@@ -38,7 +40,7 @@ func (t *sheddingTarget) Get(context.Context, uint64) ([]byte, error) {
 // normal accounting.
 func TestRunnerCountsRejectedSeparately(t *testing.T) {
 	const ops = 200
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: ops, Mix: Mix{50, 50, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +95,7 @@ func TestRunnerCountsRejectedSeparately(t *testing.T) {
 // same overload errors count as plain failures — the classifier is
 // opt-in, not a change to default semantics.
 func TestRunnerWithoutClassifierKeepsErrors(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: 100, Mix: Mix{100, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +119,7 @@ func TestRunnerWithoutClassifierKeepsErrors(t *testing.T) {
 // successful work, and a gate on a metric the report lacks fails.
 func TestReportAndGatesSeeRejection(t *testing.T) {
 	const ops = 200
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: ops, Mix: Mix{50, 50, 0}})
 	if err != nil {
 		t.Fatal(err)

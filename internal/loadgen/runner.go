@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -37,8 +38,8 @@ type RunnerConfig struct {
 	// with either client-queue sheds or real errors. nil: no ops are
 	// classified as rejected.
 	IsRejected func(error) bool
-	// Clock defaults to RealClock; tests inject a FakeClock.
-	Clock Clock
+	// Clock defaults to the wall clock; tests inject a FakeClock.
+	Clock clock.Clock
 }
 
 func (c *RunnerConfig) fillDefaults() {
@@ -52,7 +53,7 @@ func (c *RunnerConfig) fillDefaults() {
 		c.OpTimeout = 30 * time.Second
 	}
 	if c.Clock == nil {
-		c.Clock = RealClock
+		c.Clock = clock.Real{}
 	}
 }
 
@@ -131,8 +132,8 @@ type RunResult struct {
 // stops dispatching but drains in-flight ops) and returns the
 // measurements.
 func (r *Runner) Run(ctx context.Context, stream *Stream) (*RunResult, error) {
-	clock := r.cfg.Clock
-	start := clock.Now()
+	clk := r.cfg.Clock
+	start := clk.Now()
 	next := start
 	rng := rand.New(rand.NewSource(r.cfg.Seed))
 	sem := make(chan struct{}, r.cfg.MaxInFlight)
@@ -146,8 +147,8 @@ func (r *Runner) Run(ctx context.Context, stream *Stream) (*RunResult, error) {
 		}
 		gap := time.Duration(rng.ExpFloat64() / r.cfg.Rate * float64(time.Second))
 		next = next.Add(gap)
-		if d := next.Sub(clock.Now()); d > 0 {
-			clock.Sleep(d)
+		if d := next.Sub(clk.Now()); d > 0 {
+			<-clk.After(d)
 		}
 		sched := next
 		slot := int(sched.Sub(start) / time.Second)
@@ -165,7 +166,7 @@ func (r *Runner) Run(ctx context.Context, stream *Stream) (*RunResult, error) {
 			defer func() { <-sem }()
 			queued.Add(-1)
 			err, skipped := r.execute(ctx, op)
-			now := clock.Now()
+			now := clk.Now()
 			lat := now.Sub(sched)
 			agg := r.ops[op.Kind]
 			if skipped {
@@ -197,7 +198,7 @@ func (r *Runner) Run(ctx context.Context, stream *Stream) (*RunResult, error) {
 		}(op, sched)
 	}
 	wg.Wait()
-	elapsed := clock.Now().Sub(start)
+	elapsed := clk.Now().Sub(start)
 	return r.result(start, elapsed), ctx.Err()
 }
 

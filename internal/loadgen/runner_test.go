@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // instantTarget acknowledges everything immediately.
@@ -32,20 +34,20 @@ func (t *instantTarget) Get(context.Context, uint64) ([]byte, error) {
 
 // slowTarget holds every op for a fixed service time on the fake clock.
 type slowTarget struct {
-	clock Clock
-	d     time.Duration
+	clk clock.Clock
+	d   time.Duration
 }
 
 func (t *slowTarget) Insert(context.Context, uint64, []byte) error {
-	t.clock.Sleep(t.d)
+	<-t.clk.After(t.d)
 	return nil
 }
 func (t *slowTarget) Search(context.Context, []byte) ([]uint64, error) {
-	t.clock.Sleep(t.d)
+	<-t.clk.After(t.d)
 	return nil, nil
 }
 func (t *slowTarget) Delete(context.Context, uint64) error {
-	t.clock.Sleep(t.d)
+	<-t.clk.After(t.d)
 	return nil
 }
 func (t *slowTarget) Get(context.Context, uint64) ([]byte, error) {
@@ -54,7 +56,7 @@ func (t *slowTarget) Get(context.Context, uint64) ([]byte, error) {
 
 // runOnFakeClock drives a runner to completion with a FakeClock
 // advancer goroutine.
-func runOnFakeClock(t *testing.T, fc *FakeClock, r *Runner, s *Stream) *RunResult {
+func runOnFakeClock(t *testing.T, fc *clock.FakeClock, r *Runner, s *Stream) *RunResult {
 	t.Helper()
 	type outcome struct {
 		res *RunResult
@@ -66,7 +68,7 @@ func runOnFakeClock(t *testing.T, fc *FakeClock, r *Runner, s *Stream) *RunResul
 		done <- outcome{res, err}
 	}()
 	go func() {
-		for fc.AdvanceToNextWaiter() {
+		for fc.Step() {
 		}
 	}()
 	out := <-done
@@ -82,7 +84,7 @@ func runOnFakeClock(t *testing.T, fc *FakeClock, r *Runner, s *Stream) *RunResul
 // ±5%.
 func TestRunnerHitsTargetRate(t *testing.T) {
 	const rate, ops = 500.0, 4000
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: ops})
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +125,12 @@ func TestRunnerCoordinatedOmissionSafe(t *testing.T) {
 		ops     = 200
 		service = 10 * time.Millisecond
 	)
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: ops, Mix: Mix{100, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := &slowTarget{clock: fc, d: service}
+	target := &slowTarget{clk: fc, d: service}
 	r, err := NewRunner(target, RunnerConfig{
 		Rate: rate, Seed: 7, Clock: fc,
 		MaxInFlight: 1, MaxQueue: 10 * ops, // no shedding: pure backlog
@@ -159,12 +161,12 @@ func TestRunnerCoordinatedOmissionSafe(t *testing.T) {
 // TestRunnerShedsBeyondQueueBound: when the queue bound is hit, excess
 // arrivals are shed and counted, never silently absorbed.
 func TestRunnerShedsBeyondQueueBound(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: 300, Mix: Mix{100, 0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := &slowTarget{clock: fc, d: 10 * time.Millisecond}
+	target := &slowTarget{clk: fc, d: 10 * time.Millisecond}
 	r, err := NewRunner(target, RunnerConfig{
 		Rate: 1000, Seed: 7, Clock: fc, MaxInFlight: 1, MaxQueue: 2,
 	})
@@ -198,7 +200,7 @@ func (t *failingTarget) Insert(context.Context, uint64, []byte) error {
 // outcomes — failed inserts never become live, deletes only target
 // acknowledged-live records.
 func TestRunnerLedgerTracksAcks(t *testing.T) {
-	fc := NewFakeClock(time.Unix(0, 0))
+	fc := clock.NewFake(time.Unix(0, 0))
 	stream, err := NewStream(StreamConfig{Seed: 5, Ops: 200, Mix: Mix{60, 20, 20}})
 	if err != nil {
 		t.Fatal(err)
@@ -237,26 +239,5 @@ func TestRunnerLedgerTracksAcks(t *testing.T) {
 func TestRunnerRejectsBadRate(t *testing.T) {
 	if _, err := NewRunner(&instantTarget{}, RunnerConfig{Rate: 0}); err == nil {
 		t.Fatal("Rate=0 accepted")
-	}
-}
-
-// TestFakeClock: sleepers wake exactly at their deadline when advanced.
-func TestFakeClock(t *testing.T) {
-	fc := NewFakeClock(time.Unix(100, 0))
-	woke := make(chan time.Time, 1)
-	go func() {
-		fc.Sleep(50 * time.Millisecond)
-		woke <- fc.Now()
-	}()
-	if !fc.AdvanceToNextWaiter() {
-		t.Fatal("AdvanceToNextWaiter returned false before Stop")
-	}
-	at := <-woke
-	if want := time.Unix(100, 0).Add(50 * time.Millisecond); !at.Equal(want) {
-		t.Fatalf("woke at %v, want %v", at, want)
-	}
-	fc.Stop()
-	if fc.AdvanceToNextWaiter() {
-		t.Fatal("AdvanceToNextWaiter returned true after Stop")
 	}
 }

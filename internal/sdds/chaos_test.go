@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/transport"
 )
@@ -26,7 +27,7 @@ func chaosCluster(t *testing.T, n int, seed int64) (*Cluster, *transport.Faulty,
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := transport.NewFaulty(mem, seed)
+	faulty := transport.NewFaulty(mem, seed, clock.Real{})
 	for _, id := range ids {
 		node := NewNode(id, faulty, place)
 		mem.Register(id, node.Handler())

@@ -3,36 +3,11 @@ package sdds
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 )
-
-// metClock is a hand-advanced clock for supervisor timing without
-// sleeps.
-type metClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newMetClock() *metClock {
-	return &metClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *metClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *metClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
 
 // sumOpHistograms adds up the per-opcode latency histogram counts.
 func sumOpHistograms(reg *obs.Registry) uint64 {
@@ -209,10 +184,7 @@ func TestLinearScanMetricInvariants(t *testing.T) {
 // phase counters sum to the journal length plus anything the ring
 // bound shed.
 func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
-	sc := newSupervisedCluster(t, 4, SupervisorConfig{
-		Debounce:      time.Millisecond,
-		RepairBackoff: time.Millisecond,
-	})
+	sc := newSupervisedCluster(t, 4)
 	reg := obs.NewRegistry()
 	sc.sup.Instrument(reg)
 	clk := sc.clk
@@ -222,9 +194,9 @@ func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
 
 	sc.kill(1, 3)
 	sc.step(ctx) // detect both down
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(debounce)
 	sc.step(ctx) // debounce ripe: revive and replay
-	clk.Advance(10 * time.Millisecond)
+	clk.Advance(debounce)
 	sc.step(ctx) // observe recovery
 
 	if down := sc.sup.Down(); len(down) != 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/transport"
 	"repro/internal/wal"
 )
@@ -20,48 +21,27 @@ import (
 // alarm instead of letting the node rejoin empty.
 var ErrNodeStateLost = errors.New("sdds: node state lost")
 
-// SupervisorConfig tunes the repair supervisor.
-type SupervisorConfig struct {
-	// Debounce is how long a node must stay confirmed-down before repair
-	// begins. Flaps shorter than this (a lifted partition, a restarted
-	// process) exit cleanly without a revive. Default 100ms.
-	Debounce time.Duration
-	// PollInterval is the reconciliation tick — the backstop that
-	// catches dropped detector events and fires due repairs. Default
-	// Debounce/2 (min 1ms).
-	PollInterval time.Duration
-	// RepairBackoff is the pause between repair attempts against a node
+// Repair timing, read off the supervisor's clock. Tests step a
+// clock.FakeClock past these rather than shortening them.
+const (
+	// debounce is how long a node must stay confirmed-down before repair
+	// begins. A flap shorter than this (a lifted partition, a restarted
+	// process) exits cleanly without a revive.
+	debounce = 100 * time.Millisecond
+	// pollInterval is the reconciliation period: how often the
+	// supervisor folds the detector's verdicts in and fires due repairs.
+	pollInterval = 50 * time.Millisecond
+	// repairBackoff is the pause between repair attempts against a node
 	// whose revive keeps failing (e.g. it is not reachable yet).
-	// Default 250ms.
-	RepairBackoff time.Duration
-	// RepairTimeout bounds one repair pass. Default 30s.
-	RepairTimeout time.Duration
-	// JournalCap bounds the repair journal: once full, the oldest
+	repairBackoff = 250 * time.Millisecond
+	// repairTimeout bounds one repair pass. It is a context deadline,
+	// and so runs on the wall clock.
+	repairTimeout = 30 * time.Second
+	// journalCap bounds the repair journal: once full, the oldest
 	// records are dropped (and counted) rather than growing without
-	// bound under a flapping node. Default 512.
-	JournalCap int
-}
-
-func (c *SupervisorConfig) fillDefaults() {
-	if c.Debounce <= 0 {
-		c.Debounce = 100 * time.Millisecond
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = c.Debounce / 2
-		if c.PollInterval < time.Millisecond {
-			c.PollInterval = time.Millisecond
-		}
-	}
-	if c.RepairBackoff <= 0 {
-		c.RepairBackoff = 250 * time.Millisecond
-	}
-	if c.RepairTimeout <= 0 {
-		c.RepairTimeout = 30 * time.Second
-	}
-	if c.JournalCap <= 0 {
-		c.JournalCap = 512
-	}
-}
+	// bound under a flapping node.
+	journalCap = 512
+)
 
 // Reviver restarts a dead node under its ID from the node's own durable
 // state — in a memory cluster it reopens the node's store, replays it
@@ -69,7 +49,7 @@ func (c *SupervisorConfig) fillDefaults() {
 // daemon. A nil Reviver means nodes come back out of band (the
 // supervisor keeps asking the node how it recovered until it answers).
 // A revive that fails with wal.ErrCorrupt or ErrNodeStateLost raises
-// the node's alarm; any other error is retried after RepairBackoff.
+// the node's alarm; any other error is retried after repairBackoff.
 type Reviver func(ctx context.Context, node transport.NodeID) error
 
 // RepairPhase labels one step of a node's repair lifecycle.
@@ -84,7 +64,7 @@ const (
 	// RepairStarted: revive + recovery check began.
 	RepairStarted
 	// RepairFailed: this attempt failed; it will be retried after
-	// RepairBackoff.
+	// repairBackoff.
 	RepairFailed
 	// RepairAlarm: the node's state is lost (ErrNodeStateLost); it is
 	// not revived again until it reports a local replay by itself.
@@ -132,7 +112,7 @@ type downNode struct {
 	lastAttempt time.Time
 }
 
-// Supervisor closes the availability loop: it watches a Detector for
+// Supervisor closes the availability loop: it polls a Detector for
 // confirmed node failures, debounces flaps, revives dead nodes from
 // their own journals, and journals every step. A revived node counts as
 // repaired only when it reports a replay of its local journal; a node
@@ -145,7 +125,8 @@ type downNode struct {
 type Supervisor struct {
 	det    *transport.Detector
 	revive Reviver
-	cfg    SupervisorConfig
+	resume MigrationResumer
+	clk    clock.Clock
 
 	mu             sync.Mutex
 	down           map[transport.NodeID]*downNode
@@ -158,8 +139,6 @@ type Supervisor struct {
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
-	now     func() time.Time
-	resume  MigrationResumer // optional: re-drive in-flight migrations post-repair
 
 	met supervisorMetrics // set by Instrument before Start; nil-safe
 }
@@ -172,29 +151,23 @@ type Supervisor struct {
 // part of returning the cluster to nominal.
 type MigrationResumer func(ctx context.Context) (int, error)
 
-// SetMigrationResumer installs (or, with nil, removes) the post-repair
-// migration resumer. Call before Start.
-func (s *Supervisor) SetMigrationResumer(r MigrationResumer) {
-	s.mu.Lock()
-	s.resume = r
-	s.mu.Unlock()
-}
-
-// NewSupervisor wires a supervisor over a detector. revive may be nil
-// (nodes come back out of band).
-func NewSupervisor(det *transport.Detector, revive Reviver, cfg SupervisorConfig) *Supervisor {
-	cfg.fillDefaults()
+// NewSupervisor wires a supervisor over a detector, timed by clk.
+// revive may be nil (nodes come back out of band), and so may resume
+// (no in-flight migrations are re-driven after a repair).
+func NewSupervisor(det *transport.Detector, revive Reviver, resume MigrationResumer, clk clock.Clock) *Supervisor {
 	return &Supervisor{
 		det:    det,
 		revive: revive,
-		cfg:    cfg,
+		resume: resume,
+		clk:    clk,
 		down:   make(map[transport.NodeID]*downNode),
 		lost:   make(map[transport.NodeID]string),
-		now:    time.Now,
 	}
 }
 
-// Start launches the supervision loop.
+// Start launches the supervision loop: one Reconcile every pollInterval
+// of the clock. The first wake-up is armed before Start returns, and
+// each next one only after the pass it follows has finished.
 func (s *Supervisor) Start() {
 	s.mu.Lock()
 	if s.started {
@@ -206,8 +179,7 @@ func (s *Supervisor) Start() {
 	s.done = make(chan struct{})
 	stop, done := s.stop, s.done
 	s.mu.Unlock()
-	events := s.det.Subscribe(64)
-	go s.loop(stop, done, events)
+	go s.loop(stop, done, s.clk.After(pollInterval))
 }
 
 // Stop halts the supervision loop (any in-flight repair pass finishes
@@ -225,28 +197,25 @@ func (s *Supervisor) Stop() {
 	<-done
 }
 
-func (s *Supervisor) loop(stop, done chan struct{}, events <-chan transport.HealthEvent) {
+func (s *Supervisor) loop(stop, done chan struct{}, tick <-chan time.Time) {
 	defer close(done)
-	tick := time.NewTicker(s.cfg.PollInterval)
-	defer tick.Stop()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-events:
+		case <-tick:
 			s.Reconcile(context.Background())
-		case <-tick.C:
-			s.Reconcile(context.Background())
+			tick = s.clk.After(pollInterval)
 		}
 	}
 }
 
 // Reconcile runs one supervision pass: fold the detector's current
 // verdicts into the down-set, absorb flaps, and fire any due repairs.
-// The loop calls it on every event and tick; tests may call it directly
+// The loop calls it every pollInterval; tests may call it directly
 // for deterministic stepping.
 func (s *Supervisor) Reconcile(ctx context.Context) {
-	now := s.now()
+	now := s.clk.Now()
 	states := s.det.Snapshot()
 
 	s.mu.Lock()
@@ -276,9 +245,9 @@ func (s *Supervisor) Reconcile(ctx context.Context) {
 		switch {
 		case lost && !up[n]:
 			continue // alarmed: never revived again
-		case now.Sub(dn.since) < s.cfg.Debounce:
+		case now.Sub(dn.since) < debounce:
 			continue
-		case dn.attempted && now.Sub(dn.lastAttempt) < s.cfg.RepairBackoff:
+		case dn.attempted && now.Sub(dn.lastAttempt) < repairBackoff:
 			continue
 		}
 		ripe = append(ripe, n)
@@ -296,7 +265,7 @@ func (s *Supervisor) Reconcile(ctx context.Context) {
 	if len(ripe) == 0 {
 		return
 	}
-	rctx, cancel := context.WithTimeout(ctx, s.cfg.RepairTimeout)
+	rctx, cancel := context.WithTimeout(ctx, repairTimeout)
 	defer cancel()
 	for _, n := range ripe {
 		s.repair(rctx, n, up[n])
@@ -362,9 +331,7 @@ func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
 	// out a probe interval: resumeMigrations and AwaitHealthy need allUp.
 	pctx, cancel := context.WithTimeout(context.Background(), s.det.Policy().ProbeTimeout)
 	defer cancel()
-	for i := 0; i < s.det.Policy().UpAfter; i++ {
-		s.det.ProbeOnce(pctx)
-	}
+	s.det.ProbeOnce(pctx)
 	s.resumeMigrations()
 }
 
@@ -373,15 +340,12 @@ func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
 // complete stays journalled and will be retried on the next repair (or
 // by the next coordinator restart).
 func (s *Supervisor) resumeMigrations() {
-	s.mu.Lock()
-	resume := s.resume
-	s.mu.Unlock()
-	if resume == nil || !s.allUp() {
+	if s.resume == nil || !s.allUp() {
 		return
 	}
-	rctx, cancel := context.WithTimeout(context.Background(), s.cfg.RepairTimeout)
+	rctx, cancel := context.WithTimeout(context.Background(), repairTimeout)
 	defer cancel()
-	resume(rctx)
+	s.resume(rctx)
 }
 
 func (s *Supervisor) allUp() bool {
@@ -430,7 +394,7 @@ func (s *Supervisor) Repairs() uint64 {
 }
 
 // Journal returns a copy of the repair journal in order (the most
-// recent JournalCap records; see JournalStats for what was shed).
+// recent journalCap records; see JournalStats for what was shed).
 func (s *Supervisor) Journal() []RepairRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -438,11 +402,11 @@ func (s *Supervisor) Journal() []RepairRecord {
 }
 
 // JournalStats reports the journal's current length, how many old
-// records the ring bound has dropped, and the configured capacity.
+// records the ring bound has dropped, and its capacity.
 func (s *Supervisor) JournalStats() (length int, dropped uint64, capacity int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.journal), s.journalDropped, s.cfg.JournalCap
+	return len(s.journal), s.journalDropped, journalCap
 }
 
 // AwaitHealthy blocks until every node is up with no tracked failures
@@ -452,8 +416,6 @@ func (s *Supervisor) JournalStats() (length int, dropped uint64, capacity int) {
 // and its first failed probe/send, AwaitHealthy can truthfully report
 // the cluster healthy.
 func (s *Supervisor) AwaitHealthy(ctx context.Context) error {
-	t := time.NewTicker(s.cfg.PollInterval)
-	defer t.Stop()
 	for {
 		alarm := s.Alarm()
 		s.mu.Lock()
@@ -468,7 +430,7 @@ func (s *Supervisor) AwaitHealthy(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-t.C:
+		case <-s.clk.After(pollInterval):
 		}
 	}
 }
@@ -478,10 +440,10 @@ func (s *Supervisor) journalLocked(node transport.NodeID, phase RepairPhase, det
 		s.met.phases[phase].Inc()
 	}
 	s.seq++
-	if len(s.journal) >= s.cfg.JournalCap {
+	if len(s.journal) >= journalCap {
 		// Ring bound: shed the oldest records. Seq stays monotonic, so
 		// an auditor can see exactly where the gap is.
-		drop := len(s.journal) - s.cfg.JournalCap + 1
+		drop := len(s.journal) - journalCap + 1
 		s.journalDropped += uint64(drop)
 		s.journal = append(s.journal[:0], s.journal[drop:]...)
 	}
@@ -489,7 +451,7 @@ func (s *Supervisor) journalLocked(node transport.NodeID, phase RepairPhase, det
 		Seq:    s.seq,
 		Node:   node,
 		Phase:  phase,
-		At:     s.now(),
+		At:     s.clk.Now(),
 		Detail: detail,
 	})
 }

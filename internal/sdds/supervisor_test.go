@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cipherx"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -29,14 +30,14 @@ type supervisedCluster struct {
 	fs      *wal.MemFS
 	det     *transport.Detector
 	sup     *Supervisor
-	clk     *metClock // drives the supervisor's debounce/backoff timing
+	clk     *clock.FakeClock // drives the supervisor's debounce/backoff timing
 
 	mu     sync.Mutex
 	nodes  map[transport.NodeID]*Node
 	stores map[transport.NodeID]*wal.Store
 }
 
-func newSupervisedCluster(t *testing.T, n int, cfg SupervisorConfig) *supervisedCluster {
+func newSupervisedCluster(t *testing.T, n int) *supervisedCluster {
 	t.Helper()
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
@@ -52,7 +53,7 @@ func newSupervisedCluster(t *testing.T, n int, cfg SupervisorConfig) *supervised
 		fs:     wal.NewMemFS(),
 		nodes:  make(map[transport.NodeID]*Node),
 		stores: make(map[transport.NodeID]*wal.Store),
-		clk:    newMetClock(),
+		clk:    clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)),
 	}
 	for _, id := range ids {
 		if err := sc.start(id); err != nil {
@@ -64,11 +65,11 @@ func newSupervisedCluster(t *testing.T, n int, cfg SupervisorConfig) *supervised
 		ProbeOp:      PingOp,
 		ProbeTimeout: 200 * time.Millisecond,
 		DownAfter:    1,
-		UpAfter:      1,
-	})
+	}, sc.clk)
 	revive := func(_ context.Context, id transport.NodeID) error { return sc.start(id) }
-	sc.sup = NewSupervisor(sc.det, revive, cfg)
-	sc.sup.now = sc.clk.Now // deterministic debounce: tests advance, never sleep
+	// Neither loop is started: tests step the detector and the
+	// supervisor by hand and advance the clock, never sleep.
+	sc.sup = NewSupervisor(sc.det, revive, nil, sc.clk)
 	return sc
 }
 
@@ -118,7 +119,7 @@ func (sc *supervisedCluster) step(ctx context.Context) {
 // node gets one repair attempt.
 func (sc *supervisedCluster) repairPass(ctx context.Context) {
 	sc.step(ctx)
-	sc.clk.Advance(5 * time.Millisecond)
+	sc.clk.Advance(max(debounce, repairBackoff))
 	sc.step(ctx)
 }
 
@@ -163,10 +164,7 @@ func verifyRecords(t *testing.T, c *Cluster, want map[uint64][]byte) {
 }
 
 func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
-	sc := newSupervisedCluster(t, 4, SupervisorConfig{
-		Debounce:      time.Millisecond,
-		RepairBackoff: time.Millisecond,
-	})
+	sc := newSupervisedCluster(t, 4)
 	ctx := context.Background()
 	want := loadRecords(t, sc.cluster, 60)
 
@@ -175,8 +173,8 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 	if got := sc.sup.Down(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("Down = %v, want [1 3]", got)
 	}
-	sc.clk.Advance(5 * time.Millisecond) // let the debounce elapse
-	sc.step(ctx)                         // revive: each node replays its own journal
+	sc.clk.Advance(debounce) // let the debounce elapse
+	sc.step(ctx)             // revive: each node replays its own journal
 
 	if got := sc.sup.Down(); len(got) != 0 {
 		t.Fatalf("Down after repair = %v", got)
@@ -203,10 +201,7 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 // no failure budget — two of three nodes dying at once is two local
 // replays, not an alarm.
 func TestSupervisorRecoversMajorityKill(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, SupervisorConfig{
-		Debounce:      time.Millisecond,
-		RepairBackoff: time.Millisecond,
-	})
+	sc := newSupervisedCluster(t, 3)
 	ctx := context.Background()
 	want := loadRecords(t, sc.cluster, 40)
 
@@ -235,7 +230,7 @@ func TestSupervisorRecoversMajorityKill(t *testing.T) {
 // the node, searches report it missing, and its journal is left
 // byte-for-byte as it was for salvage.
 func TestSupervisorAlarmsOnCorruptJournal(t *testing.T) {
-	sc, pl, query, victim := newMarkerCluster(t, time.Millisecond)
+	sc, pl, query, victim := newMarkerCluster(t)
 	ctx := context.Background()
 	loadRecords(t, sc.cluster, 20)
 
@@ -278,10 +273,7 @@ func TestSupervisorAlarmsOnCorruptJournal(t *testing.T) {
 // through later passes, AwaitHealthy fails fast, and only the node
 // reporting a replay of its own journal again clears it.
 func TestSupervisorAlarmsOnLostDataDir(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, SupervisorConfig{
-		Debounce:      time.Millisecond,
-		RepairBackoff: time.Millisecond,
-	})
+	sc := newSupervisedCluster(t, 3)
 	ctx := context.Background()
 	want := loadRecords(t, sc.cluster, 30)
 	const victim = transport.NodeID(1)
@@ -345,9 +337,7 @@ func TestSupervisorAlarmsOnLostDataDir(t *testing.T) {
 }
 
 func TestSupervisorAbsorbsFlaps(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, SupervisorConfig{
-		Debounce: time.Hour, // nothing becomes ripe in this test
-	})
+	sc := newSupervisedCluster(t, 3) // the clock never moves: nothing becomes ripe
 	ctx := context.Background()
 	loadRecords(t, sc.cluster, 20)
 
@@ -374,13 +364,12 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 	}
 }
 
-// newMarkerCluster is a 3-node supervised cluster (repair after the
-// given debounce) whose index file holds the chaos corpus' records
+// newMarkerCluster is a 3-node supervised cluster whose index file holds the chaos corpus' records
 // 1..20 — GRIDLOCK in every fourth — in one bucket, so every index piece
 // lives on bucket 0's node. It returns that node and the GRIDLOCK query.
-func newMarkerCluster(t *testing.T, debounce time.Duration) (*supervisedCluster, *core.Pipeline, *core.Query, transport.NodeID) {
+func newMarkerCluster(t *testing.T) (*supervisedCluster, *core.Pipeline, *core.Query, transport.NodeID) {
 	t.Helper()
-	sc := newSupervisedCluster(t, 3, SupervisorConfig{Debounce: debounce, RepairBackoff: debounce})
+	sc := newSupervisedCluster(t, 3)
 	pl := testPipeline(t, 4, 2, 1)
 	for rid := uint64(1); rid <= 20; rid++ {
 		indexRecord(t, sc.cluster, pl, rid, newChaosCorpus().record(rid))
@@ -423,7 +412,7 @@ func wantIncomplete(t *testing.T, err error, node transport.NodeID) *IncompleteE
 // before its index node dies must not silently drop out of the answer —
 // the search fails with an IncompleteError naming the node.
 func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
-	sc, pl, query, victim := newMarkerCluster(t, time.Hour)
+	sc, pl, query, victim := newMarkerCluster(t)
 	ctx := context.Background()
 	indexRecord(t, sc.cluster, pl, 100, []byte("RECORD 0100 HAS GRIDLOCK INSIDE"))
 	sc.kill(victim)
@@ -441,7 +430,7 @@ func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
 // TestSearchReportsDownNodeAfterLateDelete: a record deleted just
 // before its index node dies must not come back as a ghost.
 func TestSearchReportsDownNodeAfterLateDelete(t *testing.T) {
-	sc, pl, query, victim := newMarkerCluster(t, time.Hour)
+	sc, pl, query, victim := newMarkerCluster(t)
 	ctx := context.Background()
 	if err := sc.cluster.DeleteIndexed(ctx, FileIndex, 4, pl.Chunkings(), pl.K(), SlotBits(pl.Chunkings(), pl.K())); err != nil {
 		t.Fatal(err)
@@ -494,29 +483,30 @@ func TestWordSearchReportsDeadNode(t *testing.T) {
 }
 
 // TestRepairJournalRingBound: the repair journal is a ring — it never
-// grows past JournalCap, sheds oldest-first, counts what it shed, and
+// grows past journalCap, sheds oldest-first, counts what it shed, and
 // keeps sequence numbers monotonic so an auditor can see the gap.
 func TestRepairJournalRingBound(t *testing.T) {
-	sc := newSupervisedCluster(t, 3, SupervisorConfig{JournalCap: 8})
-	for i := 0; i < 20; i++ {
+	const extra = 12
+	sc := newSupervisedCluster(t, 3)
+	for i := 0; i < journalCap+extra; i++ {
 		sc.sup.journalOne(transport.NodeID(i%3), RepairDetected, "synthetic")
 	}
 	length, dropped, capacity := sc.sup.JournalStats()
-	if capacity != 8 {
-		t.Fatalf("JournalCap = %d, want 8", capacity)
+	if capacity != journalCap {
+		t.Fatalf("capacity = %d, want %d", capacity, journalCap)
 	}
-	if length != 8 {
-		t.Fatalf("journal length = %d, want bounded at 8", length)
+	if length != journalCap {
+		t.Fatalf("journal length = %d, want bounded at %d", length, journalCap)
 	}
-	if dropped != 12 {
-		t.Fatalf("dropped = %d, want 12", dropped)
+	if dropped != extra {
+		t.Fatalf("dropped = %d, want %d", dropped, extra)
 	}
 	j := sc.sup.Journal()
-	if len(j) != 8 {
-		t.Fatalf("Journal() length = %d, want 8", len(j))
+	if len(j) != journalCap {
+		t.Fatalf("Journal() length = %d, want %d", len(j), journalCap)
 	}
 	for i, r := range j {
-		if want := uint64(13 + i); r.Seq != want {
+		if want := uint64(extra + 1 + i); r.Seq != want {
 			t.Fatalf("journal[%d].Seq = %d, want %d (newest records must survive in order)", i, r.Seq, want)
 		}
 	}

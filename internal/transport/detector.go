@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // NodeState is a failure detector's verdict on one node.
@@ -42,40 +44,26 @@ type DetectorPolicy struct {
 	// answers — even with a handler error — is alive; only transport
 	// failures count against it.
 	ProbeOp uint8
-	// ProbeInterval is the background probing period. 0 disables active
-	// probing (the detector then runs on passive signals only).
+	// ProbeInterval is the background probing period (default 50ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip (default 1s).
 	ProbeTimeout time.Duration
 	// DownAfter is the number of consecutive failed signals confirming a
 	// node down (default 2). The first failure alone moves it to
-	// NodeSuspect.
+	// NodeSuspect; one success takes the node back to NodeUp.
 	DownAfter int
-	// UpAfter is the number of consecutive successful signals taking a
-	// suspect/down node back to NodeUp (default 1).
-	UpAfter int
 }
 
 func (p *DetectorPolicy) fillDefaults() {
+	if p.ProbeInterval <= 0 {
+		p.ProbeInterval = 50 * time.Millisecond
+	}
 	if p.ProbeTimeout <= 0 {
 		p.ProbeTimeout = time.Second
 	}
 	if p.DownAfter < 1 {
 		p.DownAfter = 2
 	}
-	if p.UpAfter < 1 {
-		p.UpAfter = 1
-	}
-}
-
-// HealthEvent is one node's state transition.
-type HealthEvent struct {
-	Node  NodeID
-	State NodeState
-	At    time.Time
-	// Cause is the error string that drove a transition to
-	// Suspect/Down; empty for transitions to Up.
-	Cause string
 }
 
 // NodeHealth is a snapshot of one node's detector accounting.
@@ -83,22 +71,15 @@ type NodeHealth struct {
 	Node                NodeID
 	State               NodeState
 	ConsecutiveFailures int
-	LastTransition      time.Time
 	LastError           string
 	ActiveProbes        uint64 // probe signals seen
 	PassiveSignals      uint64 // signals fed by ObserveSend
 }
 
-type detNode struct {
-	NodeHealth
-	consecOK int
-}
-
 // Detector is a lightweight per-node failure detector: it combines
 // active health probes (a periodic ProbeOp to every member) with
 // passive signals from live traffic (the Sends of a transport wrapped
-// by Watch) into a three-state verdict per node, and publishes state
-// transitions to subscribers.
+// by Watch) into a three-state verdict per node, which Snapshot reports.
 //
 // Membership is authoritative, not discovered: the detector watches
 // exactly the nodes it was constructed with, so a crashed node that
@@ -108,32 +89,31 @@ type Detector struct {
 	tr      Transport
 	policy  DetectorPolicy
 	members []NodeID
+	clk     clock.Clock
 
 	mu      sync.Mutex
-	nodes   map[NodeID]*detNode
-	subs    []chan HealthEvent
+	nodes   map[NodeID]*NodeHealth
 	started bool
 	stop    chan struct{}
 	done    chan struct{}
-	now     func() time.Time // injectable clock for tests
 
 	met detectorMetrics // set by Instrument before traffic; nil-safe
 }
 
 // NewDetector builds a detector over the transport watching the given
-// membership. Start begins background probing; ProbeOnce and
-// ObserveSend work without it.
-func NewDetector(tr Transport, members []NodeID, policy DetectorPolicy) *Detector {
+// membership. Start begins background probing, paced by clk; ProbeOnce
+// and ObserveSend work without it.
+func NewDetector(tr Transport, members []NodeID, policy DetectorPolicy, clk clock.Clock) *Detector {
 	policy.fillDefaults()
 	d := &Detector{
 		tr:      tr,
 		policy:  policy,
 		members: append([]NodeID(nil), members...),
-		nodes:   make(map[NodeID]*detNode, len(members)),
-		now:     time.Now,
+		clk:     clk,
+		nodes:   make(map[NodeID]*NodeHealth, len(members)),
 	}
 	for _, n := range members {
-		d.nodes[n] = &detNode{NodeHealth: NodeHealth{Node: n, State: NodeUp}}
+		d.nodes[n] = &NodeHealth{Node: n, State: NodeUp}
 	}
 	return d
 }
@@ -146,11 +126,13 @@ func (d *Detector) Policy() DetectorPolicy { return d.policy }
 // against nodes it is inspecting.
 func (d *Detector) Transport() Transport { return d.tr }
 
-// Start launches the background probe loop (no-op when ProbeInterval
-// is 0 or the detector already runs).
+// Start launches the background probe loop: one probe round every
+// ProbeInterval of the clock (no-op when the detector already runs).
+// The first wake-up is armed before Start returns, and each next one
+// only after the round it follows has finished.
 func (d *Detector) Start() {
 	d.mu.Lock()
-	if d.started || d.policy.ProbeInterval <= 0 {
+	if d.started {
 		d.mu.Unlock()
 		return
 	}
@@ -159,23 +141,23 @@ func (d *Detector) Start() {
 	d.done = make(chan struct{})
 	stop, done := d.stop, d.done
 	d.mu.Unlock()
+	tick := d.clk.After(d.policy.ProbeInterval)
 	go func() {
 		defer close(done)
-		t := time.NewTicker(d.policy.ProbeInterval)
-		defer t.Stop()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-t.C:
+			case <-tick:
 				d.ProbeOnce(context.Background())
+				tick = d.clk.After(d.policy.ProbeInterval)
 			}
 		}
 	}()
 }
 
-// Stop halts background probing. Subscriptions stay open (no further
-// active events; passive signals keep flowing if traffic does).
+// Stop halts background probing (passive signals keep flowing if
+// traffic does).
 func (d *Detector) Stop() {
 	d.mu.Lock()
 	if !d.started {
@@ -253,13 +235,12 @@ func alive(err error) bool {
 	return err == nil || errors.As(err, &re) || answeredExpired(err)
 }
 
-// signal folds one outcome into the node's state machine and publishes
-// any transition.
+// signal folds one outcome into the node's state machine.
 func (d *Detector) signal(node NodeID, err error, passive bool) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	n, ok := d.nodes[node]
 	if !ok {
-		d.mu.Unlock()
 		return // not a watched member
 	}
 	if passive {
@@ -270,31 +251,22 @@ func (d *Detector) signal(node NodeID, err error, passive bool) {
 		d.met.probes.Inc()
 	}
 	prev := n.State
-	var events []HealthEvent
 	if alive(err) {
 		n.ConsecutiveFailures = 0
-		n.consecOK++
-		if n.State != NodeUp && n.consecOK >= d.policy.UpAfter {
+		if n.State != NodeUp {
 			n.State = NodeUp
-			n.LastTransition = d.now()
 			n.LastError = ""
-			events = append(events, HealthEvent{Node: node, State: NodeUp, At: n.LastTransition})
 			d.met.toUp.Inc()
 		}
 	} else {
-		n.consecOK = 0
 		n.ConsecutiveFailures++
 		n.LastError = err.Error()
 		switch {
 		case n.ConsecutiveFailures >= d.policy.DownAfter && n.State != NodeDown:
 			n.State = NodeDown
-			n.LastTransition = d.now()
-			events = append(events, HealthEvent{Node: node, State: NodeDown, At: n.LastTransition, Cause: n.LastError})
 			d.met.toDown.Inc()
 		case n.State == NodeUp:
 			n.State = NodeSuspect
-			n.LastTransition = d.now()
-			events = append(events, HealthEvent{Node: node, State: NodeSuspect, At: n.LastTransition, Cause: n.LastError})
 			d.met.toSuspect.Inc()
 		}
 	}
@@ -304,30 +276,6 @@ func (d *Detector) signal(node NodeID, err error, passive bool) {
 	case prev == NodeDown && n.State != NodeDown:
 		d.met.downNodes.Add(-1)
 	}
-	subs := append([]chan HealthEvent(nil), d.subs...)
-	d.mu.Unlock()
-	for _, ev := range events {
-		for _, sub := range subs {
-			select {
-			case sub <- ev:
-			default: // never block the signal path; snapshots backstop
-			}
-		}
-	}
-}
-
-// Subscribe returns a channel of state transitions. Delivery is
-// best-effort: events are dropped when the buffer is full, so consumers
-// needing completeness must also reconcile against Snapshot.
-func (d *Detector) Subscribe(buffer int) <-chan HealthEvent {
-	if buffer < 1 {
-		buffer = 16
-	}
-	ch := make(chan HealthEvent, buffer)
-	d.mu.Lock()
-	d.subs = append(d.subs, ch)
-	d.mu.Unlock()
-	return ch
 }
 
 // State returns the current verdict on one node (NodeUp for unknown
@@ -361,7 +309,7 @@ func (d *Detector) Snapshot() []NodeHealth {
 	defer d.mu.Unlock()
 	out := make([]NodeHealth, 0, len(d.nodes))
 	for _, n := range d.nodes {
-		out = append(out, n.NodeHealth)
+		out = append(out, *n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out

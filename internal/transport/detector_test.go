@@ -5,15 +5,16 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-func newTestDetector(m *Memory, members []NodeID, downAfter, upAfter int) *Detector {
+func newTestDetector(m *Memory, members []NodeID, downAfter int) *Detector {
 	return NewDetector(m, members, DetectorPolicy{
 		ProbeOp:      0,
 		ProbeTimeout: 200 * time.Millisecond,
 		DownAfter:    downAfter,
-		UpAfter:      upAfter,
-	})
+	}, clock.Real{})
 }
 
 func TestDetectorStateTransitions(t *testing.T) {
@@ -22,7 +23,7 @@ func TestDetectorStateTransitions(t *testing.T) {
 	for _, id := range members {
 		m.Register(id, echoHandler)
 	}
-	d := newTestDetector(m, members, 2, 2)
+	d := newTestDetector(m, members, 2)
 	ctx := context.Background()
 
 	d.ProbeOnce(ctx)
@@ -50,15 +51,11 @@ func TestDetectorStateTransitions(t *testing.T) {
 		t.Fatal("healthy nodes disturbed by peer failure")
 	}
 
-	// Revive: UpAfter=2 means one success is not enough.
+	// Revive: one success brings it back.
 	m.Register(1, echoHandler)
 	d.ProbeOnce(ctx)
-	if st := d.State(1); st != NodeDown {
-		t.Fatalf("node 1 after one success: %v, want still down (UpAfter=2)", st)
-	}
-	d.ProbeOnce(ctx)
 	if st := d.State(1); st != NodeUp {
-		t.Fatalf("node 1 after two successes: %v, want up", st)
+		t.Fatalf("node 1 after one success: %v, want up", st)
 	}
 	if down := d.Down(); len(down) != 0 {
 		t.Fatalf("Down after recovery = %v", down)
@@ -70,7 +67,7 @@ func TestDetectorRemoteErrorCountsAsAlive(t *testing.T) {
 	m.Register(0, func(_ context.Context, op uint8, p []byte) ([]byte, error) {
 		return nil, errors.New("handler rejects probes")
 	})
-	d := newTestDetector(m, []NodeID{0}, 1, 1)
+	d := newTestDetector(m, []NodeID{0}, 1)
 	d.ProbeOnce(context.Background())
 	if st := d.State(0); st != NodeUp {
 		t.Fatalf("node answering with a handler error marked %v, want up", st)
@@ -80,7 +77,7 @@ func TestDetectorRemoteErrorCountsAsAlive(t *testing.T) {
 func TestDetectorPassiveSignals(t *testing.T) {
 	m := NewMemory()
 	m.Register(0, echoHandler)
-	d := newTestDetector(m, []NodeID{0}, 2, 1)
+	d := newTestDetector(m, []NodeID{0}, 2)
 
 	// Passive failures confirm a node down without any probe.
 	d.ObserveSend(0, ErrUnknownNode)
@@ -110,7 +107,7 @@ func TestDetectorRetryObserverIntegration(t *testing.T) {
 	m := NewMemory()
 	m.Register(0, echoHandler)
 	m.Register(1, echoHandler)
-	d := newTestDetector(m, []NodeID{0, 1}, 2, 1)
+	d := newTestDetector(m, []NodeID{0, 1}, 2)
 	tr := d.Watch(m)
 	ctx := context.Background()
 
@@ -142,63 +139,39 @@ func TestDetectorRetryObserverIntegration(t *testing.T) {
 	}
 }
 
-func TestDetectorSubscribe(t *testing.T) {
-	m := NewMemory()
-	m.Register(0, echoHandler)
-	d := newTestDetector(m, []NodeID{0}, 2, 1)
-	events := d.Subscribe(16)
-	ctx := context.Background()
-
-	m.Unregister(0)
-	d.ProbeOnce(ctx) // → suspect
-	d.ProbeOnce(ctx) // → down
-	m.Register(0, echoHandler)
-	d.ProbeOnce(ctx) // → up
-
-	want := []NodeState{NodeSuspect, NodeDown, NodeUp}
-	for i, w := range want {
-		select {
-		case ev := <-events:
-			if ev.Node != 0 || ev.State != w {
-				t.Fatalf("event %d = %+v, want state %v", i, ev, w)
-			}
-			if w != NodeUp && ev.Cause == "" {
-				t.Fatalf("failure event %d missing cause", i)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("missing event %d (%v)", i, w)
-		}
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("unexpected extra event %+v", ev)
-	default:
-	}
-}
-
+// TestDetectorBackgroundProbing: the probe loop runs one round per
+// ProbeInterval of the detector's clock, so a dead node reads suspect
+// after one fake tick and down after exactly DownAfter.
 func TestDetectorBackgroundProbing(t *testing.T) {
+	const downAfter = 3
 	m := NewMemory()
 	m.Register(0, echoHandler)
+	fc := clock.NewFake(time.Unix(0, 0))
 	d := NewDetector(m, []NodeID{0}, DetectorPolicy{
-		ProbeInterval: time.Millisecond,
+		ProbeInterval: time.Second,
 		ProbeTimeout:  100 * time.Millisecond,
-		DownAfter:     2,
-		UpAfter:       1,
-	})
-	events := d.Subscribe(16)
+		DownAfter:     downAfter,
+	}, fc)
 	d.Start()
 	defer d.Stop()
 
 	m.Unregister(0)
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case ev := <-events:
-			if ev.State == NodeDown {
-				return // background loop confirmed the failure on its own
-			}
-		case <-deadline:
-			t.Fatal("background probing never confirmed the node down")
+	if snap := d.Snapshot(); snap[0].ActiveProbes != 0 || snap[0].State != NodeUp {
+		t.Fatalf("before any tick: %+v, want up with no probes", snap[0])
+	}
+	for tick := 1; tick <= downAfter; tick++ {
+		fc.BlockUntil(1) // the loop has armed its next probe
+		fc.Step()
+		fc.BlockUntil(1) // ... and finished this round
+		want := NodeSuspect
+		if tick == downAfter {
+			want = NodeDown
 		}
+		if snap := d.Snapshot(); snap[0].State != want || snap[0].ActiveProbes != uint64(tick) {
+			t.Fatalf("after %d ticks: %+v, want %v after %d probes", tick, snap[0], want, tick)
+		}
+	}
+	if got, want := fc.Now(), time.Unix(downAfter, 0); !got.Equal(want) {
+		t.Fatalf("fake clock at %v, want %v: one probe round per ProbeInterval", got, want)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Fault injection errors. Both are transport-level failures: the
@@ -40,8 +42,9 @@ type Fault struct {
 	// Dup is the probability the request is delivered twice; the first
 	// response wins. Only meaningful for idempotent ops.
 	Dup float64
-	// DelayProb is the probability a request is delayed by Delay before
-	// anything else happens. The delay respects context cancellation.
+	// DelayProb is the probability a request is delayed by Delay (on the
+	// Faulty's clock) before anything else happens. The delay respects
+	// context cancellation.
 	DelayProb float64
 	// Delay is the injected latency when DelayProb fires.
 	Delay time.Duration
@@ -66,6 +69,7 @@ type FaultStats struct {
 type Faulty struct {
 	inner Transport
 	seed  int64
+	clk   clock.Clock
 
 	mu    sync.Mutex
 	def   Fault
@@ -77,12 +81,13 @@ type Faulty struct {
 	met faultyMetrics // set by Instrument before traffic; nil-safe
 }
 
-// NewFaulty wraps a transport with a fault injector. With no schedule
-// set it is transparent.
-func NewFaulty(inner Transport, seed int64) *Faulty {
+// NewFaulty wraps a transport with a fault injector whose delays run on
+// clk. With no schedule set it is transparent.
+func NewFaulty(inner Transport, seed int64, clk clock.Clock) *Faulty {
 	return &Faulty{
 		inner: inner,
 		seed:  seed,
+		clk:   clk,
 		per:   make(map[NodeID]Fault),
 		black: make(map[NodeID]bool),
 		rngs:  make(map[NodeID]*rand.Rand),
@@ -243,8 +248,10 @@ func (f *Faulty) Send(ctx context.Context, node NodeID, op uint8, payload []byte
 	f.mu.Unlock()
 
 	if d.delay > 0 {
-		if err := sleepCtx(ctx, d.delay); err != nil {
-			return nil, err
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-f.clk.After(d.delay):
 		}
 	}
 	if d.drop {
@@ -268,18 +275,3 @@ func (f *Faulty) Nodes() []NodeID { return f.inner.Nodes() }
 
 // Close implements Transport.
 func (f *Faulty) Close() error { return f.inner.Close() }
-
-// sleepCtx sleeps for d unless the context ends first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // faultyOverEcho builds a Faulty over a Memory with n echo nodes.
@@ -14,7 +16,7 @@ func faultyOverEcho(n int, seed int64) (*Faulty, *Memory) {
 	for i := NodeID(0); i < NodeID(n); i++ {
 		mem.Register(i, echoHandler)
 	}
-	return NewFaulty(mem, seed), mem
+	return NewFaulty(mem, seed, clock.Real{}), mem
 }
 
 func TestFaultyTransparentByDefault(t *testing.T) {
@@ -107,7 +109,7 @@ func TestFaultyDuplicateDelivery(t *testing.T) {
 		atomic.AddInt32(&calls, 1)
 		return []byte{byte(atomic.LoadInt32(&calls))}, nil
 	})
-	f := NewFaulty(mem, 3)
+	f := NewFaulty(mem, 3, clock.Real{})
 	f.SetFault(0, Fault{Dup: 1})
 	resp, err := f.Send(context.Background(), 0, 1, nil)
 	if err != nil {
@@ -122,18 +124,40 @@ func TestFaultyDuplicateDelivery(t *testing.T) {
 	}
 }
 
+// TestFaultyDelayRespectsContext: an injected delay waits on the
+// Faulty's clock, and a context that ends first cuts it short.
 func TestFaultyDelayRespectsContext(t *testing.T) {
-	f, _ := faultyOverEcho(1, 5)
+	mem := NewMemory()
+	mem.Register(0, echoHandler)
+	fc := clock.NewFake(time.Unix(0, 0))
+	f := NewFaulty(mem, 5, fc)
 	f.SetFault(0, Fault{DelayProb: 1, Delay: 5 * time.Second})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := f.Send(ctx, 0, 1, nil)
-	if err == nil {
-		t.Fatal("delayed send ignored deadline")
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.Send(context.Background(), 0, 1, nil)
+		done <- err
+	}()
+	fc.BlockUntil(1)
+	fc.Advance(5*time.Second - time.Nanosecond)
+	select {
+	case err := <-done:
+		t.Fatalf("delayed send returned before its delay elapsed: %v", err)
+	default:
 	}
-	if time.Since(start) > time.Second {
-		t.Error("delay did not respect context deadline")
+	fc.Advance(time.Nanosecond)
+	if err := <-done; err != nil {
+		t.Fatalf("delayed send = %v", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		_, err := f.Send(ctx, 0, 1, nil)
+		done <- err
+	}()
+	fc.BlockUntil(1)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("delayed send under a canceled context = %v, want context.Canceled", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -17,8 +18,8 @@ func TestDetectorMetrics(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mem.Register(NodeID(i), func(_ context.Context, op uint8, payload []byte) ([]byte, error) { return nil, nil })
 	}
-	faulty := NewFaulty(mem, 1)
-	det := NewDetector(faulty, []NodeID{0, 1, 2}, DetectorPolicy{DownAfter: 2})
+	faulty := NewFaulty(mem, 1, clock.Real{})
+	det := NewDetector(faulty, []NodeID{0, 1, 2}, DetectorPolicy{DownAfter: 2}, clock.Real{})
 	det.Instrument(reg)
 
 	ctx := context.Background()

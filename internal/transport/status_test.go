@@ -64,7 +64,7 @@ func TestRetryObserverClassification(t *testing.T) {
 				}
 				return nil, tc.err
 			}}
-			d := newTestDetector(NewMemory(), []NodeID{1}, 1, 1) // hair-trigger: one bad signal = down
+			d := newTestDetector(NewMemory(), []NodeID{1}, 1) // hair-trigger: one bad signal = down
 			_, err := d.Watch(inner).Send(context.Background(), 1, 1, nil)
 			if err != tc.err {
 				t.Fatalf("Watch returned %v, want the inner error %v unchanged", err, tc.err)
@@ -89,7 +89,7 @@ func TestRetryObserverClassification(t *testing.T) {
 // TestWatchForwardsCtxSender: Watch adds no blocking of its own, so it
 // carries the CtxSender marker exactly when the transport it wraps does.
 func TestWatchForwardsCtxSender(t *testing.T) {
-	d := newTestDetector(NewMemory(), []NodeID{0}, 1, 1)
+	d := newTestDetector(NewMemory(), []NodeID{0}, 1)
 	tcp := NewTCP(nil)
 	defer tcp.Close()
 	if cs, ok := d.Watch(tcp).(CtxSender); !ok || !cs.SendsWithContext() {
@@ -106,7 +106,7 @@ func TestWatchForwardsCtxSender(t *testing.T) {
 func TestDetectorIgnoresBackpressure(t *testing.T) {
 	m := NewMemory()
 	m.Register(0, echoHandler)
-	d := newTestDetector(m, []NodeID{0}, 1, 1) // hair-trigger: one bad signal = down
+	d := newTestDetector(m, []NodeID{0}, 1) // hair-trigger: one bad signal = down
 
 	for i := 0; i < 20; i++ {
 		d.ObserveSend(0, &ExpiredError{Node: 0})
@@ -127,7 +127,7 @@ func TestDetectorIgnoresBackpressure(t *testing.T) {
 func TestRetryDetectorOverloadEndToEnd(t *testing.T) {
 	m := NewMemory()
 	m.Register(1, echoHandler)
-	d := newTestDetector(m, []NodeID{1}, 1, 1)
+	d := newTestDetector(m, []NodeID{1}, 1)
 	tr := d.Watch(&stubTransport{fn: alwaysExpired})
 
 	for i := 0; i < 50; i++ {

@@ -9,10 +9,9 @@ import (
 )
 
 // BenchmarkWALAppend times Journal (Append + Sync) on the real
-// filesystem: one caller with and without fsync, and eight concurrent
-// callers sharing group flushes. fsyncs/append is the group-commit
-// figure of merit: 1 for a lone syncing caller, 0 with NoSync, and well
-// under 1 once callers overlap.
+// filesystem: one caller, and eight concurrent callers sharing group
+// flushes. fsyncs/append is the group-commit figure of merit: 1 for a
+// lone caller, and well under 1 once callers overlap.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, c := range []struct {
 		name      string
@@ -20,7 +19,6 @@ func BenchmarkWALAppend(b *testing.B) {
 		appenders int
 	}{
 		{"sync", Options{}, 1},
-		{"nosync", Options{NoSync: true}, 1},
 		{"group8", Options{}, 8},
 	} {
 		b.Run(c.name, func(b *testing.B) {

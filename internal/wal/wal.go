@@ -68,11 +68,6 @@ func (o Outcome) String() string {
 
 // Options tunes a store.
 type Options struct {
-	// NoSync skips the fsync of each group flush. Appends are then only
-	// as durable as the OS page cache — a crash may lose a clean suffix
-	// of acknowledged entries (never a middle, never corruption). Off by
-	// default: durability first.
-	NoSync bool
 	// CheckpointBytes is the journal growth after which CheckpointDue
 	// reports true (default 1 MiB). Smaller values trade checkpoint
 	// write amplification for faster recovery.
@@ -499,8 +494,8 @@ func (s *Store) Append(op uint8, payload []byte) (uint64, error) {
 	return s.seq, nil
 }
 
-// Sync blocks until every entry up to seq is durable (written, and
-// unless NoSync is set fsynced), or reports why it never will be.
+// Sync blocks until every entry up to seq is durable (written and
+// fsynced), or reports why it never will be.
 // Callers that find a flush already on disk wait for it; the first one
 // that does not becomes the leader for everything appended so far, so N
 // concurrent callers share far fewer than N flushes. An entry a
@@ -566,9 +561,6 @@ func (s *Store) writeGroup(buf []byte) error {
 	if _, err := s.log.Write(buf); err != nil {
 		return fmt.Errorf("wal: journal append: %w", err)
 	}
-	if s.opts.NoSync {
-		return nil
-	}
 	var start time.Time
 	if s.met.on {
 		start = time.Now()
@@ -584,8 +576,8 @@ func (s *Store) writeGroup(buf []byte) error {
 }
 
 // Journal durably appends one operation: Append followed by Sync. On
-// return (without error) the entry has been written — and, unless NoSync
-// is set, fsynced — so the caller may acknowledge the mutation. Callers
+// return (without error) the entry has been written and fsynced, so the
+// caller may acknowledge the mutation. Callers
 // that hold a lock they would rather not keep across a disk flush use
 // the two halves apart.
 func (s *Store) Journal(op uint8, payload []byte) error {
@@ -726,8 +718,7 @@ func (s *Store) Close() error {
 		_, err = s.log.Write(s.pending)
 	}
 	if err == nil {
-		// Close always syncs, NoSync or not: a graceful shutdown leaves
-		// nothing in the page cache.
+		// A graceful shutdown leaves nothing in the page cache.
 		if err = s.log.Sync(); err == nil {
 			s.coverPendingLocked()
 		}
