@@ -330,13 +330,11 @@ func printHealth(cluster *esdds.Cluster) {
 	default:
 		fmt.Printf("self-healing: healthy (%d repairs completed)\n", h.Repairs)
 	}
-	if h.JournalCap > 0 {
-		line := fmt.Sprintf("repair journal: %d/%d records", h.JournalLen, h.JournalCap)
-		if h.JournalDropped > 0 {
-			line += fmt.Sprintf(" (%d oldest dropped)", h.JournalDropped)
-		}
-		fmt.Println(line)
+	line := fmt.Sprintf("repair journal: %d records", h.JournalLen)
+	if h.JournalDropped > 0 {
+		line += fmt.Sprintf(" (%d oldest dropped)", h.JournalDropped)
 	}
+	fmt.Println(line)
 }
 
 func loadFile(ctx context.Context, store *esdds.Store, file string, limit int) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sdds"
 	"repro/internal/transport"
 )
 
@@ -152,10 +153,10 @@ func survivesNodeFailures(t *testing.T, nodes int, seed int64) {
 	if n := cluster.MigrationStats().InFlight; n != 0 {
 		t.Fatalf("%d migrations still in flight after every op succeeded", n)
 	}
-	// The nodes' own census, not the coordinator's load counter: that
-	// counter learns each key's fate from the answer of the batch that
-	// carried it, and a batch that failed after applying some entries
-	// gave no answer, so re-runs can leave it off by a few (ROADMAP).
+	// The nodes' own census, and the coordinator's count against it: a
+	// batch that failed after applying some entries gave no answer, so
+	// the count learns its change only from the census the failure left
+	// owed, which the next resume drive takes.
 	inv, err := store.Inventory(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +169,12 @@ func survivesNodeFailures(t *testing.T, nodes int, seed int64) {
 	}
 	if want := records - records/5; stored != want {
 		t.Fatalf("records file holds %d records, want %d", stored, want)
+	}
+	if _, err := cluster.ResumeMigrations(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := cluster.inner.Coordinator().File(sdds.FileRecords).Size; got != stored {
+		t.Fatalf("coordinator counts %d records, the nodes' census %d", got, stored)
 	}
 
 	baseline, err := store.Search(ctx, []byte("BEACON PAYLOAD"), SearchVerified)

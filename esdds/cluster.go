@@ -355,14 +355,14 @@ func (c *Cluster) attachMigrationLog() error {
 	if err != nil {
 		return fmt.Errorf("esdds: opening migration log: %w", err)
 	}
-	inFlight, err := c.inner.AttachMigrationLog(lg)
+	inFlight, err := c.inner.Coordinator().AttachMigrationLog(lg)
 	if err != nil {
 		lg.Close() //nolint:errcheck // best-effort unwind
 		return fmt.Errorf("esdds: attaching migration log: %w", err)
 	}
 	c.close = append(c.close, lg.Close)
 	if inFlight > 0 {
-		c.inner.ResumeMigrations(context.Background()) //nolint:errcheck // best-effort; journal keeps the intent
+		c.inner.Coordinator().ResumeMigrations(context.Background()) //nolint:errcheck // best-effort; journal keeps the intent
 	}
 	return nil
 }
@@ -372,7 +372,7 @@ func (c *Cluster) attachMigrationLog() error {
 // Returns how many were found. Safe to call on a healthy cluster (it
 // finds none) — chaos harnesses call it after reviving nodes.
 func (c *Cluster) ResumeMigrations(ctx context.Context) (int, error) {
-	return c.inner.ResumeMigrations(ctx)
+	return c.inner.Coordinator().ResumeMigrations(ctx)
 }
 
 // MigrationStats reports the coordinator's migration ledger: lifetime
@@ -380,7 +380,7 @@ func (c *Cluster) ResumeMigrations(ctx context.Context) (int, error) {
 // WithDataDir), in-process resume count, and migrations currently
 // in-flight. Invariant: Started == Committed + Aborted + InFlight.
 func (c *Cluster) MigrationStats() sdds.MigrationStats {
-	return c.inner.MigrationStats()
+	return c.inner.Coordinator().MigrationStats()
 }
 
 // closeStores gracefully checkpoints and closes every durable node

@@ -243,8 +243,8 @@ func TestSelfHealingPrefersLocalRecovery(t *testing.T) {
 	if d := health.Nodes[victim].Durability; d != "recovered" {
 		t.Fatalf("node %d durability = %q, want recovered", victim, d)
 	}
-	if health.JournalCap == 0 || health.JournalLen == 0 {
-		t.Fatalf("health journal accounting missing: len=%d cap=%d", health.JournalLen, health.JournalCap)
+	if health.JournalLen == 0 {
+		t.Fatal("health journal accounting missing: no repair records")
 	}
 }
 

@@ -253,8 +253,8 @@ func openInternal(cluster *Cluster, key Key, cfg Config, cb *encode.Codebook) (*
 		return nil, fmt.Errorf("%w: %d sites on %d nodes", ErrTooFewNodes, cfg.DispersionSites, nodes)
 	}
 	if cfg.MaxBucketLoad > 0 {
-		cluster.inner.SetMaxLoad(sdds.FileRecords, cfg.MaxBucketLoad)
-		cluster.inner.SetMaxLoad(sdds.FileIndex, cfg.MaxBucketLoad)
+		cluster.inner.Coordinator().SetMaxLoad(sdds.FileRecords, cfg.MaxBucketLoad)
+		cluster.inner.Coordinator().SetMaxLoad(sdds.FileIndex, cfg.MaxBucketLoad)
 	}
 	st := &Store{
 		cluster:  cluster.inner,
@@ -395,8 +395,8 @@ func (s *Store) Stats() Stats {
 	rs, riam := s.cluster.Stats(sdds.FileRecords)
 	is, iiam := s.cluster.Stats(sdds.FileIndex)
 	return Stats{
-		RecordBuckets: s.cluster.State(sdds.FileRecords).Buckets(),
-		IndexBuckets:  s.cluster.State(sdds.FileIndex).Buckets(),
+		RecordBuckets: s.cluster.Coordinator().File(sdds.FileRecords).State.Buckets(),
+		IndexBuckets:  s.cluster.Coordinator().File(sdds.FileIndex).State.Buckets(),
 		RecordSplits:  rs,
 		IndexSplits:   is,
 		IAMs:          riam + iiam,

@@ -53,7 +53,7 @@ func TestMigrationLedgerSurvivesClusterReopen(t *testing.T) {
 	if got := c1.ClusterHealth().Migrations; got != before {
 		t.Fatalf("ClusterHealth().Migrations = %+v, want %+v", got, before)
 	}
-	recState := c1.inner.State(sdds.FileRecords)
+	recState := c1.inner.Coordinator().File(sdds.FileRecords).State
 	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMigrationLedgerSurvivesClusterReopen(t *testing.T) {
 	checkMigrationInvariant(t, after)
 	// The coordinator refolds its LH* state from the committed intents
 	// instead of restarting from a single bucket.
-	if got := c2.inner.State(sdds.FileRecords); got != recState {
+	if got := c2.inner.Coordinator().File(sdds.FileRecords).State; got != recState {
 		t.Fatalf("coordinator state after reopen = %+v, want %+v (folded from ledger)", got, recState)
 	}
 	st2, err := Open(c2, key, durableConfig(), nil)
@@ -134,7 +134,7 @@ func TestMigrationInterruptedByNodeLossResumes(t *testing.T) {
 		t.Fatalf("after resume: %+v, want committed with zero in flight", done)
 	}
 	checkMigrationInvariant(t, done)
-	if got := c.inner.State(sdds.FileRecords).Buckets(); got != 2 {
+	if got := c.inner.Coordinator().File(sdds.FileRecords).State.Buckets(); got != 2 {
 		t.Fatalf("resumed split left %d buckets, want 2", got)
 	}
 	for i := 0; i < 5; i++ {
@@ -216,7 +216,7 @@ func TestReopenKeepsRecordCount(t *testing.T) {
 	sizes := make(map[sdds.FileID]int)
 	states := make(map[sdds.FileID]lhstar.State)
 	for _, id := range files {
-		sizes[id], states[id] = c1.inner.Size(id), c1.inner.State(id)
+		sizes[id], states[id] = c1.inner.Coordinator().File(id).Size, c1.inner.Coordinator().File(id).State
 	}
 	if states[sdds.FileRecords].Buckets() < 50 {
 		t.Fatalf("record file grew to only %d buckets", states[sdds.FileRecords].Buckets())
@@ -232,10 +232,10 @@ func TestReopenKeepsRecordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range files {
-		if got := c2.inner.Size(id); got != sizes[id] {
+		if got := c2.inner.Coordinator().File(id).Size; got != sizes[id] {
 			t.Errorf("file %d: Size after reopen = %d, want %d", id, got, sizes[id])
 		}
-		if got := c2.inner.State(id); got != states[id] {
+		if got := c2.inner.Coordinator().File(id).State; got != states[id] {
 			t.Errorf("file %d: State after reopen = %+v, want %+v", id, got, states[id])
 		}
 	}
@@ -243,11 +243,11 @@ func TestReopenKeepsRecordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range files {
-		if m := c2.inner.Merges(id); m != 0 {
+		if m := c2.inner.Coordinator().File(id).Merges; m != 0 {
 			t.Errorf("file %d: one delete after reopen ran %d merges", id, m)
 		}
 	}
-	if got, want := c2.inner.Size(sdds.FileRecords), sizes[sdds.FileRecords]-1; got != want {
+	if got, want := c2.inner.Coordinator().File(sdds.FileRecords).Size, sizes[sdds.FileRecords]-1; got != want {
 		t.Errorf("record file Size after one delete = %d, want %d", got, want)
 	}
 }

@@ -176,11 +176,11 @@ func TestStoreDeleteOneRound(t *testing.T) {
 					t.Fatalf("delete %d: %d client write sends for %d destination nodes", rid, got, len(nodes))
 				}
 			}
-			if store.cluster.Merges(sdds.FileIndex) == 0 {
+			if store.cluster.Coordinator().File(sdds.FileIndex).Merges == 0 {
 				t.Fatalf("no merge under the deletes (grown to %+v)", grown)
 			}
 			for _, f := range []sdds.FileID{sdds.FileRecords, sdds.FileIndex, sdds.FileWords} {
-				if n := store.cluster.Size(f); n != 0 {
+				if n := store.cluster.Coordinator().File(f).Size; n != 0 {
 					t.Errorf("file %d holds %d entries after deleting every record", f, n)
 				}
 			}

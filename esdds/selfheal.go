@@ -75,7 +75,7 @@ func (c *Cluster) enableSelfHealing(clk clock.Clock) error {
 			return c.ReviveNode(int(node))
 		}
 	}
-	sup := sdds.NewSupervisor(det, revive, c.inner.ResumeMigrations, clk)
+	sup := sdds.NewSupervisor(det, revive, c.inner.Coordinator(), clk)
 	sup.Instrument(c.met)
 	det.Start()
 	sup.Start()
@@ -164,9 +164,8 @@ type ClusterHealth struct {
 	Repairs     uint64 // completed repairs
 
 	// Repair-journal bookkeeping (zero without self-healing): current
-	// length, capacity, and how many old records the ring bound shed.
+	// length and how many old records the ring bound shed.
 	JournalLen     int
-	JournalCap     int
 	JournalDropped uint64
 
 	// Migrations is the coordinator's split/merge ledger (durable with
@@ -221,7 +220,7 @@ func (c *Cluster) ClusterHealth() ClusterHealth {
 			out.Lost = append(out.Lost, int(id))
 		}
 		out.Repairs = c.sup.Repairs()
-		out.JournalLen, out.JournalDropped, out.JournalCap = c.sup.JournalStats()
+		out.JournalLen, out.JournalDropped = c.sup.JournalStats()
 	}
 	c.storeMu.Lock()
 	for id, rec := range c.recovery {
@@ -230,6 +229,6 @@ func (c *Cluster) ClusterHealth() ClusterHealth {
 		}
 	}
 	c.storeMu.Unlock()
-	out.Migrations = c.inner.MigrationStats()
+	out.Migrations = c.inner.Coordinator().MigrationStats()
 	return out
 }

@@ -98,11 +98,11 @@ func chaosPutGetDelete(t *testing.T, seed int64) {
 			return c.Put(ctx, FileRecords, k, []byte{byte(k), byte(k >> 8)})
 		})
 	}
-	if c.Size(FileRecords) != N {
-		t.Errorf("Size = %d, want %d", c.Size(FileRecords), N)
+	if c.coord.File(FileRecords).Size != N {
+		t.Errorf("Size = %d, want %d", c.coord.File(FileRecords).Size, N)
 	}
-	if c.State(FileRecords).Buckets() < 8 {
-		t.Errorf("no splits under chaos: %d buckets", c.State(FileRecords).Buckets())
+	if c.coord.File(FileRecords).State.Buckets() < 8 {
+		t.Errorf("no splits under chaos: %d buckets", c.coord.File(FileRecords).State.Buckets())
 	}
 	for k := uint64(0); k < N; k++ {
 		var v []byte
@@ -121,8 +121,8 @@ func chaosPutGetDelete(t *testing.T, seed int64) {
 			return err
 		})
 	}
-	if c.Size(FileRecords) != N/2 {
-		t.Errorf("Size after deletes = %d, want %d", c.Size(FileRecords), N/2)
+	if c.coord.File(FileRecords).Size != N/2 {
+		t.Errorf("Size after deletes = %d, want %d", c.coord.File(FileRecords).Size, N/2)
 	}
 	faulty.SetDefault(transport.Fault{})
 	for k := uint64(0); k < N; k++ {
@@ -131,7 +131,7 @@ func chaosPutGetDelete(t *testing.T, seed int64) {
 			t.Fatalf("clean Get(%d) = %v, %v; want present=%v", k, ok, err, k >= N/2)
 		}
 	}
-	if n := c.MigrationStats().InFlight; n != 0 {
+	if n := c.coord.MigrationStats().InFlight; n != 0 {
 		t.Errorf("%d migrations still in flight", n)
 	}
 	// The chaos actually happened.
@@ -163,7 +163,7 @@ func TestFrozenBucketThawsAfterTransientSplitFailure(t *testing.T) {
 	if err := c.Put(ctx, FileRecords, 8, []byte{8}); !errors.Is(err, transport.ErrNodeDown) {
 		t.Fatalf("overflowing put with the split target down = %v, want ErrNodeDown", err)
 	}
-	if n := c.MigrationStats().InFlight; n != 1 {
+	if n := c.coord.MigrationStats().InFlight; n != 1 {
 		t.Fatalf("InFlight = %d after the failed split, want 1", n)
 	}
 	faulty.Restore(1)
@@ -178,7 +178,7 @@ func TestFrozenBucketThawsAfterTransientSplitFailure(t *testing.T) {
 			t.Fatalf("Put(0) still failing after %d re-runs: %v", run, err)
 		}
 	}
-	if n := c.MigrationStats().InFlight; n != 0 {
+	if n := c.coord.MigrationStats().InFlight; n != 0 {
 		t.Fatalf("InFlight = %d after the re-run succeeded, want 0", n)
 	}
 	for k := uint64(0); k <= 8; k++ {
@@ -187,7 +187,7 @@ func TestFrozenBucketThawsAfterTransientSplitFailure(t *testing.T) {
 			t.Fatalf("Get(%d) = %v %v %v", k, v, ok, err)
 		}
 	}
-	if got := c.State(FileRecords).Buckets(); got != 2 {
+	if got := c.coord.File(FileRecords).State.Buckets(); got != 2 {
 		t.Fatalf("buckets = %d, want 2", got)
 	}
 }

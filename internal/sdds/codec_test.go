@@ -584,7 +584,7 @@ func TestWireBytesPinned(t *testing.T) {
 		return nil
 	})
 	c.SetMaxLoad(FileRecords, 2)
-	must(c.split(ctx, FileRecords))
+	must(c.coord.split(ctx, FileRecords))
 	c.SetMaxLoad(FileRecords, 16) // neither split nor merge until the abort below
 	hook.setAfter(nil)
 	pin("prepare", tap.last[opMigratePrepare])
@@ -649,7 +649,7 @@ func TestWireBytesPinned(t *testing.T) {
 	// A split the target rejects is aborted.
 	c.SetMaxLoad(FileRecords, 1)
 	hook.setBefore(rejectOnce(0, opMigrateAbsorb))
-	if err := c.split(ctx, FileRecords); err == nil {
+	if err := c.coord.split(ctx, FileRecords); err == nil {
 		t.Fatal("split with a rejected absorb succeeded")
 	}
 	pin("abort", tap.last[opMigrateAbort])

@@ -423,8 +423,8 @@ func TestIndexDifferentialChurn(t *testing.T) {
 	for rid := uint64(1); rid <= 100; rid++ {
 		insert(rid)
 	}
-	if flat.State(FileIndex).Buckets() < 4 {
-		t.Fatalf("index file did not split: %d buckets", flat.State(FileIndex).Buckets())
+	if flat.coord.File(FileIndex).State.Buckets() < 4 {
+		t.Fatalf("index file did not split: %d buckets", flat.coord.File(FileIndex).State.Buckets())
 	}
 	compare("after growth")
 
@@ -462,7 +462,7 @@ func TestIndexDifferentialChurn(t *testing.T) {
 	for _, rid := range rids[:len(rids)-8] {
 		remove(rid)
 	}
-	if flat.Merges(FileIndex) == 0 {
+	if flat.coord.File(FileIndex).Merges == 0 {
 		t.Error("deletes triggered no merges")
 	}
 	compare("after deletes and merges")

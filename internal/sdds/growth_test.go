@@ -67,15 +67,15 @@ func TestGrowthMatchesModel(t *testing.T) {
 			for del && model.Underloaded(len(live), maxLoad) {
 				model.RetreatSplit()
 			}
-			if got := c.State(FileRecords); got != model {
+			if got := c.coord.File(FileRecords).State; got != model {
 				t.Fatalf("maxLoad %d round %d: State %+v, model %+v for %d live", maxLoad, round, got, model, len(live))
 			}
-			if got := c.Size(FileRecords); got != len(live) {
+			if got := c.coord.File(FileRecords).Size; got != len(live) {
 				t.Fatalf("maxLoad %d round %d: Size %d, %d live", maxLoad, round, got, len(live))
 			}
 		}
-		if splits, _ := c.Stats(FileRecords); splits == 0 || c.Merges(FileRecords) == 0 {
-			t.Errorf("maxLoad %d: %d splits, %d merges; want both", maxLoad, splits, c.Merges(FileRecords))
+		if splits, _ := c.Stats(FileRecords); splits == 0 || c.coord.File(FileRecords).Merges == 0 {
+			t.Errorf("maxLoad %d: %d splits, %d merges; want both", maxLoad, splits, c.coord.File(FileRecords).Merges)
 		}
 	}
 }
@@ -96,15 +96,15 @@ func TestDeleteMissingKeyNoMerge(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, merges := c.State(FileRecords), c.Merges(FileRecords)
+	before, merges := c.coord.File(FileRecords).State, c.coord.File(FileRecords).Merges
 	if !before.Underloaded(19, 4) {
 		t.Fatalf("state %+v is not at the merge boundary", before)
 	}
 	if existed, err := c.Delete(ctx, FileRecords, 99999); err != nil || existed {
 		t.Fatalf("deleting a missing key = %v, %v", existed, err)
 	}
-	if c.State(FileRecords) != before || c.Size(FileRecords) != 20 || c.Merges(FileRecords) != merges {
+	if c.coord.File(FileRecords).State != before || c.coord.File(FileRecords).Size != 20 || c.coord.File(FileRecords).Merges != merges {
 		t.Errorf("missing-key delete moved the file: %+v → %+v, size %d, merges %d → %d",
-			before, c.State(FileRecords), c.Size(FileRecords), merges, c.Merges(FileRecords))
+			before, c.coord.File(FileRecords).State, c.coord.File(FileRecords).Size, merges, c.coord.File(FileRecords).Merges)
 	}
 }

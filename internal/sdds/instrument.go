@@ -103,9 +103,11 @@ func (m *nodeMetrics) observeOp(op uint8, d time.Duration, err error) {
 	}
 }
 
-// clusterMetrics counts the client/coordinator side. cluster_iams_total
-// tracks image-adjustment messages — the client's view of how far its
-// image lagged (each one was an extra hop the server chain took).
+// clusterMetrics counts the client side and, in the copy the client
+// hands its Coordinator, splits, merges and the migration lifecycle.
+// cluster_iams_total tracks image-adjustment messages — the client's
+// view of how far its image lagged (each one was an extra hop the
+// server chain took).
 type clusterMetrics struct {
 	puts         *obs.Counter
 	gets         *obs.Counter
@@ -131,8 +133,8 @@ type clusterMetrics struct {
 	migInFlight  *obs.Gauge
 }
 
-// Instrument publishes the cluster client's counters into reg. Call
-// before the cluster carries traffic.
+// Instrument publishes the cluster client's and its coordinator's
+// counters into reg. Call before the cluster carries traffic.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -156,6 +158,7 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		migResumed:      reg.Counter("sdds_migrations_resumed_total"),
 		migInFlight:     reg.Gauge("sdds_migrations_in_flight"),
 	}
+	c.coord.met = c.met
 }
 
 // supervisorMetrics counts repair-lifecycle phases. Every journaled

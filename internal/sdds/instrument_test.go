@@ -202,7 +202,7 @@ func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
 	if down := sc.sup.Down(); len(down) != 0 {
 		t.Fatalf("nodes still down after repair: %v", down)
 	}
-	length, dropped, _ := sc.sup.JournalStats()
+	length, dropped := sc.sup.JournalStats()
 	var phaseSum uint64
 	for p := 0; p < repairPhaseCount; p++ {
 		name := "supervisor_phase_" + sanitizePhase(RepairPhase(p).String()) + "_total"

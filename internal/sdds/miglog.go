@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/lhstar"
@@ -304,10 +303,4 @@ func migStatsOf(recs []MigrationRecord) MigrationStats {
 		}
 	}
 	return s
-}
-
-// sortRecordsByMID keeps a ledger snapshot in MID order (defensive; the
-// implementations already append in assignment order).
-func sortRecordsByMID(recs []MigrationRecord) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Intent.MID < recs[j].Intent.MID })
 }

@@ -74,7 +74,11 @@ func TestFileMigrationLogRoundTrip(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("reopened log holds %d records, want 3", len(recs))
 	}
-	sortRecordsByMID(recs)
+	for i, r := range recs {
+		if r.Intent.MID != uint64(i+1) {
+			t.Fatalf("record %d holds migration %d: Records is not in migration-ID order", i, r.Intent.MID)
+		}
+	}
 	if !recs[0].Done || recs[0].Outcome != MigrationCommitted {
 		t.Fatalf("record 1 = %+v, want committed", recs[0])
 	}
@@ -214,19 +218,19 @@ func TestFileMigrationLogBeginFailureLeavesNoPhantom(t *testing.T) {
 	sends := countMigrationSends(h)
 
 	h.logFS.SetCrash(1, wal.CrashDrop) // the intent's write
-	if err := h.c.split(ctx, FileRecords); err == nil {
+	if err := h.c.coord.split(ctx, FileRecords); err == nil {
 		t.Fatal("split reported success though its intent was never journaled")
 	}
 	if recs := h.lg.Records(); len(recs) != 0 {
 		t.Fatalf("failed Begin left %+v in the ledger", recs)
 	}
-	if resumed, err := h.c.ResumeMigrations(ctx); resumed != 0 || err != nil {
+	if resumed, err := h.c.coord.ResumeMigrations(ctx); resumed != 0 || err != nil {
 		t.Fatalf("ResumeMigrations = %d, %v, want nothing to resume", resumed, err)
 	}
-	// The next split on the file runs resumeFileLocked first; its own
+	// The next split on the file resumes the file first; its own
 	// Begin fails again (the journal is dead until the coordinator
 	// restarts), before any node hears of it.
-	if err := h.c.split(ctx, FileRecords); err == nil {
+	if err := h.c.coord.split(ctx, FileRecords); err == nil {
 		t.Fatal("split over a dead journal reported success")
 	}
 	if *sends != 0 {
@@ -256,7 +260,7 @@ func TestCoordinatorJournalCrashSweep(t *testing.T) {
 				keys := h.load(FileRecords, 24)
 				h.c.SetMaxLoad(FileRecords, 4)
 				h.logFS.SetCrash(point, mode)
-				err := h.c.split(ctx, FileRecords)
+				err := h.c.coord.split(ctx, FileRecords)
 				if !h.logFS.Crashed() {
 					if err != nil {
 						t.Fatalf("point %d: split failed without a crash: %v", point, err)
@@ -283,17 +287,17 @@ func TestCoordinatorJournalCrashSweep(t *testing.T) {
 						t.Fatalf("point %d: record %d reopened as %+v, was acknowledged as %+v", point, i, recs[i], r)
 					}
 				}
-				if _, err := h.c.ResumeMigrations(ctx); err != nil {
+				if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
 					t.Fatalf("point %d: resuming after coordinator crash: %v", point, err)
 				}
 				h.wantInvariant()
-				s := h.c.MigrationStats()
+				s := h.c.coord.MigrationStats()
 				if s.InFlight != 0 {
 					t.Fatalf("point %d: migration still in flight after resume: %+v", point, s)
 				}
 				// The file grew exactly when the ledger says the split
 				// committed (an intent lost with the crash never started).
-				if got := h.c.State(FileRecords).Buckets(); got != 1+s.Committed {
+				if got := h.c.coord.File(FileRecords).State.Buckets(); got != 1+s.Committed {
 					t.Fatalf("point %d: %d buckets with ledger %+v", point, got, s)
 				}
 				h.checkAll(FileRecords, keys)
@@ -304,7 +308,7 @@ func TestCoordinatorJournalCrashSweep(t *testing.T) {
 				if after := h.lg.Records(); !reflect.DeepEqual(after, before) {
 					t.Fatalf("point %d: ledger changed across a clean reopen: %+v, was %+v", point, after, before)
 				}
-				next, err := h.lg.Begin(testIntent(MigrateSplit, h.c.State(FileRecords)))
+				next, err := h.lg.Begin(testIntent(MigrateSplit, h.c.coord.File(FileRecords).State))
 				if want := uint64(len(before)) + 1; err != nil || next != want {
 					t.Fatalf("point %d: next MID after reopen = %d, %v, want %d", point, next, err, want)
 				}
@@ -318,7 +322,7 @@ func TestAttachMigrationLogRejectsLateAttach(t *testing.T) {
 	h := newMigHarness(t, 2)
 	h.load(FileRecords, 24)
 	h.c.SetMaxLoad(FileRecords, 4)
-	if err := h.c.split(ctx, FileRecords); err != nil {
+	if err := h.c.coord.split(ctx, FileRecords); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h.c.AttachMigrationLog(NewMemMigrationLog()); err == nil {

@@ -70,6 +70,12 @@ func (h *hookTr) Send(ctx context.Context, node transport.NodeID, op uint8, payl
 func (h *hookTr) Nodes() []transport.NodeID { return h.inner.Nodes() }
 func (h *hookTr) Close() error              { return h.inner.Close() }
 
+// split runs one split of the file, if it is overloaded.
+func (c *Coordinator) split(ctx context.Context, id FileID) error {
+	_, err := c.migrate(ctx, id, splitPlan)
+	return err
+}
+
 // dropOnce fails the first matching (node, op) send with a plain
 // transport error — the non-definitive outcome-unknown failure.
 func dropOnce(node transport.NodeID, op uint8) func(transport.NodeID, uint8) error {
@@ -248,7 +254,7 @@ func (h *migHarness) checkAll(id FileID, keys map[uint64][]byte) {
 
 func (h *migHarness) wantStats(started, committed, aborted uint64, inFlight int) {
 	h.t.Helper()
-	s := h.c.MigrationStats()
+	s := h.c.coord.MigrationStats()
 	if s.Started != started || s.Committed != committed || s.Aborted != aborted || s.InFlight != inFlight {
 		h.t.Fatalf("MigrationStats = %+v, want started %d committed %d aborted %d in-flight %d",
 			s, started, committed, aborted, inFlight)
@@ -258,7 +264,7 @@ func (h *migHarness) wantStats(started, committed, aborted uint64, inFlight int)
 
 func (h *migHarness) wantInvariant() {
 	h.t.Helper()
-	s := h.c.MigrationStats()
+	s := h.c.coord.MigrationStats()
 	if s.Started != s.Committed+s.Aborted+uint64(s.InFlight) {
 		h.t.Fatalf("ledger invariant broken: %+v", s)
 	}
@@ -294,7 +300,7 @@ func TestSplitFaultMatrix(t *testing.T) {
 			} else {
 				h.hook.setAfter(drop)
 			}
-			if err := h.c.split(ctx, FileRecords); err == nil {
+			if err := h.c.coord.split(ctx, FileRecords); err == nil {
 				t.Fatal("interrupted split reported success")
 			}
 			h.wantStats(1, 0, 0, 1)
@@ -307,15 +313,15 @@ func TestSplitFaultMatrix(t *testing.T) {
 				}
 			}
 
-			resumed, err := h.c.ResumeMigrations(ctx)
+			resumed, err := h.c.coord.ResumeMigrations(ctx)
 			if err != nil || resumed != 1 {
 				t.Fatalf("ResumeMigrations = %d, %v", resumed, err)
 			}
 			h.wantStats(1, 1, 0, 0)
-			if s := h.c.MigrationStats(); s.Resumed == 0 {
+			if s := h.c.coord.MigrationStats(); s.Resumed == 0 {
 				t.Fatal("resume not counted")
 			}
-			if got := h.c.State(FileRecords).Buckets(); got != 2 {
+			if got := h.c.coord.File(FileRecords).State.Buckets(); got != 2 {
 				t.Fatalf("buckets after resumed split = %d, want 2", got)
 			}
 			h.checkAll(FileRecords, keys)
@@ -354,7 +360,7 @@ func TestMergeFaultMatrix(t *testing.T) {
 			h := newMigHarness(t, 2)
 			keys := h.load(FileRecords, 48)
 			h.c.SetMaxLoad(FileRecords, 8)
-			if err := h.c.split(ctx, FileRecords); err != nil {
+			if err := h.c.coord.split(ctx, FileRecords); err != nil {
 				t.Fatalf("setup split: %v", err)
 			}
 			// Shed records without crossing the (still tiny) merge
@@ -373,7 +379,7 @@ func TestMergeFaultMatrix(t *testing.T) {
 			} else {
 				h.hook.setAfter(drop)
 			}
-			if _, err := h.c.mergeOne(ctx, FileRecords); err == nil {
+			if _, err := h.c.coord.migrate(ctx, FileRecords, mergePlan); err == nil {
 				t.Fatal("interrupted merge reported success")
 			}
 			h.wantStats(2, 1, 0, 1)
@@ -387,12 +393,12 @@ func TestMergeFaultMatrix(t *testing.T) {
 				}
 			}
 
-			resumed, err := h.c.ResumeMigrations(ctx)
+			resumed, err := h.c.coord.ResumeMigrations(ctx)
 			if err != nil || resumed != 1 {
 				t.Fatalf("ResumeMigrations = %d, %v", resumed, err)
 			}
 			h.wantStats(2, 2, 0, 0)
-			if got := h.c.State(FileRecords).Buckets(); got != 1 {
+			if got := h.c.coord.File(FileRecords).State.Buckets(); got != 1 {
 				t.Fatalf("buckets after resumed merge = %d, want 1", got)
 			}
 			h.checkAll(FileRecords, keys)
@@ -409,7 +415,7 @@ func TestFrozenBucketRejectsWrites(t *testing.T) {
 	keys := h.load(FileRecords, 48)
 	h.c.SetMaxLoad(FileRecords, 8)
 	h.hook.setAfter(dropOnce(1, opMigrateAbsorb))
-	if err := h.c.split(ctx, FileRecords); err == nil {
+	if err := h.c.coord.split(ctx, FileRecords); err == nil {
 		t.Fatal("interrupted split reported success")
 	}
 	err := h.c.Put(ctx, FileRecords, 1000, []byte("rejected"))
@@ -419,7 +425,7 @@ func TestFrozenBucketRejectsWrites(t *testing.T) {
 	if v, ok, err := h.c.Get(ctx, FileRecords, 0); err != nil || !ok || !bytes.Equal(v, keys[0]) {
 		t.Fatalf("read during freeze = %q, %v, %v", v, ok, err)
 	}
-	if _, err := h.c.ResumeMigrations(ctx); err != nil {
+	if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	if err := h.c.Put(ctx, FileRecords, 1000, []byte("accepted")); err != nil {
@@ -447,7 +453,7 @@ func TestSplitCrashSweep(t *testing.T) {
 				keys := h.load(FileRecords, 24)
 				h.c.SetMaxLoad(FileRecords, 4)
 				h.fss[victim.node].SetCrash(point, wal.CrashDrop)
-				err := h.c.split(ctx, FileRecords)
+				err := h.c.coord.split(ctx, FileRecords)
 				crashed := h.fss[victim.node].Crashed()
 				if !crashed {
 					// The sweep walked past the protocol's last durable
@@ -459,18 +465,18 @@ func TestSplitCrashSweep(t *testing.T) {
 					return
 				}
 				h.startNode(victim.node)
-				if _, err := h.c.ResumeMigrations(ctx); err != nil {
+				if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
 					t.Fatalf("point %d: resuming after %s crash: %v", point, victim.name, err)
 				}
 				h.wantInvariant()
-				if s := h.c.MigrationStats(); s.InFlight != 0 {
+				if s := h.c.coord.MigrationStats(); s.InFlight != 0 {
 					t.Fatalf("point %d: migration still in flight after resume: %+v", point, s)
 				}
 				// An aborted migration leaves the file ungrown; re-drive
 				// the split before auditing so every sweep point ends at
 				// the same shape.
-				for h.c.State(FileRecords).Buckets() < 2 {
-					if err := h.c.split(ctx, FileRecords); err != nil {
+				for h.c.coord.File(FileRecords).State.Buckets() < 2 {
+					if err := h.c.coord.split(ctx, FileRecords); err != nil {
 						t.Fatalf("point %d: re-splitting after abort: %v", point, err)
 					}
 				}
@@ -490,7 +496,7 @@ func TestCoordinatorCrashResumesFromJournal(t *testing.T) {
 	keys := h.load(FileRecords, 48)
 	h.c.SetMaxLoad(FileRecords, 8)
 	h.hook.setAfter(dropOnce(1, opMigrateAbsorb))
-	if err := h.c.split(ctx, FileRecords); err == nil {
+	if err := h.c.coord.split(ctx, FileRecords); err == nil {
 		t.Fatal("interrupted split reported success")
 	}
 
@@ -498,15 +504,15 @@ func TestCoordinatorCrashResumesFromJournal(t *testing.T) {
 	if inFlight := h.newCoordinator(); inFlight != 1 {
 		t.Fatalf("restarted coordinator found %d in-flight migrations, want 1", inFlight)
 	}
-	if got := h.c.Size(FileRecords); got != 0 {
+	if got := h.c.coord.File(FileRecords).Size; got != 0 {
 		t.Fatalf("record count %d before the resume settled the migration; the census must wait", got)
 	}
-	resumed, err := h.c.ResumeMigrations(ctx)
+	resumed, err := h.c.coord.ResumeMigrations(ctx)
 	if err != nil || resumed != 1 {
 		t.Fatalf("ResumeMigrations = %d, %v", resumed, err)
 	}
 	h.wantStats(1, 1, 0, 0)
-	if got := h.c.Size(FileRecords); got != len(keys) {
+	if got := h.c.coord.File(FileRecords).Size; got != len(keys) {
 		t.Fatalf("record count after the resume = %d, want %d", got, len(keys))
 	}
 	h.checkAll(FileRecords, keys)
@@ -521,16 +527,16 @@ func TestCoordinatorRestartFoldsCommittedMigrations(t *testing.T) {
 	h := newMigHarness(t, 2)
 	keys := h.load(FileRecords, 48)
 	h.c.SetMaxLoad(FileRecords, 8)
-	if err := h.c.split(ctx, FileRecords); err != nil {
+	if err := h.c.coord.split(ctx, FileRecords); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	if inFlight := h.newCoordinator(); inFlight != 0 {
 		t.Fatalf("clean journal reported %d in-flight migrations", inFlight)
 	}
-	if got := h.c.State(FileRecords).Buckets(); got != 2 {
+	if got := h.c.coord.File(FileRecords).State.Buckets(); got != 2 {
 		t.Fatalf("restarted coordinator folded state to %d buckets, want 2", got)
 	}
-	if got := h.c.Size(FileRecords); got != len(keys) {
+	if got := h.c.coord.File(FileRecords).Size; got != len(keys) {
 		t.Fatalf("restarted coordinator counts %d records, want %d", got, len(keys))
 	}
 	h.wantStats(1, 1, 0, 0)
@@ -546,21 +552,67 @@ func TestCensusLostAtRestartRunsBeforeMerge(t *testing.T) {
 	h := newMigHarness(t, 2)
 	keys := h.load(FileRecords, 48)
 	h.c.SetMaxLoad(FileRecords, 8)
-	if err := h.c.split(ctx, FileRecords); err != nil {
+	if err := h.c.coord.split(ctx, FileRecords); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	h.hook.setBefore(dropOnce(1, opStats))
 	h.newCoordinator()
 	h.c.SetMaxLoad(FileRecords, 8)
-	if got := h.c.Size(FileRecords); got != 0 {
+	if got := h.c.coord.File(FileRecords).Size; got != 0 {
 		t.Fatalf("record count %d although the census was lost", got)
 	}
 	if _, err := h.c.Delete(ctx, FileRecords, 0); err != nil {
 		t.Fatal(err)
 	}
 	delete(keys, 0)
-	if got := h.c.Size(FileRecords); got != len(keys) || h.c.Merges(FileRecords) != 0 {
-		t.Fatalf("after one delete: count %d, %d merges; want %d, 0", got, h.c.Merges(FileRecords), len(keys))
+	if got := h.c.coord.File(FileRecords).Size; got != len(keys) || h.c.coord.File(FileRecords).Merges != 0 {
+		t.Fatalf("after one delete: count %d, %d merges; want %d, 0", got, h.c.coord.File(FileRecords).Merges, len(keys))
+	}
+	h.checkAll(FileRecords, keys)
+}
+
+// TestFailedWriteOwesACensus: a delete whose answer is lost leaves the
+// record count unknown, so the write owes a census. While no census can
+// be taken the file's split plan waits, even though the stale count says
+// the file overflows, and the next resume drive that reaches every node
+// makes the count exact.
+func TestFailedWriteOwesACensus(t *testing.T) {
+	ctx := context.Background()
+	h := newMigHarness(t, 2)
+	keys := h.load(FileRecords, 48)
+	h.c.SetMaxLoad(FileRecords, 8)
+	if err := h.c.coord.split(ctx, FileRecords); err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	h.c.SetMaxLoad(FileRecords, 24) // two buckets hold 48 without splitting
+
+	// The delete applies on the node (its stale image sends it to node 0),
+	// and its answer is lost.
+	h.hook.setAfter(dropOnce(0, opDelete))
+	if _, err := h.c.Delete(ctx, FileRecords, 0); err == nil {
+		t.Fatal("delete with a lost answer reported success")
+	}
+	delete(keys, 0)
+	h.hook.setBefore(func(_ transport.NodeID, op uint8) error {
+		if op == opStats {
+			return fmt.Errorf("injected: census answer lost")
+		}
+		return nil
+	})
+	if err := h.c.Put(ctx, FileRecords, 100, []byte("migval-100")); err != nil {
+		t.Fatalf("put while the census is owed: %v", err)
+	}
+	keys[100] = []byte("migval-100")
+	if f := h.c.coord.File(FileRecords); f.Size != 49 || f.Splits != 1 {
+		t.Fatalf("census owed: count %d, %d splits; want the stale 49 and no new split", f.Size, f.Splits)
+	}
+
+	h.hook.setBefore(nil)
+	if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if f := h.c.coord.File(FileRecords); f.Size != len(keys) || f.Splits != 1 {
+		t.Fatalf("after the census: count %d, %d splits; want %d, 1", f.Size, f.Splits, len(keys))
 	}
 	h.checkAll(FileRecords, keys)
 }
@@ -574,7 +626,7 @@ func TestMergeAbsorbRejectionAborts(t *testing.T) {
 	h := newMigHarness(t, 2)
 	keys := h.load(FileRecords, 48)
 	h.c.SetMaxLoad(FileRecords, 8)
-	if err := h.c.split(ctx, FileRecords); err != nil {
+	if err := h.c.coord.split(ctx, FileRecords); err != nil {
 		t.Fatalf("setup split: %v", err)
 	}
 	for k := uint64(24); k < 48; k++ {
@@ -586,25 +638,25 @@ func TestMergeAbsorbRejectionAborts(t *testing.T) {
 	h.c.SetMaxLoad(FileRecords, 400)
 
 	h.hook.setBefore(rejectOnce(0, opMigrateAbsorb))
-	if _, err := h.c.mergeOne(ctx, FileRecords); err == nil {
+	if _, err := h.c.coord.migrate(ctx, FileRecords, mergePlan); err == nil {
 		t.Fatal("rejected merge reported success")
 	}
 	h.wantStats(2, 1, 1, 0)
-	if got := h.c.State(FileRecords).Buckets(); got != 2 {
+	if got := h.c.coord.File(FileRecords).State.Buckets(); got != 2 {
 		t.Fatalf("aborted merge changed the file to %d buckets", got)
 	}
-	if got := h.c.Merges(FileRecords); got != 0 {
+	if got := h.c.coord.File(FileRecords).Merges; got != 0 {
 		t.Fatalf("aborted merge counted as %d merges", got)
 	}
 	h.checkAll(FileRecords, keys)
 
 	// With the fault gone the merge goes through cleanly.
 	h.hook.setBefore(nil)
-	if err := h.c.merge(ctx, FileRecords); err != nil {
+	if err := h.c.coord.settle(ctx, FileRecords, true); err != nil {
 		t.Fatalf("merge after abort: %v", err)
 	}
 	h.wantStats(3, 2, 1, 0)
-	if got := h.c.State(FileRecords).Buckets(); got != 1 {
+	if got := h.c.coord.File(FileRecords).State.Buckets(); got != 1 {
 		t.Fatalf("buckets after merge = %d, want 1", got)
 	}
 	h.checkAll(FileRecords, keys)
@@ -635,7 +687,7 @@ func TestWordSearchDuringInterruptedSplit(t *testing.T) {
 	}
 	h.c.SetMaxLoad(FileWords, 8)
 	h.hook.setAfter(dropOnce(1, opMigrateAbsorb))
-	if err := h.c.split(ctx, FileWords); err == nil {
+	if err := h.c.coord.split(ctx, FileWords); err == nil {
 		t.Fatal("interrupted split reported success")
 	}
 
@@ -655,7 +707,7 @@ func TestWordSearchDuringInterruptedSplit(t *testing.T) {
 		}
 	}
 	check("during in-flight migration")
-	if _, err := h.c.ResumeMigrations(ctx); err != nil {
+	if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	check("after resumed migration")
@@ -679,7 +731,7 @@ func TestMigrateHeaderMismatchRejected(t *testing.T) {
 			t.Fatalf("case %d: node accepted mismatched header %+v", i, hdr)
 		}
 	}
-	if s := h.c.MigrationStats(); s.Started != 0 {
+	if s := h.c.coord.MigrationStats(); s.Started != 0 {
 		t.Fatalf("rejected prepares leaked into the ledger: %+v", s)
 	}
 }

@@ -293,8 +293,8 @@ func TestPostingSearchMatchesLinearScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if post.State(FileIndex).Buckets() < 4 {
-		t.Fatalf("index file did not split: %d buckets", post.State(FileIndex).Buckets())
+	if post.coord.File(FileIndex).State.Buckets() < 4 {
+		t.Fatalf("index file did not split: %d buckets", post.coord.File(FileIndex).State.Buckets())
 	}
 
 	compare := func(stage string) {
@@ -351,7 +351,7 @@ func TestPostingSearchMatchesLinearScan(t *testing.T) {
 		}
 		delete(contents, rid)
 	}
-	if post.Merges(FileIndex) == 0 {
+	if post.coord.File(FileIndex).Merges == 0 {
 		t.Error("deletes triggered no merges")
 	}
 	compare("after deletes and merges")
@@ -418,7 +418,7 @@ func TestInsertIndexedBatchedMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := batched.Size(FileIndex), seq.Size(FileIndex); got != want {
+	if got, want := batched.coord.File(FileIndex).Size, seq.coord.File(FileIndex).Size; got != want {
 		t.Fatalf("batched size %d, sequential %d", got, want)
 	}
 	for rid, rc := range contents {
@@ -490,7 +490,9 @@ func TestInsertIndexedPartialFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Share the grown file state with the failing-transport cluster.
+	// Share the grown file state, the coordinator's and the client's,
+	// with the failing-transport cluster.
+	c.coord.files[FileIndex] = healthy.coord.files[FileIndex]
 	c.mu.Lock()
 	c.files[FileIndex] = healthy.files[FileIndex]
 	c.mu.Unlock()

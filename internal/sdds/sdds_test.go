@@ -15,6 +15,7 @@ import (
 	"repro/internal/cipherx"
 	"repro/internal/core"
 	"repro/internal/disperse"
+	"repro/internal/lhstar"
 	"repro/internal/transport"
 )
 
@@ -95,11 +96,11 @@ func TestClusterPutGetDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Size(FileRecords) != 500 {
-		t.Errorf("Size = %d", c.Size(FileRecords))
+	if c.coord.File(FileRecords).Size != 500 {
+		t.Errorf("Size = %d", c.coord.File(FileRecords).Size)
 	}
-	if c.State(FileRecords).Buckets() < 16 {
-		t.Errorf("file did not grow: %d buckets", c.State(FileRecords).Buckets())
+	if c.coord.File(FileRecords).State.Buckets() < 16 {
+		t.Errorf("file did not grow: %d buckets", c.coord.File(FileRecords).State.Buckets())
 	}
 	for k := uint64(0); k < 500; k++ {
 		v, ok, err := c.Get(ctx, FileRecords, k)
@@ -122,8 +123,8 @@ func TestClusterPutGetDelete(t *testing.T) {
 	if ok, _ := c.Delete(ctx, FileRecords, 0); ok {
 		t.Error("double delete")
 	}
-	if c.Size(FileRecords) != 400 {
-		t.Errorf("Size = %d after deletes", c.Size(FileRecords))
+	if c.coord.File(FileRecords).Size != 400 {
+		t.Errorf("Size = %d after deletes", c.coord.File(FileRecords).Size)
 	}
 }
 
@@ -132,8 +133,8 @@ func TestClusterReplacePut(t *testing.T) {
 	ctx := context.Background()
 	c.Put(ctx, FileRecords, 7, []byte("old"))
 	c.Put(ctx, FileRecords, 7, []byte("new"))
-	if c.Size(FileRecords) != 1 {
-		t.Errorf("Size = %d after replace", c.Size(FileRecords))
+	if c.coord.File(FileRecords).Size != 1 {
+		t.Errorf("Size = %d after replace", c.coord.File(FileRecords).Size)
 	}
 	v, ok, _ := c.Get(ctx, FileRecords, 7)
 	if !ok || !bytes.Equal(v, []byte("new")) {
@@ -155,7 +156,9 @@ func TestStaleImageForwardingAndIAM(t *testing.T) {
 	}
 	// Wipe the client image: every access now starts from the initial
 	// single-bucket view and must still find its record via forwarding.
-	c.ResetImage(FileRecords)
+	c.mu.Lock()
+	c.files[FileRecords].image = lhstar.Image{}
+	c.mu.Unlock()
 	for _, k := range keys {
 		if _, ok, err := c.Get(ctx, FileRecords, k); err != nil || !ok {
 			t.Fatalf("stale-image Get(%d) = %v %v", k, ok, err)
@@ -169,8 +172,8 @@ func TestStaleImageForwardingAndIAM(t *testing.T) {
 	if img.Buckets() <= 1 {
 		t.Error("image never improved")
 	}
-	if img.Buckets() > c.State(FileRecords).Buckets() {
-		t.Errorf("image overshoots state: %d > %d", img.Buckets(), c.State(FileRecords).Buckets())
+	if img.Buckets() > c.coord.File(FileRecords).State.Buckets() {
+		t.Errorf("image overshoots state: %d > %d", img.Buckets(), c.coord.File(FileRecords).State.Buckets())
 	}
 	// One pass converged the image: a second finds every key directly.
 	for _, k := range keys {
@@ -181,7 +184,7 @@ func TestStaleImageForwardingAndIAM(t *testing.T) {
 	if _, again := c.Stats(FileRecords); again != iams {
 		t.Errorf("second pass over a converged image sent %d IAMs", again-iams)
 	}
-	if load := float64(c.Size(FileRecords)) / float64(c.State(FileRecords).Buckets()); load > 4 {
+	if load := float64(c.coord.File(FileRecords).Size) / float64(c.coord.File(FileRecords).State.Buckets()); load > 4 {
 		t.Errorf("grown file holds %.2f records per bucket, above maxLoad 4", load)
 	}
 }
@@ -197,8 +200,8 @@ func TestBucketInventory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(inv)) != c.State(FileRecords).Buckets() {
-		t.Errorf("inventory has %d buckets, state says %d", len(inv), c.State(FileRecords).Buckets())
+	if uint64(len(inv)) != c.coord.File(FileRecords).State.Buckets() {
+		t.Errorf("inventory has %d buckets, state says %d", len(inv), c.coord.File(FileRecords).State.Buckets())
 	}
 	total := 0
 	nodesUsed := make(map[transport.NodeID]bool)
@@ -366,7 +369,7 @@ func TestIndexPiecesScatterAcrossNodes(t *testing.T) {
 	if uint64(len(inv)) < 8 {
 		t.Fatalf("file too small for the scatter property: %d buckets", len(inv))
 	}
-	state := c.State(FileIndex)
+	state := c.coord.File(FileIndex).State
 	bucketsOf := make(map[uint64]bool)
 	for j := 0; j < pl.Chunkings(); j++ {
 		for k := 0; k < pl.K(); k++ {
@@ -490,7 +493,7 @@ func TestDistributedShrink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grown := c.State(FileRecords).Buckets()
+	grown := c.coord.File(FileRecords).State.Buckets()
 	if grown < 16 {
 		t.Fatalf("file only grew to %d buckets", grown)
 	}
@@ -499,11 +502,11 @@ func TestDistributedShrink(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shrunk := c.State(FileRecords).Buckets()
+	shrunk := c.coord.File(FileRecords).State.Buckets()
 	if shrunk >= grown {
 		t.Errorf("file did not shrink: %d -> %d buckets", grown, shrunk)
 	}
-	if c.Merges(FileRecords) == 0 {
+	if c.coord.File(FileRecords).Merges == 0 {
 		t.Error("no merges recorded")
 	}
 	// The inventory must agree with the state after shrinking.
@@ -534,7 +537,7 @@ func TestShrinkPreservesSurvivingRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Merges(FileRecords) == 0 {
+	if c.coord.File(FileRecords).Merges == 0 {
 		t.Fatal("expected merges")
 	}
 	for i, k := range keys[380:] {
@@ -661,8 +664,8 @@ func TestConcurrentClusterOps(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if c.Size(FileRecords) != goroutines*perG {
-		t.Errorf("Size = %d, want %d", c.Size(FileRecords), goroutines*perG)
+	if c.coord.File(FileRecords).Size != goroutines*perG {
+		t.Errorf("Size = %d, want %d", c.coord.File(FileRecords).Size, goroutines*perG)
 	}
 	// Every record readable afterwards.
 	for g := 0; g < goroutines; g++ {

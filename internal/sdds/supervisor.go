@@ -125,7 +125,7 @@ type downNode struct {
 type Supervisor struct {
 	det    *transport.Detector
 	revive Reviver
-	resume MigrationResumer
+	coord  *Coordinator // re-drives migrations a repair leaves in flight
 	clk    clock.Clock
 
 	mu             sync.Mutex
@@ -143,22 +143,14 @@ type Supervisor struct {
 	met supervisorMetrics // set by Instrument before Start; nil-safe
 }
 
-// MigrationResumer rolls the coordinator's in-flight bucket migrations
-// forward (or aborts them) — Cluster.ResumeMigrations. The supervisor
-// invokes it after every completed repair once all nodes are up again:
-// a migration interrupted by the very node failure that triggered the
-// repair leaves frozen buckets behind, and resolving it promptly is
-// part of returning the cluster to nominal.
-type MigrationResumer func(ctx context.Context) (int, error)
-
 // NewSupervisor wires a supervisor over a detector, timed by clk.
-// revive may be nil (nodes come back out of band), and so may resume
+// revive may be nil (nodes come back out of band), and so may coord
 // (no in-flight migrations are re-driven after a repair).
-func NewSupervisor(det *transport.Detector, revive Reviver, resume MigrationResumer, clk clock.Clock) *Supervisor {
+func NewSupervisor(det *transport.Detector, revive Reviver, coord *Coordinator, clk clock.Clock) *Supervisor {
 	return &Supervisor{
 		det:    det,
 		revive: revive,
-		resume: resume,
+		coord:  coord,
 		clk:    clk,
 		down:   make(map[transport.NodeID]*downNode),
 		lost:   make(map[transport.NodeID]string),
@@ -335,17 +327,20 @@ func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
 	s.resumeMigrations()
 }
 
-// resumeMigrations re-drives in-flight bucket migrations once every
-// node is reachable again. Best-effort: a migration that still cannot
+// resumeMigrations re-drives the coordinator's in-flight bucket
+// migrations once every node is reachable again: a migration interrupted
+// by the very node failure that triggered the repair leaves frozen
+// buckets behind, and resolving it promptly is part of returning the
+// cluster to nominal. Best-effort: a migration that still cannot
 // complete stays journalled and will be retried on the next repair (or
 // by the next coordinator restart).
 func (s *Supervisor) resumeMigrations() {
-	if s.resume == nil || !s.allUp() {
+	if s.coord == nil || !s.allUp() {
 		return
 	}
 	rctx, cancel := context.WithTimeout(context.Background(), repairTimeout)
 	defer cancel()
-	s.resume(rctx)
+	s.coord.ResumeMigrations(rctx) //nolint:errcheck // best-effort; the ledger keeps the intent
 }
 
 func (s *Supervisor) allUp() bool {
@@ -401,12 +396,12 @@ func (s *Supervisor) Journal() []RepairRecord {
 	return append([]RepairRecord(nil), s.journal...)
 }
 
-// JournalStats reports the journal's current length, how many old
-// records the ring bound has dropped, and its capacity.
-func (s *Supervisor) JournalStats() (length int, dropped uint64, capacity int) {
+// JournalStats reports the journal's current length and how many old
+// records the ring bound has dropped.
+func (s *Supervisor) JournalStats() (length int, dropped uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.journal), s.journalDropped, journalCap
+	return len(s.journal), s.journalDropped
 }
 
 // AwaitHealthy blocks until every node is up with no tracked failures

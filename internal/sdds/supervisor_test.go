@@ -374,7 +374,7 @@ func newMarkerCluster(t *testing.T) (*supervisedCluster, *core.Pipeline, *core.Q
 	for rid := uint64(1); rid <= 20; rid++ {
 		indexRecord(t, sc.cluster, pl, rid, newChaosCorpus().record(rid))
 	}
-	if b := sc.cluster.State(FileIndex).Buckets(); b != 1 {
+	if b := sc.cluster.coord.File(FileIndex).State.Buckets(); b != 1 {
 		t.Fatalf("index file has %d buckets, want 1", b)
 	}
 	query, err := pl.BuildQuery([]byte("GRIDLOCK"), false)
@@ -491,10 +491,7 @@ func TestRepairJournalRingBound(t *testing.T) {
 	for i := 0; i < journalCap+extra; i++ {
 		sc.sup.journalOne(transport.NodeID(i%3), RepairDetected, "synthetic")
 	}
-	length, dropped, capacity := sc.sup.JournalStats()
-	if capacity != journalCap {
-		t.Fatalf("capacity = %d, want %d", capacity, journalCap)
-	}
+	length, dropped := sc.sup.JournalStats()
 	if length != journalCap {
 		t.Fatalf("journal length = %d, want bounded at %d", length, journalCap)
 	}

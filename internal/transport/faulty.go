@@ -139,18 +139,6 @@ func (f *Faulty) Restore(nodes ...NodeID) {
 	f.mu.Unlock()
 }
 
-// Blackouts lists the currently blacked-out nodes in ascending order.
-func (f *Faulty) Blackouts() []NodeID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]NodeID, 0, len(f.black))
-	for n := range f.black {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Stats returns a copy of the per-node fault counters, sorted by node.
 func (f *Faulty) Stats() []FaultStats {
 	f.mu.Lock()
@@ -161,16 +149,6 @@ func (f *Faulty) Stats() []FaultStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-// NodeStats returns the fault counters of one node.
-func (f *Faulty) NodeStats(node NodeID) FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.stats[node]; ok {
-		return *s
-	}
-	return FaultStats{Node: node}
 }
 
 func (f *Faulty) statsOf(node NodeID) *FaultStats {

@@ -70,7 +70,7 @@ func TestFaultyDropAndFailErrors(t *testing.T) {
 	if _, err := f.Send(context.Background(), 0, 1, nil); !errors.Is(err, ErrInjectedFault) {
 		t.Errorf("fail err = %v", err)
 	}
-	st := f.NodeStats(0)
+	st := f.Stats()[0]
 	if st.Dropped != 1 || st.Failed != 1 || st.Sends != 2 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -79,11 +79,10 @@ func TestFaultyDropAndFailErrors(t *testing.T) {
 func TestFaultyBlackoutAndRestore(t *testing.T) {
 	f, _ := faultyOverEcho(3, 1)
 	f.Blackout(1, 2)
-	if got := f.Blackouts(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Blackouts = %v", got)
-	}
-	if _, err := f.Send(context.Background(), 1, 1, nil); !errors.Is(err, ErrNodeDown) {
-		t.Errorf("blackout err = %v", err)
+	for _, n := range []NodeID{1, 2} {
+		if _, err := f.Send(context.Background(), n, 1, nil); !errors.Is(err, ErrNodeDown) {
+			t.Errorf("blackout of node %d: err = %v", n, err)
+		}
 	}
 	// Healthy node unaffected.
 	if _, err := f.Send(context.Background(), 0, 1, nil); err != nil {

@@ -310,9 +310,6 @@ func TestFailedFlushFailStops(t *testing.T) {
 	if err := s.Checkpoint([]byte("img")); !errors.Is(err, boom) {
 		t.Errorf("Checkpoint after failed flush = %v, want the first error", err)
 	}
-	if err := s.Reset(); !errors.Is(err, boom) {
-		t.Errorf("Reset after failed flush = %v, want the first error", err)
-	}
 	if err := s.Close(); !errors.Is(err, boom) {
 		t.Errorf("Close of a failed store = %v, want the first error", err)
 	}

@@ -15,8 +15,8 @@ import (
 // (one Write, one fsync), a checkpoint that covered it while pending, or
 // Close's final flush — and a flush never carries zero frames, so there
 // are at most as many journal fsyncs as appends; each checkpoint adds
-// two, each freshly stamped journal header (Open on an empty directory,
-// Reset) one. One caller at a time meets the bound with equality;
+// two, each freshly stamped journal header (Open on an empty directory)
+// one. One caller at a time meets the bound with equality;
 // concurrent callers (or one caller appending a batch before it syncs)
 // share flushes and push fsyncs below appends — the point of the
 // exercise. Replay counters let recovery tests assert that every entry
@@ -27,7 +27,6 @@ type walMetrics struct {
 	appends       *obs.Counter
 	fsyncs        *obs.Counter
 	checkpoints   *obs.Counter
-	resets        *obs.Counter
 	replays       *obs.Counter // Recover calls that found state
 	replayEntries *obs.Counter // journal entries re-applied
 	corruptions   *obs.Counter // Recover calls reporting OutcomeCorrupt
@@ -39,7 +38,7 @@ type walMetrics struct {
 }
 
 // Instrument publishes the store's counters into reg. Call after Open
-// (or Reset) and before the store carries traffic.
+// and before the store carries traffic.
 func (s *Store) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -49,7 +48,6 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		appends:       reg.Counter("wal_appends_total"),
 		fsyncs:        reg.Counter("wal_fsyncs_total"),
 		checkpoints:   reg.Counter("wal_checkpoints_total"),
-		resets:        reg.Counter("wal_resets_total"),
 		replays:       reg.Counter("wal_replays_total"),
 		replayEntries: reg.Counter("wal_replay_entries_total"),
 		corruptions:   reg.Counter("wal_corruptions_total"),

@@ -31,7 +31,7 @@ var (
 	// way a crash cannot explain: a checksum mismatch on a complete
 	// journal frame or on the checkpoint, a sequence gap, or a mangled
 	// header. The local state must not be trusted, and the files are the
-	// only copy of it: leave them for salvage rather than Reset.
+	// only copy of it: they are left untouched for salvage.
 	ErrCorrupt = errors.New("wal: durable state corrupt")
 	// ErrClosed reports use of a closed store.
 	ErrClosed = errors.New("wal: store closed")
@@ -48,7 +48,7 @@ const (
 	// replayed whatever they hold (possibly nothing).
 	OutcomeRecovered
 	// OutcomeCorrupt: durable state failed verification; the store
-	// refuses writes until Reset.
+	// refuses writes.
 	OutcomeCorrupt
 )
 
@@ -250,7 +250,7 @@ func decodeCheckpoint(data []byte) (seq uint64, image []byte, err error) {
 //
 // A failed flush leaves the journal's tail unknown, so it latches the
 // store into a failed state: every later Append, Sync, Journal,
-// Checkpoint and Reset returns the first error, wrapped, and the store
+// and Checkpoint returns the first error, wrapped, and the store
 // must be closed and reopened (which re-verifies what reached disk).
 type Store struct {
 	fsys FS
@@ -454,20 +454,19 @@ func (s *Store) usableLocked() error {
 	return nil
 }
 
-// writableLocked additionally refuses a corrupt store, which only Reset
-// may touch. Callers hold s.mu.
+// writableLocked additionally refuses a corrupt store. Callers hold s.mu.
 func (s *Store) writableLocked() error {
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
 	if s.corrupt != "" {
-		return fmt.Errorf("%w: %s (Reset required)", ErrCorrupt, s.corrupt)
+		return fmt.Errorf("%w: %s", ErrCorrupt, s.corrupt)
 	}
 	return nil
 }
 
 // waitFlushLocked blocks until no group flush is on disk — the fence
-// Checkpoint, Reset, Close and Abort take before touching the journal
+// Checkpoint, Close and Abort take before touching the journal
 // file. Callers hold s.mu (released while waiting).
 func (s *Store) waitFlushLocked() {
 	for s.flushing {
@@ -514,7 +513,7 @@ func (s *Store) Sync(seq uint64) error {
 
 func (s *Store) syncLocked(seq uint64) error {
 	for seq > s.syncedSeq {
-		if seq > s.seq { // never appended, or wiped by a Reset meanwhile
+		if seq > s.seq { // never appended
 			return fmt.Errorf("wal: Sync(%d) past the last appended seq %d", seq, s.seq)
 		}
 		if err := s.writableLocked(); err != nil {
@@ -662,33 +661,6 @@ func (s *Store) coverPendingLocked() {
 	}
 	s.pending, s.pendingFrames = s.pending[:0], 0
 	s.cond.Broadcast()
-}
-
-// Reset wipes the store back to empty — the only way out of the corrupt
-// state, for an operator who has decided the files hold nothing worth
-// salvaging. Nothing in the node calls it.
-func (s *Store) Reset() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.waitFlushLocked()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	if s.log != nil {
-		s.log.Close()
-		s.log = nil
-	}
-	for _, name := range []string{ckptName, tmpName, logName} {
-		if err := s.fsys.Remove(s.path(name)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: reset: removing %s: %w", name, err)
-		}
-	}
-	s.seq, s.syncedSeq, s.ckptSeq, s.logBytes = 0, 0, 0, 0
-	s.pending, s.pendingFrames = s.pending[:0], 0
-	s.corrupt, s.image, s.entries, s.recovered = "", nil, nil, false
-	s.met.resets.Inc()
-	s.cond.Broadcast()
-	return s.openLog()
 }
 
 // Seq returns the last appended sequence number.
