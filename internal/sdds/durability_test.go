@@ -338,10 +338,16 @@ func putAndRecoverAgain(t *testing.T, fs *wal.MemFS, node *Node) {
 // A migration the crash interrupted is then re-driven to commit on both
 // and compared again. A corrupt verdict for a pure crash, a lost
 // acknowledged mutation, or an invented one all fail: zero silent data
-// loss.
+// loss. The matrix runs on both journal layouts MemFS models: append,
+// and the zero tail OSFS writes on Linux (subtests prefixed zerotail/).
 func TestNodeCrashMatrix(t *testing.T) {
+	nodeCrashMatrix(t, "", wal.NewMemFS)
+	nodeCrashMatrix(t, "zerotail/", wal.NewZeroTailMemFS)
+}
+
+func nodeCrashMatrix(t *testing.T, prefix string, newFS func() *wal.MemFS) {
 	// Dry run: count the workload's crash points.
-	probe := wal.NewMemFS()
+	probe := newFS()
 	dry := newDurableHarness(t, probe)
 	probe.SetCrash(0, wal.CrashDrop) // reset the op counter, stay disarmed
 	if !dry.workload() {
@@ -358,8 +364,8 @@ func TestNodeCrashMatrix(t *testing.T) {
 	}
 	for _, mode := range []wal.CrashMode{wal.CrashDrop, wal.CrashKeep, wal.CrashTorn} {
 		for at := 1; at <= totalOps; at += stride {
-			t.Run(fmt.Sprintf("%s/op%03d", mode, at), func(t *testing.T) {
-				fs := wal.NewMemFS()
+			t.Run(fmt.Sprintf("%s%s/op%03d", prefix, mode, at), func(t *testing.T) {
+				fs := newFS()
 				h := newDurableHarness(t, fs)
 				fs.SetCrash(at, mode)
 				if h.workload() {

@@ -158,17 +158,19 @@ func TestFileMigrationLogTruncatesTornTail(t *testing.T) {
 // address every later key from the wrong file state, so the open must
 // fail and leave the evidence alone.
 func TestFileMigrationLogRejectsCorruptBody(t *testing.T) {
-	fs := wal.NewMemFS()
-	path, data := twoIntentLog(t, fs)
-	if err := fs.FlipBit(path, len(data)-3, 0); err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-3] ^= 1
-	if _, err := OpenFileMigrationLog(fs, "coord"); !errors.Is(err, wal.ErrCorrupt) {
-		t.Fatalf("opening bit-flipped log = %v, want wal.ErrCorrupt", err)
-	}
-	if after, err := fs.ReadFile(path); err != nil || !bytes.Equal(after, data) {
-		t.Fatalf("failed open changed the journal (%v): %d bytes, was %d", err, len(after), len(data))
+	for _, newFS := range []func() *wal.MemFS{wal.NewMemFS, wal.NewZeroTailMemFS} {
+		fs := newFS()
+		path, data := twoIntentLog(t, fs)
+		if err := fs.FlipBit(path, len(data)-3, 0); err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-3] ^= 1
+		if _, err := OpenFileMigrationLog(fs, "coord"); !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("opening bit-flipped log = %v, want wal.ErrCorrupt", err)
+		}
+		if after, err := fs.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("failed open changed the journal (%v): %d bytes, was %d", err, len(after), len(data))
+		}
 	}
 }
 

@@ -17,7 +17,11 @@ type FS interface {
 	// ReadFile returns the current contents of a file, or an error
 	// satisfying os.IsNotExist when it does not exist.
 	ReadFile(name string) ([]byte, error)
-	// OpenAppend opens a file for appending, creating it if absent.
+	// OpenAppend opens the journal for appending, creating it if
+	// absent. Writes go at the file's length at open: the store cuts
+	// any zero tail before it opens the journal. The handle may
+	// preallocate zeros past what it wrote; a clean Close of the store
+	// cuts them again.
 	OpenAppend(name string) (File, error)
 	// OpenTrunc opens a file for writing, truncating any prior content
 	// — the first step of the write-temp → fsync → rename discipline.
@@ -28,7 +32,8 @@ type FS interface {
 	// store).
 	Remove(name string) error
 	// Truncate cuts a file to the given size — how a torn journal tail
-	// is discarded after replay.
+	// is discarded after replay, and how a checkpoint prunes the
+	// journal.
 	Truncate(name string, size int64) error
 	// SyncDir flushes directory metadata so a completed rename survives
 	// power loss.
@@ -44,6 +49,12 @@ type File interface {
 	Close() error
 }
 
+// journalExtent is how far a journal handle preallocates at a time:
+// one checkpoint cycle (the default CheckpointBytes is 1 MiB) with room
+// to spare, so a node's journal is extended about once per checkpoint.
+// A multiple of tearSector.
+const journalExtent = 4 << 20
+
 // OSFS is the production FS: the real filesystem via package os.
 type OSFS struct{}
 
@@ -53,10 +64,54 @@ func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 // ReadFile implements FS.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
-// OpenAppend implements FS.
+// OpenAppend implements FS with a journal handle that preallocates its
+// file in extents, so a flush within the extent commits no size change.
 func (OSFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &journalFile{f: f, end: st.Size(), size: st.Size()}, nil
 }
+
+// journalFile writes each group at its own logical end, inside a
+// preallocated extent of zeros. While every written byte lies inside
+// the extent the file's size is already on disk, so Sync's fdatasync
+// flushes the data without committing a size update. Where the
+// filesystem refuses fallocate (and on platforms without it) a write
+// runs past the extent and grows the file, and fdatasync commits the
+// new size with the data, as fsync would.
+type journalFile struct {
+	f    *os.File
+	end  int64 // logical end: where the next write goes
+	size int64 // file size, zeros past end included
+}
+
+// Write implements File.
+func (j *journalFile) Write(p []byte) (int, error) {
+	if need := j.end + int64(len(p)); need > j.size {
+		ext := (need + journalExtent - 1) / journalExtent * journalExtent
+		if fallocate(j.f, j.size, ext-j.size) == nil {
+			j.size = ext
+		}
+	}
+	n, err := j.f.WriteAt(p, j.end)
+	j.end += int64(n)
+	j.size = max(j.size, j.end)
+	return n, err
+}
+
+// Sync implements File.
+func (j *journalFile) Sync() error { return fdatasync(j.f) }
+
+// Close implements File. It leaves any preallocated zeros in place, as
+// a crash would: the store cuts them when it closes cleanly.
+func (j *journalFile) Close() error { return j.f.Close() }
 
 // OpenTrunc implements FS.
 func (OSFS) OpenTrunc(name string) (File, error) {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -9,11 +10,17 @@ import (
 // FuzzWALDecode throws arbitrary bytes at the journal scanner and the
 // frame decoder, checking the invariants recovery relies on: no panics,
 // every complete frame either round-trips exactly or is reported
-// corrupt, and a clean scan yields contiguous sequence numbers with the
-// consumed prefix re-encoding to the same bytes.
+// corrupt, a clean scan yields contiguous sequence numbers with the
+// consumed prefix re-encoding to the same bytes, and a zero tail behind
+// that prefix — a preallocated extent — adds no entry and no corruption,
+// and a clean scan that stops early drops one frame at most.
 func FuzzWALDecode(f *testing.F) {
 	// Seeds: a valid two-frame journal, a torn tail, a bit-flipped
-	// frame, a sequence gap, a bad magic, and raw garbage.
+	// frame, a sequence gap, a bad magic, raw garbage, and the
+	// preallocated layout: a valid journal followed by a zero extent, a
+	// frame torn at a sector boundary with zeros behind it, a bit flip in
+	// the last frame before the zero tail, and a bit flip in a frame
+	// whose payload holds whole zero sectors, with a frame behind it.
 	valid := append([]byte(nil), logMagic...)
 	valid = appendFrame(valid, 1, 3, []byte("alpha"))
 	valid = appendFrame(valid, 2, 7, []byte("beta-payload"))
@@ -29,6 +36,18 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte("NOTMAGIC"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	f.Add(appendFrame(nil, 42, 9, bytes.Repeat([]byte{0xab}, 100)))
+	zeroTailed := append(append([]byte(nil), valid...), make([]byte, 4096)...)
+	f.Add(zeroTailed)
+	torn := appendFrame(append([]byte(nil), valid...), 3, 1, bytes.Repeat([]byte{0xcd}, 1000))
+	clear(torn[tearSector:])
+	f.Add(append(torn, make([]byte, 2*tearSector)...))
+	lastFlipped := append([]byte(nil), zeroTailed...)
+	lastFlipped[len(valid)-3] ^= 0x01
+	f.Add(lastFlipped)
+	zeroRun := appendFrame(append([]byte(nil), logMagic...), 1, 1, make([]byte, 1<<10))
+	zeroRun = appendFrame(zeroRun, 2, 1, []byte("behind"))
+	zeroRun[len(logMagic)+frameOverhead] ^= 0x01
+	f.Add(append(zeroRun, make([]byte, tearSector)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, goodLen, lastSeq, err := scanJournal(data, 0)
@@ -59,6 +78,24 @@ func FuzzWALDecode(f *testing.F) {
 				if !bytes.Equal(enc, data[:goodLen]) {
 					t.Fatalf("accepted prefix does not round-trip: %d vs %d bytes", len(enc), goodLen)
 				}
+			}
+			// Whatever a clean scan leaves behind the accepted prefix,
+			// zeros aside, lies inside the one frame that starts there:
+			// nothing acknowledged behind a dropped frame is lost.
+			if zt := zeroTail(data); goodLen < zt && goodLen+4 <= len(data) {
+				end := int64(goodLen) + frameOverhead + int64(binary.BigEndian.Uint32(data[goodLen:]))
+				if end < int64(zt) {
+					t.Fatalf("scan stopped at %d, but the frame there ends at %d and data runs on to %d", goodLen, end, zt)
+				}
+			}
+			// The accepted prefix plus a zero tail scans to the same
+			// verdict: zeros are the journal's end, never an entry and
+			// never corruption.
+			padded := append(data[:goodLen:goodLen], make([]byte, 1+len(data)%(3*tearSector))...)
+			zEntries, zGood, zLast, zerr := scanJournal(padded, 0)
+			if zerr != nil || zGood != goodLen || zLast != lastSeq || len(zEntries) != len(entries) {
+				t.Fatalf("zero tail after the accepted prefix: %d entries to %d (last %d), %v; want %d to %d (last %d)",
+					len(zEntries), zGood, zLast, zerr, len(entries), goodLen, lastSeq)
 			}
 		}
 

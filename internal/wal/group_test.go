@@ -42,32 +42,47 @@ func TestFrameEncodingUnchanged(t *testing.T) {
 // TestParentWrittenStoreRecovers replays a store directory written by
 // the commit before group commit (three journaled ops, a checkpoint, two
 // more ops, then a kill): the format did not move, so it must recover to
-// exactly that state and keep journaling.
+// exactly that state and keep journaling — in either journal layout,
+// and again after that journal is closed or killed.
 func TestParentWrittenStoreRecovers(t *testing.T) {
-	fsys := NewMemFS()
-	for name, image := range map[string]string{
-		"d/checkpoint": "455344434b503031000000000000000300000007efca7d29696d6167654033",
-		"d/wal.log":    "45534457414c303100000006eee56107000000000000000409706f73742d300000000655b29f23000000000000000509706f73742d31",
-	} {
-		b, err := hex.DecodeString(image)
-		if err != nil {
+	for _, layout := range memLayouts {
+		fsys := layout.newFS()
+		for name, image := range map[string]string{
+			"d/checkpoint": "455344434b503031000000000000000300000007efca7d29696d6167654033",
+			"d/wal.log":    "45534457414c303100000006eee56107000000000000000409706f73742d300000000655b29f23000000000000000509706f73742d31",
+		} {
+			b, err := hex.DecodeString(image)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fsys.files[name] = &memFile{durable: b}
+		}
+		s := mustOpen(t, fsys, "d", Options{})
+		var image string
+		var got replayState
+		out, err := s.Recover(func(img []byte) error { image = string(img); return nil }, got.apply)
+		if err != nil || out != OutcomeRecovered {
+			t.Fatalf("%sRecover = %v, %v", layout.name, out, err)
+		}
+		want := []Entry{{Op: 9, Payload: []byte("post-0")}, {Op: 9, Payload: []byte("post-1")}}
+		if image != "image@3" || !sameOps(got.ops, want) {
+			t.Fatalf("%srecovered image %q + %d ops, want image@3 + 2 ops", layout.name, image, len(got.ops))
+		}
+		if err := s.Journal(1, payload(0)); err != nil || s.Seq() != 6 {
+			t.Fatalf("%sJournal after recovery = %v, seq %d; want seq 6", layout.name, err, s.Seq())
+		}
+		s.Abort()
+		s = mustOpen(t, fsys, "d", Options{})
+		if err := s.Journal(1, payload(1)); err != nil || s.Seq() != 7 {
+			t.Fatalf("%sJournal after a kill = %v, seq %d; want seq 7", layout.name, err, s.Seq())
+		}
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		fsys.files[name] = &memFile{durable: b}
-	}
-	s := mustOpen(t, fsys, "d", Options{})
-	var image string
-	var got replayState
-	out, err := s.Recover(func(img []byte) error { image = string(img); return nil }, got.apply)
-	if err != nil || out != OutcomeRecovered {
-		t.Fatalf("Recover = %v, %v", out, err)
-	}
-	want := []Entry{{Op: 9, Payload: []byte("post-0")}, {Op: 9, Payload: []byte("post-1")}}
-	if image != "image@3" || !sameOps(got.ops, want) {
-		t.Fatalf("recovered image %q + %d ops, want image@3 + 2 ops", image, len(got.ops))
-	}
-	if err := s.Journal(1, payload(0)); err != nil || s.Seq() != 6 {
-		t.Fatalf("Journal after recovery = %v, seq %d; want seq 6", err, s.Seq())
+		var again replayState
+		if _, err := mustOpen(t, fsys, "d", Options{}).Recover(func([]byte) error { return nil }, again.apply); err != nil || len(again.ops) != 4 {
+			t.Fatalf("%srecovery after a clean close = %d ops, %v; want 4", layout.name, len(again.ops), err)
+		}
 	}
 }
 
@@ -348,8 +363,17 @@ func TestAbortFailsPendingSync(t *testing.T) {
 // run to run; at every crash point and tear mode the recovered state
 // must be a prefix of append order that holds every acknowledged op.
 func TestCrashMatrixConcurrent(t *testing.T) {
+	for _, layout := range memLayouts {
+		crashMatrixConcurrent(t, layout)
+	}
+}
+
+func crashMatrixConcurrent(t *testing.T, layout memLayout) {
 	const writers, perWriter = 3, 8
-	opts := Options{CheckpointBytes: 256}
+	payload := func(w, i int) []byte { return layout.pay([]byte(fmt.Sprintf("w%d-%02d", w, i))) }
+	// A checkpoint every dozen frames or so, whatever the payload scale.
+	frame := int64(frameOverhead + len(payload(0, 0)))
+	opts := Options{CheckpointBytes: 256 * frame / (frameOverhead + 5)}
 
 	// run drives the writers until they finish or the crash stops them.
 	// order is the append order (the reference state), acked the highest
@@ -363,7 +387,7 @@ func TestCrashMatrixConcurrent(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < perWriter; i++ {
-					op, p := uint8(w+1), []byte(fmt.Sprintf("w%d-%02d", w, i))
+					op, p := uint8(w+1), payload(w, i)
 					nmu.Lock()
 					seq, err := s.Append(op, p)
 					if err == nil {
@@ -390,11 +414,11 @@ func TestCrashMatrixConcurrent(t *testing.T) {
 
 	// One writer at a time never shares a flush, so a serial dry run
 	// bounds the number of crash points from above.
-	probe := NewMemFS()
+	probe := layout.newFS()
 	s := mustOpen(t, probe, "d", opts)
 	probe.SetCrash(0, CrashDrop)
 	for i := 0; i < writers*perWriter; i++ {
-		if err := s.Journal(1, []byte("w0-00")); err != nil {
+		if err := s.Journal(1, payload(0, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if s.CheckpointDue() {
@@ -412,8 +436,8 @@ func TestCrashMatrixConcurrent(t *testing.T) {
 	}
 	for _, mode := range []CrashMode{CrashDrop, CrashKeep, CrashTorn} {
 		for at := 1; at <= totalOps; at += stride {
-			t.Run(fmt.Sprintf("%s/op%02d", mode, at), func(t *testing.T) {
-				fsys := NewMemFS()
+			t.Run(fmt.Sprintf("%s%s/op%02d", layout.name, mode, at), func(t *testing.T) {
+				fsys := layout.newFS()
 				st := mustOpen(t, fsys, "d", opts)
 				fsys.SetCrash(at, mode)
 				order, acked := run(st)

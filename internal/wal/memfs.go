@@ -25,7 +25,10 @@ const (
 	// flight: the cache happened to flush just before the power cut.
 	CrashKeep
 	// CrashTorn persists earlier unsynced bytes but tears the write in
-	// flight down the middle — the canonical torn frame.
+	// flight down the middle — the canonical torn frame. In the
+	// zero-tail layout (NewZeroTailMemFS) a journal write tears at a
+	// 512-byte sector boundary inside it, or is lost whole when it lies
+	// in one sector: sectors are what a disk writes atomically.
 	CrashTorn
 )
 
@@ -44,16 +47,47 @@ func (m CrashMode) String() string {
 }
 
 // memFile models one file as two layers: bytes that have reached stable
-// storage and bytes still sitting in the (volatile) write cache.
+// storage (preallocated zeros included) and one contiguous run of bytes
+// still sitting in the (volatile) write cache, at file offset at, over
+// or past the durable bytes.
 type memFile struct {
 	durable  []byte
 	buffered []byte
+	at       int
+}
+
+// size is the file's cache-inclusive length.
+func (f *memFile) size() int {
+	if len(f.buffered) == 0 {
+		return len(f.durable)
+	}
+	return max(len(f.durable), f.at+len(f.buffered))
 }
 
 func (f *memFile) view() []byte {
-	out := make([]byte, 0, len(f.durable)+len(f.buffered))
-	out = append(out, f.durable...)
-	return append(out, f.buffered...)
+	out := make([]byte, f.size())
+	copy(out, f.durable)
+	if len(f.buffered) > 0 {
+		copy(out[f.at:], f.buffered)
+	}
+	return out
+}
+
+// cache adds b to the write cache at offset off, which continues the
+// cached run when there is one.
+func (f *memFile) cache(off int, b []byte) {
+	if len(f.buffered) == 0 {
+		f.at = off
+	}
+	f.buffered = append(f.buffered, b...)
+}
+
+// persist makes the cached bytes durable.
+func (f *memFile) persist() {
+	if len(f.buffered) > 0 {
+		f.durable = f.view()
+	}
+	f.buffered = nil
 }
 
 // MemFS is an in-memory FS with explicit durability semantics and
@@ -64,25 +98,41 @@ func (f *memFile) view() []byte {
 // CrashMode; afterwards every operation fails with ErrCrashed until
 // Restart, which hands back the post-crash disk image.
 //
-// Simplifications, chosen to match how the store writes: renames and
-// truncates are durable immediately (the store orders them after
-// syncs), and unsynced data is a single contiguous tail per file (the
-// store hands a whole group of frames to one Write and syncs it before
-// acknowledging any of them, so CrashTorn tears a group anywhere — mid-
-// frame or between frames — and replay keeps the complete frames before
-// the tear).
+// Simplifications, chosen to match how the store writes: renames,
+// truncates and preallocation are durable immediately (the store orders
+// them after syncs), and unsynced data is a single contiguous run per
+// file (the store hands a whole group of frames to one Write and syncs
+// it before acknowledging any of them, so CrashTorn tears a group
+// anywhere — mid-frame or between frames — and replay keeps the
+// complete frames before the tear).
 type MemFS struct {
-	mu      sync.Mutex
-	files   map[string]*memFile
-	ops     int
-	crashAt int // fire when ops reaches this count; 0 = disarmed
-	mode    CrashMode
-	crashed bool
+	mu       sync.Mutex
+	files    map[string]*memFile
+	ops      int
+	crashAt  int // fire when ops reaches this count; 0 = disarmed
+	mode     CrashMode
+	crashed  bool
+	zeroTail bool // journals preallocate, as OSFS's do on Linux
 }
 
-// NewMemFS returns an empty in-memory filesystem.
+// NewMemFS returns an empty in-memory filesystem whose journals append,
+// as OSFS's do where fallocate is missing.
 func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile)}
+}
+
+// memExtent is how far a zero-tail MemFS journal preallocates at a
+// time: far below journalExtent, so short tests cross extents too.
+const memExtent = 4 << 10
+
+// NewZeroTailMemFS returns an empty in-memory filesystem whose journals
+// (the files OpenAppend opens) take the layout OSFS writes on Linux:
+// the handle preallocates zeros in extents, modelled durable at once,
+// and writes at its own logical end. A crash leaves a zero tail behind
+// the journal, and CrashTorn tears a journal write at a sector
+// boundary.
+func NewZeroTailMemFS() *MemFS {
+	return &MemFS{files: make(map[string]*memFile), zeroTail: true}
 }
 
 // SetCrash arms a crash at the n-th mutating operation from now (n >=
@@ -132,14 +182,13 @@ func (m *MemFS) FlipBit(name string, off int, bit uint) error {
 	if !ok {
 		return fs.ErrNotExist
 	}
-	all := f.view()
-	if off < 0 || off >= len(all) {
-		return fmt.Errorf("wal: FlipBit offset %d out of range (%d bytes)", off, len(all))
+	if off < 0 || off >= f.size() {
+		return fmt.Errorf("wal: FlipBit offset %d out of range (%d bytes)", off, f.size())
 	}
-	if off < len(f.durable) {
-		f.durable[off] ^= 1 << (bit % 8)
+	if off >= f.at && off < f.at+len(f.buffered) {
+		f.buffered[off-f.at] ^= 1 << (bit % 8)
 	} else {
-		f.buffered[off-len(f.durable)] ^= 1 << (bit % 8)
+		f.durable[off] ^= 1 << (bit % 8)
 	}
 	return nil
 }
@@ -152,15 +201,24 @@ func (m *MemFS) Size(name string) (int, error) {
 	if !ok {
 		return 0, fs.ErrNotExist
 	}
-	return len(f.durable) + len(f.buffered), nil
+	return f.size(), nil
+}
+
+// memWrite is a write in flight at a crash point: b, bound for offset
+// off of f, of which CrashTorn keeps the first torn bytes.
+type memWrite struct {
+	f    *memFile
+	off  int
+	b    []byte
+	torn int
 }
 
 // gate is the crash point shared by every mutating operation. It
 // returns ErrCrashed when the filesystem is already dead, or fires the
 // armed crash — in which case the triggering operation does not take
-// effect (inflight carries the write being torn, nil for other ops).
-// Callers hold m.mu.
-func (m *MemFS) gate(target *memFile, inflight []byte) error {
+// effect (inflight is the write being torn, nil for other ops). Callers
+// hold m.mu.
+func (m *MemFS) gate(inflight *memWrite) error {
 	if m.crashed {
 		return ErrCrashed
 	}
@@ -170,12 +228,12 @@ func (m *MemFS) gate(target *memFile, inflight []byte) error {
 	}
 	// Power cut. Settle every file's cache per the tear mode.
 	m.crashed = true
-	if target != nil && len(inflight) > 0 {
+	if inflight != nil && len(inflight.b) > 0 {
 		switch m.mode {
 		case CrashKeep:
-			target.buffered = append(target.buffered, inflight...)
+			inflight.f.cache(inflight.off, inflight.b)
 		case CrashTorn:
-			target.buffered = append(target.buffered, inflight[:len(inflight)/2]...)
+			inflight.f.cache(inflight.off, inflight.b[:inflight.torn])
 		}
 	}
 	for _, f := range m.files {
@@ -183,8 +241,7 @@ func (m *MemFS) gate(target *memFile, inflight []byte) error {
 			f.buffered = nil
 			continue
 		}
-		f.durable = append(f.durable, f.buffered...)
-		f.buffered = nil
+		f.persist()
 	}
 	return ErrCrashed
 }
@@ -230,23 +287,25 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 func (m *MemFS) OpenAppend(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
+	f, ok := m.files[name]
+	if !ok {
 		// Creation mutates the directory: a crash point.
-		if err := m.gate(nil, nil); err != nil {
+		if err := m.gate(nil); err != nil {
 			return nil, err
 		}
-		m.files[name] = &memFile{}
+		f = &memFile{}
+		m.files[name] = f
 	} else if m.crashed {
 		return nil, ErrCrashed
 	}
-	return &memHandle{fs: m, name: name}, nil
+	return &memHandle{fs: m, name: name, zeroTail: m.zeroTail, end: f.size()}, nil
 }
 
 // OpenTrunc implements FS.
 func (m *MemFS) OpenTrunc(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.gate(nil, nil); err != nil {
+	if err := m.gate(nil); err != nil {
 		return nil, err
 	}
 	m.files[name] = &memFile{}
@@ -267,7 +326,7 @@ func (m *MemFS) Rename(oldname, newname string) error {
 		}
 		return err
 	}
-	if err := m.gate(nil, nil); err != nil {
+	if err := m.gate(nil); err != nil {
 		return err
 	}
 	delete(m.files, oldname)
@@ -285,7 +344,7 @@ func (m *MemFS) Remove(name string) error {
 		}
 		return fs.ErrNotExist
 	}
-	if err := m.gate(nil, nil); err != nil {
+	if err := m.gate(nil); err != nil {
 		return err
 	}
 	delete(m.files, name)
@@ -304,7 +363,7 @@ func (m *MemFS) Truncate(name string, size int64) error {
 		}
 		return err
 	}
-	if err := m.gate(nil, nil); err != nil {
+	if err := m.gate(nil); err != nil {
 		return err
 	}
 	all := f.view()
@@ -321,30 +380,58 @@ func (m *MemFS) Truncate(name string, size int64) error {
 func (m *MemFS) SyncDir(string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.gate(nil, nil)
+	return m.gate(nil)
 }
 
-// memHandle is an append handle into a MemFS file.
+// memHandle is a write handle into a MemFS file. An append handle
+// writes at the file's end; a zero-tail journal handle writes at its
+// own logical end, inside zeros it preallocates.
 type memHandle struct {
-	fs   *MemFS
-	name string
+	fs       *MemFS
+	name     string
+	zeroTail bool
+	end      int // zero-tail: logical end, where the next write goes
 }
 
-// Write appends into the file's volatile cache.
+// Write caches b in the file's volatile write cache.
 func (h *memHandle) Write(b []byte) (int, error) {
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
+	if h.fs.crashed {
+		return 0, ErrCrashed
+	}
 	f, ok := h.fs.files[h.name]
 	if !ok {
-		if h.fs.crashed {
-			return 0, ErrCrashed
-		}
 		return 0, fs.ErrNotExist
 	}
-	if err := h.fs.gate(f, b); err != nil {
+	off, torn := f.size(), len(b)/2
+	if h.zeroTail {
+		off = h.end
+		if need := off + len(b); need > len(f.durable) {
+			ext := (need + memExtent - 1) / memExtent * memExtent
+			f.durable = append(f.durable, make([]byte, ext-len(f.durable))...)
+		}
+		// Keep whole sectors up to the last boundary before the
+		// write's middle, else up to the first boundary inside it; none
+		// when no boundary lies inside the write.
+		cut := (off + len(b)/2) / tearSector * tearSector
+		if cut <= off {
+			cut += tearSector
+		}
+		if torn = cut - off; torn >= len(b) {
+			torn = 0
+		}
+	}
+	if len(f.buffered) > 0 && off != f.at+len(f.buffered) {
+		// The store writes each file sequentially; one cached run per
+		// file is all the model holds.
+		return 0, fmt.Errorf("wal: MemFS write at %d, cached bytes end at %d", off, f.at+len(f.buffered))
+	}
+	if err := h.fs.gate(&memWrite{f, off, b, torn}); err != nil {
 		return 0, err
 	}
-	f.buffered = append(f.buffered, b...)
+	f.cache(off, b)
+	h.end = off + len(b)
 	return len(b), nil
 }
 
@@ -359,11 +446,10 @@ func (h *memHandle) Sync() error {
 		}
 		return fs.ErrNotExist
 	}
-	if err := h.fs.gate(nil, nil); err != nil {
+	if err := h.fs.gate(nil); err != nil {
 		return err
 	}
-	f.durable = append(f.durable, f.buffered...)
-	f.buffered = nil
+	f.persist()
 	return nil
 }
 

@@ -10,7 +10,10 @@
 // surfaced as ErrCorrupt so the caller refuses to start instead of
 // trusting a damaged replay, with the files left as they are. Nothing is
 // ever silently dropped: every recovery reports exactly one of fresh,
-// recovered, or corrupt.
+// recovered, or corrupt. On Linux the journal grows in preallocated
+// extents of zeros and is flushed with fdatasync (OSFS.OpenAppend), so a
+// flush commits no file-size update; replay reads the zeros as the
+// journal's end.
 package wal
 
 import (
@@ -133,7 +136,7 @@ func decodeFrame(b []byte) (Entry, int, error) {
 	crc := binary.BigEndian.Uint32(b[4:])
 	body := b[8:total]
 	if crc32.Checksum(body, crcTable) != crc {
-		return Entry{}, 0, fmt.Errorf("%w: journal frame checksum mismatch", ErrCorrupt)
+		return Entry{}, total, fmt.Errorf("%w: journal frame checksum mismatch", ErrCorrupt)
 	}
 	return Entry{
 		Seq:     binary.BigEndian.Uint64(body),
@@ -142,18 +145,48 @@ func decodeFrame(b []byte) (Entry, int, error) {
 	}, total, nil
 }
 
+// tearSector is the unit a disk is assumed to write atomically: a
+// power cut leaves each aligned 512-byte sector of a write either
+// written or as it was. In a preallocated journal "as it was" is zeros.
+const tearSector = 512
+
+// zeroTail returns where the run of zero bytes that ends data begins
+// (len(data) when data does not end in a zero).
+func zeroTail(data []byte) int {
+	z := len(data)
+	for z > 0 && data[z-1] == 0 {
+		z--
+	}
+	return z
+}
+
+// tornFrame decides a frame at data[off:off+n] whose checksum failed.
+// In a preallocated journal the write in flight at a crash persists
+// whole sectors up to some boundary and leaves zeros from there to the
+// end of the image. So a torn frame has an aligned boundary inside it
+// that the zero tail (which begins at zt) reaches, with a whole zero
+// sector behind it. Any other checksum failure is corruption: a flipped
+// bit in an acknowledged frame, however late in the journal and however
+// many zeros its payload holds, must not be mistaken for a crash.
+func tornFrame(data []byte, off, n, zt int) bool {
+	b := (max(off+1, zt) + tearSector - 1) / tearSector * tearSector
+	return b < off+n && b+tearSector <= len(data)
+}
+
 // scanJournal walks a journal image: it verifies the header, decodes
 // frames, and separates the three possible verdicts — entries to
 // replay (seq beyond ckptSeq, contiguous), a torn tail to truncate at
 // goodLen, or corruption. lastSeq is the highest sequence seen (ckptSeq
-// when the journal holds nothing newer).
+// when the journal holds nothing newer). The journal ends at the end of
+// the image, at a frame that runs past it (a torn append), where only
+// zeros remain (the unwritten part of a preallocated extent), or at a
+// torn frame (tornFrame).
 func scanJournal(data []byte, ckptSeq uint64) (entries []Entry, goodLen int, lastSeq uint64, err error) {
 	lastSeq = ckptSeq
-	if len(data) == 0 {
-		return nil, 0, lastSeq, nil
-	}
-	if len(data) < len(logMagic) {
-		// Crash between file creation and the header write.
+	zt := zeroTail(data)
+	if zt < len(logMagic) {
+		// Crash between file creation (or preallocation) and the
+		// header write.
 		return nil, 0, lastSeq, nil
 	}
 	if string(data[:len(logMagic)]) != string(logMagic) {
@@ -162,9 +195,9 @@ func scanJournal(data []byte, ckptSeq uint64) (entries []Entry, goodLen int, las
 	off := len(logMagic)
 	var prev uint64
 	first := true
-	for off < len(data) {
+	for off < zt {
 		e, n, derr := decodeFrame(data[off:])
-		if errors.Is(derr, errTorn) {
+		if errors.Is(derr, errTorn) || (derr != nil && tornFrame(data, off, n, zt)) {
 			break
 		}
 		if derr != nil {
@@ -248,10 +281,11 @@ func decodeCheckpoint(data []byte) (seq uint64, image []byte, err error) {
 // meanwhile form the next group. There is no timer and no batch knob —
 // a group is whatever accumulated while the previous flush was on disk.
 //
-// A failed flush leaves the journal's tail unknown, so it latches the
-// store into a failed state: every later Append, Sync, Journal,
-// and Checkpoint returns the first error, wrapped, and the store
-// must be closed and reopened (which re-verifies what reached disk).
+// A failed flush (or a failed journal prune) leaves the journal's tail
+// unknown, so it latches the store into a failed state: every later
+// Append, Sync, Journal, and Checkpoint returns the first error,
+// wrapped, and the store must be closed and reopened (which re-verifies
+// what reached disk).
 type Store struct {
 	fsys FS
 	dir  string
@@ -600,7 +634,9 @@ func (s *Store) CheckpointDue() bool {
 // fsync → rename → sync dir → truncate journal; a crash at any point
 // leaves either the old checkpoint plus the flushed journal or the new
 // checkpoint plus a journal of stale frames only, which the next Open
-// prunes. The image must reflect every appended entry (callers
+// prunes. The prune closes the journal, truncates it and reopens it
+// through the FS; if any of that fails the store latches as a failed
+// flush does. The image must reflect every appended entry (callers
 // serialize Append with their state and snapshot under the same lock),
 // so on success every appended seq is durable: frames still pending are
 // dropped unwritten and their Sync waiters return at once.
@@ -636,8 +672,9 @@ func (s *Store) Checkpoint(image []byte) error {
 	if err := s.fsys.SyncDir(s.dir); err != nil {
 		return fmt.Errorf("wal: checkpoint dir sync: %w", err)
 	}
-	if err := s.fsys.Truncate(s.path(logName), int64(len(logMagic))); err != nil {
-		return fmt.Errorf("wal: pruning journal: %w", err)
+	if err := s.pruneLocked(); err != nil {
+		s.failed = err
+		return err
 	}
 	s.ckptSeq = s.seq
 	s.logBytes = int64(len(logMagic))
@@ -647,6 +684,29 @@ func (s *Store) Checkpoint(image []byte) error {
 		s.met.fsyncs.Add(2) // checkpoint file sync + dir sync
 		s.met.checkpointNS.Observe(time.Since(ckptStart).Nanoseconds())
 	}
+	return nil
+}
+
+// pruneLocked cuts the journal back to its header behind a checkpoint
+// that covers it, and reopens it through the FS — so whatever wraps the
+// FS sees the handle start again at the header, and a preallocating
+// handle learns its new end. Any failure leaves the store without a
+// journal handle it can trust, so the caller latches it failed.
+// Callers hold s.mu with no flush on disk.
+func (s *Store) pruneLocked() error {
+	err := s.log.Close()
+	s.log = nil
+	if err != nil {
+		return fmt.Errorf("wal: closing journal for prune: %w", err)
+	}
+	if err := s.fsys.Truncate(s.path(logName), int64(len(logMagic))); err != nil {
+		return fmt.Errorf("wal: pruning journal: %w", err)
+	}
+	f, err := s.fsys.OpenAppend(s.path(logName))
+	if err != nil {
+		return fmt.Errorf("wal: reopening pruned journal: %w", err)
+	}
+	s.log = f
 	return nil
 }
 
@@ -670,9 +730,10 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// Close flushes whatever is still pending and closes the store. A store
-// latched by a failed flush closes its file and reports that failure:
-// its tail was never made durable.
+// Close flushes whatever is still pending, closes the store and cuts
+// the journal's preallocated zeros, so a cleanly closed journal ends at
+// its last frame. A store latched by a failed flush or prune closes its
+// file and reports that failure: its tail was never made durable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -682,10 +743,10 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	defer s.cond.Broadcast()
-	if s.log == nil {
-		return nil
-	}
 	err := s.failed
+	if s.log == nil {
+		return err
+	}
 	if err == nil && len(s.pending) > 0 {
 		_, err = s.log.Write(s.pending)
 	}
@@ -699,6 +760,11 @@ func (s *Store) Close() error {
 		err = cerr
 	}
 	s.log = nil
+	if err == nil {
+		// A journal the previous release wrote ended at its last frame;
+		// so does one this store closed.
+		err = s.fsys.Truncate(s.path(logName), s.logBytes)
+	}
 	return err
 }
 

@@ -70,6 +70,24 @@ func mustOpen(t *testing.T, fsys FS, dir string, opts Options) *Store {
 
 func payload(i int) []byte { return []byte(fmt.Sprintf("payload-%04d", i)) }
 
+// memLayout is one of the two journal layouts MemFS models: append
+// (what OSFS writes without fallocate, and what a cleanly closed store
+// holds) and zero-tail (what OSFS writes on Linux). A zero-tail journal
+// tears only at sector boundaries, so its layout repeats test payloads
+// scale times, long enough that frames straddle the boundaries. The
+// append layout's name is empty, so its subtests keep the names they had
+// before the zero-tail layout existed.
+type memLayout struct {
+	name  string
+	newFS func() *MemFS
+	scale int
+}
+
+var memLayouts = []memLayout{{"", NewMemFS, 1}, {"zerotail/", NewZeroTailMemFS, 20}}
+
+// pay scales a test payload for the layout.
+func (l memLayout) pay(p []byte) []byte { return bytes.Repeat(p, l.scale) }
+
 func TestFreshStore(t *testing.T) {
 	s := mustOpen(t, NewMemFS(), "d", Options{})
 	out, err := s.Recover(func([]byte) error { t.Fatal("restore on fresh"); return nil },
@@ -223,6 +241,46 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut %d: Journal after truncation: %v", cut, err)
 		}
 	}
+
+	// The zero-tail layout: the fourth frame keeps whole sectors up to
+	// each boundary inside it and zeros after, into the preallocated
+	// extent. It starts 1..17 bytes short of a boundary (tearing its
+	// header), or far from one.
+	for _, short := range []int{1, 3, 4, 7, 8, 12, 17, 200} {
+		start := 2*tearSector - short
+		head := append([]byte(nil), logMagic...)
+		head = appendFrame(head, 1, 1, payload(0))
+		head = appendFrame(head, 2, 1, payload(1))
+		head = appendFrame(head, 3, 1, bytes.Repeat([]byte{'p'}, start-len(head)-frameOverhead))
+		frame := appendFrame(nil, 4, 1, bytes.Repeat([]byte{'q'}, 1500))
+		for b := 2 * tearSector; b < start+len(frame); b += tearSector {
+			image := make([]byte, memExtent)
+			copy(image, head)
+			copy(image[start:], frame[:b-start])
+			fsys := NewZeroTailMemFS()
+			fsys.files["d/wal.log"] = &memFile{durable: image}
+
+			s2 := mustOpen(t, fsys, "d", Options{})
+			var got replayState
+			out, err := s2.Recover(got.restore, got.apply)
+			if err != nil || out != OutcomeRecovered {
+				t.Fatalf("zero tail, frame at %d torn at %d: Recover = %v, %v", start, b, out, err)
+			}
+			if len(got.ops) != 3 {
+				t.Fatalf("zero tail, frame at %d torn at %d: replayed %d ops, want 3", start, b, len(got.ops))
+			}
+			if err := s2.Journal(1, payload(99)); err != nil {
+				t.Fatalf("zero tail, frame at %d torn at %d: Journal after truncation: %v", start, b, err)
+			}
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var again replayState
+			if _, err := mustOpen(t, fsys, "d", Options{}).Recover(again.restore, again.apply); err != nil || len(again.ops) != 4 {
+				t.Fatalf("zero tail, frame at %d torn at %d: second recovery = %d ops, %v; want 4", start, b, len(again.ops), err)
+			}
+		}
+	}
 }
 
 func TestBitFlipIsCorrupt(t *testing.T) {
@@ -247,6 +305,72 @@ func TestBitFlipIsCorrupt(t *testing.T) {
 	// Corrupt stores refuse writes.
 	if err := s2.Journal(1, payload(0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Journal on corrupt store = %v, want ErrCorrupt", err)
+	}
+
+	// The preallocated layout after a crash: the zeros behind the last
+	// frame are no licence to drop it. A flip in the first frame, and
+	// one in the last frame before the zero tail, are both corruption,
+	// and the refused journal is left as it was.
+	for _, frame := range []int{0, 4} {
+		fsys := NewZeroTailMemFS()
+		s := mustOpen(t, fsys, "d", Options{})
+		for i := 0; i < 5; i++ {
+			if err := s.Journal(1, payload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Cut the power: the synced frames and the zeros stay.
+		fsys.SetCrash(1, CrashDrop)
+		if err := s.Journal(1, payload(999)); err == nil {
+			t.Fatal("armed crash never fired")
+		}
+		s.Abort()
+		fsys.Restart()
+		if sz, _ := fsys.Size("d/wal.log"); sz != memExtent {
+			t.Fatalf("crashed journal holds %d bytes, want the %d-byte extent", sz, memExtent)
+		}
+		off := len(logMagic) + frame*(frameOverhead+len(payload(0))) + frameOverhead + 2
+		if err := fsys.FlipBit("d/wal.log", off, 3); err != nil {
+			t.Fatal(err)
+		}
+		flipped, _ := fsys.ReadFile("d/wal.log")
+		s2 := mustOpen(t, fsys, "d", Options{})
+		if out, err := s2.Recover(nil, nil); out != OutcomeCorrupt || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("zero tail, flip in frame %d: Recover = %v, %v; want corrupt", frame, out, err)
+		}
+		if after, _ := fsys.ReadFile("d/wal.log"); !bytes.Equal(after, flipped) {
+			t.Fatalf("zero tail, flip in frame %d: the corrupt journal changed", frame)
+		}
+	}
+
+	// Nor is a long run of zeros inside a frame, on either layout: a
+	// flip in a frame whose payload holds whole zero sectors, with an
+	// acknowledged frame behind it, is corruption.
+	for _, fsys := range []*MemFS{NewMemFS(), NewZeroTailMemFS()} {
+		s := mustOpen(t, fsys, "d", Options{})
+		zeros := append([]byte("zeros:"), make([]byte, 1<<10)...)
+		for _, p := range [][]byte{zeros, payload(1)} {
+			if err := s.Journal(1, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fsys.SetCrash(1, CrashDrop)
+		if err := s.Journal(1, payload(999)); err == nil {
+			t.Fatal("armed crash never fired")
+		}
+		s.Abort()
+		fsys.Restart()
+		if err := fsys.FlipBit("d/wal.log", len(logMagic)+frameOverhead+2, 3); err != nil {
+			t.Fatal(err)
+		}
+		flipped, _ := fsys.ReadFile("d/wal.log")
+		s2 := mustOpen(t, fsys, "d", Options{})
+		if out, err := s2.Recover(nil, nil); out != OutcomeCorrupt || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("zero-run frame (zero tail %v): Recover = %v, %v; want corrupt", fsys.zeroTail, out, err)
+		}
+		if after, _ := fsys.ReadFile("d/wal.log"); !bytes.Equal(after, flipped) {
+			t.Fatalf("zero-run frame (zero tail %v): the corrupt journal changed", fsys.zeroTail)
+		}
 	}
 }
 
@@ -407,10 +531,10 @@ func TestCrashMatrix(t *testing.T) {
 	// workload drives a fixed script against the store, mirroring every
 	// acknowledged mutation into ref. It stops at the first crash error,
 	// recording the op that was in flight.
-	workload := func(s *Store, ref *replayState) (inflight *Entry, crashed bool) {
+	workload := func(s *Store, ref *replayState, layout memLayout) (inflight *Entry, crashed bool) {
 		step := 0
 		journal := func(op uint8) bool {
-			p := payload(step)
+			p := layout.pay(payload(step))
 			step++
 			if err := s.Journal(op, p); err != nil {
 				inflight = &Entry{Op: op, Payload: p}
@@ -446,72 +570,74 @@ func TestCrashMatrix(t *testing.T) {
 		return nil, false
 	}
 
-	// Dry run to count crash points. SetCrash(0) resets the op counter
-	// so it spans exactly the workload, as in the armed runs below.
-	probe := NewMemFS()
-	s := mustOpen(t, probe, "d", Options{})
-	probe.SetCrash(0, CrashDrop)
-	if _, crashed := workload(s, &replayState{}); crashed {
-		t.Fatal("dry run crashed")
-	}
-	totalOps := probe.Ops()
-	s.Close()
-	if totalOps < 20 {
-		t.Fatalf("workload too small for a meaningful matrix: %d ops", totalOps)
-	}
-
-	stride := 1
-	if testing.Short() {
-		stride = 5
-	}
-	for _, mode := range []CrashMode{CrashDrop, CrashKeep, CrashTorn} {
-		for at := 1; at <= totalOps; at += stride {
-			t.Run(fmt.Sprintf("%s/op%02d", mode, at), func(t *testing.T) {
-				fsys := NewMemFS()
-				st := mustOpen(t, fsys, "d", Options{})
-				fsys.SetCrash(at, mode)
-				var ref replayState
-				inflight, crashed := workload(st, &ref)
-				if !crashed {
-					t.Fatalf("crash point %d never fired", at)
-				}
-				st.Abort()
-				fsys.Restart()
-
-				st2, err := Open(fsys, "d", Options{})
-				if err != nil {
-					t.Fatalf("reopen: %v", err)
-				}
-				var got replayState
-				out, err := st2.Recover(got.restore, got.apply)
-				if out == OutcomeCorrupt {
-					t.Fatalf("crash (not corruption) produced corrupt verdict: %v", err)
-				}
-				if err != nil {
-					t.Fatalf("Recover: %v", err)
-				}
-				want := ref.ops
-				if !sameOps(got.ops, want) {
-					if inflight == nil || !sameOps(got.ops, append(append([]Entry(nil), want...), *inflight)) {
-						t.Fatalf("state after crash replay: got %d ops, acked %d (inflight present: %v)",
-							len(got.ops), len(want), inflight != nil)
+	for _, layout := range memLayouts {
+		// Dry run to count crash points. SetCrash(0) resets the op
+		// counter so it spans exactly the workload, as in the armed runs
+		// below.
+		probe := layout.newFS()
+		s := mustOpen(t, probe, "d", Options{})
+		probe.SetCrash(0, CrashDrop)
+		if _, crashed := workload(s, &replayState{}, layout); crashed {
+			t.Fatal("dry run crashed")
+		}
+		totalOps := probe.Ops()
+		s.Close()
+		if totalOps < 20 {
+			t.Fatalf("workload too small for a meaningful matrix: %d ops", totalOps)
+		}
+		stride := 1
+		if testing.Short() {
+			stride = 5
+		}
+		for _, mode := range []CrashMode{CrashDrop, CrashKeep, CrashTorn} {
+			for at := 1; at <= totalOps; at += stride {
+				t.Run(fmt.Sprintf("%s%s/op%02d", layout.name, mode, at), func(t *testing.T) {
+					fsys := layout.newFS()
+					st := mustOpen(t, fsys, "d", Options{})
+					fsys.SetCrash(at, mode)
+					var ref replayState
+					inflight, crashed := workload(st, &ref, layout)
+					if !crashed {
+						t.Fatalf("crash point %d never fired", at)
 					}
-				}
-				// The recovered store must keep working: journal one
-				// more op and recover again.
-				if err := st2.Journal(9, []byte("post-crash")); err != nil {
-					t.Fatalf("Journal after recovery: %v", err)
-				}
-				st2.Close()
-				st3 := mustOpen(t, fsys, "d", Options{})
-				var again replayState
-				if out, err := st3.Recover(again.restore, again.apply); err != nil || out != OutcomeRecovered {
-					t.Fatalf("second recovery = %v, %v", out, err)
-				}
-				if len(again.ops) != len(got.ops)+1 {
-					t.Fatalf("second recovery: %d ops, want %d", len(again.ops), len(got.ops)+1)
-				}
-			})
+					st.Abort()
+					fsys.Restart()
+
+					st2, err := Open(fsys, "d", Options{})
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					var got replayState
+					out, err := st2.Recover(got.restore, got.apply)
+					if out == OutcomeCorrupt {
+						t.Fatalf("crash (not corruption) produced corrupt verdict: %v", err)
+					}
+					if err != nil {
+						t.Fatalf("Recover: %v", err)
+					}
+					want := ref.ops
+					if !sameOps(got.ops, want) {
+						if inflight == nil || !sameOps(got.ops, append(append([]Entry(nil), want...), *inflight)) {
+							t.Fatalf("state after crash replay: got %d ops, acked %d (inflight present: %v)",
+								len(got.ops), len(want), inflight != nil)
+						}
+					}
+					// The recovered store must keep working: journal one
+					// more op and recover again.
+					if err := st2.Journal(9, []byte("post-crash")); err != nil {
+						t.Fatalf("Journal after recovery: %v", err)
+					}
+					st2.Close()
+					st3 := mustOpen(t, fsys, "d", Options{})
+					var again replayState
+					if out, err := st3.Recover(again.restore, again.apply); err != nil || out != OutcomeRecovered {
+						t.Fatalf("second recovery = %v, %v", out, err)
+					}
+					if len(again.ops) != len(got.ops)+1 {
+						t.Fatalf("second recovery: %d ops, want %d", len(again.ops), len(got.ops)+1)
+					}
+				})
+			}
 		}
 	}
 }
