@@ -244,7 +244,7 @@ func repl(store *esdds.Store, cluster *esdds.Cluster) {
 			cancel()
 			switch {
 			case err == nil:
-				fmt.Printf("cluster healthy (%d repairs completed)\n", heal.Repairs())
+				fmt.Printf("cluster healthy (%d repairs completed)\n", cluster.ClusterHealth().Repairs)
 			default:
 				fmt.Println("error:", err)
 			}

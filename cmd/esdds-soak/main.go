@@ -585,7 +585,7 @@ func startChaos(ctx context.Context, cluster *esdds.Cluster, every time.Duration
 				return
 			case <-tick.C:
 			}
-			repaired := heal.Repairs()
+			repaired := cluster.ClusterHealth().Repairs
 			if err := cluster.KillNode(victim); err != nil {
 				fmt.Fprintf(stdout, "chaos: killing node %d: %v\n", victim, err)
 				continue
@@ -598,7 +598,7 @@ func startChaos(ctx context.Context, cluster *esdds.Cluster, every time.Duration
 			// repair count to move: this kill's repair, not a stale verdict.
 			hctx, cancel := context.WithTimeout(ctx, time.Minute)
 			var err error
-			for err == nil && heal.Repairs() == repaired {
+			for err == nil && cluster.ClusterHealth().Repairs == repaired {
 				select {
 				case <-hctx.Done():
 					err = hctx.Err()
@@ -697,7 +697,7 @@ func clusterCounters(ctx context.Context, cluster *esdds.Cluster, store *esdds.S
 		IAMs:          st.IAMs,
 	}
 	if sh := cluster.SelfHealing(); sh != nil {
-		c.Repairs = sh.Repairs()
+		c.Repairs = cluster.ClusterHealth().Repairs
 		for _, r := range sh.Journal() {
 			if r.Phase == sdds.RepairAlarm {
 				c.Alarms++

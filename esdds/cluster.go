@@ -119,7 +119,16 @@ func (cfg *clusterConfig) stack(base transport.Transport, c *Cluster) transport.
 		tr = c.faulty
 	}
 	if cfg.selfHeal != nil {
-		c.det = newDetector(tr, c.place.Nodes(), *cfg.selfHeal, cfg.clk)
+		// The detector probes tr, the transport below its own Watch;
+		// every client send doubles as a health observation, so a
+		// failure surfaces faster than the probe period.
+		sh := cfg.selfHeal
+		c.det = transport.NewDetector(tr, c.place.Nodes(), transport.DetectorPolicy{
+			ProbeOp:       sdds.PingOp,
+			ProbeInterval: sh.ProbeInterval,
+			ProbeTimeout:  sh.ProbeTimeout,
+			DownAfter:     sh.DownAfter,
+		})
 		c.det.Instrument(c.met)
 		tr = c.det.Watch(tr)
 	}
@@ -416,10 +425,9 @@ func (c *Cluster) NodeRecovery(id int) (NodeRecovery, bool) {
 	return rec, ok
 }
 
-// Nodes returns the cluster's node count.
-func (c *Cluster) Nodes() int {
-	return len(c.inner.Transport().Nodes())
-}
+// Nodes returns the cluster's node count: the placement's membership,
+// which a killed node stays in.
+func (c *Cluster) Nodes() int { return len(c.place.Nodes()) }
 
 // Faults returns the fault injector, or nil unless the cluster was
 // built with WithFaultInjection. Use it to schedule drops, delays,

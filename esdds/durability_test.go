@@ -302,7 +302,7 @@ func TestSelfHealingAlarmsOnCorruptJournal(t *testing.T) {
 	if err := heal.AwaitHealthy(ctx); !errors.Is(err, sdds.ErrNodeStateLost) {
 		t.Fatalf("AwaitHealthy with a corrupt journal = %v, want ErrNodeStateLost", err)
 	}
-	if a := heal.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) || !strings.Contains(a, "corrupt") {
+	if a := c.ClusterHealth().Alarm; !strings.Contains(a, fmt.Sprintf("node %d", victim)) || !strings.Contains(a, "corrupt") {
 		t.Fatalf("Alarm = %q, want it to name node %d and the corruption", a, victim)
 	}
 	if err := c.ReviveNode(victim); !errors.Is(err, wal.ErrCorrupt) {

@@ -267,6 +267,21 @@ func TestStatsAndGrowth(t *testing.T) {
 	}
 }
 
+// TestNodesKeepsKilledNode: the node count is the placement's
+// membership, not the set of handlers answering right now — a killed
+// node is still a member the detector probes and the supervisor
+// revives.
+func TestNodesKeepsKilledNode(t *testing.T) {
+	cluster := NewMemoryCluster(3)
+	defer cluster.Close()
+	if err := cluster.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if n := cluster.Nodes(); n != 3 {
+		t.Fatalf("Nodes after KillNode(1) = %d, want 3", n)
+	}
+}
+
 func TestTCPClusterEndToEnd(t *testing.T) {
 	cluster, err := StartLocalTCPCluster(3)
 	if err != nil {

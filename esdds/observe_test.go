@@ -233,7 +233,7 @@ func TestObservabilitySelfHealingMetricInvariants(t *testing.T) {
 	}
 	// Step until the repair has completed and the cluster reports
 	// healthy again.
-	hc.until(t, "repair", func() bool { return cluster.SelfHealing().Repairs() >= 1 && converged(cluster) })
+	hc.until(t, "repair", func() bool { return cluster.ClusterHealth().Repairs >= 1 && converged(cluster) })
 	if err := cluster.SelfHealing().AwaitHealthy(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -40,11 +40,8 @@ func TestSelfHealingAccessors(t *testing.T) {
 	if heal == nil {
 		t.Fatal("SelfHealing() nil with WithSelfHealing")
 	}
-	if down := heal.Down(); len(down) != 0 {
-		t.Fatalf("Down = %v on a healthy cluster", down)
-	}
-	if a := heal.Alarm(); a != "" {
-		t.Fatalf("Alarm = %q on a healthy cluster", a)
+	if h := cluster.ClusterHealth(); len(h.Down) != 0 || h.Alarm != "" {
+		t.Fatalf("ClusterHealth = %+v on a healthy cluster", h)
 	}
 
 	plain := NewMemoryCluster(1)

@@ -11,20 +11,20 @@ import (
 )
 
 // SelfHealingConfig tunes the availability loop enabled by
-// WithSelfHealing: a failure detector probing every node and a repair
-// supervisor that revives failed nodes from their own journals.
+// WithSelfHealing: one supervisor loop whose every pass probes each
+// node's health and then revives failed nodes from their own journals.
 //
-// Only the failure detector is tunable (zero values take the transport
+// Only the probing is tunable (zero values take the transport
 // defaults); the supervisor's debounce, backoff and journal bound are
 // fixed (DESIGN.md §9).
 type SelfHealingConfig struct {
-	ProbeInterval time.Duration // active health-probe period (default 50ms)
+	ProbeInterval time.Duration // period of the loop: one probe round and one repair pass (default 50ms)
 	ProbeTimeout  time.Duration // per-probe deadline (default 1s)
 	DownAfter     int           // consecutive failures before "down" (default 2)
 }
 
-// WithSelfHealing turns the cluster into a self-healing one: a detector
-// probes node health, and a supervisor revives confirmed-dead nodes,
+// WithSelfHealing turns the cluster into a self-healing one: a
+// supervisor loop probes node health and revives confirmed-dead nodes,
 // each replaying its own journal. A node that comes back without its
 // state (a journal that fails verification, a lost data dir, no durable
 // store) raises a sticky alarm and stays down; nothing else holds a copy
@@ -33,8 +33,9 @@ type SelfHealingConfig struct {
 //
 // A cluster that hosts its own nodes needs WithDataDir as well (the
 // constructors reject self-healing without it); a dialed cluster relies
-// on each daemon's -data-dir. Inspect progress with ClusterHealth,
-// SelfHealing().Journal, and SelfHealing().Alarm.
+// on each daemon's -data-dir. Inspect progress with ClusterHealth (the
+// alarm, down and lost nodes, repair count) and SelfHealing().Journal;
+// wait for convergence with SelfHealing().AwaitHealthy.
 func WithSelfHealing(cfg SelfHealingConfig) ClusterOption {
 	return func(c *clusterConfig) { c.selfHeal = &cfg }
 }
@@ -42,23 +43,9 @@ func WithSelfHealing(cfg SelfHealingConfig) ClusterOption {
 // RepairRecord is one entry of the supervisor's repair journal.
 type RepairRecord = sdds.RepairRecord
 
-// newDetector builds the self-healing failure detector over probeTr,
-// the transport below its own Watch. The cluster's transport stack
-// wraps its traffic with det.Watch, so every client send doubles as a
-// health observation and a failure surfaces faster than the probe
-// period.
-func newDetector(probeTr transport.Transport, members []transport.NodeID, sh SelfHealingConfig, clk clock.Clock) *transport.Detector {
-	return transport.NewDetector(probeTr, members, transport.DetectorPolicy{
-		ProbeOp:       sdds.PingOp,
-		ProbeInterval: sh.ProbeInterval,
-		ProbeTimeout:  sh.ProbeTimeout,
-		DownAfter:     sh.DownAfter,
-	}, clk)
-}
-
 // enableSelfHealing wires the supervisor over an already-built cluster
-// and its detector (built with the transport stack), starts both on
-// clk, and registers their shutdown ahead of the transport teardown.
+// and its detector (built with the transport stack), starts its loop
+// on clk, and registers its shutdown ahead of the transport teardown.
 //
 // A node failure mid-split/merge leaves the migration journalled
 // in-flight with its buckets frozen; finishing each repair, the
@@ -77,20 +64,19 @@ func (c *Cluster) enableSelfHealing(clk clock.Clock) error {
 	}
 	sup := sdds.NewSupervisor(det, revive, c.inner.Coordinator(), clk)
 	sup.Instrument(c.met)
-	det.Start()
 	sup.Start()
 	c.sup = sup
-	// Stop the loops before the transports they probe are closed.
+	// Stop the loop before the transports it probes are closed.
 	c.close = append([]func() error{func() error {
 		sup.Stop()
-		det.Stop()
 		return nil
 	}}, c.close...)
 	return nil
 }
 
 // SelfHealing is the handle to a self-healing cluster's availability
-// loop.
+// loop: what a ClusterHealth snapshot cannot do — wait for convergence
+// and read the ordered repair journal.
 type SelfHealing struct{ c *Cluster }
 
 // SelfHealing returns the availability-loop handle, or nil unless the
@@ -103,30 +89,12 @@ func (c *Cluster) SelfHealing() *SelfHealing {
 }
 
 // AwaitHealthy blocks until every node is up and no repair is pending,
-// or the context ends. An active alarm (a node whose state is lost)
-// fails immediately with sdds.ErrNodeStateLost. Detection is
-// asynchronous: called in the instant between a failure and its first
-// failed probe or send, AwaitHealthy can truthfully report healthy.
+// or the context ends, re-checking at the end of each loop pass. An
+// active alarm (a node whose state is lost) fails immediately with
+// sdds.ErrNodeStateLost. Detection is asynchronous: called in the
+// instant between a failure and its first failed probe or send,
+// AwaitHealthy can truthfully report healthy.
 func (h *SelfHealing) AwaitHealthy(ctx context.Context) error { return h.c.sup.AwaitHealthy(ctx) }
-
-// Alarm returns the active alarm message naming every node whose state
-// is lost, or "" when there is none. An alarmed node is not revived
-// again; the alarm clears only when the node itself later comes back
-// with a replay of its own journal.
-func (h *SelfHealing) Alarm() string { return h.c.sup.Alarm() }
-
-// Down lists nodes currently confirmed down, ascending.
-func (h *SelfHealing) Down() []int {
-	ids := h.c.sup.Down()
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}
-
-// Repairs returns the number of node repairs completed so far.
-func (h *SelfHealing) Repairs() uint64 { return h.c.sup.Repairs() }
 
 // Journal returns the ordered repair journal: every detection, flap,
 // repair attempt, completion, and alarm.
@@ -158,8 +126,8 @@ type NodeHealth struct {
 type ClusterHealth struct {
 	Nodes       []NodeHealth
 	SelfHealing bool
-	Alarm       string // "" when nominal
-	Down        []int  // confirmed-down nodes under repair
+	Alarm       string // names each node whose state is lost, "" when nominal; sticky until the node replays its own journal
+	Down        []int  // confirmed-down nodes under repair, ascending
 	Lost        []int  // down nodes whose state is lost (the alarm's subjects)
 	Repairs     uint64 // completed repairs
 

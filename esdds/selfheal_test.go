@@ -32,14 +32,11 @@ func withClock(clk clock.Clock) ClusterOption {
 	return func(c *clusterConfig) { c.clk = clk }
 }
 
-// healLoops is how many Afters a self-healing cluster keeps pending
-// while idle: the detector's probe loop and the supervisor's poll loop.
-const healLoops = 2
-
 // healClock is the fake clock of a self-healing cluster, stepped one
-// loop wake-up at a time: firing one After and waiting until both loops
-// are pending again runs each probe round or supervision pass to its
-// end before the next begins, in the same order on every run.
+// loop wake-up at a time: firing the supervisor's one pending After and
+// waiting until it is armed again runs each pass — a probe round, then
+// reconciliation — to its end before the next begins, in the same order
+// on every run.
 type healClock struct{ *clock.FakeClock }
 
 func newHealClock() healClock {
@@ -53,7 +50,7 @@ func (hc healClock) selfHealing() []ClusterOption {
 
 func (hc healClock) step() {
 	hc.Step()
-	hc.BlockUntil(healLoops)
+	hc.BlockUntil(1)
 }
 
 // until steps the clock until done holds, failing the test after ten
@@ -211,7 +208,7 @@ func killReviveScenario(t *testing.T) []RepairRecord {
 		t.Fatalf("AwaitHealthy once converged: %v", err)
 	}
 	// Converged: repairs journaled, records intact, strict search exact.
-	if n := heal.Repairs(); n != 2 {
+	if n := cluster.ClusterHealth().Repairs; n != 2 {
 		t.Errorf("Repairs = %d, want 2", n)
 	}
 	completed := map[int]bool{}
@@ -293,13 +290,13 @@ func TestSelfHealingAlarmsOnLostDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	hc.awaitPhase(t, heal, victim, sdds.RepairAlarm)
-	if a := heal.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
+	if a := cluster.ClusterHealth().Alarm; !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
 		t.Fatalf("Alarm = %q, want it to name node %d", a, victim)
 	}
 	if err := heal.AwaitHealthy(ctx); !errors.Is(err, sdds.ErrNodeStateLost) {
 		t.Fatalf("AwaitHealthy = %v, want ErrNodeStateLost", err)
 	}
-	if n := heal.Repairs(); n != 0 {
+	if n := cluster.ClusterHealth().Repairs; n != 0 {
 		t.Fatalf("Repairs = %d for a node whose state is lost", n)
 	}
 	// The node is not revived again: one attempt, one alarm, ever —
@@ -353,7 +350,7 @@ func TestSelfHealingWorksWithoutRetryLayer(t *testing.T) {
 	cluster.KillNode(2)
 	// Active probes alone must detect and repair: step to the completed
 	// repair, then to full convergence.
-	hc.until(t, "probe-only repair", func() bool { return heal.Repairs() > 0 })
+	hc.until(t, "probe-only repair", func() bool { return cluster.ClusterHealth().Repairs > 0 })
 	if got := cluster.ClusterHealth().Nodes[2].PassiveSignals; got != passive {
 		t.Fatalf("node 2 took %d passive signals with no client traffic", got-passive)
 	}

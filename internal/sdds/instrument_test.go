@@ -193,11 +193,11 @@ func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
 	loadRecords(t, sc.cluster, 60)
 
 	sc.kill(1, 3)
-	sc.step(ctx) // detect both down
+	sc.sup.Reconcile(ctx) // detect both down
 	clk.Advance(debounce)
-	sc.step(ctx) // debounce ripe: revive and replay
+	sc.sup.Reconcile(ctx) // debounce ripe: revive and replay
 	clk.Advance(debounce)
-	sc.step(ctx) // observe recovery
+	sc.sup.Reconcile(ctx) // observe recovery
 
 	if down := sc.sup.Down(); len(down) != 0 {
 		t.Fatalf("nodes still down after repair: %v", down)

@@ -67,8 +67,7 @@ func (h *hookTr) Send(ctx context.Context, node transport.NodeID, op uint8, payl
 	return resp, nil
 }
 
-func (h *hookTr) Nodes() []transport.NodeID { return h.inner.Nodes() }
-func (h *hookTr) Close() error              { return h.inner.Close() }
+func (h *hookTr) Close() error { return h.inner.Close() }
 
 // split runs one split of the file, if it is overloaded.
 func (c *Coordinator) split(ctx context.Context, id FileID) error {

@@ -94,43 +94,44 @@ func TestBatchedInsertWallClockRegression(t *testing.T) {
 		recSets[i] = recs
 	}
 
-	// One timed pass per strategy over a fresh cluster, warmed once to
-	// keep one-time setup (lazy bucket creation, first splits, pool
-	// dials) out of the comparison. Best-of-3 to damp scheduler noise.
+	// One timed pass over a fresh cluster, warmed once to keep one-time
+	// setup (lazy bucket creation, first splits, pool dials) out of the
+	// comparison.
 	measure := func(batched bool) (time.Duration, int64) {
-		var best time.Duration
-		var rpcs int64
-		for trial := 0; trial < 3; trial++ {
-			c, ct, cleanup := insertTCPBenchCluster(t, 4)
-			insert := func() {
-				for _, recs := range recSets {
-					var err error
-					if batched {
-						err = c.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits)
-					} else {
-						err = insertIndexedSequential(ctx, c, FileIndex, recs, pl.K(), slotBits)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
+		c, ct, cleanup := insertTCPBenchCluster(t, 4)
+		defer cleanup()
+		insert := func() {
+			for _, recs := range recSets {
+				var err error
+				if batched {
+					err = c.InsertIndexed(ctx, FileIndex, recs, pl.K(), slotBits)
+				} else {
+					err = insertIndexedSequential(ctx, c, FileIndex, recs, pl.K(), slotBits)
+				}
+				if err != nil {
+					t.Fatal(err)
 				}
 			}
-			insert() // warm-up pass
-			ct.sends.Store(0)
-			start := time.Now()
-			insert()
-			elapsed := time.Since(start)
-			if trial == 0 || elapsed < best {
-				best = elapsed
-				rpcs = ct.sends.Load()
-			}
-			cleanup()
 		}
-		return best, rpcs
+		insert() // warm-up pass
+		ct.sends.Store(0)
+		start := time.Now()
+		insert()
+		return time.Since(start), ct.sends.Load()
 	}
 
-	seqTime, seqRPCs := measure(false)
-	batTime, batRPCs := measure(true)
+	// Best-of-3 per strategy to damp scheduler noise, the strategies
+	// alternating trial by trial so a change in host load lands on both.
+	var seqTime, batTime time.Duration
+	var seqRPCs, batRPCs int64
+	for trial := 0; trial < 3; trial++ {
+		if d, rpcs := measure(false); trial == 0 || d < seqTime {
+			seqTime, seqRPCs = d, rpcs
+		}
+		if d, rpcs := measure(true); trial == 0 || d < batTime {
+			batTime, batRPCs = d, rpcs
+		}
+	}
 
 	if batRPCs >= seqRPCs {
 		t.Fatalf("batching no longer saves RPCs: batched %d >= sequential %d",

@@ -28,9 +28,6 @@ const (
 	// begins. A flap shorter than this (a lifted partition, a restarted
 	// process) exits cleanly without a revive.
 	debounce = 100 * time.Millisecond
-	// pollInterval is the reconciliation period: how often the
-	// supervisor folds the detector's verdicts in and fires due repairs.
-	pollInterval = 50 * time.Millisecond
 	// repairBackoff is the pause between repair attempts against a node
 	// whose revive keeps failing (e.g. it is not reachable yet).
 	repairBackoff = 250 * time.Millisecond
@@ -112,16 +109,17 @@ type downNode struct {
 	lastAttempt time.Time
 }
 
-// Supervisor closes the availability loop: it polls a Detector for
-// confirmed node failures, debounces flaps, revives dead nodes from
-// their own journals, and journals every step. A revived node counts as
-// repaired only when it reports a replay of its local journal; a node
-// whose state is lost raises a sticky alarm and stays down. A node under
-// repair is simply a failed node to searches (they return an
-// IncompleteError naming it).
+// Supervisor closes the availability loop: each pass runs one Detector
+// probe round, then folds the verdicts in — debouncing flaps, reviving
+// confirmed-dead nodes from their own journals, and journaling every
+// step. A revived node counts as repaired only when it reports a replay
+// of its local journal; a node whose state is lost raises a sticky
+// alarm and stays down. A node under repair is simply a failed node to
+// searches (they return an IncompleteError naming it).
 //
-// Concurrency: all repair work runs on the supervisor's single loop
-// goroutine; state reads (Down, Journal, Alarm) take the mutex.
+// Concurrency: all probing and repair work runs on the supervisor's
+// single loop goroutine, the only timer of self-healing; state reads
+// (Down, Journal, Alarm) take the mutex.
 type Supervisor struct {
 	det    *transport.Detector
 	revive Reviver
@@ -134,7 +132,8 @@ type Supervisor struct {
 	journal        []RepairRecord
 	journalDropped uint64 // oldest records shed by the ring bound
 	seq            uint64
-	repairs        uint64 // completed repairs (monotonic)
+	repairs        uint64        // completed repairs (monotonic)
+	passed         chan struct{} // closed and replaced as each pass ends: wakes AwaitHealthy
 
 	started bool
 	stop    chan struct{}
@@ -154,12 +153,14 @@ func NewSupervisor(det *transport.Detector, revive Reviver, coord *Coordinator, 
 		clk:    clk,
 		down:   make(map[transport.NodeID]*downNode),
 		lost:   make(map[transport.NodeID]string),
+		passed: make(chan struct{}),
 	}
 }
 
-// Start launches the supervision loop: one Reconcile every pollInterval
-// of the clock. The first wake-up is armed before Start returns, and
-// each next one only after the pass it follows has finished.
+// Start launches the supervision loop: one Reconcile every
+// ProbeInterval of the clock. The first wake-up is armed before Start
+// returns, and each next one only after the pass it follows has
+// finished, so the loop keeps exactly one wake-up pending.
 func (s *Supervisor) Start() {
 	s.mu.Lock()
 	if s.started {
@@ -171,7 +172,7 @@ func (s *Supervisor) Start() {
 	s.done = make(chan struct{})
 	stop, done := s.stop, s.done
 	s.mu.Unlock()
-	go s.loop(stop, done, s.clk.After(pollInterval))
+	go s.loop(stop, done, s.clk.After(s.det.Policy().ProbeInterval))
 }
 
 // Stop halts the supervision loop (any in-flight repair pass finishes
@@ -197,16 +198,19 @@ func (s *Supervisor) loop(stop, done chan struct{}, tick <-chan time.Time) {
 			return
 		case <-tick:
 			s.Reconcile(context.Background())
-			tick = s.clk.After(pollInterval)
+			tick = s.clk.After(s.det.Policy().ProbeInterval)
 		}
 	}
 }
 
-// Reconcile runs one supervision pass: fold the detector's current
-// verdicts into the down-set, absorb flaps, and fire any due repairs.
-// The loop calls it every pollInterval; tests may call it directly
-// for deterministic stepping.
+// Reconcile runs one supervision pass: a detector probe round, then
+// fold the verdicts into the down-set, absorb flaps, and fire any due
+// repairs; AwaitHealthy re-checks once the pass ends. The loop calls it
+// once every ProbeInterval; tests call it directly to step the system
+// one deterministic pass at a time.
 func (s *Supervisor) Reconcile(ctx context.Context) {
+	defer s.endPass()
+	s.det.ProbeOnce(ctx)
 	now := s.clk.Now()
 	states := s.det.Snapshot()
 
@@ -289,7 +293,7 @@ func (s *Supervisor) repair(ctx context.Context, n transport.NodeID, up bool) {
 	case err != nil:
 		s.journalOne(n, RepairFailed, fmt.Sprintf("recovery state: %v", err))
 	case st.mode == recoveryRecovered:
-		s.finishRepair(n, fmt.Sprintf("replayed local journal to seq %d", st.seq))
+		s.finishRepair(ctx, n, fmt.Sprintf("replayed local journal to seq %d", st.seq))
 	case st.mode == recoveryFresh:
 		s.raiseAlarm(n, "store came back fresh: its data dir was lost")
 	default:
@@ -312,18 +316,16 @@ func (s *Supervisor) raiseAlarm(n transport.NodeID, why string) {
 // finishRepair closes out a repaired node: journal, drop it from the
 // down-set (and any alarm), and let the detector see it alive
 // immediately.
-func (s *Supervisor) finishRepair(n transport.NodeID, detail string) {
+func (s *Supervisor) finishRepair(ctx context.Context, n transport.NodeID, detail string) {
 	s.mu.Lock()
 	delete(s.down, n)
 	delete(s.lost, n)
 	s.repairs++
 	s.journalLocked(n, RepairLocalRecovery, detail)
 	s.mu.Unlock()
-	// Refresh the verdicts so the repaired node reads up without waiting
-	// out a probe interval: resumeMigrations and AwaitHealthy need allUp.
-	pctx, cancel := context.WithTimeout(context.Background(), s.det.Policy().ProbeTimeout)
-	defer cancel()
-	s.det.ProbeOnce(pctx)
+	// Refresh the verdicts so the repaired node reads up within this
+	// pass, not the next: resumeMigrations and AwaitHealthy need allUp.
+	s.det.ProbeOnce(ctx)
 	s.resumeMigrations()
 }
 
@@ -352,11 +354,23 @@ func (s *Supervisor) allUp() bool {
 	return true
 }
 
+// endPass wakes every AwaitHealthy caller to re-check.
+func (s *Supervisor) endPass() {
+	s.mu.Lock()
+	close(s.passed)
+	s.passed = make(chan struct{})
+	s.mu.Unlock()
+}
+
 // Alarm returns the active alarm message naming every node whose state
 // is lost ("" when nominal).
 func (s *Supervisor) Alarm() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.alarmLocked()
+}
+
+func (s *Supervisor) alarmLocked() string {
 	var parts []string
 	for _, n := range sortedNodesLocked(s.lost) {
 		parts = append(parts, fmt.Sprintf("node %d: %s", n, s.lost[n]))
@@ -407,14 +421,14 @@ func (s *Supervisor) JournalStats() (length int, dropped uint64) {
 // AwaitHealthy blocks until every node is up with no tracked failures
 // and no alarm, or the context ends. An active alarm fails fast with
 // ErrNodeStateLost — the cluster cannot heal a node whose state is gone.
+// It re-checks at the end of each pass and arms no timer of its own.
 // Detection is asynchronous: called in the instant between a failure
 // and its first failed probe/send, AwaitHealthy can truthfully report
 // the cluster healthy.
 func (s *Supervisor) AwaitHealthy(ctx context.Context) error {
 	for {
-		alarm := s.Alarm()
 		s.mu.Lock()
-		downN := len(s.down)
+		passed, alarm, downN := s.passed, s.alarmLocked(), len(s.down)
 		s.mu.Unlock()
 		if alarm != "" {
 			return fmt.Errorf("%w: %s", ErrNodeStateLost, alarm)
@@ -425,7 +439,7 @@ func (s *Supervisor) AwaitHealthy(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-s.clk.After(pollInterval):
+		case <-passed:
 		}
 	}
 }

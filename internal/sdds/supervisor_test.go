@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,8 +22,9 @@ import (
 
 // supervisedCluster wires the full availability loop over a memory
 // cluster of durable nodes, each journaling into its own directory of
-// one MemFS: detector (manual probing for deterministic stepping) and a
-// supervisor whose reviver reopens a node's store and replays it.
+// one MemFS: a detector, and a supervisor whose reviver reopens a
+// node's store and replays it. Its loop is not started: tests step it
+// one pass at a time.
 type supervisedCluster struct {
 	cluster *Cluster
 	mem     *transport.Memory
@@ -65,10 +67,8 @@ func newSupervisedCluster(t *testing.T, n int) *supervisedCluster {
 		ProbeOp:      PingOp,
 		ProbeTimeout: 200 * time.Millisecond,
 		DownAfter:    1,
-	}, sc.clk)
+	})
 	revive := func(_ context.Context, id transport.NodeID) error { return sc.start(id) }
-	// Neither loop is started: tests step the detector and the
-	// supervisor by hand and advance the clock, never sleep.
 	sc.sup = NewSupervisor(sc.det, revive, nil, sc.clk)
 	return sc
 }
@@ -109,18 +109,12 @@ func (sc *supervisedCluster) kill(ids ...transport.NodeID) {
 	}
 }
 
-// step runs one probe round plus one supervision pass.
-func (sc *supervisedCluster) step(ctx context.Context) {
-	sc.det.ProbeOnce(ctx)
-	sc.sup.Reconcile(ctx)
-}
-
 // repairPass steps past the debounce (and any backoff) so every tracked
 // node gets one repair attempt.
 func (sc *supervisedCluster) repairPass(ctx context.Context) {
-	sc.step(ctx)
+	sc.sup.Reconcile(ctx)
 	sc.clk.Advance(max(debounce, repairBackoff))
-	sc.step(ctx)
+	sc.sup.Reconcile(ctx)
 }
 
 func phases(j []RepairRecord, node transport.NodeID) []RepairPhase {
@@ -169,12 +163,12 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 	want := loadRecords(t, sc.cluster, 60)
 
 	sc.kill(1, 3)
-	sc.step(ctx) // detect both down
+	sc.sup.Reconcile(ctx) // detect both down
 	if got := sc.sup.Down(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("Down = %v, want [1 3]", got)
 	}
 	sc.clk.Advance(debounce) // let the debounce elapse
-	sc.step(ctx)             // revive: each node replays its own journal
+	sc.sup.Reconcile(ctx)    // revive: each node replays its own journal
 
 	if got := sc.sup.Down(); len(got) != 0 {
 		t.Fatalf("Down after repair = %v", got)
@@ -188,7 +182,7 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 		if len(got) < 2 || got[0] != RepairDetected || got[len(got)-1] != RepairLocalRecovery {
 			t.Fatalf("node %d journal phases = %v", node, got)
 		}
-		if st := sc.det.State(node); st != transport.NodeUp {
+		if st := sc.det.Snapshot()[node].State; st != transport.NodeUp {
 			t.Fatalf("node %d post-repair state = %v", node, st)
 		}
 	}
@@ -342,7 +336,7 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 	loadRecords(t, sc.cluster, 20)
 
 	sc.kill(1)
-	sc.step(ctx)
+	sc.sup.Reconcile(ctx)
 	if got := sc.sup.Down(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Down = %v", got)
 	}
@@ -351,7 +345,7 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 	if err := sc.start(1); err != nil {
 		t.Fatal(err)
 	}
-	sc.step(ctx)
+	sc.sup.Reconcile(ctx)
 	if got := sc.sup.Down(); len(got) != 0 {
 		t.Fatalf("Down after flap = %v", got)
 	}
@@ -361,6 +355,108 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 	}
 	if n := sc.sup.Repairs(); n != 0 {
 		t.Fatalf("Repairs = %d for a flap", n)
+	}
+}
+
+// countingClock counts the wake-ups armed on a fake clock. With Step
+// the only way time moves, armed minus steps taken is the number of
+// wake-ups pending.
+type countingClock struct {
+	*clock.FakeClock
+	armed atomic.Int64
+}
+
+func (c *countingClock) After(d time.Duration) <-chan time.Time {
+	c.armed.Add(1)
+	return c.FakeClock.After(d)
+}
+
+// TestSupervisorLoopIsTheOneTimer: self-healing runs on one timer. The
+// supervisor's started loop keeps exactly one wake-up pending, also
+// while AwaitHealthy waits on an unhealthy cluster; each wake-up moves
+// the clock by exactly ProbeInterval and runs one probe round and then
+// one reconciliation, so a killed node is journaled detected on wake-up
+// DownAfter, the one whose probe confirms it down; and AwaitHealthy
+// returns at the end of the pass that sees the cluster whole again.
+func TestSupervisorLoopIsTheOneTimer(t *testing.T) {
+	const (
+		downAfter = 3
+		interval  = time.Second
+	)
+	sc := newSupervisedCluster(t, 3)
+	clk := &countingClock{FakeClock: sc.clk}
+	det := transport.NewDetector(sc.mem, sc.place.Nodes(), transport.DetectorPolicy{
+		ProbeOp:       PingOp,
+		ProbeInterval: interval,
+		ProbeTimeout:  200 * time.Millisecond,
+		DownAfter:     downAfter,
+	})
+	sup := NewSupervisor(det, nil, nil, clk)
+	sup.Start()
+	defer sup.Stop()
+
+	start := clk.Now()
+	var wakes int64
+	onePending := func() {
+		t.Helper()
+		if pending := clk.armed.Load() - wakes; pending != 1 {
+			t.Fatalf("after wake-up %d: %d wake-ups pending, want 1", wakes, pending)
+		}
+	}
+	wake := func() {
+		t.Helper()
+		onePending()
+		clk.Step()
+		wakes++
+		clk.BlockUntil(1) // the pass has ended and the next wake-up is armed
+		onePending()
+		if got, want := clk.Now(), start.Add(time.Duration(wakes)*interval); !got.Equal(want) {
+			t.Fatalf("wake-up %d at %v, want %v: one wake-up per ProbeInterval", wakes, got, want)
+		}
+		for _, nh := range det.Snapshot() {
+			if nh.ActiveProbes != uint64(wakes) {
+				t.Fatalf("wake-up %d: node %d took %d probes, want one round per wake-up", wakes, nh.Node, nh.ActiveProbes)
+			}
+		}
+	}
+	wake()
+
+	sc.kill(1)
+	wake() // the first failed probe: suspect, so the cluster is unhealthy
+	healthy := make(chan error, 1)
+	go func() { healthy <- sup.AwaitHealthy(context.Background()) }()
+	for w := 2; w <= downAfter; w++ {
+		if got := phases(sup.Journal(), 1); len(got) != 0 {
+			t.Fatalf("failed probe %d of %d: journal %v, want nothing yet", w-1, downAfter, got)
+		}
+		wake()
+	}
+	j := sup.Journal()
+	if len(j) != 1 || j[0].Node != 1 || j[0].Phase != RepairDetected || !j[0].At.Equal(clk.Now()) {
+		t.Fatalf("journal after %d failed probes = %+v, want node 1 detected at %v", downAfter, j, clk.Now())
+	}
+	select {
+	case err := <-healthy:
+		t.Fatalf("AwaitHealthy = %v with node 1 down", err)
+	default:
+	}
+
+	// The node restarts out of band before the debounce: the next pass
+	// probes it up, absorbs the flap, and wakes AwaitHealthy.
+	if err := sc.start(1); err != nil {
+		t.Fatal(err)
+	}
+	wake()
+	select {
+	case err := <-healthy:
+		if err != nil {
+			t.Fatalf("AwaitHealthy after the restart: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("AwaitHealthy did not return at the end of the pass that saw the cluster whole")
+	}
+	if got := phases(sup.Journal(), 1); !slices.Equal(got, []RepairPhase{RepairDetected, RepairFlap}) {
+		t.Fatalf("journal phases = %v, want [detected flap]", got)
 	}
 }
 
@@ -416,7 +512,7 @@ func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
 	ctx := context.Background()
 	indexRecord(t, sc.cluster, pl, 100, []byte("RECORD 0100 HAS GRIDLOCK INSIDE"))
 	sc.kill(victim)
-	sc.step(ctx)
+	sc.sup.Reconcile(ctx)
 	if got := sc.sup.Down(); len(got) != 1 || got[0] != victim {
 		t.Fatalf("Down = %v, want [%d]", got, victim)
 	}
@@ -436,7 +532,7 @@ func TestSearchReportsDownNodeAfterLateDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.kill(victim)
-	sc.step(ctx)
+	sc.sup.Reconcile(ctx)
 	_, err := sc.cluster.Search(ctx, FileIndex, pl, query, core.VerifyAny)
 	if ie := wantIncomplete(t, err, victim); slices.Contains(ie.RIDs, 4) {
 		t.Fatalf("deleted record 4 came back: %v", ie.RIDs)

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // NodeState is a failure detector's verdict on one node.
@@ -44,7 +42,8 @@ type DetectorPolicy struct {
 	// answers — even with a handler error — is alive; only transport
 	// failures count against it.
 	ProbeOp uint8
-	// ProbeInterval is the background probing period (default 50ms).
+	// ProbeInterval is the period of the supervisor's loop, which runs
+	// one probe round per pass (default 50ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip (default 1s).
 	ProbeTimeout time.Duration
@@ -77,7 +76,7 @@ type NodeHealth struct {
 }
 
 // Detector is a lightweight per-node failure detector: it combines
-// active health probes (a periodic ProbeOp to every member) with
+// active health probes (ProbeOnce sends ProbeOp to every member) with
 // passive signals from live traffic (the Sends of a transport wrapped
 // by Watch) into a three-state verdict per node, which Snapshot reports.
 //
@@ -89,27 +88,22 @@ type Detector struct {
 	tr      Transport
 	policy  DetectorPolicy
 	members []NodeID
-	clk     clock.Clock
 
-	mu      sync.Mutex
-	nodes   map[NodeID]*NodeHealth
-	started bool
-	stop    chan struct{}
-	done    chan struct{}
+	mu    sync.Mutex
+	nodes map[NodeID]*NodeHealth
 
 	met detectorMetrics // set by Instrument before traffic; nil-safe
 }
 
 // NewDetector builds a detector over the transport watching the given
-// membership. Start begins background probing, paced by clk; ProbeOnce
-// and ObserveSend work without it.
-func NewDetector(tr Transport, members []NodeID, policy DetectorPolicy, clk clock.Clock) *Detector {
+// membership. It has no loop of its own: whoever owns the detector
+// calls ProbeOnce on its schedule (sdds.Supervisor, once per pass).
+func NewDetector(tr Transport, members []NodeID, policy DetectorPolicy) *Detector {
 	policy.fillDefaults()
 	d := &Detector{
 		tr:      tr,
 		policy:  policy,
 		members: append([]NodeID(nil), members...),
-		clk:     clk,
 		nodes:   make(map[NodeID]*NodeHealth, len(members)),
 	}
 	for _, n := range members {
@@ -125,51 +119,6 @@ func (d *Detector) Policy() DetectorPolicy { return d.policy }
 // unwatched path a supervisor should use for control-plane queries
 // against nodes it is inspecting.
 func (d *Detector) Transport() Transport { return d.tr }
-
-// Start launches the background probe loop: one probe round every
-// ProbeInterval of the clock (no-op when the detector already runs).
-// The first wake-up is armed before Start returns, and each next one
-// only after the round it follows has finished.
-func (d *Detector) Start() {
-	d.mu.Lock()
-	if d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.stop = make(chan struct{})
-	d.done = make(chan struct{})
-	stop, done := d.stop, d.done
-	d.mu.Unlock()
-	tick := d.clk.After(d.policy.ProbeInterval)
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick:
-				d.ProbeOnce(context.Background())
-				tick = d.clk.After(d.policy.ProbeInterval)
-			}
-		}
-	}()
-}
-
-// Stop halts background probing (passive signals keep flowing if
-// traffic does).
-func (d *Detector) Stop() {
-	d.mu.Lock()
-	if !d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = false
-	stop, done := d.stop, d.done
-	d.mu.Unlock()
-	close(stop)
-	<-done
-}
 
 // ProbeOnce runs one synchronous probe round over all members.
 func (d *Detector) ProbeOnce(ctx context.Context) {
@@ -276,31 +225,6 @@ func (d *Detector) signal(node NodeID, err error, passive bool) {
 	case prev == NodeDown && n.State != NodeDown:
 		d.met.downNodes.Add(-1)
 	}
-}
-
-// State returns the current verdict on one node (NodeUp for unknown
-// nodes: the detector has no evidence against them).
-func (d *Detector) State(node NodeID) NodeState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n, ok := d.nodes[node]; ok {
-		return n.State
-	}
-	return NodeUp
-}
-
-// Down lists the confirmed-down members in ascending order.
-func (d *Detector) Down() []NodeID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []NodeID
-	for _, n := range d.nodes {
-		if n.State == NodeDown {
-			out = append(out, n.Node)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Snapshot returns every member's health, sorted by node ID.

@@ -247,9 +247,5 @@ func (f *Faulty) Send(ctx context.Context, node NodeID, op uint8, payload []byte
 	return resp, err
 }
 
-// Nodes implements Transport. Blacked-out nodes stay listed: membership
-// is directory knowledge, reachability is not.
-func (f *Faulty) Nodes() []NodeID { return f.inner.Nodes() }
-
 // Close implements Transport.
 func (f *Faulty) Close() error { return f.inner.Close() }

@@ -25,9 +25,6 @@ func TestFaultyTransparentByDefault(t *testing.T) {
 	if err != nil || string(resp) != "\x07x" {
 		t.Fatalf("Send = %q, %v", resp, err)
 	}
-	if got := f.Nodes(); len(got) != 2 {
-		t.Errorf("Nodes = %v", got)
-	}
 }
 
 func TestFaultyDeterministicOutcomes(t *testing.T) {
@@ -94,10 +91,6 @@ func TestFaultyBlackoutAndRestore(t *testing.T) {
 	}
 	if _, err := f.Send(context.Background(), 2, 1, nil); !errors.Is(err, ErrNodeDown) {
 		t.Errorf("still-black node err = %v", err)
-	}
-	// Blacked-out nodes stay in the membership view.
-	if got := f.Nodes(); len(got) != 3 {
-		t.Errorf("Nodes = %v", got)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestDetectorMetrics(t *testing.T) {
 		mem.Register(NodeID(i), func(_ context.Context, op uint8, payload []byte) ([]byte, error) { return nil, nil })
 	}
 	faulty := NewFaulty(mem, 1, clock.Real{})
-	det := NewDetector(faulty, []NodeID{0, 1, 2}, DetectorPolicy{DownAfter: 2}, clock.Real{})
+	det := NewDetector(faulty, []NodeID{0, 1, 2}, DetectorPolicy{DownAfter: 2})
 	det.Instrument(reg)
 
 	ctx := context.Background()

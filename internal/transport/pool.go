@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,18 +73,6 @@ func (t *TCP) AddNode(node NodeID, addr string) {
 	t.mu.Lock()
 	t.addrs[node] = addr
 	t.mu.Unlock()
-}
-
-// Nodes implements Transport.
-func (t *TCP) Nodes() []NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]NodeID, 0, len(t.addrs))
-	for id := range t.addrs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // getConn returns the node's live connection with a reservation (its

@@ -30,8 +30,7 @@ func (s *stubTransport) Send(ctx context.Context, node NodeID, op uint8, payload
 	return fn(ctx, c, node, op)
 }
 
-func (s *stubTransport) Nodes() []NodeID { return nil }
-func (s *stubTransport) Close() error    { return nil }
+func (s *stubTransport) Close() error { return nil }
 
 // alwaysExpired answers every send the way a live node past the
 // caller's deadline does.
@@ -111,11 +110,11 @@ func TestDetectorIgnoresBackpressure(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.ObserveSend(0, &ExpiredError{Node: 0})
 	}
-	if st := d.State(0); st != NodeUp {
+	if st := stateOf(d, 0); st != NodeUp {
 		t.Fatalf("node marked %v on expired answers alone, want up", st)
 	}
 	d.ObserveSend(0, errors.New("connection refused"))
-	if st := d.State(0); st != NodeDown {
+	if st := stateOf(d, 0); st != NodeDown {
 		t.Fatalf("real failure no longer detected: state %v", st)
 	}
 }
@@ -135,7 +134,7 @@ func TestRetryDetectorOverloadEndToEnd(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if st := d.State(1); st != NodeUp {
+	if st := stateOf(d, 1); st != NodeUp {
 		t.Fatalf("sustained expiries marked the node %v, want up", st)
 	}
 	if n := d.Snapshot()[0].PassiveSignals; n != 50 {

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -36,8 +35,6 @@ type Transport interface {
 	// Send delivers (op, payload) to the node and returns its response.
 	// Remote handler errors come back as *RemoteError.
 	Send(ctx context.Context, node NodeID, op uint8, payload []byte) ([]byte, error)
-	// Nodes lists the reachable node IDs in ascending order.
-	Nodes() []NodeID
 	// Close releases connections.
 	Close() error
 }
@@ -131,18 +128,6 @@ func (m *Memory) Send(ctx context.Context, node NodeID, op uint8, payload []byte
 		return nil, &RemoteError{Node: node, Msg: err.Error()}
 	}
 	return resp, nil
-}
-
-// Nodes implements Transport.
-func (m *Memory) Nodes() []NodeID {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]NodeID, 0, len(m.handlers))
-	for id := range m.handlers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Close implements Transport.

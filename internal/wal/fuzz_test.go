@@ -13,14 +13,17 @@ import (
 // corrupt, a clean scan yields contiguous sequence numbers with the
 // consumed prefix re-encoding to the same bytes, and a zero tail behind
 // that prefix — a preallocated extent — adds no entry and no corruption,
-// and a clean scan that stops early drops one frame at most.
+// a clean scan that stops early drops one frame at most, and a flipped
+// length bit in an accepted frame is corruption, never a shorter replay.
 func FuzzWALDecode(f *testing.F) {
 	// Seeds: a valid two-frame journal, a torn tail, a bit-flipped
 	// frame, a sequence gap, a bad magic, raw garbage, and the
 	// preallocated layout: a valid journal followed by a zero extent, a
 	// frame torn at a sector boundary with zeros behind it, a bit flip in
-	// the last frame before the zero tail, and a bit flip in a frame
-	// whose payload holds whole zero sectors, with a frame behind it.
+	// the last frame before the zero tail, a bit flip in a frame whose
+	// payload holds whole zero sectors, with a frame behind it, and a
+	// frame whose payload ends in whole zero sectors (a length flip that
+	// shortens it leaves a frame that ends like a tear).
 	valid := append([]byte(nil), logMagic...)
 	valid = appendFrame(valid, 1, 3, []byte("alpha"))
 	valid = appendFrame(valid, 2, 7, []byte("beta-payload"))
@@ -48,6 +51,7 @@ func FuzzWALDecode(f *testing.F) {
 	zeroRun = appendFrame(zeroRun, 2, 1, []byte("behind"))
 	zeroRun[len(logMagic)+frameOverhead] ^= 0x01
 	f.Add(append(zeroRun, make([]byte, tearSector)...))
+	f.Add(appendFrame(append([]byte(nil), logMagic...), 1, 1, append([]byte("tail:"), make([]byte, 4*tearSector)...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, goodLen, lastSeq, err := scanJournal(data, 0)
@@ -96,6 +100,26 @@ func FuzzWALDecode(f *testing.F) {
 			if zerr != nil || zGood != goodLen || zLast != lastSeq || len(zEntries) != len(entries) {
 				t.Fatalf("zero tail after the accepted prefix: %d entries to %d (last %d), %v; want %d to %d (last %d)",
 					len(zEntries), zGood, zLast, zerr, len(entries), goodLen, lastSeq)
+			}
+			// N intact frames plus one flipped length bit, with or
+			// without the zero tail, never recover fewer than N entries
+			// without ErrCorrupt: a damaged length is not a tear. Every
+			// bit of one frame, picked by the input's length, is tried.
+			if n := len(entries); n > 0 {
+				off := len(logMagic)
+				for _, e := range entries[:len(data)%n] {
+					off += frameOverhead + len(e.Payload)
+				}
+				for _, image := range [][]byte{data[:goodLen], padded} {
+					for bit := 0; bit < 32; bit++ {
+						flipped := append([]byte(nil), image...)
+						flipped[off+3-bit/8] ^= 1 << (bit % 8)
+						if fEntries, _, _, ferr := scanJournal(flipped, 0); ferr == nil && len(fEntries) < n {
+							t.Fatalf("length bit %d of the frame at %d flipped (%d-byte image): %d of %d entries, no error",
+								bit, off, len(image), len(fEntries), n)
+						}
+					}
+				}
 			}
 		}
 

@@ -173,6 +173,58 @@ func tornFrame(data []byte, off, n, zt int) bool {
 	return b < off+n && b+tearSector <= len(data)
 }
 
+// damagedLength decides a frame at data[off:] that scanJournal is about
+// to call torn. The CRC does not cover the length field, so a flipped
+// length bit that makes the frame run past the written journal (or
+// into the zero tail) looks just like a crash tear, and truncating it
+// would drop the frame and every acknowledged frame behind it. A tear
+// leaves the stored length and CRC as they were written; a damaged
+// length leaves a CRC that verifies at another length. So the frame is
+// an intact one with a damaged length field when its CRC verifies at a
+// shorter length, or at one a single set bit longer, at which the frame
+// ends where the written journal ends (nothing but zeros behind it) or
+// where a valid frame with the next sequence number starts.
+func damagedLength(data []byte, off, zt int) bool {
+	if len(data)-off < frameOverhead {
+		return false
+	}
+	plen := int(binary.BigEndian.Uint32(data[off:]))
+	want := binary.BigEndian.Uint32(data[off+4:])
+	seq := binary.BigEndian.Uint64(data[off+8:])
+	body := data[off+8:] // seq | op | payload, as far as the image goes
+	ends := func(m int) bool {
+		end := off + frameOverhead + m
+		if end >= zt {
+			return true
+		}
+		next, _, err := decodeFrame(data[end:])
+		return err == nil && next.Seq == seq+1
+	}
+	// crc covers the body of a frame with payload length m: every
+	// shorter length in turn, then each length one set bit longer.
+	crc, m := crc32.Checksum(body[:9], crcTable), 0
+	for ; m < plen; m++ {
+		if crc == want && ends(m) {
+			return true
+		}
+		if 9+m == len(body) {
+			return false // the image ends: no longer length fits either
+		}
+		crc = crc32.Update(crc, crcTable, body[9+m:10+m])
+	}
+	for bit := 1; bit <= len(body)-9-plen; bit <<= 1 {
+		if plen&bit != 0 {
+			continue
+		}
+		crc = crc32.Update(crc, crcTable, body[9+m:9+plen+bit])
+		m = plen + bit
+		if crc == want && ends(m) {
+			return true
+		}
+	}
+	return false
+}
+
 // scanJournal walks a journal image: it verifies the header, decodes
 // frames, and separates the three possible verdicts — entries to
 // replay (seq beyond ckptSeq, contiguous), a torn tail to truncate at
@@ -180,7 +232,8 @@ func tornFrame(data []byte, off, n, zt int) bool {
 // when the journal holds nothing newer). The journal ends at the end of
 // the image, at a frame that runs past it (a torn append), where only
 // zeros remain (the unwritten part of a preallocated extent), or at a
-// torn frame (tornFrame).
+// torn frame (tornFrame) — unless that frame's CRC shows its length
+// field was damaged instead (damagedLength), which is corruption.
 func scanJournal(data []byte, ckptSeq uint64) (entries []Entry, goodLen int, lastSeq uint64, err error) {
 	lastSeq = ckptSeq
 	zt := zeroTail(data)
@@ -198,6 +251,9 @@ func scanJournal(data []byte, ckptSeq uint64) (entries []Entry, goodLen int, las
 	for off < zt {
 		e, n, derr := decodeFrame(data[off:])
 		if errors.Is(derr, errTorn) || (derr != nil && tornFrame(data, off, n, zt)) {
+			if damagedLength(data, off, zt) {
+				return nil, 0, lastSeq, fmt.Errorf("%w: journal frame length field damaged (offset %d)", ErrCorrupt, off)
+			}
 			break
 		}
 		if derr != nil {

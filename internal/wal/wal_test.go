@@ -374,6 +374,55 @@ func TestBitFlipIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestLengthFlipIsCorrupt: the CRC does not cover a frame's length, so
+// a flipped length bit can make a frame run past the written journal
+// like a torn append, or into a preallocated zero tail like a tear.
+// Each of the 32 bits, flipped in the first and in a middle frame of a
+// cleanly closed journal and of a crashed zero-tail one, is corruption:
+// no acknowledged frame is dropped and the journal is left as it was.
+func TestLengthFlipIsCorrupt(t *testing.T) {
+	const frames, middle = 5, 2
+	for _, crashed := range []bool{false, true} {
+		for _, frame := range []int{0, middle} {
+			for bit := 0; bit < 32; bit++ {
+				fsys := NewMemFS()
+				if crashed {
+					fsys = NewZeroTailMemFS()
+				}
+				s := mustOpen(t, fsys, "d", Options{})
+				for i := 0; i < frames; i++ {
+					if err := s.Journal(1, payload(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if crashed {
+					fsys.SetCrash(1, CrashDrop)
+					if err := s.Journal(1, payload(999)); err == nil {
+						t.Fatal("armed crash never fired")
+					}
+					s.Abort()
+					fsys.Restart()
+				} else if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				// The length is big-endian: bit b sits in byte 3-b/8.
+				off := len(logMagic) + frame*(frameOverhead+len(payload(0))) + 3 - bit/8
+				if err := fsys.FlipBit("d/wal.log", off, uint(bit%8)); err != nil {
+					t.Fatal(err)
+				}
+				flipped, _ := fsys.ReadFile("d/wal.log")
+				out, err := mustOpen(t, fsys, "d", Options{}).Recover(func([]byte) error { return nil }, func(uint8, []byte) error { return nil })
+				if out != OutcomeCorrupt || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("crashed %v, frame %d, length bit %d: Recover = %v, %v; want corrupt", crashed, frame, bit, out, err)
+				}
+				if after, _ := fsys.ReadFile("d/wal.log"); !bytes.Equal(after, flipped) {
+					t.Fatalf("crashed %v, frame %d, length bit %d: the corrupt journal changed", crashed, frame, bit)
+				}
+			}
+		}
+	}
+}
+
 func TestCheckpointBitFlipIsCorrupt(t *testing.T) {
 	fsys := NewMemFS()
 	s := mustOpen(t, fsys, "d", Options{})
