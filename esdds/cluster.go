@@ -23,9 +23,8 @@ import (
 // operation that fails returns its error, and re-running it is the
 // caller's call (DESIGN.md §7).
 type Cluster struct {
-	inner   *sdds.Cluster
-	servers []*transport.Server // only for in-process TCP test clusters
-	close   []func() error
+	inner *sdds.Cluster
+	close []func() error
 
 	// faulty is the fault injector (nil without WithFaultInjection).
 	faulty *transport.Faulty
@@ -283,7 +282,6 @@ func StartLocalTCPCluster(n int, opts ...ClusterOption) (_ *Cluster, err error) 
 		}
 		srv := transport.NewServer(node.Handler())
 		srv.Instrument(c.met)
-		c.servers = append(c.servers, srv)
 		c.close = append(c.close, srv.Close)
 		go srv.Serve(unserved[0])
 		unserved = unserved[1:]

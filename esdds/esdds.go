@@ -155,8 +155,8 @@ type Config struct {
 	DispersionSites int
 	// Matrix selects the dispersal matrix family. Default MatrixRandom.
 	Matrix MatrixKind
-	// MaxBucketLoad tunes the LH* split threshold (records per bucket).
-	// Default sdds.DefaultMaxLoad.
+	// MaxBucketLoad tunes the LH* split threshold (records per bucket) of
+	// the record, index and word files. Default sdds.DefaultMaxLoad.
 	MaxBucketLoad int
 	// WordSearch additionally maintains a word-token index ([SWP00]
 	// adaptation) enabling exact whole-word search via SearchWord.
@@ -252,9 +252,8 @@ func openInternal(cluster *Cluster, key Key, cfg Config, cb *encode.Codebook) (*
 	if nodes := len(cluster.inner.Placement().Nodes()); cfg.DispersionSites > nodes {
 		return nil, fmt.Errorf("%w: %d sites on %d nodes", ErrTooFewNodes, cfg.DispersionSites, nodes)
 	}
-	if cfg.MaxBucketLoad > 0 {
-		cluster.inner.Coordinator().SetMaxLoad(sdds.FileRecords, cfg.MaxBucketLoad)
-		cluster.inner.Coordinator().SetMaxLoad(sdds.FileIndex, cfg.MaxBucketLoad)
+	for _, id := range []sdds.FileID{sdds.FileRecords, sdds.FileIndex, sdds.FileWords} {
+		cluster.inner.Coordinator().SetMaxLoad(id, cfg.MaxBucketLoad) // ignores a load <= 0
 	}
 	st := &Store{
 		cluster:  cluster.inner,
@@ -332,7 +331,8 @@ func (s *Store) Delete(ctx context.Context, rid uint64) error {
 // A node that does not answer — down, partitioned or under repair — is a
 // failed node: Search returns an *IncompleteError naming it, whose RIDs
 // are the answering nodes' matches. That is a subset of the full answer;
-// take it with errors.As where a best-effort answer will do.
+// take it with errors.As where a best-effort answer will do. A search
+// waits out a split or merge in progress, so it never misses a moved record.
 func (s *Store) Search(ctx context.Context, substring []byte, mode SearchMode) ([]uint64, error) {
 	query, err := s.pipeline.BuildQuery(substring, mode != SearchFast)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/phonebook"
+	"repro/internal/sdds"
 )
 
 func openMem(t *testing.T, cfg Config, corpus [][]byte) *Store {
@@ -264,6 +265,27 @@ func TestStatsAndGrowth(t *testing.T) {
 	}
 	if st.RecordSplits == 0 || st.IndexSplits == 0 {
 		t.Errorf("no splits recorded: %+v", st)
+	}
+}
+
+// TestWordFileHonoursMaxBucketLoad: Config.MaxBucketLoad sets the split
+// threshold of the word file too, not just the record and index files.
+func TestWordFileHonoursMaxBucketLoad(t *testing.T) {
+	cluster := NewMemoryCluster(3)
+	defer cluster.Close()
+	store, err := Open(cluster, KeyFromPassphrase("test"), Config{ChunkSize: 4, Chunkings: 2, MaxBucketLoad: 8, WordSearch: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		if err := store.Insert(ctx, uint64(i), []byte("RECORD CONTENT NUMBER PADDING DATA")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	words := cluster.inner.Coordinator().File(sdds.FileWords)
+	if words.MaxLoad != 8 || words.Splits == 0 {
+		t.Fatalf("word file has max load %d and %d splits, want 8 and some", words.MaxLoad, words.Splits)
 	}
 }
 

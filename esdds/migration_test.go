@@ -251,3 +251,45 @@ func TestReopenKeepsRecordCount(t *testing.T) {
 		t.Errorf("record file Size after one delete = %d, want %d", got, want)
 	}
 }
+
+// TestMigrationMetricsSurviveReopen: the migration counters of a
+// reopened cluster start from its ledger, so after the reopen resumes
+// an interrupted split they still agree with MigrationStats and keep
+// started == committed + aborted + in_flight.
+func TestMigrationMetricsSurviveReopen(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	c1 := NewMemoryCluster(2, WithDataDir(dir), WithObservability())
+	c1.inner.SetMaxLoad(sdds.FileRecords, 4)
+	for i := 0; i < 4; i++ {
+		if err := c1.inner.Put(ctx, sdds.FileRecords, uint64(i), []byte("metrics-record")); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if err := c1.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.inner.Put(ctx, sdds.FileRecords, 4, []byte("metrics-record")); err == nil {
+		t.Fatal("split toward a dead node reported success")
+	}
+	c1.Close()
+
+	c2 := NewMemoryCluster(2, WithDataDir(dir), WithObservability())
+	defer c2.Close()
+	m := c2.MigrationStats()
+	if m.Started != 1 || m.Committed != 1 || m.InFlight != 0 {
+		t.Fatalf("after reopen: %+v, want the interrupted split resumed and committed", m)
+	}
+	reg := c2.Metrics()
+	got := sdds.MigrationStats{
+		Started:   reg.CounterValue("sdds_migrations_started_total"),
+		Committed: reg.CounterValue("sdds_migrations_committed_total"),
+		Aborted:   reg.CounterValue("sdds_migrations_aborted_total"),
+		Resumed:   m.Resumed, // per process by design
+		InFlight:  int(reg.GaugeValue("sdds_migrations_in_flight")),
+	}
+	if got != m {
+		t.Fatalf("migration metrics %+v disagree with the ledger %+v", got, m)
+	}
+	checkMigrationInvariant(t, got)
+}

@@ -20,8 +20,9 @@ var ErrWordSearchDisabled = errors.New("esdds: word search not enabled in Config
 
 // SearchWord returns the RIDs of records containing the exact word
 // (case-insensitive under the default tokenizer). Unlike the substring
-// Search, results are exact, and any word length is searchable. A node
-// that does not answer makes it return an *IncompleteError, as Search.
+// Search, results are exact, and any word length is searchable. As with
+// Search, a node that does not answer makes it return an
+// *IncompleteError, and a split or merge in progress is waited out.
 func (s *Store) SearchWord(ctx context.Context, word []byte) ([]uint64, error) {
 	if s.words == nil {
 		return nil, ErrWordSearchDisabled

@@ -243,50 +243,19 @@ func WriteBenchFile(path string, f *BenchFile) error {
 	return os.Rename(tmp, path)
 }
 
-// diffMetrics are the headline series a regression diff renders.
-func diffMetrics(r *Report) []struct {
-	name string
-	val  float64
-} {
-	out := []struct {
-		name string
-		val  float64
-	}{
-		{"throughput", r.Totals.Throughput},
-		{"goodput", r.Totals.Goodput},
-		{"error_rate", r.Totals.ErrorRate},
-		{"shed", float64(r.Totals.Shed)},
-		{"rejected", float64(r.Totals.Rejected)},
-	}
+// diffNames are the headline metrics a regression diff renders, each
+// resolved through metricValue.
+func diffNames(r *Report) []string {
+	names := []string{"throughput", "goodput", "error_rate", "shed", "rejected"}
 	kinds := make([]string, 0, len(r.Ops))
 	for k := range r.Ops {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		st := r.Ops[k]
-		out = append(out,
-			struct {
-				name string
-				val  float64
-			}{k + ".p50", float64(st.P50Ns)},
-			struct {
-				name string
-				val  float64
-			}{k + ".p99", float64(st.P99Ns)},
-		)
+		names = append(names, k+".p50", k+".p99")
 	}
-	out = append(out,
-		struct {
-			name string
-			val  float64
-		}{"splits", float64(r.Cluster.RecordSplits + r.Cluster.IndexSplits)},
-		struct {
-			name string
-			val  float64
-		}{"iams", float64(r.Cluster.IAMs)},
-	)
-	return out
+	return append(names, "splits", "iams")
 }
 
 // DiffReports renders a headline comparison of a run against the
@@ -296,25 +265,22 @@ func DiffReports(prev, cur *Report) string {
 	if prev == nil {
 		return "(no previous BENCH entry for profile " + cur.Profile + ")\n"
 	}
-	prevVals := map[string]float64{}
-	for _, m := range diffMetrics(prev) {
-		prevVals[m.name] = m.val
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %14s %14s %9s\n", "metric", "previous", "current", "delta")
-	for _, m := range diffMetrics(cur) {
-		pv, ok := prevVals[m.name]
+	for _, name := range diffNames(cur) {
+		v, _ := metricValue(cur, name)
+		pv, ok := metricValue(prev, name)
 		if !ok {
-			fmt.Fprintf(&b, "%-14s %14s %14s %9s\n", m.name, "-", fmtMetric(m.name, m.val), "new")
+			fmt.Fprintf(&b, "%-14s %14s %14s %9s\n", name, "-", fmtMetric(name, v), "new")
 			continue
 		}
 		delta := "-"
 		if pv != 0 {
-			delta = fmt.Sprintf("%+.1f%%", (m.val-pv)/pv*100)
-		} else if m.val != 0 {
+			delta = fmt.Sprintf("%+.1f%%", (v-pv)/pv*100)
+		} else if v != 0 {
 			delta = "+inf"
 		}
-		fmt.Fprintf(&b, "%-14s %14s %14s %9s\n", m.name, fmtMetric(m.name, pv), fmtMetric(m.name, m.val), delta)
+		fmt.Fprintf(&b, "%-14s %14s %14s %9s\n", name, fmtMetric(name, pv), fmtMetric(name, v), delta)
 	}
 	return b.String()
 }

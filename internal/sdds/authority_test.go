@@ -5,6 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -28,10 +31,21 @@ var clientFields = map[string][]struct{ name, typ, why string }{
 	},
 }
 
+// clientSeam is every Coordinator method cluster.go may call: the one
+// bracket around each client op, and what the client needs besides.
+var clientSeam = []string{
+	"AttachMigrationLog", // forwarded for callers holding only the Cluster
+	"File",               // the merge signal: when to take a new image
+	"SetMaxLoad",         // forwarded for callers holding only the Cluster
+	"do",                 // the shared section, record count, settle and thaw
+}
+
 // TestClientHoldsNoAuthority: one owner per piece of file state. The
 // client structs in cluster.go hold only the allowed fields above, and
 // coordinator.go names no client type, so no coordinator code can
-// write a client field.
+// write a client field. cluster.go reaches the coordinator only through
+// clientSeam, no other file of the package names opsMu, and only do
+// settles or thaws, so no data-path op can skip the bracket.
 func TestClientHoldsNoAuthority(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "cluster.go", nil, 0)
@@ -83,4 +97,49 @@ func TestClientHoldsNoAuthority(t *testing.T) {
 		}
 		return true
 	})
+
+	called := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.SelectorExpr); ok && x.Sel.Name == "coord" {
+				called[sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+	want := map[string]bool{}
+	for _, m := range clientSeam {
+		want[m] = true
+	}
+	if !maps.Equal(called, want) {
+		t.Errorf("cluster.go calls the Coordinator methods %v, want exactly %v", called, want)
+	}
+
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range file.Decls {
+			owner := ""
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				owner = fn.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				switch {
+				case !ok:
+				case sel.Sel.Name == "opsMu" && name != "coordinator.go":
+					t.Errorf("%s takes opsMu: only the coordinator does", fset.Position(sel.Pos()))
+				case (sel.Sel.Name == "settle" || sel.Sel.Name == "thaw") && owner != "do" && !strings.HasSuffix(name, "_test.go"):
+					t.Errorf("%s calls %s outside the bracket", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
 }

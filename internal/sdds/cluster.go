@@ -16,9 +16,8 @@ import (
 // each file (deliberately allowed to lag, exercising forwarding and
 // IAMs) and runs the key operations, write rounds and searches over a
 // Transport. It holds no authority over any file: state, record count
-// and growth belong to its Coordinator, which it calls around each op
-// (enter, count, leave), after a write (settle, or thaw when the write
-// failed), and to learn that a merge committed (File).
+// and growth belong to its Coordinator, which runs each op inside its
+// bracket (do) and tells it when a merge committed (File).
 type Cluster struct {
 	tr    transport.Transport
 	place *Placement
@@ -102,7 +101,7 @@ func (c *Cluster) Stats(id FileID) (splits, iams int) {
 // keyOp is the client half of every single-key op: address the key
 // from the client image, send one request (a put's carries value), and
 // fold the response's IAM back into the image. Callers are inside the
-// coordinator's shared section.
+// coordinator's bracket.
 func (c *Cluster) keyOp(ctx context.Context, op uint8, id FileID, key uint64, value []byte) (keyResp, error) {
 	c.mu.Lock()
 	f := c.file(id)
@@ -146,9 +145,11 @@ func (c *Cluster) Put(ctx context.Context, id FileID, key uint64, value []byte) 
 // Get retrieves a value by key.
 func (c *Cluster) Get(ctx context.Context, id FileID, key uint64) ([]byte, bool, error) {
 	c.met.gets.Inc()
-	c.coord.enter()
-	defer c.coord.leave()
-	resp, err := c.keyOp(ctx, opGet, id, key, nil)
+	var resp keyResp
+	err := c.coord.do(ctx, nil, func() (err error) {
+		resp, err = c.keyOp(ctx, opGet, id, key, nil)
+		return err
+	})
 	if err != nil || !resp.existed {
 		return nil, false, err
 	}
@@ -161,29 +162,17 @@ func (c *Cluster) Delete(ctx context.Context, id FileID, key uint64) (bool, erro
 	return c.keyWrite(ctx, opDelete, id, key, nil)
 }
 
-// keyWrite runs a put or a delete of one key and reports whether the key
-// existed. A put that created its key or a delete that found it changes
-// the record count by one, reported before the op leaves; then the
-// coordinator settles the file.
+// keyWrite puts or deletes one key and reports whether it existed.
 func (c *Cluster) keyWrite(ctx context.Context, op uint8, id FileID, key uint64, value []byte) (bool, error) {
-	del := op == opDelete
-	c.coord.enter()
-	resp, err := c.keyOp(ctx, op, id, key, value)
-	switch {
-	case err != nil:
-	case del && resp.existed:
-		c.coord.count(id, -1)
-	case !del && !resp.existed:
-		c.coord.count(id, 1)
-	}
-	c.coord.leave()
-	if err == nil {
-		err = c.coord.settle(ctx, id, del)
-	}
-	if err != nil {
-		return resp.existed, c.coord.thaw(ctx, err, id)
-	}
-	return resp.existed, nil
+	w := [1]writeFile{{id: id, del: op == opDelete}}
+	var resp keyResp
+	err := c.coord.do(ctx, w[:], func() (err error) {
+		if resp, err = c.keyOp(ctx, op, id, key, value); err == nil {
+			w[0].note(resp.existed)
+		}
+		return err
+	})
+	return resp.existed, err
 }
 
 // NodeFailure is one node's error in a batched operation.
@@ -238,12 +227,24 @@ func failureErrs(fs []NodeFailure) []error {
 	return out
 }
 
-// writeFile is one file's puts, or deletes, in a write round.
+// writeFile is one file's puts, or deletes, in a write op; the
+// coordinator's bracket reads its id, del and delta.
 type writeFile struct {
 	id    FileID
 	del   bool
 	f     *clientFile
 	delta int // the record-count change the nodes' answers report
+}
+
+// note counts one entry's answer: a put that created its key or a
+// delete that found it changes the record count by one.
+func (w *writeFile) note(existed bool) {
+	switch {
+	case w.del && existed:
+		w.delta--
+	case !w.del && !existed:
+		w.delta++
+	}
 }
 
 // nodeBatch is the put_batch a write round sends to one node; its groups
@@ -297,57 +298,44 @@ func (r *writeRound) delIndex(fi int, rid uint64, m, kSites int, slotBits uint) 
 	}
 }
 
-// write runs one write round: route adds the entries, every destination
-// node gets its put_batch at once, the answers update the client images
-// and the coordinator's counts, and the coordinator settles each file. On
-// partial failure the answering nodes' entries stay applied and a
-// *BatchError names the failed nodes; repeating the write completes it.
+// write runs one write round in the coordinator's bracket: route adds
+// the entries, every destination node gets its put_batch at once, and
+// the answers update the client images and each file's delta. On partial
+// failure the answering nodes' entries stay applied and a *BatchError
+// names the failed nodes; repeating the write completes it.
 func (c *Cluster) write(ctx context.Context, files []writeFile, route func(r *writeRound)) error {
-	r := writeRound{c: c, files: files}
-	c.coord.enter()
-	c.mu.Lock()
-	for i := range files {
-		files[i].f = c.file(files[i].id)
-	}
-	route(&r)
-	c.mu.Unlock()
-
-	nodeIDs := make([]transport.NodeID, len(r.nodes))
-	payloads := make([][]byte, len(r.nodes))
-	for i := range r.nodes {
-		nodeIDs[i] = r.nodes[i].node
-		payloads[i] = r.nodes[i].bw.finish()
-	}
-	c.met.batches.Add(uint64(len(r.nodes)))
-	results := transport.ScatterList(ctx, c.tr, opPutBatch, nodeIDs, payloads)
-	for i := range r.nodes {
-		putWriter(r.nodes[i].bw.w)
-	}
-
-	c.mu.Lock()
-	failed, err := r.fold(results)
-	c.mu.Unlock()
-	for _, w := range files {
-		c.coord.count(w.id, w.delta)
-	}
-	c.coord.leave()
-	if err == nil && failed != nil {
-		// With unreachable nodes a split would likely fail too and mask
-		// the partial-failure report; leave the overflow for the next
-		// write.
-		err = &BatchError{Failures: failed}
-	}
-	for i := 0; i < len(files) && err == nil; i++ {
-		err = c.coord.settle(ctx, files[i].id, files[i].del)
-	}
-	if err != nil {
-		ids := make([]FileID, len(files))
-		for i, w := range files {
-			ids[i] = w.id
+	return c.coord.do(ctx, files, func() error {
+		r := writeRound{c: c, files: files}
+		c.mu.Lock()
+		for i := range files {
+			files[i].f = c.file(files[i].id)
 		}
-		return c.coord.thaw(ctx, err, ids...)
-	}
-	return nil
+		route(&r)
+		c.mu.Unlock()
+
+		nodeIDs := make([]transport.NodeID, len(r.nodes))
+		payloads := make([][]byte, len(r.nodes))
+		for i := range r.nodes {
+			nodeIDs[i] = r.nodes[i].node
+			payloads[i] = r.nodes[i].bw.finish()
+		}
+		c.met.batches.Add(uint64(len(r.nodes)))
+		results := transport.ScatterList(ctx, c.tr, opPutBatch, nodeIDs, payloads)
+		for i := range r.nodes {
+			putWriter(r.nodes[i].bw.w)
+		}
+
+		c.mu.Lock()
+		failed, err := r.fold(results)
+		c.mu.Unlock()
+		if err == nil && failed != nil {
+			// With unreachable nodes a split would likely fail too and
+			// mask the partial-failure report; leave the overflow for the
+			// next write.
+			err = &BatchError{Failures: failed}
+		}
+		return err
+	})
 }
 
 // fold applies each node's answer — per group its count, then one
@@ -375,12 +363,7 @@ func (r *writeRound) fold(results []transport.Result) ([]NodeFailure, error) {
 					w.f.iams++
 					r.c.met.iams.Inc()
 				}
-				switch {
-				case w.del && pr.existed:
-					w.delta--
-				case !w.del && !pr.existed:
-					w.delta++
-				}
+				w.note(pr.existed)
 			}
 		}
 		if err := rd.done(); err != nil {
@@ -435,10 +418,14 @@ func (c *Cluster) DeleteRecord(ctx context.Context, rid uint64, m, kSites int, s
 // authoritative membership, not the transport's live view, so a crashed
 // node surfaces as a failure rather than being skipped. Nodes that do
 // not answer come back as failures; the caller's context ending fails
-// the call.
+// the call. It runs in the coordinator's bracket: a migration committing
+// between two nodes' answers would hide the moved records from both.
 func (c *Cluster) gather(ctx context.Context, op uint8, req []byte) ([][]byte, []NodeFailure, error) {
-	results := transport.Broadcast(ctx, c.tr, c.place.Nodes(), op, req)
-	if err := ctx.Err(); err != nil {
+	var results []transport.Result
+	if err := c.coord.do(ctx, nil, func() error {
+		results = transport.Broadcast(ctx, c.tr, c.place.Nodes(), op, req)
+		return ctx.Err()
+	}); err != nil {
 		return nil, nil, err
 	}
 	payloads := make([][]byte, 0, len(results))

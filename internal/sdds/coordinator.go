@@ -24,9 +24,9 @@ type Coordinator struct {
 	place *Placement
 
 	// opsMu excludes structural changes (splits, merges, the census) from
-	// normal operations: clients hold it shared around each op (enter,
-	// leave), the coordinator exclusive. Without it a record could land in
-	// a bucket mid-extraction and be silently lost or reverted.
+	// normal operations: do holds it shared around each client op, the
+	// coordinator exclusive. Without it a record could land in a bucket
+	// mid-extraction, or a search miss one, silently.
 	opsMu sync.RWMutex
 
 	mu         sync.Mutex
@@ -73,19 +73,18 @@ func newCoordinator(tr transport.Transport, place *Placement) *Coordinator {
 // returns the number of in-flight migrations found, which the caller
 // should resolve with ResumeMigrations once nodes are up. The ledger
 // holds no record counts: for every file it names, the nodes' census
-// restores that (recountLocked); a fresh one names none.
+// restores that (recountLocked); a fresh one names none. The migration
+// counters start from the ledger's totals, as the in-flight gauge does.
 func (c *Coordinator) AttachMigrationLog(lg MigrationLog) (inFlight int, err error) {
 	c.opsMu.Lock()
 	defer c.opsMu.Unlock()
 	if len(c.miglog.Records()) > 0 {
 		return 0, fmt.Errorf("sdds: migration log must be attached before any split or merge")
 	}
+	recs := lg.Records()
 	c.mu.Lock()
-	for _, r := range lg.Records() {
-		switch {
-		case !r.Done:
-			inFlight++
-		case r.Outcome == MigrationCommitted:
+	for _, r := range recs {
+		if r.Done && r.Outcome == MigrationCommitted {
 			c.file(r.Intent.File).State = resultingState(r.Intent)
 		}
 		if !slices.Contains(c.recount, r.Intent.File) {
@@ -94,9 +93,13 @@ func (c *Coordinator) AttachMigrationLog(lg MigrationLog) (inFlight int, err err
 	}
 	c.miglog = lg
 	c.mu.Unlock()
+	s := migStatsOf(recs)
+	c.met.migStarted.Add(s.Started)
+	c.met.migCommitted.Add(s.Committed)
+	c.met.migAborted.Add(s.Aborted)
 	c.syncMigGauge()
 	c.recountLocked(context.TODO()) // the kept signature takes no context
-	return inFlight, nil
+	return s.InFlight, nil
 }
 
 // recountLocked sets each file in c.recount to the record count its
@@ -165,18 +168,28 @@ func (c *Coordinator) File(id FileID) FileState {
 	return *c.file(id)
 }
 
-// enter and leave bracket a client op's shared section: no split, merge
-// or census runs while an op is inside.
-func (c *Coordinator) enter() { c.opsMu.RLock() }
-func (c *Coordinator) leave() { c.opsMu.RUnlock() }
-
-// count adds the record-count change a write's answers reported. The
-// client calls it before leave: a census taken between the two would
-// already hold the write, and the change would count it twice.
-func (c *Coordinator) count(id FileID, delta int) {
-	c.mu.Lock()
-	c.file(id).Size += delta
-	c.mu.Unlock()
+// do is the bracket around every client op: op runs in the shared
+// section, where no split, merge or census runs. files are what op
+// writes (a read passes none), with the record-count deltas op set; do
+// adds them before it leaves the section, as a census taken in between
+// would count the write twice. Then it settles each file, or, when op or
+// a settle failed, thaws them.
+func (c *Coordinator) do(ctx context.Context, files []writeFile, op func() error) error {
+	c.opsMu.RLock()
+	err := op()
+	for _, w := range files {
+		c.mu.Lock()
+		c.file(w.id).Size += w.delta
+		c.mu.Unlock()
+	}
+	c.opsMu.RUnlock()
+	for i := 0; i < len(files) && err == nil; i++ {
+		err = c.settle(ctx, files[i].id, files[i].del)
+	}
+	if err != nil {
+		return c.thaw(ctx, err, files)
+	}
+	return nil
 }
 
 // settle restores a written file's load invariant: after puts it splits
@@ -202,13 +215,14 @@ func (c *Coordinator) settle(ctx context.Context, id FileID, del bool) error {
 	}
 }
 
-// thaw is the failed-write path. The write's record-count change is
-// unknown (a node may have applied its entries and then failed), so its
-// files are marked for a census, taken at the next resume drive. The
-// write may also have stalled its file's migration in flight, or been
-// refused by the bucket such a migration froze: re-driving the file's
-// in-flight migrations lets the caller's re-run of the write succeed. It
-// returns cause, joined with the re-drive's own failure.
+// thaw is the failed-op path; a read (no files) owes nothing. A write's
+// record-count change is unknown (a node may have applied its entries
+// and then failed), so its files are marked for a census, taken at the
+// next resume drive. The write may also have stalled its file's
+// migration in flight, or been refused by the bucket such a migration
+// froze: re-driving the file's in-flight migrations lets the caller's
+// re-run of the write succeed. It returns cause, joined with the
+// re-drive's own failure.
 //
 // The re-drive takes opsMu exclusively, stalling every concurrent op,
 // so it skips what cannot help: with no migration in flight there is
@@ -216,23 +230,23 @@ func (c *Coordinator) settle(ctx context.Context, id FileID, del bool) error {
 // failed to reach would fail again. During an outage, re-driving on
 // every failed write turned each into a cluster-wide stall against the
 // dead participant.
-func (c *Coordinator) thaw(ctx context.Context, cause error, ids ...FileID) error {
+func (c *Coordinator) thaw(ctx context.Context, cause error, files []writeFile) error {
 	c.mu.Lock()
-	for _, id := range ids {
-		if !slices.Contains(c.recount, id) {
-			c.recount = append(c.recount, id)
+	for _, w := range files {
+		if !slices.Contains(c.recount, w.id) {
+			c.recount = append(c.recount, w.id)
 		}
 	}
 	lg := c.miglog
 	c.mu.Unlock()
-	if lg.InFlight() == 0 {
+	if len(files) == 0 || lg.InFlight() == 0 {
 		return cause
 	}
 	lost := lostNodes(cause)
 	c.opsMu.Lock()
 	defer c.opsMu.Unlock()
 	_, err := c.resumeLocked(ctx, func(in MigrationIntent) bool {
-		return slices.Contains(ids, in.File) &&
+		return slices.ContainsFunc(files, func(w writeFile) bool { return w.id == in.File }) &&
 			!slices.Contains(lost, c.place.NodeOf(in.From)) && !slices.Contains(lost, c.place.NodeOf(in.To))
 	})
 	if err != nil {
