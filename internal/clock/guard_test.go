@@ -33,9 +33,9 @@ var wallClockAllowed = []struct {
 	why            string
 }{
 	{"transport/pool.go", "TCP.dial", "time.Now", 1, netDeadline},
-	{"transport/pool.go", "muxConn.writeLoop", "time.Now", 1, netDeadline},
-	{"transport/pool.go", "TCP.Send", "time.Until", 1, ctxBudget},
-	{"transport/pool.go", "muxConn.writeLoop", "time.Until", 1, ctxBudget},
+	{"transport/pool.go", "muxConn.writeFrames", "time.Now", 1, netDeadline},
+	{"transport/pool.go", "TCP.open", "time.Until", 1, ctxBudget},
+	{"transport/pool.go", "muxConn.writeFrames", "time.Until", 1, ctxBudget},
 	{"transport/tcp.go", "Server.serveConnV2", "time.Now", 1, "the request's budget becomes the reply's net.Conn deadline: " + netDeadline},
 	{"sdds/cluster.go", "Cluster.Search", "time.Now", 1, latency},
 	{"sdds/cluster.go", "Cluster.Search", "time.Since", 1, latency},

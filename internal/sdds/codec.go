@@ -279,16 +279,25 @@ func (r *reader) bytes() []byte {
 }
 
 func (r *reader) pieces() []disperse.Piece {
+	list, _ := r.appendPieces(nil)
+	return list
+}
+
+// appendPieces reads a u32-counted piece list onto the end of arena. It
+// returns the list, capped so that a later append to the arena cannot
+// reach into it, and the grown arena.
+func (r *reader) appendPieces(arena []disperse.Piece) (list, grown []disperse.Piece) {
 	n := int(r.u32())
 	if r.err != nil || !r.need(2*n) {
-		return nil
+		return nil, arena
 	}
-	out := make([]disperse.Piece, n)
-	for i := range out {
-		out[i] = disperse.Piece(binary.BigEndian.Uint16(r.b[r.off:]))
+	start := len(arena)
+	arena = slices.Grow(arena, n)
+	for i := 0; i < n; i++ {
+		arena = append(arena, disperse.Piece(binary.BigEndian.Uint16(r.b[r.off:])))
 		r.off += 2
 	}
-	return out
+	return arena[start:len(arena):len(arena)], arena
 }
 
 // bound validates a decoded element count against the bytes actually
@@ -650,14 +659,20 @@ func (m *searchReq) decodeFrom(r *reader) {
 	if m.kSites == 0 || m.slotBits >= 64 {
 		r.fail("search with %d sites and %d slot bits", m.kSites, m.slotBits)
 	}
-	n := int(r.u16())
+	// Every count is checked against the bytes left before anything is
+	// sized from it (a series takes at least 3 bytes, a pattern 4), and
+	// every pattern's pieces go into one arena: a piece takes 2 bytes, so
+	// half the bytes left is room for them all.
+	n := r.bound(uint32(r.u16()), 3)
+	m.series = make([]searchSeries, n)
+	arena := make([]disperse.Piece, 0, (len(r.b)-r.off)/2)
 	for i := 0; i < n && r.err == nil; i++ {
-		s := searchSeries{a: r.u16()}
-		np := int(r.u8())
-		for p := 0; p < np && r.err == nil; p++ {
-			s.patterns = append(s.patterns, r.pieces())
+		s := &m.series[i]
+		s.a = r.u16()
+		s.patterns = make([][]disperse.Piece, r.bound(uint32(r.u8()), 4))
+		for p := 0; p < len(s.patterns) && r.err == nil; p++ {
+			s.patterns[p], arena = r.appendPieces(arena)
 		}
-		m.series = append(m.series, s)
 	}
 }
 

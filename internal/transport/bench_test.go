@@ -23,13 +23,15 @@ func benchServer(b *testing.B) string {
 	return lis.Addr().String()
 }
 
-// BenchmarkTransport measures one round trip of a 256-byte request
-// through two client strategies against the same server:
+// BenchmarkTransport measures round trips of a 256-byte request through
+// the multiplexed v2 client:
 //
-//	pooled    — the multiplexed v2 client, one caller (requests still
-//	            serialize, but through the connection's write/demux loops)
-//	pipelined — the multiplexed v2 client with many concurrent callers
-//	            sharing the node's one connection
+//	pooled     — one caller: it writes its own frame, and the
+//	             connection's demux goroutine hands it the answer
+//	pipelined  — many concurrent callers sharing the node's one
+//	             connection, their frames coalescing into shared writes
+//	broadcast3 — one Broadcast to three servers per iteration: the
+//	             caller writes all three frames, then gathers the answers
 func BenchmarkTransport(b *testing.B) {
 	payload := make([]byte, 256)
 	for i := range payload {
@@ -46,6 +48,26 @@ func BenchmarkTransport(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := cli.Send(ctx, 1, 1, payload); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("broadcast3", func(b *testing.B) {
+		addrs := map[NodeID]string{}
+		nodes := []NodeID{0, 1, 2}
+		for _, n := range nodes {
+			addrs[n] = benchServer(b)
+		}
+		cli := NewTCP(addrs)
+		defer cli.Close()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range Broadcast(ctx, cli, nodes, 1, payload) {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
 			}
 		}
 	})

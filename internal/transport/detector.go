@@ -144,11 +144,12 @@ func (d *Detector) ObserveSend(node NodeID, err error) {
 	d.signal(node, err, true)
 }
 
-// Watch wraps tr so that every Send outcome reaches the detector as a
-// passive signal: client traffic then detects a dead node as fast as it
-// fails, without waiting for the next probe. A caller-side cancellation
-// or timeout is not reported — it says nothing about the node — but an
-// expired answer is: the node read the frame and replied.
+// Watch wraps tr so that every Send outcome, and every leg of a fan-out
+// tr runs as one scatter, reaches the detector as a passive signal:
+// client traffic then detects a dead node as fast as it fails, without
+// waiting for the next probe. A caller-side cancellation or timeout is
+// not reported — it says nothing about the node — but an expired answer
+// is: the node read the frame and replied.
 func (d *Detector) Watch(tr Transport) Transport {
 	return &watched{Transport: tr, d: d}
 }
@@ -160,10 +161,30 @@ type watched struct {
 
 func (w *watched) Send(ctx context.Context, node NodeID, op uint8, payload []byte) ([]byte, error) {
 	resp, err := w.Transport.Send(ctx, node, op, payload)
+	w.observe(node, err)
+	return resp, err
+}
+
+// scatter forwards a fan-out to the wrapped transport's caller-side
+// scatter, as SendsWithContext forwards its marker, and observes every
+// leg's outcome exactly as Send would.
+func (w *watched) scatter(ctx context.Context, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) bool {
+	s, ok := w.Transport.(scatterer)
+	if !ok || !s.scatter(ctx, nodes, op, payloadAt, out) {
+		return false
+	}
+	for _, r := range out {
+		w.observe(r.Node, r.Err)
+	}
+	return true
+}
+
+// observe reports a send outcome, unless it is the caller's own
+// cancellation or timeout.
+func (w *watched) observe(node NodeID, err error) {
 	if answeredExpired(err) || !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		w.d.ObserveSend(node, err)
 	}
-	return resp, err
 }
 
 // SendsWithContext forwards the wrapped transport's marker: Watch only

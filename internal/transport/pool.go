@@ -7,18 +7,20 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // TCP is the client-side transport: a node-address directory over one
 // multiplexed v2 connection per node. Every in-flight request to a node
-// shares its connection — each Send registers a per-request id, a write
-// loop coalesces pending frames into one vectored write, and a demux
-// goroutine per connection routes response frames (which may complete
-// out of order) back to their waiters.
+// shares its connection: each Send registers a per-request id and
+// writes its own frame from its own goroutine (muxConn.write coalesces
+// concurrent frames into one vectored write), and one demux goroutine
+// per connection routes response frames (which may complete out of
+// order) back to their waiters. A fan-out (Broadcast, ScatterList) runs
+// on the caller's goroutine too: it writes every leg's frame, then
+// gathers the answers. A connection therefore costs one goroutine, and
+// a request none.
 //
 // Failure policy: a dead connection is evicted and the Sends it carried
 // fail with a transport error — the transport never silently redials
@@ -75,10 +77,11 @@ func (t *TCP) AddNode(node NodeID, addr string) {
 	t.mu.Unlock()
 }
 
-// getConn returns the node's live connection with a reservation (its
-// in-flight count already incremented) or dials one, coalescing
-// concurrent dials per node.
-func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
+// getConn returns the node's live connection with a reservation (the
+// in-flight gauge already incremented). With no live connection it
+// dials one, coalescing concurrent dials per node — or, when dial is
+// false, returns nil and leaves the dial to a Send.
+func (t *TCP) getConn(ctx context.Context, node NodeID, dial bool) (*muxConn, error) {
 	for {
 		t.mu.Lock()
 		if t.closed {
@@ -96,11 +99,14 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 			t.slots[node] = slot
 		}
 		if c := slot.conn; c != nil {
-			c.inflight.Add(1)
 			t.mu.Unlock()
 			t.met.reuses.Inc()
 			t.met.inflight.Add(1)
 			return c, nil
+		}
+		if !dial {
+			t.mu.Unlock()
+			return nil, nil
 		}
 		if slot.dialing != nil {
 			// A dial for this node is already in flight: wait for it
@@ -140,7 +146,6 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 				return nil, ErrClosed
 			}
 			slot.conn = c
-			c.inflight.Add(1)
 			t.met.poolConns.Add(1)
 			t.met.inflight.Add(1)
 		}
@@ -154,7 +159,7 @@ func (t *TCP) getConn(ctx context.Context, node NodeID) (*muxConn, error) {
 }
 
 // dial establishes one v2 connection: TCP connect, magic preamble, then
-// the demux and write loops take over the socket.
+// the demux goroutine takes over the socket's read side.
 func (t *TCP) dial(node NodeID, addr string) (*muxConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -176,11 +181,8 @@ func (t *TCP) dial(node NodeID, addr string) (*muxConn, error) {
 		t:       t,
 		node:    node,
 		nc:      nc,
-		writeCh: make(chan *wireReq, 128),
 		waiters: make(map[uint32]chan wireResp),
-		closed:  make(chan struct{}),
 	}
-	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
 }
@@ -201,52 +203,81 @@ func (t *TCP) removeConn(c *muxConn, err error) {
 	t.met.connDeaths.Inc()
 }
 
+// open checks that a request may leave and reserves the node's
+// connection; with dial false and no live connection it returns a nil
+// conn (see getConn). The deadline is the context's, zero when it has
+// none: the frame that carries it encodes the budget left at the
+// moment it is written.
+func (t *TCP) open(ctx context.Context, node NodeID, op uint8, dial bool) (*muxConn, time.Time, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, time.Time{}, err
+	}
+	if op&tagDeadline != 0 {
+		return nil, time.Time{}, fmt.Errorf("transport: op %d collides with the v2 deadline flag (ops must be < 0x80)", op)
+	}
+	// Propagate the caller's remaining budget on the wire so the server
+	// (and every hop it forwards to) can drop work that is already doomed.
+	deadline, hasDeadline := ctx.Deadline()
+	if hasDeadline && time.Until(deadline) <= 0 {
+		return nil, time.Time{}, context.DeadlineExceeded
+	}
+	c, err := t.getConn(ctx, node, dial)
+	return c, deadline, err
+}
+
 // Send implements Transport: one multiplexed round trip. The request
 // shares the node's connection with other in-flight Sends; the context
 // governs only this request (cancelling it abandons the response — the
 // connection stays healthy and a late response for the abandoned id is
 // dropped by the demux loop).
 func (t *TCP) Send(ctx context.Context, node NodeID, op uint8, payload []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if op&tagDeadline != 0 {
-		return nil, fmt.Errorf("transport: op %d collides with the v2 deadline flag (ops must be < 0x80)", op)
-	}
-	// Propagate the caller's remaining budget on the wire so the server
-	// (and every hop it forwards to) can drop work that is already doomed.
-	// The absolute deadline rides to the write loop, which encodes the
-	// budget left at the moment the frame is actually serialized — a frame
-	// that sat in the write queue carries its true remaining time, not a
-	// stale snapshot.
-	deadline, hasDeadline := ctx.Deadline()
-	if hasDeadline && time.Until(deadline) <= 0 {
-		return nil, context.DeadlineExceeded
-	}
-	if !hasDeadline {
-		deadline = time.Time{}
-	}
-	c, err := t.getConn(ctx, node)
+	c, deadline, err := t.open(ctx, node, op, true)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, op, deadline, payload)
-	c.release()
-	if err != nil {
-		return nil, err
+	req := &wireReq{op: op, deadline: deadline, payload: payload}
+	c.start(req)
+	return c.finish(ctx, req)
+}
+
+// scatter runs a fan-out on the caller's goroutine: it writes every
+// leg's frame, then gathers the answers, so a leg costs no goroutine. A
+// leg whose node has no connection yet is sent by a goroutine of its
+// own, which dials the way Send does, so first contact never holds
+// back the other legs. It always runs the fan-out (see scatterer).
+func (t *TCP) scatter(ctx context.Context, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) bool {
+	legs := make([]struct {
+		c   *muxConn
+		req wireReq
+	}, len(nodes))
+	var dials sync.WaitGroup
+	for i, n := range nodes {
+		c, deadline, err := t.open(ctx, n, op, false)
+		switch {
+		case err != nil:
+			out[i] = Result{Node: n, Err: err}
+		case c == nil:
+			payload := payloadAt(i)
+			dials.Add(1)
+			go func() {
+				defer dials.Done()
+				resp, err := t.Send(ctx, n, op, payload)
+				out[i] = Result{Node: n, Payload: resp, Err: err}
+			}()
+		default:
+			l := &legs[i]
+			l.c, l.req = c, wireReq{op: op, deadline: deadline, payload: payloadAt(i)}
+			c.start(&l.req)
+		}
 	}
-	switch resp.status {
-	case statusOK:
-		return resp.payload, nil
-	case statusErr:
-		return nil, &RemoteError{Node: node, Msg: string(resp.payload)}
-	case statusExpired:
-		return nil, &ExpiredError{Node: node}
+	for i := range legs {
+		if l := &legs[i]; l.c != nil {
+			resp, err := l.c.finish(ctx, &l.req)
+			out[i] = Result{Node: nodes[i], Payload: resp, Err: err}
+		}
 	}
-	// The node answered, so the request may have run: a RemoteError is
-	// never retried blindly and proves the node alive, while the payload
-	// is not handed to a decoder as data.
-	return nil, &RemoteError{Node: node, Msg: fmt.Sprintf("unknown response status %d", resp.status)}
+	dials.Wait()
+	return true
 }
 
 // Close implements Transport.
@@ -273,16 +304,17 @@ func (t *TCP) Close() error {
 
 // --- multiplexed connection ---
 
-// muxConn is one v2 connection: a write loop coalescing queued request
-// frames into vectored writes, and a demux (read) loop routing response
-// frames to per-id waiters.
+// muxConn is one v2 connection. Its one goroutine is the demux (read)
+// loop, routing response frames to per-id waiters. Requests are written
+// by their senders under a write-combining lock: a sender that finds no
+// one writing becomes the leader and writes every queued frame, its own
+// first, in vectored writes of up to writeBatch frames until the queue
+// is empty; a sender that finds a leader queues its frame and waits
+// until the leader has written it.
 type muxConn struct {
 	t    *TCP
 	node NodeID
 	nc   net.Conn
-
-	writeCh  chan *wireReq
-	inflight atomic.Int32
 
 	mu      sync.Mutex
 	waiters map[uint32]chan wireResp
@@ -290,15 +322,29 @@ type muxConn struct {
 	dead    bool
 	err     error
 
-	closed chan struct{} // closed by fail(); wakes both loops
+	wmu     sync.Mutex
+	queue   []*wireReq // frames waiting for the leader
+	spare   []*wireReq // the queue's other buffer, swapped in by the leader
+	writing bool       // a leader is writing
+	werr    error      // set once a write failed; no frame is written after it
+
+	// The leader's alone.
+	wdl  time.Time // the write deadline armed on nc
+	hdrs [writeBatch * hdrSlot]byte
+	bufs net.Buffers
 }
 
+// wireReq is one request on its way through a muxConn. A non-zero
+// deadline is encoded as the frame's deadline field.
 type wireReq struct {
 	id       uint32
 	op       uint8
-	deadline time.Time // non-zero: frame carries the deadline field
+	deadline time.Time
 	payload  []byte
-	wrote    chan struct{} // closed once the frame left (or will never leave) this process
+	resp     chan wireResp // the demux loop delivers the answer here
+
+	wrote chan struct{} // a follower's: closed once the leader wrote the frame or failed
+	err   error         // why the frame was not written; set before wrote closes
 }
 
 type wireResp struct {
@@ -309,60 +355,75 @@ type wireResp struct {
 
 // release drops one in-flight reservation.
 func (c *muxConn) release() {
-	c.inflight.Add(-1)
 	c.t.met.inflight.Add(-1)
 }
 
-// roundTrip runs one tagged request over the shared connection. A
-// non-zero deadline is encoded as the frame's deadline field.
-func (c *muxConn) roundTrip(ctx context.Context, op uint8, deadline time.Time, payload []byte) (wireResp, error) {
-	ch := make(chan wireResp, 1)
+// start registers req's waiter and writes its frame (see write). The
+// payload must stay untouched until finish returns.
+func (c *muxConn) start(req *wireReq) {
+	req.resp = make(chan wireResp, 1)
 	c.mu.Lock()
 	if c.dead {
-		err := c.err
+		req.err = c.err
 		c.mu.Unlock()
-		return wireResp{}, fmt.Errorf("transport: node %d: %w", c.node, err)
+		return
 	}
 	c.nextID++
-	id := c.nextID
-	c.waiters[id] = ch
+	req.id = c.nextID
+	c.waiters[req.id] = req.resp
 	c.mu.Unlock()
+	c.write(req)
+}
 
-	req := &wireReq{id: id, op: op, deadline: deadline, payload: payload, wrote: make(chan struct{})}
-	select {
-	case c.writeCh <- req:
-	case <-c.closed:
-		c.dropWaiter(id)
-		return wireResp{}, fmt.Errorf("transport: sending to node %d: %w", c.node, c.deathErr())
-	case <-ctx.Done():
-		// Nothing was enqueued, so nothing holds the payload: safe to
-		// abandon immediately even on a backed-up write queue.
-		c.dropWaiter(id)
-		return wireResp{}, ctx.Err()
+// finish waits until req's frame has left this process (or never will)
+// and then for its answer, releases the reservation, and maps the
+// answer's status to Send's results.
+func (c *muxConn) finish(ctx context.Context, req *wireReq) ([]byte, error) {
+	resp, err := c.await(ctx, req)
+	c.release()
+	if err != nil {
+		return nil, err
 	}
-	// Wait until the frame has hit the socket (or the conn died): the
-	// caller may recycle the payload buffer the moment Send returns, so
-	// returning while a write loop still holds it would corrupt frames.
-	// A live conn drains writes promptly; a wedged one trips
-	// writeTimeout and dies, closing c.closed.
-	select {
-	case <-req.wrote:
-	case <-c.closed:
-		// The write loop exited without draining this request; its frame
-		// was never (and will never be) written.
-		c.dropWaiter(id)
-		return wireResp{}, fmt.Errorf("transport: sending to node %d: %w", c.node, c.deathErr())
+	switch resp.status {
+	case statusOK:
+		return resp.payload, nil
+	case statusErr:
+		return nil, &RemoteError{Node: c.node, Msg: string(resp.payload)}
+	case statusExpired:
+		return nil, &ExpiredError{Node: c.node}
 	}
-	select {
-	case resp := <-ch:
-		if resp.err != nil {
-			return wireResp{}, fmt.Errorf("transport: reading from node %d: %w", c.node, resp.err)
+	// The node answered, so the request may have run: a RemoteError is
+	// never retried blindly and proves the node alive, while the payload
+	// is not handed to a decoder as data.
+	return nil, &RemoteError{Node: c.node, Msg: fmt.Sprintf("unknown response status %d", resp.status)}
+}
+
+func (c *muxConn) await(ctx context.Context, req *wireReq) (wireResp, error) {
+	// The caller may recycle the payload the moment Send returns, so a
+	// follower waits for its leader even when ctx ends: the write is
+	// bounded by writeTimeout, and a dead connection fails it at once.
+	if req.wrote != nil {
+		<-req.wrote
+	}
+	if req.err != nil {
+		c.dropWaiter(req.id)
+		return wireResp{}, fmt.Errorf("transport: sending to node %d: %w", c.node, req.err)
+	}
+	var resp wireResp
+	if done := ctx.Done(); done == nil {
+		resp = <-req.resp
+	} else {
+		select {
+		case resp = <-req.resp:
+		case <-done:
+			c.dropWaiter(req.id)
+			return wireResp{}, ctx.Err()
 		}
-		return resp, nil
-	case <-ctx.Done():
-		c.dropWaiter(id)
-		return wireResp{}, ctx.Err()
 	}
+	if resp.err != nil {
+		return wireResp{}, fmt.Errorf("transport: reading from node %d: %w", c.node, resp.err)
+	}
+	return resp, nil
 }
 
 func (c *muxConn) dropWaiter(id uint32) {
@@ -393,43 +454,84 @@ const writeBatch = 64
 // optional deadline field.
 const hdrSlot = frameHdrV2 + deadlineBytes
 
-// writeLoop drains queued requests, coalescing everything pending into
-// one net.Buffers vectored write — headers (and deadline fields) from a
-// reused arena, payload slices used in place (zero copy).
-func (c *muxConn) writeLoop() {
-	var (
-		hdrs    [writeBatch * hdrSlot]byte
-		pending = make([]*wireReq, 0, writeBatch)
-		bufs    = make(net.Buffers, 0, 2*writeBatch)
-	)
-	for {
-		select {
-		case <-c.closed:
-			return
-		case req := <-c.writeCh:
-			pending = append(pending[:0], req)
+// write sends req's frame. With no leader on c, the caller leads: it
+// takes the queue (its own frame first), writes it and closes the wrote
+// channel of each follower in it, and goes on until the queue is empty.
+// With a leader at work, req joins the queue and gets a wrote channel.
+// After a failed write every queued frame fails with it, and so does
+// every later one.
+func (c *muxConn) write(req *wireReq) {
+	c.wmu.Lock()
+	if c.werr != nil {
+		req.err = c.werr
+		c.wmu.Unlock()
+		return
+	}
+	c.queue = append(c.queue, req)
+	if c.writing {
+		req.wrote = make(chan struct{})
+		c.wmu.Unlock()
+		return
+	}
+	c.writing = true
+	var err error
+	for len(c.queue) > 0 && err == nil {
+		batch := c.queue
+		c.queue = c.spare[:0]
+		c.wmu.Unlock()
+		err = c.writeFrames(batch)
+		c.wmu.Lock()
+		c.wake(batch, err)
+		c.spare = batch[:0]
+	}
+	if err != nil {
+		err = fmt.Errorf("writing frame: %w", err)
+		c.werr = err
+		c.wake(c.queue, err)
+		c.queue = c.queue[:0]
+	}
+	c.writing = false
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(err)
+	}
+}
+
+// wake ends the wait of every follower among reqs, handing it the
+// write's error, and drops the queue's references to them. Callers hold
+// c.wmu.
+func (c *muxConn) wake(reqs []*wireReq, err error) {
+	for i, r := range reqs {
+		if err != nil {
+			r.err = err
 		}
-		// With more requests in flight than just this one, yield once
-		// before committing to a syscall: senders that are already
-		// runnable get to enqueue, so a burst of concurrent requests
-		// coalesces into one vectored write instead of N. A lone caller
-		// skips the yield and keeps its latency.
-		if c.inflight.Load() > 1 {
-			runtime.Gosched()
+		if r.wrote != nil {
+			close(r.wrote)
 		}
-	gather:
-		for len(pending) < writeBatch {
-			select {
-			case req := <-c.writeCh:
-				pending = append(pending, req)
-			default:
-				break gather
-			}
+		reqs[i] = nil
+	}
+}
+
+// writeFrames writes reqs in vectored writes of up to writeBatch frames:
+// headers (and deadline fields) from the leader's arena, payload slices
+// used in place (zero copy). The write deadline is re-armed only when
+// less than half of writeTimeout is left on it, so a stuck write still
+// fails within writeTimeout while a busy connection stops resetting the
+// poller's timer on every write. Only the leader calls it.
+func (c *muxConn) writeFrames(reqs []*wireReq) error {
+	now := time.Now()
+	if c.wdl.Sub(now) < writeTimeout/2 {
+		c.wdl = now.Add(writeTimeout)
+		if err := c.nc.SetWriteDeadline(c.wdl); err != nil {
+			return err
 		}
-		bufs = bufs[:0]
+	}
+	for len(reqs) > 0 {
+		n := min(len(reqs), writeBatch)
+		bufs := c.bufs[:0]
 		var wire uint64
-		for i, req := range pending {
-			slot := hdrs[i*hdrSlot : i*hdrSlot+hdrSlot]
+		for i, req := range reqs[:n] {
+			slot := c.hdrs[i*hdrSlot : i*hdrSlot+hdrSlot]
 			if req.deadline.IsZero() {
 				h := slot[:frameHdrV2]
 				putFrameHdrV2(h, req.id, req.op, len(req.payload))
@@ -448,17 +550,16 @@ func (c *muxConn) writeLoop() {
 			}
 			wire += frameWireBytesV2(req.payload)
 		}
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
-		_, err := bufs.WriteTo(c.nc)
-		for _, req := range pending {
-			close(req.wrote)
-		}
-		if err != nil {
-			c.fail(fmt.Errorf("writing frame: %w", err))
-			return
+		c.bufs = bufs
+		// WriteTo consumes the slice it is called on (and nils what it
+		// wrote), so hand it a copy of the header and keep c.bufs whole.
+		if _, err := bufs.WriteTo(c.nc); err != nil {
+			return err
 		}
 		c.t.met.bytesOut.Add(wire)
+		reqs = reqs[n:]
 	}
+	return nil
 }
 
 // readLoop is the demux goroutine: it reads response frames and routes
@@ -486,8 +587,8 @@ func (c *muxConn) readLoop() {
 }
 
 // fail tears the connection down exactly once: marks it dead, closes
-// the socket (waking both loops), fails every waiter, and evicts it
-// from its node.
+// the socket (ending the demux loop and any write in progress), fails
+// every waiter, and evicts it from its node.
 func (c *muxConn) fail(err error) {
 	c.mu.Lock()
 	if c.dead {
@@ -499,7 +600,6 @@ func (c *muxConn) fail(err error) {
 	waiters := c.waiters
 	c.waiters = make(map[uint32]chan wireResp)
 	c.mu.Unlock()
-	close(c.closed)
 	c.nc.Close()
 	for _, ch := range waiters {
 		ch <- wireResp{err: err}

@@ -87,7 +87,8 @@ func TestPoolWaitersFailFastOnConnDeath(t *testing.T) {
 }
 
 // clientGoroutines counts the goroutines running this package's TCP
-// client: connections' read and write loops, dials and Send waiters. Other tests' leftovers and the parked fan-out and server
+// client: connections' demux loops, dials, Send waiters and fan-out
+// callers. Other tests' leftovers and the parked fan-out and server
 // worker pools run none of that code, so they do not move the count.
 func clientGoroutines() int {
 	buf := make([]byte, 1<<16)
@@ -132,8 +133,8 @@ func TestPoolSaturationNoGoroutineLeak(t *testing.T) {
 		wg.Wait()
 	}
 
-	// Warm burst: establishes the conn, whose loops are the baseline,
-	// not a leak.
+	// Warm burst: establishes the conn, whose demux loop is the
+	// baseline, not a leak.
 	burst()
 	base := clientGoroutines()
 

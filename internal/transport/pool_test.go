@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -367,6 +368,76 @@ func TestMuxPayloadNotRetained(t *testing.T) {
 				t.Fatalf("iteration %d: response byte %d — transport retained a recycled payload", i, b)
 			}
 		}
+	}
+	wantOneConn(t, reg)
+}
+
+// TestMuxPayloadNotRetainedConcurrent is TestMuxPayloadNotRetained with
+// 16 callers on one connection, each overwriting its own buffer the
+// moment Send returns, whether it succeeded or its context ended: a
+// frame a leader writes for a follower must have left before that
+// follower's Send returns. Every payload names its caller and round, so
+// the node can tell a frame that left after its buffer was recycled.
+func TestMuxPayloadNotRetainedConcurrent(t *testing.T) {
+	const callers, rounds = 16, 200
+	fill := func(g, i byte) byte { return byte(int(g)*rounds + int(i)) }
+	var torn atomic.Int32
+	addr, stop := startTCPNode(t, func(_ context.Context, op uint8, p []byte) ([]byte, error) {
+		if len(p) < 2 || p[0] >= callers {
+			torn.Add(1)
+			return nil, nil
+		}
+		for _, b := range p[2:] {
+			if b != fill(p[0], p[1]) {
+				torn.Add(1)
+				break
+			}
+		}
+		return append([]byte(nil), p...), nil
+	})
+	defer stop()
+
+	cli, reg := countedTCP(t, map[NodeID]string{1: addr})
+
+	var wg sync.WaitGroup
+	for g := byte(0); g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 64)
+			for i := byte(0); i < rounds; i++ {
+				buf[0], buf[1] = g, i
+				for j := 2; j < len(buf); j++ {
+					buf[j] = fill(g, i)
+				}
+				// Every other round ends its context at once, so some
+				// Sends return while their frames still wait for a leader.
+				ctx, cancel := context.WithCancel(context.Background())
+				if i%2 == 1 {
+					go cancel()
+				}
+				resp, err := cli.Send(ctx, 1, 1, buf)
+				cancel()
+				for j := range buf {
+					buf[j] = 0xFF // recycle the buffer at once
+				}
+				if err != nil {
+					if i%2 == 0 || !errors.Is(err, context.Canceled) {
+						t.Errorf("caller %d round %d: %v", g, i, err)
+						return
+					}
+					continue
+				}
+				if len(resp) != len(buf) || resp[0] != g || resp[1] != i {
+					t.Errorf("caller %d round %d: response %x is not its request's echo", g, i, resp)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Errorf("%d frames reached the node after their caller recycled the payload", n)
 	}
 	wantOneConn(t, reg)
 }

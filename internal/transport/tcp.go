@@ -106,10 +106,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.serveConnV2(conn, r)
 }
 
-// srvResp is one finished request on its way to the writer goroutine.
-// reqBuf is the pooled buffer the request payload was read into; the
-// writer releases it only after the response frame is written, because
-// a handler's response may alias its request.
+// srvResp is one finished request on its way out. reqBuf is the pooled
+// buffer the request payload was read into; the writer releases it
+// only after the response frame is written, because a handler's
+// response may alias its request.
 type srvResp struct {
 	id      uint32
 	status  uint8
@@ -117,51 +117,57 @@ type srvResp struct {
 	reqBuf  *[]byte
 }
 
-// srvTask is one v2 request dispatched to a handler worker. inflight is
-// the connection's own live-request counter; the writer consults it to
-// decide whether yielding for more responses is worthwhile. deadline is
-// the caller's propagated deadline (zero when none was sent).
+// srvTask is one v2 request dispatched to a handler worker. deadline is
+// the caller's propagated deadline (zero when none was sent); expired
+// marks a request whose budget had run out on arrival, which the worker
+// answers without calling the handler.
 type srvTask struct {
-	s        *Server
+	sc       *srvConn
 	id       uint32
 	op       uint8
 	payload  []byte
 	buf      *[]byte
 	deadline time.Time
-	respCh   chan srvResp
+	expired  bool
 	wg       *sync.WaitGroup
-	inflight *atomic.Int32
 }
 
 func (t srvTask) run() {
 	defer t.wg.Done()
+	r := t.answer()
+	t.sc.unanswered.Add(-1)
+	t.sc.reply(r)
+}
+
+func (t srvTask) answer() srvResp {
+	if t.expired {
+		// The client's own deadline fired (or will momentarily), so any
+		// real work here is wasted CPU.
+		return srvResp{id: t.id, status: statusExpired, reqBuf: t.buf}
+	}
+	s := t.sc.s
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if !t.deadline.IsZero() {
 		ctx, cancel = context.WithDeadline(ctx, t.deadline)
 	}
-	resp, herr := t.s.handler(ctx, t.op, t.payload)
+	resp, herr := s.handler(ctx, t.op, t.payload)
 	if cancel != nil {
 		cancel()
 	}
-	// Decrement before the response is queued so the writer's snapshot
-	// counts only requests that still owe it a response.
-	t.s.met.inflight.Add(-1)
-	t.inflight.Add(-1)
+	s.met.inflight.Add(-1)
 	if herr != nil {
-		t.s.met.handlerErrors.Inc()
+		s.met.handlerErrors.Inc()
 		// A request whose deadline ran out here or downstream keeps its
 		// status on the way back out instead of flattening into a generic
 		// remote error: the original client must see an expiry, not a
 		// handler failure.
 		if errors.Is(herr, context.DeadlineExceeded) {
-			t.respCh <- srvResp{id: t.id, status: statusExpired, reqBuf: t.buf}
-			return
+			return srvResp{id: t.id, status: statusExpired, reqBuf: t.buf}
 		}
-		t.respCh <- srvResp{id: t.id, status: statusErr, payload: []byte(herr.Error()), reqBuf: t.buf}
-		return
+		return srvResp{id: t.id, status: statusErr, payload: []byte(herr.Error()), reqBuf: t.buf}
 	}
-	t.respCh <- srvResp{id: t.id, status: statusOK, payload: resp, reqBuf: t.buf}
+	return srvResp{id: t.id, status: statusOK, payload: resp, reqBuf: t.buf}
 }
 
 // srvIdle parks finished handler workers for reuse, exactly like the
@@ -195,57 +201,91 @@ func srvWorker(t srvTask) {
 	}
 }
 
-// serveConnV2 is the multiplexed loop: a reader dispatching each
-// request frame to its own worker goroutine, and a single writer
-// goroutine serializing response frames back (out of order relative to
-// requests). Flushes coalesce: the writer only flushes when its queue
-// is momentarily empty, so a burst of responses ships as one syscall.
-func (s *Server) serveConnV2(conn net.Conn, r *bufio.Reader) {
-	respCh := make(chan srvResp, 128)
-	writerDone := make(chan struct{})
-	var inflight atomic.Int32
-	go func() {
-		defer close(writerDone)
-		w := bufio.NewWriterSize(conn, srvWriteBuf)
-		var werr error
-		for resp := range respCh {
-			// When other requests on this connection still owe responses,
-			// yield once so workers that are about to finish can queue
-			// theirs too; the whole burst then leaves in one flush instead
-			// of one syscall per response. A lone request skips the yield.
-			if len(respCh) == 0 && inflight.Load() > 0 {
-				runtime.Gosched()
-			}
-			for {
-				if werr == nil {
-					werr = writeFrameV2(w, resp.id, resp.status, resp.payload)
-					if werr == nil {
-						s.met.bytesOut.Add(frameWireBytesV2(resp.payload))
-					} else {
-						conn.Close() // unblock the read loop
-					}
-				}
-				putPayloadBuf(resp.reqBuf)
-				more := false
-				select {
-				case next, ok := <-respCh:
-					if ok {
-						resp = next
-						more = true
-					}
-				default:
-				}
-				if !more {
-					break
-				}
-			}
-			if werr == nil {
-				if werr = w.Flush(); werr != nil {
-					conn.Close()
-				}
+// srvConn is the reply side of one v2 connection. The worker that
+// finishes a request writes its own reply under a write-combining lock:
+// one that finds no one writing becomes the leader, writes every queued
+// reply into w and flushes, and goes on until the queue is empty; one
+// that finds a leader queues its reply and returns at once.
+type srvConn struct {
+	s    *Server
+	conn net.Conn
+
+	// unanswered counts the requests read but not yet answered by their
+	// worker. A new leader that sees others still unanswered yields
+	// once, so workers about to finish queue their replies and the burst
+	// leaves in one flush — replies that finish together, as a WAL group
+	// commit's do, then cost one syscall instead of one each.
+	unanswered atomic.Int32
+
+	mu      sync.Mutex
+	queue   []srvResp // replies waiting for the leader
+	spare   []srvResp // the queue's other buffer, swapped in by the leader
+	writing bool      // a leader is writing
+
+	// The leader's alone.
+	w    *bufio.Writer
+	werr error // the first write error; replies after it are dropped
+}
+
+// reply sends r, as the leader or by queueing it for the leader.
+func (sc *srvConn) reply(r srvResp) {
+	sc.mu.Lock()
+	sc.queue = append(sc.queue, r)
+	if sc.writing {
+		sc.mu.Unlock()
+		return
+	}
+	sc.writing = true
+	if sc.unanswered.Load() > 0 {
+		sc.mu.Unlock()
+		runtime.Gosched()
+		sc.mu.Lock()
+	}
+	for len(sc.queue) > 0 {
+		batch := sc.queue
+		sc.queue = sc.spare[:0]
+		sc.mu.Unlock()
+		sc.write(batch)
+		clear(batch)
+		sc.mu.Lock()
+		sc.spare = batch[:0]
+	}
+	sc.writing = false
+	sc.mu.Unlock()
+}
+
+// write writes one batch of replies and flushes it as one syscall (or a
+// few, past srvWriteBuf). After a write error the socket is closed,
+// which ends the read loop, and later replies are dropped. Every
+// request buffer goes back to the pool either way.
+func (sc *srvConn) write(batch []srvResp) {
+	for _, r := range batch {
+		if sc.werr == nil {
+			sc.werr = writeFrameV2(sc.w, r.id, r.status, r.payload)
+			if sc.werr == nil {
+				sc.s.met.bytesOut.Add(frameWireBytesV2(r.payload))
+			} else {
+				sc.conn.Close()
 			}
 		}
-	}()
+		putPayloadBuf(r.reqBuf)
+	}
+	if sc.werr == nil {
+		if sc.werr = sc.w.Flush(); sc.werr != nil {
+			sc.conn.Close()
+		}
+	}
+}
+
+// serveConnV2 is the multiplexed loop: the reader dispatches each
+// request frame to a worker of its own, and the worker writes the reply
+// (out of order relative to requests) through srvConn. The reader never
+// writes to the socket: a request that expired on arrival goes to a
+// worker like any other. Replies coalesce: a worker finishing while
+// another writes leaves its reply to that one's next flush, and a new
+// leader first yields once while other requests are unanswered.
+func (s *Server) serveConnV2(conn net.Conn, r *bufio.Reader) {
+	sc := &srvConn{s: s, conn: conn, w: bufio.NewWriterSize(conn, srvWriteBuf)}
 	var wg sync.WaitGroup
 	for {
 		id, tag, payload, buf, err := readFrameV2(r, true)
@@ -256,6 +296,7 @@ func (s *Server) serveConnV2(conn net.Conn, r *bufio.Reader) {
 		s.met.bytesIn.Add(frameWireBytesV2(payload))
 		op := tag &^ tagDeadline
 		var deadline time.Time
+		expired := false
 		if tag&tagDeadline != 0 {
 			budget, rest, derr := splitBudget(payload)
 			if derr != nil {
@@ -267,24 +308,24 @@ func (s *Server) serveConnV2(conn net.Conn, r *bufio.Reader) {
 			}
 			payload = rest
 			if budget <= 0 {
-				// Already expired on arrival: answer statusExpired without
-				// touching the handler — the client's own deadline fired (or
-				// will momentarily), so any real work here is wasted CPU.
 				s.met.expired.Inc()
-				respCh <- srvResp{id: id, status: statusExpired, reqBuf: buf}
-				continue
+				expired = true
+			} else {
+				deadline = time.Now().Add(budget)
 			}
-			deadline = time.Now().Add(budget)
 		}
-		s.met.admits.Inc()
-		s.met.inflight.Add(1)
-		inflight.Add(1)
+		if !expired {
+			s.met.admits.Inc()
+			s.met.inflight.Add(1)
+		}
 		wg.Add(1)
-		srvGo(srvTask{s: s, id: id, op: op, payload: payload, buf: buf, deadline: deadline, respCh: respCh, wg: &wg, inflight: &inflight})
+		sc.unanswered.Add(1)
+		srvGo(srvTask{sc: sc, id: id, op: op, payload: payload, buf: buf, deadline: deadline, expired: expired, wg: &wg})
 	}
+	// A worker leaves wg only once its reply is written or handed to a
+	// leader that has not yet left wg itself, so every reply is out (or
+	// dropped) when Wait returns.
 	wg.Wait()
-	close(respCh)
-	<-writerDone
 }
 
 // Close stops accepting and closes all live connections.

@@ -162,18 +162,27 @@ func (m *Memory) SendsInline() bool { return true }
 
 // CtxSender marks transports whose Send returns promptly once the
 // context ends, even mid-request — the multiplexed TCP transport, whose
-// round-trip selects on ctx.Done while the demux goroutine owns the
-// socket. Fan-out helpers call such transports directly instead of
-// paying a watchdog goroutine per send; transports that can block past
+// Send waits for its answer in a select on ctx.Done (only a frame still
+// being written holds it, and that write is bounded by writeTimeout).
+// Fan-out helpers call such transports directly instead of paying a
+// watchdog goroutine per send; transports that can block past
 // cancellation (an in-memory handler that never returns, a middleware
 // that swallows the context) must not carry the marker.
 type CtxSender interface {
 	SendsWithContext() bool
 }
 
-// SendsWithContext marks the multiplexed TCP transport: roundTrip abandons
+// SendsWithContext marks the multiplexed TCP transport: Send abandons
 // the waiter and returns ctx.Err() the moment the context ends.
 func (t *TCP) SendsWithContext() bool { return true }
+
+// scatterer is a transport that runs a whole fan-out on the caller's
+// goroutine (TCP, and Watch over TCP). scatter fills out as fanOut
+// would; it reports false, having sent nothing, when it cannot run the
+// fan-out, which then takes the goroutine path.
+type scatterer interface {
+	scatter(ctx context.Context, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) bool
+}
 
 // sendAbortable runs one Send but returns as soon as the context ends,
 // carrying ctx.Err(), even if the underlying transport ignores
@@ -258,11 +267,17 @@ func fanWorker(t fanTask) {
 }
 
 // fanOut dispatches one send per node and waits for all results;
-// payloadAt indexes into the caller's node order. nodes[0] runs inline
-// on the caller's goroutine (which would otherwise just block), so a
-// single-node fan-out costs no goroutine at all.
+// payloadAt indexes into the caller's node order. A scatterer runs the
+// whole fan-out on the caller's goroutine; the in-memory transport runs
+// its sends serially when the context cannot end. Otherwise nodes[0]
+// runs inline on the caller's goroutine (which would otherwise just
+// block) and the rest on fan-out workers, so a single-node fan-out
+// costs no goroutine at all.
 func fanOut(ctx context.Context, tr Transport, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) {
 	if len(nodes) == 0 {
+		return
+	}
+	if s, ok := tr.(scatterer); ok && s.scatter(ctx, nodes, op, payloadAt, out) {
 		return
 	}
 	if is, ok := tr.(InlineSender); ok && is.SendsInline() && ctx.Done() == nil {
