@@ -19,7 +19,7 @@ import (
 // fixed (DESIGN.md §9).
 type SelfHealingConfig struct {
 	ProbeInterval time.Duration // period of the loop: one probe round and one repair pass (default 50ms)
-	ProbeTimeout  time.Duration // per-probe deadline (default 1s)
+	ProbeTimeout  time.Duration // deadline of one probe round (default 1s)
 	DownAfter     int           // consecutive failures before "down" (default 2)
 }
 
@@ -180,15 +180,16 @@ func (c *Cluster) ClusterHealth() ClusterHealth {
 		}
 	}
 	if c.sup != nil {
-		out.Alarm = c.sup.Alarm()
-		for _, id := range c.sup.Down() {
+		h := c.sup.Health()
+		out.Alarm = h.Alarm
+		for _, id := range h.Down {
 			out.Down = append(out.Down, int(id))
 		}
-		for _, id := range c.sup.Lost() {
+		for _, id := range h.Lost {
 			out.Lost = append(out.Lost, int(id))
 		}
-		out.Repairs = c.sup.Repairs()
-		out.JournalLen, out.JournalDropped = c.sup.JournalStats()
+		out.Repairs = h.Repairs
+		out.JournalLen, out.JournalDropped = h.JournalLen, h.JournalDropped
 	}
 	c.storeMu.Lock()
 	for id, rec := range c.recovery {

@@ -150,13 +150,6 @@ func (c *countingTransport) Send(ctx context.Context, node transport.NodeID, op 
 	return c.Transport.Send(ctx, node, op, payload)
 }
 
-// SendsInline forwards the inner transport's inline-send marker so
-// fan-out keeps its serial fast path under the counting wrapper.
-func (c *countingTransport) SendsInline() bool {
-	is, ok := c.Transport.(transport.InlineSender)
-	return ok && is.SendsInline()
-}
-
 func insertBenchCluster(tb testing.TB, nodes int) (*Cluster, *countingTransport) {
 	tb.Helper()
 	mem := transport.NewMemory()

@@ -199,18 +199,18 @@ func TestSupervisorPhaseMetricsMatchJournal(t *testing.T) {
 	clk.Advance(debounce)
 	sc.sup.Reconcile(ctx) // observe recovery
 
-	if down := sc.sup.Down(); len(down) != 0 {
-		t.Fatalf("nodes still down after repair: %v", down)
+	h := sc.sup.Health()
+	if len(h.Down) != 0 {
+		t.Fatalf("nodes still down after repair: %v", h.Down)
 	}
-	length, dropped := sc.sup.JournalStats()
 	var phaseSum uint64
 	for p := 0; p < repairPhaseCount; p++ {
 		name := "supervisor_phase_" + sanitizePhase(RepairPhase(p).String()) + "_total"
 		phaseSum += reg.CounterValue(name)
 	}
-	if phaseSum != uint64(length)+dropped {
+	if phaseSum != uint64(h.JournalLen)+h.JournalDropped {
 		t.Errorf("sum(phase counters) = %d, want journal length %d + dropped %d",
-			phaseSum, length, dropped)
+			phaseSum, h.JournalLen, h.JournalDropped)
 	}
 	if phaseSum == 0 {
 		t.Error("no repair phases recorded")

@@ -119,7 +119,7 @@ type downNode struct {
 //
 // Concurrency: all probing and repair work runs on the supervisor's
 // single loop goroutine, the only timer of self-healing; state reads
-// (Down, Journal, Alarm) take the mutex.
+// (Health, Journal) take the mutex.
 type Supervisor struct {
 	det    *transport.Detector
 	revive Reviver
@@ -362,12 +362,30 @@ func (s *Supervisor) endPass() {
 	s.mu.Unlock()
 }
 
-// Alarm returns the active alarm message naming every node whose state
-// is lost ("" when nominal).
-func (s *Supervisor) Alarm() string {
+// SupervisorHealth is the supervisor's state at one moment.
+type SupervisorHealth struct {
+	Alarm          string             // names every node whose state is lost; "" when nominal
+	Down           []transport.NodeID // confirmed-down nodes under repair, ascending
+	Lost           []transport.NodeID // nodes whose state is lost, ascending
+	Repairs        uint64             // completed repairs (monotonic)
+	JournalLen     int                // repair records held
+	JournalDropped uint64             // oldest records shed by the ring bound
+}
+
+// Health copies the supervisor's state under one lock: a repair changes
+// the down-set, the alarms and the repair count in one section, so the
+// snapshot never shows half of one.
+func (s *Supervisor) Health() SupervisorHealth {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.alarmLocked()
+	return SupervisorHealth{
+		Alarm:          s.alarmLocked(),
+		Down:           sortedNodesLocked(s.down),
+		Lost:           sortedNodesLocked(s.lost),
+		Repairs:        s.repairs,
+		JournalLen:     len(s.journal),
+		JournalDropped: s.journalDropped,
+	}
 }
 
 func (s *Supervisor) alarmLocked() string {
@@ -381,41 +399,12 @@ func (s *Supervisor) alarmLocked() string {
 	return "state lost on " + strings.Join(parts, "; ")
 }
 
-// Lost lists the nodes whose state is lost, ascending.
-func (s *Supervisor) Lost() []transport.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedNodesLocked(s.lost)
-}
-
-// Down lists the nodes currently tracked as confirmed-down, ascending.
-func (s *Supervisor) Down() []transport.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return sortedNodesLocked(s.down)
-}
-
-// Repairs returns the number of completed node repairs.
-func (s *Supervisor) Repairs() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.repairs
-}
-
 // Journal returns a copy of the repair journal in order (the most
-// recent journalCap records; see JournalStats for what was shed).
+// recent journalCap records; Health counts what was shed).
 func (s *Supervisor) Journal() []RepairRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]RepairRecord(nil), s.journal...)
-}
-
-// JournalStats reports the journal's current length and how many old
-// records the ring bound has dropped.
-func (s *Supervisor) JournalStats() (length int, dropped uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.journal), s.journalDropped
 }
 
 // AwaitHealthy blocks until every node is up with no tracked failures

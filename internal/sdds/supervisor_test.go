@@ -164,16 +164,16 @@ func TestSupervisorAutoRepairsKilledNodes(t *testing.T) {
 
 	sc.kill(1, 3)
 	sc.sup.Reconcile(ctx) // detect both down
-	if got := sc.sup.Down(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+	if got := sc.sup.Health().Down; len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("Down = %v, want [1 3]", got)
 	}
 	sc.clk.Advance(debounce) // let the debounce elapse
 	sc.sup.Reconcile(ctx)    // revive: each node replays its own journal
 
-	if got := sc.sup.Down(); len(got) != 0 {
+	if got := sc.sup.Health().Down; len(got) != 0 {
 		t.Fatalf("Down after repair = %v", got)
 	}
-	if n := sc.sup.Repairs(); n != 2 {
+	if n := sc.sup.Health().Repairs; n != 2 {
 		t.Fatalf("Repairs = %d, want 2", n)
 	}
 	verifyRecords(t, sc.cluster, want) // zero record loss
@@ -202,10 +202,10 @@ func TestSupervisorRecoversMajorityKill(t *testing.T) {
 	sc.kill(0, 2)
 	sc.repairPass(ctx)
 
-	if a := sc.sup.Alarm(); a != "" {
+	if a := sc.sup.Health().Alarm; a != "" {
 		t.Fatalf("alarm after killing 2 of 3 durable nodes: %q", a)
 	}
-	if n := sc.sup.Repairs(); n != 2 {
+	if n := sc.sup.Health().Repairs; n != 2 {
 		t.Fatalf("Repairs = %d, want 2; journal %+v", n, sc.sup.Journal())
 	}
 	for _, node := range []transport.NodeID{0, 2} {
@@ -245,10 +245,10 @@ func TestSupervisorAlarmsOnCorruptJournal(t *testing.T) {
 	if want := []RepairPhase{RepairDetected, RepairStarted, RepairAlarm}; !slices.Equal(got, want) {
 		t.Fatalf("journal phases = %v, want %v", got, want)
 	}
-	if a := sc.sup.Alarm(); !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
+	if a := sc.sup.Health().Alarm; !strings.Contains(a, fmt.Sprintf("node %d", victim)) {
 		t.Fatalf("Alarm = %q, want it to name node %d", a, victim)
 	}
-	if n := sc.sup.Repairs(); n != 0 {
+	if n := sc.sup.Health().Repairs; n != 0 {
 		t.Fatalf("Repairs = %d for a corrupt journal", n)
 	}
 	if err := sc.sup.AwaitHealthy(ctx); !errors.Is(err, ErrNodeStateLost) {
@@ -283,14 +283,14 @@ func TestSupervisorAlarmsOnLostDataDir(t *testing.T) {
 	sc.repairPass(ctx)
 	for i := 0; i < 3; i++ {
 		sc.repairPass(ctx)
-		if a := sc.sup.Alarm(); !strings.Contains(a, "node 1") {
+		if a := sc.sup.Health().Alarm; !strings.Contains(a, "node 1") {
 			t.Fatalf("pass %d: Alarm = %q, want it to name node 1", i, a)
 		}
 	}
 	if got := phases(sc.sup.Journal(), victim); got[len(got)-1] != RepairAlarm {
 		t.Fatalf("journal phases = %v, want ... alarm", got)
 	}
-	if lost := sc.sup.Lost(); len(lost) != 1 || lost[0] != victim {
+	if lost := sc.sup.Health().Lost; len(lost) != 1 || lost[0] != victim {
 		t.Fatalf("Lost = %v, want [1]", lost)
 	}
 	actx, cancel := context.WithTimeout(ctx, time.Minute)
@@ -321,7 +321,7 @@ func TestSupervisorAlarmsOnLostDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.repairPass(ctx)
-	if a := sc.sup.Alarm(); a != "" {
+	if a := sc.sup.Health().Alarm; a != "" {
 		t.Fatalf("alarm after the node replayed its journal: %q", a)
 	}
 	if err := sc.sup.AwaitHealthy(ctx); err != nil {
@@ -337,7 +337,7 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 
 	sc.kill(1)
 	sc.sup.Reconcile(ctx)
-	if got := sc.sup.Down(); len(got) != 1 || got[0] != 1 {
+	if got := sc.sup.Health().Down; len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Down = %v", got)
 	}
 	// The process restarts before the debounce elapses: the supervisor
@@ -346,14 +346,14 @@ func TestSupervisorAbsorbsFlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.sup.Reconcile(ctx)
-	if got := sc.sup.Down(); len(got) != 0 {
+	if got := sc.sup.Health().Down; len(got) != 0 {
 		t.Fatalf("Down after flap = %v", got)
 	}
 	got := phases(sc.sup.Journal(), 1)
 	if len(got) != 2 || got[0] != RepairDetected || got[1] != RepairFlap {
 		t.Fatalf("journal phases = %v, want [detected flap]", got)
 	}
-	if n := sc.sup.Repairs(); n != 0 {
+	if n := sc.sup.Health().Repairs; n != 0 {
 		t.Fatalf("Repairs = %d for a flap", n)
 	}
 }
@@ -513,7 +513,7 @@ func TestSearchReportsDownNodeAfterLateInsert(t *testing.T) {
 	indexRecord(t, sc.cluster, pl, 100, []byte("RECORD 0100 HAS GRIDLOCK INSIDE"))
 	sc.kill(victim)
 	sc.sup.Reconcile(ctx)
-	if got := sc.sup.Down(); len(got) != 1 || got[0] != victim {
+	if got := sc.sup.Health().Down; len(got) != 1 || got[0] != victim {
 		t.Fatalf("Down = %v, want [%d]", got, victim)
 	}
 	rids, err := sc.cluster.Search(ctx, FileIndex, pl, query, core.VerifyAny)
@@ -587,12 +587,12 @@ func TestRepairJournalRingBound(t *testing.T) {
 	for i := 0; i < journalCap+extra; i++ {
 		sc.sup.journalOne(transport.NodeID(i%3), RepairDetected, "synthetic")
 	}
-	length, dropped := sc.sup.JournalStats()
-	if length != journalCap {
-		t.Fatalf("journal length = %d, want bounded at %d", length, journalCap)
+	h := sc.sup.Health()
+	if h.JournalLen != journalCap {
+		t.Fatalf("journal length = %d, want bounded at %d", h.JournalLen, journalCap)
 	}
-	if dropped != extra {
-		t.Fatalf("dropped = %d, want %d", dropped, extra)
+	if h.JournalDropped != extra {
+		t.Fatalf("dropped = %d, want %d", h.JournalDropped, extra)
 	}
 	j := sc.sup.Journal()
 	if len(j) != journalCap {

@@ -45,7 +45,7 @@ type DetectorPolicy struct {
 	// ProbeInterval is the period of the supervisor's loop, which runs
 	// one probe round per pass (default 50ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default 1s).
+	// ProbeTimeout bounds one probe round (default 1s).
 	ProbeTimeout time.Duration
 	// DownAfter is the number of consecutive failed signals confirming a
 	// node down (default 2). The first failure alone moves it to
@@ -120,20 +120,16 @@ func (d *Detector) Policy() DetectorPolicy { return d.policy }
 // against nodes it is inspecting.
 func (d *Detector) Transport() Transport { return d.tr }
 
-// ProbeOnce runs one synchronous probe round over all members.
+// ProbeOnce runs one synchronous probe round: ProbeOp goes to every
+// member in one Broadcast under a ProbeTimeout context, so a hung node
+// holds the round no longer than that, and each leg's outcome is folded
+// in as one active signal.
 func (d *Detector) ProbeOnce(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, node := range d.members {
-		wg.Add(1)
-		go func(node NodeID) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, d.policy.ProbeTimeout)
-			defer cancel()
-			_, err := d.tr.Send(pctx, node, d.policy.ProbeOp, nil)
-			d.signal(node, err, false)
-		}(node)
+	pctx, cancel := context.WithTimeout(ctx, d.policy.ProbeTimeout)
+	defer cancel()
+	for _, r := range Broadcast(pctx, d.tr, d.members, d.policy.ProbeOp, nil) {
+		d.signal(r.Node, r.Err, false)
 	}
-	wg.Wait()
 }
 
 // ObserveSend feeds a passive signal from live traffic; Watch calls it

@@ -137,3 +137,35 @@ func TestDetectorRetryObserverIntegration(t *testing.T) {
 		t.Fatalf("node 1 health = %+v", snap[1])
 	}
 }
+
+// TestProbeRoundBoundedByTimeout: a node whose handler never returns
+// holds a probe round no longer than ProbeTimeout. The round fails the
+// hung node's probe and still counts the other member's answer.
+func TestProbeRoundBoundedByTimeout(t *testing.T) {
+	m := NewMemory()
+	m.Register(0, echoHandler)
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	m.Register(1, func(context.Context, uint8, []byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	d := NewDetector(m, []NodeID{0, 1}, DetectorPolicy{ProbeTimeout: 50 * time.Millisecond})
+
+	done := make(chan struct{})
+	go func() {
+		d.ProbeOnce(context.Background())
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("probe round still running 2s after a 50ms ProbeTimeout")
+	}
+	if st := stateOf(d, 1); st == NodeUp {
+		t.Errorf("hung node 1 is %v after a timed-out probe", st)
+	}
+	if st := stateOf(d, 0); st != NodeUp {
+		t.Errorf("echo node 0 is %v, want up", st)
+	}
+}

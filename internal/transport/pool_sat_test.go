@@ -88,8 +88,8 @@ func TestPoolWaitersFailFastOnConnDeath(t *testing.T) {
 
 // clientGoroutines counts the goroutines running this package's TCP
 // client: connections' demux loops, dials, Send waiters and fan-out
-// callers. Other tests' leftovers and the parked fan-out and server
-// worker pools run none of that code, so they do not move the count.
+// callers. Other tests' leftovers and the parked server workers run
+// none of that code, so they do not move the count.
 func clientGoroutines() int {
 	buf := make([]byte, 1<<16)
 	for {

@@ -68,13 +68,28 @@ func TestBroadcastCostsNoGoroutinePerLeg(t *testing.T) {
 	}
 }
 
-// TestScatterWatchObservesEachLegOnce: a Watch-wrapped TCP client runs
-// its fan-out as one scatter, and the detector still sees every leg
-// exactly once; a stopped node among three counts one failure.
+// TestScatterWatchObservesEachLegOnce: a Watch-wrapped TCP or Memory
+// transport runs its fan-out as one scatter, and the detector still
+// sees every leg exactly once; a stopped node among three counts one
+// failure.
 func TestScatterWatchObservesEachLegOnce(t *testing.T) {
-	cli, nodes, stopAt := startTCPNodes(t, 3, echoHandler)
-	d := NewDetector(cli, nodes, DetectorPolicy{DownAfter: 2})
-	w := d.Watch(cli)
+	t.Run("tcp", func(t *testing.T) {
+		cli, nodes, stopAt := startTCPNodes(t, 3, echoHandler)
+		watchEachLegOnce(t, cli, nodes, stopAt)
+	})
+	t.Run("memory", func(t *testing.T) {
+		m := NewMemory()
+		nodes := []NodeID{0, 1, 2}
+		for _, n := range nodes {
+			m.Register(n, echoHandler)
+		}
+		watchEachLegOnce(t, m, nodes, func(i int) { m.Unregister(NodeID(i)) })
+	})
+}
+
+func watchEachLegOnce(t *testing.T, tr Transport, nodes []NodeID, stopAt func(int)) {
+	d := NewDetector(tr, nodes, DetectorPolicy{DownAfter: 2})
+	w := d.Watch(tr)
 
 	check := func(round int, failed NodeID) {
 		t.Helper()

@@ -170,12 +170,12 @@ func (t srvTask) answer() srvResp {
 	return srvResp{id: t.id, status: statusOK, payload: resp, reqBuf: t.buf}
 }
 
-// srvIdle parks finished handler workers for reuse, exactly like the
-// client-side fan-out pool: dispatch never queues behind a busy worker
-// (a fresh goroutine is spawned when no parked worker is free, so a
-// blocking handler — e.g. one forwarding to a peer node — cannot stall
-// unrelated requests), while parked workers keep their grown stacks so
-// a hot request stream stops paying per-request stack growth.
+// srvIdle parks finished handler workers for reuse: dispatch never
+// queues behind a busy worker (a fresh goroutine is spawned when no
+// parked worker is free, so a blocking handler — e.g. one forwarding to
+// a peer node — cannot stall unrelated requests), while parked workers
+// keep their grown stacks so a hot request stream stops paying
+// per-request stack growth.
 var srvIdle = make(chan chan srvTask, 64)
 
 func srvGo(t srvTask) {

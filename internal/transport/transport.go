@@ -145,29 +145,31 @@ type Result struct {
 	Err     error
 }
 
-// InlineSender marks transports whose Send completes synchronously on
-// the calling goroutine with no I/O to overlap — the in-memory
-// transport, where a send IS the handler call. Fan-out helpers run such
-// sends serially when the context cannot be cancelled: with no latency
-// to hide, worker handoff is pure scheduling overhead, and with an
-// uncancellable context a serial pass blocks in exactly the cases a
-// parallel one would (fan-out waits for every result either way).
-type InlineSender interface {
-	SendsInline() bool
+// scatter runs a fan-out's handler calls one after another on the
+// caller's goroutine: with no I/O to overlap and a context that cannot
+// end, a serial pass blocks exactly when a parallel one would. A context
+// that can end declines, so a hung handler cannot hold the caller past
+// it (fanOut then runs every leg through sendAbortable).
+func (m *Memory) scatter(ctx context.Context, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) bool {
+	if ctx.Done() != nil {
+		return false
+	}
+	for i, n := range nodes {
+		resp, err := m.Send(ctx, n, op, payloadAt(i))
+		out[i] = Result{Node: n, Payload: resp, Err: err}
+	}
+	return true
 }
-
-// SendsInline marks the in-memory transport for serial fan-out: a send
-// is a direct handler call on the caller's goroutine.
-func (m *Memory) SendsInline() bool { return true }
 
 // CtxSender marks transports whose Send returns promptly once the
 // context ends, even mid-request — the multiplexed TCP transport, whose
 // Send waits for its answer in a select on ctx.Done (only a frame still
 // being written holds it, and that write is bounded by writeTimeout).
-// Fan-out helpers call such transports directly instead of paying a
-// watchdog goroutine per send; transports that can block past
-// cancellation (an in-memory handler that never returns, a middleware
-// that swallows the context) must not carry the marker.
+// sendAbortable calls such transports directly instead of paying a
+// watchdog goroutine per send. A wrapper that aborts whenever its inner
+// transport does forwards the marker (Watch); transports that can block
+// past cancellation (an in-memory handler that never returns, a
+// middleware that swallows the context) must not carry it.
 type CtxSender interface {
 	SendsWithContext() bool
 }
@@ -177,9 +179,10 @@ type CtxSender interface {
 func (t *TCP) SendsWithContext() bool { return true }
 
 // scatterer is a transport that runs a whole fan-out on the caller's
-// goroutine (TCP, and Watch over TCP). scatter fills out as fanOut
-// would; it reports false, having sent nothing, when it cannot run the
-// fan-out, which then takes the goroutine path.
+// goroutine: TCP always, Memory under a context that cannot end, and
+// Watch over either. scatter fills out as fanOut would; it reports
+// false, having sent nothing, when it cannot run the fan-out, which
+// then takes the goroutine path.
 type scatterer interface {
 	scatter(ctx context.Context, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) bool
 }
@@ -216,63 +219,13 @@ func sendAbortable(ctx context.Context, tr Transport, node NodeID, op uint8, pay
 	}
 }
 
-// fanTask is one unit of scatter-gather work run by the fan-out worker
-// pool.
-type fanTask struct {
-	ctx     context.Context
-	tr      Transport
-	node    NodeID
-	op      uint8
-	payload []byte
-	out     *Result
-	wg      *sync.WaitGroup
-}
-
-func (t fanTask) run() {
-	resp, err := sendAbortable(t.ctx, t.tr, t.node, t.op, t.payload)
-	*t.out = Result{Node: t.node, Payload: resp, Err: err}
-	t.wg.Done()
-}
-
-// fanIdle holds the mailboxes of parked fan-out workers. Dispatch
-// reuses a parked worker when one is free and spawns a fresh goroutine
-// otherwise — a task is never queued behind a busy worker, so a slow or
-// blocked send cannot stall an unrelated fan-out. Parked workers keep
-// their grown stacks, which matters on the in-memory transport: the
-// node handler runs on the dispatching goroutine, and a cold goroutine
-// pays stack-growth through the whole handler on every send.
-var fanIdle = make(chan chan fanTask, 64)
-
-func fanGo(t fanTask) {
-	select {
-	case mb := <-fanIdle:
-		mb <- t
-	default:
-		go fanWorker(t)
-	}
-}
-
-func fanWorker(t fanTask) {
-	mb := make(chan fanTask)
-	for {
-		t.run()
-		t = fanTask{} // hold no payload references while parked
-		select {
-		case fanIdle <- mb:
-		default:
-			return // enough workers parked already; retire this one
-		}
-		t = <-mb
-	}
-}
-
 // fanOut dispatches one send per node and waits for all results;
-// payloadAt indexes into the caller's node order. A scatterer runs the
-// whole fan-out on the caller's goroutine; the in-memory transport runs
-// its sends serially when the context cannot end. Otherwise nodes[0]
-// runs inline on the caller's goroutine (which would otherwise just
-// block) and the rest on fan-out workers, so a single-node fan-out
-// costs no goroutine at all.
+// payloadAt indexes into the caller's node order. A scatterer (TCP,
+// Memory, Watch over either) runs the whole fan-out on the caller's
+// goroutine when it can. Otherwise nodes[0] runs on the caller's
+// goroutine (which would otherwise just block) and each other leg on a
+// goroutine of its own, every one through sendAbortable, so the fan-out
+// ends when its context does.
 func fanOut(ctx context.Context, tr Transport, nodes []NodeID, op uint8, payloadAt func(int) []byte, out []Result) {
 	if len(nodes) == 0 {
 		return
@@ -280,28 +233,26 @@ func fanOut(ctx context.Context, tr Transport, nodes []NodeID, op uint8, payload
 	if s, ok := tr.(scatterer); ok && s.scatter(ctx, nodes, op, payloadAt, out) {
 		return
 	}
-	if is, ok := tr.(InlineSender); ok && is.SendsInline() && ctx.Done() == nil {
-		for i, n := range nodes {
-			resp, err := tr.Send(ctx, n, op, payloadAt(i))
-			out[i] = Result{Node: n, Payload: resp, Err: err}
-		}
-		return
-	}
 	var wg sync.WaitGroup
-	wg.Add(len(nodes) - 1)
-	for i := 1; i < len(nodes); i++ {
-		fanGo(fanTask{ctx: ctx, tr: tr, node: nodes[i], op: op, payload: payloadAt(i), out: &out[i], wg: &wg})
+	wg.Add(len(nodes))
+	leg := func(i int) {
+		defer wg.Done()
+		resp, err := sendAbortable(ctx, tr, nodes[i], op, payloadAt(i))
+		out[i] = Result{Node: nodes[i], Payload: resp, Err: err}
 	}
-	resp, err := sendAbortable(ctx, tr, nodes[0], op, payloadAt(0))
-	out[0] = Result{Node: nodes[0], Payload: resp, Err: err}
+	for i := 1; i < len(nodes); i++ {
+		go leg(i)
+	}
+	leg(0)
 	wg.Wait()
 }
 
 // Broadcast sends the same request to every listed node in parallel and
-// collects all results, ordered by node ID. This is the primitive behind
-// the paper's parallel searches: the query series go to all index sites
-// at once and the coordinator gathers their hits. When the context ends,
-// pending sends abort promptly and their Results carry ctx.Err().
+// collects all results, results[i] answering nodes[i]. This is the
+// primitive behind the paper's parallel searches: the query series go
+// to all index sites at once and the coordinator gathers their hits.
+// When the context ends, pending sends abort promptly and their Results
+// carry ctx.Err().
 func Broadcast(ctx context.Context, tr Transport, nodes []NodeID, op uint8, payload []byte) []Result {
 	out := make([]Result, len(nodes))
 	fanOut(ctx, tr, nodes, op, func(int) []byte { return payload }, out)
