@@ -194,7 +194,7 @@ func benchmarkInsertIndexed(b *testing.B, batched bool) {
 	var rpcs, inserted int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, ct, cleanup := insertTCPBenchCluster(b, 4)
+		c, sends, cleanup := insertTCPBenchCluster(b, 4)
 		b.StartTimer()
 		for _, recs := range recSets {
 			var err error
@@ -207,7 +207,7 @@ func benchmarkInsertIndexed(b *testing.B, batched bool) {
 				b.Fatal(err)
 			}
 		}
-		rpcs += ct.sends.Load()
+		rpcs += sends()
 		inserted += records
 		b.StopTimer()
 		cleanup()

@@ -280,9 +280,14 @@ func (n *Node) checkAbsorbLocked(f *nodeFile, m migrateAbsorbReq) error {
 
 // applyMigrateAbsorbLocked lands the batch, records the absorbed set,
 // and freezes the target bucket until commit/abort — shared by the
-// live handler and WAL replay. Callers must hold the write lock.
+// live handler and WAL replay. A node that also holds the migration's
+// outgoing set (a node-local move) indexes nothing: the records'
+// postings are already there, one set per key across the node's
+// buckets, and commit and abort both keep them. Callers must hold the
+// write lock.
 func (n *Node) applyMigrateAbsorbLocked(m migrateAbsorbReq) error {
 	f := n.fileLocked(m.file)
+	_, alsoSource := n.outgoing[m.mid]
 	keys := make([]uint64, 0, len(m.batch.records))
 	switch m.kind {
 	case migrateSplit:
@@ -292,7 +297,6 @@ func (n *Node) applyMigrateAbsorbLocked(m migrateAbsorbReq) error {
 			keys = append(keys, r.key)
 		}
 		f.buckets[m.to] = b
-		f.indexPutBatch(m.batch.records)
 	case migrateMerge:
 		b, ok := f.buckets[m.to]
 		if !ok {
@@ -306,9 +310,11 @@ func (n *Node) applyMigrateAbsorbLocked(m migrateAbsorbReq) error {
 		if err := b.MergeFrom(src); err != nil {
 			return err
 		}
-		f.indexPutBatch(m.batch.records)
 	default:
 		return fmt.Errorf("sdds: migration %d: unknown kind %d", m.mid, m.kind)
+	}
+	if !alsoSource {
+		f.indexPutBatch(m.batch.records)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	n.absorbed[m.mid] = &migRecord{migrateHeader: m.migrateHeader, keys: keys}
@@ -351,7 +357,7 @@ func (n *Node) handleMigrateCommit(payload []byte) ([]byte, error) {
 // hold the write lock.
 func (n *Node) applyMigrateCommitLocked(m migrateFinishReq) error {
 	applied := false
-	// When this node is both source and target (placement collision) the
+	// When this node is both source and target (a node-local move) the
 	// moved records stay local: their postings — one set per key, shared
 	// across the node's buckets — must survive the source-side cleanup.
 	_, alsoTarget := n.absorbed[m.mid]
@@ -437,7 +443,7 @@ func (n *Node) applyMigrateAbortLocked(m migrateFinishReq) error {
 	_, alsoSource := n.outgoing[m.mid]
 	if rec, ok := n.outgoing[m.mid]; ok {
 		// Records never left the frozen bucket; forgetting the intent is
-		// the whole undo. A same-node absorbed role (placement collision)
+		// the whole undo. A same-node absorbed role (a node-local move)
 		// is handled below before the outcome is recorded.
 		f := n.fileLocked(rec.file)
 		f.migUnlock(rec.from)

@@ -11,11 +11,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cipherx"
+	"repro/internal/core"
 	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wordindex"
@@ -123,9 +126,17 @@ type migHarness struct {
 	logFS *wal.MemFS
 	lg    *FileMigrationLog
 	c     *Cluster
+	opts  wal.Options // every node store's options
 }
 
 func newMigHarness(t *testing.T, n int) *migHarness {
+	t.Helper()
+	return newMigHarnessOpts(t, n, wal.Options{})
+}
+
+// newMigHarnessOpts is newMigHarness with the node stores opened under
+// opts (a tiny CheckpointBytes makes every mutation checkpoint).
+func newMigHarnessOpts(t *testing.T, n int, opts wal.Options) *migHarness {
 	t.Helper()
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
@@ -142,6 +153,7 @@ func newMigHarness(t *testing.T, n int) *migHarness {
 		fss:   make(map[transport.NodeID]*wal.MemFS),
 		nodes: make(map[transport.NodeID]*Node),
 		logFS: wal.NewMemFS(),
+		opts:  opts,
 	}
 	h.hook = &hookTr{inner: h.mem}
 	for _, id := range ids {
@@ -164,7 +176,7 @@ func (h *migHarness) startNode(id transport.NodeID) {
 		fs.Restart()
 	}
 	node := NewNode(id, h.mem, h.place)
-	st, err := wal.Open(fs, "node", wal.Options{})
+	st, err := wal.Open(fs, "node", h.opts)
 	if err != nil {
 		h.t.Fatalf("opening node %d store: %v", id, err)
 	}
@@ -483,6 +495,149 @@ func TestSplitCrashSweep(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLocalSplitCrashSweep cuts power to the node holding both sides of
+// a node-local split of the posting-indexed file — bucket 0 into bucket
+// 2 on two nodes, both on node 0 — at every durable-write crash point,
+// once replaying the journal and once restoring every step from a
+// checkpoint, then restarts it and resumes. Whatever the resume settles
+// on, every indexed record is stored once, its postings are exactly a
+// rebuild's, and search agrees with a linear-scan cluster, finding each
+// record once. A split that ran without a crash wrote no posting.
+func TestLocalSplitCrashSweep(t *testing.T) {
+	pl := testPipeline(t, 4, 2, 2)
+	slotBits := SlotBits(pl.Chunkings(), pl.K())
+	rng := rand.New(rand.NewSource(54))
+	records := make(map[uint64][]byte)
+	for rid := uint64(1); rid <= 12; rid++ {
+		records[rid] = randomRecord(rng)
+	}
+	insert := func(t *testing.T, c *Cluster) map[uint64][]byte {
+		t.Helper()
+		keys := make(map[uint64][]byte)
+		for rid, rc := range records {
+			recs, err := pl.BuildIndex(rid, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.InsertIndexed(context.Background(), FileIndex, recs, pl.K(), slotBits); err != nil {
+				t.Fatalf("insert %d: %v", rid, err)
+			}
+			for _, rec := range recs {
+				for k, stream := range rec.Streams {
+					keys[ComposeIndexKey(rid, rec.J, k, pl.K(), slotBits)] =
+						encode(indexValue{firstIndex: uint32(rec.FirstIndex), pieces: stream})
+				}
+			}
+		}
+		return keys
+	}
+	lin, _ := memClusterNodes(t, 2, true)
+	lin.SetMaxLoad(FileIndex, 16)
+	insert(t, lin)
+
+	for _, mode := range []struct {
+		name string
+		opts wal.Options
+	}{
+		{"replay", wal.Options{}},
+		{"checkpoint", wal.Options{CheckpointBytes: 1}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			ctx := context.Background()
+			for point := 1; ; point++ {
+				h := newMigHarnessOpts(t, 2, mode.opts)
+				h.c.SetMaxLoad(FileIndex, 1<<20)
+				keys := insert(t, h.c)
+				h.c.SetMaxLoad(FileIndex, 16)
+				if err := h.c.coord.split(ctx, FileIndex); err != nil { // 0 → 1, across nodes
+					t.Fatalf("first split: %v", err)
+				}
+				if from, to := h.c.coord.File(FileIndex).State.NextSplit(); h.place.NodeOf(from) != 0 || h.place.NodeOf(to) != 0 {
+					t.Fatalf("split %d → %d is not local to node 0", from, to)
+				}
+				before := indexStatsOf(h.nodes[0])
+				h.fss[0].SetCrash(point, wal.CrashDrop)
+				err := h.c.coord.split(ctx, FileIndex)
+				crashed := h.fss[0].Crashed()
+				if !crashed {
+					// Past the protocol's last durable write on node 0.
+					if err != nil {
+						t.Fatalf("point %d: split failed without a crash: %v", point, err)
+					}
+					if after := indexStatsOf(h.nodes[0]); after.tombstones != before.tombstones || after.entries != before.entries {
+						t.Fatalf("node-local split rewrote postings: index %+v before, %+v after", before, after)
+					}
+				} else {
+					h.startNode(0)
+					if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
+						t.Fatalf("point %d: resuming after the crash: %v", point, err)
+					}
+					h.wantInvariant()
+					if s := h.c.coord.MigrationStats(); s.InFlight != 0 {
+						t.Fatalf("point %d: migration still in flight after resume: %+v", point, s)
+					}
+					for h.c.coord.File(FileIndex).State.Buckets() < 3 {
+						if err := h.c.coord.split(ctx, FileIndex); err != nil {
+							t.Fatalf("point %d: re-splitting after abort: %v", point, err)
+						}
+					}
+				}
+				h.checkAll(FileIndex, keys)
+				checkPostingInvariants(t, []*Node{h.nodes[0], h.nodes[1]})
+				for rid, rc := range records {
+					query, err := pl.BuildQuery(rc[:9], false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := h.c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+					if err != nil {
+						t.Fatalf("point %d: search: %v", point, err)
+					}
+					want, err := lin.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("point %d: search for record %d: posting %v, linear %v", point, rid, got, want)
+					}
+					if n := countOf(got, rid); n != 1 {
+						t.Fatalf("point %d: search for record %d found it %d times: %v", point, rid, n, got)
+					}
+				}
+				if !crashed {
+					// Prepare, absorb and commit each make at least one
+					// durable write on node 0.
+					if point <= 3 {
+						t.Fatalf("the sweep found only %d crash points", point-1)
+					}
+					t.Logf("%d crash points", point-1)
+					return
+				}
+			}
+		})
+	}
+}
+
+// indexStatsOf reads a node's posting-index summary of the index file.
+func indexStatsOf(n *Node) indexStats {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if f, ok := n.files[FileIndex]; ok && f.idx != nil {
+		return f.idx.stats()
+	}
+	return indexStats{}
+}
+
+func countOf(xs []uint64, x uint64) int {
+	n := 0
+	for _, v := range xs {
+		if v == x {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCoordinatorCrashResumesFromJournal kills the coordinator with a

@@ -164,12 +164,18 @@ func (f *nodeFile) rebuildIndex() {
 }
 
 // Placement maps LH* bucket addresses onto the fixed node pool. The
-// paper's model gives every bucket its own server; with a finite pool we
-// round-robin buckets across nodes, which preserves all LH* mechanics
-// (forwarding simply becomes a message to the peer owning the target
-// bucket).
+// paper's model gives every bucket its own server; with a finite pool a
+// bucket goes by its low p address bits: the 2^p slices, 2^p the
+// smallest power of two ≥ 16·N, are dealt round-robin over the N nodes
+// (DESIGN.md §14). A split or merge at level ≥ p keeps both buckets in
+// one slice, so it moves records within one node; the busiest node holds
+// at most 1/16 more than its fair share of slices. For an address below
+// 2^p, and for any address when N divides 2^p, this is addr mod N. All
+// LH* mechanics hold (forwarding simply becomes a message to the peer
+// owning the target bucket).
 type Placement struct {
-	nodes []transport.NodeID
+	nodes  []transport.NodeID
+	slices uint64 // 2^p
 }
 
 // NewPlacement builds a placement over the given nodes (at least one).
@@ -177,12 +183,16 @@ func NewPlacement(nodes []transport.NodeID) (*Placement, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("sdds: placement needs at least one node")
 	}
-	return &Placement{nodes: append([]transport.NodeID(nil), nodes...)}, nil
+	slices := uint64(16)
+	for slices < 16*uint64(len(nodes)) {
+		slices <<= 1
+	}
+	return &Placement{nodes: append([]transport.NodeID(nil), nodes...), slices: slices}, nil
 }
 
 // NodeOf returns the node hosting a bucket address.
 func (p *Placement) NodeOf(addr uint64) transport.NodeID {
-	return p.nodes[addr%uint64(len(p.nodes))]
+	return p.nodes[(addr&(p.slices-1))%uint64(len(p.nodes))]
 }
 
 // Nodes returns the node pool. The returned slice is the placement's
@@ -222,6 +232,11 @@ func (n *Node) DisablePostingIndex() {
 	n.mu.Unlock()
 }
 
+// ErrMisplacedBucket marks a recovered node that holds a bucket its
+// placement gives another node: the data dir was written under another
+// placement (another node list or order, or an older placement rule).
+var ErrMisplacedBucket = errors.New("sdds: bucket held off its placement")
+
 // AttachStore gives the node a durable backing and replays whatever
 // state the store recovered — call it before the node serves traffic.
 // The returned outcome distinguishes a fresh store from a successful
@@ -229,11 +244,19 @@ func (n *Node) DisablePostingIndex() {
 // replay that no longer applies) the local state cannot be vouched for:
 // AttachStore returns OutcomeCorrupt with an error wrapping
 // wal.ErrCorrupt, leaves the store's files exactly as they were (they
-// are the only copy to salvage from), and the node must not serve.
+// are the only copy to salvage from), and the node must not serve. A
+// recovered bucket that placement puts on another node fails it the
+// same way, with an error wrapping ErrMisplacedBucket instead.
 func (n *Node) AttachStore(s Store) (wal.Outcome, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out, err := s.Recover(n.restoreImageLocked, n.applyLoggedLocked)
+	if err == nil {
+		err = n.checkPlacementLocked()
+	}
+	if errors.Is(err, ErrMisplacedBucket) {
+		return wal.OutcomeCorrupt, err
+	}
 	if err != nil {
 		if !errors.Is(err, wal.ErrCorrupt) {
 			err = fmt.Errorf("%w: %v", wal.ErrCorrupt, err)
@@ -243,6 +266,37 @@ func (n *Node) AttachStore(s Store) (wal.Outcome, error) {
 	n.store = s
 	n.storeOutcome = out
 	return out, nil
+}
+
+// checkPlacementLocked fails on the first bucket (by file, then
+// address) that this node holds and placement gives another node.
+// Callers must hold the node lock.
+func (n *Node) checkPlacementLocked() error {
+	ids := make([]FileID, 0, len(n.files))
+	for id := range n.files {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		addrs := make([]uint64, 0, len(n.files[id].buckets))
+		for a := range n.files[id].buckets {
+			addrs = append(addrs, a)
+		}
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		for _, a := range addrs {
+			if n.place.NodeOf(a) != n.id {
+				return n.misplaced(id, a)
+			}
+		}
+	}
+	return nil
+}
+
+// misplaced names a bucket of file id that this node holds (or its
+// journal wrote to) and placement gives another node.
+func (n *Node) misplaced(id FileID, addr uint64) error {
+	return fmt.Errorf("%w: file %d bucket %d is on node %d, placement gives node %d",
+		ErrMisplacedBucket, id, addr, n.id, n.place.NodeOf(addr))
 }
 
 // CloseStore checkpoints the node's current state and closes the store —
@@ -335,6 +389,12 @@ func (n *Node) applyLoggedLocked(op uint8, payload []byte) error {
 	replayBucket := func(file FileID, addr uint64) (*nodeFile, *lhstar.Bucket, error) {
 		f := n.fileLocked(file)
 		b, ok := f.buckets[addr]
+		if !ok && n.place.NodeOf(addr) != n.id {
+			// Only bucket 0 is not journaled when created: its owner
+			// makes it on first touch, so a journal written under
+			// another placement writes to a bucket this node never made.
+			return nil, nil, n.misplaced(file, addr)
+		}
 		if !ok {
 			return nil, nil, fmt.Errorf("sdds: replay: node %d has no bucket %d of file %d", n.id, addr, file)
 		}

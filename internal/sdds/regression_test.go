@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -17,7 +18,10 @@ import (
 // transport, and node-to-node forwards ride their own TCP transport so
 // nothing short-circuits through process memory. This is the fabric the
 // wire-protocol work targets, and the one the regression test times.
-func insertTCPBenchCluster(tb testing.TB, nodes int) (*Cluster, *countingTransport, func()) {
+// The client is the bare *TCP, so a fan-out runs its own caller-side
+// scatter; sends reads the client's send count from its own counters,
+// as every send acquires a connection by one dial or one reuse.
+func insertTCPBenchCluster(tb testing.TB, nodes int) (c *Cluster, sends func() int64, cleanup func()) {
 	tb.Helper()
 	ids := make([]transport.NodeID, nodes)
 	for i := range ids {
@@ -45,8 +49,12 @@ func insertTCPBenchCluster(tb testing.TB, nodes int) (*Cluster, *countingTranspo
 		listeners = append(listeners, lis)
 	}
 	cli := transport.NewTCP(addrs)
-	ct := &countingTransport{Transport: cli}
-	cleanup := func() {
+	reg := obs.NewRegistry()
+	cli.Instrument(reg)
+	sends = func() int64 {
+		return int64(reg.CounterValue("transport_tcp_dials_total") + reg.CounterValue("transport_tcp_conn_reuses_total"))
+	}
+	cleanup = func() {
 		cli.Close()
 		peers.Close()
 		for i := range servers {
@@ -54,7 +62,7 @@ func insertTCPBenchCluster(tb testing.TB, nodes int) (*Cluster, *countingTranspo
 			servers[i].Close()
 		}
 	}
-	return NewCluster(ct, place), ct, cleanup
+	return NewCluster(cli, place), sends, cleanup
 }
 
 // TestBatchedInsertWallClockRegression locks in the batched-insert
@@ -98,7 +106,7 @@ func TestBatchedInsertWallClockRegression(t *testing.T) {
 	// setup (lazy bucket creation, first splits, pool dials) out of the
 	// comparison.
 	measure := func(batched bool) (time.Duration, int64) {
-		c, ct, cleanup := insertTCPBenchCluster(t, 4)
+		c, sends, cleanup := insertTCPBenchCluster(t, 4)
 		defer cleanup()
 		insert := func() {
 			for _, recs := range recSets {
@@ -114,10 +122,10 @@ func TestBatchedInsertWallClockRegression(t *testing.T) {
 			}
 		}
 		insert() // warm-up pass
-		ct.sends.Store(0)
+		warm := sends()
 		start := time.Now()
 		insert()
-		return time.Since(start), ct.sends.Load()
+		return time.Since(start), sends() - warm
 	}
 
 	// Best-of-3 per strategy to damp scheduler noise, the strategies
