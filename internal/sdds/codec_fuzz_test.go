@@ -54,6 +54,13 @@ var fuzzGroups = groupsReq(
 	batchGroup{file: FileRecords, del: true, entries: []batchEntry{{key: 1}, {key: 4}}},
 )
 
+// fuzzLastHop is a put group at the last hop a node accepts (maxHops-1
+// forwards); fuzzPastHop, one forward more, is refused by the decoder.
+var (
+	fuzzLastHop = groupsReq(batchGroup{file: FileRecords, hops: maxHops - 1, entries: []batchEntry{{key: 5, value: []byte("record-5")}}})
+	fuzzPastHop = groupsReq(batchGroup{file: FileRecords, hops: maxHops, entries: []batchEntry{{key: 5, value: []byte("record-5")}}})
+)
+
 // putBatchRoundTrips is roundTrips for the put_batch request, which the
 // client streams through a batchWriter instead of an encodeTo.
 func putBatchRoundTrips(t *testing.T, b []byte) {
@@ -95,7 +102,7 @@ var decodeRows = []decodeRow{
 	{"wordSearchReq", [][]byte{{}, encode(wordSearchReq{file: FileWords, token: bytes.Repeat([]byte{5}, wordindex.TokenSize)})}, roundTrips[wordSearchReq]},
 	{"wordSearchResp", [][]byte{{}, encode(wordSearchResp{rids: []uint64{4, 1 << 50}})}, roundTrips[wordSearchResp]},
 	{"statsResp", [][]byte{{}, encode(statsResp{buckets: []bucketStat{{addr: 1, level: 1, size: 3}}})}, roundTrips[statsResp]},
-	{"putBatchReq", [][]byte{{}, fuzzNodeLoad[2].payload, fuzzGroups}, putBatchRoundTrips},
+	{"putBatchReq", [][]byte{{}, fuzzNodeLoad[2], fuzzGroups, fuzzLastHop, fuzzPastHop}, putBatchRoundTrips},
 	{"recoveryStateResp", [][]byte{{}, encode(recoveryStateResp{mode: recoveryRecovered, seq: 3})}, roundTrips[recoveryStateResp]},
 }
 
@@ -138,18 +145,15 @@ func FuzzDecodeMigrateAbsorbReq(f *testing.F) { fuzzDecodeRow(f, "migrateAbsorbR
 func FuzzDecodeNodeImage(f *testing.F)        { fuzzDecodeRow(f, "nodeImage") }
 func FuzzDecodeIndexValue(f *testing.F)       { fuzzDecodeRow(f, "indexValue") }
 
-// fuzzNodeLoad is what fuzzNode loads: records, two index piece streams
-// (both starting with piece 1) and a word blob.
-var fuzzNodeLoad = []struct {
-	op      uint8
-	payload []byte
-}{
-	{opPut, encode(putReq{keyHeader{file: FileRecords, key: 1}, []byte("record-1")})},
-	{opPut, encode(putReq{keyHeader{file: FileRecords, key: 2}, []byte("record-2")})},
-	{opPutBatch, batchReq(FileIndex,
+// fuzzNodeLoad is the put_batches fuzzNode loads: records, two index
+// piece streams (both starting with piece 1) and a word blob.
+var fuzzNodeLoad = [][]byte{
+	batchReq(FileRecords, batchEntry{key: 1, value: []byte("record-1")}),
+	batchReq(FileRecords, batchEntry{key: 2, value: []byte("record-2")}),
+	batchReq(FileIndex,
 		batchEntry{key: ComposeIndexKey(1, 0, 0, 2, 2), value: encode(indexValue{pieces: []disperse.Piece{1, 2, 3}})},
-		batchEntry{key: ComposeIndexKey(1, 0, 1, 2, 2), value: encode(indexValue{pieces: []disperse.Piece{1, 5}})})},
-	{opPut, encode(putReq{keyHeader{file: FileWords, key: 1}, wordindex.Blob([]wordindex.Token{{7}})})},
+		batchEntry{key: ComposeIndexKey(1, 0, 1, 2, 2), value: encode(indexValue{pieces: []disperse.Piece{1, 5}})}),
+	batchReq(FileWords, batchEntry{key: 1, value: wordindex.Blob([]wordindex.Token{{7}})}),
 }
 
 // fuzzSearch matches both loaded index streams.
@@ -172,9 +176,9 @@ func fuzzNode(t testing.TB) *Node {
 	if _, err := n.AttachStore(st); err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range fuzzNodeLoad {
-		if _, err := n.Handler()(context.Background(), req.op, req.payload); err != nil {
-			t.Fatalf("loading op %d: %v", req.op, err)
+	for i, req := range fuzzNodeLoad {
+		if _, err := n.Handler()(context.Background(), opPutBatch, req); err != nil {
+			t.Fatalf("loading put_batch %d: %v", i, err)
 		}
 	}
 	return n
@@ -198,9 +202,8 @@ func probeNode(n *Node) {
 	n.mu.RUnlock()
 	ctx, h := context.Background(), n.Handler()
 	for _, tg := range targets {
-		hdr := keyHeader{file: tg.file, addr: tg.addr, key: tg.addr}
-		h(ctx, opGet, encode(hdr))                          //nolint:errcheck
-		h(ctx, opPut, encode(putReq{hdr, []byte("probe")})) //nolint:errcheck
+		h(ctx, opGet, encode(keyHeader{file: tg.file, addr: tg.addr, key: tg.addr}))                           //nolint:errcheck
+		h(ctx, opPutBatch, batchReq(tg.file, batchEntry{addr: tg.addr, key: tg.addr, value: []byte("probe")})) //nolint:errcheck
 	}
 	h(ctx, opSearch, fuzzSearch) //nolint:errcheck
 }
@@ -267,8 +270,14 @@ func TestNodeRejectsUnservableRequests(t *testing.T) {
 // then probes every bucket: no request may crash the node, or leave state
 // that crashes a later one.
 func FuzzNodeHandler(f *testing.F) {
-	f.Add(opPut, encode(putReq{keyHeader{file: FileRecords, key: 3}, []byte("v")}))
+	f.Add(opPutBatch, batchReq(FileRecords, batchEntry{key: 3, value: []byte("v")}))
 	f.Add(opGet, encode(keyHeader{file: FileRecords, key: 1}))
+	f.Add(opPutBatch, groupsReq(batchGroup{file: FileRecords, del: true, entries: []batchEntry{{key: 1}}}))
+	// Strays a peer forwarded: at the last hop a node accepts, and past it.
+	f.Add(opPutBatch, fuzzLastHop)
+	f.Add(opPutBatch, fuzzPastHop)
+	// Put and delete are journal records only; an older client sends them.
+	f.Add(opPut, encode(putReq{keyHeader{file: FileRecords, key: 3}, []byte("v")}))
 	f.Add(opDelete, encode(keyHeader{file: FileRecords, key: 1}))
 	f.Add(opSearch, fuzzSearch)
 	f.Add(opStats, []byte{byte(FileIndex)})
@@ -277,7 +286,7 @@ func FuzzNodeHandler(f *testing.F) {
 	// an older version would send them.
 	f.Add(uint8(12), []byte{})
 	f.Add(uint8(13), encode(nodeImage{files: []fileImage{{file: FileRecords, buckets: [][]byte{lhstar.NewBucket(0, 0).Snapshot()}}}}))
-	f.Add(opPutBatch, fuzzNodeLoad[2].payload)
+	f.Add(opPutBatch, fuzzNodeLoad[2])
 	f.Add(opPutBatch, fuzzGroups)
 	f.Add(opPing, []byte{})
 	f.Add(opRecoveryState, []byte{})

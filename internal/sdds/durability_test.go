@@ -33,6 +33,9 @@ type durableHarness struct {
 	// migrations): what a coordinator's journal would tell it to re-drive
 	// after a crash.
 	mig *migrateHeader
+	// strays counts the acknowledged puts whose owner was not the bucket
+	// they were sent to: the node followed each to its bucket itself.
+	strays int
 }
 
 func newDurableHarness(t *testing.T, fs *wal.MemFS) *durableHarness {
@@ -43,8 +46,8 @@ func newDurableHarness(t *testing.T, fs *wal.MemFS) *durableHarness {
 	}
 	h := &durableHarness{t: t, fs: fs, place: place}
 
-	liveMem := transport.NewMemory()
-	h.live = NewNode(0, liveMem, place)
+	// One node holds every bucket, so it never forwards: no peers.
+	h.live = NewNode(0, nil, place)
 	st, err := wal.Open(fs, "node", wal.Options{CheckpointBytes: 600})
 	if err != nil {
 		t.Fatalf("opening store: %v", err)
@@ -52,11 +55,7 @@ func newDurableHarness(t *testing.T, fs *wal.MemFS) *durableHarness {
 	if out, err := h.live.AttachStore(st); err != nil || out != wal.OutcomeFresh {
 		t.Fatalf("AttachStore on fresh fs = %v, %v", out, err)
 	}
-	liveMem.Register(0, h.live.Handler())
-
-	refMem := transport.NewMemory()
-	h.ref = NewNode(0, refMem, place)
-	refMem.Register(0, h.ref.Handler())
+	h.ref = NewNode(0, nil, place)
 	return h
 }
 
@@ -132,18 +131,31 @@ func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []
 	return ok
 }
 
-// workload drives a fixed mutation script — puts (into two files),
-// deletes, two splits, one merge, one mixed put_batch — through every
-// journaled handler.
+// workload drives a fixed mutation script — one-entry puts (into two
+// files) and deletes, two splits, one merge, one mixed put_batch —
+// through every journaled handler. Every put and delete is sent to
+// bucket 0, so once bucket 0 has split, the keys it no longer owns are
+// strays the node follows to their bucket before it journals them.
 // It reports false when the injected crash cut it short, leaving h.mig
 // set if that happened inside a migration.
 func (h *durableHarness) workload() bool {
 	put := func(key uint64, i int) bool {
-		_, ok := h.do(opPut, encode(putReq{keyHeader{file: FileRecords, key: key}, recVal(i)}))
+		resp, ok := h.do(opPutBatch, batchReq(FileRecords, batchEntry{key: key, value: recVal(i)}))
+		if ok {
+			// One group of one entry: its count, then its keyResp.
+			rd := reader{b: resp[4:]}
+			var pr keyResp
+			if pr.decodeFrom(&rd); rd.done() != nil {
+				h.t.Fatalf("put %d: answer %x", key, resp)
+			}
+			if pr.moved {
+				h.strays++
+			}
+		}
 		return ok
 	}
 	del := func(key uint64) bool {
-		_, ok := h.do(opDelete, encode(keyHeader{file: FileRecords, key: key}))
+		_, ok := h.do(opPutBatch, groupsReq(batchGroup{file: FileRecords, del: true, entries: []batchEntry{{key: key}}}))
 		return ok
 	}
 	migrate := func(hdr migrateHeader) bool {
@@ -163,7 +175,7 @@ func (h *durableHarness) workload() bool {
 	}
 	// One mutation of a second file, which the migrations below leave
 	// alone: replay must keep the files apart.
-	if _, ok := h.do(opPut, encode(putReq{keyHeader{file: FileWords, key: 1}, recVal(0)})); !ok {
+	if _, ok := h.do(opPutBatch, batchReq(FileWords, batchEntry{key: 1, value: recVal(0)})); !ok {
 		return false
 	}
 	// bucket 0 (level 0→1) spills into bucket 1
@@ -206,7 +218,17 @@ func (h *durableHarness) workload() bool {
 		batchGroup{file: FileRecords, del: true, entries: []batchEntry{{addr: 1, key: 3}, {addr: 0, key: 4}}},
 		batchGroup{file: FileWords, entries: []batchEntry{{addr: 0, key: 2, value: recVal(2)}}},
 	))
-	return ok
+	if !ok {
+		return false
+	}
+	// Three more puts, one of them a stray, so the script spans at least
+	// the 102 crash points the matrix names (op001 to op102).
+	for i := 26; i <= 28; i++ {
+		if !put(uint64(i), i) {
+			return false
+		}
+	}
+	return true
 }
 
 // inflightMatches reports whether got, a replayed snapshot, is the acked
@@ -306,7 +328,7 @@ func putAndRecoverAgain(t *testing.T, fs *wal.MemFS, node *Node) {
 	t.Helper()
 	const key = 1 << 40 // no workload touches it
 	ctx := context.Background()
-	if _, err := node.Handler()(ctx, opPut, encode(putReq{keyHeader{file: FileRecords, key: key}, []byte("post-crash")})); err != nil {
+	if _, err := node.Handler()(ctx, opPutBatch, batchReq(FileRecords, batchEntry{key: key, value: []byte("post-crash")})); err != nil {
 		t.Fatalf("put after recovery: %v", err)
 	}
 	node.store.(*wal.Store).Abort()
@@ -354,8 +376,11 @@ func nodeCrashMatrix(t *testing.T, prefix string, newFS func() *wal.MemFS) {
 		t.Fatal("dry run crashed")
 	}
 	totalOps := probe.Ops()
-	if totalOps < 40 {
-		t.Fatalf("workload too small for a meaningful matrix: %d fs ops", totalOps)
+	if totalOps < 102 {
+		t.Fatalf("workload too small for the matrix: %d fs ops, want at least 102", totalOps)
+	}
+	if dry.strays == 0 {
+		t.Fatal("the workload journals no stray: no put was sent to a bucket that no longer owns it")
 	}
 
 	stride := 1

@@ -162,12 +162,12 @@ func TestPutBatchPartialFailureKeepsIndexInSync(t *testing.T) {
 	}
 }
 
-// TestReadsNotBlockedByFlush: put_batch and delete do not hold the node
-// lock across the journal flush, so while a batch waits for its fsync a
-// search and a get on the same node complete — and the get already sees
-// the batch's entry, which is the visibility rule the ordering implies:
-// applied state is readable before it is acknowledged, and only
-// unacknowledged state can be lost.
+// TestReadsNotBlockedByFlush: put_batch, every data write, does not hold
+// the node lock across the journal flush, so while a batch waits for its
+// fsync a search and a get on the same node complete — and the get
+// already sees the batch's entry, which is the visibility rule the
+// ordering implies: applied state is readable before it is acknowledged,
+// and only unacknowledged state can be lost.
 func TestReadsNotBlockedByFlush(t *testing.T) {
 	fs := &gatedFS{FS: wal.NewMemFS()}
 	n := newDurableNode(t, fs)
@@ -258,7 +258,7 @@ func TestNodeFailStopsOnFlushError(t *testing.T) {
 	h := n.Handler()
 	ctx := context.Background()
 	put := func(key uint64) error {
-		_, err := h(ctx, opPut, encode(putReq{keyHeader{file: FileRecords, key: key}, []byte("v")}))
+		_, err := h(ctx, opPutBatch, batchReq(FileRecords, batchEntry{key: key, value: []byte("v")}))
 		return err
 	}
 	if err := put(1); err != nil {
@@ -273,7 +273,7 @@ func TestNodeFailStopsOnFlushError(t *testing.T) {
 	if err := put(3); !errors.Is(err, boom) {
 		t.Fatalf("put after a failed flush = %v, want the store's first error", err)
 	}
-	if _, err := h(ctx, opDelete, encode(keyHeader{file: FileRecords, key: 1})); !errors.Is(err, boom) {
+	if _, err := h(ctx, opPutBatch, groupsReq(batchGroup{file: FileRecords, del: true, entries: []batchEntry{{key: 1}}})); !errors.Is(err, boom) {
 		t.Fatalf("delete after a failed flush = %v, want the store's first error", err)
 	}
 	raw, err := h(ctx, opGet, encode(keyHeader{file: FileRecords, key: 1}))
@@ -285,33 +285,30 @@ func TestNodeFailStopsOnFlushError(t *testing.T) {
 	}
 }
 
-// scriptOp is one request of a concurrent-crash-matrix writer: a put or
-// delete of keys[0], or a put_batch of all keys.
+// scriptOp is one put_batch of a concurrent-crash-matrix writer: one
+// group putting val under every key, or deleting every key.
 type scriptOp struct {
-	op   uint8
+	del  bool
 	keys []uint64
 	val  []byte
 }
 
 func (o scriptOp) encode() []byte {
-	switch o.op {
-	case opPut:
-		return encode(putReq{keyHeader{file: FileRecords, key: o.keys[0]}, o.val})
-	case opDelete:
-		return encode(keyHeader{file: FileRecords, key: o.keys[0]})
-	default:
-		var entries []batchEntry
-		for _, k := range o.keys {
-			entries = append(entries, batchEntry{key: k, value: o.val})
+	g := batchGroup{file: FileRecords, del: o.del}
+	for _, k := range o.keys {
+		e := batchEntry{key: k}
+		if !o.del {
+			e.value = o.val
 		}
-		return batchReq(FileRecords, entries...)
+		g.entries = append(g.entries, e)
 	}
+	return groupsReq(g)
 }
 
 // applyTo folds the op into a key → value model (nil = absent).
 func (o scriptOp) applyTo(model map[uint64][]byte) {
 	for _, k := range o.keys {
-		if o.op == opDelete {
+		if o.del {
 			model[k] = nil
 		} else {
 			model[k] = o.val
@@ -319,8 +316,9 @@ func (o scriptOp) applyTo(model map[uint64][]byte) {
 	}
 }
 
-// writerScript is a fixed run of puts, batches, overwrites and deletes
-// over keys only writer w touches, padded so checkpoints come due.
+// writerScript is a fixed run of one-entry puts, batches, overwrites and
+// deletes over keys only writer w touches, padded so checkpoints come
+// due.
 func writerScript(w int) []scriptOp {
 	base := uint64(w+1) * 1000
 	val := func(i int) []byte { return []byte(fmt.Sprintf("w%d-%02d body padding to exercise checkpoints", w, i)) }
@@ -328,13 +326,15 @@ func writerScript(w int) []scriptOp {
 	for i := 0; i < 4; i++ {
 		k := base + uint64(i)*10
 		ops = append(ops,
-			scriptOp{op: opPut, keys: []uint64{k}, val: val(4 * i)},
-			scriptOp{op: opPutBatch, keys: []uint64{k + 1, k + 2, k + 3}, val: val(4*i + 1)},
-			scriptOp{op: opPut, keys: []uint64{k + 1}, val: val(4*i + 2)}, // overwrite
-			scriptOp{op: opDelete, keys: []uint64{k + 2}},
+			scriptOp{keys: []uint64{k}, val: val(4 * i)},
+			scriptOp{keys: []uint64{k + 1, k + 2, k + 3}, val: val(4*i + 1)},
+			scriptOp{keys: []uint64{k + 1}, val: val(4*i + 2)}, // overwrite
+			scriptOp{del: true, keys: []uint64{k + 2}},
 		)
 	}
-	return ops
+	// One more put, so the two writers' scripts span at least the 88
+	// crash points the concurrent matrix names (op001 to op088).
+	return append(ops, scriptOp{keys: []uint64{base + 100}, val: val(16)})
 }
 
 // TestNodeCrashMatrixConcurrent is TestNodeCrashMatrix's put/delete/
@@ -359,7 +359,7 @@ func TestNodeCrashMatrixConcurrent(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for _, op := range writerScript(w) {
-					_, err := n.Handler()(ctx, op.op, op.encode())
+					_, err := n.Handler()(ctx, opPutBatch, op.encode())
 					mu.Lock()
 					if err != nil {
 						op.applyTo(maybe)
@@ -381,14 +381,14 @@ func TestNodeCrashMatrixConcurrent(t *testing.T) {
 	probe.SetCrash(0, wal.CrashDrop)
 	for w := 0; w < writers; w++ {
 		for _, op := range writerScript(w) {
-			if _, err := dry.Handler()(ctx, op.op, op.encode()); err != nil {
+			if _, err := dry.Handler()(ctx, opPutBatch, op.encode()); err != nil {
 				t.Fatalf("dry run: %v", err)
 			}
 		}
 	}
 	totalOps := probe.Ops()
-	if totalOps < 30 {
-		t.Fatalf("workload too small for a meaningful matrix: %d fs ops", totalOps)
+	if totalOps < 88 {
+		t.Fatalf("workload too small for the matrix: %d fs ops, want at least 88", totalOps)
 	}
 
 	stride := 1

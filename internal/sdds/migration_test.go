@@ -740,9 +740,9 @@ func TestFailedWriteOwesACensus(t *testing.T) {
 	}
 	h.c.SetMaxLoad(FileRecords, 24) // two buckets hold 48 without splitting
 
-	// The delete applies on the node (its stale image sends it to node 0),
-	// and its answer is lost.
-	h.hook.setAfter(dropOnce(0, opDelete))
+	// The delete's one-entry put_batch applies on the node (its stale
+	// image sends it to node 0), and its answer is lost.
+	h.hook.setAfter(dropOnce(0, opPutBatch))
 	if _, err := h.c.Delete(ctx, FileRecords, 0); err == nil {
 		t.Fatal("delete with a lost answer reported success")
 	}

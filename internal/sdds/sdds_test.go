@@ -470,14 +470,14 @@ func TestClusterOverTCP(t *testing.T) {
 func TestNodeRejectsMalformedPayloads(t *testing.T) {
 	c := memCluster(t, 1)
 	ctx := context.Background()
-	for _, op := range []uint8{opPut, opGet, opDelete, opSearch, opMigratePrepare, opMigrateAbsorb} {
+	for _, op := range []uint8{opGet, opSearch, opPutBatch, opMigratePrepare, opMigrateAbsorb} {
 		if _, err := c.tr.Send(ctx, 0, op, []byte{0xFF}); err == nil {
 			t.Errorf("op %d accepted garbage", op)
 		}
 	}
-	// 5 is the retired bucket create, 6, 7, 9, 10 the retired
-	// destructive split/merge codes.
-	for _, op := range []uint8{5, 6, 7, 9, 10, 200} {
+	// Put and delete are journal records only, 5 is the retired bucket
+	// create, 6, 7, 9, 10 the retired destructive split/merge codes.
+	for _, op := range []uint8{opPut, opDelete, 5, 6, 7, 9, 10, 200} {
 		if _, err := c.tr.Send(ctx, 0, op, nil); err == nil || !strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("op %d: err = %v, want unknown op", op, err)
 		}
