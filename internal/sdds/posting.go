@@ -96,8 +96,8 @@ type postingIndex interface {
 	// linear scan's skip.
 	put(key uint64, value []byte)
 	// putBatch indexes a batch of stored values in one call, appending
-	// each entry's postings as put appends them. Duplicate keys within
-	// the batch resolve to the last occurrence.
+	// each entry's postings as put appends them; ents is not kept.
+	// Duplicate keys within the batch resolve to the last occurrence.
 	putBatch(ents []kv)
 	// remove deletes one key's postings and its entry.
 	remove(key uint64)
