@@ -349,13 +349,14 @@ func BenchmarkIndexPut(b *testing.B) {
 
 // --- Split commit: the index half of an LH* split ---
 //
-// A split runs while every writer waits: the target absorbs the moved
-// half and the source commits, tombstoning the moved entries' postings
-// in lists it shares with everything else the node indexes. The source
-// node is preloaded with 32 768 phonebook index entries in 64 level-6
-// buckets of 512 (the end-to-end benchmark's bucket capacity), so each
-// split moves 256. The absorb and both commits are timed; the split is
-// then undone untimed, so every iteration starts from the same preload.
+// A cross-node split runs while every writer waits: the target absorbs
+// the moved half and the source commits, tombstoning the moved entries'
+// postings in lists it shares with everything else the node indexes.
+// The source node is preloaded with 32 768 phonebook index entries in
+// 64 level-6 buckets of 512 (the end-to-end benchmark's bucket
+// capacity), so each split moves 256. The absorb and both commits are
+// timed; the split is then undone untimed, so every iteration starts
+// from the same preload.
 
 func BenchmarkSplitCommit(b *testing.B) {
 	const level, records = 6, 8192
@@ -383,7 +384,10 @@ func BenchmarkSplitCommit(b *testing.B) {
 		}
 		return bk
 	}
-	place, err := NewPlacement([]transport.NodeID{0, 1})
+	// Placement gives every bucket to node 1, the target, so each split
+	// node 0 prepares is a cross-node handoff: a node-local one would be
+	// the prepare alone, with no absorb or index work.
+	place, err := NewPlacement([]transport.NodeID{1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -465,6 +465,36 @@ func (j *journalTap) Journal(op uint8, payload []byte) error {
 	return j.Store.Journal(op, payload)
 }
 
+// migrationPins are TestWireBytesPinned's migration requests and node
+// image: mid 1 splits bucket 0 (keys 0 to 5, values "migval-00k") of
+// file 0 at level 0 into bucket 1, and mid 2 is aborted. Nodes journal
+// these bytes, so a release's journals and checkpoints hold them
+// (TestThreePhaseLocalMoveReplays replays them).
+var migrationPins = map[string]string{
+	"prepare": "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00",
+	"absorb": "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
+		"00000003" +
+		"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
+		"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
+		"0000000000000005" + "0000000a" + "6d696776616c2d303035",
+	"commit": "0000000000000001",
+	"abort":  "0000000000000002",
+	// files: count, then file, bucket count, bucket snapshots; then the
+	// migration section: marker, version, outgoing, absorbed, done
+	"image with migration section": "00000001" + "00" + "00000001" +
+		"00000098" + "0000000000000000" + "0000000000000000" + "00000006" +
+		"0000000000000000" + "0000000a" + "6d696776616c2d303030" +
+		"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
+		"0000000000000002" + "0000000a" + "6d696776616c2d303032" +
+		"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
+		"0000000000000004" + "0000000a" + "6d696776616c2d303034" +
+		"0000000000000005" + "0000000a" + "6d696776616c2d303035" +
+		"4d" + "01" +
+		"00000001" + "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
+		"00000003" + "0000000000000001" + "0000000000000003" + "0000000000000005" +
+		"00000000" + "00000000",
+}
+
 // TestWireBytesPinned: nodes journal the requests they receive and
 // checkpoint their images, so those bytes must not drift, or journals and
 // checkpoints written by an earlier version stop replaying. It pins one
@@ -480,11 +510,6 @@ func (j *journalTap) Journal(op uint8, payload []byte) error {
 func TestWireBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"prepare response": "01" + "00000003" +
-			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
-			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
-			"0000000000000005" + "0000000a" + "6d696776616c2d303035",
-		"absorb": "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
-			"00000003" +
 			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
 			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
 			"0000000000000005" + "0000000a" + "6d696776616c2d303035",
@@ -527,23 +552,9 @@ func TestWireBytesPinned(t *testing.T) {
 			"0001" + "02" + "00000001" + "ea2a" + "00000001" + "f322",
 		"word search": "02" + "00000010" + "abababababababababababababababab",
 		"stats":       "00",
-		"prepare":     "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00",
-		"commit":      "0000000000000001",
-		"abort":       "0000000000000002",
-		// files: count, then file, bucket count, bucket snapshots; then the
-		// migration section: marker, version, outgoing, absorbed, done
-		"image with migration section": "00000001" + "00" + "00000001" +
-			"00000098" + "0000000000000000" + "0000000000000000" + "00000006" +
-			"0000000000000000" + "0000000a" + "6d696776616c2d303030" +
-			"0000000000000001" + "0000000a" + "6d696776616c2d303031" +
-			"0000000000000002" + "0000000a" + "6d696776616c2d303032" +
-			"0000000000000003" + "0000000a" + "6d696776616c2d303033" +
-			"0000000000000004" + "0000000a" + "6d696776616c2d303034" +
-			"0000000000000005" + "0000000a" + "6d696776616c2d303035" +
-			"4d" + "01" +
-			"00000001" + "0000000000000001" + "01" + "00" + "0000000000000000" + "0000000000000001" + "00" +
-			"00000003" + "0000000000000001" + "0000000000000003" + "0000000000000005" +
-			"00000000" + "00000000",
+	}
+	for name, pin := range migrationPins {
+		want[name] = pin
 	}
 	ctx := context.Background()
 	mem := transport.NewMemory()
@@ -660,11 +671,12 @@ func TestWireBytesPinned(t *testing.T) {
 		pin("put_batch "+mg.name+" response", resp)
 	}
 
-	// A split the target rejects is aborted.
+	// A split the source rejects is aborted. Bucket 0 splits into bucket
+	// 2, also on node 0, so the prepare alone would apply it.
 	c.SetMaxLoad(FileRecords, 1)
-	hook.setBefore(rejectOnce(0, opMigrateAbsorb))
+	hook.setBefore(rejectOnce(0, opMigratePrepare))
 	if err := c.coord.split(ctx, FileRecords); err == nil {
-		t.Fatal("split with a rejected absorb succeeded")
+		t.Fatal("split with a rejected prepare succeeded")
 	}
 	pin("abort", tap.last[opMigrateAbort])
 

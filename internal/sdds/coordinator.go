@@ -370,7 +370,8 @@ func (c *Coordinator) driveMigrationLocked(ctx context.Context, intent Migration
 	switch raw[0] {
 	case migrateStatusCommitted:
 		// The source already committed durably (a prior drive got at
-		// least that far); roll the rest forward.
+		// least that far, or it applied a node-local move whole); roll
+		// the rest forward.
 		return c.finishCommitLocked(ctx, intent, true)
 	case migrateStatusAborted:
 		// The source already aborted durably; finish the ledger to match.
@@ -425,8 +426,8 @@ func (c *Coordinator) finishCommitLocked(ctx context.Context, intent MigrationIn
 
 // sendFinishLocked sends a migration's commit or abort to the source
 // node (skipped when the source is known to have applied it already),
-// then to the target — unless one node holds both buckets: a node
-// settles every role it plays for the ID in one message. Callers must
+// then to the target unless that is the same node: a node-local move's
+// prepare settles it, and its abort needs one message. Callers must
 // hold opsMu exclusively.
 func (c *Coordinator) sendFinishLocked(ctx context.Context, intent MigrationIntent, op uint8, sourceDone bool) error {
 	fin := encode(migrateFinishReq{mid: intent.MID})

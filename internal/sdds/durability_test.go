@@ -98,44 +98,28 @@ func (h *durableHarness) sendTo(n *Node) func(op uint8, payload []byte) ([]byte,
 	}
 }
 
-// drive runs one two-phase migration through send — prepare, absorb,
-// commit, the sequence Cluster.driveMigrationLocked sends. Both buckets
-// live on the harness's single node, so one commit settles both roles.
-// Every step is idempotent on the migration ID: driving an ID again
-// after a crash rolls the interrupted handoff forward. It reports false
-// when send did.
+// drive runs one migration through send, as
+// Coordinator.driveMigrationLocked sends it. Both buckets live on the
+// harness's single node, so the prepare alone applies the move and
+// answers committed, with no record. Driving an ID again after a crash
+// applies it if the crash lost its prepare and answers committed either
+// way. It reports false when send did.
 func (h *durableHarness) drive(hdr migrateHeader, send func(op uint8, payload []byte) ([]byte, bool)) bool {
 	h.t.Helper()
 	raw, ok := send(opMigratePrepare, encode(hdr))
-	if !ok {
-		return false
+	if ok && !bytes.Equal(raw, encode(migratePrepareResp{status: migrateStatusCommitted})) {
+		h.t.Fatalf("migration %d: prepare answered %x, want committed with no record", hdr.mid, raw)
 	}
-	// Like the coordinator, relay the batch bytes behind the status byte.
-	if len(raw) == 0 {
-		h.t.Fatalf("migration %d: empty prepare response", hdr.mid)
-	}
-	switch raw[0] {
-	case migrateStatusCommitted:
-		return true
-	case migrateStatusOK:
-	default:
-		h.t.Fatalf("migration %d: prepare status %d", hdr.mid, raw[0])
-	}
-	absorb := &writer{}
-	hdr.encodeTo(absorb)
-	absorb.b = append(absorb.b, raw[1:]...)
-	if _, ok := send(opMigrateAbsorb, absorb.b); !ok {
-		return false
-	}
-	_, ok = send(opMigrateCommit, encode(migrateFinishReq{mid: hdr.mid}))
 	return ok
 }
 
 // workload drives a fixed mutation script — one-entry puts (into two
 // files) and deletes, two splits, one merge, one mixed put_batch —
-// through every journaled handler. Every put and delete is sent to
-// bucket 0, so once bucket 0 has split, the keys it no longer owns are
-// strays the node follows to their bucket before it journals them.
+// through the put_batch and prepare handlers; on one node every split
+// and merge is node-local, a prepare alone. Every put and delete is
+// sent to bucket 0, so once bucket 0 has split, the keys it no longer
+// owns are strays the node follows to their bucket before it journals
+// them.
 // It reports false when the injected crash cut it short, leaving h.mig
 // set if that happened inside a migration.
 func (h *durableHarness) workload() bool {
@@ -221,9 +205,10 @@ func (h *durableHarness) workload() bool {
 	if !ok {
 		return false
 	}
-	// Three more puts, one of them a stray, so the script spans at least
-	// the 102 crash points the matrix names (op001 to op102).
-	for i := 26; i <= 28; i++ {
+	// Ten more puts, half of them strays, so the script spans at least
+	// the 102 crash points the matrix names (op001 to op102): each
+	// migration above is one journal record.
+	for i := 26; i <= 35; i++ {
 		if !put(uint64(i), i) {
 			return false
 		}
@@ -352,13 +337,13 @@ func putAndRecoverAgain(t *testing.T, fs *wal.MemFS, node *Node) {
 }
 
 // TestNodeCrashMatrix is the node-level half of the fault matrix: the
-// full mutation workload (puts, deletes, two-phase splits and merges,
+// full mutation workload (puts, deletes, node-local splits and merges,
 // checkpoint churn) is killed at every filesystem operation in every
 // tear mode, and the restarted node's replayed state must be
 // byte-equivalent to the in-memory reference — allowing only for the
 // single in-flight operation whose acknowledgment the crash swallowed.
-// A migration the crash interrupted is then re-driven to commit on both
-// and compared again. A corrupt verdict for a pure crash, a lost
+// A migration the crash interrupted is then re-driven on both and
+// compared again. A corrupt verdict for a pure crash, a lost
 // acknowledged mutation, or an invented one all fail: zero silent data
 // loss. The matrix runs on both journal layouts MemFS models: append,
 // and the zero tail OSFS writes on Linux (subtests prefixed zerotail/).
@@ -419,10 +404,11 @@ func nodeCrashMatrix(t *testing.T, prefix string, newFS func() *wal.MemFS) {
 							h.inflight.op, at)
 					}
 				}
-				// A crash inside a split or merge leaves its buckets frozen
-				// until the coordinator re-drives the migration ID. Do that
-				// on both nodes: the handoff must complete from whatever
-				// prefix of it survived, with every record accounted for.
+				// A crash inside a split or merge leaves it to the
+				// coordinator to re-drive the migration ID. Do that on the
+				// restarted node and the reference: the move must complete
+				// whether or not its prepare survived, with every record
+				// accounted for.
 				if h.mig != nil {
 					h.drive(*h.mig, h.sendTo(node))
 					h.drive(*h.mig, h.sendTo(h.ref))

@@ -1,9 +1,12 @@
 package sdds
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,12 +17,29 @@ import (
 )
 
 // sendLog counts the requests that cross a cluster's links: every send by
-// op, and separately the sends a node makes to a peer.
+// op with its request and response bytes, separately the sends a node
+// makes to a peer, and each migration op by MID.
 type sendLog struct {
-	mu       sync.Mutex
-	ops      map[uint8]int
-	peerOps  map[uint8]int
-	loopback int // sends from a node to itself
+	mu        sync.Mutex
+	ops       map[uint8]int
+	reqBytes  map[uint8]int
+	respBytes map[uint8]int
+	peerOps   map[uint8]int
+	migs      map[uint64][]migSend
+	loopback  int // sends from a node to itself
+}
+
+// migSend is one migration op as sent: the node it went to and, for a
+// prepare, the answer.
+type migSend struct {
+	node transport.NodeID
+	op   uint8
+	resp []byte
+}
+
+func newSendLog() *sendLog {
+	return &sendLog{ops: map[uint8]int{}, reqBytes: map[uint8]int{}, respBytes: map[uint8]int{},
+		peerOps: map[uint8]int{}, migs: map[uint64][]migSend{}}
 }
 
 // loggedLink is one sender's view of the transport: the client's
@@ -31,35 +51,45 @@ type loggedLink struct {
 }
 
 func (l *loggedLink) Send(ctx context.Context, node transport.NodeID, op uint8, payload []byte) ([]byte, error) {
+	resp, err := l.Transport.Send(ctx, node, op, payload)
 	l.log.mu.Lock()
+	defer l.log.mu.Unlock()
 	l.log.ops[op]++
+	l.log.reqBytes[op] += len(payload)
+	l.log.respBytes[op] += len(resp)
 	if l.from >= 0 {
 		l.log.peerOps[op]++
 		if transport.NodeID(l.from) == node {
 			l.log.loopback++
 		}
 	}
-	l.log.mu.Unlock()
-	return l.Transport.Send(ctx, node, op, payload)
+	if op >= opMigratePrepare && op <= opMigrateAbort {
+		// Every migration request opens with its MID.
+		mid := binary.BigEndian.Uint64(payload)
+		ms := migSend{node: node, op: op}
+		if op == opMigratePrepare {
+			ms.resp = append([]byte(nil), resp...)
+		}
+		l.log.migs[mid] = append(l.log.migs[mid], ms)
+	}
+	return resp, err
 }
 
-// loopbackIAMs is the client IAM count of TestStraysNeverLoopBack's
-// stream, measured on the release that forwarded every stray over the
-// transport, loopbacks included. Following a stray through the node's
-// own buckets must leave every IAM the client gets unchanged.
+// loopbackIAMs is the client IAM count of forwardStream, measured on the
+// release that forwarded every stray over the transport, loopbacks
+// included. Following a stray through the node's own buckets must leave
+// every IAM the client gets unchanged.
 const loopbackIAMs = 384
 
-// TestStraysNeverLoopBack grows both files of a 3-node memory cluster
-// past its 2^p = 64 slices with a seeded stream of puts, deletes, index
-// inserts and gets, so nearly every stray's owner sits on the node the
-// stray reached. Every node follows a stray through its own buckets and
-// forwards only to another node, in a put_batch (a get as a get): no node
-// sends to itself, no put or delete request is sent at all, and the
-// client's images take exactly the IAMs they took when strays looped back
-// over the transport.
-func TestStraysNeverLoopBack(t *testing.T) {
+// forwardStream grows both files of a 3-node memory cluster past its
+// 2^p = 64 slices with a seeded stream of puts, deletes, index inserts
+// and gets, so nearly every stray's owner sits on the node the stray
+// reached and nearly every split is node-local. It returns the cluster,
+// its placement, the log of every send, and the live records.
+func forwardStream(t *testing.T) (*Cluster, *Placement, *sendLog, map[uint64]string) {
+	t.Helper()
 	ctx := context.Background()
-	log := &sendLog{ops: map[uint8]int{}, peerOps: map[uint8]int{}}
+	log := newSendLog()
 	mem := transport.NewMemory()
 	place, err := NewPlacement(nodeIDs(3))
 	if err != nil {
@@ -111,6 +141,17 @@ func TestStraysNeverLoopBack(t *testing.T) {
 			t.Fatalf("file %d grew to %d buckets, want past the %d slices", id, b, place.slices)
 		}
 	}
+	return c, place, log, live
+}
+
+// TestStraysNeverLoopBack: on forwardStream, every node follows a stray
+// through its own buckets and forwards only to another node, in a
+// put_batch (a get as a get): no node sends to itself, no put or delete
+// request is sent at all, and the client's images take exactly the IAMs
+// they took when strays looped back over the transport.
+func TestStraysNeverLoopBack(t *testing.T) {
+	ctx := context.Background()
+	c, _, log, live := forwardStream(t)
 	_, recIAMs := c.Stats(FileRecords)
 	_, idxIAMs := c.Stats(FileIndex)
 
@@ -133,6 +174,73 @@ func TestStraysNeverLoopBack(t *testing.T) {
 		if v, ok, err := c.Get(ctx, FileRecords, k); err != nil || !ok || string(v) != want {
 			t.Fatalf("get %d after the stream = %q, %v, %v; want %q", k, v, ok, err, want)
 		}
+	}
+}
+
+// opWire is one op's traffic: sends, request bytes, response bytes.
+type opWire struct{ sends, req, resp int }
+
+// The migrations of forwardStream and what their ops put on the wire:
+// every split of both files past the first 63 is node-local, and only
+// the cross-node ones' records travel, in prepare answers and absorbs.
+const pinnedLocalMoves, pinnedCrossMoves = 361, 126
+
+var pinnedMigBytes = map[string]opWire{
+	"migrate_prepare": {487, 13149, 20108},
+	"migrate_absorb":  {126, 21579, 0},
+	"migrate_commit":  {252, 2016, 0},
+	"migrate_abort":   {0, 0, 0},
+}
+
+// TestNodeLocalMovesSendOnePrepare: on forwardStream, a migration whose
+// two buckets are on one node is one prepare, answered committed with
+// no record, and nothing else; a cross-node one is a prepare to the
+// source, an absorb to the target and a commit to each. The counts and
+// the bytes every migration op put on the wire are pinned.
+func TestNodeLocalMovesSendOnePrepare(t *testing.T) {
+	c, place, log, _ := forwardStream(t)
+	committed := encode(migratePrepareResp{status: migrateStatusCommitted})
+	var local, cross int
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, r := range c.coord.miglog.Records() {
+		in := r.Intent
+		src, dst := place.NodeOf(in.From), place.NodeOf(in.To)
+		got := log.migs[in.MID]
+		if !r.Done || r.Outcome != MigrationCommitted {
+			t.Errorf("migration %d (%d → %d) did not commit: %+v", in.MID, in.From, in.To, r)
+		}
+		if src == dst {
+			local++
+			if len(got) != 1 || got[0].op != opMigratePrepare || got[0].node != src || !bytes.Equal(got[0].resp, committed) {
+				t.Errorf("node-local migration %d (%d → %d on node %d) sent %+v, want one prepare answered %x", in.MID, in.From, in.To, src, got, committed)
+			}
+			continue
+		}
+		cross++
+		want := []migSend{{node: src, op: opMigratePrepare}, {node: dst, op: opMigrateAbsorb},
+			{node: src, op: opMigrateCommit}, {node: dst, op: opMigrateCommit}}
+		ok := len(got) == len(want)
+		for i := 0; ok && i < len(want); i++ {
+			ok = got[i].node == want[i].node && got[i].op == want[i].op
+		}
+		if !ok || got[0].resp[0] != migrateStatusOK {
+			t.Errorf("cross-node migration %d (%d on node %d → %d on node %d) sent %+v, want %+v", in.MID, in.From, src, in.To, dst, got, want)
+		}
+	}
+	if len(log.migs) != local+cross {
+		t.Errorf("migration ops sent for %d MIDs, the ledger holds %d", len(log.migs), local+cross)
+	}
+	gotBytes := map[string]opWire{}
+	for _, op := range []uint8{opMigratePrepare, opMigrateAbsorb, opMigrateCommit, opMigrateAbort} {
+		gotBytes[OpName(op)] = opWire{log.ops[op], log.reqBytes[op], log.respBytes[op]}
+	}
+	t.Logf("%d node-local and %d cross-node migrations; migration ops (sends, request bytes, response bytes) %v", local, cross, gotBytes)
+	if local != pinnedLocalMoves || cross != pinnedCrossMoves {
+		t.Errorf("%d node-local and %d cross-node migrations, want %d and %d", local, cross, pinnedLocalMoves, pinnedCrossMoves)
+	}
+	if !reflect.DeepEqual(gotBytes, pinnedMigBytes) {
+		t.Errorf("migration ops on the wire %v, want %v", gotBytes, pinnedMigBytes)
 	}
 }
 

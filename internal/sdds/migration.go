@@ -16,6 +16,10 @@
 //	abort   (both)    source forgets the intent (nothing ever left);
 //	                  target discards exactly what it absorbed.
 //
+// A node-local move needs no handoff: its node journals the prepare,
+// applies the whole split or merge and answers committed, so no node
+// holds both the outgoing and the absorbed set of one migration.
+//
 // Buckets party to an in-flight migration reject writes loudly (reads
 // and searches are served throughout); the coordinator already
 // serializes its own client traffic against splits, so the rejection
@@ -28,6 +32,7 @@ package sdds
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lhstar"
@@ -100,52 +105,51 @@ func migStatusOf(outcome uint8) uint8 {
 	return migrateStatusAborted
 }
 
-// prepareMovedKeysLocked validates a prepare header against the local
+// checkPrepareLocked validates a prepare header against the local
 // bucket state — rejecting loudly any mismatch between the
-// coordinator's expectation and reality — and returns the sorted key
-// set the migration moves. It does not mutate anything; handler and
-// replay both call it before applying. Callers must hold the write
-// lock.
-func (n *Node) prepareMovedKeysLocked(f *nodeFile, hdr migrateHeader) ([]uint64, error) {
+// coordinator's expectation and reality — without mutating anything;
+// handler and replay both call it before applying. A node-local move's
+// target is checked as an absorb would check it. Callers must hold the
+// write lock.
+func (n *Node) checkPrepareLocked(f *nodeFile, hdr migrateHeader) error {
+	if _, ok := n.absorbed[hdr.mid]; ok {
+		return fmt.Errorf("sdds: migration %d: node %d holds its absorbed set and cannot also be its source", hdr.mid, n.id)
+	}
 	b, ok := f.buckets[hdr.from]
 	if !ok {
-		return nil, fmt.Errorf("sdds: migration %d: node %d has no bucket %d of file %d", hdr.mid, n.id, hdr.from, hdr.file)
+		return fmt.Errorf("sdds: migration %d: node %d has no bucket %d of file %d", hdr.mid, n.id, hdr.from, hdr.file)
 	}
 	if b.Level() != uint(hdr.level) {
-		return nil, fmt.Errorf("sdds: migration %d: bucket %d of file %d is at level %d, coordinator expected %d", hdr.mid, hdr.from, hdr.file, b.Level(), hdr.level)
+		return fmt.Errorf("sdds: migration %d: bucket %d of file %d is at level %d, coordinator expected %d", hdr.mid, hdr.from, hdr.file, b.Level(), hdr.level)
 	}
 	if locker, ok := f.migLocked[hdr.from]; ok && locker != hdr.mid {
-		return nil, fmt.Errorf("sdds: migration %d: bucket %d of file %d already frozen by migration %d", hdr.mid, hdr.from, hdr.file, locker)
+		return fmt.Errorf("sdds: migration %d: bucket %d of file %d already frozen by migration %d", hdr.mid, hdr.from, hdr.file, locker)
 	}
-	var keys []uint64
-	switch hdr.kind {
+	if n.place.NodeOf(hdr.to) == n.id {
+		return n.checkAbsorbLocked(f, hdr)
+	}
+	return hdr.check()
+}
+
+// check validates a header's own arithmetic: a split targets its
+// source's new image, and a merge closes its target's split image.
+func (m migrateHeader) check() error {
+	switch m.kind {
 	case migrateSplit:
-		if want := hdr.from + 1<<hdr.level; hdr.to != want {
-			return nil, fmt.Errorf("sdds: migration %d: split of bucket %d at level %d must target %d, coordinator sent %d", hdr.mid, hdr.from, hdr.level, want, hdr.to)
+		if want := m.from + 1<<m.level; m.to != want {
+			return fmt.Errorf("sdds: migration %d: split of bucket %d at level %d must target %d, coordinator sent %d", m.mid, m.from, m.level, want, m.to)
 		}
-		mod := uint64(1) << (hdr.level + 1)
-		b.Scan(func(key uint64, _ []byte) bool {
-			if key%mod == hdr.to {
-				keys = append(keys, key)
-			}
-			return true
-		})
 	case migrateMerge:
-		if hdr.level == 0 {
-			return nil, fmt.Errorf("sdds: migration %d: cannot merge a level-0 bucket", hdr.mid)
+		if m.level == 0 {
+			return fmt.Errorf("sdds: migration %d: cannot merge a level-0 bucket", m.mid)
 		}
-		if want := hdr.to + 1<<(hdr.level-1); hdr.from != want {
-			return nil, fmt.Errorf("sdds: migration %d: merge into bucket %d at level %d must close %d, coordinator sent %d", hdr.mid, hdr.to, hdr.level, want, hdr.from)
+		if want := m.to + 1<<(m.level-1); m.from != want {
+			return fmt.Errorf("sdds: migration %d: merge into bucket %d at level %d must close %d, coordinator sent %d", m.mid, m.to, m.level, want, m.from)
 		}
-		b.Scan(func(key uint64, _ []byte) bool {
-			keys = append(keys, key)
-			return true
-		})
 	default:
-		return nil, fmt.Errorf("sdds: migration %d: unknown kind %d", hdr.mid, hdr.kind)
+		return fmt.Errorf("sdds: migration %d: unknown kind %d", m.mid, m.kind)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys, nil
+	return nil
 }
 
 // migBatchLocked rebuilds the record batch of an outgoing set from the
@@ -179,40 +183,70 @@ func (n *Node) handleMigratePrepare(payload []byte) ([]byte, error) {
 	if outcome, ok := n.migDone[m.mid]; ok {
 		return encode(migratePrepareResp{status: migStatusOf(outcome)}), nil
 	}
-	if rec, ok := n.outgoing[m.mid]; ok {
-		// Idempotent re-prepare: the frozen bucket makes rebuilding the
-		// batch from the saved key set deterministic.
-		batch, err := n.migBatchLocked(f, rec)
-		if err != nil {
+	var cpErr error
+	if _, ok := n.outgoing[m.mid]; !ok {
+		if err := n.checkPrepareLocked(f, m); err != nil {
 			return nil, err
 		}
-		return encode(migratePrepareResp{status: migrateStatusOK, batch: batch}), nil
+		if err := n.journalLocked(opMigratePrepare, payload); err != nil {
+			return nil, err
+		}
+		if err := n.applyMigratePrepareLocked(m); err != nil {
+			return nil, err
+		}
+		cpErr = n.maybeCheckpointLocked()
 	}
-	if _, err := n.prepareMovedKeysLocked(f, m); err != nil {
-		return nil, err
+	// A node-local move was applied whole. Otherwise the answer is the
+	// outgoing set's records, re-prepares included: the frozen bucket
+	// makes rebuilding them from the saved key set deterministic.
+	resp := migratePrepareResp{status: migrateStatusCommitted}
+	if rec, ok := n.outgoing[m.mid]; ok {
+		resp.status = migrateStatusOK
+		if resp.batch, err = n.migBatchLocked(f, rec); err != nil {
+			return nil, err
+		}
 	}
-	if err := n.journalLocked(opMigratePrepare, payload); err != nil {
-		return nil, err
-	}
-	if err := n.applyMigratePrepareLocked(m); err != nil {
-		return nil, err
-	}
-	batch, err := n.migBatchLocked(f, n.outgoing[m.mid])
-	if err != nil {
-		return nil, err
-	}
-	return encode(migratePrepareResp{status: migrateStatusOK, batch: batch}), n.maybeCheckpointLocked()
+	return encode(resp), cpErr
 }
 
-// applyMigratePrepareLocked records the outgoing set and freezes the
-// source bucket — shared by the live handler (post-journal) and WAL
-// replay. Callers must hold the write lock.
+// applyMigratePrepareLocked applies a prepare — shared by the live
+// handler (post-journal), WAL replay and image restore. A node-local
+// move is applied whole and settles as committed; its records stay on
+// the node, so no posting changes. Otherwise the node records the
+// outgoing set and freezes the source bucket. Callers must hold the
+// write lock.
 func (n *Node) applyMigratePrepareLocked(m migrateHeader) error {
 	f := n.fileLocked(m.file)
-	keys, err := n.prepareMovedKeysLocked(f, m)
-	if err != nil {
+	if err := n.checkPrepareLocked(f, m); err != nil {
 		return err
 	}
+	src := f.buckets[m.from]
+	if n.place.NodeOf(m.to) == n.id {
+		switch m.kind {
+		case migrateSplit:
+			dst := lhstar.NewBucket(m.to, uint(m.level)+1)
+			if _, err := src.SplitInto(dst); err != nil {
+				return err
+			}
+			f.buckets[m.to] = dst
+		case migrateMerge:
+			if err := f.buckets[m.to].MergeFrom(src); err != nil {
+				return err
+			}
+			delete(f.buckets, m.from)
+		}
+		n.migDone[m.mid] = migOutcomeCommitted
+		return nil
+	}
+	mod := uint64(1) << (m.level + 1) // a split moves the keys of its new image
+	var keys []uint64
+	src.Scan(func(key uint64, _ []byte) bool {
+		if m.kind == migrateMerge || key%mod == m.to {
+			keys = append(keys, key)
+		}
+		return true
+	})
+	slices.Sort(keys)
 	n.outgoing[m.mid] = &migRecord{migrateHeader: m, keys: keys}
 	f.migLock(m.from, m.mid)
 	return nil
@@ -235,7 +269,7 @@ func (n *Node) handleMigrateAbsorb(payload []byte) ([]byte, error) {
 	if _, ok := n.absorbed[m.mid]; ok {
 		return nil, nil
 	}
-	if err := n.checkAbsorbLocked(f, m); err != nil {
+	if err := n.checkAbsorbLocked(f, m.migrateHeader); err != nil {
 		return nil, err
 	}
 	if err := n.journalLocked(opMigrateAbsorb, payload); err != nil {
@@ -247,47 +281,42 @@ func (n *Node) handleMigrateAbsorb(payload []byte) ([]byte, error) {
 	return nil, n.maybeCheckpointLocked()
 }
 
-// checkAbsorbLocked validates an absorb against local state without
-// mutating it, so validation failures surface before the journal write.
-func (n *Node) checkAbsorbLocked(f *nodeFile, m migrateAbsorbReq) error {
-	switch m.kind {
-	case migrateSplit:
-		if want := m.from + 1<<m.level; m.to != want {
-			return fmt.Errorf("sdds: migration %d: split absorb into bucket %d does not match source %d at level %d", m.mid, m.to, m.from, m.level)
-		}
-		if _, exists := f.buckets[m.to]; exists {
-			return fmt.Errorf("sdds: migration %d: split target bucket %d of file %d already exists on node %d", m.mid, m.to, m.file, n.id)
-		}
-	case migrateMerge:
-		b, ok := f.buckets[m.to]
-		if !ok {
-			return fmt.Errorf("sdds: migration %d: node %d has no merge target bucket %d of file %d", m.mid, n.id, m.to, m.file)
-		}
-		if m.level == 0 || b.Level() != uint(m.level) {
-			return fmt.Errorf("sdds: migration %d: merge target bucket %d is at level %d, coordinator expected %d", m.mid, m.to, b.Level(), m.level)
-		}
-		if want := m.to + 1<<(m.level-1); m.from != want {
-			return fmt.Errorf("sdds: migration %d: merge absorb from bucket %d does not match target %d at level %d", m.mid, m.from, m.to, m.level)
-		}
-		if err := f.migBlocked(m.file, m.to); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("sdds: migration %d: unknown kind %d", m.mid, m.kind)
+// checkAbsorbLocked validates an absorb's target against local state
+// without mutating it, so validation failures surface before the journal
+// write.
+func (n *Node) checkAbsorbLocked(f *nodeFile, m migrateHeader) error {
+	if _, ok := n.outgoing[m.mid]; ok {
+		return fmt.Errorf("sdds: migration %d: node %d holds its outgoing set and cannot also be its target", m.mid, n.id)
+	}
+	if err := m.check(); err != nil {
+		return err
+	}
+	b, ok := f.buckets[m.to]
+	switch {
+	case m.kind == migrateSplit && ok:
+		return fmt.Errorf("sdds: migration %d: split target bucket %d of file %d already exists on node %d", m.mid, m.to, m.file, n.id)
+	case m.kind == migrateMerge && !ok:
+		return fmt.Errorf("sdds: migration %d: node %d has no merge target bucket %d of file %d", m.mid, n.id, m.to, m.file)
+	case m.kind == migrateMerge && b.Level() != uint(m.level):
+		return fmt.Errorf("sdds: migration %d: merge target bucket %d is at level %d, coordinator expected %d", m.mid, m.to, b.Level(), m.level)
+	case m.kind == migrateMerge:
+		return f.migBlocked(m.file, m.to)
 	}
 	return nil
 }
 
-// applyMigrateAbsorbLocked lands the batch, records the absorbed set,
-// and freezes the target bucket until commit/abort — shared by the
-// live handler and WAL replay. A node that also holds the migration's
-// outgoing set (a node-local move) indexes nothing: the records'
-// postings are already there, one set per key across the node's
-// buckets, and commit and abort both keep them. Callers must hold the
-// write lock.
+// applyMigrateAbsorbLocked lands and indexes the batch, records the
+// absorbed set, and freezes the target bucket until commit/abort —
+// shared by the live handler and WAL replay. A settled MID applies
+// nothing: the live handler answers it before journaling, and a journal
+// written by a release that ran node-local moves in three phases holds
+// their absorb and commit behind the prepare that now completes them.
+// Callers must hold the write lock.
 func (n *Node) applyMigrateAbsorbLocked(m migrateAbsorbReq) error {
+	if _, ok := n.migDone[m.mid]; ok {
+		return nil
+	}
 	f := n.fileLocked(m.file)
-	_, alsoSource := n.outgoing[m.mid]
 	keys := make([]uint64, 0, len(m.batch.records))
 	switch m.kind {
 	case migrateSplit:
@@ -313,10 +342,8 @@ func (n *Node) applyMigrateAbsorbLocked(m migrateAbsorbReq) error {
 	default:
 		return fmt.Errorf("sdds: migration %d: unknown kind %d", m.mid, m.kind)
 	}
-	if !alsoSource {
-		f.indexPutBatch(m.batch.records)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	f.indexPutBatch(m.batch.records)
+	slices.Sort(keys)
 	n.absorbed[m.mid] = &migRecord{migrateHeader: m.migrateHeader, keys: keys}
 	f.migLock(m.to, m.mid)
 	return nil
@@ -349,59 +376,43 @@ func (n *Node) handleMigrateCommit(payload []byte) ([]byte, error) {
 	return nil, n.maybeCheckpointLocked()
 }
 
-// applyMigrateCommitLocked finalizes a migration on every side this
-// node played — when placement puts source and target buckets on the
-// same node, one commit settles both roles. The source applies the
-// destructive half it deferred at prepare (drop the moved keys / close
-// the bucket); the target simply keeps what it absorbed. Callers must
-// hold the write lock.
+// applyMigrateCommitLocked finalizes the role this node plays: the
+// source applies the destructive half it deferred at prepare (drop the
+// moved keys and their postings / close the bucket); the target simply
+// keeps what it absorbed. A committed MID applies nothing (see
+// applyMigrateAbsorbLocked). Callers must hold the write lock.
 func (n *Node) applyMigrateCommitLocked(m migrateFinishReq) error {
-	applied := false
-	// When this node is both source and target (a node-local move) the
-	// moved records stay local: their postings — one set per key, shared
-	// across the node's buckets — must survive the source-side cleanup.
-	_, alsoTarget := n.absorbed[m.mid]
+	if n.migDone[m.mid] == migOutcomeCommitted {
+		return nil
+	}
 	if rec, ok := n.outgoing[m.mid]; ok {
 		f := n.fileLocked(rec.file)
 		b, ok := f.buckets[rec.from]
 		if !ok {
 			return fmt.Errorf("sdds: migration %d: outgoing bucket %d of file %d vanished from node %d", rec.mid, rec.from, rec.file, n.id)
 		}
-		switch rec.kind {
-		case migrateSplit:
-			dst := lhstar.NewBucket(rec.to, uint(rec.level)+1)
-			if _, err := b.SplitInto(dst); err != nil {
+		gone := b
+		if rec.kind == migrateSplit {
+			gone = lhstar.NewBucket(rec.to, uint(rec.level)+1)
+			if _, err := b.SplitInto(gone); err != nil {
 				return err
 			}
-			if err := verifyMovedKeys(rec, dst); err != nil {
+			if err := verifyMovedKeys(rec, gone); err != nil {
 				return err
 			}
-			if !alsoTarget {
-				dst.Scan(func(key uint64, _ []byte) bool {
-					f.indexDelete(key)
-					return true
-				})
-			}
-		case migrateMerge:
-			if !alsoTarget {
-				b.Scan(func(key uint64, _ []byte) bool {
-					f.indexDelete(key)
-					return true
-				})
-			}
+		} else {
 			delete(f.buckets, rec.from)
 		}
+		gone.Scan(func(key uint64, _ []byte) bool {
+			f.indexDelete(key)
+			return true
+		})
 		f.migUnlock(rec.from)
 		delete(n.outgoing, m.mid)
-		applied = true
-	}
-	if rec, ok := n.absorbed[m.mid]; ok {
-		f := n.fileLocked(rec.file)
-		f.migUnlock(rec.to)
+	} else if rec, ok := n.absorbed[m.mid]; ok {
+		n.fileLocked(rec.file).migUnlock(rec.to)
 		delete(n.absorbed, m.mid)
-		applied = true
-	}
-	if !applied {
+	} else {
 		return fmt.Errorf("sdds: migration %d unknown on node %d during commit", m.mid, n.id)
 	}
 	n.migDone[m.mid] = migOutcomeCommitted
@@ -432,65 +443,49 @@ func (n *Node) handleMigrateAbort(payload []byte) ([]byte, error) {
 
 // applyMigrateAbortLocked undoes a migration: the source just forgets
 // the intent (no record ever left its bucket — abort trivially restores
-// it); the target surgically removes exactly the absorbed set. An abort
-// for an ID this node never saw still poisons the ledger, so a delayed
-// prepare or absorb arriving later cannot resurrect the migration.
+// it); the target surgically removes exactly the absorbed set and its
+// postings. An abort for an ID this node never saw still poisons the
+// ledger, so a delayed prepare or absorb arriving later cannot resurrect
+// the migration. An abort of a committed MID is refused: the live
+// handler refuses it before journaling, so only replay of a journal
+// that aborted a node-local move after its prepare meets it here.
 // Callers must hold the write lock.
 func (n *Node) applyMigrateAbortLocked(m migrateFinishReq) error {
-	// Same-node dual role: when the source bucket is local too, the
-	// records the target discards still live in the (never-mutated)
-	// source bucket, so their postings must survive the undo.
-	_, alsoSource := n.outgoing[m.mid]
-	if rec, ok := n.outgoing[m.mid]; ok {
-		// Records never left the frozen bucket; forgetting the intent is
-		// the whole undo. A same-node absorbed role (a node-local move)
-		// is handled below before the outcome is recorded.
-		f := n.fileLocked(rec.file)
-		f.migUnlock(rec.from)
-		delete(n.outgoing, m.mid)
+	if n.migDone[m.mid] == migOutcomeCommitted {
+		return fmt.Errorf("sdds: migration %d: node %d committed it and cannot replay its abort", m.mid, n.id)
 	}
-	if rec, ok := n.absorbed[m.mid]; ok {
+	if rec, ok := n.outgoing[m.mid]; ok {
+		n.fileLocked(rec.file).migUnlock(rec.from)
+		delete(n.outgoing, m.mid)
+	} else if rec, ok := n.absorbed[m.mid]; ok {
 		f := n.fileLocked(rec.file)
 		b, bok := f.buckets[rec.to]
 		if !bok {
 			return fmt.Errorf("sdds: migration %d: absorbed bucket %d of file %d vanished from node %d", rec.mid, rec.to, rec.file, n.id)
 		}
-		switch rec.kind {
-		case migrateSplit:
-			// The whole bucket was created by the absorb and frozen since;
-			// its contents must be exactly the absorbed set.
-			if err := verifyMovedKeys(rec, b); err != nil {
+		// A split's whole target bucket was created by the absorb and
+		// frozen since. A merge re-extracts: raising the level back pulls
+		// out exactly the keys that belong to the closed bucket. Either way
+		// what goes must be exactly the absorbed set.
+		gone := b
+		if rec.kind == migrateMerge {
+			gone = lhstar.NewBucket(rec.from, uint(rec.level))
+			if _, err := b.SplitInto(gone); err != nil {
 				return err
-			}
-			if !alsoSource {
-				b.Scan(func(key uint64, _ []byte) bool {
-					f.indexDelete(key)
-					return true
-				})
-			}
-			delete(f.buckets, rec.to)
-		case migrateMerge:
-			// Re-extract: raising the level back pulls out exactly the keys
-			// that belong to the closed bucket — the absorbed set, since
-			// the bucket was frozen for writes.
-			dst := lhstar.NewBucket(rec.from, uint(rec.level))
-			if _, err := b.SplitInto(dst); err != nil {
-				return err
-			}
-			if err := verifyMovedKeys(rec, dst); err != nil {
-				return err
-			}
-			if !alsoSource {
-				dst.Scan(func(key uint64, _ []byte) bool {
-					f.indexDelete(key)
-					return true
-				})
 			}
 		}
+		if err := verifyMovedKeys(rec, gone); err != nil {
+			return err
+		}
+		if rec.kind == migrateSplit {
+			delete(f.buckets, rec.to)
+		}
+		gone.Scan(func(key uint64, _ []byte) bool {
+			f.indexDelete(key)
+			return true
+		})
 		f.migUnlock(rec.to)
 		delete(n.absorbed, m.mid)
-		n.migDone[m.mid] = migOutcomeAborted
-		return nil
 	}
 	n.migDone[m.mid] = migOutcomeAborted
 	return nil
@@ -506,14 +501,9 @@ func verifyMovedKeys(rec *migRecord, b *lhstar.Bucket) error {
 		got = append(got, key)
 		return true
 	})
-	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-	if len(got) != len(rec.keys) {
-		return fmt.Errorf("sdds: migration %d: frozen bucket holds %d keys, migration recorded %d", rec.mid, len(got), len(rec.keys))
-	}
-	for i := range got {
-		if got[i] != rec.keys[i] {
-			return fmt.Errorf("sdds: migration %d: frozen bucket key set diverged at key %d (recorded %d)", rec.mid, got[i], rec.keys[i])
-		}
+	slices.Sort(got)
+	if !slices.Equal(got, rec.keys) {
+		return fmt.Errorf("sdds: migration %d: frozen bucket holds %d keys, not the %d keys the migration recorded", rec.mid, len(got), len(rec.keys))
 	}
 	return nil
 }
@@ -549,23 +539,33 @@ func sortedMigRecords(m map[uint64]*migRecord) []migRecord {
 
 // adoptMigImageLocked replaces the node's migration ledger with the one
 // from a restored image and re-freezes the buckets of every in-flight
-// migration. Callers must hold the write lock, with n.files already
+// migration. An outgoing set whose target is local, which a release that
+// ran node-local moves in three phases wrote, is completed as its
+// prepare would be now; an image holding both sets of one MID is
+// refused. Callers must hold the write lock, with n.files already
 // holding the restored buckets.
-func (n *Node) adoptMigImageLocked(img migrationImage) {
+func (n *Node) adoptMigImageLocked(img migrationImage) error {
 	n.outgoing = make(map[uint64]*migRecord, len(img.outgoing))
 	n.absorbed = make(map[uint64]*migRecord, len(img.absorbed))
 	n.migDone = make(map[uint64]uint8, len(img.done))
-	for i := range img.outgoing {
-		rec := img.outgoing[i]
-		n.outgoing[rec.mid] = &rec
-		n.fileLocked(rec.file).migLock(rec.from, rec.mid)
+	for _, d := range img.done {
+		n.migDone[d.mid] = d.outcome
 	}
 	for i := range img.absorbed {
 		rec := img.absorbed[i]
 		n.absorbed[rec.mid] = &rec
 		n.fileLocked(rec.file).migLock(rec.to, rec.mid)
 	}
-	for _, d := range img.done {
-		n.migDone[d.mid] = d.outcome
+	for i := range img.outgoing {
+		rec := img.outgoing[i]
+		if n.place.NodeOf(rec.to) == n.id {
+			if err := n.applyMigratePrepareLocked(rec.migrateHeader); err != nil {
+				return err
+			}
+			continue
+		}
+		n.outgoing[rec.mid] = &rec
+		n.fileLocked(rec.file).migLock(rec.from, rec.mid)
 	}
+	return nil
 }

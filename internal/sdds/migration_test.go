@@ -445,22 +445,26 @@ func TestFrozenBucketRejectsWrites(t *testing.T) {
 }
 
 // TestSplitCrashSweep cuts power to the source or target node at every
-// durable-write crash point of one split and restarts it. Whatever the
-// outcome the resume settles on — roll forward or abort — no
-// acknowledged record may be lost or duplicated.
+// durable-write crash point of one cross-node split and restarts it,
+// once replaying the journal and once restoring every step from a
+// checkpoint. Whatever the outcome the resume settles on — roll forward
+// or abort — no acknowledged record may be lost or duplicated.
 func TestSplitCrashSweep(t *testing.T) {
 	victims := []struct {
 		name string
 		node transport.NodeID
+		opts wal.Options
 	}{
-		{"source", 0},
-		{"target", 1},
+		{"source", 0, wal.Options{}},
+		{"target", 1, wal.Options{}},
+		{"source-checkpoint", 0, wal.Options{CheckpointBytes: 1}},
+		{"target-checkpoint", 1, wal.Options{CheckpointBytes: 1}},
 	}
 	for _, victim := range victims {
 		t.Run(victim.name, func(t *testing.T) {
 			ctx := context.Background()
 			for point := 1; ; point++ {
-				h := newMigHarness(t, 2)
+				h := newMigHarnessOpts(t, 2, victim.opts)
 				keys := h.load(FileRecords, 24)
 				h.c.SetMaxLoad(FileRecords, 4)
 				h.fss[victim.node].SetCrash(point, wal.CrashDrop)
@@ -497,14 +501,16 @@ func TestSplitCrashSweep(t *testing.T) {
 	}
 }
 
-// TestLocalSplitCrashSweep cuts power to the node holding both sides of
-// a node-local split of the posting-indexed file — bucket 0 into bucket
-// 2 on two nodes, both on node 0 — at every durable-write crash point,
+// TestLocalSplitCrashSweep cuts power to the node holding both buckets
+// of a node-local move of the posting-indexed file — on two nodes, the
+// split of bucket 0 into bucket 2, and the merge closing bucket 2 into
+// bucket 0 again, all on node 0 — at every durable-write crash point,
 // once replaying the journal and once restoring every step from a
 // checkpoint, then restarts it and resumes. Whatever the resume settles
 // on, every indexed record is stored once, its postings are exactly a
 // rebuild's, and search agrees with a linear-scan cluster, finding each
-// record once. A split that ran without a crash wrote no posting.
+// record once. A move that ran without a crash wrote no posting, and its
+// crash points are one journal record's.
 func TestLocalSplitCrashSweep(t *testing.T) {
 	pl := testPipeline(t, 4, 2, 2)
 	slotBits := SlotBits(pl.Chunkings(), pl.K())
@@ -537,86 +543,112 @@ func TestLocalSplitCrashSweep(t *testing.T) {
 	lin.SetMaxLoad(FileIndex, 16)
 	insert(t, lin)
 
-	for _, mode := range []struct {
-		name string
-		opts wal.Options
+	split := func(ctx context.Context, h *migHarness) error { return h.c.coord.split(ctx, FileIndex) }
+	merge := func(ctx context.Context, h *migHarness) error {
+		_, err := h.c.coord.migrate(ctx, FileIndex, mergePlan)
+		return err
+	}
+	for _, move := range []struct {
+		name    string
+		plan    func(*FileState) (MigrationIntent, bool)
+		run     func(context.Context, *migHarness) error
+		splits  int    // set-up splits: 0 → 1 across nodes, then 0 → 2
+		maxLoad int    // set before the move, so the plan wants it
+		buckets uint64 // the file's buckets once it committed
 	}{
-		{"replay", wal.Options{}},
-		{"checkpoint", wal.Options{CheckpointBytes: 1}},
+		{"", splitPlan, split, 1, 16, 3},
+		{"merge-", mergePlan, merge, 2, 1 << 20, 2},
 	} {
-		t.Run(mode.name, func(t *testing.T) {
-			ctx := context.Background()
-			for point := 1; ; point++ {
-				h := newMigHarnessOpts(t, 2, mode.opts)
-				h.c.SetMaxLoad(FileIndex, 1<<20)
-				keys := insert(t, h.c)
-				h.c.SetMaxLoad(FileIndex, 16)
-				if err := h.c.coord.split(ctx, FileIndex); err != nil { // 0 → 1, across nodes
-					t.Fatalf("first split: %v", err)
-				}
-				if from, to := h.c.coord.File(FileIndex).State.NextSplit(); h.place.NodeOf(from) != 0 || h.place.NodeOf(to) != 0 {
-					t.Fatalf("split %d → %d is not local to node 0", from, to)
-				}
-				before := indexStatsOf(h.nodes[0])
-				h.fss[0].SetCrash(point, wal.CrashDrop)
-				err := h.c.coord.split(ctx, FileIndex)
-				crashed := h.fss[0].Crashed()
-				if !crashed {
-					// Past the protocol's last durable write on node 0.
-					if err != nil {
-						t.Fatalf("point %d: split failed without a crash: %v", point, err)
-					}
-					if after := indexStatsOf(h.nodes[0]); after.tombstones != before.tombstones || after.entries != before.entries {
-						t.Fatalf("node-local split rewrote postings: index %+v before, %+v after", before, after)
-					}
-				} else {
-					h.startNode(0)
-					if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
-						t.Fatalf("point %d: resuming after the crash: %v", point, err)
-					}
-					h.wantInvariant()
-					if s := h.c.coord.MigrationStats(); s.InFlight != 0 {
-						t.Fatalf("point %d: migration still in flight after resume: %+v", point, s)
-					}
-					for h.c.coord.File(FileIndex).State.Buckets() < 3 {
-						if err := h.c.coord.split(ctx, FileIndex); err != nil {
-							t.Fatalf("point %d: re-splitting after abort: %v", point, err)
+		for _, mode := range []struct {
+			name   string
+			opts   wal.Options
+			points int // the move's crash points: its one journal record's, and the checkpoint it brings due
+		}{
+			{"replay", wal.Options{}, 2},
+			{"checkpoint", wal.Options{CheckpointBytes: 1}, 8},
+		} {
+			t.Run(move.name+mode.name, func(t *testing.T) {
+				ctx := context.Background()
+				for point := 1; ; point++ {
+					h := newMigHarnessOpts(t, 2, mode.opts)
+					h.c.SetMaxLoad(FileIndex, 1<<20)
+					keys := insert(t, h.c)
+					h.c.SetMaxLoad(FileIndex, 16)
+					for i := 0; i < move.splits; i++ {
+						if err := split(ctx, h); err != nil {
+							t.Fatalf("set-up split: %v", err)
 						}
 					}
+					h.c.SetMaxLoad(FileIndex, move.maxLoad)
+					f := h.c.coord.File(FileIndex)
+					if f.State.Buckets() != uint64(move.splits)+1 {
+						t.Fatalf("set-up grew the file to %d buckets", f.State.Buckets())
+					}
+					if in, ok := move.plan(&f); !ok || h.place.NodeOf(in.From) != 0 || h.place.NodeOf(in.To) != 0 {
+						t.Fatalf("planned move %+v (wanted %v) is not local to node 0", in, ok)
+					}
+					before := indexStatsOf(h.nodes[0])
+					h.fss[0].SetCrash(point, wal.CrashDrop)
+					err := move.run(ctx, h)
+					crashed := h.fss[0].Crashed()
+					if !crashed {
+						// Past the protocol's last durable write on node 0.
+						if err != nil {
+							t.Fatalf("point %d: move failed without a crash: %v", point, err)
+						}
+						if after := indexStatsOf(h.nodes[0]); after.tombstones != before.tombstones || after.entries != before.entries {
+							t.Fatalf("node-local move rewrote postings: index %+v before, %+v after", before, after)
+						}
+					} else {
+						h.startNode(0)
+						if _, err := h.c.coord.ResumeMigrations(ctx); err != nil {
+							t.Fatalf("point %d: resuming after the crash: %v", point, err)
+						}
+						h.wantInvariant()
+						if s := h.c.coord.MigrationStats(); s.InFlight != 0 {
+							t.Fatalf("point %d: migration still in flight after resume: %+v", point, s)
+						}
+						if h.c.coord.File(FileIndex).State.Buckets() != move.buckets {
+							if err := move.run(ctx, h); err != nil {
+								t.Fatalf("point %d: re-running the move after abort: %v", point, err)
+							}
+						}
+						if b := h.c.coord.File(FileIndex).State.Buckets(); b != move.buckets {
+							t.Fatalf("point %d: the file has %d buckets after the move, want %d", point, b, move.buckets)
+						}
+					}
+					h.checkAll(FileIndex, keys)
+					checkPostingInvariants(t, []*Node{h.nodes[0], h.nodes[1]})
+					for rid, rc := range records {
+						query, err := pl.BuildQuery(rc[:9], false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := h.c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+						if err != nil {
+							t.Fatalf("point %d: search: %v", point, err)
+						}
+						want, err := lin.Search(ctx, FileIndex, pl, query, core.VerifyAny)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("point %d: search for record %d: posting %v, linear %v", point, rid, got, want)
+						}
+						if n := countOf(got, rid); n != 1 {
+							t.Fatalf("point %d: search for record %d found it %d times: %v", point, rid, n, got)
+						}
+					}
+					if !crashed {
+						// The prepare is the move's only durable write.
+						if point-1 != mode.points {
+							t.Fatalf("the sweep found %d crash points, want %d", point-1, mode.points)
+						}
+						return
+					}
 				}
-				h.checkAll(FileIndex, keys)
-				checkPostingInvariants(t, []*Node{h.nodes[0], h.nodes[1]})
-				for rid, rc := range records {
-					query, err := pl.BuildQuery(rc[:9], false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := h.c.Search(ctx, FileIndex, pl, query, core.VerifyAny)
-					if err != nil {
-						t.Fatalf("point %d: search: %v", point, err)
-					}
-					want, err := lin.Search(ctx, FileIndex, pl, query, core.VerifyAny)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("point %d: search for record %d: posting %v, linear %v", point, rid, got, want)
-					}
-					if n := countOf(got, rid); n != 1 {
-						t.Fatalf("point %d: search for record %d found it %d times: %v", point, rid, n, got)
-					}
-				}
-				if !crashed {
-					// Prepare, absorb and commit each make at least one
-					// durable write on node 0.
-					if point <= 3 {
-						t.Fatalf("the sweep found only %d crash points", point-1)
-					}
-					t.Logf("%d crash points", point-1)
-					return
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -958,8 +958,7 @@ func (n *Node) restoreImageLocked(payload []byte) error {
 		return err
 	}
 	n.files = files
-	n.adoptMigImageLocked(migs)
-	return nil
+	return n.adoptMigImageLocked(migs)
 }
 
 // buildFilesLocked decodes a node image into a fresh bucket inventory
